@@ -1,14 +1,14 @@
 """Pointwise shape data on the surface gallery.
 
-Builds each gallery surface, evaluates jets / fundamental forms / principal
+Builds each gallery surface, evaluates the fundamental forms and principal
 data at a few points, and checks the generic pipeline against the
 closed-form curvature oracles the constructors carry.
 """
 import numpy as np
 
-from surftrace import (fundamental_forms, jet2, make_bonnet, make_catenoid,
-                       make_crpc_revolution, make_cylinder, make_enneper,
-                       make_helix_surface, make_sphere, point_shape)
+from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
+                       make_cylinder, make_enneper, make_helix_surface,
+                       make_sphere, point_shape)
 
 surfaces = [
     make_helix_surface(1.0, np.pi / 4),
@@ -46,6 +46,6 @@ for surf in surfaces:
 print("\nEnneper first form is conformal: E = G = (1 + t^2 + z^2)^2, F = 0")
 enn = make_enneper()
 for t, z in [(0.0, 0.0), (1.0, -0.5)]:
-    f = fundamental_forms(jet2(enn, t, z))
+    f = point_shape(enn, t, z)[1]
     print(f"  at ({t:4.1f},{z:4.1f}): E = {f.E:.6f}, G = {f.G:.6f}, "
           f"F = {f.F:.1e}, conformal factor {(1+t*t+z*z)**2:.6f}")

@@ -8,9 +8,8 @@ frame analysis.
 """
 
 from .core import (ChristoffelSymbols, Domain, FundamentalForms, ShapeData,
-                   SurfaceDef, SurfaceJet2, TangentDecomp, fundamental_forms,
-                   jet2, point_shape, shape_data)
-from .darboux import (CurveData, CurveSample, FrenetData, curve_scalars,
+                   SurfaceDef, SurfaceJet2, TangentDecomp, jet2, point_shape)
+from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_apparatus,
                       liouville_residuals, pointwise_direction_scalars)
 from .gallery import (CATALOGUE, GalleryOracle, make_bonnet, make_catenoid,

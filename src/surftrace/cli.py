@@ -151,7 +151,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     overrides: dict[str, str] = {}
     if args.config:
-        overrides = parse_config(args.config)
+        try:
+            overrides = parse_config(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"error: config: {exc}", file=sys.stderr)
+            return 1
     if args.tol_abs is not None:
         overrides["tol_abs"] = str(args.tol_abs)
     if args.tol_rel is not None:

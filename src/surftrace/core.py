@@ -1,4 +1,9 @@
-"""Pointwise surface geometry: chart 2-jets, fundamental forms, shape data.
+"""Pointwise surface geometry: chart 2-jets and the single shape pass.
+
+`point_shape` turns a chart's 2-jet into the fundamental forms, Christoffel
+symbols, principal frame and tangent decomposition in one pass; it forms
+X_t x X_z once and is the only place a singular chart is detected (do Carmo,
+*Differential Geometry of Curves and Surfaces*, ch. 3).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -11,6 +16,7 @@ Conventions fixed once and used everywhere downstream:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
@@ -155,129 +161,112 @@ def _fd_jet(position: Callable[[float, float], Vec3], t: float, z: float) -> Sur
 def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) -> SurfaceJet2:
     """Evaluate the 2-jet of a surface at parameter point (t, z).
 
-    Raises OutOfDomainError outside the domain and SingularJetError where
-    the chart is not regular.
+    Raises OutOfDomainError outside the domain.  Regularity is checked by
+    `point_shape`, which forms the normal.
     """
     if check_domain and not surface.domain.contains(t, z):
         raise OutOfDomainError(
             f"({t:g}, {z:g}) outside domain of surface '{surface.name}'")
     if surface.jet is not None:
-        jet = surface.jet(t, z)
-    else:
-        jet = _fd_jet(surface.position, t, z)
-    cr = np.cross(jet.d_t, jet.d_z)
-    if np.linalg.norm(cr) < 1e-14 * np.linalg.norm(jet.d_t) * np.linalg.norm(jet.d_z):
+        return surface.jet(t, z)
+    return _fd_jet(surface.position, t, z)
+
+
+def point_shape(surface: SurfaceDef, t: float, z: float,
+                e1_hint: Vec3 | None = None, *, check_domain: bool = True
+                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+    """(jet, forms, shape data) at one parameter point, in one float pass.
+
+    Raises SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|, the
+    only regularity check.  The shape operator is symmetric in the basis
+    u1 = X_t / |X_t|, u2 = Gram-Schmidt of X_z; its closed-form eigenpairs
+    give kappa1 <= kappa2, with E1 arbitrary where ``umbilic`` is set.  E1
+    is aligned with ``e1_hint`` when given, else with the module sign rule.
+    """
+    jet = jet2(surface, t, z, check_domain=check_domain)
+    xt0, xt1, xt2 = jet.d_t.tolist()
+    xz0, xz1, xz2 = jet.d_z.tolist()
+    E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
+    F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
+    G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
+    c0 = xt1 * xz2 - xt2 * xz1
+    c1 = xt2 * xz0 - xt0 * xz2
+    c2 = xt0 * xz1 - xt1 * xz0
+    nrm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    if nrm <= 1e-14 * math.sqrt(E * G):
         raise SingularJetError(
             f"chart of '{surface.name}' singular at ({t:g}, {z:g})")
-    return jet
-
-
-def fundamental_forms(jet: SurfaceJet2) -> FundamentalForms:
-    """First and second fundamental form coefficients of a regular jet."""
-    E = float(jet.d_t @ jet.d_t)
-    F = float(jet.d_t @ jet.d_z)
-    G = float(jet.d_z @ jet.d_z)
-    cr = np.cross(jet.d_t, jet.d_z)
-    nrm = np.linalg.norm(cr)
-    if nrm < 1e-14 * np.sqrt(E * G):
-        raise SingularJetError("jet is singular; normal undefined")
-    normal = cr / nrm
-    e = float(jet.d_tt @ normal)
-    f = float(jet.d_tz @ normal)
-    g = float(jet.d_zz @ normal)
-    return FundamentalForms(E, F, G, e, f, g, normal)
-
-
-def christoffel_symbols(jet: SurfaceJet2, forms: FundamentalForms) -> ChristoffelSymbols:
-    """Christoffel symbols from the tangential part of the second partials.
-
-    Solves [E F; F G] (c1, c2) = (<X_.., X_t>, <X_.., X_z>) for each second
-    partial; algebraically identical to the metric-derivative formulas.
-    """
-    E, F, G = forms.E, forms.F, forms.G
-    W = E * G - F * F
-    out = []
-    for d2 in (jet.d_tt, jet.d_tz, jet.d_zz):
-        bt = float(d2 @ jet.d_t)
-        bz = float(d2 @ jet.d_z)
-        out.append(((G * bt - F * bz) / W, (E * bz - F * bt) / W))
-    (c1_tt, c2_tt), (c1_tz, c2_tz), (c1_zz, c2_zz) = out
-    return ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
-
-
-def shape_data(jet: SurfaceJet2,
-               forms: FundamentalForms | None = None,
-               e1_hint: Vec3 | None = None) -> ShapeData:
-    """Solve the 2x2 shape-operator eigenproblem and assemble shape data.
-
-    The eigenproblem is formed in an orthonormal tangent basis so the
-    operator is symmetric; eigenvalues are ordered kappa1 <= kappa2.  At
-    umbilic points the principal directions are an arbitrary orthonormal
-    pair and the ``umbilic`` flag is set.
-    """
-    if forms is None:
-        forms = fundamental_forms(jet)
-    E, F, G = forms.E, forms.F, forms.G
-    e, f, g = forms.e, forms.f, forms.g
-    normal = forms.normal
+    n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
     W = E * G - F * F
 
-    # orthonormal tangent basis u1 = X_t/|X_t|, u2 = Gram-Schmidt of X_z
-    sqE = np.sqrt(E)
-    u1 = jet.d_t / sqE
-    w = jet.d_z - (F / E) * jet.d_t
-    wn = np.linalg.norm(w)
-    u2 = w / wn
-    # chart-basis components of u1, u2
-    a1, b1 = 1.0 / sqE, 0.0
+    # second form and Christoffel symbols: [E F; F G] (c1, c2) =
+    # (<X_.., X_t>, <X_.., X_z>) for each second partial X_..
+    second = []
+    symbols = []
+    for part in (jet.d_tt, jet.d_tz, jet.d_zz):
+        p0, p1, p2 = part.tolist()
+        second.append(p0 * n0 + p1 * n1 + p2 * n2)
+        bt = p0 * xt0 + p1 * xt1 + p2 * xt2
+        bz = p0 * xz0 + p1 * xz1 + p2 * xz2
+        symbols.append(((G * bt - F * bz) / W, (E * bz - F * bt) / W))
+    e, f, g = second
+    (c1_tt, c2_tt), (c1_tz, c2_tz), (c1_zz, c2_zz) = symbols
+
+    # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
+    # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
+    sqE = math.sqrt(E)
+    r = F / E
+    w0, w1, w2 = xz0 - r * xt0, xz1 - r * xt1, xz2 - r * xt2
+    wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    a1 = 1.0 / sqE
     a2, b2 = -F / (E * wn), 1.0 / wn
-
-    def second_form(p, q, r, s):
-        return p * r * e + (p * s + q * r) * f + q * s * g
-
-    m00 = second_form(a1, b1, a1, b1)
-    m01 = second_form(a1, b1, a2, b2)
-    m11 = second_form(a2, b2, a2, b2)
-
+    m00 = a1 * a1 * e
+    m01 = a1 * a2 * e + a1 * b2 * f
+    m11 = a2 * a2 * e + 2.0 * a2 * b2 * f + b2 * b2 * g
     mean = 0.5 * (m00 + m11)
-    disc = float(np.hypot(0.5 * (m00 - m11), m01))
+    disc = math.hypot(0.5 * (m00 - m11), m01)
     kappa1 = mean - disc
     kappa2 = mean + disc
     umbilic = (kappa2 - kappa1) < UMBILIC_EPS * max(1.0, abs(kappa1) + abs(kappa2))
 
-    v = np.array([m01, kappa1 - m00])
-    alt = np.array([kappa1 - m11, m01])
-    if np.linalg.norm(alt) > np.linalg.norm(v):
-        v = alt
-    if np.linalg.norm(v) < 1e-14:
-        v = np.array([1.0, 0.0])  # umbilic: arbitrary direction
-    e1 = v[0] * u1 + v[1] * u2
-    e1 = e1 / np.linalg.norm(e1)
+    # eigenvector of kappa1 in the (u1, u2) basis, from the better
+    # conditioned row of M - kappa1 I
+    v0, v1 = m01, kappa1 - m00
+    alt0, alt1 = kappa1 - m11, m01
+    if math.hypot(alt0, alt1) > math.hypot(v0, v1):
+        v0, v1 = alt0, alt1
+    if math.hypot(v0, v1) < 1e-14:
+        v0, v1 = 1.0, 0.0  # umbilic: arbitrary direction
+    # E1 = (d0, d1, d2) = v0 u1 + v1 u2, normalized
+    k_t, k_w = v0 / sqE, v1 / wn
+    d0, d1, d2 = k_t * xt0 + k_w * w0, k_t * xt1 + k_w * w1, k_t * xt2 + k_w * w2
+    dn = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    d0, d1, d2 = d0 / dn, d1 / dn, d2 / dn
 
     if e1_hint is not None:
-        if float(e1 @ e1_hint) < 0.0:
-            e1 = -e1
+        h0, h1, h2 = e1_hint
+        flip = d0 * h0 + d1 * h1 + d2 * h2 < 0.0
     else:
-        s = float(e1 @ jet.d_t)
+        s = d0 * xt0 + d1 * xt1 + d2 * xt2
         if abs(s) > 1e-9 * sqE:
-            if s < 0.0:
-                e1 = -e1
-        elif float(e1 @ jet.d_z) < 0.0:
-            e1 = -e1
-    e2 = np.cross(normal, e1)
+            flip = s < 0.0
+        else:
+            flip = d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
+    if flip:
+        d0, d1, d2 = -d0, -d1, -d2
+    # E2 = (q0, q1, q2) = N x E1
+    q0 = n1 * d2 - n2 * d1
+    q1 = n2 * d0 - n0 * d2
+    q2 = n0 * d1 - n1 * d0
 
-    K = (e * g - f * f) / W
-    H = mean
-    christoffel = christoffel_symbols(jet, forms)
-    decomp = TangentDecomp(float(jet.d_t @ e1), float(jet.d_t @ e2),
-                           float(jet.d_z @ e1), float(jet.d_z @ e2))
-    return ShapeData(normal, kappa1, kappa2, e1, e2, K, H,
-                     christoffel, decomp, umbilic)
-
-
-def point_shape(surface: SurfaceDef, t: float, z: float,
-                e1_hint: Vec3 | None = None, *, check_domain: bool = True):
-    """Convenience: (jet, forms, shape_data) at one parameter point."""
-    jet = jet2(surface, t, z, check_domain=check_domain)
-    forms = fundamental_forms(jet)
-    return jet, forms, shape_data(jet, forms, e1_hint)
+    normal = np.array([n0, n1, n2])
+    forms = FundamentalForms(E, F, G, e, f, g, normal)
+    christoffel = ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
+    decomp = TangentDecomp(xt0 * d0 + xt1 * d1 + xt2 * d2,
+                           xt0 * q0 + xt1 * q1 + xt2 * q2,
+                           xz0 * d0 + xz1 * d1 + xz2 * d2,
+                           xz0 * q0 + xz1 * q1 + xz2 * q2)
+    sd = ShapeData(normal, kappa1, kappa2, np.array([d0, d1, d2]),
+                   np.array([q0, q1, q2]), (e * g - f * f) / W, mean,
+                   christoffel, decomp, umbilic)
+    return jet, forms, sd

@@ -28,25 +28,6 @@ Vec3 = np.ndarray
 
 
 @dataclass(frozen=True)
-class CurveSample:
-    """One arc-length station of a curve traced on a surface."""
-
-    s: float
-    uv: tuple[float, float]
-    uv_vel: tuple[float, float]
-    uv_acc: tuple[float, float]
-    pos: Vec3
-    T: Vec3
-    kg: float
-    kn: float
-    taug: float
-    phi: float
-    theta: float
-    kappa: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class CurveData:
     """Array-of-samples view of a curve's Darboux data.
 
@@ -73,14 +54,6 @@ class CurveData:
 
     def __len__(self) -> int:
         return len(self.s)
-
-    def sample(self, i: int) -> CurveSample:
-        return CurveSample(
-            float(self.s[i]), tuple(self.uv[i]), tuple(self.uv_vel[i]),
-            tuple(self.uv_acc[i]), self.pos[i], self.T[i],
-            float(self.kg[i]), float(self.kn[i]), float(self.taug[i]),
-            float(self.phi[i]), float(self.theta[i]),
-            float(self.kappa[i]), float(self.tau[i]))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ class NonOrthogonalChartError(GeometryError):
     """Pseudo-geodesic tracing requires an orthogonal (F = 0) chart."""
 
 
+class InvalidRequestError(GeometryError):
+    """A trace request has a non-finite or out-of-range field."""
+
+
 class ThetaOutOfRangeError(GeometryError):
     """Pseudo-geodesic angle must satisfy |theta| < pi/2."""
 
@@ -67,3 +71,7 @@ class TangencyError(GeometryError):
 
 class UnknownFixtureError(GeometryError):
     """Requested intersection fixture name is not in the catalogue."""
+
+
+class UnknownScenarioError(GeometryError):
+    """Requested verification scenario id is not in the catalogue."""

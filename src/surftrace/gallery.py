@@ -8,12 +8,12 @@ of those lines, all under the chart orientation N = X_t x X_z.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta, betaincc
 
 from .core import Domain, SurfaceDef, SurfaceJet2
 from .errors import DegenerateParameterError
@@ -144,39 +144,25 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
 # revolution surface with constant ratio of principal curvatures
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=200000)
 def _crpc_height(t: float, c: float, eps: float) -> float:
     """Height integral eps * int_1^t u^c (1 - u^{2c})^{-1/2} du.
 
-    The endpoint u = 1 is an integrable singularity; substituting
-    u = 1 - w^2 removes it, leaving a smooth integrand.
+    With w = u^{2c} the integral is an incomplete beta function:
+    int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
+    I' is the complementary regularized incomplete beta.
     """
     if t >= 1.0:
         return 0.0
-
-    def p_ratio(u: float) -> float:
-        # (1 - u^{2c})/(1 - u), stable near u = 1
-        d = 1.0 - u
-        if d > 1e-6:
-            return (1.0 - u ** (2 * c)) / d
-        tc = 2 * c
-        return tc - 0.5 * tc * (tc - 1) * d + tc * (tc - 1) * (tc - 2) * d * d / 6.0
-
-    def integrand(w: float) -> float:
-        u = 1.0 - w * w
-        return 2.0 * u ** c / np.sqrt(p_ratio(u))
-
-    val, _ = quad(integrand, 0.0, np.sqrt(1.0 - t), epsabs=1e-12, epsrel=1e-12,
-                  limit=200)
-    return -eps * val
+    a = 0.5 / c + 0.5
+    return -eps / (2.0 * c) * beta(a, 0.5) * betaincc(a, 0.5, t ** (2 * c))
 
 
 def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     """Surface of revolution with kappa(t-dir) = c * kappa(z-dir) != 0.
 
     Chart: X(t,z) = (t cos z, t sin z, h(t)) with h'(t) = eps t^c
-    (1 - t^{2c})^{-1/2}; h itself is only needed for exported positions and
-    is computed by adaptive quadrature.  The chart degenerates at t -> 0
+    (1 - t^{2c})^{-1/2}; h itself is only needed for positions and is an
+    incomplete beta function (`_crpc_height`).  The chart degenerates at t -> 0
     and t -> 1, so the domain keeps a 5% margin on both sides.
     """
     if c == 0:
@@ -394,4 +380,10 @@ def make_surface(name: str, **params: float) -> SurfaceDef:
     except KeyError:
         raise DegenerateParameterError(
             f"unknown surface '{name}'; choices: {sorted(CATALOGUE)}") from None
+    accepted = sorted(inspect.signature(ctor).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise DegenerateParameterError(
+            f"surface '{name}' has no parameter {', '.join(unknown)}; "
+            f"accepted: {', '.join(accepted) or 'none'}")
     return ctor(**params)

@@ -20,6 +20,7 @@ from . import classify as cls
 from .core import SurfaceDef, point_shape
 from .darboux import (CurveData, curve_scalars, curve_scalars_from_trace,
                       liouville_residuals)
+from .errors import UnknownScenarioError
 from .gallery import (make_bonnet, make_catenoid, make_crpc_revolution,
                       make_cylinder, make_enneper, make_helix_surface,
                       make_plane, make_sphere)
@@ -681,8 +682,8 @@ SCENARIOS: dict[str, tuple[str, Callable]] = {
 def run_scenario(scenario_id: str, overrides=None) -> ScenarioResult:
     sid = scenario_id.upper()
     if sid not in SCENARIOS:
-        raise KeyError(f"unknown scenario '{scenario_id}'; "
-                       f"choices: {', '.join(SCENARIOS)} or 'all'")
+        raise UnknownScenarioError(f"unknown scenario '{scenario_id}'; "
+                                   f"choices: {', '.join(SCENARIOS)} or 'all'")
     _title, fn = SCENARIOS[sid]
     return fn(overrides)
 

@@ -19,17 +19,16 @@ umbilic points terminate a trace cleanly via solver events.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import (SurfaceDef, christoffel_symbols, fundamental_forms, jet2,
-                   point_shape, shape_data)
-from .errors import (BoundaryExitError, NonOrthogonalChartError,
-                     SingularDecompositionError, ThetaOutOfRangeError,
-                     UmbilicEncounteredError)
+from .core import SurfaceDef, point_shape
+from .errors import (BoundaryExitError, InvalidRequestError,
+                     NonOrthogonalChartError, SingularDecompositionError,
+                     ThetaOutOfRangeError, UmbilicEncounteredError)
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
@@ -78,6 +77,25 @@ class TraceRequest:
     # (Frenet torsion in particular) reads the dense-output interpolation
     # error, which shrinks like the fifth power of the solver step
     max_step: float = np.inf
+
+    def __post_init__(self) -> None:
+        s_lo, s_hi = self.s_span
+        problems = [
+            (np.isfinite(self.start_uv).all(),
+             f"start_uv {self.start_uv} must be finite"),
+            (np.isfinite(np.hstack(astuple(self.mode))).all(),
+             f"{self.mode} must be finite"),
+            (np.isfinite(self.step) and self.step > 0,
+             f"step {self.step} must be finite and > 0"),
+            (np.isfinite(self.s_span).all() and s_lo <= 0.0 <= s_hi,
+             f"s_span {self.s_span} must be finite and contain 0"),
+            (self.atol > 0 and self.rtol > 0,
+             f"atol {self.atol} and rtol {self.rtol} must be > 0"),
+            (self.max_step > 0, f"max_step {self.max_step} must be > 0"),
+        ]
+        for ok, what in problems:
+            if not ok:
+                raise InvalidRequestError(f"invalid trace request: {what}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +186,6 @@ def _integrate_branches(rhs, y0, s_span, events, atol, rtol, max_step,
     when the corresponding side has zero length.
     """
     s_lo, s_hi = s_span
-    if s_lo > 0 or s_hi < 0:
-        raise ValueError("s_span must contain 0")
     sols = {}
     exit_kind = "completed"
     exit_s = None
@@ -230,9 +246,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         state["prev"] = state["anchor"]
 
     def velocity(t, z):
-        jet = jet2(surface, t, z, check_domain=False)
-        forms = fundamental_forms(jet)
-        sd = shape_data(jet, forms, state["prev"])
+        sd = point_shape(surface, t, z, state["prev"], check_domain=False)[2]
         if state["anchor"] is None:
             state["anchor"] = sd.e1
         state["prev"] = sd.e1
@@ -263,8 +277,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     events = _domain_events(surface)
     if not surface.totally_umbilic:
         def umbilic_event(s, y, _surf=surface):
-            jet = jet2(_surf, y[0], y[1], check_domain=False)
-            sd = shape_data(jet)
+            sd = point_shape(_surf, y[0], y[1], check_domain=False)[2]
             gap = sd.kappa2 - sd.kappa1
             return (gap - UMBILIC_GAP
                     * max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
@@ -338,9 +351,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
 
     def rhs(s, y):
         t, z, tp, zp = y
-        jet = jet2(surface, t, z, check_domain=False)
-        forms = fundamental_forms(jet)
-        ch = christoffel_symbols(jet, forms)
+        _jet, forms, sd = point_shape(surface, t, z, check_domain=False)
+        ch = sd.christoffel
         second = (forms.e * tp * tp + 2 * forms.f * tp * zp
                   + forms.g * zp * zp)
         sq_ge = np.sqrt(forms.G / forms.E)

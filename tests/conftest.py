@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from surftrace import scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +39,11 @@ def interior_grid(surface, nt=10, nz=10, inset=0.1):
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
     return [(float(t), float(z)) for t in ts for z in zs]
+
+
+def run_python(args, cwd, timeout):
+    """Run a fresh interpreter that imports surftrace from this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)

@@ -9,6 +9,8 @@ from surftrace.exporters import (parse_config, read_trace_csv, write_obj,
                                  write_trace_csv)
 from surftrace.scenarios import _geo, _iso_chart
 
+from conftest import run_python
+
 
 def test_trace_subcommand_writes_csv(tmp_path):
     rc = main(["--out", str(tmp_path), "trace", "--surface", "enneper",
@@ -85,9 +87,36 @@ def test_verify_subcommand_single(capsys):
     assert "[S3]" in out and "PASS" in out and "FAIL" not in out
 
 
-def test_verify_unknown_scenario():
-    with pytest.raises(KeyError):
-        main(["verify", "S99"])
+def test_verify_unknown_scenario(capsys):
+    assert main(["verify", "S99"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown scenario")
+    assert "A4" in err[0]
+
+
+# invalid inputs that once ended in a traceback or a hang
+ENNEPER = ["--surface", "enneper", "--start", "0,1"]
+PROBES = {
+    "phi-nan": ["trace", *ENNEPER, "--phi", "nan"],
+    "unknown-scenario": ["verify", "S9"],
+    "step-zero": ["trace", *ENNEPER, "--phi", "0.5", "--step", "0"],
+    "step-negative": ["trace", *ENNEPER, "--phi", "0.5", "--step", "-0.01"],
+    "unknown-param": ["trace", *ENNEPER, "--param", "foo=1", "--phi", "0.5"],
+    "missing-config": ["--config", "nonexistent.cfg", "verify", "S3"],
+    "span-without-zero": ["trace", *ENNEPER, "--phi", "0.5",
+                          "--s-span", "0.5", "1"],
+    "dir-nan": ["trace", *ENNEPER, "--mode", "geodesic", "--dir", "nan,1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(PROBES.values()), ids=list(PROBES))
+def test_invalid_input_fails_with_one_line(argv, tmp_path):
+    proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path), *argv],
+                      cwd=tmp_path, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from surftrace import (fundamental_forms, jet2, make_bonnet, make_catenoid,
-                       make_crpc_revolution, make_cylinder, make_enneper,
-                       make_helix_surface, make_plane, make_sphere,
-                       point_shape)
+from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
+                       make_cylinder, make_enneper, make_helix_surface,
+                       make_plane, make_sphere, point_shape)
 from surftrace.core import Domain, SurfaceDef, _fd_jet
 from surftrace.errors import OutOfDomainError, SingularJetError
 
@@ -64,13 +63,13 @@ def test_singular_jet_raises():
 
     surf = SurfaceDef("degenerate", Domain(-1, 1, -1, 1), position)
     with pytest.raises(SingularJetError):
-        jet2(surf, 0.1, 0.2)
+        point_shape(surf, 0.1, 0.2)
 
 
 def test_enneper_forms_closed_form():
     enn = make_enneper()
     for t, z in [(0.0, 0.0), (0.7, -0.4), (1.5, 1.1)]:
-        forms = fundamental_forms(jet2(enn, t, z))
+        forms = point_shape(enn, t, z)[1]
         w2 = (1 + t * t + z * z) ** 2
         assert abs(forms.E - w2) < 1e-12 * w2
         assert abs(forms.G - w2) < 1e-12 * w2
@@ -81,7 +80,7 @@ def test_enneper_forms_closed_form():
 
 
 def test_plane_forms_trivial():
-    forms = fundamental_forms(jet2(make_plane(), 0.3, 0.4))
+    forms = point_shape(make_plane(), 0.3, 0.4)[1]
     assert (forms.E, forms.G) == (1.0, 1.0)
     assert forms.F == forms.e == forms.f == forms.g == 0.0
 
@@ -92,7 +91,7 @@ def test_sphere_normal_curvature_every_direction():
     # the direction)
     r = 1.0
     sph = make_sphere(r)
-    forms = fundamental_forms(jet2(sph, 0.0, 0.9))
+    forms = point_shape(sph, 0.0, 0.9)[1]
     assert abs(forms.e / forms.E - 1.0 / r) < 1e-12
     assert abs(forms.g / forms.G - 1.0 / r) < 1e-12
     _, _, sd = point_shape(sph, 0.0, 0.9)
@@ -129,6 +128,21 @@ def test_curvature_identities_on_quasi_random_grid(surface):
         assert abs(sd.kappa1 * sd.kappa2 - k_forms) <= 1e-9 * (1 + abs(k_forms))
         assert abs(sd.H - 0.5 * (sd.kappa1 + sd.kappa2)) <= 1e-9 * (1 + abs(sd.H))
         assert abs(sd.K - k_forms) <= 1e-12 * (1 + abs(k_forms))
+
+
+@pytest.mark.parametrize("surface", GALLERY, ids=lambda s: s.name)
+def test_forms_match_vector_reference(surface):
+    # reference: the textbook formulas written with numpy vector operations
+    for t, z in quasi_random_points(surface, 40):
+        jet, forms, _ = point_shape(surface, t, z)
+        cr = np.cross(jet.d_t, jet.d_z)
+        normal = cr / np.linalg.norm(cr)
+        ref = [jet.d_t @ jet.d_t, jet.d_t @ jet.d_z, jet.d_z @ jet.d_z,
+               jet.d_tt @ normal, jet.d_tz @ normal, jet.d_zz @ normal]
+        got = [forms.E, forms.F, forms.G, forms.e, forms.f, forms.g]
+        scale = 1 + max(abs(v) for v in ref)
+        assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-13 * scale
+        assert np.max(np.abs(forms.normal - normal)) < 1e-13
 
 
 @pytest.mark.parametrize("surface", GALLERY, ids=lambda s: s.name)
@@ -175,7 +189,7 @@ def test_christoffel_against_metric_derivatives():
     h = 1e-6
 
     def metric(t, z):
-        f = fundamental_forms(jet2(surf, t, z, check_domain=False))
+        f = point_shape(surf, t, z, check_domain=False)[1]
         return np.array([f.E, f.F, f.G])
 
     for t, z in [(0.3, 0.2), (-0.8, 0.5), (1.2, -0.9)]:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from surftrace import (fundamental_forms, jet2, make_bonnet, make_catenoid,
-                       make_crpc_revolution, make_cylinder, make_enneper,
-                       make_helix_surface, make_plane, make_sphere,
-                       make_surface, point_shape)
+from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
+                       make_cylinder, make_enneper, make_helix_surface,
+                       make_plane, make_sphere, make_surface, point_shape)
 from surftrace.errors import DegenerateParameterError
 from surftrace.gallery import _crpc_height
 
@@ -102,7 +101,7 @@ def test_sphere_cylinder_plane_examples():
         assert sd.umbilic and abs(sd.kappa1 - 0.5) < 1e-10
 
     plane = make_plane()
-    forms = fundamental_forms(jet2(plane, 1.0, 2.0))
+    forms = point_shape(plane, 1.0, 2.0)[1]
     assert forms.e == forms.f == forms.g == 0.0
     _, _, sd = point_shape(plane, 1.0, 2.0)
     assert sd.kappa1 == sd.kappa2 == 0.0
@@ -132,7 +131,7 @@ def test_oracle_vs_generic_curvatures(surface):
                          ids=lambda s: s.name)
 def test_gallery_charts_are_orthogonal(surface):
     for t, z in interior_grid(surface, 8, 8):
-        forms = fundamental_forms(jet2(surface, t, z))
+        forms = point_shape(surface, t, z)[1]
         assert abs(forms.F) <= 1e-12 * max(forms.E, forms.G)
 
 

@@ -4,8 +4,9 @@ import pytest
 from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
                        make_enneper, make_plane, make_sphere, point_shape)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2
-from surftrace.errors import (BoundaryExitError, NonOrthogonalChartError,
-                              ThetaOutOfRangeError, UmbilicEncounteredError)
+from surftrace.errors import (BoundaryExitError, InvalidRequestError,
+                              NonOrthogonalChartError, ThetaOutOfRangeError,
+                              UmbilicEncounteredError)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle,
                               isogonal_map, trace, trace_geodesic,
@@ -233,8 +234,7 @@ def test_trace_terminates_at_isolated_umbilic():
 def test_isogonal_on_non_orthogonal_chart():
     # the first-order system never needs F = 0
     par = _paraboloid()
-    from surftrace import fundamental_forms, jet2
-    assert abs(fundamental_forms(jet2(par, 0.5, 0.4)).F) > 0.1
+    assert abs(point_shape(par, 0.5, 0.4)[1].F) > 0.1
     tr = trace_isogonal(TraceRequest(par, (0.5, 0.4), IsogonalMode(0.7),
                                      s_span=(-0.4, 0.4), step=2e-3))
     assert tr.exit.kind == "completed"
@@ -254,3 +254,16 @@ def test_chart_angle_conversion_roundtrip():
         zhat = jet.d_z / np.sqrt(forms.G)
         expected = np.cos(chart_angle) * that + np.sin(chart_angle) * zhat
         assert np.max(np.abs(target - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("change", [
+    dict(start_uv=(np.nan, 1.0)), dict(mode=IsogonalMode(np.nan)),
+    dict(mode=IsogonalMode(0.5, np.inf)), dict(mode=PseudoGeodesicMode(np.nan)),
+    dict(mode=GeodesicMode((np.nan, 1.0))), dict(step=0.0), dict(step=-0.01),
+    dict(step=np.nan), dict(s_span=(0.5, 1.0)), dict(s_span=(-np.inf, 1.0)),
+    dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0)])
+def test_invalid_request_fails_fast(change):
+    fields = dict(surface=make_enneper(), start_uv=(0.0, 1.0),
+                  mode=IsogonalMode(0.5))
+    with pytest.raises(InvalidRequestError):
+        TraceRequest(**{**fields, **change})
