@@ -8,7 +8,8 @@ frame analysis.
 """
 
 from .core import (ChristoffelSymbols, Domain, FundamentalForms, ShapeData,
-                   SurfaceDef, SurfaceJet2, TangentDecomp, jet2, point_shape)
+                   SurfaceDef, SurfaceJet2, TangentDecomp, jet2, point_shape,
+                   shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_apparatus,
                       liouville_residuals, pointwise_direction_scalars)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SurfaceDef, point_shape
+from .core import SurfaceDef, shape_arrays
 from .darboux import (CurveData, FrenetData, curve_scalars_from_trace,
                       frenet_apparatus)
 from .errors import TooFewSamplesError, VanishingCurvatureError
@@ -211,23 +211,17 @@ def _principal_series(curve: CurveData) -> tuple[np.ndarray, np.ndarray]:
     Inverts Euler's relations; falls back to (kn, kn) at umbilic samples
     where both principal curvatures coincide with every normal curvature.
     """
-    k1 = np.empty(len(curve))
-    k2 = np.empty(len(curve))
-    for i in range(len(curve)):
-        ph = curve.phi[i]
-        if np.isnan(ph):
-            k1[i] = k2[i] = curve.kn[i]
-            continue
-        c, s = np.cos(ph), np.sin(ph)
-        cs = c * s
-        if abs(cs) > 1e-12:
-            diff = curve.taug[i] / cs
-        else:
-            diff = 0.0 if abs(curve.taug[i]) < 1e-12 else np.nan
-        # kn = k1 c^2 + k2 s^2 and k1 - k2 = diff
-        k2[i] = curve.kn[i] - diff * c * c
-        k1[i] = k2[i] + diff
-    return k1, k2
+    kn, taug = curve.kn, curve.taug
+    c, s = np.cos(curve.phi), np.sin(curve.phi)
+    cs = c * s
+    resolved = np.abs(cs) > 1e-12
+    diff = np.where(resolved, taug / np.where(resolved, cs, 1.0),
+                    np.where(np.abs(taug) < 1e-12, 0.0, np.nan))
+    # kn = k1 c^2 + k2 s^2 and k1 - k2 = diff
+    k2 = kn - diff * c * c
+    k1 = k2 + diff
+    umbilic = np.isnan(curve.phi)
+    return np.where(umbilic, kn, k1), np.where(umbilic, kn, k2)
 
 
 def classify_curve(surface: SurfaceDef, trace,
@@ -248,16 +242,12 @@ def surface_class_probe(surface: SurfaceDef, grid=None,
     """
     if grid is None:
         grid = default_probe_grid(surface)
-    pts = list(grid)
+    pts = np.array(list(grid), dtype=float).reshape(-1, 2)
     if len(pts) < 25:
         raise TooFewSamplesError("probe needs >= 25 grid points")
-    k1 = np.empty(len(pts))
-    k2 = np.empty(len(pts))
-    n_umb = 0
-    for i, (t, z) in enumerate(pts):
-        _jet, _forms, sd = point_shape(surface, t, z)
-        k1[i], k2[i] = sd.kappa1, sd.kappa2
-        n_umb += bool(sd.umbilic)
+    sd = shape_arrays(surface, pts[:, 0], pts[:, 1])[2]
+    k1, k2 = sd.kappa1, sd.kappa2
+    n_umb = int(np.count_nonzero(sd.umbilic))
     crpc = linear_dependence_test(k1, k2)
     if n_umb == len(pts):
         crpc = DependenceVerdict(True, crpc.coeffs, crpc.residual,

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import classify as cls
 from .darboux import curve_scalars_from_trace
-from .errors import GeometryError
+from .errors import DegenerateParameterError, GeometryError
 from .exporters import (ensure_dir, parse_config, read_trace_csv,
                         write_obj, write_trace_csv)
 from .gallery import CATALOGUE, make_surface
@@ -37,7 +37,11 @@ def _surface_from_args(args) -> "SurfaceDef":
         key, _, value = item.partition("=")
         if not _:
             raise SystemExit(f"bad --param '{item}', expected name=value")
-        params[key.strip()] = float(value)
+        try:
+            params[key.strip()] = float(value)
+        except ValueError:
+            raise DegenerateParameterError(
+                f"--param {key.strip()}: '{value}' is not a number") from None
     return make_surface(args.surface, **params)
 
 
@@ -171,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_verify(args, overrides)
         if args.command == "export":
             return _cmd_export(args, out_dir)
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2  # pragma: no cover

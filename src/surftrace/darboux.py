@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeData, SurfaceDef, point_shape
+from .core import ShapeData, SurfaceDef, shape_arrays
 from .errors import (NonTangentDirectionError, NonUnitSpeedError,
                      TooFewSamplesError, UmbilicPointError,
                      VanishingCurvatureError)
@@ -67,6 +67,11 @@ class FrenetData:
     tau: np.ndarray
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise dot products of two (3, n) arrays."""
+    return np.einsum("ij,ij->j", a, b)
+
+
 def pointwise_direction_scalars(sd: ShapeData, direction: Vec3):
     """(kn, taug, phi) of a unit tangent direction at a non-umbilic point."""
     if sd.umbilic:
@@ -98,54 +103,41 @@ def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
         raise TooFewSamplesError("need at least 5 samples")
     h = check_uniform(s)
 
-    pos = np.empty((n, 3))
-    T = np.empty((n, 3))
-    normal = np.empty((n, 3))
-    kg = np.empty(n)
-    kn = np.empty(n)
-    taug = np.empty(n)
-    phi = np.empty(n)
-    umb: list[int] = []
-
-    e1_prev = None
-    for i in range(n):
-        t, z = uv[i]
-        jet, forms, sd = point_shape(surface, t, z, e1_prev,
-                                     check_domain=False)
-        e1_prev = sd.e1
-        tp, zp = uv_vel[i]
-        tpp, zpp = uv_acc[i]
-        vel3 = tp * jet.d_t + zp * jet.d_z
-        speed = float(np.linalg.norm(vel3))
-        if abs(speed - 1.0) > 1e-6:
-            raise NonUnitSpeedError(
-                f"|gamma'| = {speed:.9f} at sample {i}; curve must be "
-                "arc-length parametrized")
-        acc3 = (tpp * jet.d_t + zpp * jet.d_z + tp * tp * jet.d_tt
-                + 2 * tp * zp * jet.d_tz + zp * zp * jet.d_zz)
-        jt = np.cross(sd.normal, vel3)
-        pos[i] = jet.position
-        T[i] = vel3
-        normal[i] = sd.normal
-        kg[i] = float(acc3 @ jt) / speed  # jt has norm |vel3|
-        if sd.umbilic:
-            umb.append(i)
-            phi[i] = np.nan
-            kn[i] = float(acc3 @ sd.normal)
-            taug[i] = 0.0
-        else:
-            ph = float(np.arctan2(vel3 @ sd.e2, vel3 @ sd.e1))
-            c, sn = np.cos(ph), np.sin(ph)
-            phi[i] = ph
-            kn[i] = sd.kappa1 * c * c + sd.kappa2 * sn * sn
-            taug[i] = (sd.kappa1 - sd.kappa2) * c * sn
+    # one shape pass over all samples, E1 chained from sample to sample;
+    # vectors below are (3, n)
+    jet, _forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
+                                   check_domain=False)
+    tp, zp = uv_vel.T
+    tpp, zpp = uv_acc.T
+    vel3 = tp * jet.d_t + zp * jet.d_z
+    speed = np.sqrt(_dot(vel3, vel3))
+    slow = np.abs(speed - 1.0) > 1e-6
+    if slow.any():
+        i = int(np.argmax(slow))
+        raise NonUnitSpeedError(
+            f"|gamma'| = {speed[i]:.9f} at sample {i}; curve must be "
+            "arc-length parametrized")
+    acc3 = (tpp * jet.d_t + zpp * jet.d_z + tp * tp * jet.d_tt
+            + 2 * tp * zp * jet.d_tz + zp * zp * jet.d_zz)
+    jt = np.cross(sd.normal, vel3, axis=0)
+    kg = _dot(acc3, jt) / speed  # jt has norm |vel3|
+    # phi, kn and taug from Euler's relations, except at umbilics
+    umbilic = sd.umbilic
+    ph = np.arctan2(_dot(vel3, sd.e2), _dot(vel3, sd.e1))
+    c, sn = np.cos(ph), np.sin(ph)
+    phi = np.where(umbilic, np.nan, ph)
+    kn = np.where(umbilic, _dot(acc3, sd.normal),
+                  sd.kappa1 * c * c + sd.kappa2 * sn * sn)
+    taug = np.where(umbilic, 0.0, (sd.kappa1 - sd.kappa2) * c * sn)
+    pos, T, normal = (np.ascontiguousarray(v.T)
+                      for v in (jet.position, vel3, sd.normal))
 
     theta = np.unwrap(np.arctan2(kg, kn))
     kappa = np.hypot(kg, kn)
     theta_prime = diff_uniform(theta, h, edge_order=2)
     tau = taug + theta_prime
     return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal, kg, kn, taug,
-                     phi, theta, kappa, tau, np.asarray(umb, dtype=int))
+                     phi, theta, kappa, tau, np.flatnonzero(umbilic))
 
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
@@ -200,19 +192,14 @@ def liouville_residuals(surface: SurfaceDef, curve: CurveData,
         oracle = surface.oracle
     if oracle is None:
         raise ValueError(f"surface '{surface.name}' carries no oracle")
-    n = len(curve)
     h = check_uniform(curve.s)
-    phi_chart = np.empty(n)
-    kg1 = np.empty(n)
-    kg2 = np.empty(n)
-    for i in range(n):
-        t, z = curve.uv[i]
-        jet, forms, _sd = point_shape(surface, t, z, check_domain=False)
-        tp, zp = curve.uv_vel[i]
-        phi_chart[i] = np.arctan2(zp * np.sqrt(forms.G), tp * np.sqrt(forms.E))
-        kg1[i] = oracle.kg1(t, z)
-        kg2[i] = oracle.kg2(t, z)
-    phi_chart = np.unwrap(phi_chart)
+    t, z = curve.uv.T
+    forms = shape_arrays(surface, t, z, check_domain=False)[1]
+    tp, zp = curve.uv_vel.T
+    phi_chart = np.unwrap(np.arctan2(zp * np.sqrt(forms.G),
+                                     tp * np.sqrt(forms.E)))
+    kg1 = oracle.kg1(t, z)
+    kg2 = oracle.kg2(t, z)
     phi_prime = diff_uniform(phi_chart, h, edge_order=4)
     return curve.kg - (phi_prime + np.cos(phi_chart) * kg1
                        + np.sin(phi_chart) * kg2)

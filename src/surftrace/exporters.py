@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SurfaceDef, point_shape
+from .core import SurfaceDef, shape_arrays
 from .darboux import CurveData
 from .numdiff import check_uniform, diff2_uniform, diff_uniform
 
@@ -53,20 +53,16 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     re-evaluated on the surface.
     """
     data = np.genfromtxt(path, delimiter=",", names=True)
-    n = data.shape[0]
     s = np.asarray(data["s"], dtype=float)
     h = check_uniform(s)
     uv = np.column_stack([data["t"], data["z"]])
     pos = np.column_stack([data["x"], data["y"], data["z_pos"]])
     uv_vel = diff_uniform(uv, h, edge_order=4)
     uv_acc = diff2_uniform(uv, h)
-    T = np.empty((n, 3))
-    normal = np.empty((n, 3))
-    for i in range(n):
-        jet, _forms, sd = point_shape(surface, uv[i, 0], uv[i, 1],
-                                      check_domain=False)
-        T[i] = uv_vel[i, 0] * jet.d_t + uv_vel[i, 1] * jet.d_z
-        normal[i] = sd.normal
+    jet, _forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
+                                   check_domain=False)
+    vel3 = uv_vel[:, 0] * jet.d_t + uv_vel[:, 1] * jet.d_z
+    T, normal = (np.ascontiguousarray(v.T) for v in (vel3, sd.normal))
     phi = np.asarray(data["phi"], dtype=float)
     umb = np.where(np.isnan(phi))[0]
     return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal,
@@ -103,10 +99,9 @@ def write_obj(path: str, surface: SurfaceDef | None = None,
         ts = np.linspace(dom.t_min, dom.t_max, nt)
         zs = np.linspace(dom.z_min, dom.z_max, nz)
         lines.append(f"o {surface.name}")
-        for t in ts:
-            for z in zs:
-                p = surface.position(float(t), float(z))
-                lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+        tt, zz = np.meshgrid(ts, zs, indexing="ij")
+        for p in surface.position(tt.ravel(), zz.ravel()).T:
+            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
         for i in range(nt - 1):
             for j in range(nz - 1):
                 a = offset + i * nz + j

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import beta, betaincc
 
-from .core import Domain, SurfaceDef, SurfaceJet2
+from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .errors import DegenerateParameterError
 
 ScalarField = Callable[[float, float], float]
@@ -69,18 +69,18 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
 
     def position(t: float, z: float) -> np.ndarray:
         u = t / r
-        return np.array([r * rho(z) * np.cos(u), r * rho(z) * np.sin(u), z * sph])
+        return vec3(t, r * rho(z) * np.cos(u), r * rho(z) * np.sin(u), z * sph)
 
     def jet(t: float, z: float) -> SurfaceJet2:
         u = t / r
         cu, su = np.cos(u), np.sin(u)
         p = rho(z)
-        pos = np.array([r * p * cu, r * p * su, z * sph])
-        d_t = np.array([-p * su, p * cu, 0.0])
-        d_z = np.array([-cph * cu, -cph * su, sph])
-        d_tt = np.array([-p * cu / r, -p * su / r, 0.0])
-        d_tz = np.array([cph * su / r, -cph * cu / r, 0.0])
-        d_zz = np.zeros(3)
+        pos = vec3(t, r * p * cu, r * p * su, z * sph)
+        d_t = vec3(t, -p * su, p * cu, 0.0)
+        d_z = vec3(t, -cph * cu, -cph * su, sph)
+        d_tt = vec3(t, -p * cu / r, -p * su / r, 0.0)
+        d_tz = vec3(t, cph * su / r, -cph * cu / r, 0.0)
+        d_zz = vec3(t, 0.0, 0.0, 0.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(
@@ -110,17 +110,16 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
     """
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([t - t ** 3 / 3 + t * z * z,
-                         z - z ** 3 / 3 + z * t * t,
-                         t * t - z * z])
+        return vec3(t, t - t * t * t / 3 + t * z * z,
+                    z - z * z * z / 3 + z * t * t, t * t - z * z)
 
     def jet(t: float, z: float) -> SurfaceJet2:
         pos = position(t, z)
-        d_t = np.array([1 - t * t + z * z, 2 * t * z, 2 * t])
-        d_z = np.array([2 * t * z, 1 - z * z + t * t, -2 * z])
-        d_tt = np.array([-2 * t, 2 * z, 2.0])
-        d_tz = np.array([2 * z, 2 * t, 0.0])
-        d_zz = np.array([2 * t, -2 * z, -2.0])
+        d_t = vec3(t, 1 - t * t + z * z, 2 * t * z, 2 * t)
+        d_z = vec3(t, 2 * t * z, 1 - z * z + t * t, -2 * z)
+        d_tt = vec3(t, -2 * t, 2 * z, 2.0)
+        d_tz = vec3(t, 2 * z, 2 * t, 0.0)
+        d_zz = vec3(t, 2 * t, -2 * z, -2.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     def w2(t: float, z: float) -> float:
@@ -145,16 +144,15 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
 # ---------------------------------------------------------------------------
 
 def _crpc_height(t: float, c: float, eps: float) -> float:
-    """Height integral eps * int_1^t u^c (1 - u^{2c})^{-1/2} du.
+    """Height integral eps * int_1^t u^c (1 - u^{2c})^{-1/2} du (elementwise).
 
     With w = u^{2c} the integral is an incomplete beta function:
     int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
-    I' is the complementary regularized incomplete beta.
+    I' is the complementary regularized incomplete beta.  It is 0 at t = 1
+    and NaN beyond, where the surface does not exist.
     """
-    if t >= 1.0:
-        return 0.0
     a = 0.5 / c + 0.5
-    return -eps / (2.0 * c) * beta(a, 0.5) * betaincc(a, 0.5, t ** (2 * c))
+    return -eps / (2.0 * c) * beta(a, 0.5) * betaincc(a, 0.5, np.power(t, 2 * c))
 
 
 def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
@@ -165,30 +163,31 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     incomplete beta function (`_crpc_height`).  The chart degenerates at t -> 0
     and t -> 1, so the domain keeps a 5% margin on both sides.
     """
-    if c == 0:
-        raise DegenerateParameterError("c must be nonzero")
+    if not c > 0:
+        raise DegenerateParameterError(
+            f"c must be positive (got {c}); for c <= 0, 1 - t^(2c) <= 0 on "
+            "the whole chart")
     if eps not in (1, -1):
         raise DegenerateParameterError("eps must be +1 or -1")
     c = float(c)
     ep = float(eps)
 
-    def hp(t: float) -> float:
-        return ep * t ** c / np.sqrt(1.0 - t ** (2 * c))
-
-    def hpp(t: float) -> float:
-        return ep * c * t ** (c - 1) * (1.0 - t ** (2 * c)) ** -1.5
-
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([t * np.cos(z), t * np.sin(z), _crpc_height(t, c, ep)])
+        return vec3(t, t * np.cos(z), t * np.sin(z), _crpc_height(t, c, ep))
 
     def jet(t: float, z: float) -> SurfaceJet2:
         cz, sz = np.cos(z), np.sin(z)
-        pos = np.array([t * cz, t * sz, _crpc_height(t, c, ep)])
-        d_t = np.array([cz, sz, hp(t)])
-        d_z = np.array([-t * sz, t * cz, 0.0])
-        d_tt = np.array([0.0, 0.0, hpp(t)])
-        d_tz = np.array([-sz, cz, 0.0])
-        d_zz = np.array([-t * cz, -t * sz, 0.0])
+        tc = np.power(t, c)
+        w = 1.0 - tc * tc
+        sw = np.sqrt(w)
+        hp = ep * tc / sw
+        hpp = ep * c * (tc / t) / (w * sw)
+        pos = vec3(t, t * cz, t * sz, _crpc_height(t, c, ep))
+        d_t = vec3(t, cz, sz, hp)
+        d_z = vec3(t, -t * sz, t * cz, 0.0)
+        d_tt = vec3(t, 0.0, 0.0, hpp)
+        d_tz = vec3(t, -sz, cz, 0.0)
+        d_zz = vec3(t, -t * cz, -t * sz, 0.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     def sq(t: float) -> float:
@@ -223,19 +222,18 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
     q = 1.0 / np.sqrt(1.0 - a * a)
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([q * (a * t + np.sin(t) * np.cosh(z)),
-                         q * (z + a * np.cos(t) * np.sinh(z)),
-                         np.cos(t) * np.cosh(z)])
+        return vec3(t, q * (a * t + np.sin(t) * np.cosh(z)),
+                    q * (z + a * np.cos(t) * np.sinh(z)), np.cos(t) * np.cosh(z))
 
     def jet(t: float, z: float) -> SurfaceJet2:
         st, ct = np.sin(t), np.cos(t)
         sh, ch = np.sinh(z), np.cosh(z)
-        pos = np.array([q * (a * t + st * ch), q * (z + a * ct * sh), ct * ch])
-        d_t = np.array([q * (a + ct * ch), -q * a * st * sh, -st * ch])
-        d_z = np.array([q * st * sh, q * (1 + a * ct * ch), ct * sh])
-        d_tt = np.array([-q * st * ch, -q * a * ct * sh, -ct * ch])
-        d_tz = np.array([q * ct * sh, -q * a * st * ch, -st * sh])
-        d_zz = np.array([q * st * ch, q * a * ct * sh, ct * ch])
+        pos = vec3(t, q * (a * t + st * ch), q * (z + a * ct * sh), ct * ch)
+        d_t = vec3(t, q * (a + ct * ch), -q * a * st * sh, -st * ch)
+        d_z = vec3(t, q * st * sh, q * (1 + a * ct * ch), ct * sh)
+        d_tt = vec3(t, -q * st * ch, -q * a * ct * sh, -ct * ch)
+        d_tz = vec3(t, q * ct * sh, -q * a * st * ch, -st * sh)
+        d_zz = vec3(t, q * st * ch, q * a * ct * sh, ct * ch)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     def den(t: float, z: float) -> float:
@@ -264,18 +262,18 @@ def make_sphere(r: float = 1.0) -> SurfaceDef:
     r = float(r)
 
     def position(t: float, z: float) -> np.ndarray:
-        return r * np.array([np.cos(t) * np.cos(z), np.cos(t) * np.sin(z),
-                             np.sin(t)])
+        return r * vec3(t, np.cos(t) * np.cos(z), np.cos(t) * np.sin(z),
+                        np.sin(t))
 
     def jet(t: float, z: float) -> SurfaceJet2:
         ct, st = np.cos(t), np.sin(t)
         cz, sz = np.cos(z), np.sin(z)
-        pos = r * np.array([ct * cz, ct * sz, st])
-        d_t = r * np.array([-st * cz, -st * sz, ct])
-        d_z = r * np.array([-ct * sz, ct * cz, 0.0])
+        pos = r * vec3(t, ct * cz, ct * sz, st)
+        d_t = r * vec3(t, -st * cz, -st * sz, ct)
+        d_z = r * vec3(t, -ct * sz, ct * cz, 0.0)
         d_tt = -pos
-        d_tz = r * np.array([st * sz, -st * cz, 0.0])
-        d_zz = r * np.array([-ct * cz, -ct * sz, 0.0])
+        d_tz = r * vec3(t, st * sz, -st * cz, 0.0)
+        d_zz = r * vec3(t, -ct * cz, -ct * sz, 0.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     return SurfaceDef(name="sphere", domain=Domain(-1.2, 1.2, -3.1, 3.1),
@@ -287,12 +285,12 @@ def make_plane() -> SurfaceDef:
     """Flat chart X(t,z) = (t, z, 0).  Totally umbilic (kappa = 0)."""
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([t, z, 0.0])
+        return vec3(t, t, z, 0.0)
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        zero = np.zeros(3)
-        return SurfaceJet2(np.array([t, z, 0.0]), np.array([1.0, 0, 0]),
-                           np.array([0.0, 1, 0]), zero, zero, zero)
+        zero = vec3(t, 0.0, 0.0, 0.0)
+        return SurfaceJet2(vec3(t, t, z, 0.0), vec3(t, 1.0, 0.0, 0.0),
+                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
 
     oracle = GalleryOracle(k1=lambda t, z: 0.0, k2=lambda t, z: 0.0,
                            kg1=lambda t, z: 0.0, kg2=lambda t, z: 0.0)
@@ -310,17 +308,17 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
     r = float(r)
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([r * np.cos(z / r), r * np.sin(z / r), t])
+        return vec3(t, r * np.cos(z / r), r * np.sin(z / r), t)
 
     def jet(t: float, z: float) -> SurfaceJet2:
         u = z / r
         cu, su = np.cos(u), np.sin(u)
-        pos = np.array([r * cu, r * su, t])
-        d_t = np.array([0.0, 0.0, 1.0])
-        d_z = np.array([-su, cu, 0.0])
-        d_tt = np.zeros(3)
-        d_tz = np.zeros(3)
-        d_zz = np.array([-cu / r, -su / r, 0.0])
+        pos = vec3(t, r * cu, r * su, t)
+        d_t = vec3(t, 0.0, 0.0, 1.0)
+        d_z = vec3(t, -su, cu, 0.0)
+        d_tt = vec3(t, 0.0, 0.0, 0.0)
+        d_tz = d_tt
+        d_zz = vec3(t, -cu / r, -su / r, 0.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(k1=lambda t, z: 0.0, k2=lambda t, z: 1.0 / r,
@@ -336,17 +334,17 @@ def make_catenoid() -> SurfaceDef:
     lines-of-curvature chart."""
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([np.cosh(t) * np.cos(z), np.cosh(t) * np.sin(z), t])
+        return vec3(t, np.cosh(t) * np.cos(z), np.cosh(t) * np.sin(z), t)
 
     def jet(t: float, z: float) -> SurfaceJet2:
         ch, sh = np.cosh(t), np.sinh(t)
         cz, sz = np.cos(z), np.sin(z)
-        pos = np.array([ch * cz, ch * sz, t])
-        d_t = np.array([sh * cz, sh * sz, 1.0])
-        d_z = np.array([-ch * sz, ch * cz, 0.0])
-        d_tt = np.array([ch * cz, ch * sz, 0.0])
-        d_tz = np.array([-sh * sz, sh * cz, 0.0])
-        d_zz = np.array([-ch * cz, -ch * sz, 0.0])
+        pos = vec3(t, ch * cz, ch * sz, t)
+        d_t = vec3(t, sh * cz, sh * sz, 1.0)
+        d_z = vec3(t, -ch * sz, ch * cz, 0.0)
+        d_tt = vec3(t, ch * cz, ch * sz, 0.0)
+        d_tz = vec3(t, -sh * sz, sh * cz, 0.0)
+        d_zz = vec3(t, -ch * cz, -ch * sz, 0.0)
         return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .classify import ConstancyVerdict, constancy_test
-from .core import Domain, SurfaceDef, SurfaceJet2, jet2
+from .core import Domain, SurfaceDef, SurfaceJet2, jet2, vec3
 from .darboux import CurveData, curve_scalars
 from .errors import (PreimageMismatchError, TangencyError,
                      UnknownFixtureError)
@@ -67,12 +67,12 @@ class IntersectionReport:
 
 def _plane_at(height: float) -> SurfaceDef:
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([t, z, height])
+        return vec3(t, t, z, height)
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        zero = np.zeros(3)
-        return SurfaceJet2(np.array([t, z, height]), np.array([1.0, 0, 0]),
-                           np.array([0.0, 1, 0]), zero, zero, zero)
+        zero = vec3(t, 0.0, 0.0, 0.0)
+        return SurfaceJet2(vec3(t, t, z, height), vec3(t, 1.0, 0.0, 0.0),
+                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
 
     return SurfaceDef(name=f"plane_z={height:g}", domain=Domain(-10, 10, -10, 10),
                       position=position, jet=jet, orthogonal=True,
@@ -84,12 +84,12 @@ def _tilted_plane(alpha: float) -> SurfaceDef:
     ca, sa = float(np.cos(alpha)), float(np.sin(alpha))
 
     def position(t: float, z: float) -> np.ndarray:
-        return np.array([t * ca, z, t * sa])
+        return vec3(t, t * ca, z, t * sa)
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        zero = np.zeros(3)
-        return SurfaceJet2(position(t, z), np.array([ca, 0.0, sa]),
-                           np.array([0.0, 1.0, 0.0]), zero, zero, zero)
+        zero = vec3(t, 0.0, 0.0, 0.0)
+        return SurfaceJet2(position(t, z), vec3(t, ca, 0.0, sa),
+                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
 
     return SurfaceDef(name=f"plane_tilt={alpha:g}", domain=Domain(-10, 10, -10, 10),
                       position=position, jet=jet, orthogonal=True,
@@ -101,11 +101,12 @@ def _translated_sphere(center: np.ndarray, r: float = 1.0) -> SurfaceDef:
     c = np.asarray(center, dtype=float)
 
     def position(t: float, z: float) -> np.ndarray:
-        return c + base.position(t, z)
+        return vec3(t, *c) + base.position(t, z)
 
     def jet(t: float, z: float) -> SurfaceJet2:
         j = base.jet(t, z)
-        return SurfaceJet2(c + j.position, j.d_t, j.d_z, j.d_tt, j.d_tz, j.d_zz)
+        return SurfaceJet2(vec3(t, *c) + j.position, j.d_t, j.d_z, j.d_tt,
+                           j.d_tz, j.d_zz)
 
     return SurfaceDef(name=f"sphere_at({c[0]:g},{c[1]:g},{c[2]:g})",
                       domain=base.domain, position=position, jet=jet,

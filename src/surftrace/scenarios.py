@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import classify as cls
-from .core import SurfaceDef, point_shape
+from .core import SurfaceDef, shape_arrays
 from .darboux import (CurveData, curve_scalars, curve_scalars_from_trace,
                       liouville_residuals)
 from .errors import UnknownScenarioError
@@ -567,16 +567,14 @@ def run_a2(overrides=None) -> ScenarioResult:
     checks = []
     for surf in surfaces:
         dom = surf.domain.inset(0.05)
-        ts = np.linspace(dom.t_min, dom.t_max, 20)
-        zs = np.linspace(dom.z_min, dom.z_max, 10)
-        worst = 0.0
-        for t in ts:
-            for z in zs:
-                _jet, _forms, sd = point_shape(surf, float(t), float(z))
-                ora = sorted((surf.oracle.k1(t, z), surf.oracle.k2(t, z)))
-                got = (sd.kappa1, sd.kappa2)
-                for o, g in zip(ora, got):
-                    worst = max(worst, abs(o - g) / (1.0 + abs(o)))
+        t, z = (g.ravel() for g in np.meshgrid(
+            np.linspace(dom.t_min, dom.t_max, 20),
+            np.linspace(dom.z_min, dom.z_max, 10), indexing="ij"))
+        sd = shape_arrays(surf, t, z)[2]
+        ora = np.sort(np.broadcast_arrays(surf.oracle.k1(t, z),
+                                          surf.oracle.k2(t, z)), axis=0)
+        got = np.array([sd.kappa1, sd.kappa2])
+        worst = float(np.max(np.abs(ora - got) / (1.0 + np.abs(ora))))
         checks.append(_check(f"{surf.name}: oracle curvature agreement",
                              worst < 1e-8, worst, "< 1e-8 (200 points)"))
     return ScenarioResult("A2", "closed-form curvature oracles", tuple(checks))
@@ -632,16 +630,14 @@ def run_a4(overrides=None) -> ScenarioResult:
     rng = np.random.default_rng(20260808)
     surfaces = [make_helix_surface(1.0, np.pi / 4), make_enneper(),
                 make_crpc_revolution(2.0, 1), make_bonnet(0.5)]
-    pts = []
+    kappas = []
     for surf in surfaces:
         dom = surf.domain.inset(0.1)
-        for t, z in zip(np.linspace(dom.t_min, dom.t_max, 5),
-                        np.linspace(dom.z_max, dom.z_min, 5)):
-            pts.append((surf, float(t), float(z)))
+        sd = shape_arrays(surf, np.linspace(dom.t_min, dom.t_max, 5),
+                          np.linspace(dom.z_max, dom.z_min, 5))[2]
+        kappas.extend(zip(sd.kappa1.tolist(), sd.kappa2.tolist()))
     worst1 = worst2 = 0.0
-    for surf, t, z in pts:
-        _jet, _forms, sd = point_shape(surf, t, z)
-        k1, k2 = sd.kappa1, sd.kappa2
+    for k1, k2 in kappas:
         for _ in range(100):
             a, b, c, d = rng.uniform(-2, 2, size=4)
             phi = rng.uniform(-np.pi, np.pi)

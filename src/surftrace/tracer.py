@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import SurfaceDef, point_shape
+from .core import SurfaceDef, point_shape, shape_arrays
 from .errors import (BoundaryExitError, InvalidRequestError,
                      NonOrthogonalChartError, SingularDecompositionError,
                      ThetaOutOfRangeError, UmbilicEncounteredError)
@@ -151,7 +151,7 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
         speed = np.sqrt(forms.E * tp * tp + 2 * forms.F * tp * zp
                         + forms.G * zp * zp)
         if speed == 0.0:
-            raise ValueError("initial uv-velocity must be nonzero")
+            raise InvalidRequestError("initial uv-velocity must be nonzero")
         return tp / speed, zp / speed
     if sd.umbilic:
         raise UmbilicEncounteredError(
@@ -219,6 +219,16 @@ def _sample_grid(step, s_lo_reached, s_hi_reached):
     return step * np.arange(-n_lo, n_hi + 1)
 
 
+def _dense_samples(fwd, bwd, y0, s):
+    """States on the grid s: each branch's dense output is called once on
+    its side of s = 0, and y0 fills s = 0 (and a side with no branch)."""
+    out = np.tile(y0, (len(s), 1))
+    for sol, side in ((fwd, s > 0), (bwd, s < 0)):
+        if sol is not None and side.any():
+            out[side] = sol.sol(s[side]).T
+    return out
+
+
 def trace_isogonal(req: TraceRequest) -> Trace:
     """Trace the isogonal line with constant angle phi from E1.
 
@@ -261,9 +271,6 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         zp = (-d.f2 * rhs_target[0] + d.f1 * rhs_target[1]) / det
         return np.array([tp, zp])
 
-    def seed(e1):
-        state["prev"] = e1
-
     def rhs(s, y):
         v = velocity(y[0], y[1])
         # a dip below the gap threshold at any evaluation point marks the
@@ -300,37 +307,38 @@ def trace_isogonal(req: TraceRequest) -> Trace:
             s_lo = max(s_lo, s_u)
         exit_ = TraceExit("hit_umbilic", s_u)
     s = _sample_grid(req.step, s_lo, s_hi)
+    uv = _dense_samples(fwd, bwd, y0, s)
 
-    uv = np.empty((len(s), 2))
-    for i, si in enumerate(s):
-        if si > 0 and fwd is not None:
-            uv[i] = fwd.sol(si)
-        elif si < 0 and bwd is not None:
-            uv[i] = bwd.sol(si)
-        else:
-            uv[i] = y0
+    def field(points, e1_hint):
+        """The flow velocity at each of the (m, 2) points, and E1 there."""
+        t, z = points.T
+        sd = shape_arrays(surface, t, z, e1_hint, check_domain=False)[2]
+        d = sd.decomp
+        det = d.f1 * d.g2 - d.f2 * d.g1
+        singular = np.abs(det) < 1e-12
+        if singular.any():
+            i = int(np.argmax(singular))
+            raise SingularDecompositionError(
+                f"tangent decomposition singular at ({t[i]:g}, {z[i]:g})")
+        tp = (d.g2 * rhs_target[0] - d.g1 * rhs_target[1]) / det
+        zp = (-d.f2 * rhs_target[0] + d.f1 * rhs_target[1]) / det
+        return np.column_stack([tp, zp]), sd.e1
 
     # velocities from the flow field itself (exact speed), accelerations by
     # directional differentiation of the field along the velocity; the E1
-    # sign chain walks outward from s = 0 separately on each side so the
-    # hint always comes from a nearby point
-    uv_vel = np.empty_like(uv)
-    uv_acc = np.empty_like(uv)
-    e1_at = [None] * len(s)
+    # sign chain walks outward from s = 0 separately on each side, from the
+    # integration anchor, so the hint always comes from a nearby point
     i_zero = int(np.argmin(np.abs(s)))
-    for idx_run in (range(i_zero, len(s)), range(i_zero - 1, -1, -1)):
-        reset_state()
-        for i in idx_run:
-            uv_vel[i] = velocity(*uv[i])
-            e1_at[i] = state["prev"]
+    vel_fwd, e1_fwd = field(uv[i_zero:], state["anchor"])
+    uv_vel, e1_at = vel_fwd, e1_fwd
+    if i_zero > 0:
+        vel_bwd, e1_bwd = field(uv[i_zero - 1::-1], state["anchor"])
+        uv_vel = np.concatenate([vel_bwd[::-1], vel_fwd])
+        e1_at = np.concatenate([e1_bwd[:, ::-1], e1_fwd], axis=1)
     h = 1e-6
-    for i in range(len(s)):
-        v = uv_vel[i]
-        seed(e1_at[i])
-        f_plus = velocity(*(uv[i] + h * v))
-        seed(e1_at[i])
-        f_minus = velocity(*(uv[i] - h * v))
-        uv_acc[i] = (f_plus - f_minus) / (2 * h)
+    f_plus = field(uv + h * uv_vel, e1_at)[0]
+    f_minus = field(uv - h * uv_vel, e1_at)[0]
+    uv_acc = (f_plus - f_minus) / (2 * h)
     return Trace(req, s, uv, uv_vel, uv_acc, exit_)
 
 
@@ -349,10 +357,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
         raise ThetaOutOfRangeError("|theta| must be < pi/2")
     tan_theta = float(np.tan(mode.theta))
 
-    def rhs(s, y):
-        t, z, tp, zp = y
-        _jet, forms, sd = point_shape(surface, t, z, check_domain=False)
-        ch = sd.christoffel
+    def acceleration(forms, ch, tp, zp):
+        """(t'', z'') of the flow; floats or arrays."""
         second = (forms.e * tp * tp + 2 * forms.f * tp * zp
                   + forms.g * zp * zp)
         sq_ge = np.sqrt(forms.G / forms.E)
@@ -361,7 +367,12 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
                 + ch.c1_zz * zp * zp) - tan_theta * zp * sq_ge * second
         zpp = -(ch.c2_tt * tp * tp + 2 * ch.c2_tz * tp * zp
                 + ch.c2_zz * zp * zp) + tan_theta * tp * sq_eg * second
-        return np.array([tp, zp, tpp, zpp])
+        return tpp, zpp
+
+    def rhs(s, y):
+        t, z, tp, zp = y
+        _jet, forms, sd = point_shape(surface, t, z, check_domain=False)
+        return np.array([tp, zp, *acceleration(forms, sd.christoffel, tp, zp)])
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = np.array([req.start_uv[0], req.start_uv[1], tp0, zp0])
@@ -371,20 +382,12 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     s_hi = float(fwd.t[-1]) if fwd is not None else 0.0
     s_lo = float(bwd.t[-1]) if bwd is not None else 0.0
     s = _sample_grid(req.step, s_lo, s_hi)
-
-    state = np.empty((len(s), 4))
-    for i, si in enumerate(s):
-        if si > 0 and fwd is not None:
-            state[i] = fwd.sol(si)
-        elif si < 0 and bwd is not None:
-            state[i] = bwd.sol(si)
-        else:
-            state[i] = y0
+    state = _dense_samples(fwd, bwd, y0, s)
     uv = state[:, :2]
     uv_vel = state[:, 2:]
-    uv_acc = np.empty_like(uv)
-    for i in range(len(s)):
-        uv_acc[i] = rhs(s[i], state[i])[2:]
+    _jet, forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
+                                   check_domain=False)
+    uv_acc = np.column_stack(acceleration(forms, sd.christoffel, *uv_vel.T))
     return Trace(req, s, uv, uv_vel, uv_acc, exit_)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        curve_scalars, helix_axis, linear_dependence_test,
                        make_crpc_revolution, make_cylinder, make_enneper,
                        make_plane, make_sphere, surface_class_probe)
-from surftrace.classify import proposition_checks, render_report
+from surftrace.classify import (_principal_series, proposition_checks,
+                                render_report)
 from surftrace.darboux import frenet_apparatus
 from surftrace.errors import TooFewSamplesError, VanishingCurvatureError
 from surftrace.scenarios import _iso_chart
@@ -119,6 +122,42 @@ def test_enneper_origin_isogonal_is_geodesic():
     rep = classify_curve(enn, tr)
     assert rep.geodesic
     assert rep.isogonal.is_constant and rep.pseudo_geodesic.is_constant
+
+
+def _principal_series_loop(curve):
+    # the per-sample reference the vectorized series must reproduce bitwise
+    k1 = np.empty(len(curve))
+    k2 = np.empty(len(curve))
+    for i in range(len(curve)):
+        ph = curve.phi[i]
+        if np.isnan(ph):
+            k1[i] = k2[i] = curve.kn[i]
+            continue
+        c, s = np.cos(ph), np.sin(ph)
+        cs = c * s
+        if abs(cs) > 1e-12:
+            diff = curve.taug[i] / cs
+        else:
+            diff = 0.0 if abs(curve.taug[i]) < 1e-12 else np.nan
+        k2[i] = curve.kn[i] - diff * c * c
+        k1[i] = k2[i] + diff
+    return k1, k2
+
+
+def test_principal_series_matches_loop(s2_report_and_curve):
+    _rep, cd = s2_report_and_curve
+    # NaN phi (umbilic), cos(phi) sin(phi) ~ 0 with and without taug ~ 0
+    edited = dataclasses.replace(
+        cd, phi=np.r_[np.nan, 0.0, np.pi / 2, 1e-13, cd.phi[4:]],
+        taug=np.r_[cd.taug[:2], 0.0, 1e-3, cd.taug[4:]])
+    for curve in (cd, edited):
+        got = _principal_series(curve)
+        want = _principal_series_loop(curve)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+    k1, k2 = _principal_series(edited)
+    assert k1[0] == k2[0] == edited.kn[0]
+    assert k1[2] == k2[2] and np.isnan(k1[3]) and np.isnan(k2[3])
 
 
 def test_helix_axis_matches_line_family(s2_report_and_curve):

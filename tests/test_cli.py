@@ -106,6 +106,13 @@ PROBES = {
     "span-without-zero": ["trace", *ENNEPER, "--phi", "0.5",
                           "--s-span", "0.5", "1"],
     "dir-nan": ["trace", *ENNEPER, "--mode", "geodesic", "--dir", "nan,1"],
+    "param-not-a-number": ["trace", *ENNEPER, "--param", "extent=abc",
+                           "--phi", "0.5"],
+    "missing-csv": ["classify", *ENNEPER, "--phi", "0.5",
+                    "--csv", "missing.csv"],
+    "dir-zero": ["trace", *ENNEPER, "--mode", "geodesic", "--dir", "0,0"],
+    "crpc-negative-c": ["trace", "--surface", "crpc_revolution",
+                        "--param", "c=-1", "--start", "0.5,0", "--phi", "0.5"],
 }
 
 

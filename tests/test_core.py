@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
-                       make_plane, make_sphere, point_shape)
-from surftrace.core import Domain, SurfaceDef, _fd_jet
+                       make_plane, make_sphere, point_shape, shape_arrays)
+from surftrace.core import Domain, SurfaceDef, _fd_jet, vec3
 from surftrace.errors import OutOfDomainError, SingularJetError
+from surftrace.intersect import FIXTURES
+from surftrace.tracer import IsogonalMode, TraceRequest, trace_isogonal
 
 from conftest import interior_grid
 
@@ -56,14 +60,30 @@ def test_out_of_domain_raises():
         jet2(enn, 5.0, 0.0)
 
 
-def test_singular_jet_raises():
+def _degenerate():
     # chart collapsing along z: X_z parallel to X_t
     def position(t, z):
-        return np.array([t + z, 2 * (t + z), 0.0])
+        return vec3(t, t + z, 2 * (t + z), 0.0)
 
-    surf = SurfaceDef("degenerate", Domain(-1, 1, -1, 1), position)
+    return SurfaceDef("degenerate", Domain(-1, 1, -1, 1), position)
+
+
+def test_singular_jet_raises():
     with pytest.raises(SingularJetError):
-        point_shape(surf, 0.1, 0.2)
+        point_shape(_degenerate(), 0.1, 0.2)
+
+
+def test_shape_arrays_singular_jet_raises():
+    with pytest.raises(SingularJetError, match=r"\(0\.1, 0\.2\)"):
+        shape_arrays(_degenerate(), np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+
+    # polar chart of the plane: singular only on t = 0, the second point
+    def position(t, z):
+        return vec3(t, t * np.cos(z), t * np.sin(z), 0.0)
+
+    polar = SurfaceDef("polar", Domain(-1, 1, -4, 4), position)
+    with pytest.raises(SingularJetError, match=r"\(0, 0\.7\)"):
+        shape_arrays(polar, np.array([0.5, 0.0, 0.0]), np.array([0.1, 0.7, 0.9]))
 
 
 def test_enneper_forms_closed_form():
@@ -226,3 +246,79 @@ def test_umbilic_flag_threshold():
     cat = make_catenoid()
     for t, z in interior_grid(cat, 4, 4):
         assert not point_shape(cat, t, z)[2].umbilic
+
+
+FIXTURE_CHARTS = [f().mbar for f in FIXTURES.values()]
+CHARTS = GALLERY + FIXTURE_CHARTS
+
+
+def _random_points(surface, n, seed=5):
+    rng = np.random.default_rng(seed)
+    dom = surface.domain.inset(0.05)
+    return rng.uniform(dom.t_min, dom.t_max, n), rng.uniform(dom.z_min, dom.z_max, n)
+
+
+@pytest.mark.parametrize("jet", ["analytic", "position_only"])
+@pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
+def test_shape_arrays_matches_point_shape(surface, jet):
+    if jet == "position_only":
+        surface = dataclasses.replace(surface, jet=None)
+    t, z = _random_points(surface, 300)
+    ref = [point_shape(surface, ti, zi) for ti, zi in zip(t, z)]
+    # per-point hints: the scalar E1 signs, so both frames are comparable
+    hint = np.array([sd.e1 for _, _, sd in ref]).T
+    jet_a, forms_a, sd_a = shape_arrays(surface, t, z, hint)
+
+    def close(got, want, what):
+        want = np.asarray(want, dtype=float)
+        err = np.abs(np.asarray(got) - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(err <= 1e-13), what
+
+    def field(records, name):
+        return np.array([getattr(r, name) for r in records])
+
+    for name in ("position", "d_t", "d_z", "d_tt", "d_tz", "d_zz"):
+        close(getattr(jet_a, name).T, field([r[0] for r in ref], name), name)
+    for name in ("E", "F", "G", "e", "f", "g", "normal"):
+        got = getattr(forms_a, name)
+        close(got.T if name == "normal" else got,
+              field([r[1] for r in ref], name), name)
+    sds = [r[2] for r in ref]
+    umbilic = field(sds, "umbilic")
+    assert np.array_equal(sd_a.umbilic, umbilic)
+    for name in ("normal", "kappa1", "kappa2", "K", "H"):
+        got = getattr(sd_a, name)
+        close(got.T if name == "normal" else got, field(sds, name), name)
+    for group in ("christoffel", "decomp"):
+        want = np.array([dataclasses.astuple(getattr(sd, group)) for sd in sds])
+        got = np.array(dataclasses.astuple(getattr(sd_a, group))).T
+        # the decomposition is taken over E1 and E2, arbitrary at umbilics
+        keep = ~umbilic if group == "decomp" else slice(None)
+        close(got[keep], want[keep], group)
+    for name in ("e1", "e2"):
+        close(getattr(sd_a, name).T[~umbilic], field(sds, name)[~umbilic], name)
+
+
+def test_shape_arrays_checks_the_domain():
+    enn = make_enneper()
+    with pytest.raises(OutOfDomainError, match=r"\(5, 0\.5\)"):
+        shape_arrays(enn, np.array([0.0, 5.0]), np.array([0.0, 0.5]))
+    shape_arrays(enn, np.array([0.0, 5.0]), np.array([0.0, 0.5]),
+                 check_domain=False)
+
+
+def test_shape_arrays_e1_chain_matches_sequential_hints():
+    enn = make_enneper()
+    tr = trace_isogonal(TraceRequest(enn, (0.1, 0.9), IsogonalMode(0.4),
+                                     s_span=(-0.6, 0.6), step=2e-3))
+    e1_loop = []
+    hint = None
+    for t, z in tr.uv:
+        hint = point_shape(enn, t, z, hint, check_domain=False)[2].e1
+        e1_loop.append(hint)
+    e1 = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1], check_domain=False)[2].e1
+    assert np.max(np.abs(e1.T - np.array(e1_loop))) < 1e-13
+    # a (3,) hint orients the first point, the chain carries it along
+    flipped = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1], -e1_loop[0],
+                           check_domain=False)[2].e1
+    assert np.array_equal(flipped, -e1)

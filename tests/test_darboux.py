@@ -249,3 +249,21 @@ def test_stencil_orders():
     # interior is 4th order
     assert np.max(np.abs(diff_uniform(y, h) - np.cos(s))[2:-2]) < 1e-11
     assert np.max(np.abs(diff3_uniform(y, h) + np.cos(s))[3:-3]) < 1e-7
+
+
+def test_curve_scalars_match_pointwise_direction_scalars():
+    # the batched Darboux pass against the per-sample reference, with the
+    # same sequential E1 sign chain
+    enn = make_enneper()
+    req = TraceRequest(enn, (0.0, 1.0), IsogonalMode(np.pi / 6),
+                       s_span=(-0.8, 0.8), step=2e-3)
+    tr = trace_isogonal(req)
+    cd = curve_scalars_from_trace(enn, tr)
+    hint = None
+    for i, (t, z) in enumerate(tr.uv):
+        sd = point_shape(enn, t, z, hint, check_domain=False)[2]
+        hint = sd.e1
+        kn, taug, phi = pointwise_direction_scalars(sd, cd.T[i])
+        assert abs(cd.kn[i] - kn) < 1e-12
+        assert abs(cd.taug[i] - taug) < 1e-12
+        assert abs(np.angle(np.exp(1j * (cd.phi[i] - phi)))) < 1e-12

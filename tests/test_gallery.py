@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, make_surface, point_shape)
+from surftrace.core import _fd_jet
 from surftrace.errors import DegenerateParameterError
-from surftrace.gallery import _crpc_height
+from surftrace.gallery import CATALOGUE, _crpc_height
+from surftrace.intersect import FIXTURES
 
 from conftest import interior_grid
 
@@ -145,6 +149,8 @@ def test_degenerate_parameters_rejected():
     with pytest.raises(DegenerateParameterError):
         make_crpc_revolution(0.0, 1)
     with pytest.raises(DegenerateParameterError):
+        make_crpc_revolution(-1.0, 1)
+    with pytest.raises(DegenerateParameterError):
         make_sphere(-1.0)
     with pytest.raises(DegenerateParameterError):
         make_surface("nonexistent")
@@ -160,3 +166,29 @@ def test_helix_surface_domain_keeps_ruling_margin():
 def test_make_surface_forwards_parameters():
     surf = make_surface("bonnet", a=0.25)
     assert surf.params["a"] == 0.25
+
+
+CHARTS = ([ctor() for ctor in CATALOGUE.values()]
+          + [f().mbar for f in FIXTURES.values()])
+
+
+@pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
+def test_charts_are_elementwise(surface):
+    # (n,) arrays in, (3, n) vectors out, each column equal bit for bit
+    # (sign of zero included) to the call at that point alone
+    rng = np.random.default_rng(11)
+    dom = surface.domain.inset(0.05)
+    t = rng.uniform(dom.t_min, dom.t_max, 300)
+    z = rng.uniform(dom.z_min, dom.z_max, 300)
+    calls = {"position": lambda t, z: (surface.position(t, z),),
+             "jet": lambda t, z: dataclasses.astuple(surface.jet(t, z)),
+             "fd_jet": lambda t, z: dataclasses.astuple(
+                 _fd_jet(surface.position, t, z))}
+    for name, call in calls.items():
+        batch = call(t, z)
+        for i in range(len(t)):
+            for got, want in zip(batch, call(float(t[i]), float(z[i]))):
+                assert got.shape == (3, len(t)), name
+                assert np.array_equal(got[:, i], want), name
+                assert np.array_equal(np.signbit(got[:, i]),
+                                      np.signbit(want)), name

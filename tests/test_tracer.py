@@ -3,7 +3,7 @@ import pytest
 
 from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
                        make_enneper, make_plane, make_sphere, point_shape)
-from surftrace.core import Domain, SurfaceDef, SurfaceJet2
+from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               NonOrthogonalChartError, ThetaOutOfRangeError,
                               UmbilicEncounteredError)
@@ -205,14 +205,16 @@ def test_isogonal_map_jacobian_is_identity():
 
 def _paraboloid():
     # z = (t^2 + z^2)/2: isolated umbilic at the origin, F != 0 off-axis
+    # elementwise chart (see SurfaceDef): the trace post-processing and
+    # curve_scalars evaluate it on sample arrays
     def position(t, z):
-        return np.array([t, z, 0.5 * (t * t + z * z)])
+        return vec3(t, t, z, 0.5 * (t * t + z * z))
 
     def jet(t, z):
         return SurfaceJet2(position(t, z),
-                           np.array([1.0, 0.0, t]), np.array([0.0, 1.0, z]),
-                           np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                           np.array([0.0, 0.0, 1.0]))
+                           vec3(t, 1.0, 0.0, t), vec3(t, 0.0, 1.0, z),
+                           vec3(t, 0.0, 0.0, 1.0), vec3(t, 0.0, 0.0, 0.0),
+                           vec3(t, 0.0, 0.0, 1.0))
 
     return SurfaceDef("paraboloid", Domain(-2, 2, -2, 2), position, jet)
 
