@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 from . import classify as cls
 from .darboux import curve_scalars_from_trace
-from .errors import DegenerateParameterError, GeometryError
+from .errors import (DegenerateParameterError, GeometryError,
+                     InvalidRequestError)
 from .exporters import (ensure_dir, parse_config, read_trace_csv,
                         write_obj, write_trace_csv)
 from .gallery import CATALOGUE, make_surface
@@ -36,7 +37,8 @@ def _surface_from_args(args) -> "SurfaceDef":
     for item in args.param or []:
         key, _, value = item.partition("=")
         if not _:
-            raise SystemExit(f"bad --param '{item}', expected name=value")
+            raise InvalidRequestError(
+                f"bad --param '{item}', expected name=value")
         try:
             params[key.strip()] = float(value)
         except ValueError:
@@ -56,19 +58,19 @@ def _build_request(args, surface) -> TraceRequest:
     start = args.start
     if args.mode == "isogonal":
         if args.phi is None:
-            raise SystemExit("isogonal mode needs --phi")
+            raise InvalidRequestError("isogonal mode needs --phi")
         phi = args.phi
         if args.phi_frame == "chart":
             phi = chart_to_principal_angle(surface, start, phi)
         mode = IsogonalMode(phi, args.speed)
     elif args.mode == "pseudo-geodesic":
         if args.theta is None:
-            raise SystemExit("pseudo-geodesic mode needs --theta")
+            raise InvalidRequestError("pseudo-geodesic mode needs --theta")
         mode = PseudoGeodesicMode(args.theta, _direction(args, surface))
     elif args.mode == "geodesic":
         mode = GeodesicMode(_direction(args, surface))
     else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown mode {args.mode}")
+        raise InvalidRequestError(f"unknown mode {args.mode}")
     return TraceRequest(surface, start, mode, s_span=tuple(args.s_span),
                         step=args.step, atol=args.atol, rtol=args.rtol)
 
@@ -81,7 +83,8 @@ def _direction(args, surface):
         if args.phi_frame == "chart":
             phi = chart_to_principal_angle(surface, args.start, phi)
         return phi
-    raise SystemExit("geodesic/pseudo-geodesic mode needs --dir or --phi")
+    raise InvalidRequestError(
+        "geodesic/pseudo-geodesic mode needs --dir or --phi")
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:

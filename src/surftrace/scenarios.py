@@ -7,11 +7,14 @@ revolution and Bonnet counterexamples, cylinder geodesics, the Enneper
 geodesic family, flow properties, two-surface fixtures); A1..A4 are
 corpus-wide suites (frame identities, closed-form curvature oracles,
 cross-implication checks, algebraic identities).
+
+Every curve a scenario checks is a named row of `CURVES`, traced at most
+once per process by `traced`; `corpus()` is the whole table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -20,18 +23,14 @@ from . import classify as cls
 from .core import SurfaceDef, shape_arrays
 from .darboux import (CurveData, curve_scalars, curve_scalars_from_trace,
                       liouville_residuals)
-from .errors import UnknownScenarioError
+from .errors import DegenerateParameterError, UnknownScenarioError
 from .gallery import (make_bonnet, make_catenoid, make_crpc_revolution,
                       make_cylinder, make_enneper, make_helix_surface,
                       make_plane, make_sphere)
 from .intersect import IntersectionReport, analyze_intersection, make_fixture
-from .tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode, Trace,
-                     TraceRequest, chart_to_principal_angle, isogonal_map,
-                     trace_geodesic, trace_isogonal, trace_pseudogeodesic)
-
-#: default classification tolerances (absolute, relative)
-TOL_ABS = 1e-6
-TOL_REL = 1e-6
+from .tracer import (GeodesicMode, IsogonalMode, Mode, PseudoGeodesicMode,
+                     Trace, TraceRequest, chart_to_principal_angle,
+                     isogonal_map, trace)
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,39 @@ class CorpusCurve:
     name: str
     surface: SurfaceDef
     curve: CurveData
-    trace: Optional[Trace] = None
-    kind: str = "isogonal"      # isogonal | pseudo_geodesic | geodesic | analytic
+    trace: Optional[Trace] = None      # None for an analytic curve
 
 
-def _f(overrides: Mapping[str, str] | None, key: str, default: float) -> float:
-    if overrides and key in overrides:
-        return float(overrides[key])
-    return float(default)
+def _bounded(op: str, name: str, measured: float, limit: float,
+             note: str = "") -> ScenarioCheck:
+    """A numeric check whose ``passed`` and bound text (``"< 1e-6"``,
+    ``">= 20 curves"``) both come from the one ``limit``."""
+    # "1e-4" and "1e-6" where format "g" writes "0.0001" and "1e-06"
+    sci = f"{limit:.0e}".replace("e-0", "e-")
+    short = float(sci) == limit and len(sci) < len(f"{limit:g}")
+    passed = {"<": measured < limit, ">": measured > limit,
+              ">=": measured >= limit}[op]
+    text = f"{op} {sci if short else f'{limit:g}'} {note}"
+    return ScenarioCheck(name, bool(passed), float(measured), text.strip())
 
 
-def _check(name: str, passed: bool, measured: float, bound: str) -> ScenarioCheck:
-    return ScenarioCheck(name, bool(passed), float(measured), bound)
+_below, _above, _at_least = (partial(_bounded, op) for op in ("<", ">", ">="))
 
 
-def _dep_residual(x: np.ndarray, y: np.ndarray) -> float:
-    return cls.linear_dependence_test(x, y).residual
+def _holds(name: str, flag: bool) -> ScenarioCheck:
+    return ScenarioCheck(name, bool(flag), float(flag), "true")
+
+
+def _helices(curves: list[CurveData]) -> tuple[ScenarioCheck, ...]:
+    """The generalized-helix checks S1 and S5 make on a family of curves."""
+    return (
+        _below("kappa-tau dependence residual",
+               max(cls.linear_dependence_test(cd.kappa, cd.tau).residual
+                   for cd in curves), 1e-6),
+        _holds("classified generalized helix (all angles)",
+               all(cls.classify_curve_data(cd).helix.is_helix
+                   for cd in curves)),
+    )
 
 
 def _theta_dev(curve: CurveData) -> float:
@@ -88,30 +104,120 @@ def _phi_dev(curve: CurveData) -> float:
 
 
 # ---------------------------------------------------------------------------
-# corpus
+# curve table and corpus
 # ---------------------------------------------------------------------------
 
-def _iso(surface, start, phi, span, step=2e-3):
-    req = TraceRequest(surface, start, IsogonalMode(phi), s_span=span,
-                       step=step, max_step=step)
-    return trace_isogonal(req)
+@dataclass(frozen=True)
+class CurveSpec:
+    """A named curve: gallery constructor and its parameters, flow mode,
+    start point, s-span and sample step, which also caps the solver step."""
+
+    name: str
+    make: Callable[..., SurfaceDef]
+    mode: Mode
+    start: tuple[float, float]
+    span: tuple[float, float]
+    step: float = 2e-3
+    params: tuple[tuple[str, float], ...] = ()
+    #: the isogonal angle is measured from the t direction, not from E1
+    chart_angle: bool = False
+    #: the table curve whose uv-velocity at s = 0 is the initial direction
+    velocity_of: Optional[str] = None
+
+    def override(self, key: str, value: float) -> "CurveSpec":
+        """This spec with the chart angle (``phi_chart``) or a surface
+        parameter set to ``value``."""
+        if key == "phi_chart":
+            return replace(self, mode=replace(self.mode, phi=value))
+        return replace(self, params=tuple({**dict(self.params),
+                                           key: value}.items()))
 
 
-def _iso_chart(surface, start, chart_angle, span, step=2e-3):
-    phi = chart_to_principal_angle(surface, start, chart_angle)
-    return _iso(surface, start, phi, span, step)
+def _origin_geodesic(m: float, step: float) -> CurveSpec:
+    """The Enneper geodesic through the origin with slope m, traced far
+    enough to cover chart parameter |t| <= 1.5."""
+    cosp = 1.0 / np.sqrt(1 + m * m)
+    s_need = (1.5 + (1 + m * m) * 1.5 ** 3 / 3) / cosp * 1.02
+    return CurveSpec(f"enneper_geo_m{m:g}", make_enneper,
+                     GeodesicMode((cosp, m * cosp)), (0.0, 0.0),
+                     (-s_need, s_need), step, params=(("extent", 3.5),))
 
 
-def _pg(surface, start, theta, direction, span, step=2e-3):
-    req = TraceRequest(surface, start, PseudoGeodesicMode(theta, direction),
-                       s_span=span, step=step, max_step=step)
-    return trace_pseudogeodesic(req)
+#: slopes of the S6 geodesic family, rows ``enneper_geo_m<m>``
+_GEODESIC_SLOPES = (0.0, 0.5, 2.0)
+
+CURVES: dict[str, CurveSpec] = {spec.name: spec for spec in (
+    # spans shrink as |phi| grows: the rulings run toward the chart's
+    # degenerate edge, where curvature derivatives blow up
+    *(CurveSpec(f"helix_iso_{tag}", make_helix_surface, IsogonalMode(phi),
+                (0.0, 0.0), (-smax, smax))
+      for tag, phi, smax in (("a", 0.5, 1.0), ("b", 1.0, 0.85),
+                             ("c", -0.7, 1.0), ("d", 1.35, 0.7))),
+    CurveSpec("enneper_iso_pi6", make_enneper, IsogonalMode(np.pi / 6),
+              (0.0, 1.0), (-1.2, 1.2), chart_angle=True),
+    CurveSpec("enneper_iso_asymptotic", make_enneper, IsogonalMode(np.pi / 4),
+              (0.3, -0.1), (-0.9, 0.9), chart_angle=True),
+    CurveSpec("crpc_iso_pi4", make_crpc_revolution, IsogonalMode(np.pi / 4),
+              (0.5, 0.0), (-0.1, 0.6), chart_angle=True),
+    CurveSpec("bonnet_iso_pi6", make_bonnet, IsogonalMode(np.pi / 6),
+              (0.0, 0.3), (-1.0, 1.0), chart_angle=True),
+    CurveSpec("bonnet_iso_curvature_line", make_bonnet, IsogonalMode(0.0),
+              (0.4, 0.2), (-0.9, 0.9), chart_angle=True),
+    # initial angle away from the asymptotic directions keeps kappa (and
+    # hence torsion extraction) well conditioned along the window
+    CurveSpec("bonnet_pg", make_bonnet, PseudoGeodesicMode(0.4, 1.25),
+              (0.2, 0.1), (-0.7, 0.7)),
+    *(CurveSpec(f"cylinder_iso_{tag}", make_cylinder, IsogonalMode(phi),
+                (0.0, 0.3), (-1.5, 1.5))
+      for tag, phi in (("a", 0.4), ("b", np.pi / 4), ("c", 1.1))),
+    *(_origin_geodesic(m, step)
+      for m, step in zip(_GEODESIC_SLOPES, (2e-3, 2e-3, 8e-3))),
+    CurveSpec("catenoid_iso", make_catenoid, IsogonalMode(0.8),
+              (0.2, 0.0), (-0.8, 0.8)),
+    CurveSpec("catenoid_pg", make_catenoid, PseudoGeodesicMode(0.5, 1.35),
+              (0.1, 0.3), (-0.6, 0.6)),
+    CurveSpec("sphere_pg_a", make_sphere,
+              PseudoGeodesicMode(np.pi / 4, (0.6, 0.5)), (0.2, 0.1),
+              (-1.0, 1.0)),
+    CurveSpec("sphere_pg_b", make_sphere,
+              PseudoGeodesicMode(-0.5, (1.0, -0.3)), (-0.1, 0.4),
+              (-1.0, 1.0)),
+    CurveSpec("enneper_pg_matching_iso", make_enneper,
+              PseudoGeodesicMode(float(np.arctan(-np.sqrt(3.0)))),
+              (0.0, 1.0), (-1.2, 1.2), velocity_of="enneper_iso_pi6"),
+)}
+
+#: config overrides: ``<id>.<key> = value`` sets ``key`` (``phi_chart`` or a
+#: surface parameter) on every curve scenario <id> looks up
+OVERRIDES: dict[str, tuple[str, ...]] = {
+    "s1": ("r_beta", "phi0"),
+    "s2": ("phi_chart",),
+    "s3": ("c", "eps", "phi_chart"),
+    "s4": ("a", "phi_chart"),
+    "s5": ("r",),
+    "s6": ("extent",),
+}
 
 
-def _geo(surface, start, direction, span, step=2e-3):
-    req = TraceRequest(surface, start, GeodesicMode(direction), s_span=span,
-                       step=step, max_step=step)
-    return trace_geodesic(req)
+# room for the whole table plus one overridden copy of every row
+@lru_cache(maxsize=2 * len(CURVES))
+def traced(spec: CurveSpec) -> CorpusCurve:
+    """The curve ``spec`` names, traced with its Darboux data.  Each spec
+    is traced once per process and every caller shares the result, so no
+    caller may write to its arrays."""
+    surface = spec.make(**dict(spec.params))
+    mode = spec.mode
+    if spec.chart_angle:
+        mode = replace(mode, phi=chart_to_principal_angle(surface, spec.start,
+                                                          mode.phi))
+    if spec.velocity_of is not None:
+        source = traced(CURVES[spec.velocity_of]).trace
+        v0 = source.uv_vel[source.index_of(0.0)]
+        mode = replace(mode, initial_dir=(float(v0[0]), float(v0[1])))
+    tr = trace(TraceRequest(surface, spec.start, mode, s_span=spec.span,
+                            step=spec.step, max_step=spec.step))
+    return CorpusCurve(spec.name, surface,
+                       curve_scalars_from_trace(surface, tr), tr)
 
 
 def _plane_circle(radius=2.0, center=(0.5, -0.3), step=2e-3) -> CorpusCurve:
@@ -124,105 +230,13 @@ def _plane_circle(radius=2.0, center=(0.5, -0.3), step=2e-3) -> CorpusCurve:
     vel = np.column_stack([-np.sin(psi), np.cos(psi)])
     acc = np.column_stack([-np.cos(psi) / radius, -np.sin(psi) / radius])
     cd = curve_scalars(plane, s, uv, vel, acc)
-    return CorpusCurve("plane_circle", plane, cd, kind="analytic")
+    return CorpusCurve("plane_circle", plane, cd)
 
 
-def s6_geodesic_family(extent: float = 3.5):
-    """The Enneper geodesics through the origin for slopes m in {0, 1/2, 2},
-    traced far enough to cover chart parameter |t| <= 1.5."""
-    surf = make_enneper(extent)
-    out = []
-    for m, step in ((0.0, 2e-3), (0.5, 2e-3), (2.0, 8e-3)):
-        cosp = 1.0 / np.sqrt(1 + m * m)
-        s_need = (1.5 + (1 + m * m) * 1.5 ** 3 / 3) / cosp * 1.02
-        v0 = (cosp, m * cosp)
-        tr = _geo(surf, (0.0, 0.0), v0, (-s_need, s_need), step)
-        out.append((m, surf, tr))
-    return out
-
-
-@lru_cache(maxsize=1)
 def corpus() -> tuple[CorpusCurve, ...]:
-    """The standard curve corpus used by the suite-level checks."""
-    out: list[CorpusCurve] = []
-
-    hel = make_helix_surface(1.0, np.pi / 4)
-    # spans shrink as |phi| grows: the rulings run toward the chart's
-    # degenerate edge, where curvature derivatives blow up
-    for tag, phi, smax in (("a", 0.5, 1.0), ("b", 1.0, 0.85),
-                           ("c", -0.7, 1.0), ("d", 1.35, 0.7)):
-        tr = _iso(hel, (0.0, 0.0), phi, (-smax, smax))
-        out.append(CorpusCurve(f"helix_iso_{tag}", hel,
-                               curve_scalars_from_trace(hel, tr), tr))
-
-    enn = make_enneper()
-    tr = _iso_chart(enn, (0.0, 1.0), np.pi / 6, (-1.2, 1.2))
-    out.append(CorpusCurve("enneper_iso_pi6", enn,
-                           curve_scalars_from_trace(enn, tr), tr))
-    tr = _iso_chart(enn, (0.3, -0.1), np.pi / 4, (-0.9, 0.9))
-    out.append(CorpusCurve("enneper_iso_asymptotic", enn,
-                           curve_scalars_from_trace(enn, tr), tr))
-
-    crpc = make_crpc_revolution(2.0, 1)
-    tr = _iso_chart(crpc, (0.5, 0.0), np.pi / 4, (-0.1, 0.6))
-    out.append(CorpusCurve("crpc_iso_pi4", crpc,
-                           curve_scalars_from_trace(crpc, tr), tr))
-
-    bon = make_bonnet(0.5)
-    tr = _iso_chart(bon, (0.0, 0.3), np.pi / 6, (-1.0, 1.0))
-    out.append(CorpusCurve("bonnet_iso_pi6", bon,
-                           curve_scalars_from_trace(bon, tr), tr))
-    tr = _iso_chart(bon, (0.4, 0.2), 0.0, (-0.9, 0.9))
-    out.append(CorpusCurve("bonnet_iso_curvature_line", bon,
-                           curve_scalars_from_trace(bon, tr), tr))
-    # initial angle away from the asymptotic directions keeps kappa (and
-    # hence torsion extraction) well conditioned along the window
-    tr = _pg(bon, (0.2, 0.1), 0.4, 1.25, (-0.7, 0.7))
-    out.append(CorpusCurve("bonnet_pg", bon,
-                           curve_scalars_from_trace(bon, tr), tr,
-                           kind="pseudo_geodesic"))
-
-    cyl = make_cylinder(1.0)
-    for tag, phi in (("a", 0.4), ("b", np.pi / 4), ("c", 1.1)):
-        tr = _iso(cyl, (0.0, 0.3), phi, (-1.5, 1.5))
-        out.append(CorpusCurve(f"cylinder_iso_{tag}", cyl,
-                               curve_scalars_from_trace(cyl, tr), tr))
-
-    for m, surf, tr in s6_geodesic_family():
-        out.append(CorpusCurve(f"enneper_geo_m{m:g}", surf,
-                               curve_scalars_from_trace(surf, tr), tr,
-                               kind="geodesic"))
-
-    cat = make_catenoid()
-    tr = _iso(cat, (0.2, 0.0), 0.8, (-0.8, 0.8))
-    out.append(CorpusCurve("catenoid_iso", cat,
-                           curve_scalars_from_trace(cat, tr), tr))
-    tr = _pg(cat, (0.1, 0.3), 0.5, 1.35, (-0.6, 0.6))
-    out.append(CorpusCurve("catenoid_pg", cat,
-                           curve_scalars_from_trace(cat, tr), tr,
-                           kind="pseudo_geodesic"))
-
-    sph = make_sphere(1.0)
-    tr = _pg(sph, (0.2, 0.1), np.pi / 4, (0.6, 0.5), (-1.0, 1.0))
-    out.append(CorpusCurve("sphere_pg_a", sph,
-                           curve_scalars_from_trace(sph, tr), tr,
-                           kind="pseudo_geodesic"))
-    tr = _pg(sph, (-0.1, 0.4), -0.5, (1.0, -0.3), (-1.0, 1.0))
-    out.append(CorpusCurve("sphere_pg_b", sph,
-                           curve_scalars_from_trace(sph, tr), tr,
-                           kind="pseudo_geodesic"))
-
-    enn3 = make_enneper()
-    tr_iso = _iso_chart(enn3, (0.0, 1.0), np.pi / 6, (-1.2, 1.2))
-    v0 = tr_iso.uv_vel[tr_iso.index_of(0.0)]
-    tr = _pg(enn3, (0.0, 1.0), float(np.arctan(-np.sqrt(3.0))),
-             (float(v0[0]), float(v0[1])), (-1.2, 1.2))
-    out.append(CorpusCurve("enneper_pg_matching_iso", enn3,
-                           curve_scalars_from_trace(enn3, tr), tr,
-                           kind="pseudo_geodesic"))
-
-    out.append(_plane_circle())
-    return tuple(out)
+    """The standard curve corpus used by the suite-level checks: every
+    `CURVES` row in table order, then an analytic plane circle."""
+    return (*(traced(spec) for spec in CURVES.values()), _plane_circle())
 
 
 @lru_cache(maxsize=1)
@@ -243,329 +257,255 @@ def fixture_reports() -> dict[str, IntersectionReport]:
 
 def fixture_side_curves() -> list[CorpusCurve]:
     """Both-side Darboux data of the fixtures, as classification subjects."""
-    sides = []
-    for fx, rep in _fixtures():
-        sides.append(CorpusCurve(f"{fx.name}_in_m", fx.m, rep.curve_m,
-                                 kind="analytic"))
-        sides.append(CorpusCurve(f"{fx.name}_in_mbar", fx.mbar, rep.curve_mbar,
-                                 kind="analytic"))
-    return sides
+    return [CorpusCurve(f"{fx.name}_in_{side}", surface, cd)
+            for fx, rep in _fixtures()
+            for side, surface, cd in (("m", fx.m, rep.curve_m),
+                                      ("mbar", fx.mbar, rep.curve_mbar))]
 
 
 # ---------------------------------------------------------------------------
-# scenarios S1..S8
+# scenarios S1..S8; each takes ``spec``, the table lookup with the
+# scenario's overrides applied, and returns its checks
 # ---------------------------------------------------------------------------
 
-def run_s1(overrides=None) -> ScenarioResult:
+SpecLookup = Callable[[str], CurveSpec]
+
+
+def run_s1(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Isogonal lines on the ruled constant-slope surface: constant normal
     angle (pseudo-geodesic) and linearly dependent (kappa, tau) (helix)."""
-    r_beta = _f(overrides, "s1.r_beta", 1.0)
-    phi0 = _f(overrides, "s1.phi0", np.pi / 4)
-    hel = make_helix_surface(r_beta, phi0)
-    checks = []
-    worst_theta = 0.0
-    worst_dep = 0.0
-    all_helix = True
-    for phi, smax in ((0.5, 1.0), (1.0, 0.85), (-0.7, 1.0), (1.35, 0.7)):
-        tr = _iso(hel, (0.0, 0.0), phi, (-smax, smax))
-        cd = curve_scalars_from_trace(hel, tr)
-        worst_theta = max(worst_theta, _theta_dev(cd))
-        worst_dep = max(worst_dep, _dep_residual(cd.kappa, cd.tau))
-        all_helix &= cls.classify_curve_data(cd).helix.is_helix
-    checks.append(_check("theta constancy (max dev over 4 angles)",
-                         worst_theta < 1e-6, worst_theta, "< 1e-6"))
-    checks.append(_check("kappa-tau dependence residual",
-                         worst_dep < 1e-6, worst_dep, "< 1e-6"))
-    checks.append(_check("classified generalized helix (all angles)",
-                         all_helix, float(all_helix), "true"))
-    return ScenarioResult("S1", "ruled constant-slope surface isogonals",
-                          tuple(checks))
+    curves = [traced(spec(f"helix_iso_{tag}")).curve for tag in "abcd"]
+    return (_below("theta constancy (max dev over 4 angles)",
+                   max(_theta_dev(cd) for cd in curves), 1e-6),
+            *_helices(curves))
 
 
-def run_s2(overrides=None) -> ScenarioResult:
+def run_s2(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Enneper isogonal with chart angle pi/6 from (0, 1): straight chart
     preimage, tan(theta) = -sqrt(3), helix classification."""
-    chart_phi = _f(overrides, "s2.phi_chart", np.pi / 6)
-    enn = make_enneper()
-    start = (0.0, 1.0)
-    tr = _iso_chart(enn, start, chart_phi, (-1.2, 1.2))
-    cd = curve_scalars_from_trace(enn, tr)
-    slope = np.tan(chart_phi)
-    line_res = float(np.max(np.abs(tr.uv[:, 1] - slope * tr.uv[:, 0] - 1.0)))
-    theta_dev = _theta_dev(cd)
-    tan_err = float(abs(np.tan(np.mean(cd.theta)) + np.sqrt(3.0)))
-    dep = _dep_residual(cd.kappa, cd.tau)
+    iso = spec("enneper_iso_pi6")
+    cc = traced(iso)
+    uv, cd = cc.trace.uv, cc.curve
+    slope = np.tan(iso.mode.phi)
+    line_res = np.max(np.abs(uv[:, 1] - slope * uv[:, 0] - 1.0))
+    tan_err = abs(np.tan(np.mean(cd.theta)) + np.sqrt(3.0))
     rep = cls.classify_curve_data(cd)
-    checks = [
-        _check("chart preimage is the line z = tan(phi) t + 1",
-               line_res < 1e-8, line_res, "< 1e-8"),
-        _check("theta constancy", theta_dev < 1e-6, theta_dev, "< 1e-6"),
-        _check("tan(theta) = -sqrt(3)", tan_err < 1e-6, tan_err, "< 1e-6"),
-        _check("kappa-tau dependence residual", dep < 1e-6, dep, "< 1e-6"),
-        _check("classified generalized helix", rep.helix.is_helix,
-               float(rep.helix.is_helix), "true"),
-        _check("classified isogonal + pseudo-geodesic, not curvature line",
+    return (
+        _below("chart preimage is the line z = tan(phi) t + 1", line_res,
+               1e-8),
+        _below("theta constancy", _theta_dev(cd), 1e-6),
+        _below("tan(theta) = -sqrt(3)", tan_err, 1e-6),
+        _below("kappa-tau dependence residual",
+               cls.linear_dependence_test(cd.kappa, cd.tau).residual, 1e-6),
+        _holds("classified generalized helix", rep.helix.is_helix),
+        _holds("classified isogonal + pseudo-geodesic, not curvature line",
                rep.isogonal.is_constant and rep.pseudo_geodesic.is_constant
-               and not rep.line_of_curvature,
-               1.0, "true"),
-    ]
-    return ScenarioResult("S2", "Enneper isogonal line", tuple(checks))
+               and not rep.line_of_curvature),
+    )
 
 
-def run_s3(overrides=None) -> ScenarioResult:
+def run_s3(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Isogonal on the constant-curvature-ratio revolution surface is NOT
     a pseudo-geodesic: theta drifts far beyond tolerance."""
-    c = _f(overrides, "s3.c", 2.0)
-    eps = int(_f(overrides, "s3.eps", 1))
-    chart_phi = _f(overrides, "s3.phi_chart", np.pi / 4)
-    crpc = make_crpc_revolution(c, eps)
-    tr = _iso_chart(crpc, (0.5, 0.0), chart_phi, (-0.1, 0.6))
-    cd = curve_scalars_from_trace(crpc, tr)
-    phi_dev = _phi_dev(cd)
-    theta_dev = _theta_dev(cd)
-    checks = [
-        _check("isogonal (phi constant)", phi_dev < 1e-8, phi_dev, "< 1e-8"),
-        _check("theta max deviation exceeds 0.05 rad",
-               theta_dev > 0.05, theta_dev, "> 0.05"),
-    ]
-    return ScenarioResult("S3", "revolution-surface negative case",
-                          tuple(checks))
+    cd = traced(spec("crpc_iso_pi4")).curve
+    return (_below("isogonal (phi constant)", _phi_dev(cd), 1e-8),
+            _above("theta max deviation exceeds 0.05 rad", _theta_dev(cd),
+                   0.05))
 
 
-def run_s4(overrides=None) -> ScenarioResult:
+def run_s4(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Isogonal on the Bonnet surface is NOT a pseudo-geodesic."""
-    a = _f(overrides, "s4.a", 0.5)
-    chart_phi = _f(overrides, "s4.phi_chart", np.pi / 6)
-    bon = make_bonnet(a)
-    tr = _iso_chart(bon, (0.0, 0.3), chart_phi, (-1.0, 1.0))
-    cd = curve_scalars_from_trace(bon, tr)
-    phi_dev = _phi_dev(cd)
-    verdict = cls.constancy_test(cd.theta, TOL_ABS, TOL_REL)
-    ratio = verdict.max_dev / verdict.tolerance_used
-    checks = [
-        _check("isogonal (phi constant)", phi_dev < 1e-8, phi_dev, "< 1e-8"),
-        _check("theta deviation exceeds 10x constancy tolerance",
-               ratio > 10.0, ratio, "> 10"),
-    ]
-    return ScenarioResult("S4", "Bonnet-surface negative case", tuple(checks))
+    cd = traced(spec("bonnet_iso_pi6")).curve
+    verdict = cls.constancy_test(cd.theta)
+    return (_below("isogonal (phi constant)", _phi_dev(cd), 1e-8),
+            _above("theta deviation exceeds 10x constancy tolerance",
+                   verdict.max_dev / verdict.tolerance_used, 10))
 
 
-def run_s5(overrides=None) -> ScenarioResult:
+def run_s5(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Cylinder isogonals are geodesics (|theta| ~ 0) and helices."""
-    r = _f(overrides, "s5.r", 1.0)
-    cyl = make_cylinder(r)
-    worst_theta = 0.0
-    worst_dep = 0.0
-    all_helix = True
-    for phi in (0.4, np.pi / 4, 1.1):
-        tr = _iso(cyl, (0.0, 0.3), phi, (-1.5, 1.5))
-        cd = curve_scalars_from_trace(cyl, tr)
-        worst_theta = max(worst_theta, float(np.max(np.abs(cd.theta))))
-        worst_dep = max(worst_dep, _dep_residual(cd.kappa, cd.tau))
-        all_helix &= cls.classify_curve_data(cd).helix.is_helix
-    checks = [
-        _check("geodesic: max |theta| over 3 angles",
-               worst_theta < 1e-6, worst_theta, "< 1e-6"),
-        _check("kappa-tau dependence residual",
-               worst_dep < 1e-6, worst_dep, "< 1e-6"),
-        _check("classified generalized helix (all angles)",
-               all_helix, float(all_helix), "true"),
-    ]
-    return ScenarioResult("S5", "cylinder isogonals are geodesic helices",
-                          tuple(checks))
+    curves = [traced(spec(f"cylinder_iso_{tag}")).curve for tag in "abc"]
+    return (_below("geodesic: max |theta| over 3 angles",
+                   max(np.max(np.abs(cd.theta)) for cd in curves), 1e-6),
+            *_helices(curves))
 
 
-def run_s6(overrides=None) -> ScenarioResult:
+def run_s6(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Geodesics of the Enneper surface through the origin: closed-form
     cubic family, helix axis (m, 1, 0)/sqrt(1+m^2), axis orthogonal to the
     surface normal along the curve."""
-    extent = _f(overrides, "s6.extent", 3.5)
     checks = []
-    for m, surf, tr in s6_geodesic_family(extent):
-        cd = curve_scalars_from_trace(surf, tr)
-        t_par = tr.uv[:, 0]
-        cover = float(np.max(np.abs(t_par)))
+    for m in _GEODESIC_SLOPES:
+        cc = traced(spec(f"enneper_geo_m{m:g}"))
+        cd = cc.curve
+        t_par = cc.trace.uv[:, 0]
         mask = np.abs(t_par) <= 1.5
         family = np.column_stack([
             3 * t_par + (3 * m * m - 1) * t_par ** 3,
             m * (3 * t_par - (m * m - 3) * t_par ** 3),
             3 * (1 - m * m) * t_par ** 2]) / 3.0
-        fam_res = float(np.max(np.linalg.norm(cd.pos[mask] - family[mask],
-                                              axis=1)))
+        fam_res = np.max(np.linalg.norm(cd.pos[mask] - family[mask], axis=1))
         rep = cls.classify_curve_data(cd)
         w = np.array([m, 1.0, 0.0]) / np.sqrt(1 + m * m)
         axis = rep.helix.axis.copy()
         if float(axis @ w) < 0:
             axis = -axis
-        axis_err = float(np.max(np.abs(axis - w)))
-        axis_dot_n = float(np.max(np.abs(cd.normal @ axis)))
         checks += [
-            _check(f"m={m:g}: covers |t| <= 1.5", cover >= 1.5, cover, ">= 1.5"),
-            _check(f"m={m:g}: matches cubic family", fam_res < 1e-6,
-                   fam_res, "< 1e-6"),
-            _check(f"m={m:g}: helix axis within 1e-5 of (m,1,0)/|.|",
-                   axis_err < 1e-5, axis_err, "< 1e-5"),
-            _check(f"m={m:g}: |<axis, N>| below 1e-6", axis_dot_n < 1e-6,
-                   axis_dot_n, "< 1e-6"),
+            _at_least(f"m={m:g}: covers |t| <= 1.5", np.max(np.abs(t_par)),
+                      1.5),
+            _below(f"m={m:g}: matches cubic family", fam_res, 1e-6),
+            _below(f"m={m:g}: helix axis within 1e-5 of (m,1,0)/|.|",
+                   np.max(np.abs(axis - w)), 1e-5),
+            _below(f"m={m:g}: |<axis, N>| below 1e-6",
+                   np.max(np.abs(cd.normal @ axis)), 1e-6),
         ]
-    return ScenarioResult("S6", "Enneper geodesic family through the origin",
-                          tuple(checks))
+    return tuple(checks)
 
 
-def run_s7(overrides=None) -> ScenarioResult:
+def _uv_gap(a: Trace, b: Trace) -> float:
+    """Largest chart-coordinate difference between two equal-length traces."""
+    return float(np.max(np.abs(a.uv - b.uv)))
+
+
+def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Isogonal-flow properties and tracer cross-validation: speed
     homogeneity, identity differential of the flow map, tolerance
     robustness, time reversal, and pseudo-geodesic/geodesic consistency."""
     enn = make_enneper()
     hel = make_helix_surface(1.0, np.pi / 4)
-    checks = []
+    cat = make_catenoid()
+
+    def capped(mode, span, step=2e-3, surface=enn, start=(0.3, 0.2)):
+        return trace(TraceRequest(surface, start, mode, s_span=span,
+                                  step=step, max_step=step))
+
     phi = -0.9
-    base = _iso(enn, (0.3, 0.2), phi, (0.0, 1.0), step=4e-3)
-    fast = trace_isogonal(TraceRequest(enn, (0.3, 0.2), IsogonalMode(phi, 2.0),
-                                       s_span=(0.0, 0.5), step=2e-3,
-                                       max_step=2e-3))
-    dev2 = float(np.max(np.abs(fast.uv - base.uv[:len(fast.uv)])))
-    slow = trace_isogonal(TraceRequest(enn, (0.3, 0.2), IsogonalMode(phi, 0.5),
-                                       s_span=(0.0, 1.0), step=4e-3,
-                                       max_step=4e-3))
-    half = _iso(enn, (0.3, 0.2), phi, (0.0, 0.5), step=2e-3)
-    devh = float(np.max(np.abs(slow.uv - half.uv)))
-    checks.append(_check("speed-2 flow equals reparametrized unit flow",
-                         dev2 < 1e-8, dev2, "< 1e-8"))
-    checks.append(_check("speed-1/2 flow equals reparametrized unit flow",
-                         devh < 1e-8, devh, "< 1e-8"))
-
-    p0 = isogonal_map(enn, (0.3, 0.2), (0.0, 0.0))
-    checks.append(_check("flow map fixes the base point at v = 0",
-                         p0 == (0.3, 0.2), 0.0, "exact"))
+    base = capped(IsogonalMode(phi), (0.0, 1.0), 4e-3)
+    fast = capped(IsogonalMode(phi, 2.0), (0.0, 0.5))
+    slow = capped(IsogonalMode(phi, 0.5), (0.0, 1.0), 4e-3)
+    half = capped(IsogonalMode(phi), (0.0, 0.5))
+    dev2 = np.max(np.abs(fast.uv - base.uv[:len(fast.uv)]))
+    checks = [
+        _below("speed-2 flow equals reparametrized unit flow", dev2, 1e-8),
+        _below("speed-1/2 flow equals reparametrized unit flow",
+               _uv_gap(slow, half), 1e-8),
+        ScenarioCheck("flow map fixes the base point at v = 0",
+                      isogonal_map(enn, (0.3, 0.2), (0.0, 0.0)) == (0.3, 0.2),
+                      0.0, "exact"),
+    ]
+    h = 1e-4
     for surf, uv in ((enn, (0.3, 0.2)), (hel, (0.2, 0.1))):
-        h = 1e-4
-        jac = np.empty((2, 2))
-        for j, dv in enumerate(((h, 0.0), (0.0, h))):
-            up = np.array(isogonal_map(surf, uv, dv))
-            um = np.array(isogonal_map(surf, uv, (-dv[0], -dv[1])))
-            jac[:, j] = (up - um) / (2 * h)
-        dev = float(np.max(np.abs(jac - np.eye(2))))
-        checks.append(_check(
+        jac = np.column_stack([
+            np.subtract(isogonal_map(surf, uv, dv),
+                        isogonal_map(surf, uv, (-dv[0], -dv[1]))) / (2 * h)
+            for dv in ((h, 0.0), (0.0, h))])
+        checks.append(_below(
             f"flow-map differential is the identity on {surf.name}",
-            dev < 1e-4, dev, "< 1e-4"))
+            np.max(np.abs(jac - np.eye(2))), 1e-4))
 
-    ra = TraceRequest(enn, (0.0, 1.0), IsogonalMode(-np.pi / 3),
-                      s_span=(-1.2, 1.2), step=2e-3, atol=1e-10, rtol=1e-9)
-    rb = TraceRequest(enn, (0.0, 1.0), IsogonalMode(-np.pi / 3),
-                      s_span=(-1.2, 1.2), step=2e-3, atol=1e-12, rtol=1e-11)
-    ta, tb = trace_isogonal(ra), trace_isogonal(rb)
-    dev = float(np.max(np.abs(ta.uv - tb.uv)))
-    checks.append(_check("trace reproducibility across solver tolerances",
-                         dev < 1e-7, dev, "< 1e-7"))
+    ta, tb = (trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(-np.pi / 3),
+                                 s_span=(-1.2, 1.2), step=2e-3, atol=atol,
+                                 rtol=rtol))
+              for atol, rtol in ((1e-10, 1e-9), (1e-12, 1e-11)))
+    checks.append(_below("trace reproducibility across solver tolerances",
+                         _uv_gap(ta, tb), 1e-7))
 
-    tf = _iso(enn, (0.3, 0.2), phi, (-1.0, 0.0))
-    tb_ = _iso(enn, (0.3, 0.2), phi + np.pi, (0.0, 1.0))
-    dev = float(np.max(np.abs(tf.uv[::-1] - tb_.uv)))
-    checks.append(_check("time reversal equals reflected negated-velocity trace",
-                         dev < 1e-8, dev, "< 1e-8"))
+    back = capped(IsogonalMode(phi), (-1.0, 0.0))
+    reflected = capped(IsogonalMode(phi + np.pi), (0.0, 1.0))
+    checks.append(_below(
+        "time reversal equals reflected negated-velocity trace",
+        np.max(np.abs(back.uv[::-1] - reflected.uv)), 1e-8))
 
-    tr_iso = _iso_chart(enn, (0.0, 1.0), np.pi / 6, (-1.2, 1.2))
-    v0 = tr_iso.uv_vel[tr_iso.index_of(0.0)]
-    tr_pg = _pg(enn, (0.0, 1.0), float(np.arctan(-np.sqrt(3.0))),
-                (float(v0[0]), float(v0[1])), (-1.2, 1.2))
-    dev = float(np.max(np.abs(tr_pg.uv - tr_iso.uv)))
-    checks.append(_check(
+    checks.append(_below(
         "pseudo-geodesic at theta = atan(-sqrt(3)) reproduces the isogonal",
-        dev < 1e-6, dev, "< 1e-6"))
+        _uv_gap(traced(spec("enneper_pg_matching_iso")).trace,
+                traced(spec("enneper_iso_pi6")).trace), 1e-6))
 
-    v0 = (0.6, 0.4)
-    tg = _geo(enn, (0.2, -0.3), v0, (-0.8, 0.8))
-    tp = _pg(enn, (0.2, -0.3), 0.0, v0, (-0.8, 0.8))
-    dev = float(np.max(np.abs(tg.uv - tp.uv)))
-    checks.append(_check("geodesic equals theta = 0 pseudo-geodesic",
-                         dev < 1e-9, dev, "< 1e-9"))
+    # catenoid meridians are both principal (phi = 0) lines and geodesics,
+    # so two different flows from the same start velocity must agree
+    gaps = []
+    for start in ((0.2, 0.0), (0.3, 0.5)):
+        meridian = capped(IsogonalMode(0.0), (-0.8, 0.8), surface=cat,
+                          start=start)
+        v0 = meridian.uv_vel[meridian.index_of(0.0)]
+        geo = capped(GeodesicMode((float(v0[0]), float(v0[1]))), (-0.8, 0.8),
+                     surface=cat, start=start)
+        gaps.append(_uv_gap(geo, meridian))
+    checks.append(_below("geodesic equals catenoid meridian isogonal "
+                         "(phi = 0)", max(gaps), 1e-9))
 
-    drift = 0.0
-    for cc in corpus():
-        if cc.kind in ("pseudo_geodesic", "geodesic"):
-            speeds = np.linalg.norm(cc.curve.T, axis=1)
-            drift = max(drift, float(np.max(np.abs(speeds - 1.0))))
-    checks.append(_check("unit-speed drift over pseudo-geodesic corpus",
-                         drift < 1e-7, drift, "< 1e-7"))
-    return ScenarioResult("S7", "flow properties and tracer cross-validation",
-                          tuple(checks))
+    # geodesics are traced as theta = 0 pseudo-geodesics
+    drift = max(np.max(np.abs(np.linalg.norm(cc.curve.T, axis=1) - 1.0))
+                for cc in corpus() if cc.trace is not None
+                and isinstance(cc.trace.request.mode, PseudoGeodesicMode))
+    checks.append(_below("unit-speed drift over pseudo-geodesic corpus",
+                         drift, 1e-7))
+    return tuple(checks)
 
 
-def run_s8(overrides=None) -> ScenarioResult:
+def run_s8(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Two-surface fixtures: the normal-angle relation, its derivative
     (geodesic-torsion difference), and constant-angle transfer of the
     pseudo-geodesic property."""
-    reports = fixture_reports()
     checks = []
-    for name in ("sphere_plane", "sphere_sphere", "cylinder_plane"):
-        rep = reports[name]
-        checks.append(_check(f"{name}: xi = eps(theta_bar - theta) residual",
-                             rep.angle_residual < 1e-6, rep.angle_residual,
-                             "< 1e-6"))
-        checks.append(_check(f"{name}: xi' = eps(taug - taug_bar) residual",
-                             rep.relation_residual < 1e-6,
-                             rep.relation_residual, "< 1e-6"))
-        pg_m = cls.classify_curve_data(rep.curve_m).pseudo_geodesic.is_constant
-        pg_b = cls.classify_curve_data(rep.curve_mbar).pseudo_geodesic.is_constant
+    for name, rep in fixture_reports().items():
+        pg_m, pg_b = (cls.classify_curve_data(cd).pseudo_geodesic.is_constant
+                      for cd in (rep.curve_m, rep.curve_mbar))
+        angle = rep.constant_angle
+        checks += [_below(f"{name}: xi = eps(theta_bar - theta) residual",
+                          rep.angle_residual, 1e-6),
+                   _below(f"{name}: xi' = eps(taug - taug_bar) residual",
+                          rep.relation_residual, 1e-6)]
         if name == "cylinder_plane":
-            checks.append(_check(f"{name}: xi NOT constant",
-                                 not rep.constant_angle.is_constant,
-                                 rep.constant_angle.max_dev, "> tol"))
-            checks.append(_check(f"{name}: cylinder side NOT pseudo-geodesic",
-                                 not pg_m, float(not pg_m), "true"))
-            checks.append(_check(f"{name}: plane side pseudo-geodesic",
-                                 pg_b, float(pg_b), "true"))
+            checks += [ScenarioCheck(f"{name}: xi NOT constant",
+                                     bool(not angle.is_constant),
+                                     float(angle.max_dev), "> tol"),
+                       _holds(f"{name}: cylinder side NOT pseudo-geodesic",
+                              not pg_m),
+                       _holds(f"{name}: plane side pseudo-geodesic", pg_b)]
         else:
-            checks.append(_check(f"{name}: xi constant",
-                                 rep.constant_angle.is_constant,
-                                 rep.constant_angle.max_dev, "<= tol"))
-            checks.append(_check(f"{name}: pseudo-geodesic on both sides",
-                                 pg_m and pg_b, float(pg_m and pg_b), "true"))
-    return ScenarioResult("S8", "two-surface intersection fixtures",
-                          tuple(checks))
+            checks += [ScenarioCheck(f"{name}: xi constant",
+                                     bool(angle.is_constant),
+                                     float(angle.max_dev), "<= tol"),
+                       _holds(f"{name}: pseudo-geodesic on both sides",
+                              pg_m and pg_b)]
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
 # suite scenarios A1..A4
 # ---------------------------------------------------------------------------
 
-def run_a1(overrides=None) -> ScenarioResult:
+#: the gallery surfaces with curvature oracles, at default parameters
+_ORACLE_SURFACES = (make_helix_surface, make_enneper, make_crpc_revolution,
+                    make_bonnet)
+
+
+def run_a1(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Frame identities across the corpus: kappa^2 = kg^2 + kn^2 and the
     coordinate-frame curvature decomposition residual."""
-    worst_pyth = 0.0
-    worst_liouville = 0.0
-    n_curves = 0
-    n_oracle = 0
-    for cc in corpus():
-        cd = cc.curve
-        n_curves += 1
-        pyth = float(np.max(np.abs(cd.kappa ** 2 - (cd.kg ** 2 + cd.kn ** 2))
+    curves = corpus()
+    pyth = max(float(np.max(np.abs(cd.kappa ** 2 - (cd.kg ** 2 + cd.kn ** 2))
                             / (1 + cd.kappa ** 2)))
-        worst_pyth = max(worst_pyth, pyth)
-        if cc.surface.oracle is not None:
-            n_oracle += 1
-            res = liouville_residuals(cc.surface, cd)
-            worst_liouville = max(worst_liouville, float(np.max(np.abs(res))))
-    checks = [
-        _check(f"corpus size (got {n_curves})", n_curves >= 20,
-               float(n_curves), ">= 20 curves"),
-        _check("kappa^2 = kg^2 + kn^2 (normalized residual)",
-               worst_pyth < 1e-8, worst_pyth, "< 1e-8"),
-        _check(f"coordinate-frame curvature residual ({n_oracle} curves)",
-               worst_liouville < 1e-6, worst_liouville, "< 1e-6"),
-    ]
-    return ScenarioResult("A1", "frame identities over the curve corpus",
-                          tuple(checks))
+               for cd in (cc.curve for cc in curves))
+    oracle = [cc for cc in curves if cc.surface.oracle is not None]
+    liouville = max(float(np.max(np.abs(liouville_residuals(cc.surface,
+                                                            cc.curve))))
+                    for cc in oracle)
+    return (
+        _at_least(f"corpus size (got {len(curves)})", len(curves), 20,
+                  "curves"),
+        _below("kappa^2 = kg^2 + kn^2 (normalized residual)", pyth, 1e-8),
+        _below(f"coordinate-frame curvature residual ({len(oracle)} curves)",
+               liouville, 1e-6),
+    )
 
 
-def run_a2(overrides=None) -> ScenarioResult:
+def run_a2(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Closed-form curvature oracles vs the generic shape pipeline at 200
     interior grid points per gallery surface."""
-    surfaces = [make_helix_surface(1.0, np.pi / 4), make_enneper(),
-                make_crpc_revolution(2.0, 1), make_bonnet(0.5)]
     checks = []
-    for surf in surfaces:
+    for surf in (make() for make in _ORACLE_SURFACES):
         dom = surf.domain.inset(0.05)
         t, z = (g.ravel() for g in np.meshgrid(
             np.linspace(dom.t_min, dom.t_max, 20),
@@ -575,63 +515,49 @@ def run_a2(overrides=None) -> ScenarioResult:
                                           surf.oracle.k2(t, z)), axis=0)
         got = np.array([sd.kappa1, sd.kappa2])
         worst = float(np.max(np.abs(ora - got) / (1.0 + np.abs(ora))))
-        checks.append(_check(f"{surf.name}: oracle curvature agreement",
-                             worst < 1e-8, worst, "< 1e-8 (200 points)"))
-    return ScenarioResult("A2", "closed-form curvature oracles", tuple(checks))
+        checks.append(_below(f"{surf.name}: oracle curvature agreement",
+                            worst, 1e-8, "(200 points)"))
+    return tuple(checks)
 
 
-def run_a3(overrides=None) -> ScenarioResult:
+def run_a3(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Cross-implication checks between curve classes over the corpus and
     the fixture sides; borderline (gray-zone) curves are excluded."""
-    subjects = list(corpus()) + fixture_side_curves()
-    counts = {"applicable": 0, "excluded": 0}
-    violations: list[str] = []
-    pg_taug_worst = 0.0
-    cyl_taug_const = True
-    enneper_taug_nonconst = False
-    for cc in subjects:
-        rep = cls.classify_curve_data(cc.curve)
-        props = cls.proposition_checks(rep)
-        for key, res in props.items():
-            if res["excluded"]:
-                counts["excluded"] += 1
-                continue
-            if res["applicable"]:
-                counts["applicable"] += 1
-                if not res["holds"]:
-                    violations.append(f"{cc.name}:{key}")
-        if rep.pseudo_geodesic.is_constant:
-            dev = float(np.max(np.abs(cc.curve.tau - cc.curve.taug)))
-            pg_taug_worst = max(
-                pg_taug_worst,
-                dev / (1.0 + float(np.max(np.abs(cc.curve.tau)))))
-        if cc.name.startswith("cylinder_iso"):
-            cyl_taug_const &= cls.constancy_test(cc.curve.taug).is_constant
-        if cc.name == "enneper_iso_pi6":
-            enneper_taug_nonconst = not cls.constancy_test(
-                cc.curve.taug).is_constant
-    checks = [
-        _check(f"cross-implications hold ({counts['applicable']} applicable,"
-               f" {counts['excluded']} excluded)", not violations,
-               float(len(violations)), "0 violations"),
-        _check("tau = taug on pseudo-geodesics", pg_taug_worst < 1e-6,
-               pg_taug_worst, "< 1e-6"),
-        _check("constant-skew surface: taug constant along isogonals",
-               cyl_taug_const, float(cyl_taug_const), "true"),
-        _check("non-constant-skew surface: taug varies along an isogonal",
-               enneper_taug_nonconst, float(enneper_taug_nonconst), "true"),
-    ]
-    return ScenarioResult("A3", "curve-class cross-implications", tuple(checks))
+    subjects = [*corpus(), *fixture_side_curves()]
+    reports = [cls.classify_curve_data(cc.curve) for cc in subjects]
+    props = [(f"{cc.name}:{key}", res) for cc, rep in zip(subjects, reports)
+             for key, res in cls.proposition_checks(rep).items()]
+    excluded = sum(bool(res["excluded"]) for _, res in props)
+    applicable = [(name, res) for name, res in props
+                  if not res["excluded"] and res["applicable"]]
+    violations = [name for name, res in applicable if not res["holds"]]
+    pg_taug = [float(np.max(np.abs(cc.curve.tau - cc.curve.taug)))
+               / (1.0 + float(np.max(np.abs(cc.curve.tau))))
+               for cc, rep in zip(subjects, reports)
+               if rep.pseudo_geodesic.is_constant]
+    cylinder_iso = [cc.curve for cc in subjects
+                    if cc.name.startswith("cylinder_iso")]
+    enneper_iso = traced(spec("enneper_iso_pi6")).curve
+    return (
+        ScenarioCheck(f"cross-implications hold ({len(applicable)} "
+                      f"applicable, {excluded} excluded)",
+                      not violations, float(len(violations)), "0 violations"),
+        _below("tau = taug on pseudo-geodesics", max(pg_taug, default=0.0),
+               1e-6),
+        _holds("constant-skew surface: taug constant along isogonals",
+               all(cls.constancy_test(cd.taug).is_constant
+                   for cd in cylinder_iso)),
+        _holds("non-constant-skew surface: taug varies along an isogonal",
+               not cls.constancy_test(enneper_iso.taug).is_constant),
+    )
 
 
-def run_a4(overrides=None) -> ScenarioResult:
+def run_a4(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Algebraic identities linking (kn, taug) with the principal
     curvatures, sampled with random coefficients at surface points."""
     rng = np.random.default_rng(20260808)
-    surfaces = [make_helix_surface(1.0, np.pi / 4), make_enneper(),
-                make_crpc_revolution(2.0, 1), make_bonnet(0.5)]
     kappas = []
-    for surf in surfaces:
+    for surf in (make() for make in _ORACLE_SURFACES):
         dom = surf.domain.inset(0.1)
         sd = shape_arrays(surf, np.linspace(dom.t_min, dom.t_max, 5),
                           np.linspace(dom.z_max, dom.z_min, 5))[2]
@@ -650,13 +576,12 @@ def run_a4(overrides=None) -> ScenarioResult:
                   - (c * taug + d * kn))
             worst1 = max(worst1, abs(r1))
             worst2 = max(worst2, abs(r2))
-    checks = [
-        _check("identity linking kn/taug to a*k1 + b*k2", worst1 < 1e-10,
-               worst1, "< 1e-10 (100 draws x 20 points)"),
-        _check("identity linking c*taug + d*kn to the principal pair",
-               worst2 < 1e-10, worst2, "< 1e-10 (100 draws x 20 points)"),
-    ]
-    return ScenarioResult("A4", "pointwise algebraic identities", tuple(checks))
+    return (
+        _below("identity linking kn/taug to a*k1 + b*k2", worst1, 1e-10,
+              "(100 draws x 20 points)"),
+        _below("identity linking c*taug + d*kn to the principal pair",
+              worst2, 1e-10, "(100 draws x 20 points)"),
+    )
 
 
 SCENARIOS: dict[str, tuple[str, Callable]] = {
@@ -675,13 +600,46 @@ SCENARIOS: dict[str, tuple[str, Callable]] = {
 }
 
 
+def _override_values(sid: str,
+                     overrides: Mapping[str, str] | None) -> dict[str, float]:
+    """Scenario ``sid``'s overrides, once every ``<id>.<key>`` entry is
+    known to `OVERRIDES` and holds a finite number; other entries
+    (``tol_abs``, ...) are not scenario settings."""
+    values = {}
+    for key, text in (overrides or {}).items():
+        prefix, _, name = key.lower().partition(".")
+        if prefix.upper() not in SCENARIOS:
+            continue
+        accepted = OVERRIDES.get(prefix, ())
+        try:
+            value = float(text) if name in accepted else np.nan
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise DegenerateParameterError(
+                f"bad scenario override {key} = {text} (accepted: "
+                f"{', '.join(accepted) or 'none'}; each a finite number)")
+        if prefix == sid.lower():
+            values[name] = value
+    return values
+
+
 def run_scenario(scenario_id: str, overrides=None) -> ScenarioResult:
+    """Run one scenario with its ``<id>.<key>`` config overrides applied."""
     sid = scenario_id.upper()
     if sid not in SCENARIOS:
         raise UnknownScenarioError(f"unknown scenario '{scenario_id}'; "
                                    f"choices: {', '.join(SCENARIOS)} or 'all'")
-    _title, fn = SCENARIOS[sid]
-    return fn(overrides)
+    title, run = SCENARIOS[sid]
+    values = _override_values(sid, overrides)
+
+    def spec(name: str) -> CurveSpec:
+        out = CURVES[name]
+        for key, value in values.items():
+            out = out.override(key, value)
+        return out
+
+    return ScenarioResult(sid, title, run(spec))
 
 
 def render_result(result: ScenarioResult) -> str:

@@ -54,7 +54,7 @@ def test_criterion_07_geodesic_family(scenario_results):
 def test_criterion_08_tracer_cross_validation(scenario_results):
     res = scenario_results("S7")
     names = ("pseudo-geodesic at theta = atan(-sqrt(3)) reproduces the isogonal",
-             "geodesic equals theta = 0 pseudo-geodesic",
+             "geodesic equals catenoid meridian isogonal (phi = 0)",
              "unit-speed drift over pseudo-geodesic corpus")
     sub = [c for c in res.checks if c.name in names]
     assert len(sub) == 3

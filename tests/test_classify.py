@@ -12,7 +12,9 @@ from surftrace.classify import (_principal_series, proposition_checks,
                                 render_report)
 from surftrace.darboux import frenet_apparatus
 from surftrace.errors import TooFewSamplesError, VanishingCurvatureError
-from surftrace.scenarios import _iso_chart
+from surftrace.scenarios import CURVES, traced
+from surftrace.tracer import (IsogonalMode, TraceRequest,
+                              chart_to_principal_angle, trace)
 
 from test_darboux import plane_circle_samples
 
@@ -96,10 +98,7 @@ def test_dependence_finds_planted_coefficients(a, b):
 
 @pytest.fixture(scope="module")
 def s2_report_and_curve():
-    enn = make_enneper()
-    tr = _iso_chart(enn, (0.0, 1.0), np.pi / 6, (-1.2, 1.2))
-    from surftrace import curve_scalars_from_trace
-    cd = curve_scalars_from_trace(enn, tr)
+    cd = traced(CURVES["enneper_iso_pi6"]).curve
     return classify_curve_data(cd), cd
 
 
@@ -118,7 +117,9 @@ def test_enneper_isogonal_classification(s2_report_and_curve):
 
 def test_enneper_origin_isogonal_is_geodesic():
     enn = make_enneper()
-    tr = _iso_chart(enn, (0.0, 0.0), np.pi / 6, (-1.0, 1.0))
+    phi = chart_to_principal_angle(enn, (0.0, 0.0), np.pi / 6)
+    tr = trace(TraceRequest(enn, (0.0, 0.0), IsogonalMode(phi),
+                            s_span=(-1.0, 1.0), step=2e-3, max_step=2e-3))
     rep = classify_curve(enn, tr)
     assert rep.geodesic
     assert rep.isogonal.is_constant and rep.pseudo_geodesic.is_constant
@@ -257,10 +258,8 @@ def test_probe_needs_enough_points():
 
 def test_proposition_checks_on_curvature_line():
     # a planar line of curvature must come out pseudo-geodesic (trio rule)
-    from surftrace import make_bonnet
-    bon = make_bonnet(0.5)
-    tr = _iso_chart(bon, (0.4, 0.2), 0.0, (-0.9, 0.9))
-    rep = classify_curve(bon, tr)
+    cc = traced(CURVES["bonnet_iso_curvature_line"])
+    rep = classify_curve(cc.surface, cc.trace)
     assert rep.line_of_curvature and rep.planar
     assert rep.pseudo_geodesic.is_constant
     props = proposition_checks(rep)

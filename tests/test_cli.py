@@ -7,7 +7,8 @@ from surftrace import classify_curve_data, curve_scalars_from_trace, make_ennepe
 from surftrace.cli import main
 from surftrace.exporters import (parse_config, read_trace_csv, write_obj,
                                  write_trace_csv)
-from surftrace.scenarios import _geo, _iso_chart
+from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
+                              chart_to_principal_angle, trace)
 
 from conftest import run_python
 
@@ -35,7 +36,9 @@ def test_trace_output_is_deterministic(tmp_path):
 
 def test_csv_roundtrip_reclassifies_identically(tmp_path):
     enn = make_enneper()
-    tr = _iso_chart(enn, (0.0, 1.0), np.pi / 6, (-0.8, 0.8))
+    phi = chart_to_principal_angle(enn, (0.0, 1.0), np.pi / 6)
+    tr = trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
+                            s_span=(-0.8, 0.8), step=2e-3, max_step=2e-3))
     cd = curve_scalars_from_trace(enn, tr)
     rep1 = classify_curve_data(cd)
     path = str(tmp_path / "round.csv")
@@ -113,13 +116,28 @@ PROBES = {
     "dir-zero": ["trace", *ENNEPER, "--mode", "geodesic", "--dir", "0,0"],
     "crpc-negative-c": ["trace", "--surface", "crpc_revolution",
                         "--param", "c=-1", "--start", "0.5,0", "--phi", "0.5"],
+    "param-without-value": ["trace", *ENNEPER, "--param", "foo",
+                            "--phi", "0.5"],
+    "isogonal-without-phi": ["trace", *ENNEPER],
+    "override-not-a-number": ["--config", "probe.cfg", "verify", "S3"],
+    "override-unknown": ["--config", "probe.cfg", "verify", "S3"],
+    "override-eps": ["--config", "probe.cfg", "verify", "S3"],
+}
+# the config file each --config probe reads
+PROBE_CONFIGS = {
+    "override-not-a-number": "s3.c = abc\n",
+    "override-unknown": "s3.cc = 5\n",
+    "override-eps": "s3.eps = 1.7\n",
 }
 
 
-@pytest.mark.parametrize("argv", list(PROBES.values()), ids=list(PROBES))
-def test_invalid_input_fails_with_one_line(argv, tmp_path):
-    proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path), *argv],
-                      cwd=tmp_path, timeout=60)
+@pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
+def test_invalid_input_fails_with_one_line(probe, tmp_path):
+    if probe in PROBE_CONFIGS:
+        (tmp_path / "probe.cfg").write_text(PROBE_CONFIGS[probe],
+                                            encoding="utf-8")
+    proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path),
+                       *PROBES[probe]], cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     err = proc.stderr.splitlines()
@@ -144,7 +162,8 @@ def test_export_obj_structure(tmp_path):
     curves = []
     for m in (0.5, -0.5):
         cosp = 1.0 / np.sqrt(1 + m * m)
-        tr = _geo(enn, (0.0, 0.0), (cosp, m * cosp), (-2.0, 2.0), step=1e-2)
+        tr = trace(TraceRequest(enn, (0.0, 0.0), GeodesicMode((cosp, m * cosp)),
+                                s_span=(-2.0, 2.0), step=1e-2, max_step=1e-2))
         curves.append(curve_scalars_from_trace(enn, tr).pos)
     path = str(tmp_path / "figure.obj")
     write_obj(path, enn, curves, grid=(50, 50))
