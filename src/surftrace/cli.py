@@ -191,7 +191,11 @@ def _cmd_trace(args, out_dir: str) -> int:
     ensure_dir(out_dir)
     path = os.path.join(out_dir, args.csv or "trace.csv")
     write_trace_csv(path, cd)
-    print(f"wrote {path} ({len(cd)} samples, exit: {tr.exit.kind})")
+    branches = tr.stats.values()
+    print(f"wrote {path} ({len(cd)} samples, exit: {tr.exit.kind}, "
+          f"nfev {sum(b.nfev for b in branches)}, "
+          f"steps {sum(b.steps for b in branches)} "
+          f"(+{sum(b.rejected for b in branches)} rejected))")
     return 0
 
 
@@ -210,6 +214,11 @@ def _cmd_classify(args, overrides) -> int:
 
 
 def _cmd_verify(args, overrides) -> int:
+    given = [key for key in ("tol_abs", "tol_rel") if key in overrides]
+    if given:
+        raise InvalidRequestError(
+            f"{' and '.join(given)} apply to classify only; every verify "
+            "check has its own fixed bound")
     which = args.scenario.lower()
     ids = list(SCENARIOS) if which == "all" else [which.upper()]
     all_ok = True

@@ -5,15 +5,18 @@ symbols, principal frame and tangent decomposition in one pass at one point;
 `shape_arrays` does the same over (n,) arrays of points with the same
 formulas in the same order (do Carmo, *Differential Geometry of Curves and
 Surfaces*, ch. 3).  Both form X_t x X_z once and raise SingularJetError
-where it vanishes.
+where it vanishes.  `point_shape` starts with `point_metric`: the normal,
+both forms and the Christoffel symbols as one flat tuple of floats.  The
+pseudo-geodesic right-hand side needs no more and calls `point_metric`
+alone, at about half the cost.
 
-Which kernel a caller uses follows what it holds.  The flow right-hand
-sides, solver events and single-point set-up evaluate one point at a time
-and call `point_shape` (20 to 35 us a call); every consumer of a sample
-array (tracer post-processing, Darboux scalars, CSV import, class probes,
-the oracle scenarios) calls `shape_arrays` once.  Its fixed numpy overhead
-(300 to 350 us at n = 1) breaks even with a scalar loop near n = 10 to 15
-(gallery charts, numpy 2.4 on a 2-core x86-64 host).
+Which kernel a caller uses follows what it holds.  The isogonal flow
+right-hand side, solver events and single-point set-up evaluate one point
+at a time and call `point_shape` (20 to 35 us a call); every consumer of a
+sample array (tracer post-processing, Darboux scalars, CSV import, class
+probes, the oracle scenarios) calls `shape_arrays` once.  Its fixed numpy
+overhead (300 to 350 us at n = 1) breaks even with a scalar loop near n = 10
+to 15 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -206,16 +209,16 @@ def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) 
     return _fd_jet(surface.position, t, z)
 
 
-def point_shape(surface: SurfaceDef, t: float, z: float,
-                e1_hint: Vec3 | None = None, *, check_domain: bool = True
-                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
-    """(jet, forms, shape data) at one parameter point, in one float pass.
+def point_metric(surface: SurfaceDef, t: float, z: float, *,
+                 check_domain: bool = True) -> tuple:
+    """The metric stage of `point_shape` at one point, as one flat tuple:
 
-    Raises SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.  The
-    shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
-    Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
-    with E1 arbitrary where ``umbilic`` is set.  E1 is aligned with
-    ``e1_hint`` when given, else with the module sign rule.
+        (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
+         e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
+
+    with X_t, X_z and N by component, W = EG - F^2 and the Christoffel
+    symbols upper index first; every entry but the jet is a float.  Raises
+    SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.
     """
     jet = jet2(surface, t, z, check_domain=check_domain)
     xt0, xt1, xt2 = jet.d_t.tolist()
@@ -245,6 +248,24 @@ def point_shape(surface: SurfaceDef, t: float, z: float,
         symbols.append(((G * bt - F * bz) / W, (E * bz - F * bt) / W))
     e, f, g = second
     (c1_tt, c2_tt), (c1_tz, c2_tz), (c1_zz, c2_zz) = symbols
+    return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
+            e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
+
+
+def point_shape(surface: SurfaceDef, t: float, z: float,
+                e1_hint: Vec3 | None = None, *, check_domain: bool = True
+                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+    """(jet, forms, shape data) at one parameter point, in one float pass.
+
+    Starts from `point_metric` (and raises its SingularJetError).  The
+    shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
+    Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
+    with E1 arbitrary where ``umbilic`` is set.  E1 is aligned with
+    ``e1_hint`` when given, else with the module sign rule.
+    """
+    (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W, e, f, g,
+     c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(
+        surface, t, z, check_domain=check_domain)
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components

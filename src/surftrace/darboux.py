@@ -132,12 +132,25 @@ def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
     pos, T, normal = (np.ascontiguousarray(v.T)
                       for v in (jet.position, vel3, sd.normal))
 
-    theta = np.unwrap(np.arctan2(kg, kn))
+    theta = normal_angle(kg, kn)
     kappa = np.hypot(kg, kn)
     theta_prime = diff_uniform(theta, h, edge_order=2)
     tau = taug + theta_prime
     return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal, kg, kn, taug,
                      phi, theta, kappa, tau, np.flatnonzero(umbilic))
+
+
+def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
+    """theta = atan2(kg, kn), lifted to a continuous function of the samples.
+
+    The first sample fixes the 2 pi branch of the lift.  There a kg of
+    rounding size, |kg| <= 1e-12 |kn|, counts as +0, so a geodesic with
+    kn < 0 starts at +pi whatever the sign of the noise in its kg.
+    """
+    theta = np.arctan2(kg, kn)
+    if abs(kg[0]) <= 1e-12 * abs(kn[0]):
+        theta[0] = np.arctan2(0.0, kn[0])
+    return np.unwrap(theta)
 
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:

@@ -1,0 +1,221 @@
+"""Dormand-Prince 5(4) on Python floats, one integration branch at a time.
+
+The algorithm is scipy's RK45, step for step (Dormand & Prince, *J. Comput.
+Appl. Math.* 6 (1980); Hairer, Norsett & Wanner, *Solving ODEs I*,
+sections II.4-II.6): the 5(4) tableau with local extrapolation, the quartic
+dense output of Shampine (1986), the initial-step rule with error-estimator
+order 4, the RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
+step factors ``0.9 err^(-1/5)`` clamped to [0.2, 10] (no growth right after a
+rejection) and a minimum step of 10 ulp of s.  States and right-hand side
+values are tuples of floats, which spares the per-stage numpy calls that
+dominate a small system's step.
+
+Events are terminal functions ``g(s, y)``: they are evaluated at step ends,
+and where one falls through zero (``g >= 0`` before, ``g <= 0`` after) its
+root is found by ``brentq`` on that step's dense output, as scipy's
+``solve_ivp`` does.  The earliest root ends the branch.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import brentq
+
+#: right-hand side evaluations allowed per branch; a branch that would
+#: exceed it stops at its last accepted step with status -1 (the largest
+#: count over every curve of ``surftrace verify all`` is about 12,200)
+MAX_NFEV = 150_000
+
+EPS = np.finfo(float).eps
+C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A21 = 1 / 5
+A31, A32 = 3 / 40, 9 / 40
+A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                           -5103 / 18656)
+B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                          17253 / 339200, -22 / 525, 1 / 40)
+#: dense output: y(s_old + x h) = y_old + h sum_k K_k (P_k . (x, x^2, x^3, x^4))
+P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+@dataclass(frozen=True)
+class BranchStats:
+    """What the stepper did on one branch."""
+
+    nfev: int       # right-hand side evaluations
+    steps: int      # accepted steps
+    rejected: int   # rejected step attempts
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One integration from s = 0 toward ``s_end``.
+
+    ``status`` is 0 when s_end was reached, 1 when event ``event`` ended the
+    branch at ``s`` and -1 when the step fell below 10 ulp or the RHS budget
+    ran out (``s`` is then the last accepted step).
+    """
+
+    status: int
+    s: float
+    event: int | None
+    stats: BranchStats
+    starts: np.ndarray   # (m,) s at the start of each accepted step
+    h: np.ndarray        # (m,) signed step
+    y_old: np.ndarray    # (m, n) state at each step start
+    Q: np.ndarray        # (m, n, 4) dense-output coefficients K^T P
+
+    def sample(self, s: np.ndarray) -> np.ndarray:
+        """(len(s), n) states on the points s, all on this branch's side;
+        a point on a step boundary takes the step scipy's OdeSolution
+        would pick."""
+        s = np.asarray(s, dtype=float)
+        forward = self.h[0] > 0
+        sign = 1.0 if forward else -1.0
+        seg = np.searchsorted(sign * self.starts, sign * s,
+                              side="right" if forward else "left") - 1
+        seg = np.clip(seg, 0, len(self.starts) - 1)
+        return _interpolate(self.starts[seg], self.h[seg], self.y_old[seg],
+                            self.Q[seg], s)
+
+
+def _interpolate(start, h, y_old, Q, s):
+    """(m, n) states at the m points s, each on the step given by the same
+    row of start, h, y_old and Q."""
+    x = (s - start) / h
+    p = np.cumprod(np.tile(x, (4, 1)), axis=0).T
+    return h[:, None] * np.einsum("mnj,mj->mn", Q, p) + y_old
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+
+
+def integrate(rhs, y0, s_end, events, atol, rtol,
+              max_step=math.inf) -> Branch:
+    """Integrate y' = rhs(s, y) from s = 0 to s_end != 0.
+
+    ``rhs`` takes and returns tuples of floats.  ``events`` are terminal
+    functions g(s, y) (see the module docstring).
+    """
+    y = tuple(float(v) for v in y0)
+    n = len(y)
+    rtol = max(rtol, 100 * EPS)
+    direction = 1.0 if s_end > 0 else -1.0
+    s = 0.0
+    f = rhs(s, y)
+
+    # initial step (Hairer, Norsett & Wanner II.4, scipy select_initial_step)
+    span = abs(s_end)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([v / sc for v, sc in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    dh = h0 * direction
+    f1 = rhs(s + dh, tuple(v + dh * fv for v, fv in zip(y, f)))
+    d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span, max_step)
+    nfev, accepted, rejected = 2, 0, 0
+
+    g = [ev(s, y) for ev in events]
+    steps = []
+    status, event = None, None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(s, direction * math.inf) - s)
+        h_abs = min(max(h_abs, min_step), max_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step or nfev + 6 > MAX_NFEV:
+                status = -1
+                break
+            s_new = s + h_abs * direction
+            if direction * (s_new - s_end) > 0:
+                s_new = s_end
+            h = s_new - s
+            h_abs = abs(h)
+            k1 = f
+            k2 = rhs(s + C2 * h, tuple(
+                v + (a * A21) * h for v, a in zip(y, k1)))
+            k3 = rhs(s + C3 * h, tuple(
+                v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)))
+            k4 = rhs(s + C4 * h, tuple(
+                v + (a * A41 + b * A42 + c * A43) * h
+                for v, a, b, c in zip(y, k1, k2, k3)))
+            k5 = rhs(s + C5 * h, tuple(
+                v + (a * A51 + b * A52 + c * A53 + d * A54) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)))
+            k6 = rhs(s + h, tuple(
+                v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)))
+            y_new = tuple(
+                v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
+                for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
+            k7 = rhs(s + h, y_new)
+            nfev += 6
+            err = _rms([(a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7)
+                        * h / (atol + max(abs(v), abs(w)) * rtol)
+                        for v, w, a, c, d, e, q, r
+                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            step_rejected = True
+            rejected += 1
+        if status is not None:
+            break
+
+        K = (k1, k2, k3, k4, k5, k6, k7)
+        steps.append((s, h, y, K))
+        accepted += 1
+        s_old, y_old = s, y
+        s, y, f = s_new, y_new, k7
+        if direction * (s - s_end) >= 0:
+            status = 0
+        g_new = [ev(s, y) for ev in events]
+        fired = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
+        if fired:
+            last = (np.array([s_old]), np.array([h]), np.array([y_old]),
+                    (np.array(K).T @ P)[None])
+
+            def on_step(x, ev):
+                return ev(x, _interpolate(*last, np.array([x]))[0])
+            roots = [brentq(on_step, s_old, s, args=(events[i],),
+                            xtol=4 * EPS, rtol=4 * EPS) for i in fired]
+            first = min(range(len(fired)), key=lambda j: direction * roots[j])
+            status, event, s = 1, fired[first], roots[first]
+        g = g_new
+
+    m = len(steps)
+    starts = np.array([st[0] for st in steps])
+    hs = np.array([st[1] for st in steps])
+    y_olds = np.array([st[2] for st in steps]).reshape(m, n)
+    Ks = np.array([st[3] for st in steps]).reshape(m, 7, n)
+    Q = np.einsum("mkn,kj->mnj", Ks, P)
+    return Branch(status, s, event, BranchStats(nfev, accepted, rejected),
+                  starts, hs, y_olds, Q)

@@ -13,9 +13,14 @@ Pseudo-geodesics solve the second-order system (orthogonal charts only)
 whose solutions keep both unit speed and the normal angle theta constant;
 theta = 0 gives the geodesic equations.
 
-Integration uses the adaptive Dormand-Prince 5(4) pair with dense output
-(scipy's RK45), resampled onto a uniform s-grid.  Domain edges and
-umbilic points terminate a trace cleanly via solver events.
+Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
+with quartic dense output on Python floats, step for step the algorithm of
+scipy's RK45 (Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer,
+Norsett & Wanner, *Solving ODEs I*, sections II.4-II.6).  Each branch's
+dense output is resampled onto a uniform s-grid.  Domain edges and umbilic
+points terminate a trace cleanly via solver events; a branch that runs out
+of its right-hand side budget (`stepper.MAX_NFEV`) or of step size ends as
+``solver_failure``.
 """
 from __future__ import annotations
 
@@ -23,12 +28,12 @@ from dataclasses import astuple, dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .core import SurfaceDef, point_shape, shape_arrays
+from .core import SurfaceDef, point_metric, point_shape, shape_arrays
 from .errors import (BoundaryExitError, InvalidRequestError,
                      NonOrthogonalChartError, SingularDecompositionError,
                      ThetaOutOfRangeError, UmbilicEncounteredError)
+from .stepper import BranchStats, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
@@ -112,6 +117,8 @@ class Trace:
     uv_vel: np.ndarray   # (n, 2)
     uv_acc: np.ndarray   # (n, 2)
     exit: TraceExit
+    # what the stepper did on each branch that ran, keyed "fwd" and "bwd"
+    stats: dict[str, BranchStats]
 
     def __len__(self) -> int:
         return len(self.s)
@@ -168,49 +175,41 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
 
 def _domain_events(surface: SurfaceDef):
     dom = surface.domain
-    specs = [lambda s, y: y[0] - dom.t_min,
-             lambda s, y: dom.t_max - y[0],
-             lambda s, y: y[1] - dom.z_min,
-             lambda s, y: dom.z_max - y[1]]
-    for ev in specs:
-        ev.terminal = True
-        ev.direction = -1
-    return specs
+    return [lambda s, y: y[0] - dom.t_min,
+            lambda s, y: dom.t_max - y[0],
+            lambda s, y: y[1] - dom.z_min,
+            lambda s, y: dom.z_max - y[1]]
 
 
 def _integrate_branches(rhs, y0, s_span, events, atol, rtol, max_step,
                         reset_state=None):
     """Integrate from s = 0 toward both ends of s_span.
 
-    Returns (forward_sol, backward_sol, exit) where either sol may be None
-    when the corresponding side has zero length.
+    ``events`` are the four `_domain_events`, then optionally an umbilic
+    event.  Returns (forward, backward, exit, stats) where either
+    `stepper.Branch` is None when the corresponding side has zero length.
     """
     s_lo, s_hi = s_span
-    sols = {}
+    branches = {}
+    stats = {}
     exit_kind = "completed"
     exit_s = None
     for key, s_end in (("fwd", s_hi), ("bwd", s_lo)):
         if s_end == 0.0:
-            sols[key] = None
+            branches[key] = None
             continue
         if reset_state is not None:
             reset_state()
-        sol = solve_ivp(rhs, (0.0, s_end), y0, method="RK45",
-                        dense_output=True, events=events,
-                        atol=atol, rtol=rtol, max_step=max_step)
-        if sol.status == -1:
-            exit_kind = "solver_failure"
-            exit_s = float(sol.t[-1])
-        elif sol.status == 1:
-            for idx, ts in enumerate(sol.t_events):
-                if len(ts):
-                    kind = ("hit_umbilic"
-                            if getattr(events[idx], "umbilic", False)
-                            else "hit_boundary")
-                    if exit_kind == "completed":
-                        exit_kind, exit_s = kind, float(ts[0])
-        sols[key] = sol
-    return sols["fwd"], sols["bwd"], TraceExit(exit_kind, exit_s)
+        br = integrate(rhs, y0, s_end, events, atol, rtol, max_step)
+        if br.status == -1:
+            exit_kind, exit_s = "solver_failure", br.s
+        elif br.status == 1 and exit_kind == "completed":
+            exit_kind = "hit_boundary" if br.event < 4 else "hit_umbilic"
+            exit_s = br.s
+        branches[key] = br
+        stats[key] = br.stats
+    return (branches["fwd"], branches["bwd"], TraceExit(exit_kind, exit_s),
+            stats)
 
 
 def _sample_grid(step, s_lo_reached, s_hi_reached):
@@ -220,12 +219,12 @@ def _sample_grid(step, s_lo_reached, s_hi_reached):
 
 
 def _dense_samples(fwd, bwd, y0, s):
-    """States on the grid s: each branch's dense output is called once on
+    """States on the grid s: each branch's dense output is sampled once on
     its side of s = 0, and y0 fills s = 0 (and a side with no branch)."""
     out = np.tile(y0, (len(s), 1))
-    for sol, side in ((fwd, s > 0), (bwd, s < 0)):
-        if sol is not None and side.any():
-            out[side] = sol.sol(s[side]).T
+    for br, side in ((fwd, s > 0), (bwd, s < 0)):
+        if br is not None and side.any():
+            out[side] = br.sample(s[side])
     return out
 
 
@@ -244,7 +243,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     if sd0.umbilic:
         raise UmbilicEncounteredError(
             f"isogonal start point {req.start_uv} is umbilic")
-    rhs_target = mode.speed * np.array([np.cos(mode.phi), np.sin(mode.phi)])
+    cos_t, sin_t = (mode.speed
+                    * np.array([np.cos(mode.phi), np.sin(mode.phi)])).tolist()
 
     # gap below which a trace refuses to continue: the eigenvector (and
     # hence the system) loses meaning as kappa1 -> kappa2
@@ -267,9 +267,9 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         if abs(det) < 1e-12:
             raise SingularDecompositionError(
                 f"tangent decomposition singular at ({t:g}, {z:g})")
-        tp = (d.g2 * rhs_target[0] - d.g1 * rhs_target[1]) / det
-        zp = (-d.f2 * rhs_target[0] + d.f1 * rhs_target[1]) / det
-        return np.array([tp, zp])
+        tp = (d.g2 * cos_t - d.g1 * sin_t) / det
+        zp = (-d.f2 * cos_t + d.f1 * sin_t) / det
+        return tp, zp
 
     def rhs(s, y):
         v = velocity(y[0], y[1])
@@ -288,17 +288,14 @@ def trace_isogonal(req: TraceRequest) -> Trace:
             gap = sd.kappa2 - sd.kappa1
             return (gap - UMBILIC_GAP
                     * max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
-        umbilic_event.terminal = True
-        umbilic_event.direction = -1
-        umbilic_event.umbilic = True
-        events = events + [umbilic_event]
+        events.append(umbilic_event)
 
-    y0 = np.array(req.start_uv, dtype=float)
-    fwd, bwd, exit_ = _integrate_branches(rhs, y0, req.s_span, events,
-                                          req.atol, req.rtol, req.max_step,
-                                          reset_state)
-    s_hi = float(fwd.t[-1]) if fwd is not None else 0.0
-    s_lo = float(bwd.t[-1]) if bwd is not None else 0.0
+    y0 = tuple(float(v) for v in req.start_uv)
+    fwd, bwd, exit_, stats = _integrate_branches(
+        rhs, y0, req.s_span, events, req.atol, req.rtol, req.max_step,
+        reset_state)
+    s_hi = fwd.s if fwd is not None else 0.0
+    s_lo = bwd.s if bwd is not None else 0.0
     if state["umbilic_s"] is not None:
         s_u = state["umbilic_s"]
         if s_u >= 0.0:
@@ -307,7 +304,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
             s_lo = max(s_lo, s_u)
         exit_ = TraceExit("hit_umbilic", s_u)
     s = _sample_grid(req.step, s_lo, s_hi)
-    uv = _dense_samples(fwd, bwd, y0, s)
+    uv = _dense_samples(fwd, bwd, np.array(y0), s)
 
     def field(points, e1_hint):
         """The flow velocity at each of the (m, 2) points, and E1 there."""
@@ -320,8 +317,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
             i = int(np.argmax(singular))
             raise SingularDecompositionError(
                 f"tangent decomposition singular at ({t[i]:g}, {z[i]:g})")
-        tp = (d.g2 * rhs_target[0] - d.g1 * rhs_target[1]) / det
-        zp = (-d.f2 * rhs_target[0] + d.f1 * rhs_target[1]) / det
+        tp = (d.g2 * cos_t - d.g1 * sin_t) / det
+        zp = (-d.f2 * cos_t + d.f1 * sin_t) / det
         return np.column_stack([tp, zp]), sd.e1
 
     # velocities from the flow field itself (exact speed), accelerations by
@@ -339,7 +336,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     f_plus = field(uv + h * uv_vel, e1_at)[0]
     f_minus = field(uv - h * uv_vel, e1_at)[0]
     uv_acc = (f_plus - f_minus) / (2 * h)
-    return Trace(req, s, uv, uv_vel, uv_acc, exit_)
+    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats)
 
 
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
@@ -357,38 +354,42 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
         raise ThetaOutOfRangeError("|theta| must be < pi/2")
     tan_theta = float(np.tan(mode.theta))
 
-    def acceleration(forms, ch, tp, zp):
-        """(t'', z'') of the flow; floats or arrays."""
-        second = (forms.e * tp * tp + 2 * forms.f * tp * zp
-                  + forms.g * zp * zp)
-        sq_ge = np.sqrt(forms.G / forms.E)
-        sq_eg = np.sqrt(forms.E / forms.G)
-        tpp = -(ch.c1_tt * tp * tp + 2 * ch.c1_tz * tp * zp
-                + ch.c1_zz * zp * zp) - tan_theta * zp * sq_ge * second
-        zpp = -(ch.c2_tt * tp * tp + 2 * ch.c2_tz * tp * zp
-                + ch.c2_zz * zp * zp) + tan_theta * tp * sq_eg * second
+    def acceleration(E, G, e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz,
+                     tp, zp):
+        """(t'', z'') of the flow from the metric stage; floats or arrays."""
+        second = e * tp * tp + 2 * f * tp * zp + g * zp * zp
+        sq_ge = (G / E) ** 0.5
+        sq_eg = (E / G) ** 0.5
+        tpp = -(c1_tt * tp * tp + 2 * c1_tz * tp * zp
+                + c1_zz * zp * zp) - tan_theta * zp * sq_ge * second
+        zpp = -(c2_tt * tp * tp + 2 * c2_tz * tp * zp
+                + c2_zz * zp * zp) + tan_theta * tp * sq_eg * second
         return tpp, zpp
 
     def rhs(s, y):
         t, z, tp, zp = y
-        _jet, forms, sd = point_shape(surface, t, z, check_domain=False)
-        return np.array([tp, zp, *acceleration(forms, sd.christoffel, tp, zp)])
+        # point_metric's E, G, then e, f, g and the six symbols
+        m = point_metric(surface, t, z, check_domain=False)
+        return (tp, zp, *acceleration(m[10], m[12], *m[14:], tp, zp))
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
-    y0 = np.array([req.start_uv[0], req.start_uv[1], tp0, zp0])
+    y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     events = _domain_events(surface)
-    fwd, bwd, exit_ = _integrate_branches(rhs, y0, req.s_span, events,
-                                          req.atol, req.rtol, req.max_step)
-    s_hi = float(fwd.t[-1]) if fwd is not None else 0.0
-    s_lo = float(bwd.t[-1]) if bwd is not None else 0.0
+    fwd, bwd, exit_, stats = _integrate_branches(
+        rhs, y0, req.s_span, events, req.atol, req.rtol, req.max_step)
+    s_hi = fwd.s if fwd is not None else 0.0
+    s_lo = bwd.s if bwd is not None else 0.0
     s = _sample_grid(req.step, s_lo, s_hi)
-    state = _dense_samples(fwd, bwd, y0, s)
+    state = _dense_samples(fwd, bwd, np.array(y0), s)
     uv = state[:, :2]
     uv_vel = state[:, 2:]
     _jet, forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
                                    check_domain=False)
-    uv_acc = np.column_stack(acceleration(forms, sd.christoffel, *uv_vel.T))
-    return Trace(req, s, uv, uv_vel, uv_acc, exit_)
+    ch = sd.christoffel
+    uv_acc = np.column_stack(acceleration(
+        forms.E, forms.G, forms.e, forms.f, forms.g, ch.c1_tt, ch.c1_tz,
+        ch.c1_zz, ch.c2_tt, ch.c2_tz, ch.c2_zz, *uv_vel.T))
+    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats)
 
 
 def trace_geodesic(req: TraceRequest) -> Trace:

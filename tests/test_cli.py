@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,25 @@ def test_trace_subcommand_writes_csv(tmp_path):
     assert text.splitlines()[0] == ("s,t,z,x,y,z_pos,kg,kn,taug,phi,theta,"
                                     "kappa,tau")
     assert "\r" not in text
+
+
+def test_trace_reports_solver_stats(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "trace", "--surface", "enneper",
+               "--mode", "geodesic", "--dir", "1,0.5", "--start", "0,0",
+               "--s-span", "-0.3", "0.5"])
+    assert rc == 0
+    line = capsys.readouterr().out.strip()
+    m = re.search(r"exit: completed, nfev (\d+), steps (\d+) "
+                  r"\(\+(\d+) rejected\)\)$", line)
+    assert m, line
+    nfev, steps, rejected = map(int, m.groups())
+    assert nfev == 2 * 2 + 6 * (steps + rejected)  # two branches
+
+
+def test_verify_refuses_classify_tolerances(capsys):
+    assert main(["--tol-abs", "1e-3", "verify", "S4"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "classify only" in err[0]
 
 
 def test_trace_output_is_deterministic(tmp_path):
@@ -122,12 +142,15 @@ PROBES = {
     "override-not-a-number": ["--config", "probe.cfg", "verify", "S3"],
     "override-unknown": ["--config", "probe.cfg", "verify", "S3"],
     "override-eps": ["--config", "probe.cfg", "verify", "S3"],
+    "verify-tol-flags": ["--tol-abs", "100", "--tol-rel", "100", "verify", "S4"],
+    "verify-tol-config": ["--config", "probe.cfg", "verify", "S4"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
     "override-not-a-number": "s3.c = abc\n",
     "override-unknown": "s3.cc = 5\n",
     "override-eps": "s3.eps = 1.7\n",
+    "verify-tol-config": "tol_rel = 100\n",
 }
 
 

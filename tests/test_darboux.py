@@ -6,6 +6,7 @@ from surftrace import (curve_scalars, curve_scalars_from_trace,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, point_shape,
                        pointwise_direction_scalars)
+from surftrace.darboux import normal_angle
 from surftrace.errors import (NonTangentDirectionError, NonUnitSpeedError,
                               TooFewSamplesError, UmbilicPointError,
                               VanishingCurvatureError)
@@ -267,3 +268,20 @@ def test_curve_scalars_match_pointwise_direction_scalars():
         assert abs(cd.kn[i] - kn) < 1e-12
         assert abs(cd.taug[i] - taug) < 1e-12
         assert abs(np.angle(np.exp(1j * (cd.phi[i] - phi)))) < 1e-12
+
+
+def test_theta_branch_ignores_sign_of_rounding_noise():
+    # a helix-surface geodesic has kn < 0 and kg at rounding level, so
+    # atan2 puts its first sample at -pi or +pi by the sign of the noise
+    surf = make_helix_surface()
+    tr = trace_geodesic(TraceRequest(surf, (0.0, 0.0), GeodesicMode((0.6, 0.8)),
+                                     s_span=(-0.3, 0.3)))
+    cd = curve_scalars_from_trace(surf, tr)
+    assert cd.kn[0] < 0.0
+    thetas = []
+    for noise in (5e-18, -5e-18):
+        kg = cd.kg.copy()
+        kg[0] = noise
+        thetas.append(normal_angle(kg, cd.kn))
+    assert np.array_equal(thetas[0], thetas[1])
+    assert thetas[0][0] == np.pi

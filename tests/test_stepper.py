@@ -1,0 +1,141 @@
+"""The float Dormand-Prince stepper against scipy's RK45, its reference."""
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from surftrace import make_enneper, tracer
+from surftrace.stepper import integrate
+from surftrace.tracer import PseudoGeodesicMode, TraceRequest
+
+ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
+
+
+def oscillator(s, y):
+    x1, x2, v1, v2 = y
+    return (v1, v2, -x1, -4.0 * x2)
+
+
+def reference(rhs, y0, s_end, events=(), **options):
+    """scipy's RK45 on the same problem, arrays in and out."""
+    def terminal(ev):
+        def g(s, y):
+            return ev(s, tuple(y))
+        g.terminal, g.direction = True, -1
+        return g
+
+    return solve_ivp(lambda s, y: np.array(rhs(s, tuple(y))), (0.0, s_end),
+                     np.array(y0, dtype=float), method="RK45",
+                     dense_output=True,
+                     events=[terminal(ev) for ev in events] or None, **options)
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+#: step points may differ this much, relative: the step controller divides
+#: by an error estimate that cancels to about 1e-8 of the stage values, so
+#: the order in which scipy's BLAS sums the stages (with fused multiply-adds)
+#: moves step sizes at the 1e-10 to 1e-8 level (at most 4e-8 over 60 random
+#: 4-D problems); the solution itself agrees to rounding
+STEP_POINT_TOL = 1e-6
+
+
+def assert_matches(br, sol):
+    """Same step and RHS counts, step points within STEP_POINT_TOL, and the
+    states at scipy's step points and the dense output on a 501-point grid
+    within 1e-12 (relative to max(1, |value|))."""
+    points = np.r_[br.starts, br.s]
+    assert len(points) == len(sol.t)
+    assert br.stats.steps == len(sol.t) - 1
+    assert br.stats.nfev == sol.nfev
+    assert rel_gap(points, sol.t) < STEP_POINT_TOL
+    assert rel_gap(br.sample(sol.t), sol.y.T) < 1e-12
+    grid = np.linspace(0.0, br.s, 501)
+    assert rel_gap(br.sample(grid), sol.sol(grid).T) < 1e-12
+
+
+@pytest.mark.parametrize("s_end", [5.0, -5.0])
+def test_oscillator_matches_rk45(s_end):
+    y0 = (1.0, 0.0, 0.0, 1.0)
+    br = integrate(oscillator, y0, s_end, (), ATOL, RTOL)
+    sol = reference(oscillator, y0, s_end, atol=ATOL, rtol=RTOL)
+    assert br.status == sol.status == 0 and br.s == s_end
+    assert_matches(br, sol)
+
+
+def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
+    # the tracer's own right-hand side and domain events, both branches
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(tracer, "integrate", spy)
+    tracer.trace(TraceRequest(make_enneper(), (0.2, 0.3),
+                              PseudoGeodesicMode(0.3, 0.4),
+                              s_span=(-0.6, 0.6)))
+    assert [args[2] for args in calls] == [0.6, -0.6]
+    for rhs, y0, s_end, events, atol, rtol, max_step in calls:
+        br = integrate(rhs, y0, s_end, events, atol, rtol, max_step)
+        sol = reference(rhs, y0, s_end, events, atol=atol, rtol=rtol)
+        assert br.status == sol.status == 0
+        assert_matches(br, sol)
+
+
+def test_rejected_steps_match_rk45():
+    def van_der_pol(s, y):
+        return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
+
+    br = integrate(van_der_pol, (2.0, 0.0), 3.0, (), 1e-8, 1e-6)
+    sol = reference(van_der_pol, (2.0, 0.0), 3.0, atol=1e-8, rtol=1e-6)
+    accepted = len(sol.t) - 1
+    assert br.stats.rejected > 0
+    assert br.stats.rejected == (sol.nfev - 2) // 6 - accepted
+    assert_matches(br, sol)
+
+
+def test_terminal_event_root_matches_rk45():
+    def falls_to_half(s, y):
+        return y[0] - 0.5
+
+    y0 = (1.0, 0.0, 0.0, 1.0)
+    br = integrate(oscillator, y0, 3.0, [falls_to_half], ATOL, RTOL)
+    sol = reference(oscillator, y0, 3.0, [falls_to_half], atol=ATOL, rtol=RTOL)
+    assert br.status == sol.status == 1 and br.event == 0
+    assert abs(br.s - sol.t_events[0][0]) < 1e-12
+    assert abs(br.s - np.pi / 3) < 1e-8
+    assert_matches(br, sol)
+
+
+def test_max_step_honoured():
+    y0 = (1.0, 0.0, 0.0, 1.0)
+    br = integrate(oscillator, y0, -2.0, (), ATOL, RTOL, 0.05)
+    assert np.all(np.abs(br.h) <= 0.05)
+    sol = reference(oscillator, y0, -2.0, atol=ATOL, rtol=RTOL, max_step=0.05)
+    assert_matches(br, sol)
+
+
+def test_too_small_step_fails_like_rk45():
+    # y' = y^2 from y(0) = 1 blows up at s = 1
+    def blow_up(s, y):
+        return (y[0] * y[0],)
+
+    br = integrate(blow_up, (1.0,), 2.0, (), 1e-8, 1e-6)
+    sol = reference(blow_up, (1.0,), 2.0, atol=1e-8, rtol=1e-6)
+    assert br.status == sol.status == -1
+    assert abs(br.s - sol.t[-1]) < 1e-12
+    assert br.stats.nfev == sol.nfev
+
+
+def test_nfev_counts_every_rhs_call():
+    count = [0]
+
+    def counted(s, y):
+        count[0] += 1
+        return oscillator(s, y)
+
+    br = integrate(counted, (1.0, 0.0, 0.0, 1.0), 2.0, (), ATOL, RTOL)
+    assert br.stats.nfev == count[0]
+    assert br.stats.nfev == 2 + 6 * (br.stats.steps + br.stats.rejected)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
-                       make_enneper, make_plane, make_sphere, point_shape)
+                       make_enneper, make_plane, make_sphere, point_shape,
+                       stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               NonOrthogonalChartError, ThetaOutOfRangeError,
@@ -269,3 +270,40 @@ def test_invalid_request_fails_fast(change):
                   mode=IsogonalMode(0.5))
     with pytest.raises(InvalidRequestError):
         TraceRequest(**{**fields, **change})
+
+
+def test_trace_stats_count_rhs_calls(monkeypatch):
+    # a counting wrapper around each branch's right-hand side
+    counts = []
+
+    def counting(rhs, *args):
+        counts.append(0)
+        i = len(counts) - 1
+
+        def counted(s, y):
+            counts[i] += 1
+            return rhs(s, y)
+        return stepper.integrate(counted, *args)
+
+    monkeypatch.setattr(tracer, "integrate", counting)
+    for mode in (IsogonalMode(-0.7), PseudoGeodesicMode(0.3, 0.4)):
+        counts.clear()
+        tr = trace(TraceRequest(make_enneper(), (0.2, 0.3), mode,
+                                s_span=(-0.4, 0.6)))
+        assert list(tr.stats) == ["fwd", "bwd"]
+        assert [b.nfev for b in tr.stats.values()] == counts
+        for b in tr.stats.values():
+            assert b.steps > 0
+            assert b.nfev == 2 + 6 * (b.steps + b.rejected)
+
+
+def test_rhs_budget_ends_trace_as_solver_failure(monkeypatch):
+    monkeypatch.setattr(stepper, "MAX_NFEV", 60)
+    req = TraceRequest(make_enneper(), (0.2, 0.3), PseudoGeodesicMode(0.3, 0.4),
+                       s_span=(0.0, 2.0), max_step=0.01)
+    tr = trace(req)
+    assert tr.exit.kind == "solver_failure"
+    # 2 evaluations to start, then 6 per step: 9 steps fit in 60
+    assert tr.stats["fwd"].nfev == 56 and tr.stats["fwd"].steps == 9
+    assert 0.0 < tr.exit.s_stop < 0.1
+    assert tr.s[-1] <= tr.exit.s_stop
