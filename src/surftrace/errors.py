@@ -61,6 +61,10 @@ class BoundaryExitError(GeometryError):
     """A trace left the chart domain before reaching the requested parameter."""
 
 
+class SolverFailureError(GeometryError):
+    """A trace's solver ran out of step size or of its evaluation budget."""
+
+
 class PreimageMismatchError(GeometryError):
     """Chart preimages of a shared curve do not reproduce its points."""
 

@@ -10,6 +10,13 @@ rejection) and a minimum step of 10 ulp of s.  States and right-hand side
 values are tuples of floats, which spares the per-stage numpy calls that
 dominate a small system's step.
 
+The right-hand side is called as ``rhs(s, y, ref)``: ``ref`` is the
+derivative at the current step's start (the first-same-as-last stage k1),
+or None on the first call, so a pure function can orient a line field
+against it.  A right-hand side that raises `Stop` ends the branch at that
+stage: the end is clipped to the stage's s and the step shrunk as for a
+rejection, until the step falls below 10 ulp or reaches the clipped end.
+
 Events are terminal functions ``g(s, y)``: they are evaluated at step ends,
 and where one falls through zero (``g >= 0`` before, ``g <= 0`` after) its
 root is found by ``brentq`` on that step's dense output, as scipy's
@@ -55,13 +62,17 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
+class Stop(Exception):
+    """Raised by a right-hand side at a point where the flow must end."""
+
+
 @dataclass(frozen=True)
 class BranchStats:
     """What the stepper did on one branch."""
 
-    nfev: int       # right-hand side evaluations
+    nfev: int       # right-hand side evaluations, those that raised Stop too
     steps: int      # accepted steps
-    rejected: int   # rejected step attempts
+    rejected: int   # rejected step attempts, those cut by Stop too
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,9 @@ class Branch:
     """One integration from s = 0 toward ``s_end``.
 
     ``status`` is 0 when s_end was reached, 1 when event ``event`` ended the
-    branch at ``s`` and -1 when the step fell below 10 ulp or the RHS budget
-    ran out (``s`` is then the last accepted step).
+    branch at ``s`` (``event`` is None when the RHS raised `Stop`) and -1
+    when the step fell below 10 ulp or the RHS budget ran out (``s`` is then
+    the last accepted step).
     """
 
     status: int
@@ -110,17 +122,19 @@ def _rms(v) -> float:
 
 def integrate(rhs, y0, s_end, events, atol, rtol,
               max_step=math.inf) -> Branch:
-    """Integrate y' = rhs(s, y) from s = 0 to s_end != 0.
+    """Integrate y' = rhs(s, y, ref) from s = 0 to s_end != 0.
 
-    ``rhs`` takes and returns tuples of floats.  ``events`` are terminal
-    functions g(s, y) (see the module docstring).
+    ``rhs`` takes and returns tuples of floats and may raise `Stop` anywhere
+    but at s = 0; ``events`` are terminal functions g(s, y) (see the module
+    docstring for both).
     """
     y = tuple(float(v) for v in y0)
     n = len(y)
     rtol = max(rtol, 100 * EPS)
     direction = 1.0 if s_end > 0 else -1.0
     s = 0.0
-    f = rhs(s, y)
+    f = rhs(s, y, None)
+    stopped = False
 
     # initial step (Hairer, Norsett & Wanner II.4, scipy select_initial_step)
     span = abs(s_end)
@@ -130,13 +144,17 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     dh = h0 * direction
-    f1 = rhs(s + dh, tuple(v + dh * fv for v, fv in zip(y, f)))
-    d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    try:
+        f1 = rhs(s + dh, tuple(v + dh * fv for v, fv in zip(y, f)), f)
+    except Stop:
+        s_end, stopped, h_abs = dh, True, 0.2 * h0
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span, max_step)
+        d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(100 * h0, h1, span, max_step)
     nfev, accepted, rejected = 2, 0, 0
 
     g = [ev(s, y) for ev in events]
@@ -147,8 +165,11 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
         h_abs = min(max(h_abs, min_step), max_step)
         step_rejected = False
         while True:
-            if h_abs < min_step or nfev + 6 > MAX_NFEV:
+            if nfev + 6 > MAX_NFEV:
                 status = -1
+                break
+            if h_abs < min_step:
+                status = 1 if stopped else -1
                 break
             s_new = s + h_abs * direction
             if direction * (s_new - s_end) > 0:
@@ -156,23 +177,35 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
             h = s_new - s
             h_abs = abs(h)
             k1 = f
-            k2 = rhs(s + C2 * h, tuple(
-                v + (a * A21) * h for v, a in zip(y, k1)))
-            k3 = rhs(s + C3 * h, tuple(
-                v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)))
-            k4 = rhs(s + C4 * h, tuple(
-                v + (a * A41 + b * A42 + c * A43) * h
-                for v, a, b, c in zip(y, k1, k2, k3)))
-            k5 = rhs(s + C5 * h, tuple(
-                v + (a * A51 + b * A52 + c * A53 + d * A54) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)))
-            k6 = rhs(s + h, tuple(
-                v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)))
-            y_new = tuple(
-                v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
-                for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
-            k7 = rhs(s + h, y_new)
+            k2 = k3 = k4 = k5 = k6 = None
+            try:
+                k2 = rhs(s + C2 * h, tuple(
+                    v + (a * A21) * h for v, a in zip(y, k1)), k1)
+                k3 = rhs(s + C3 * h, tuple(
+                    v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)),
+                    k1)
+                k4 = rhs(s + C4 * h, tuple(
+                    v + (a * A41 + b * A42 + c * A43) * h
+                    for v, a, b, c in zip(y, k1, k2, k3)), k1)
+                k5 = rhs(s + C5 * h, tuple(
+                    v + (a * A51 + b * A52 + c * A53 + d * A54) * h
+                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)), k1)
+                k6 = rhs(s + h, tuple(
+                    v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
+                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)), k1)
+                y_new = tuple(
+                    v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
+                    for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
+                k7 = rhs(s + h, y_new, k1)
+            except Stop:
+                # never step past the stage that stopped; close in on it
+                done = sum(k is not None for k in (k2, k3, k4, k5, k6))
+                nfev += done + 1
+                s_end = s + (C2, C3, C4, C5, 1.0, 1.0)[done] * h
+                stopped = step_rejected = True
+                h_abs *= 0.2
+                rejected += 1
+                continue
             nfev += 6
             err = _rms([(a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7)
                         * h / (atol + max(abs(v), abs(w)) * rtol)
@@ -196,7 +229,7 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
         s_old, y_old = s, y
         s, y, f = s_new, y_new, k7
         if direction * (s - s_end) >= 0:
-            status = 0
+            status = 1 if stopped else 0
         g_new = [ev(s, y) for ev in events]
         fired = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
         if fired:

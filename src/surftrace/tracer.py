@@ -17,10 +17,14 @@ Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
 with quartic dense output on Python floats, step for step the algorithm of
 scipy's RK45 (Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer,
 Norsett & Wanner, *Solving ODEs I*, sections II.4-II.6).  Each branch's
-dense output is resampled onto a uniform s-grid.  Domain edges and umbilic
-points terminate a trace cleanly via solver events; a branch that runs out
-of its right-hand side budget (`stepper.MAX_NFEV`) or of step size ends as
-``solver_failure``.
+dense output is resampled onto a uniform s-grid.  Both right-hand sides
+are pure functions of their arguments; the isogonal one orients the
+principal-direction field, which has no sign of its own, along the
+derivative at the start of the current step.  A trace ends ``completed``,
+``hit_boundary`` at a domain-edge solver event, ``hit_umbilic`` where an
+isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
+`stepper.Stop`), or ``solver_failure`` when a branch runs out of its RHS
+budget (`stepper.MAX_NFEV`) or of step size.
 """
 from __future__ import annotations
 
@@ -32,11 +36,16 @@ import numpy as np
 from .core import SurfaceDef, point_metric, point_shape, shape_arrays
 from .errors import (BoundaryExitError, InvalidRequestError,
                      NonOrthogonalChartError, SingularDecompositionError,
-                     ThetaOutOfRangeError, UmbilicEncounteredError)
-from .stepper import BranchStats, integrate
+                     SolverFailureError, ThetaOutOfRangeError,
+                     UmbilicEncounteredError)
+from .stepper import BranchStats, Stop, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
+
+#: `_umbilic_gap` below which an isogonal trace refuses to start or go on:
+#: E1, and with it the isogonal system, loses meaning as kappa1 -> kappa2
+UMBILIC_GAP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -173,95 +182,77 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
     return tp, zp
 
 
-def _domain_events(surface: SurfaceDef):
-    dom = surface.domain
-    return [lambda s, y: y[0] - dom.t_min,
-            lambda s, y: dom.t_max - y[0],
-            lambda s, y: y[1] - dom.z_min,
-            lambda s, y: dom.z_max - y[1]]
+def _integrate_branches(rhs, y0, req: TraceRequest):
+    """Integrate from s = 0 toward both ends of ``req.s_span``, each branch
+    ended by events at the four domain edges, and sample the branches'
+    dense output on the uniform grid of ``req.step``.
 
-
-def _integrate_branches(rhs, y0, s_span, events, atol, rtol, max_step,
-                        reset_state=None):
-    """Integrate from s = 0 toward both ends of s_span.
-
-    ``events`` are the four `_domain_events`, then optionally an umbilic
-    event.  Returns (forward, backward, exit, stats) where either
-    `stepper.Branch` is None when the corresponding side has zero length.
+    Returns (s, states, exit, stats); y0 fills s = 0 and a side of zero
+    length, which has no entry in stats.
     """
-    s_lo, s_hi = s_span
+    dom = req.surface.domain
+    events = [lambda s, y: y[0] - dom.t_min,
+              lambda s, y: dom.t_max - y[0],
+              lambda s, y: y[1] - dom.z_min,
+              lambda s, y: dom.z_max - y[1]]
+    s_lo, s_hi = req.s_span
     branches = {}
-    stats = {}
-    exit_kind = "completed"
-    exit_s = None
+    exit_ = TraceExit("completed")
     for key, s_end in (("fwd", s_hi), ("bwd", s_lo)):
         if s_end == 0.0:
-            branches[key] = None
             continue
-        if reset_state is not None:
-            reset_state()
-        br = integrate(rhs, y0, s_end, events, atol, rtol, max_step)
+        br = integrate(rhs, y0, s_end, events, req.atol, req.rtol,
+                       req.max_step)
         if br.status == -1:
-            exit_kind, exit_s = "solver_failure", br.s
-        elif br.status == 1 and exit_kind == "completed":
-            exit_kind = "hit_boundary" if br.event < 4 else "hit_umbilic"
-            exit_s = br.s
+            exit_ = TraceExit("solver_failure", br.s)
+        elif br.status == 1 and exit_.kind == "completed":
+            exit_ = TraceExit("hit_umbilic" if br.event is None
+                              else "hit_boundary", br.s)
         branches[key] = br
-        stats[key] = br.stats
-    return (branches["fwd"], branches["bwd"], TraceExit(exit_kind, exit_s),
-            stats)
+    reached = {key: br.s for key, br in branches.items()}
+    n_lo = int(np.floor(-reached.get("bwd", 0.0) / req.step + 1e-9))
+    n_hi = int(np.floor(reached.get("fwd", 0.0) / req.step + 1e-9))
+    s = req.step * np.arange(-n_lo, n_hi + 1)
+    states = np.tile(y0, (len(s), 1))
+    for key, side in (("fwd", s > 0), ("bwd", s < 0)):
+        if key in branches and side.any():
+            states[side] = branches[key].sample(s[side])
+    stats = {key: br.stats for key, br in branches.items()}
+    return s, states, exit_, stats
 
 
-def _sample_grid(step, s_lo_reached, s_hi_reached):
-    n_lo = int(np.floor(-s_lo_reached / step + 1e-9))
-    n_hi = int(np.floor(s_hi_reached / step + 1e-9))
-    return step * np.arange(-n_lo, n_hi + 1)
-
-
-def _dense_samples(fwd, bwd, y0, s):
-    """States on the grid s: each branch's dense output is sampled once on
-    its side of s = 0, and y0 fills s = 0 (and a side with no branch)."""
-    out = np.tile(y0, (len(s), 1))
-    for br, side in ((fwd, s > 0), (bwd, s < 0)):
-        if br is not None and side.any():
-            out[side] = br.sample(s[side])
-    return out
+def _umbilic_gap(sd) -> float:
+    """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|)."""
+    return ((sd.kappa2 - sd.kappa1)
+            / max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
 
 
 def trace_isogonal(req: TraceRequest) -> Trace:
     """Trace the isogonal line with constant angle phi from E1.
 
-    The angle is measured a posteriori to be constant; the E1 field is
-    kept sign-continuous along the trajectory so the linear system keeps
-    a coherent orientation.
+    The angle is measured a posteriori to be constant.  The RHS orients the
+    line field against the derivative at the start of each solver step, so
+    the linear system keeps a coherent orientation; a start inside the
+    umbilic gap is refused, and an evaluation inside it ends the trace as
+    ``hit_umbilic``.
     """
     mode = req.mode
     if not isinstance(mode, IsogonalMode):
         raise ValueError("trace_isogonal needs an IsogonalMode request")
     surface = req.surface
-    jet0, forms0, sd0 = point_shape(surface, *req.start_uv)
-    if sd0.umbilic:
+    sd0 = point_shape(surface, *req.start_uv)[2]
+    if _umbilic_gap(sd0) < UMBILIC_GAP:
         raise UmbilicEncounteredError(
-            f"isogonal start point {req.start_uv} is umbilic")
+            f"isogonal start point {req.start_uv} is umbilic (relative "
+            f"principal-curvature gap below {UMBILIC_GAP:g})")
     cos_t, sin_t = (mode.speed
                     * np.array([np.cos(mode.phi), np.sin(mode.phi)])).tolist()
 
-    # gap below which a trace refuses to continue: the eigenvector (and
-    # hence the system) loses meaning as kappa1 -> kappa2
-    UMBILIC_GAP = 1e-5
-
-    state = {"prev": None, "anchor": None, "gap": np.inf, "umbilic_s": None}
-
-    def reset_state():
-        state["prev"] = state["anchor"]
-
-    def velocity(t, z):
-        sd = point_shape(surface, t, z, state["prev"], check_domain=False)[2]
-        if state["anchor"] is None:
-            state["anchor"] = sd.e1
-        state["prev"] = sd.e1
-        state["gap"] = ((sd.kappa2 - sd.kappa1)
-                        / max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
+    def rhs(s, y, ref):
+        t, z = y
+        sd = point_shape(surface, t, z, check_domain=False)[2]
+        if _umbilic_gap(sd) < UMBILIC_GAP:
+            raise Stop
         d = sd.decomp
         det = d.f1 * d.g2 - d.f2 * d.g1
         if abs(det) < 1e-12:
@@ -269,42 +260,14 @@ def trace_isogonal(req: TraceRequest) -> Trace:
                 f"tangent decomposition singular at ({t:g}, {z:g})")
         tp = (d.g2 * cos_t - d.g1 * sin_t) / det
         zp = (-d.f2 * cos_t + d.f1 * sin_t) / det
+        # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
+        # this is the velocity of the field oriented the other way
+        if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:
+            return -tp, -zp
         return tp, zp
 
-    def rhs(s, y):
-        v = velocity(y[0], y[1])
-        # a dip below the gap threshold at any evaluation point marks the
-        # trace as umbilic-terminated even if no step endpoint straddles it
-        if state["gap"] < UMBILIC_GAP:
-            old = state["umbilic_s"]
-            if old is None or abs(s) < abs(old):
-                state["umbilic_s"] = float(s)
-        return v
-
-    events = _domain_events(surface)
-    if not surface.totally_umbilic:
-        def umbilic_event(s, y, _surf=surface):
-            sd = point_shape(_surf, y[0], y[1], check_domain=False)[2]
-            gap = sd.kappa2 - sd.kappa1
-            return (gap - UMBILIC_GAP
-                    * max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
-        events.append(umbilic_event)
-
     y0 = tuple(float(v) for v in req.start_uv)
-    fwd, bwd, exit_, stats = _integrate_branches(
-        rhs, y0, req.s_span, events, req.atol, req.rtol, req.max_step,
-        reset_state)
-    s_hi = fwd.s if fwd is not None else 0.0
-    s_lo = bwd.s if bwd is not None else 0.0
-    if state["umbilic_s"] is not None:
-        s_u = state["umbilic_s"]
-        if s_u >= 0.0:
-            s_hi = min(s_hi, s_u)
-        else:
-            s_lo = max(s_lo, s_u)
-        exit_ = TraceExit("hit_umbilic", s_u)
-    s = _sample_grid(req.step, s_lo, s_hi)
-    uv = _dense_samples(fwd, bwd, np.array(y0), s)
+    s, uv, exit_, stats = _integrate_branches(rhs, y0, req)
 
     def field(points, e1_hint):
         """The flow velocity at each of the (m, 2) points, and E1 there."""
@@ -324,12 +287,12 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     # velocities from the flow field itself (exact speed), accelerations by
     # directional differentiation of the field along the velocity; the E1
     # sign chain walks outward from s = 0 separately on each side, from the
-    # integration anchor, so the hint always comes from a nearby point
+    # start's E1, so the hint always comes from a nearby point
     i_zero = int(np.argmin(np.abs(s)))
-    vel_fwd, e1_fwd = field(uv[i_zero:], state["anchor"])
+    vel_fwd, e1_fwd = field(uv[i_zero:], sd0.e1)
     uv_vel, e1_at = vel_fwd, e1_fwd
     if i_zero > 0:
-        vel_bwd, e1_bwd = field(uv[i_zero - 1::-1], state["anchor"])
+        vel_bwd, e1_bwd = field(uv[i_zero - 1::-1], sd0.e1)
         uv_vel = np.concatenate([vel_bwd[::-1], vel_fwd])
         e1_at = np.concatenate([e1_bwd[:, ::-1], e1_fwd], axis=1)
     h = 1e-6
@@ -366,7 +329,7 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
                 + c2_zz * zp * zp) + tan_theta * tp * sq_eg * second
         return tpp, zpp
 
-    def rhs(s, y):
+    def rhs(s, y, ref):
         t, z, tp, zp = y
         # point_metric's E, G, then e, f, g and the six symbols
         m = point_metric(surface, t, z, check_domain=False)
@@ -374,15 +337,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
-    events = _domain_events(surface)
-    fwd, bwd, exit_, stats = _integrate_branches(
-        rhs, y0, req.s_span, events, req.atol, req.rtol, req.max_step)
-    s_hi = fwd.s if fwd is not None else 0.0
-    s_lo = bwd.s if bwd is not None else 0.0
-    s = _sample_grid(req.step, s_lo, s_hi)
-    state = _dense_samples(fwd, bwd, np.array(y0), s)
-    uv = state[:, :2]
-    uv_vel = state[:, 2:]
+    s, states, exit_, stats = _integrate_branches(rhs, y0, req)
+    uv, uv_vel = states[:, :2], states[:, 2:]
     _jet, forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
                                    check_domain=False)
     ch = sd.christoffel
@@ -419,16 +375,18 @@ def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
     tp, zp = float(v[0]), float(v[1])
     if tp == 0.0 and zp == 0.0:
         return p_uv
-    jet, forms, sd = point_shape(surface, *p_uv)
-    if sd.umbilic:
-        raise UmbilicEncounteredError("isogonal map undefined at umbilic")
+    jet, _, sd = point_shape(surface, *p_uv)
     v3 = tp * jet.d_t + zp * jet.d_z
     speed = float(np.linalg.norm(v3))
     phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
     req = TraceRequest(surface, p_uv, IsogonalMode(phi, speed),
                        s_span=(0.0, 1.0), step=0.125, atol=atol, rtol=rtol)
+    # trace_isogonal refuses a start at or near an umbilic
     tr = trace_isogonal(req)
-    if tr.s[-1] < 1.0 - 1e-12:
-        raise BoundaryExitError(
-            f"isogonal line left the domain at s = {tr.exit.s_stop}")
+    early = {"hit_boundary": (BoundaryExitError, "left the domain"),
+             "hit_umbilic": (UmbilicEncounteredError, "ran into an umbilic"),
+             "solver_failure": (SolverFailureError, "failed in the solver")}
+    if tr.exit.kind in early:
+        error, what = early[tr.exit.kind]
+        raise error(f"isogonal line {what} at s = {tr.exit.s_stop}")
     return float(tr.uv[-1, 0]), float(tr.uv[-1, 1])

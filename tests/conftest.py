@@ -1,14 +1,27 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from surftrace import scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# one Hypothesis profile for every property test: the same examples on every
+# run, no example database on disk, and no per-example deadline (a loaded
+# host must not turn a slow example into a failure)
+settings.register_profile("surftrace", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("surftrace")
+# Hypothesis also caches the constants it reads from local modules; keep that
+# cache out of the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "surftrace-hypothesis")
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ def test_dependence_generic_pair_not_dependent():
     assert v.residual > 1e-3
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(st.floats(0.1, 10.0), st.floats(-3.0, 3.0))
 def test_dependence_scale_invariance(scale, ratio):
     x = np.linspace(1.0, 2.0, 20)
@@ -72,7 +72,7 @@ def test_dependence_scale_invariance(scale, ratio):
     assert abs(v1.residual - v2.residual) < 1e-12
 
 
-@settings(max_examples=40, derandomize=True)
+@settings(max_examples=40)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_dependence_finds_planted_coefficients(a, b):
     norm = np.hypot(a, b)

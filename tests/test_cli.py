@@ -144,6 +144,10 @@ PROBES = {
     "override-eps": ["--config", "probe.cfg", "verify", "S3"],
     "verify-tol-flags": ["--tol-abs", "100", "--tol-rel", "100", "verify", "S4"],
     "verify-tol-config": ["--config", "probe.cfg", "verify", "S4"],
+    # Enneper's principal curvatures +-2 / (1 + t^2 + z^2)^2 are 1.3e-6 at
+    # (25, 25): inside the isogonal tracer's umbilic gap
+    "start-in-umbilic-gap": ["trace", "--surface", "enneper", "--param",
+                             "extent=30", "--start", "25,25", "--phi", "0.5"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {

@@ -1,0 +1,55 @@
+"""Properties of isogonal traces over the gallery, checked with Hypothesis.
+
+Each draw is a start in the chart domain inset by 0.25 of each span, a
+tangent angle phi from E1 and a split of a unit arc length into its
+backward and forward sides, as in the benchmark's trace_mix workload.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from surftrace import CATALOGUE, curve_scalars_from_trace
+from surftrace.core import shape_arrays
+from surftrace.tracer import IsogonalMode, TraceRequest, trace_isogonal
+
+EXIT_KINDS = {"completed", "hit_boundary", "hit_umbilic", "solver_failure"}
+SURFACES = {name: make() for name, make in CATALOGUE.items()}
+NAMES = [name for name, s in SURFACES.items() if not s.totally_umbilic]
+
+draws = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                  st.floats(-np.pi, np.pi), st.floats(0.25, 0.75))
+
+
+def traced(name, draw):
+    surface = SURFACES[name]
+    u, v, phi, back = draw
+    dom = surface.domain.inset(0.25)
+    start = (dom.t_min + u * (dom.t_max - dom.t_min),
+             dom.z_min + v * (dom.z_max - dom.z_min))
+    return trace_isogonal(TraceRequest(surface, start, IsogonalMode(phi),
+                                       s_span=(-back, 1.0 - back)))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=25)
+@given(draw=draws)
+def test_isogonal_trace_properties(name, draw):
+    surface = SURFACES[name]
+    tr = traced(name, draw)
+    assert tr.exit.kind in EXIT_KINDS
+    jet, forms, _ = shape_arrays(surface, *tr.uv.T, check_domain=False)
+    tp, zp = tr.uv_vel.T
+    tpp, zpp = tr.uv_acc.T
+    # unit speed in the surface metric
+    speed = np.sqrt(forms.E * tp * tp + 2 * forms.F * tp * zp
+                    + forms.G * zp * zp)
+    assert np.max(np.abs(speed - 1.0)) < 1e-6
+    # gamma'' has no tangential part, so kappa^2 = kg^2 + kn^2 holds for
+    # the traced acceleration itself
+    tangent = jet.d_t * tp + jet.d_z * zp
+    acc = (jet.d_tt * tp * tp + 2 * jet.d_tz * tp * zp + jet.d_zz * zp * zp
+           + jet.d_t * tpp + jet.d_z * zpp)
+    assert np.max(np.abs(np.sum(acc * tangent, axis=0))) < 1e-6
+    # the angle from E1 stays phi
+    phi = np.unwrap(curve_scalars_from_trace(surface, tr).phi)
+    assert np.max(np.abs(phi - phi[0])) < 1e-8

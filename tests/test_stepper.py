@@ -4,13 +4,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import integrate
+from surftrace.stepper import Stop, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
 
 
-def oscillator(s, y):
+def oscillator(s, y, ref):
     x1, x2, v1, v2 = y
     return (v1, v2, -x1, -4.0 * x2)
 
@@ -23,8 +23,8 @@ def reference(rhs, y0, s_end, events=(), **options):
         g.terminal, g.direction = True, -1
         return g
 
-    return solve_ivp(lambda s, y: np.array(rhs(s, tuple(y))), (0.0, s_end),
-                     np.array(y0, dtype=float), method="RK45",
+    return solve_ivp(lambda s, y: np.array(rhs(s, tuple(y), None)),
+                     (0.0, s_end), np.array(y0, dtype=float), method="RK45",
                      dense_output=True,
                      events=[terminal(ev) for ev in events] or None, **options)
 
@@ -85,7 +85,7 @@ def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
 
 
 def test_rejected_steps_match_rk45():
-    def van_der_pol(s, y):
+    def van_der_pol(s, y, ref):
         return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
     br = integrate(van_der_pol, (2.0, 0.0), 3.0, (), 1e-8, 1e-6)
@@ -119,7 +119,7 @@ def test_max_step_honoured():
 
 def test_too_small_step_fails_like_rk45():
     # y' = y^2 from y(0) = 1 blows up at s = 1
-    def blow_up(s, y):
+    def blow_up(s, y, ref):
         return (y[0] * y[0],)
 
     br = integrate(blow_up, (1.0,), 2.0, (), 1e-8, 1e-6)
@@ -132,10 +132,31 @@ def test_too_small_step_fails_like_rk45():
 def test_nfev_counts_every_rhs_call():
     count = [0]
 
-    def counted(s, y):
+    def counted(s, y, ref):
         count[0] += 1
-        return oscillator(s, y)
+        return oscillator(s, y, ref)
 
     br = integrate(counted, (1.0, 0.0, 0.0, 1.0), 2.0, (), ATOL, RTOL)
     assert br.stats.nfev == count[0]
     assert br.stats.nfev == 2 + 6 * (br.stats.steps + br.stats.rejected)
+
+
+@pytest.mark.parametrize("stop", [0.5, -0.5, 1e-3])
+def test_stop_ends_branch_at_the_stage(stop):
+    # the RHS refuses every point past |s| = |stop|; at 1e-3 it refuses
+    # the initial-step probe already
+    count = [0]
+
+    def bounded(s, y, ref):
+        count[0] += 1
+        if abs(s) > abs(stop):
+            raise Stop
+        return oscillator(s, y, ref)
+
+    br = integrate(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop), (),
+                   ATOL, RTOL)
+    assert br.status == 1 and br.event is None
+    assert 0.0 <= (stop - br.s) / np.sign(stop) < 1e-14
+    assert br.stats.nfev == count[0]
+    grid = np.linspace(0.0, br.s, 101)
+    assert np.max(np.abs(br.sample(grid)[:, 0] - np.cos(grid))) < 1e-8

@@ -6,8 +6,8 @@ from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
                        stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
-                              NonOrthogonalChartError, ThetaOutOfRangeError,
-                              UmbilicEncounteredError)
+                              NonOrthogonalChartError, SolverFailureError,
+                              ThetaOutOfRangeError, UmbilicEncounteredError)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle,
                               isogonal_map, trace, trace_geodesic,
@@ -193,6 +193,18 @@ def test_isogonal_map_boundary_exit():
         isogonal_map(enn, (1.5, 1.5), (40.0, 0.0))
 
 
+def test_isogonal_map_umbilic_exit():
+    # the radial line from (0.8, 0) runs into the paraboloid's umbilic
+    with pytest.raises(UmbilicEncounteredError, match="ran into an umbilic"):
+        isogonal_map(_paraboloid(), (0.8, 0.0), (-1.0, 0.0))
+
+
+def test_isogonal_map_solver_failure(monkeypatch):
+    monkeypatch.setattr(stepper, "MAX_NFEV", 30)
+    with pytest.raises(SolverFailureError, match=r"at s = 0\.\d"):
+        isogonal_map(make_enneper(), (0.3, 0.2), (0.3, 0.2))
+
+
 def test_isogonal_map_jacobian_is_identity():
     enn = make_enneper()
     h = 1e-4
@@ -232,6 +244,53 @@ def test_trace_terminates_at_isolated_umbilic():
                                      s_span=(0.0, 5.0), step=2e-3))
     assert tr.exit.kind == "hit_umbilic"
     assert np.hypot(*tr.uv[-1]) < 0.05
+
+
+def test_isogonal_start_inside_umbilic_gap_refused():
+    # not umbilic to core's 1e-9, but inside the tracer's 1e-5 gap, where
+    # E1 has no meaning; neither side of the span may be traced
+    par = _paraboloid()
+    assert not point_shape(par, 1e-3, 0.0)[2].umbilic
+    with pytest.raises(UmbilicEncounteredError):
+        trace_isogonal(TraceRequest(par, (1e-3, 0.0), IsogonalMode(np.pi / 2),
+                                    s_span=(-0.3, 0.3)))
+
+
+def test_isogonal_rhs_is_pure(monkeypatch):
+    # every (s, y, ref) the stepper asked for, replayed in reverse order
+    # after the trace, gives the same values bit for bit
+    calls = []
+
+    def recording(rhs, *args):
+        def recorded(s, y, ref):
+            out = rhs(s, y, ref)
+            calls.append((rhs, s, y, ref, out))
+            return out
+        return stepper.integrate(recorded, *args)
+
+    monkeypatch.setattr(tracer, "integrate", recording)
+    trace(TraceRequest(make_enneper(), (0.2, 0.3), IsogonalMode(-0.7),
+                       s_span=(-0.4, 0.6)))
+    assert len(calls) > 100
+    assert any(ref is None for _, _, _, ref, _ in calls)
+    for rhs, s, y, ref, out in reversed(calls):
+        assert [v.hex() for v in rhs(s, y, ref)] == [v.hex() for v in out]
+
+
+@pytest.mark.parametrize("mode", [IsogonalMode(-0.7),
+                                  PseudoGeodesicMode(0.3, 0.4)])
+def test_branches_are_independent(mode):
+    # a two-sided trace is, side by side, the two one-sided traces
+    enn = make_enneper()
+    both = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(-0.4, 0.6)))
+    fwd = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(0.0, 0.6)))
+    bwd = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(-0.4, 0.0)))
+    i_zero = both.index_of(0.0)
+    for name in ("s", "uv", "uv_vel", "uv_acc"):
+        side_by_side = getattr(both, name)
+        assert np.array_equal(side_by_side[i_zero:], getattr(fwd, name))
+        assert np.array_equal(side_by_side[:i_zero + 1], getattr(bwd, name))
+    assert both.stats == {**fwd.stats, **bwd.stats}
 
 
 def test_isogonal_on_non_orthogonal_chart():
@@ -280,9 +339,9 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
         counts.append(0)
         i = len(counts) - 1
 
-        def counted(s, y):
+        def counted(s, y, ref):
             counts[i] += 1
-            return rhs(s, y)
+            return rhs(s, y, ref)
         return stepper.integrate(counted, *args)
 
     monkeypatch.setattr(tracer, "integrate", counting)
@@ -295,6 +354,22 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
         for b in tr.stats.values():
             assert b.steps > 0
             assert b.nfev == 2 + 6 * (b.steps + b.rejected)
+    # an umbilic stop: evaluations that raised Stop count too, one by one
+    counts.clear()
+    req = TraceRequest(_paraboloid(), (0.8, 0.0), IsogonalMode(np.pi),
+                       s_span=(0.0, 2.0))
+    tr = trace(req)
+    assert tr.exit.kind == "hit_umbilic"
+    (b,) = tr.stats.values()
+    assert [b.nfev] == counts
+    assert b.nfev < 2 + 6 * (b.steps + b.rejected)
+    # and against the budget: one evaluation fewer ends it as a failure
+    budget = b.nfev - 1
+    monkeypatch.setattr(stepper, "MAX_NFEV", budget)
+    counts.clear()
+    tr = trace(req)
+    assert tr.exit.kind == "solver_failure"
+    assert counts == [tr.stats["fwd"].nfev] and counts[0] <= budget
 
 
 def test_rhs_budget_ends_trace_as_solver_failure(monkeypatch):
