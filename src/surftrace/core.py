@@ -252,16 +252,16 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
             e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
 
 
-def point_shape(surface: SurfaceDef, t: float, z: float,
-                e1_hint: Vec3 | None = None, *, check_domain: bool = True
+def point_shape(surface: SurfaceDef, t: float, z: float, *,
+                check_domain: bool = True
                 ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
     """(jet, forms, shape data) at one parameter point, in one float pass.
 
     Starts from `point_metric` (and raises its SingularJetError).  The
     shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
     Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
-    with E1 arbitrary where ``umbilic`` is set.  E1 is aligned with
-    ``e1_hint`` when given, else with the module sign rule.
+    with E1 arbitrary where ``umbilic`` is set.  E1's sign follows the
+    module sign rule.
     """
     (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W, e, f, g,
      c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(
@@ -298,15 +298,11 @@ def point_shape(surface: SurfaceDef, t: float, z: float,
     dn = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     d0, d1, d2 = d0 / dn, d1 / dn, d2 / dn
 
-    if e1_hint is not None:
-        h0, h1, h2 = e1_hint
-        flip = d0 * h0 + d1 * h1 + d2 * h2 < 0.0
+    s = d0 * xt0 + d1 * xt1 + d2 * xt2
+    if abs(s) > 1e-9 * sqE:
+        flip = s < 0.0
     else:
-        s = d0 * xt0 + d1 * xt1 + d2 * xt2
-        if abs(s) > 1e-9 * sqE:
-            flip = s < 0.0
-        else:
-            flip = d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
+        flip = d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
     if flip:
         d0, d1, d2 = -d0, -d1, -d2
     # E2 = (q0, q1, q2) = N x E1

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import beta, betaincc
 
 from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .errors import DegenerateParameterError
@@ -149,8 +148,11 @@ def _crpc_height(t: float, c: float, eps: float) -> float:
     With w = u^{2c} the integral is an incomplete beta function:
     int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
     I' is the complementary regularized incomplete beta.  It is 0 at t = 1
-    and NaN beyond, where the surface does not exist.
+    and NaN beyond, where the surface does not exist.  scipy.special is
+    imported here, so only crpc charts pay for it.
     """
+    from scipy.special import beta, betaincc
+
     a = 0.5 / c + 0.5
     return -eps / (2.0 * c) * beta(a, 0.5) * betaincc(a, 0.5, np.power(t, 2 * c))
 

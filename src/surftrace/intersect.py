@@ -11,10 +11,10 @@ marching is performed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .classify import ConstancyVerdict, constancy_test
 from .core import Domain, SurfaceDef, SurfaceJet2, jet2, vec3
@@ -23,6 +23,7 @@ from .errors import (PreimageMismatchError, TangencyError,
                      UnknownFixtureError)
 from .gallery import make_cylinder, make_sphere
 from .numdiff import check_uniform, diff_uniform
+from .stepper import integrate
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,15 @@ def _cylinder_plane(tilt: float = np.pi / 6, n: int = 1024) -> Fixture:
     s_max = 2.0
     s = np.linspace(-s_max, s_max, n)
 
-    def g2(psi: float) -> float:
-        return 1.0 + ta * ta * np.sin(psi) ** 2
+    # arc-length reparametrization psi(s), d psi / d s = 1 / sqrt(g2(psi)),
+    # g2 = 1 + tan^2(tilt) sin^2(psi), one branch each way from s = 0
+    def dpsi(_s, y, _ref):
+        return (1.0 / math.sqrt(1.0 + ta * ta * math.sin(y[0]) ** 2),)
 
-    # arc-length reparametrization psi(s), d psi / d s = 1 / sqrt(g2)
-    sol = solve_ivp(lambda _s, y: [1.0 / np.sqrt(g2(y[0]))], (0.0, s_max),
-                    [0.0], dense_output=True, rtol=1e-12, atol=1e-13)
-    sol_b = solve_ivp(lambda _s, y: [1.0 / np.sqrt(g2(y[0]))], (0.0, -s_max),
-                      [0.0], dense_output=True, rtol=1e-12, atol=1e-13)
-    psi = np.where(s >= 0, sol.sol(np.clip(s, 0, None))[0],
-                   sol_b.sol(np.clip(s, None, 0))[0])
+    fwd, bwd = (integrate(dpsi, (0.0,), end, (), 1e-13, 1e-12)
+                for end in (s_max, -s_max))
+    psi = np.where(s >= 0, fwd.sample(np.clip(s, 0, None))[:, 0],
+                   bwd.sample(np.clip(s, None, 0))[:, 0])
     cpsi, spsi = np.cos(psi), np.sin(psi)
     gg = 1.0 + ta * ta * spsi ** 2
     psip = 1.0 / np.sqrt(gg)

@@ -19,8 +19,10 @@ rejection, until the step falls below 10 ulp or reaches the clipped end.
 
 Events are terminal functions ``g(s, y)``: they are evaluated at step ends,
 and where one falls through zero (``g >= 0`` before, ``g <= 0`` after) its
-root is found by ``brentq`` on that step's dense output, as scipy's
-``solve_ivp`` does.  The earliest root ends the branch.
+root is found on that step's dense output by `_brent`, a float port of
+scipy's ``brentq`` (Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4), as scipy's ``solve_ivp`` does.  The earliest
+root ends the branch.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 #: right-hand side evaluations allowed per branch; a branch that would
 #: exceed it stops at its last accepted step with status -1 (the largest
@@ -114,6 +115,68 @@ def _interpolate(start, h, y_old, Q, s):
     x = (s - start) / h
     p = np.cumprod(np.tile(x, (4, 1)), axis=0).T
     return h[:, None] * np.einsum("mnj,mj->mn", Q, p) + y_old
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    scipy's ``brentq.c`` step for step: inverse quadratic interpolation or
+    secant steps, bisection where they would not shrink the bracket fast
+    enough, and convergence once half the bracket is below
+    (xtol + rtol |x|) / 2.  A NaN value or a bracket without a sign change
+    raises ValueError, no convergence in brentq's default 100 iterations
+    RuntimeError.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("no convergence in 100 iterations")
 
 
 def _rms(v) -> float:
@@ -236,10 +299,10 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
             last = (np.array([s_old]), np.array([h]), np.array([y_old]),
                     (np.array(K).T @ P)[None])
 
-            def on_step(x, ev):
-                return ev(x, _interpolate(*last, np.array([x]))[0])
-            roots = [brentq(on_step, s_old, s, args=(events[i],),
-                            xtol=4 * EPS, rtol=4 * EPS) for i in fired]
+            def on_step(ev):
+                return lambda x: ev(x, _interpolate(*last, np.array([x]))[0])
+            roots = [_brent(on_step(events[i]), s_old, s, 4 * EPS, 4 * EPS)
+                     for i in fired]
             first = min(range(len(fired)), key=lambda j: direction * roots[j])
             status, event, s = 1, fired[first], roots[first]
         g = g_new

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,9 @@ def test_curve_scalars_match_pointwise_direction_scalars():
     cd = curve_scalars_from_trace(enn, tr)
     hint = None
     for i, (t, z) in enumerate(tr.uv):
-        sd = point_shape(enn, t, z, hint, check_domain=False)[2]
+        sd = point_shape(enn, t, z, check_domain=False)[2]
+        if hint is not None and sd.e1 @ hint < 0.0:
+            sd = dataclasses.replace(sd, e1=-sd.e1, e2=-sd.e2)
         hint = sd.e1
         kn, taug, phi = pointwise_direction_scalars(sd, cd.T[i])
         assert abs(cd.kn[i] - kn) < 1e-12

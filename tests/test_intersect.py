@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from surftrace import (analyze_intersection, classify_curve_data, jet2,
                        make_fixture, make_sphere)
@@ -69,6 +70,27 @@ def test_cylinder_plane_tilted_not_constant(fixture_reports):
     assert rep.constant_angle.max_dev > 0.05
     assert rep.angle_residual < 1e-6
     assert rep.relation_residual < 1e-6
+
+
+@pytest.mark.parametrize("tilt", [0.0, np.pi / 6, 1.0])
+def test_cylinder_plane_arc_length_matches_solve_ivp(tilt):
+    # psi(s) from d psi / d s = 1 / sqrt(1 + tan^2(tilt) sin^2(psi)), by
+    # scipy's RK45 at the fixture's tolerances, one branch each way
+    fx = make_fixture("cylinder_plane", tilt=tilt)
+    s = fx.curve.s
+    ta2 = np.tan(tilt) ** 2
+
+    def dpsi(_s, y):
+        return [1.0 / np.sqrt(1.0 + ta2 * np.sin(y[0]) ** 2)]
+
+    def branch(end):
+        return solve_ivp(dpsi, (0.0, end), [0.0], dense_output=True,
+                         rtol=1e-12, atol=1e-13).sol
+
+    ref = np.where(s >= 0, branch(s[-1])(np.clip(s, 0, None))[0],
+                   branch(s[0])(np.clip(s, None, 0))[0])
+    assert len(s) == 1024
+    assert np.max(np.abs(fx.curve.uv_m[:, 1] - ref)) < 1e-11
 
 
 def test_cylinder_plane_untilted_is_right_angle():

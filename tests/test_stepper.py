@@ -1,10 +1,14 @@
-"""The float Dormand-Prince stepper against scipy's RK45, its reference."""
+"""The float Dormand-Prince stepper against scipy's RK45, and its Brent
+root finder against scipy's brentq, their references."""
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import Stop, integrate
+from surftrace.stepper import EPS, Stop, _brent, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
@@ -160,3 +164,39 @@ def test_stop_ends_branch_at_the_stage(stop):
     assert br.stats.nfev == count[0]
     grid = np.linspace(0.0, br.s, 101)
     assert np.max(np.abs(br.sample(grid)[:, 0] - np.cos(grid))) < 1e-8
+
+
+BRENT_TOL = 4 * EPS   # the stepper's xtol and rtol for event roots
+
+BRACKETS = {
+    "polynomial": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "trig": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "root at bracket end": (lambda x: x - 1.0, 1.0, 2.0),
+    "nearly flat": (lambda x: math.atan(1e-6 * (x - 0.7)), 0.0, 2.0),
+    "tiny values": (lambda x: 1e-30 * (x - 0.25), -1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", BRACKETS)
+def test_brent_matches_brentq(name):
+    f, a, b = BRACKETS[name]
+    for lo, hi in ((a, b), (b, a)):
+        root = _brent(f, lo, hi, BRENT_TOL, BRENT_TOL)
+        ref = brentq(f, lo, hi, xtol=BRENT_TOL, rtol=BRENT_TOL)
+        assert abs(root - ref) <= BRENT_TOL + BRENT_TOL * abs(ref)
+
+
+def test_brent_needs_a_sign_change():
+    with pytest.raises(ValueError):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, BRENT_TOL, BRENT_TOL)
+
+
+def test_brent_gives_up_where_brentq_does():
+    # a fifth-order root: both run out of iterations at this tolerance
+    def f(x):
+        return (x - 0.5) ** 5
+
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.3, xtol=BRENT_TOL, rtol=BRENT_TOL)
+    with pytest.raises(RuntimeError):
+        _brent(f, 0.0, 1.3, BRENT_TOL, BRENT_TOL)
