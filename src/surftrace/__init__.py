@@ -12,7 +12,8 @@ from .core import (ChristoffelSymbols, Domain, FundamentalForms, ShapeData,
                    point_shape, shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_apparatus,
-                      liouville_residuals, pointwise_direction_scalars)
+                      frenet_from_darboux, liouville_residuals,
+                      pointwise_direction_scalars)
 from .gallery import (CATALOGUE, GalleryOracle, make_bonnet, make_catenoid,
                       make_crpc_revolution, make_cylinder, make_enneper,
                       make_helix_surface, make_plane, make_sphere,

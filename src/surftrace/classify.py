@@ -15,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import SurfaceDef, shape_arrays
-from .darboux import (CurveData, FrenetData, curve_scalars_from_trace,
-                      frenet_apparatus)
+from .darboux import CurveData, curve_scalars_from_trace, frenet_from_darboux
 from .errors import TooFewSamplesError, VanishingCurvatureError
-from .numdiff import check_uniform
 
 #: singular-value ratio below which two series count as linearly dependent
 DEPENDENCE_RESIDUAL_MAX = 1e-4
@@ -118,13 +116,13 @@ def linear_dependence_test(x, y) -> DependenceVerdict:
                              (float(a), float(b)), residual)
 
 
-def helix_axis(curve: CurveData, frenet: FrenetData) -> HelixReport:
+def helix_axis(curve: CurveData) -> HelixReport:
     """Fit the generalized-helix data of a curve: constants (m, n) with
     m kappa + n tau = 0, the slope angle psi (cot(psi) = m/n), and the
-    axis V = cos(psi) T + sin(psi) B averaged over the samples.
+    axis V = cos(psi) T + sin(psi) B of ``frenet_from_darboux``, averaged
+    over the samples.
     """
-    if np.min(frenet.kappa) <= 1e-6:
-        raise VanishingCurvatureError("kappa ~ 0; helix axis undefined")
+    frenet = frenet_from_darboux(curve)
     dep = linear_dependence_test(curve.kappa, curve.tau)
     m, n = dep.coeffs
     if n < 0:
@@ -152,14 +150,13 @@ def _degenerate_helix(curve: CurveData) -> HelixReport:
 def classify_curve_data(curve: CurveData,
                         abs_tol: float = DEFAULT_ABS_TOL,
                         rel_tol: float = DEFAULT_REL_TOL) -> ClassificationReport:
-    """Classify a curve from its Darboux data (and positions).
+    """Classify a curve from its Darboux data alone.
 
     Angle series are unwrapped before the constancy tests.  The isogonal
     verdict is None when phi is undefined somewhere (umbilic samples).
     """
     if len(curve) < 9:
         raise TooFewSamplesError("classification needs >= 9 samples")
-    h = check_uniform(curve.s)
     kappa_max = float(np.max(curve.kappa))
     scale = 1.0 + kappa_max
     max_abs_kg = float(np.max(np.abs(curve.kg)))
@@ -181,14 +178,13 @@ def classify_curve_data(curve: CurveData,
         thr = FLAG_TOL * scale
         return thr / GRAY_FACTOR < value < thr * GRAY_FACTOR
 
-    if float(np.max(curve.kappa)) <= 1e-6:
+    if kappa_max <= 1e-6:
         helix = _degenerate_helix(curve)
     else:
         try:
-            frenet = frenet_apparatus(curve.pos, h)
-            helix = helix_axis(curve, frenet)
+            helix = helix_axis(curve)
         except VanishingCurvatureError:
-            # kappa dips through zero somewhere: no Frenet frame window,
+            # kappa dips through zero somewhere: no principal normal there,
             # so the axis stays undetermined
             dep = linear_dependence_test(curve.kappa, curve.tau)
             nanv = ConstancyVerdict(False, float("nan"), float("nan"), 0.0)

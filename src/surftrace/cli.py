@@ -204,7 +204,11 @@ def _cmd_classify(args, overrides) -> int:
     abs_tol = float(overrides.get("tol_abs", cls.DEFAULT_ABS_TOL))
     rel_tol = float(overrides.get("tol_rel", cls.DEFAULT_REL_TOL))
     if args.csv:
-        cd = read_trace_csv(args.csv, surface)
+        try:
+            cd = read_trace_csv(args.csv, surface)
+        except ValueError as exc:  # a malformed input file
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         tr = trace(_build_request(args, surface))
         cd = curve_scalars_from_trace(surface, tr)

@@ -11,6 +11,8 @@ frame {T, JT = N x T, N}:
 
 The Frenet convention used throughout is T' = kappa N_f, B' = +tau N_f
 (so tau flips sign relative to the more common B' = -tau N_f convention).
+``frenet_from_darboux`` builds that frame from the Darboux data;
+``frenet_apparatus`` rebuilds it from positions alone, as an oracle.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ class CurveData:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frenet frames and scalars recovered from positions alone."""
+    """Frenet frames and scalars, from Darboux data or from positions."""
 
     T: np.ndarray      # (n, 3)
     N: np.ndarray      # (n, 3) principal normal
@@ -157,6 +159,17 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
     """Darboux scalars for a tracer output (unit-speed traces only)."""
     return curve_scalars(surface, trace.s, trace.uv, trace.uv_vel,
                          trace.uv_acc)
+
+
+def frenet_from_darboux(curve: CurveData) -> FrenetData:
+    """Frenet frames from the Darboux data: kappa N_f = kn N + kg N x T.
+    Requires kappa > 1e-6 throughout, as ``frenet_apparatus`` does."""
+    if np.min(curve.kappa) <= 1e-6:
+        raise VanishingCurvatureError("kappa ~ 0; principal normal undefined")
+    T, normal = curve.T, curve.normal
+    N = (curve.kn[:, None] * normal
+         + curve.kg[:, None] * np.cross(normal, T)) / curve.kappa[:, None]
+    return FrenetData(T, N, np.cross(T, N), curve.kappa, curve.tau)
 
 
 def frenet_apparatus(positions: np.ndarray, h: float) -> FrenetData:

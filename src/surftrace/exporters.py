@@ -3,7 +3,9 @@
 CSV layout (one row per sample, LF line endings, ',' separator, '.'
 decimal, full double precision):
 
-    s,t,z,x,y,z_pos,kg,kn,taug,phi,theta,kappa,tau
+    s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,theta,kappa,tau
+
+Reading a file back feeds its grid and uv jets through ``curve_scalars``.
 
 OBJ layout: the surface as a quad-triangulated grid mesh followed by each
 curve as a polyline object; all surface vertices precede all curve
@@ -16,64 +18,47 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SurfaceDef, shape_arrays
-from .darboux import CurveData
-from .numdiff import check_uniform, diff2_uniform, diff_uniform
+from .core import SurfaceDef
+from .darboux import CurveData, curve_scalars
 
-CSV_COLUMNS = ("s", "t", "z", "x", "y", "z_pos", "kg", "kn", "taug", "phi",
-               "theta", "kappa", "tau")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+CSV_COLUMNS = ("s", "t", "z", "t_vel", "z_vel", "t_acc", "z_acc", "x", "y",
+               "z_pos", "kg", "kn", "taug", "phi", "theta", "kappa", "tau")
+_HEADER = ",".join(CSV_COLUMNS)
+_VERTEX = "v %.17g %.17g %.17g"
 
 
 def write_trace_csv(path: str, curve: CurveData) -> None:
     """Write a curve's samples to CSV (deterministic, round-trip exact)."""
     if len(curve) == 0:
         raise ValueError("refusing to write an empty trace")
-    rows = []
-    for i in range(len(curve)):
-        rows.append(",".join(_fmt(v) for v in (
-            curve.s[i], curve.uv[i, 0], curve.uv[i, 1],
-            curve.pos[i, 0], curve.pos[i, 1], curve.pos[i, 2],
-            curve.kg[i], curve.kn[i], curve.taug[i], curve.phi[i],
-            curve.theta[i], curve.kappa[i], curve.tau[i])))
+    table = np.column_stack((curve.s, curve.uv, curve.uv_vel, curve.uv_acc,
+                             curve.pos, curve.kg, curve.kn, curve.taug,
+                             curve.phi, curve.theta, curve.kappa, curve.tau))
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write("\n".join(rows) + "\n")
+        fh.write(_HEADER + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
 
 
 def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
-    """Rebuild CurveData from a CSV written by write_trace_csv.
-
-    Scalar series are taken verbatim from the file so re-classification
-    reproduces the original verdicts; uv velocities/accelerations (absent
-    from the format) are rebuilt by finite differences, and frames are
-    re-evaluated on the surface.
-    """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    s = np.asarray(data["s"], dtype=float)
-    h = check_uniform(s)
-    uv = np.column_stack([data["t"], data["z"]])
-    pos = np.column_stack([data["x"], data["y"], data["z_pos"]])
-    uv_vel = diff_uniform(uv, h, edge_order=4)
-    uv_acc = diff2_uniform(uv, h)
-    jet, _forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
-                                   check_domain=False)
-    vel3 = uv_vel[:, 0] * jet.d_t + uv_vel[:, 1] * jet.d_z
-    T, normal = (np.ascontiguousarray(v.T) for v in (vel3, sd.normal))
-    phi = np.asarray(data["phi"], dtype=float)
-    umb = np.where(np.isnan(phi))[0]
-    return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal,
-                     np.asarray(data["kg"], dtype=float),
-                     np.asarray(data["kn"], dtype=float),
-                     np.asarray(data["taug"], dtype=float),
-                     phi,
-                     np.asarray(data["theta"], dtype=float),
-                     np.asarray(data["kappa"], dtype=float),
-                     np.asarray(data["tau"], dtype=float),
-                     umb)
+    """``curve_scalars`` of the grid and uv jets in a write_trace_csv file:
+    on the surface it was written from, every field comes back bit for bit.
+    Raises ValueError naming the path for any other header (older 13-column
+    files included) or for rows that are not 17 numbers each."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines() or [""]
+        if header != _HEADER:
+            raise ValueError(f"header '{header}'")
+        data = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
+                else np.empty((0, len(CSV_COLUMNS))))
+        if data.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"{data.shape[1]} columns")
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a trace CSV ({exc}); expected rows of "
+                         f"17 numbers under the header {_HEADER}") from None
+    return curve_scalars(surface, data[:, 0], data[:, 1:3], data[:, 3:5],
+                         data[:, 5:7])
 
 
 def write_obj(path: str, surface: SurfaceDef | None = None,
@@ -100,8 +85,8 @@ def write_obj(path: str, surface: SurfaceDef | None = None,
         zs = np.linspace(dom.z_min, dom.z_max, nz)
         lines.append(f"o {surface.name}")
         tt, zz = np.meshgrid(ts, zs, indexing="ij")
-        for p in surface.position(tt.ravel(), zz.ravel()).T:
-            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+        xyz = surface.position(tt.ravel(), zz.ravel()).T.tolist()
+        lines.extend(_VERTEX % tuple(p) for p in xyz)
         for i in range(nt - 1):
             for j in range(nz - 1):
                 a = offset + i * nz + j
@@ -113,8 +98,7 @@ def write_obj(path: str, surface: SurfaceDef | None = None,
         offset += nt * nz
     for k, c in enumerate(curves, start=1):
         lines.append(f"o curve_{k}")
-        for p in c:
-            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+        lines.extend(_VERTEX % tuple(p) for p in c.tolist())
         idx = " ".join(str(offset + i) for i in range(len(c)))
         lines.append(f"l {idx}")
         offset += len(c)

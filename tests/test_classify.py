@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surftrace import (classify_curve, classify_curve_data, constancy_test,
-                       curve_scalars, helix_axis, linear_dependence_test,
-                       make_crpc_revolution, make_cylinder, make_enneper,
-                       make_plane, make_sphere, surface_class_probe)
+                       curve_scalars, curve_scalars_from_trace, helix_axis,
+                       linear_dependence_test, make_crpc_revolution,
+                       make_cylinder, make_enneper, make_plane, make_sphere,
+                       surface_class_probe)
 from surftrace.classify import (_principal_series, proposition_checks,
                                 render_report)
 from surftrace.darboux import frenet_apparatus
-from surftrace.errors import TooFewSamplesError, VanishingCurvatureError
+from surftrace.errors import (NonUnitSpeedError, TooFewSamplesError,
+                              VanishingCurvatureError)
 from surftrace.scenarios import CURVES, traced
 from surftrace.tracer import (IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
@@ -199,10 +201,25 @@ def test_helix_axis_refuses_vanishing_curvature():
     acc = np.zeros((101, 2))
     cd = curve_scalars(plane, s, uv, vel, acc)
     with pytest.raises(VanishingCurvatureError):
-        helix_axis(cd, frenet_apparatus(cd.pos, s[1] - s[0]))
+        helix_axis(cd)
     # but classification falls back to the degenerate straight-line report
     rep = classify_curve_data(cd)
     assert rep.helix.is_helix and rep.helix.degenerate
+
+
+def test_crpc_isogonal_near_the_axis_classifies():
+    # the benchmark self-test's known-defect curve: it winds to t = 0.05,
+    # where the position stencils of frenet_apparatus lose unit speed, but
+    # the classifier's frame comes from the Darboux data
+    crpc = make_crpc_revolution()
+    tr = trace(TraceRequest(crpc, (0.38, -5.77), IsogonalMode(-2.39),
+                            s_span=(-0.5, 0.5), step=2e-3))
+    cd = curve_scalars_from_trace(crpc, tr)
+    with pytest.raises(NonUnitSpeedError):
+        frenet_apparatus(cd.pos, 2e-3)
+    rep = classify_curve_data(cd)
+    assert not rep.helix.is_helix
+    assert not rep.helix.dependence.dependent
 
 
 def test_render_report_is_text(s2_report_and_curve):

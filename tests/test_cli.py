@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -6,8 +7,9 @@ import pytest
 
 from surftrace import classify_curve_data, curve_scalars_from_trace, make_enneper
 from surftrace.cli import main
-from surftrace.exporters import (parse_config, read_trace_csv, write_obj,
-                                 write_trace_csv)
+from surftrace.errors import TooFewSamplesError
+from surftrace.exporters import (CSV_COLUMNS, parse_config,
+                                 read_trace_csv, write_obj, write_trace_csv)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
 
@@ -21,8 +23,8 @@ def test_trace_subcommand_writes_csv(tmp_path):
     assert rc == 0
     path = tmp_path / "trace.csv"
     text = path.read_text()
-    assert text.splitlines()[0] == ("s,t,z,x,y,z_pos,kg,kn,taug,phi,theta,"
-                                    "kappa,tau")
+    assert text.splitlines()[0] == ("s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,"
+                                    "kg,kn,taug,phi,theta,kappa,tau")
     assert "\r" not in text
 
 
@@ -76,6 +78,10 @@ def test_csv_roundtrip_reclassifies_identically(tmp_path):
     assert rep1.kntg_dep == rep2.kntg_dep
     for flag in ("geodesic", "line_of_curvature", "asymptotic", "planar"):
         assert getattr(rep1, flag) == getattr(rep2, flag)
+    # the file keeps the uv jets, so every field reads back bit for bit
+    for name in (field.name for field in dataclasses.fields(cd)):
+        assert np.array_equal(getattr(cd, name), getattr(cd2, name),
+                              equal_nan=True), name
 
 
 def test_csv_roundtrip_with_undefined_phi(tmp_path):
@@ -92,6 +98,33 @@ def test_csv_roundtrip_with_undefined_phi(tmp_path):
     rep = classify_curve_data(cd2)
     assert rep.isogonal is None
     assert rep.pseudo_geodesic.is_constant
+
+
+def test_read_trace_csv_refuses_malformed_files(tmp_path):
+    enn = make_enneper()
+    tr = trace(TraceRequest(enn, (0.0, 1.0), GeodesicMode((1.0, 0.0)),
+                            s_span=(-0.05, 0.05)))
+    good = tmp_path / "good.csv"
+    write_trace_csv(str(good), curve_scalars_from_trace(enn, tr))
+    rows = [line.split(",") for line in good.read_text().splitlines()]
+    # the older 13-column format without the uv jets, and a non-numeric cell
+    old = [r[:3] + r[7:] for r in rows]
+    text = [r[:1] + ["x"] + r[2:] if i == 3 else r for i, r in enumerate(rows)]
+    for name, table in (("old.csv", old), ("text.csv", text)):
+        path = tmp_path / name
+        path.write_text("".join(",".join(r) + "\n" for r in table),
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(str(path), enn)
+        assert str(path) in str(exc.value)
+        assert ",".join(CSV_COLUMNS) in str(exc.value)
+    # the header alone, or four rows under it: a short curve, not a bad file
+    for n in (1, 5):
+        path = tmp_path / "short.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows[:n]),
+                        encoding="utf-8")
+        with pytest.raises(TooFewSamplesError):
+            read_trace_csv(str(path), enn)
 
 
 def test_classify_subcommand(tmp_path, capsys):
@@ -148,6 +181,9 @@ PROBES = {
     # (25, 25): inside the isogonal tracer's umbilic gap
     "start-in-umbilic-gap": ["trace", "--surface", "enneper", "--param",
                              "extent=30", "--start", "25,25", "--phi", "0.5"],
+    "csv-bad-header": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-empty": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -156,12 +192,22 @@ PROBE_CONFIGS = {
     "override-eps": "s3.eps = 1.7\n",
     "verify-tol-config": "tol_rel = 100\n",
 }
+# the trace CSV each --csv probe reads
+PROBE_CSVS = {
+    "csv-bad-header": "a,b,c\n1,2,3\n",
+    "csv-empty": "",
+    "csv-one-row": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,"
+                   "theta,kappa,tau\n" + ",".join(["0.5"] * 17) + "\n",
+}
 
 
 @pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
 def test_invalid_input_fails_with_one_line(probe, tmp_path):
     if probe in PROBE_CONFIGS:
         (tmp_path / "probe.cfg").write_text(PROBE_CONFIGS[probe],
+                                            encoding="utf-8")
+    if probe in PROBE_CSVS:
+        (tmp_path / "probe.csv").write_text(PROBE_CSVS[probe],
                                             encoding="utf-8")
     proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path),
                        *PROBES[probe]], cwd=tmp_path, timeout=60)

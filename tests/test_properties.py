@@ -3,12 +3,16 @@
 Each draw is a start in the chart domain inset by 0.25 of each span, a
 tangent angle phi from E1 and a split of a unit arc length into its
 backward and forward sides, as in the benchmark's trace_mix workload.
+The last property is the paper's theorem: only helix surfaces and the
+Enneper surface carry isogonal lines that are pseudo-geodesic generalized
+helices.  A cylinder's normals keep a right angle to its axis, so it is a
+helix surface too.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surftrace import CATALOGUE, curve_scalars_from_trace
+from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
 from surftrace.core import shape_arrays
 from surftrace.tracer import IsogonalMode, TraceRequest, trace_isogonal
 
@@ -53,3 +57,25 @@ def test_isogonal_trace_properties(name, draw):
     # the angle from E1 stays phi
     phi = np.unwrap(curve_scalars_from_trace(surface, tr).phi)
     assert np.max(np.abs(phi - phi[0])) < 1e-8
+
+
+# angles away from the principal directions: |phi| in [0.2, pi/2 - 0.2]
+oblique = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                    st.floats(0.2, np.pi / 2 - 0.2), st.sampled_from((-1, 1)),
+                    st.floats(0.25, 0.75))
+HELICAL = {"helix_surface": True, "enneper": True, "cylinder": True,
+           "crpc_revolution": False, "bonnet": False, "catenoid": False}
+
+
+@pytest.mark.parametrize("name", list(HELICAL))
+@settings(max_examples=25)
+@given(draw=oblique)
+def test_isogonal_helix_pseudo_geodesics_as_the_theorem_says(name, draw):
+    u, v, angle, sign, back = draw
+    tr = traced(name, (u, v, sign * angle, back))
+    rep = classify_curve(SURFACES[name], tr)
+    if HELICAL[name]:
+        assert rep.pseudo_geodesic.is_constant, rep.pseudo_geodesic
+        assert rep.helix.is_helix, rep.helix
+    else:
+        assert not rep.pseudo_geodesic.is_constant, rep.pseudo_geodesic
