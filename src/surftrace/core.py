@@ -12,11 +12,11 @@ alone, at about half the cost.
 
 Which kernel a caller uses follows what it holds.  The isogonal flow
 right-hand side, solver events and single-point set-up evaluate one point
-at a time and call `point_shape` (20 to 35 us a call); every consumer of a
+at a time and call `point_shape` (12 to 25 us a call); every consumer of a
 sample array (tracer post-processing, Darboux scalars, CSV import, class
 probes, the oracle scenarios) calls `shape_arrays` once.  Its fixed numpy
-overhead (300 to 350 us at n = 1) breaks even with a scalar loop near n = 10
-to 15 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
+overhead (180 to 320 us at n = 1) breaks even with a scalar loop near n = 15
+to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, TYPE_CHECKING
+from typing import Callable, Mapping, Optional, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gallery import GalleryOracle
 
 Vec3 = np.ndarray
+ChartVec = Union[tuple[float, float, float], np.ndarray]  # 1 point, n points
 
 #: relative step for finite-difference jets
 FD_STEP = 1e-5
@@ -51,14 +52,13 @@ UMBILIC_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SurfaceJet2:
-    """Second-order jet of a chart X(t, z): position and partials."""
+    """Second-order jet of a chart X(t, z): the five partials, no position."""
 
-    position: Vec3
-    d_t: Vec3
-    d_z: Vec3
-    d_tt: Vec3
-    d_tz: Vec3
-    d_zz: Vec3
+    d_t: ChartVec
+    d_z: ChartVec
+    d_tt: ChartVec
+    d_tz: ChartVec
+    d_zz: ChartVec
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,17 @@ class SurfaceDef:
     ``jet`` returns the exact analytic 2-jet; when it is None the jet is
     built by central finite differences of ``position``.
 
-    Both chart callables are elementwise.  Given floats they return (3,)
-    vectors; given (n,) arrays they return every vector as a (3, n) array,
-    component first, so ``x0, x1, x2 = jet.d_t`` unpacks either form.  Each
-    point's values equal, bit for bit, those of a call at that point alone.
-    Constant components broadcast (see `vec3`), and a constant 0.0 stays
-    +0.0.
+    Both chart callables are elementwise.  Given floats they return every
+    vector as a 3-tuple of Python floats; given (n,) arrays they return
+    every vector as a (3, n) array, component first, so ``x0, x1, x2 =
+    jet.d_t`` unpacks either form.  Each point's values equal, bit for bit,
+    those of a float call at that point alone.  Constant components
+    broadcast (see `vec3`), and a constant 0.0 stays +0.0.
     """
 
     name: str
     domain: Domain
-    position: Callable[[float, float], Vec3]
+    position: Callable[[float, float], ChartVec]
     jet: Optional[Callable[[float, float], SurfaceJet2]] = None
     orthogonal: bool = False
     totally_umbilic: bool = False
@@ -159,36 +159,34 @@ class ShapeData:
     umbilic: bool
 
 
-def vec3(like, x, y, z) -> Vec3:
-    """(x, y, z) as a (3,) vector, or as a (3, n) array when ``like`` is an
+def vec3(like, x, y, z) -> ChartVec:
+    """(x, y, z) as a float 3-tuple, or as a (3, n) array when ``like`` is an
     (n,) array; float components are broadcast, so 0.0 stays +0.0."""
     if isinstance(like, np.ndarray) and like.ndim:
         return np.array(np.broadcast_arrays(x, y, z, like)[:3], dtype=float)
-    return np.array((x, y, z), dtype=float)
+    return (float(x), float(y), float(z))
 
 
-def _fd_jet(position: Callable[[float, float], Vec3], t: float, z: float) -> SurfaceJet2:
-    """Central second-order finite-difference jet of the position map
-    (elementwise, like the chart)."""
+def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) -> SurfaceJet2:
+    """Central second-order finite-difference jet of the position map,
+    component by component (elementwise, like the chart)."""
     if isinstance(t, np.ndarray):
         h = FD_STEP * np.maximum(np.maximum(1.0, abs(t)), abs(z))
     else:  # floats stay floats: numpy scalar arithmetic is slower
         h = FD_STEP * max(1.0, abs(t), abs(z))
-    p = np.asarray(position(t, z), dtype=float)
-    p_t1 = np.asarray(position(t + h, z), dtype=float)
-    p_t0 = np.asarray(position(t - h, z), dtype=float)
-    p_z1 = np.asarray(position(t, z + h), dtype=float)
-    p_z0 = np.asarray(position(t, z - h), dtype=float)
-    p_pp = np.asarray(position(t + h, z + h), dtype=float)
-    p_pm = np.asarray(position(t + h, z - h), dtype=float)
-    p_mp = np.asarray(position(t - h, z + h), dtype=float)
-    p_mm = np.asarray(position(t - h, z - h), dtype=float)
-    d_t = (p_t1 - p_t0) / (2 * h)
-    d_z = (p_z1 - p_z0) / (2 * h)
-    d_tt = (p_t1 - 2 * p + p_t0) / (h * h)
-    d_zz = (p_z1 - 2 * p + p_z0) / (h * h)
-    d_tz = (p_pp - p_pm - p_mp + p_mm) / (4 * h * h)
-    return SurfaceJet2(p, d_t, d_z, d_tt, d_tz, d_zz)
+    p = position(t, z)
+    p_t1, p_t0 = position(t + h, z), position(t - h, z)
+    p_z1, p_z0 = position(t, z + h), position(t, z - h)
+    p_pp, p_pm = position(t + h, z + h), position(t + h, z - h)
+    p_mp, p_mm = position(t - h, z + h), position(t - h, z - h)
+    h2, hh, h4 = 2 * h, h * h, 4 * h * h
+    parts = ([(a - b) / h2 for a, b in zip(p_t1, p_t0)],
+             [(a - b) / h2 for a, b in zip(p_z1, p_z0)],
+             [(a - 2 * c + b) / hh for a, c, b in zip(p_t1, p, p_t0)],
+             [(a - b - c + d) / h4 for a, b, c, d in zip(p_pp, p_pm, p_mp, p_mm)],
+             [(a - 2 * c + b) / hh for a, c, b in zip(p_z1, p, p_z0)])
+    vector = np.array if isinstance(t, np.ndarray) else tuple
+    return SurfaceJet2(*map(vector, parts))
 
 
 def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) -> SurfaceJet2:
@@ -221,8 +219,8 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
     SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.
     """
     jet = jet2(surface, t, z, check_domain=check_domain)
-    xt0, xt1, xt2 = jet.d_t.tolist()
-    xz0, xz1, xz2 = jet.d_z.tolist()
+    xt0, xt1, xt2 = jet.d_t
+    xz0, xz1, xz2 = jet.d_z
     E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
     F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
     G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
@@ -241,7 +239,7 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
     second = []
     symbols = []
     for part in (jet.d_tt, jet.d_tz, jet.d_zz):
-        p0, p1, p2 = part.tolist()
+        p0, p1, p2 = part
         second.append(p0 * n0 + p1 * n1 + p2 * n2)
         bt = p0 * xt0 + p1 * xt1 + p2 * xt2
         bz = p0 * xz0 + p1 * xz1 + p2 * xz2

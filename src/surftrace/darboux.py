@@ -131,8 +131,8 @@ def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
     kn = np.where(umbilic, _dot(acc3, sd.normal),
                   sd.kappa1 * c * c + sd.kappa2 * sn * sn)
     taug = np.where(umbilic, 0.0, (sd.kappa1 - sd.kappa2) * c * sn)
-    pos, T, normal = (np.ascontiguousarray(v.T)
-                      for v in (jet.position, vel3, sd.normal))
+    pos, T, normal = (np.ascontiguousarray(v.T) for v in (
+        surface.position(uv[:, 0], uv[:, 1]), vel3, sd.normal))
 
     theta = normal_angle(kg, kn)
     kappa = np.hypot(kg, kn)

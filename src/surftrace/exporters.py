@@ -44,7 +44,8 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     """``curve_scalars`` of the grid and uv jets in a write_trace_csv file:
     on the surface it was written from, every field comes back bit for bit.
     Raises ValueError naming the path for any other header (older 13-column
-    files included) or for rows that are not 17 numbers each."""
+    files included), for rows that are not 17 numbers each, and, naming the
+    surface too, where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
     try:
         with open(path, encoding="utf-8") as fh:
             header, *rows = fh.read().splitlines() or [""]
@@ -57,6 +58,14 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     except ValueError as exc:
         raise ValueError(f"{path}: not a trace CSV ({exc}); expected rows of "
                          f"17 numbers under the header {_HEADER}") from None
+    # positions are written exactly: one off the chart means another surface
+    xyz = np.asarray(surface.position(data[:, 1], data[:, 2]), dtype=float).T
+    gap = np.max(np.abs(data[:, 7:10] - xyz), axis=1)
+    off = ~(gap <= 1e-9 * np.maximum(1.0, np.linalg.norm(xyz, axis=1)))
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"{path}: sample {i} lies {gap[i]:.3g} off surface "
+                         f"'{surface.name}'; traced on another surface?")
     return curve_scalars(surface, data[:, 0], data[:, 1:3], data[:, 3:5],
                          data[:, 5:7])
 

@@ -74,13 +74,12 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
         u = t / r
         cu, su = np.cos(u), np.sin(u)
         p = rho(z)
-        pos = vec3(t, r * p * cu, r * p * su, z * sph)
         d_t = vec3(t, -p * su, p * cu, 0.0)
         d_z = vec3(t, -cph * cu, -cph * su, sph)
         d_tt = vec3(t, -p * cu / r, -p * su / r, 0.0)
         d_tz = vec3(t, cph * su / r, -cph * cu / r, 0.0)
         d_zz = vec3(t, 0.0, 0.0, 0.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(
         k1=lambda t, z: -sph * kb / rho(z),
@@ -113,13 +112,12 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
                     z - z * z * z / 3 + z * t * t, t * t - z * z)
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        pos = position(t, z)
         d_t = vec3(t, 1 - t * t + z * z, 2 * t * z, 2 * t)
         d_z = vec3(t, 2 * t * z, 1 - z * z + t * t, -2 * z)
         d_tt = vec3(t, -2 * t, 2 * z, 2.0)
         d_tz = vec3(t, 2 * z, 2 * t, 0.0)
         d_zz = vec3(t, 2 * t, -2 * z, -2.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     def w2(t: float, z: float) -> float:
         return (1 + t * t + z * z) ** 2
@@ -149,7 +147,7 @@ def _crpc_height(t: float, c: float, eps: float) -> float:
     int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
     I' is the complementary regularized incomplete beta.  It is 0 at t = 1
     and NaN beyond, where the surface does not exist.  scipy.special is
-    imported here, so only crpc charts pay for it.
+    imported here, so only crpc positions pay for it.
     """
     from scipy.special import beta, betaincc
 
@@ -161,9 +159,10 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     """Surface of revolution with kappa(t-dir) = c * kappa(z-dir) != 0.
 
     Chart: X(t,z) = (t cos z, t sin z, h(t)) with h'(t) = eps t^c
-    (1 - t^{2c})^{-1/2}; h itself is only needed for positions and is an
-    incomplete beta function (`_crpc_height`).  The chart degenerates at t -> 0
-    and t -> 1, so the domain keeps a 5% margin on both sides.
+    (1 - t^{2c})^{-1/2}; h itself, an incomplete beta function
+    (`_crpc_height`), is needed only for positions, never by the jet.  The
+    chart degenerates at t -> 0 and t -> 1, so the domain keeps a 5% margin
+    on both sides.
     """
     if not c > 0:
         raise DegenerateParameterError(
@@ -184,13 +183,12 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
         sw = np.sqrt(w)
         hp = ep * tc / sw
         hpp = ep * c * (tc / t) / (w * sw)
-        pos = vec3(t, t * cz, t * sz, _crpc_height(t, c, ep))
         d_t = vec3(t, cz, sz, hp)
         d_z = vec3(t, -t * sz, t * cz, 0.0)
         d_tt = vec3(t, 0.0, 0.0, hpp)
         d_tz = vec3(t, -sz, cz, 0.0)
         d_zz = vec3(t, -t * cz, -t * sz, 0.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     def sq(t: float) -> float:
         return np.sqrt(1.0 - t ** (2 * c))
@@ -230,13 +228,12 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
     def jet(t: float, z: float) -> SurfaceJet2:
         st, ct = np.sin(t), np.cos(t)
         sh, ch = np.sinh(z), np.cosh(z)
-        pos = vec3(t, q * (a * t + st * ch), q * (z + a * ct * sh), ct * ch)
         d_t = vec3(t, q * (a + ct * ch), -q * a * st * sh, -st * ch)
         d_z = vec3(t, q * st * sh, q * (1 + a * ct * ch), ct * sh)
         d_tt = vec3(t, -q * st * ch, -q * a * ct * sh, -ct * ch)
         d_tz = vec3(t, q * ct * sh, -q * a * st * ch, -st * sh)
         d_zz = vec3(t, q * st * ch, q * a * ct * sh, ct * ch)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     def den(t: float, z: float) -> float:
         return (a * np.cos(t) + np.cosh(z)) ** 2
@@ -264,19 +261,19 @@ def make_sphere(r: float = 1.0) -> SurfaceDef:
     r = float(r)
 
     def position(t: float, z: float) -> np.ndarray:
-        return r * vec3(t, np.cos(t) * np.cos(z), np.cos(t) * np.sin(z),
-                        np.sin(t))
+        return vec3(t, r * (np.cos(t) * np.cos(z)), r * (np.cos(t) * np.sin(z)),
+                    r * np.sin(t))
 
     def jet(t: float, z: float) -> SurfaceJet2:
+        # componentwise r * (...), as the position: r > 0, so a 0.0 stays +0.0
         ct, st = np.cos(t), np.sin(t)
         cz, sz = np.cos(z), np.sin(z)
-        pos = r * vec3(t, ct * cz, ct * sz, st)
-        d_t = r * vec3(t, -st * cz, -st * sz, ct)
-        d_z = r * vec3(t, -ct * sz, ct * cz, 0.0)
-        d_tt = -pos
-        d_tz = r * vec3(t, st * sz, -st * cz, 0.0)
-        d_zz = r * vec3(t, -ct * cz, -ct * sz, 0.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        d_t = vec3(t, r * (-st * cz), r * (-st * sz), r * ct)
+        d_z = vec3(t, r * (-ct * sz), r * (ct * cz), 0.0)
+        d_tt = vec3(t, -(r * (ct * cz)), -(r * (ct * sz)), -(r * st))
+        d_tz = vec3(t, r * (st * sz), r * (-st * cz), 0.0)
+        d_zz = vec3(t, r * (-ct * cz), r * (-ct * sz), 0.0)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     return SurfaceDef(name="sphere", domain=Domain(-1.2, 1.2, -3.1, 3.1),
                       position=position, jet=jet, orthogonal=True,
@@ -291,8 +288,8 @@ def make_plane() -> SurfaceDef:
 
     def jet(t: float, z: float) -> SurfaceJet2:
         zero = vec3(t, 0.0, 0.0, 0.0)
-        return SurfaceJet2(vec3(t, t, z, 0.0), vec3(t, 1.0, 0.0, 0.0),
-                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
+        return SurfaceJet2(vec3(t, 1.0, 0.0, 0.0), vec3(t, 0.0, 1.0, 0.0),
+                           zero, zero, zero)
 
     oracle = GalleryOracle(k1=lambda t, z: 0.0, k2=lambda t, z: 0.0,
                            kg1=lambda t, z: 0.0, kg2=lambda t, z: 0.0)
@@ -315,13 +312,12 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
     def jet(t: float, z: float) -> SurfaceJet2:
         u = z / r
         cu, su = np.cos(u), np.sin(u)
-        pos = vec3(t, r * cu, r * su, t)
         d_t = vec3(t, 0.0, 0.0, 1.0)
         d_z = vec3(t, -su, cu, 0.0)
         d_tt = vec3(t, 0.0, 0.0, 0.0)
         d_tz = d_tt
         d_zz = vec3(t, -cu / r, -su / r, 0.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(k1=lambda t, z: 0.0, k2=lambda t, z: 1.0 / r,
                            kg1=lambda t, z: 0.0, kg2=lambda t, z: 0.0)
@@ -341,13 +337,12 @@ def make_catenoid() -> SurfaceDef:
     def jet(t: float, z: float) -> SurfaceJet2:
         ch, sh = np.cosh(t), np.sinh(t)
         cz, sz = np.cos(z), np.sin(z)
-        pos = vec3(t, ch * cz, ch * sz, t)
         d_t = vec3(t, sh * cz, sh * sz, 1.0)
         d_z = vec3(t, -ch * sz, ch * cz, 0.0)
         d_tt = vec3(t, ch * cz, ch * sz, 0.0)
         d_tz = vec3(t, -sh * sz, sh * cz, 0.0)
         d_zz = vec3(t, -ch * cz, -ch * sz, 0.0)
-        return SurfaceJet2(pos, d_t, d_z, d_tt, d_tz, d_zz)
+        return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     oracle = GalleryOracle(
         k1=lambda t, z: -1.0 / np.cosh(t) ** 2,

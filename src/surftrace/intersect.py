@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ConstancyVerdict, constancy_test
-from .core import Domain, SurfaceDef, SurfaceJet2, jet2, vec3
+from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .darboux import CurveData, curve_scalars
 from .errors import (PreimageMismatchError, TangencyError,
                      UnknownFixtureError)
@@ -72,8 +72,8 @@ def _plane_at(height: float) -> SurfaceDef:
 
     def jet(t: float, z: float) -> SurfaceJet2:
         zero = vec3(t, 0.0, 0.0, 0.0)
-        return SurfaceJet2(vec3(t, t, z, height), vec3(t, 1.0, 0.0, 0.0),
-                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
+        return SurfaceJet2(vec3(t, 1.0, 0.0, 0.0), vec3(t, 0.0, 1.0, 0.0),
+                           zero, zero, zero)
 
     return SurfaceDef(name=f"plane_z={height:g}", domain=Domain(-10, 10, -10, 10),
                       position=position, jet=jet, orthogonal=True,
@@ -89,8 +89,8 @@ def _tilted_plane(alpha: float) -> SurfaceDef:
 
     def jet(t: float, z: float) -> SurfaceJet2:
         zero = vec3(t, 0.0, 0.0, 0.0)
-        return SurfaceJet2(position(t, z), vec3(t, ca, 0.0, sa),
-                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
+        return SurfaceJet2(vec3(t, ca, 0.0, sa), vec3(t, 0.0, 1.0, 0.0),
+                           zero, zero, zero)
 
     return SurfaceDef(name=f"plane_tilt={alpha:g}", domain=Domain(-10, 10, -10, 10),
                       position=position, jet=jet, orthogonal=True,
@@ -102,15 +102,12 @@ def _translated_sphere(center: np.ndarray, r: float = 1.0) -> SurfaceDef:
     c = np.asarray(center, dtype=float)
 
     def position(t: float, z: float) -> np.ndarray:
-        return vec3(t, *c) + base.position(t, z)
+        x, y, w = base.position(t, z)
+        return vec3(t, c[0] + x, c[1] + y, c[2] + w)
 
-    def jet(t: float, z: float) -> SurfaceJet2:
-        j = base.jet(t, z)
-        return SurfaceJet2(vec3(t, *c) + j.position, j.d_t, j.d_z, j.d_tt,
-                           j.d_tz, j.d_zz)
-
+    # a translation leaves every partial as it is
     return SurfaceDef(name=f"sphere_at({c[0]:g},{c[1]:g},{c[2]:g})",
-                      domain=base.domain, position=position, jet=jet,
+                      domain=base.domain, position=position, jet=base.jet,
                       orthogonal=True, totally_umbilic=True, params={"r": r})
 
 
@@ -251,7 +248,7 @@ def analyze_intersection(m: SurfaceDef, mbar: SurfaceDef,
     h = check_uniform(curve.s)
     for surf, uv, label in ((m, curve.uv_m, "M"), (mbar, curve.uv_mbar, "Mbar")):
         for i in (0, n // 2, n - 1):
-            pos = jet2(surf, *uv[i], check_domain=False).position
+            pos = surf.position(*uv[i])
             if np.linalg.norm(pos - curve.spatial[i]) > 1e-9:
                 raise PreimageMismatchError(
                     f"preimage in {label} misses the curve at sample {i}")

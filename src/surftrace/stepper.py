@@ -22,7 +22,8 @@ and where one falls through zero (``g >= 0`` before, ``g <= 0`` after) its
 root is found on that step's dense output by `_brent`, a float port of
 scipy's ``brentq`` (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 4), as scipy's ``solve_ivp`` does.  The earliest
-root ends the branch.
+root ends the branch; a root `_brent` cannot converge on ends it as a
+failure at the step's start.
 """
 from __future__ import annotations
 
@@ -82,8 +83,8 @@ class Branch:
 
     ``status`` is 0 when s_end was reached, 1 when event ``event`` ended the
     branch at ``s`` (``event`` is None when the RHS raised `Stop`) and -1
-    when the step fell below 10 ulp or the RHS budget ran out (``s`` is then
-    the last accepted step).
+    when the step fell below 10 ulp, the RHS budget ran out or an event root
+    could not be found (``s`` is then the start of the step that failed).
     """
 
     status: int
@@ -301,8 +302,12 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
 
             def on_step(ev):
                 return lambda x: ev(x, _interpolate(*last, np.array([x]))[0])
-            roots = [_brent(on_step(events[i]), s_old, s, 4 * EPS, 4 * EPS)
-                     for i in fired]
+            try:
+                roots = [_brent(on_step(events[i]), s_old, s, 4 * EPS,
+                                4 * EPS) for i in fired]
+            except RuntimeError:  # too flat a root: fail at the step's start
+                status, s = -1, s_old
+                break
             first = min(range(len(fired)), key=lambda j: direction * roots[j])
             status, event, s = 1, fired[first], roots[first]
         g = g_new

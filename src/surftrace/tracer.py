@@ -24,7 +24,8 @@ derivative at the start of the current step.  A trace ends ``completed``,
 ``hit_boundary`` at a domain-edge solver event, ``hit_umbilic`` where an
 isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
 `stepper.Stop`), or ``solver_failure`` when a branch runs out of its RHS
-budget (`stepper.MAX_NFEV`) or of step size.
+budget (`stepper.MAX_NFEV`) or of step size, or cannot place a domain-edge
+event's root.
 """
 from __future__ import annotations
 
@@ -154,7 +155,7 @@ def chart_to_principal_angle(surface: SurfaceDef, uv: tuple[float, float],
     jet, forms, sd = point_shape(surface, *uv)
     if sd.umbilic:
         raise UmbilicEncounteredError("principal angle undefined at umbilic")
-    that = jet.d_t / np.sqrt(forms.E)
+    that = np.asarray(jet.d_t) / np.sqrt(forms.E)
     delta = float(np.arctan2(that @ sd.e2, that @ sd.e1))
     return delta + chart_angle
 
@@ -376,7 +377,7 @@ def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
     if tp == 0.0 and zp == 0.0:
         return p_uv
     jet, _, sd = point_shape(surface, *p_uv)
-    v3 = tp * jet.d_t + zp * jet.d_z
+    v3 = tp * np.asarray(jet.d_t) + zp * np.asarray(jet.d_z)
     speed = float(np.linalg.norm(v3))
     phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
     req = TraceRequest(surface, p_uv, IsogonalMode(phi, speed),

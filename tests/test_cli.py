@@ -184,6 +184,8 @@ PROBES = {
     "csv-bad-header": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-empty": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-wrong-surface": ["classify", "--surface", "catenoid", "--start",
+                          "0,1", "--phi", "0.5", "--csv", "probe.csv"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -192,13 +194,16 @@ PROBE_CONFIGS = {
     "override-eps": "s3.eps = 1.7\n",
     "verify-tol-config": "tol_rel = 100\n",
 }
-# the trace CSV each --csv probe reads
+# the trace CSV each --csv probe reads; None: an Enneper trace
 PROBE_CSVS = {
     "csv-bad-header": "a,b,c\n1,2,3\n",
     "csv-empty": "",
     "csv-one-row": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,"
                    "theta,kappa,tau\n" + ",".join(["0.5"] * 17) + "\n",
+    "csv-wrong-surface": None,
 }
+# what the error line of a probe must name
+PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'")}
 
 
 @pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
@@ -206,15 +211,20 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path):
     if probe in PROBE_CONFIGS:
         (tmp_path / "probe.cfg").write_text(PROBE_CONFIGS[probe],
                                             encoding="utf-8")
-    if probe in PROBE_CSVS:
+    if PROBE_CSVS.get(probe) is not None:
         (tmp_path / "probe.csv").write_text(PROBE_CSVS[probe],
                                             encoding="utf-8")
+    elif probe in PROBE_CSVS:
+        assert main(["--out", str(tmp_path), "trace", *ENNEPER, "--phi",
+                     "0.5", "--s-span", "-0.2", "0.2", "--csv",
+                     "probe.csv"]) == 0
     proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path),
                        *PROBES[probe]], cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
+from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, make_surface, point_shape)
 from surftrace.core import _fd_jet
@@ -36,7 +36,7 @@ def test_helix_surface_is_flat():
 
 def test_enneper_examples():
     enn = make_enneper()
-    assert np.allclose(jet2(enn, 0.0, 0.0).position, 0.0)
+    assert np.allclose(enn.position(0.0, 0.0), 0.0)
     assert abs(enn.oracle.k1(1.0, 1.0) - 2.0 / 9.0) < 1e-15
     assert abs(enn.oracle.kg1(1.0, 1.0) + 2.0 / 9.0) < 1e-15
     assert abs(enn.oracle.kg2(1.0, 1.0) - 2.0 / 9.0) < 1e-15
@@ -192,3 +192,19 @@ def test_charts_are_elementwise(surface):
                 assert np.array_equal(got[:, i], want), name
                 assert np.array_equal(np.signbit(got[:, i]),
                                       np.signbit(want)), name
+
+
+@pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
+def test_float_calls_return_float_tuples(surface):
+    # a call at one point returns 3-tuples of Python floats, not numpy
+    # vectors or np.float64 items
+    dom = surface.domain.inset(0.05)
+    t = dom.t_min + 0.37 * (dom.t_max - dom.t_min)
+    z = dom.z_min + 0.61 * (dom.z_max - dom.z_min)
+    calls = {"position": (surface.position(t, z),),
+             "jet": dataclasses.astuple(surface.jet(t, z)),
+             "fd_jet": dataclasses.astuple(_fd_jet(surface.position, t, z))}
+    for name, vectors in calls.items():
+        for v in vectors:
+            assert type(v) is tuple and len(v) == 3, name
+            assert all(type(x) is float for x in v), name

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only crpc chart evaluations load it."""
+"""scipy stays off the import path: only crpc positions load it."""
 import textwrap
 
 from conftest import run_python
@@ -34,14 +34,18 @@ def test_import_and_cli_trace_load_no_scipy(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
-def test_crpc_jet_imports_scipy_special_on_first_use(tmp_path):
+def test_crpc_position_imports_scipy_special_on_first_use(tmp_path):
+    # the jet never evaluates the incomplete-beta height; positions do
     run_script("""
         import math
-        from surftrace import make_crpc_revolution
+        from surftrace import make_crpc_revolution, point_metric
         surface = make_crpc_revolution()
         assert not scipy_loaded(), scipy_loaded()[:5]
-        jet = surface.jet(0.5, 0.3)
+        surface.jet(0.5, 0.3)
+        point_metric(surface, 0.5, 0.3)
+        assert not scipy_loaded(), scipy_loaded()[:5]
+        position = surface.position(0.5, 0.3)
         assert "scipy.special" in scipy_loaded()
-        assert all(math.isfinite(v) for v in jet.position)
-        assert jet.position[2] < 0.0
+        assert all(math.isfinite(v) for v in position)
+        assert position[2] < 0.0
     """, tmp_path)

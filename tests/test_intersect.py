@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from surftrace import (analyze_intersection, classify_curve_data, jet2,
+from surftrace import (analyze_intersection, classify_curve_data,
                        make_fixture, make_sphere)
 from surftrace.errors import (PreimageMismatchError, TangencyError,
                               UnknownFixtureError)
@@ -29,7 +29,7 @@ def test_preimages_reproduce_curve():
         fx = make_fixture(name, **params)
         for surf, uv in ((fx.m, fx.curve.uv_m), (fx.mbar, fx.curve.uv_mbar)):
             for i in range(0, len(fx.curve.s), 37):
-                pos = jet2(surf, *uv[i], check_domain=False).position
+                pos = surf.position(*uv[i])
                 assert np.linalg.norm(pos - fx.curve.spatial[i]) < 1e-9
 
 

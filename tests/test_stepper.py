@@ -200,3 +200,12 @@ def test_brent_gives_up_where_brentq_does():
         brentq(f, 0.0, 1.3, xtol=BRENT_TOL, rtol=BRENT_TOL)
     with pytest.raises(RuntimeError):
         _brent(f, 0.0, 1.3, BRENT_TOL, BRENT_TOL)
+
+
+def test_event_root_failure_ends_the_branch():
+    # the flat crossing above as a terminal event: the branch fails at the
+    # start of the step that crosses it instead of raising
+    br = integrate(lambda s, y, ref: (1.0,), (0.0,), 1.3,
+                   [lambda s, y: (0.5 - y[0]) ** 5], 1e-10, 1e-9)
+    assert br.status == -1 and br.event is None
+    assert br.s == br.starts[-1] <= 0.5 < br.starts[-1] + br.h[-1]

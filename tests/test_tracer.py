@@ -34,7 +34,8 @@ def test_isogonal_speed_is_constant_at_samples():
                                          s_span=(-0.5, 0.5), step=2e-3))
         for i in range(0, len(tr), 50):
             jet, _, _ = point_shape(enn, *tr.uv[i])
-            v3 = tr.uv_vel[i, 0] * jet.d_t + tr.uv_vel[i, 1] * jet.d_z
+            v3 = (tr.uv_vel[i, 0] * np.asarray(jet.d_t)
+                  + tr.uv_vel[i, 1] * np.asarray(jet.d_z))
             assert abs(np.linalg.norm(v3) - speed) < 1e-7
 
 
@@ -93,7 +94,7 @@ def test_pseudogeodesic_requires_orthogonal_chart():
 
     def jet(t, z):
         zero = np.zeros(3)
-        return SurfaceJet2(position(t, z), np.array([1.0, 0.5, 0.0]),
+        return SurfaceJet2(np.array([1.0, 0.5, 0.0]),
                            np.array([0.0, 1.0, 0.0]), zero, zero, zero)
 
     sheared = SurfaceDef("sheared_plane", Domain(-2, 2, -2, 2), position,
@@ -179,7 +180,7 @@ def test_isogonal_map_basics():
     v = (0.12, -0.08)
     half = isogonal_map(enn, (0.3, 0.2), (v[0] / 2, v[1] / 2))
     jet, _, sd = point_shape(enn, 0.3, 0.2)
-    v3 = v[0] * jet.d_t + v[1] * jet.d_z
+    v3 = v[0] * np.asarray(jet.d_t) + v[1] * np.asarray(jet.d_z)
     phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
     tr = trace_isogonal(TraceRequest(enn, (0.3, 0.2),
                                      IsogonalMode(phi, float(np.linalg.norm(v3))),
@@ -224,8 +225,7 @@ def _paraboloid():
         return vec3(t, t, z, 0.5 * (t * t + z * z))
 
     def jet(t, z):
-        return SurfaceJet2(position(t, z),
-                           vec3(t, 1.0, 0.0, t), vec3(t, 0.0, 1.0, z),
+        return SurfaceJet2(vec3(t, 1.0, 0.0, t), vec3(t, 0.0, 1.0, z),
                            vec3(t, 0.0, 0.0, 1.0), vec3(t, 0.0, 0.0, 0.0),
                            vec3(t, 0.0, 0.0, 1.0))
 
