@@ -12,11 +12,12 @@ alone, at about half the cost.
 
 Which kernel a caller uses follows what it holds.  The isogonal flow
 right-hand side, solver events and single-point set-up evaluate one point
-at a time and call `point_shape` (12 to 25 us a call); every consumer of a
-sample array (tracer post-processing, Darboux scalars, CSV import, class
-probes, the oracle scenarios) calls `shape_arrays` once.  Its fixed numpy
-overhead (180 to 320 us at n = 1) breaks even with a scalar loop near n = 15
-to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
+at a time and call `point_shape` (12 to 25 us a call).  A trace makes one
+`shape_arrays` pass over its samples, which its Darboux scalars reuse (an
+isogonal adds one over its 2n acceleration stencil points); bare samples,
+CSV import, class probes and the oracle scenarios take one pass each.  Its
+fixed numpy overhead (180 to 320 us at n = 1) breaks even with a scalar loop
+near n = 15 to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -202,6 +203,9 @@ def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) 
             raise OutOfDomainError(
                 f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g}) outside domain "
                 f"of surface '{surface.name}'")
+    if isinstance(t, np.ndarray):
+        # numpy's exp, sinh, ... round negative strides apart from floats
+        t, z = (np.ascontiguousarray(v, dtype=float) for v in (t, z))
     if surface.jet is not None:
         return surface.jet(t, z)
     return _fd_jet(surface.position, t, z)
@@ -329,13 +333,13 @@ def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
     Returns the same three records with every float field an (n,) array,
     every vector a (3, n) array and ``umbilic`` a bool array, and raises
     SingularJetError naming the first singular point.  E1 signs: a (3, n)
-    ``e1_hint`` aligns each point with its own column.  Otherwise the first
-    point is aligned with a (3,) hint, or by the module rule without one,
-    and every later point with its predecessor, as a loop passing each E1
-    on as the next hint does (unless consecutive E1 are exactly orthogonal).
+    ``e1_hint`` aligns each point with its own column.  Without one, the
+    first point follows the module rule and every later point its
+    predecessor, as a loop passing each E1 on as the next hint does (unless
+    consecutive E1 are exactly orthogonal).
     """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
+    t = np.ascontiguousarray(t, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
     jet = jet2(surface, t, z, check_domain=check_domain)
     xt0, xt1, xt2 = jet.d_t
     xz0, xz1, xz2 = jet.d_z
@@ -392,19 +396,15 @@ def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
     dn = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     d0, d1, d2 = d0 / dn, d1 / dn, d2 / dn
 
-    if np.ndim(e1_hint) == 2:
+    if e1_hint is not None:
         h0, h1, h2 = e1_hint
         flip = d0 * h0 + d1 * h1 + d2 * h2 < 0.0
     else:
-        if e1_hint is not None:
-            h0, h1, h2 = e1_hint
-            flip0 = d0[0] * h0 + d1[0] * h1 + d2[0] * h2 < 0.0
+        s = d0[0] * xt0[0] + d1[0] * xt1[0] + d2[0] * xt2[0]
+        if abs(s) > 1e-9 * sqE[0]:
+            flip0 = s < 0.0
         else:
-            s = d0[0] * xt0[0] + d1[0] * xt1[0] + d2[0] * xt2[0]
-            if abs(s) > 1e-9 * sqE[0]:
-                flip0 = s < 0.0
-            else:
-                flip0 = d0[0] * xz0[0] + d1[0] * xz1[0] + d2[0] * xz2[0] < 0.0
+            flip0 = d0[0] * xz0[0] + d1[0] * xz1[0] + d2[0] * xz2[0] < 0.0
         # the loop flips E1 where <E1, previous E1> < 0, so each sign is the
         # previous one times the sign of <raw E1, previous raw E1>
         turns = d0[1:] * d0[:-1] + d1[1:] * d1[:-1] + d2[1:] * d2[:-1] < 0.0

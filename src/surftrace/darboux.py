@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ShapeData, SurfaceDef, shape_arrays
-from .errors import (NonTangentDirectionError, NonUnitSpeedError,
-                     TooFewSamplesError, UmbilicPointError,
-                     VanishingCurvatureError)
+from .errors import (InvalidRequestError, NonTangentDirectionError,
+                     NonUnitSpeedError, TooFewSamplesError,
+                     UmbilicPointError, VanishingCurvatureError)
 from .numdiff import check_uniform, diff2_uniform, diff3_uniform, diff_uniform
 
 Vec3 = np.ndarray
@@ -96,6 +96,11 @@ def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
     theta' uses 4th-order central differences in the interior, one-sided
     2nd-order stencils at the first/last two samples.
     """
+    return _scalars(surface, s, uv, uv_vel, uv_acc, None)
+
+
+def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
+    """`curve_scalars` on the samples' shape pass, made here if None."""
     s = np.asarray(s, dtype=float)
     uv = np.asarray(uv, dtype=float)
     uv_vel = np.asarray(uv_vel, dtype=float)
@@ -105,10 +110,9 @@ def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
         raise TooFewSamplesError("need at least 5 samples")
     h = check_uniform(s)
 
-    # one shape pass over all samples, E1 chained from sample to sample;
-    # vectors below are (3, n)
-    jet, _forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
-                                   check_domain=False)
+    # one shape pass over all samples (a trace brings its own), E1 chained
+    # from sample to sample; vectors below are (3, n)
+    jet, _, sd = shape or shape_arrays(surface, *uv.T, check_domain=False)
     tp, zp = uv_vel.T
     tpp, zpp = uv_acc.T
     vel3 = tp * jet.d_t + zp * jet.d_z
@@ -156,9 +160,13 @@ def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
 
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
-    """Darboux scalars for a tracer output (unit-speed traces only)."""
-    return curve_scalars(surface, trace.s, trace.uv, trace.uv_vel,
-                         trace.uv_acc)
+    """`curve_scalars` of a unit-speed trace, made on its ``shape`` pass, so
+    no chart is evaluated; ``surface`` must be the trace's own surface."""
+    if surface != trace.request.surface:
+        raise InvalidRequestError(f"surface '{surface.name}' is not the "
+                                  f"trace's '{trace.request.surface.name}'")
+    return _scalars(surface, trace.s, trace.uv, trace.uv_vel, trace.uv_acc,
+                    trace.shape)
 
 
 def frenet_from_darboux(curve: CurveData) -> FrenetData:

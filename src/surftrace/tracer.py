@@ -29,6 +29,7 @@ event's root.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import astuple, dataclass, replace
 from typing import Union
 
@@ -43,6 +44,7 @@ from .stepper import BranchStats, Stop, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
+_log = logging.getLogger(__name__)
 
 #: `_umbilic_gap` below which an isogonal trace refuses to start or go on:
 #: E1, and with it the isogonal system, loses meaning as kappa1 -> kappa2
@@ -121,6 +123,8 @@ class TraceExit:
 
 @dataclass(frozen=True)
 class Trace:
+    """A traced curve, with the shape pass `curve_scalars_from_trace` reuses."""
+
     request: TraceRequest
     s: np.ndarray        # (n,) uniform grid containing s = 0
     uv: np.ndarray       # (n, 2)
@@ -129,6 +133,7 @@ class Trace:
     exit: TraceExit
     # what the stepper did on each branch that ran, keyed "fwd" and "bwd"
     stats: dict[str, BranchStats]
+    shape: tuple         # shape_arrays of uv, E1 chained from sample 0
 
     def __len__(self) -> int:
         return len(self.s)
@@ -204,11 +209,13 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
             continue
         br = integrate(rhs, y0, s_end, events, req.atol, req.rtol,
                        req.max_step)
-        if br.status == -1:
-            exit_ = TraceExit("solver_failure", br.s)
-        elif br.status == 1 and exit_.kind == "completed":
-            exit_ = TraceExit("hit_umbilic" if br.event is None
-                              else "hit_boundary", br.s)
+        if br.status:
+            kind = ("solver_failure" if br.status == -1 else "hit_umbilic"
+                    if br.event is None else "hit_boundary")
+            _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
+                       key, kind, br.s, br.stats.nfev)
+            if br.status == -1 or exit_.kind == "completed":
+                exit_ = TraceExit(kind, br.s)
         branches[key] = br
     reached = {key: br.s for key, br in branches.items()}
     n_lo = int(np.floor(-reached.get("bwd", 0.0) / req.step + 1e-9))
@@ -226,6 +233,19 @@ def _umbilic_gap(sd) -> float:
     """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|)."""
     return ((sd.kappa2 - sd.kappa1)
             / max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
+
+
+def _isogonal_velocity(sd, uv, cos_t, sin_t) -> np.ndarray:
+    """The (m, 2) flow velocity at points uv from their shape data sd."""
+    d = sd.decomp
+    det = d.f1 * d.g2 - d.f2 * d.g1
+    singular = np.abs(det) < 1e-12
+    if singular.any():
+        t, z = uv[np.argmax(singular)]
+        raise SingularDecompositionError(
+            f"tangent decomposition singular at ({t:g}, {z:g})")
+    return np.column_stack([(d.g2 * cos_t - d.g1 * sin_t) / det,
+                            (-d.f2 * cos_t + d.f1 * sin_t) / det])
 
 
 def trace_isogonal(req: TraceRequest) -> Trace:
@@ -270,37 +290,21 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     y0 = tuple(float(v) for v in req.start_uv)
     s, uv, exit_, stats = _integrate_branches(rhs, y0, req)
 
-    def field(points, e1_hint):
-        """The flow velocity at each of the (m, 2) points, and E1 there."""
-        t, z = points.T
-        sd = shape_arrays(surface, t, z, e1_hint, check_domain=False)[2]
-        d = sd.decomp
-        det = d.f1 * d.g2 - d.f2 * d.g1
-        singular = np.abs(det) < 1e-12
-        if singular.any():
-            i = int(np.argmax(singular))
-            raise SingularDecompositionError(
-                f"tangent decomposition singular at ({t[i]:g}, {z[i]:g})")
-        tp = (d.g2 * cos_t - d.g1 * sin_t) / det
-        zp = (-d.f2 * cos_t + d.f1 * sin_t) / det
-        return np.column_stack([tp, zp]), sd.e1
-
     # velocities from the flow field itself (exact speed), accelerations by
-    # directional differentiation of the field along the velocity; the E1
-    # sign chain walks outward from s = 0 separately on each side, from the
-    # start's E1, so the hint always comes from a nearby point
-    i_zero = int(np.argmin(np.abs(s)))
-    vel_fwd, e1_fwd = field(uv[i_zero:], sd0.e1)
-    uv_vel, e1_at = vel_fwd, e1_fwd
-    if i_zero > 0:
-        vel_bwd, e1_bwd = field(uv[i_zero - 1::-1], sd0.e1)
-        uv_vel = np.concatenate([vel_bwd[::-1], vel_fwd])
-        e1_at = np.concatenate([e1_bwd[:, ::-1], e1_fwd], axis=1)
+    # directional differentiation of the field along the velocity.  The
+    # trace's shape pass chains E1 from sample 0; the flow's E1 is that
+    # chain, turned where needed to agree with the start's E1 at s = 0
+    _jet, _forms, sd = shape = shape_arrays(surface, *uv.T, check_domain=False)
+    if sd.e1[:, np.argmin(np.abs(s))] @ sd0.e1 < 0.0:
+        sd = shape_arrays(surface, *uv.T, -sd.e1, check_domain=False)[2]
+    uv_vel = _isogonal_velocity(sd, uv, cos_t, sin_t)
     h = 1e-6
-    f_plus = field(uv + h * uv_vel, e1_at)[0]
-    f_minus = field(uv - h * uv_vel, e1_at)[0]
-    uv_acc = (f_plus - f_minus) / (2 * h)
-    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats)
+    points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
+    sd_pm = shape_arrays(surface, *points.T, np.hstack([sd.e1, sd.e1]),
+                         check_domain=False)[2]
+    f_pm = _isogonal_velocity(sd_pm, points, cos_t, sin_t)
+    uv_acc = (f_pm[:len(s)] - f_pm[len(s):]) / (2 * h)
+    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
@@ -340,13 +344,12 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exit_, stats = _integrate_branches(rhs, y0, req)
     uv, uv_vel = states[:, :2], states[:, 2:]
-    _jet, forms, sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
-                                   check_domain=False)
+    _jet, forms, sd = shape = shape_arrays(surface, *uv.T, check_domain=False)
     ch = sd.christoffel
     uv_acc = np.column_stack(acceleration(
         forms.E, forms.G, forms.e, forms.f, forms.g, ch.c1_tt, ch.c1_tz,
         ch.c1_zz, ch.c2_tt, ch.c2_tz, ch.c2_zz, *uv_vel.T))
-    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats)
+    return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 
 def trace_geodesic(req: TraceRequest) -> Trace:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -52,6 +53,15 @@ def interior_grid(surface, nt=10, nz=10, inset=0.1):
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
     return [(float(t), float(z)) for t in ts for z in zs]
+
+
+def assert_curve_data_equal(a, b):
+    """Assert that two CurveData agree in every field bit for bit: equal
+    values with equal sign bits (-0.0 is not 0.0), and NaN where NaN."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y, equal_nan=True), field.name
+        assert np.array_equal(np.signbit(x), np.signbit(y)), field.name
 
 
 def run_python(args, cwd, timeout):

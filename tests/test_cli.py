@@ -13,7 +13,7 @@ from surftrace.exporters import (CSV_COLUMNS, parse_config,
 from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
 
-from conftest import run_python
+from conftest import assert_curve_data_equal, run_python
 
 
 def test_trace_subcommand_writes_csv(tmp_path):
@@ -66,6 +66,9 @@ def test_csv_roundtrip_reclassifies_identically(tmp_path):
     path = str(tmp_path / "round.csv")
     write_trace_csv(path, cd)
     cd2 = read_trace_csv(path, enn)
+    # the file keeps every float, and reading it back runs curve_scalars
+    # on the same samples: the same data, so the same report
+    assert_curve_data_equal(cd, cd2)
     rep2 = classify_curve_data(cd2)
     assert rep1.isogonal.is_constant == rep2.isogonal.is_constant
     assert rep1.isogonal.mean == rep2.isogonal.mean

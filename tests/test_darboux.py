@@ -3,19 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surftrace import (curve_scalars, curve_scalars_from_trace,
-                       frenet_apparatus, frenet_from_darboux,
+from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
+                       frenet_apparatus, frenet_from_darboux, gallery,
                        liouville_residuals, make_catenoid, make_cylinder,
                        make_enneper, make_helix_surface, make_plane,
-                       make_sphere, point_shape, pointwise_direction_scalars)
+                       make_sphere, point_shape, pointwise_direction_scalars,
+                       tracer)
 from surftrace.darboux import normal_angle
-from surftrace.errors import (NonTangentDirectionError, NonUnitSpeedError,
-                              TooFewSamplesError, UmbilicPointError,
-                              VanishingCurvatureError)
+from surftrace.errors import (InvalidRequestError, NonTangentDirectionError,
+                              NonUnitSpeedError, TooFewSamplesError,
+                              UmbilicPointError, VanishingCurvatureError)
 from surftrace.numdiff import diff2_uniform, diff3_uniform, diff_uniform
-from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
-                              chart_to_principal_angle, trace_geodesic,
-                              trace_isogonal)
+from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
+                              TraceRequest, chart_to_principal_angle, trace,
+                              trace_geodesic, trace_isogonal)
+
+from conftest import assert_curve_data_equal
 
 
 def plane_circle_samples(radius, n=801, span=2.4, center=(0.0, 0.0)):
@@ -303,3 +306,76 @@ def test_theta_branch_ignores_sign_of_rounding_noise():
         thetas.append(normal_angle(kg, cd.kn))
     assert np.array_equal(thetas[0], thetas[1])
     assert thetas[0][0] == np.pi
+
+
+def _two_sided_requests():
+    """One two-sided trace request per gallery chart and mode, started at a
+    seeded point of the chart's inner half (isogonals on crpc_revolution
+    at t >= 0.2, clear of the axis)."""
+    rng = np.random.default_rng(11)
+    out = []
+    for name, make in gallery.CATALOGUE.items():
+        surface = make()
+        dom = surface.domain.inset(0.25)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        direction = ((np.cos(angle), np.sin(angle)) if surface.totally_umbilic
+                     else angle)
+        modes = [PseudoGeodesicMode(0.4, direction), GeodesicMode(direction)]
+        if not surface.totally_umbilic:
+            modes.insert(0, IsogonalMode(angle))
+        for mode in modes:
+            t_min = (0.2 if isinstance(mode, IsogonalMode)
+                     and name == "crpc_revolution" else dom.t_min)
+            start = (float(rng.uniform(t_min, dom.t_max)),
+                     float(rng.uniform(dom.z_min, dom.z_max)))
+            out.append(pytest.param(
+                TraceRequest(surface, start, mode, s_span=(-0.3, 0.3)),
+                id=f"{name}-{type(mode).__name__}"))
+    return out
+
+
+@pytest.mark.parametrize("req", _two_sided_requests())
+def test_curve_scalars_from_trace_equals_curve_scalars(req):
+    tr = trace(req)
+    assert sorted(tr.stats) == ["bwd", "fwd"]
+    assert tr.s[0] < 0.0 < tr.s[-1]
+    assert_curve_data_equal(
+        curve_scalars_from_trace(req.surface, tr),
+        curve_scalars(req.surface, tr.s, tr.uv, tr.uv_vel, tr.uv_acc))
+
+
+@pytest.mark.parametrize("mode, in_trace", [
+    (IsogonalMode(0.4), 2), (PseudoGeodesicMode(0.3, 0.4), 1),
+    (GeodesicMode(0.4), 1)], ids=["isogonal", "pseudo_geodesic", "geodesic"])
+def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
+    # the trace makes its samples' shape pass (an isogonal one more, over
+    # its acceleration stencils), and the Darboux scalars reuse it
+    calls = []
+
+    def spy(module):
+        real = module.shape_arrays
+
+        def counted(*args, **kwargs):
+            calls.append(module.__name__)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "shape_arrays", counted)
+
+    spy(tracer)
+    spy(darboux)
+    enn = make_enneper()
+    tr = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(-0.4, 0.6)))
+    assert calls == ["surftrace.tracer"] * in_trace
+    calls.clear()
+    curve_scalars_from_trace(enn, tr)
+    assert calls == []
+
+
+def test_curve_scalars_from_trace_refuses_another_surface():
+    enn = make_enneper()
+    tr = trace_isogonal(TraceRequest(enn, (0.2, 0.3), IsogonalMode(0.4),
+                                     s_span=(-0.1, 0.1)))
+    # a chart made again is another surface: its callables are new objects
+    for other in (make_catenoid(), make_enneper()):
+        with pytest.raises(InvalidRequestError,
+                           match=f"'{other.name}'.*'enneper'"):
+            curve_scalars_from_trace(other, tr)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,47 @@ def test_trace_terminates_at_isolated_umbilic():
                                      s_span=(0.0, 5.0), step=2e-3))
     assert tr.exit.kind == "hit_umbilic"
     assert np.hypot(*tr.uv[-1]) < 0.05
+
+
+def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
+    # E1 is radial on the paraboloid; the chart rule <E1, X_t> >= 0 points
+    # it outward at the start and inward at the backward branch's far end,
+    # so the E1 chained from sample 0 disagrees with the start's at s = 0
+    par = _paraboloid()
+    phi = -np.pi / 2
+    tr = trace_isogonal(TraceRequest(par, (0.3, 0.5), IsogonalMode(phi),
+                                     s_span=(-1.2, 0.3)))
+    i_zero = tr.index_of(0.0)
+    jet, _, sd = point_shape(par, 0.3, 0.5)
+    assert tr.shape[2].e1[:, i_zero] @ sd.e1 < 0.0
+    # the flow still leaves the start at angle phi from the start's E1 ...
+    v3 = (tr.uv_vel[i_zero, 0] * np.asarray(jet.d_t)
+          + tr.uv_vel[i_zero, 1] * np.asarray(jet.d_z))
+    want = np.cos(phi) * sd.e1 + np.sin(phi) * sd.e2
+    assert np.max(np.abs(v3 - want)) < 1e-12
+    # ... and every sample's velocity points along the traced path
+    ahead = np.sum(np.diff(tr.uv, axis=0) * tr.uv_vel[:-1], axis=1)
+    assert np.all(ahead > 0.0)
+
+
+def test_early_branch_ends_are_logged(caplog):
+    enn = make_enneper()
+    req = TraceRequest(enn, (1.5, 0.0), IsogonalMode(0.0), s_span=(-0.2, 30.0),
+                       step=1e-2)
+    with caplog.at_level(logging.DEBUG, logger="surftrace.tracer"):
+        tr = trace(req)
+        # one record for the forward branch, none for the completed one
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"fwd branch: hit_boundary at s = {tr.exit.s_stop!r} after "
+            f"{tr.stats['fwd'].nfev} RHS evaluations")
+        caplog.clear()
+        tr = trace(TraceRequest(_paraboloid(), (0.8, 0.0),
+                                IsogonalMode(np.pi), s_span=(0.0, 2.0)))
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            f"fwd branch: hit_umbilic at s = {tr.exit.s_stop!r} ")
 
 
 def test_isogonal_start_inside_umbilic_gap_refused():
