@@ -11,9 +11,8 @@ from .core import (ChristoffelSymbols, Domain, FundamentalForms, ShapeData,
                    SurfaceDef, SurfaceJet2, TangentDecomp, jet2, point_metric,
                    point_shape, shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
-                      curve_scalars_from_trace, frenet_apparatus,
-                      frenet_from_darboux, liouville_residuals,
-                      pointwise_direction_scalars)
+                      curve_scalars_from_trace, frenet_from_darboux,
+                      liouville_residuals)
 from .gallery import (CATALOGUE, GalleryOracle, make_bonnet, make_catenoid,
                       make_crpc_revolution, make_cylinder, make_enneper,
                       make_helix_surface, make_plane, make_sphere,

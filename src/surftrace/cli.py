@@ -28,6 +28,7 @@ from .exporters import (ensure_dir, parse_config, read_trace_csv,
                         write_obj, write_trace_csv)
 from .gallery import CATALOGUE, make_surface
 from .scenarios import SCENARIOS, render_result, run_scenario
+from .stepper import MAX_SAMPLES
 from .tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                      TraceRequest, chart_to_principal_angle, trace)
 
@@ -236,6 +237,11 @@ def _cmd_verify(args, overrides) -> int:
 
 
 def _cmd_export(args, out_dir: str) -> int:
+    nt, nz = args.grid
+    if not (nt > 0 and nz > 0 and nt * nz <= MAX_SAMPLES):
+        raise InvalidRequestError(
+            f"--grid {nt} {nz} must be positive with at most {MAX_SAMPLES} "
+            "points")
     surface = _surface_from_args(args)
     curves = []
     if not args.no_curve:
@@ -244,7 +250,7 @@ def _cmd_export(args, out_dir: str) -> int:
         curves.append(cd.pos)
     ensure_dir(out_dir)
     path = os.path.join(out_dir, args.obj or "export.obj")
-    write_obj(path, surface, curves, grid=tuple(args.grid))
+    write_obj(path, surface, curves, grid=(nt, nz))
     print(f"wrote {path}")
     return 0
 

@@ -1,32 +1,34 @@
-"""Surface geometry: chart 2-jets, the scalar shape pass and its batched twin.
+"""Surface geometry: chart 2-jets and the shape kernel, one body for floats
+and for arrays.
 
-`point_shape` turns a chart's 2-jet into the fundamental forms, Christoffel
-symbols, principal frame and tangent decomposition in one pass at one point;
-`shape_arrays` does the same over (n,) arrays of points with the same
-formulas in the same order (do Carmo, *Differential Geometry of Curves and
-Surfaces*, ch. 3).  Both form X_t x X_z once and raise SingularJetError
-where it vanishes.  `point_shape` starts with `point_metric`: the normal,
-both forms and the Christoffel symbols as one flat tuple of floats.  The
-pseudo-geodesic right-hand side needs no more and calls `point_metric`
-alone, at about half the cost.
+`point_metric` turns a chart's 2-jet into the normal, both fundamental forms
+and the Christoffel symbols; `_principal` goes on to the principal frame
+and the tangent decomposition (do Carmo, *Differential Geometry of Curves
+and Surfaces*, ch. 3).  Both bodies are elementwise: floats at one point or
+(n,) arrays of points run the same formulas in the same order, so a point's
+values are the same bits in either form.  The forms differ only in sqrt, a
+branch versus `np.where`, and the E1 sign rule.  `point_shape` runs them at
+one point with the module rule; `shape_arrays` runs them over arrays with a
+per-point hint, or else the module rule at the first point and a chain
+after it.  SingularJetError is raised where X_t x X_z vanishes.
 
-Which kernel a caller uses follows what it holds.  The isogonal flow
-right-hand side, solver events and single-point set-up evaluate one point
-at a time and call `point_shape` (12 to 25 us a call).  A trace makes one
-`shape_arrays` pass over its samples, which its Darboux scalars reuse (an
-isogonal adds one over its 2n acceleration stencil points); bare samples,
-CSV import, class probes and the oracle scenarios take one pass each.  Its
-fixed numpy overhead (180 to 320 us at n = 1) breaks even with a scalar loop
-near n = 15 to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
+Which form a caller uses follows what it holds.  The pseudo-geodesic
+right-hand side calls `point_metric` alone, at about half the cost of
+`point_shape`, which the isogonal one, solver events and single-point
+set-up call (12 to 25 us a call).  A trace makes one `shape_arrays` pass
+over its samples, which its Darboux scalars reuse (an isogonal adds one
+over its 2n acceleration stencil points); bare samples, CSV import, class
+probes and the oracle scenarios take one pass each.  Its fixed numpy
+overhead (180 to 320 us at n = 1) breaks even with a scalar loop near
+n = 15 to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
 
 * Gauss map ``N = X_t x X_z / |X_t x X_z|`` (chart orientation).
 * Principal curvatures ordered ``kappa1 <= kappa2``.
 * ``{E1, E2, N}`` right-handed, i.e. ``E2 = N x E1``.
-* E1 sign: aligned with a caller-supplied hint when given (curve
-  continuity), otherwise ``<E1, X_t> >= 0`` with ``<E1, X_z> >= 0`` as the
-  tie-break when E1 is orthogonal to X_t.
+* E1 sign (the module rule): ``<E1, X_t> >= 0``, with ``<E1, X_z> >= 0`` as
+  the tie-break when E1 is orthogonal to X_t; a caller's hint overrides it.
 """
 from __future__ import annotations
 
@@ -220,21 +222,27 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
 
     with X_t, X_z and N by component, W = EG - F^2 and the Christoffel
     symbols upper index first; every entry but the jet is a float.  Raises
-    SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.
+    SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.  Elementwise:
+    `shape_arrays` runs it on (n,) arrays, where every entry but the jet is
+    an (n,) array and the error names the first singular point.
     """
     jet = jet2(surface, t, z, check_domain=check_domain)
     xt0, xt1, xt2 = jet.d_t
     xz0, xz1, xz2 = jet.d_z
+    arrays = isinstance(xt0, np.ndarray)
+    sqrt = np.sqrt if arrays else math.sqrt
     E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
     F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
     G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
     c0 = xt1 * xz2 - xt2 * xz1
     c1 = xt2 * xz0 - xt0 * xz2
     c2 = xt0 * xz1 - xt1 * xz0
-    nrm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    if nrm <= 1e-14 * math.sqrt(E * G):
-        raise SingularJetError(
-            f"chart of '{surface.name}' singular at ({t:g}, {z:g})")
+    nrm = sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    singular = nrm <= 1e-14 * sqrt(E * G)
+    if singular.any() if arrays else singular:
+        i = int(np.argmax(singular))
+        raise SingularJetError(f"chart of '{surface.name}' singular at "
+                               f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
     n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
     W = E * G - F * F
 
@@ -254,59 +262,76 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
             e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
 
 
-def point_shape(surface: SurfaceDef, t: float, z: float, *,
-                check_domain: bool = True
-                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
-    """(jet, forms, shape data) at one parameter point, in one float pass.
+def _flip(d0, d1, d2, xt0, xt1, xt2, xz0, xz1, xz2, sqE) -> bool:
+    """The module E1 sign rule at one point: True where E1 = (d0, d1, d2)
+    must be negated to meet it."""
+    s = d0 * xt0 + d1 * xt1 + d2 * xt2
+    if abs(s) > 1e-9 * sqE:
+        return s < 0.0
+    return d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
 
-    Starts from `point_metric` (and raises its SingularJetError).  The
-    shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
-    Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
-    with E1 arbitrary where ``umbilic`` is set.  E1's sign follows the
-    module sign rule.
-    """
+
+def _chain(d0, d1, d2, *chart) -> np.ndarray:
+    """E1 signs over (n,) arrays without a hint: the module rule at the
+    first point, then each point's E1 along its predecessor's."""
+    first = _flip(d0[0], d1[0], d2[0], *(v[0] for v in chart))
+    # a loop flips E1 where <E1, previous E1> < 0, so each sign is the
+    # previous one times the sign of <raw E1, previous raw E1>
+    turns = d0[1:] * d0[:-1] + d1[1:] * d1[:-1] + d2[1:] * d2[:-1] < 0.0
+    return np.cumprod(np.where(np.r_[first, turns], -1.0, 1.0)) < 0.0
+
+
+def _if(cond, a, b):
+    """`np.where` at one point."""
+    return a if cond else b
+
+
+def _principal(metric: tuple, sqrt: Callable, select: Callable,
+               flip: Callable) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+    """The principal-frame stage over `point_metric`'s tuple, floats or (n,)
+    arrays.  The forms differ only in ``sqrt``, ``select`` (`_if` or
+    `np.where`) and ``flip``, which takes E1 and the rest of `_flip`'s
+    arguments and says where E1 is negated."""
     (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W, e, f, g,
-     c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(
-        surface, t, z, check_domain=check_domain)
+     c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz) = metric
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
-    sqE = math.sqrt(E)
+    sqE = sqrt(E)
     r = F / E
     w0, w1, w2 = xz0 - r * xt0, xz1 - r * xt1, xz2 - r * xt2
-    wn = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    wn = sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     a1 = 1.0 / sqE
     a2, b2 = -F / (E * wn), 1.0 / wn
     m00 = a1 * a1 * e
     m01 = a1 * a2 * e + a1 * b2 * f
     m11 = a2 * a2 * e + 2.0 * a2 * b2 * f + b2 * b2 * g
     mean = 0.5 * (m00 + m11)
-    disc = math.hypot(0.5 * (m00 - m11), m01)
+    half = 0.5 * (m00 - m11)
+    disc = sqrt(half * half + m01 * m01)
     kappa1 = mean - disc
     kappa2 = mean + disc
-    umbilic = (kappa2 - kappa1) < UMBILIC_EPS * max(1.0, abs(kappa1) + abs(kappa2))
+    # gap < UMBILIC_EPS * max(1, |k1| + |k2|), exactly: scaling by
+    # UMBILIC_EPS > 0 keeps order
+    gap = kappa2 - kappa1
+    umbilic = ((gap < UMBILIC_EPS)
+               | (gap < UMBILIC_EPS * (abs(kappa1) + abs(kappa2))))
 
     # eigenvector of kappa1 in the (u1, u2) basis, from the better
     # conditioned row of M - kappa1 I
     v0, v1 = m01, kappa1 - m00
     alt0, alt1 = kappa1 - m11, m01
-    if math.hypot(alt0, alt1) > math.hypot(v0, v1):
-        v0, v1 = alt0, alt1
-    if math.hypot(v0, v1) < 1e-14:
-        v0, v1 = 1.0, 0.0  # umbilic: arbitrary direction
+    use_alt = sqrt(alt0 * alt0 + alt1 * alt1) > sqrt(v0 * v0 + v1 * v1)
+    v0, v1 = select(use_alt, (alt0, alt1), (v0, v1))
+    arbitrary = sqrt(v0 * v0 + v1 * v1) < 1e-14  # umbilic: any direction
+    v0, v1 = select(arbitrary, 1.0, v0), select(arbitrary, 0.0, v1)
     # E1 = (d0, d1, d2) = v0 u1 + v1 u2, normalized
     k_t, k_w = v0 / sqE, v1 / wn
     d0, d1, d2 = k_t * xt0 + k_w * w0, k_t * xt1 + k_w * w1, k_t * xt2 + k_w * w2
-    dn = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    dn = sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     d0, d1, d2 = d0 / dn, d1 / dn, d2 / dn
-
-    s = d0 * xt0 + d1 * xt1 + d2 * xt2
-    if abs(s) > 1e-9 * sqE:
-        flip = s < 0.0
-    else:
-        flip = d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
-    if flip:
-        d0, d1, d2 = -d0, -d1, -d2
+    neg = flip(d0, d1, d2, xt0, xt1, xt2, xz0, xz1, xz2, sqE)
+    d0, d1, d2 = select(neg, (-d0, -d1, -d2), (d0, d1, d2))
     # E2 = (q0, q1, q2) = N x E1
     q0 = n1 * d2 - n2 * d1
     q1 = n2 * d0 - n0 * d2
@@ -325,10 +350,25 @@ def point_shape(surface: SurfaceDef, t: float, z: float, *,
     return jet, forms, sd
 
 
+def point_shape(surface: SurfaceDef, t: float, z: float, *,
+                check_domain: bool = True
+                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+    """(jet, forms, shape data) at one parameter point, in one float pass.
+
+    Starts from `point_metric` (and raises its SingularJetError).  The
+    shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
+    Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
+    with E1 arbitrary where ``umbilic`` is set.  E1's sign follows the
+    module sign rule.
+    """
+    return _principal(point_metric(surface, t, z, check_domain=check_domain),
+                      math.sqrt, _if, _flip)
+
+
 def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
                  e1_hint: np.ndarray | None = None, *, check_domain: bool = True
                  ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
-    """`point_shape` over (n,) arrays of points, its formulas in its order.
+    """`point_shape` over (n,) arrays of points, on the same body.
 
     Returns the same three records with every float field an (n,) array,
     every vector a (3, n) array and ``umbilic`` a bool array, and raises
@@ -340,89 +380,11 @@ def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
     """
     t = np.ascontiguousarray(t, dtype=float)
     z = np.ascontiguousarray(z, dtype=float)
-    jet = jet2(surface, t, z, check_domain=check_domain)
-    xt0, xt1, xt2 = jet.d_t
-    xz0, xz1, xz2 = jet.d_z
-    E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
-    F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
-    G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
-    c0 = xt1 * xz2 - xt2 * xz1
-    c1 = xt2 * xz0 - xt0 * xz2
-    c2 = xt0 * xz1 - xt1 * xz0
-    nrm = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    singular = nrm <= 1e-14 * np.sqrt(E * G)
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise SingularJetError(
-            f"chart of '{surface.name}' singular at ({t[i]:g}, {z[i]:g})")
-    n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
-    W = E * G - F * F
-
-    second = []
-    symbols = []
-    for part in (jet.d_tt, jet.d_tz, jet.d_zz):
-        p0, p1, p2 = part
-        second.append(p0 * n0 + p1 * n1 + p2 * n2)
-        bt = p0 * xt0 + p1 * xt1 + p2 * xt2
-        bz = p0 * xz0 + p1 * xz1 + p2 * xz2
-        symbols.append(((G * bt - F * bz) / W, (E * bz - F * bt) / W))
-    e, f, g = second
-    (c1_tt, c2_tt), (c1_tz, c2_tz), (c1_zz, c2_zz) = symbols
-
-    sqE = np.sqrt(E)
-    r = F / E
-    w0, w1, w2 = xz0 - r * xt0, xz1 - r * xt1, xz2 - r * xt2
-    wn = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    a1 = 1.0 / sqE
-    a2, b2 = -F / (E * wn), 1.0 / wn
-    m00 = a1 * a1 * e
-    m01 = a1 * a2 * e + a1 * b2 * f
-    m11 = a2 * a2 * e + 2.0 * a2 * b2 * f + b2 * b2 * g
-    mean = 0.5 * (m00 + m11)
-    disc = np.hypot(0.5 * (m00 - m11), m01)
-    kappa1 = mean - disc
-    kappa2 = mean + disc
-    umbilic = ((kappa2 - kappa1)
-               < UMBILIC_EPS * np.maximum(1.0, abs(kappa1) + abs(kappa2)))
-
-    v0, v1 = m01, kappa1 - m00
-    alt0, alt1 = kappa1 - m11, m01
-    use_alt = np.hypot(alt0, alt1) > np.hypot(v0, v1)
-    v0, v1 = np.where(use_alt, alt0, v0), np.where(use_alt, alt1, v1)
-    arbitrary = np.hypot(v0, v1) < 1e-14
-    v0, v1 = np.where(arbitrary, 1.0, v0), np.where(arbitrary, 0.0, v1)
-    k_t, k_w = v0 / sqE, v1 / wn
-    d0, d1, d2 = k_t * xt0 + k_w * w0, k_t * xt1 + k_w * w1, k_t * xt2 + k_w * w2
-    dn = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    d0, d1, d2 = d0 / dn, d1 / dn, d2 / dn
-
+    flip = _chain
     if e1_hint is not None:
         h0, h1, h2 = e1_hint
-        flip = d0 * h0 + d1 * h1 + d2 * h2 < 0.0
-    else:
-        s = d0[0] * xt0[0] + d1[0] * xt1[0] + d2[0] * xt2[0]
-        if abs(s) > 1e-9 * sqE[0]:
-            flip0 = s < 0.0
-        else:
-            flip0 = d0[0] * xz0[0] + d1[0] * xz1[0] + d2[0] * xz2[0] < 0.0
-        # the loop flips E1 where <E1, previous E1> < 0, so each sign is the
-        # previous one times the sign of <raw E1, previous raw E1>
-        turns = d0[1:] * d0[:-1] + d1[1:] * d1[:-1] + d2[1:] * d2[:-1] < 0.0
-        flip = np.cumprod(np.where(np.r_[flip0, turns], -1.0, 1.0)) < 0.0
-    d0, d1, d2 = (np.where(flip, -d0, d0), np.where(flip, -d1, d1),
-                  np.where(flip, -d2, d2))
-    q0 = n1 * d2 - n2 * d1
-    q1 = n2 * d0 - n0 * d2
-    q2 = n0 * d1 - n1 * d0
 
-    normal = np.array([n0, n1, n2])
-    forms = FundamentalForms(E, F, G, e, f, g, normal)
-    christoffel = ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
-    decomp = TangentDecomp(xt0 * d0 + xt1 * d1 + xt2 * d2,
-                           xt0 * q0 + xt1 * q1 + xt2 * q2,
-                           xz0 * d0 + xz1 * d1 + xz2 * d2,
-                           xz0 * q0 + xz1 * q1 + xz2 * q2)
-    sd = ShapeData(normal, kappa1, kappa2, np.array([d0, d1, d2]),
-                   np.array([q0, q1, q2]), (e * g - f * f) / W, mean,
-                   christoffel, decomp, umbilic)
-    return jet, forms, sd
+        def flip(d0, d1, d2, *_):
+            return d0 * h0 + d1 * h1 + d2 * h2 < 0.0
+    return _principal(point_metric(surface, t, z, check_domain=check_domain),
+                      np.sqrt, np.where, flip)

@@ -11,8 +11,8 @@ frame {T, JT = N x T, N}:
 
 The Frenet convention used throughout is T' = kappa N_f, B' = +tau N_f
 (so tau flips sign relative to the more common B' = -tau N_f convention).
-``frenet_from_darboux`` builds that frame from the Darboux data;
-``frenet_apparatus`` rebuilds it from positions alone, as an oracle.
+``frenet_from_darboux`` builds that frame from the Darboux data; the tests
+rebuild it from positions alone, as an oracle.
 """
 from __future__ import annotations
 
@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeData, SurfaceDef, shape_arrays
-from .errors import (InvalidRequestError, NonTangentDirectionError,
-                     NonUnitSpeedError, TooFewSamplesError,
-                     UmbilicPointError, VanishingCurvatureError)
-from .numdiff import check_uniform, diff2_uniform, diff3_uniform, diff_uniform
-
-Vec3 = np.ndarray
+from .core import SurfaceDef, shape_arrays
+from .errors import (InvalidRequestError, NonUnitSpeedError,
+                     TooFewSamplesError, VanishingCurvatureError)
+from .numdiff import check_uniform, diff_uniform
 
 
 @dataclass(frozen=True)
@@ -72,21 +69,6 @@ class FrenetData:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise dot products of two (3, n) arrays."""
     return np.einsum("ij,ij->j", a, b)
-
-
-def pointwise_direction_scalars(sd: ShapeData, direction: Vec3):
-    """(kn, taug, phi) of a unit tangent direction at a non-umbilic point."""
-    if sd.umbilic:
-        raise UmbilicPointError("phi is undefined at an umbilic point")
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    if abs(float(d @ sd.normal)) > 1e-8:
-        raise NonTangentDirectionError("direction has a normal component")
-    phi = float(np.arctan2(d @ sd.e2, d @ sd.e1))
-    c, s = np.cos(phi), np.sin(phi)
-    kn = sd.kappa1 * c * c + sd.kappa2 * s * s
-    taug = (sd.kappa1 - sd.kappa2) * c * s
-    return float(kn), float(taug), phi
 
 
 def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
@@ -171,46 +153,13 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
 
 def frenet_from_darboux(curve: CurveData) -> FrenetData:
     """Frenet frames from the Darboux data: kappa N_f = kn N + kg N x T.
-    Requires kappa > 1e-6 throughout, as ``frenet_apparatus`` does."""
+    Requires kappa > 1e-6 throughout, so that N_f is defined."""
     if np.min(curve.kappa) <= 1e-6:
         raise VanishingCurvatureError("kappa ~ 0; principal normal undefined")
     T, normal = curve.T, curve.normal
     N = (curve.kn[:, None] * normal
          + curve.kg[:, None] * np.cross(normal, T)) / curve.kappa[:, None]
     return FrenetData(T, N, np.cross(T, N), curve.kappa, curve.tau)
-
-
-def frenet_apparatus(positions: np.ndarray, h: float) -> FrenetData:
-    """Frenet frames and (kappa, tau) from positions on a uniform s-grid.
-
-    Serves as the independent numerical oracle for curve_scalars: it sees
-    only ambient positions.  Each derivative order is taken directly from
-    the position samples (chaining one-sided stencils at the grid ends
-    would compound their truncation error).  Requires kappa > 1e-6
-    throughout so the principal normal (and hence torsion) is defined.
-
-    With T' = kappa N the binormal derivative reduces to B' = T x N', so
-    tau = <B', N> = <T x N', N> under the B' = +tau N convention.
-    """
-    p = np.asarray(positions, dtype=float)
-    if p.shape[0] < 7:
-        raise TooFewSamplesError("need at least 7 samples")
-    T = diff_uniform(p, h, edge_order=2)
-    speeds = np.linalg.norm(T, axis=1)
-    if np.max(np.abs(speeds - 1.0)) > 1e-4:
-        raise NonUnitSpeedError("positions are not arc-length sampled")
-    p2 = diff2_uniform(p, h)
-    p3 = diff3_uniform(p, h)
-    kappa = np.linalg.norm(p2, axis=1)
-    if np.min(kappa) <= 1e-6:
-        raise VanishingCurvatureError(
-            "kappa vanishes on the window; torsion undefined")
-    N = p2 / kappa[:, None]
-    B = np.cross(T, N)
-    kappa_prime = np.einsum("ij,ij->i", p2, p3) / kappa
-    Np = (p3 * kappa[:, None] - p2 * kappa_prime[:, None]) / kappa[:, None] ** 2
-    tau = np.einsum("ij,ij->i", np.cross(T, Np), N)
-    return FrenetData(T, N, B, kappa, tau)
 
 
 def liouville_residuals(surface: SurfaceDef, curve: CurveData,

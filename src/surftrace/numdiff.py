@@ -5,8 +5,6 @@ end fall back to one-sided stencils (2nd or 4th order, caller's choice).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -35,58 +33,6 @@ def diff_uniform(y: np.ndarray, h: float, edge_order: int = 2) -> np.ndarray:
                       - 16.0 * y[i - 3] + 3.0 * y[i - 4]) / (12.0 * h)
     else:
         raise ValueError("edge_order must be 2 or 4")
-    return out
-
-
-def diff2_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative: 4th-order central interior, 2nd-order one-sided ends."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n < 5:
-        raise ValueError("diff2_uniform needs at least 5 samples")
-    out = np.empty_like(y)
-    out[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2]
-                 + 16.0 * y[3:-1] - y[4:]) / (12.0 * h * h)
-    for i in (0, 1):
-        out[i] = (2.0 * y[i] - 5.0 * y[i + 1] + 4.0 * y[i + 2]
-                  - y[i + 3]) / (h * h)
-    for i in (n - 2, n - 1):
-        out[i] = (2.0 * y[i] - 5.0 * y[i - 1] + 4.0 * y[i - 2]
-                  - y[i - 3]) / (h * h)
-    return out
-
-
-def _stencil_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Exact finite-difference weights for the given derivative order at
-    offset 0, from samples at the given integer offsets."""
-    k = np.asarray(offsets, dtype=float)
-    v = np.vander(k, increasing=True).T
-    rhs = np.zeros(len(k))
-    rhs[order] = float(math.factorial(order))
-    return np.linalg.solve(v, rhs)
-
-
-def diff3_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Third derivative: 4th-order central interior, 3rd-order one-sided
-    stencils in the three-sample edge zones.
-
-    The edge stencils carry one more order than the first/second
-    derivative edges: a third derivative divides by h^3, so second-order
-    boundary truncation would dominate the torsion error budget.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n < 7:
-        raise ValueError("diff3_uniform needs at least 7 samples")
-    out = np.empty_like(y)
-    out[3:-3] = (y[:-6] - 8.0 * y[1:-5] + 13.0 * y[2:-4]
-                 - 13.0 * y[4:-2] + 8.0 * y[5:-1] - y[6:]) / (8.0 * h ** 3)
-    for i in (0, 1, 2):
-        w = _stencil_weights(np.arange(6) - i, 3)
-        out[i] = np.tensordot(w, y[:6], axes=(0, 0)) / h ** 3
-        j = n - 1 - i
-        wb = _stencil_weights(np.arange(n - 6, n) - j, 3)
-        out[j] = np.tensordot(wb, y[n - 6:], axes=(0, 0)) / h ** 3
     return out
 
 

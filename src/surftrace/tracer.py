@@ -40,7 +40,7 @@ from .errors import (BoundaryExitError, InvalidRequestError,
                      NonOrthogonalChartError, SingularDecompositionError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
-from .stepper import BranchStats, Stop, integrate
+from .stepper import MAX_SAMPLES, BranchStats, Stop, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
@@ -113,6 +113,12 @@ class TraceRequest:
         for ok, what in problems:
             if not ok:
                 raise InvalidRequestError(f"invalid trace request: {what}")
+        samples = (s_hi - s_lo) / self.step + 1.0
+        if samples > MAX_SAMPLES:
+            raise InvalidRequestError(
+                f"invalid trace request: s_span {self.s_span} at step "
+                f"{self.step:g} asks for {samples:.4g} samples, above "
+                f"{MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,9 @@ class Trace:
     exit: TraceExit
     # what the stepper did on each branch that ran, keyed "fwd" and "bwd"
     stats: dict[str, BranchStats]
-    shape: tuple         # shape_arrays of uv, E1 chained from sample 0
+    # shape_arrays of uv, E1 chained from sample 0; an isogonal's chain
+    # carries the start's E1 sign at s = 0, the E1 its phi is measured from
+    shape: tuple
 
     def __len__(self) -> int:
         return len(self.s)
@@ -292,11 +300,12 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     # velocities from the flow field itself (exact speed), accelerations by
     # directional differentiation of the field along the velocity.  The
-    # trace's shape pass chains E1 from sample 0; the flow's E1 is that
-    # chain, turned where needed to agree with the start's E1 at s = 0
-    _jet, _forms, sd = shape = shape_arrays(surface, *uv.T, check_domain=False)
-    if sd.e1[:, np.argmin(np.abs(s))] @ sd0.e1 < 0.0:
-        sd = shape_arrays(surface, *uv.T, -sd.e1, check_domain=False)[2]
+    # trace's shape pass chains E1 from sample 0, turned where needed to
+    # agree with the start's E1 at s = 0: the E1 that phi is measured from
+    shape = shape_arrays(surface, *uv.T, check_domain=False)
+    if shape[2].e1[:, np.argmin(np.abs(s))] @ sd0.e1 < 0.0:
+        shape = shape_arrays(surface, *uv.T, -shape[2].e1, check_domain=False)
+    sd = shape[2]
     uv_vel = _isogonal_velocity(sd, uv, cos_t, sin_t)
     h = 1e-6
     points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])

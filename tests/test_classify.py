@@ -11,13 +11,13 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        surface_class_probe)
 from surftrace.classify import (_principal_series, proposition_checks,
                                 render_report)
-from surftrace.darboux import frenet_apparatus
 from surftrace.errors import (NonUnitSpeedError, TooFewSamplesError,
                               VanishingCurvatureError)
 from surftrace.scenarios import CURVES, traced
 from surftrace.tracer import (IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
 
+from oracles import frenet_apparatus
 from test_darboux import plane_circle_samples
 
 

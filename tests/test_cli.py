@@ -189,6 +189,11 @@ PROBES = {
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-wrong-surface": ["classify", "--surface", "catenoid", "--start",
                           "0,1", "--phi", "0.5", "--csv", "probe.csv"],
+    # sample counts above stepper.MAX_SAMPLES, refused before allocation
+    "step-1e-300": ["trace", *ENNEPER, "--phi", "0.5", "--step", "1e-300"],
+    "step-1e-9": ["trace", *ENNEPER, "--phi", "0.5", "--step", "1e-9"],
+    "grid-100000": ["export", *ENNEPER, "--phi", "0.5",
+                    "--grid", "100000", "100000"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {

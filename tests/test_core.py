@@ -5,7 +5,8 @@ import pytest
 
 from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
-                       make_plane, make_sphere, point_shape, shape_arrays)
+                       make_plane, make_sphere, point_metric, point_shape,
+                       shape_arrays)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, _fd_jet, vec3
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
@@ -273,34 +274,48 @@ def test_shape_arrays_matches_point_shape(surface, jet):
     hint = np.array([sd.e1 for _, _, sd in ref]).T
     jet_a, forms_a, sd_a = shape_arrays(surface, t, z, hint)
 
-    def close(got, want, what):
+    # one body serves both forms, so every field agrees bit for bit
+    def same(got, want, what):
         want = np.asarray(want, dtype=float)
-        err = np.abs(np.asarray(got) - want) / np.maximum(1.0, np.abs(want))
-        assert np.all(err <= 1e-13), what
+        assert np.array_equal(got, want, equal_nan=True), what
+        assert np.array_equal(np.signbit(got), np.signbit(want)), what
 
     def field(records, name):
         return np.array([getattr(r, name) for r in records])
 
     for name in ("d_t", "d_z", "d_tt", "d_tz", "d_zz"):
-        close(getattr(jet_a, name).T, field([r[0] for r in ref], name), name)
+        same(getattr(jet_a, name).T, field([r[0] for r in ref], name), name)
     for name in ("E", "F", "G", "e", "f", "g", "normal"):
         got = getattr(forms_a, name)
-        close(got.T if name == "normal" else got,
-              field([r[1] for r in ref], name), name)
+        same(got.T if name == "normal" else got,
+             field([r[1] for r in ref], name), name)
     sds = [r[2] for r in ref]
-    umbilic = field(sds, "umbilic")
-    assert np.array_equal(sd_a.umbilic, umbilic)
-    for name in ("normal", "kappa1", "kappa2", "K", "H"):
+    assert np.array_equal(sd_a.umbilic, field(sds, "umbilic"))
+    for name in ("normal", "kappa1", "kappa2", "K", "H", "e1", "e2"):
         got = getattr(sd_a, name)
-        close(got.T if name == "normal" else got, field(sds, name), name)
+        same(got.T if got.ndim == 2 else got, field(sds, name), name)
     for group in ("christoffel", "decomp"):
         want = np.array([dataclasses.astuple(getattr(sd, group)) for sd in sds])
         got = np.array(dataclasses.astuple(getattr(sd_a, group))).T
-        # the decomposition is taken over E1 and E2, arbitrary at umbilics
-        keep = ~umbilic if group == "decomp" else slice(None)
-        close(got[keep], want[keep], group)
-    for name in ("e1", "e2"):
-        close(getattr(sd_a, name).T[~umbilic], field(sds, name)[~umbilic], name)
+        same(got, want, group)
+
+
+@pytest.mark.parametrize("jet", ["analytic", "position_only"])
+@pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
+def test_float_calls_return_floats(surface, jet):
+    # the float form of the shape kernel stays on Python floats: numpy
+    # scalars would slow the flow right-hand sides
+    if jet == "position_only":
+        surface = dataclasses.replace(surface, jet=None)
+    (t,), (z,) = (v.tolist() for v in _random_points(surface, 1))
+    metric = point_metric(surface, t, z)
+    assert all(type(x) is float for x in metric[1:])
+    _, forms, sd = point_shape(surface, t, z)
+    scalars = [*dataclasses.astuple(forms)[:6], sd.kappa1, sd.kappa2, sd.K,
+               sd.H, *dataclasses.astuple(sd.christoffel),
+               *dataclasses.astuple(sd.decomp)]
+    assert all(type(x) is float for x in scalars)
+    assert type(sd.umbilic) is bool
 
 
 @pytest.mark.parametrize("make", [make_bonnet, make_catenoid],

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
-                       frenet_apparatus, frenet_from_darboux, gallery,
-                       liouville_residuals, make_catenoid, make_cylinder,
-                       make_enneper, make_helix_surface, make_plane,
-                       make_sphere, point_shape, pointwise_direction_scalars,
-                       tracer)
+                       frenet_from_darboux, gallery, liouville_residuals,
+                       make_catenoid, make_cylinder, make_enneper,
+                       make_helix_surface, make_plane, make_sphere,
+                       point_shape, tracer)
 from surftrace.darboux import normal_angle
 from surftrace.errors import (InvalidRequestError, NonTangentDirectionError,
                               NonUnitSpeedError, TooFewSamplesError,
                               UmbilicPointError, VanishingCurvatureError)
-from surftrace.numdiff import diff2_uniform, diff3_uniform, diff_uniform
+from surftrace.numdiff import diff_uniform
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
                               trace_geodesic, trace_isogonal)
 
 from conftest import assert_curve_data_equal
+from oracles import (diff2_uniform, diff3_uniform, frenet_apparatus,
+                     pointwise_direction_scalars)
 
 
 def plane_circle_samples(radius, n=801, span=2.4, center=(0.0, 0.0)):

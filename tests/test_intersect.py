@@ -34,7 +34,8 @@ def test_preimages_reproduce_curve():
 
 
 def test_preimage_vel_acc_match_finite_differences():
-    from surftrace.numdiff import diff2_uniform, diff_uniform
+    from surftrace.numdiff import diff_uniform
+    from oracles import diff2_uniform
     fx = make_fixture("sphere_sphere", d=1.0)
     h = fx.curve.s[1] - fx.curve.s[0]
     for uv, vel, acc in ((fx.curve.uv_m, fx.curve.uv_m_vel, fx.curve.uv_m_acc),

@@ -5,7 +5,7 @@ import pytest
 
 from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
                        make_enneper, make_plane, make_sphere, point_shape,
-                       stepper, tracer)
+                       shape_arrays, stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               NonOrthogonalChartError, SolverFailureError,
@@ -258,7 +258,7 @@ def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
                                      s_span=(-1.2, 0.3)))
     i_zero = tr.index_of(0.0)
     jet, _, sd = point_shape(par, 0.3, 0.5)
-    assert tr.shape[2].e1[:, i_zero] @ sd.e1 < 0.0
+    assert shape_arrays(par, *tr.uv.T)[2].e1[:, i_zero] @ sd.e1 < 0.0
     # the flow still leaves the start at angle phi from the start's E1 ...
     v3 = (tr.uv_vel[i_zero, 0] * np.asarray(jet.d_t)
           + tr.uv_vel[i_zero, 1] * np.asarray(jet.d_z))
@@ -267,6 +267,18 @@ def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
     # ... and every sample's velocity points along the traced path
     ahead = np.sum(np.diff(tr.uv, axis=0) * tr.uv_vel[:-1], axis=1)
     assert np.all(ahead > 0.0)
+
+
+def test_isogonal_phi_reads_the_requested_angle_where_the_chain_turns():
+    # the trace of the test above: its shape pass carries the start's E1, so
+    # the Darboux phi is measured from the E1 the flow's phi refers to
+    par = _paraboloid()
+    tr = trace_isogonal(TraceRequest(par, (0.3, 0.5), IsogonalMode(-np.pi / 2),
+                                     s_span=(-1.2, 0.3)))
+    cd = curve_scalars_from_trace(par, tr)
+    assert np.max(np.abs(cd.phi + np.pi / 2)) < 1e-8
+    i_zero = tr.index_of(0.0)
+    assert tr.shape[2].e1[:, i_zero] @ point_shape(par, 0.3, 0.5)[2].e1 > 0.0
 
 
 def test_early_branch_ends_are_logged(caplog):
@@ -366,7 +378,9 @@ def test_chart_angle_conversion_roundtrip():
     dict(mode=IsogonalMode(0.5, np.inf)), dict(mode=PseudoGeodesicMode(np.nan)),
     dict(mode=GeodesicMode((np.nan, 1.0))), dict(step=0.0), dict(step=-0.01),
     dict(step=np.nan), dict(s_span=(0.5, 1.0)), dict(s_span=(-np.inf, 1.0)),
-    dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0)])
+    dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0),
+    # more samples than stepper.MAX_SAMPLES
+    dict(step=1e-9), dict(s_span=(-1e300, 1e300))])
 def test_invalid_request_fails_fast(change):
     fields = dict(surface=make_enneper(), start_uv=(0.0, 1.0),
                   mode=IsogonalMode(0.5))
