@@ -16,6 +16,7 @@ corresponding long options and as scenario parameter overrides
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from typing import Optional, Sequence
@@ -121,6 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", default=None,
                         help="flat key = value config file")
     parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("-v", action="store_true", help="debug log to stderr")
     parser.add_argument("--tol-abs", type=float, default=None,
                         help="classification absolute tolerance override")
     parser.add_argument("--tol-rel", type=float, default=None,
@@ -170,6 +172,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides["tol_rel"] = str(args.tol_rel)
     out_dir = overrides.get("out_dir", args.out)
 
+    log, handler = logging.getLogger("surftrace"), logging.StreamHandler()
+    level = log.level
+    if args.v:  # surftrace.* DEBUG records to stderr, for this call
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         if args.command == "trace":
             return _cmd_trace(args, out_dir)
@@ -182,6 +189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     return 2  # pragma: no cover
 
 

@@ -4,23 +4,22 @@ and for arrays.
 `point_metric` turns a chart's 2-jet into the normal, both fundamental forms
 and the Christoffel symbols; `_principal` goes on to the principal frame
 and the tangent decomposition (do Carmo, *Differential Geometry of Curves
-and Surfaces*, ch. 3).  Both bodies are elementwise: floats at one point or
-(n,) arrays of points run the same formulas in the same order, so a point's
-values are the same bits in either form.  The forms differ only in sqrt, a
-branch versus `np.where`, and the E1 sign rule.  `point_shape` runs them at
-one point with the module rule; `shape_arrays` runs them over arrays with a
-per-point hint, or else the module rule at the first point and a chain
-after it.  SingularJetError is raised where X_t x X_z vanishes.
+and Surfaces*, ch. 3).  Both bodies are elementwise and return flat tuples:
+floats at one point or (n,) arrays run the same formulas in the same order,
+so a point's values are the same bits in either form, which differ only in
+sqrt, a branch versus `np.where`, and the E1 sign rule.  `_records` wraps
+the tuples for `point_shape` (one point, module rule) and `shape_arrays`
+(arrays, a per-point hint or else the module rule at the first point and
+a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
-Which form a caller uses follows what it holds.  The pseudo-geodesic
-right-hand side calls `point_metric` alone, at about half the cost of
-`point_shape`, which the isogonal one, solver events and single-point
-set-up call (12 to 25 us a call).  A trace makes one `shape_arrays` pass
-over its samples, which its Darboux scalars reuse (an isogonal adds one
-over its 2n acceleration stencil points); bare samples, CSV import, class
-probes and the oracle scenarios take one pass each.  Its fixed numpy
-overhead (180 to 320 us at n = 1) breaks even with a scalar loop near
-n = 15 to 20 (gallery charts, numpy 2.4 on a 2-core x86-64 host).
+The flow right-hand sides build no records, which cost more than the
+formulas (6 to 7 of `point_shape`'s 14 to 19 us): the pseudo-geodesic one
+reads `point_metric`, the isogonal one `point_frame` as well.  A trace
+makes one `shape_arrays` pass over its samples, reused by its Darboux
+scalars (an isogonal adds one over its 2n acceleration stencils); bare
+samples, CSV import, class probes and oracle scenarios take one each.  Its
+fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
+near n = 15 to 20 (gallery charts, numpy 2.4, 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -166,7 +165,9 @@ def vec3(like, x, y, z) -> ChartVec:
     """(x, y, z) as a float 3-tuple, or as a (3, n) array when ``like`` is an
     (n,) array; float components are broadcast, so 0.0 stays +0.0."""
     if isinstance(like, np.ndarray) and like.ndim:
-        return np.array(np.broadcast_arrays(x, y, z, like)[:3], dtype=float)
+        out = np.empty((3,) + like.shape)
+        out[0], out[1], out[2] = x, y, z
+        return out
     return (float(x), float(y), float(z))
 
 
@@ -287,13 +288,13 @@ def _if(cond, a, b):
 
 
 def _principal(metric: tuple, sqrt: Callable, select: Callable,
-               flip: Callable) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+               flip: Callable) -> tuple:
     """The principal-frame stage over `point_metric`'s tuple, floats or (n,)
-    arrays.  The forms differ only in ``sqrt``, ``select`` (`_if` or
-    `np.where`) and ``flip``, which takes E1 and the rest of `_flip`'s
-    arguments and says where E1 is negated."""
-    (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W, e, f, g,
-     c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz) = metric
+    arrays: (kappa1, kappa2, umbilic, mean, E1, E2, f1, f2, g1, g2), vectors
+    by component.  The forms differ only in ``sqrt``, ``select`` (`_if` or
+    `np.where`) and ``flip`` (E1 and `_flip`'s other arguments to a bool)."""
+    (_, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, _, e, f, g,
+     _, _, _, _, _, _) = metric
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
@@ -336,18 +337,28 @@ def _principal(metric: tuple, sqrt: Callable, select: Callable,
     q0 = n1 * d2 - n2 * d1
     q1 = n2 * d0 - n0 * d2
     q2 = n0 * d1 - n1 * d0
+    return (kappa1, kappa2, umbilic, mean, d0, d1, d2, q0, q1, q2,
+            xt0 * d0 + xt1 * d1 + xt2 * d2, xt0 * q0 + xt1 * q1 + xt2 * q2,
+            xz0 * d0 + xz1 * d1 + xz2 * d2, xz0 * q0 + xz1 * q1 + xz2 * q2)
 
+
+def _records(metric: tuple, frame: tuple) -> tuple:
+    """`point_metric`'s and `_principal`'s tuples as (jet, forms, shape data)."""
+    (jet, _, _, _, _, _, _, n0, n1, n2, E, F, G, W, e, f, g, c1_tt, c1_tz,
+     c1_zz, c2_tt, c2_tz, c2_zz) = metric
+    (kappa1, kappa2, umbilic, mean, d0, d1, d2, q0, q1, q2, f1, f2, g1,
+     g2) = frame
     normal = np.array([n0, n1, n2])
-    forms = FundamentalForms(E, F, G, e, f, g, normal)
-    christoffel = ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
-    decomp = TangentDecomp(xt0 * d0 + xt1 * d1 + xt2 * d2,
-                           xt0 * q0 + xt1 * q1 + xt2 * q2,
-                           xz0 * d0 + xz1 * d1 + xz2 * d2,
-                           xz0 * q0 + xz1 * q1 + xz2 * q2)
     sd = ShapeData(normal, kappa1, kappa2, np.array([d0, d1, d2]),
                    np.array([q0, q1, q2]), (e * g - f * f) / W, mean,
-                   christoffel, decomp, umbilic)
-    return jet, forms, sd
+                   ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz),
+                   TangentDecomp(f1, f2, g1, g2), umbilic)
+    return jet, FundamentalForms(E, F, G, e, f, g, normal), sd
+
+
+def point_frame(metric: tuple) -> tuple:
+    """`_principal` at one point, E1 by the module rule: no records."""
+    return _principal(metric, math.sqrt, _if, _flip)
 
 
 def point_shape(surface: SurfaceDef, t: float, z: float, *,
@@ -361,8 +372,8 @@ def point_shape(surface: SurfaceDef, t: float, z: float, *,
     with E1 arbitrary where ``umbilic`` is set.  E1's sign follows the
     module sign rule.
     """
-    return _principal(point_metric(surface, t, z, check_domain=check_domain),
-                      math.sqrt, _if, _flip)
+    metric = point_metric(surface, t, z, check_domain=check_domain)
+    return _records(metric, point_frame(metric))
 
 
 def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
@@ -378,13 +389,12 @@ def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
     predecessor, as a loop passing each E1 on as the next hint does (unless
     consecutive E1 are exactly orthogonal).
     """
-    t = np.ascontiguousarray(t, dtype=float)
-    z = np.ascontiguousarray(z, dtype=float)
+    t, z = (np.ascontiguousarray(v, dtype=float) for v in (t, z))
     flip = _chain
     if e1_hint is not None:
         h0, h1, h2 = e1_hint
 
         def flip(d0, d1, d2, *_):
             return d0 * h0 + d1 * h1 + d2 * h2 < 0.0
-    return _principal(point_metric(surface, t, z, check_domain=check_domain),
-                      np.sqrt, np.where, flip)
+    metric = point_metric(surface, t, z, check_domain=check_domain)
+    return _records(metric, _principal(metric, np.sqrt, np.where, flip))

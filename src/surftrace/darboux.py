@@ -71,6 +71,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row cross products of two (n, 3) arrays, in `np.cross`'s arithmetic."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                            a0 * b1 - a1 * b0])
+
+
 def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
                   uv_vel: np.ndarray, uv_acc: np.ndarray) -> CurveData:
     """Darboux scalars for an arc-length sampled curve on a surface.
@@ -107,7 +114,7 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
             "arc-length parametrized")
     acc3 = (tpp * jet.d_t + zpp * jet.d_z + tp * tp * jet.d_tt
             + 2 * tp * zp * jet.d_tz + zp * zp * jet.d_zz)
-    jt = np.cross(sd.normal, vel3, axis=0)
+    jt = _cross(sd.normal.T, vel3.T).T
     kg = _dot(acc3, jt) / speed  # jt has norm |vel3|
     # phi, kn and taug from Euler's relations, except at umbilics
     umbilic = sd.umbilic
@@ -158,8 +165,8 @@ def frenet_from_darboux(curve: CurveData) -> FrenetData:
         raise VanishingCurvatureError("kappa ~ 0; principal normal undefined")
     T, normal = curve.T, curve.normal
     N = (curve.kn[:, None] * normal
-         + curve.kg[:, None] * np.cross(normal, T)) / curve.kappa[:, None]
-    return FrenetData(T, N, np.cross(T, N), curve.kappa, curve.tau)
+         + curve.kg[:, None] * _cross(normal, T)) / curve.kappa[:, None]
+    return FrenetData(T, N, _cross(T, N), curve.kappa, curve.tau)
 
 
 def liouville_residuals(surface: SurfaceDef, curve: CurveData,

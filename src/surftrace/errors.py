@@ -13,14 +13,6 @@ class SingularJetError(GeometryError):
     """The chart is not regular at the requested point (X_t x X_z ~ 0)."""
 
 
-class UmbilicPointError(GeometryError):
-    """Principal directions are undefined (kappa1 == kappa2)."""
-
-
-class NonTangentDirectionError(GeometryError):
-    """A supposedly tangent vector has a normal component."""
-
-
 class DegenerateParameterError(GeometryError):
     """A surface-family parameter is outside its admissible range."""
 

@@ -6,9 +6,9 @@ sections II.4-II.6): the 5(4) tableau with local extrapolation, the quartic
 dense output of Shampine (1986), the initial-step rule with error-estimator
 order 4, the RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
 step factors ``0.9 err^(-1/5)`` clamped to [0.2, 10] (no growth right after a
-rejection) and a minimum step of 10 ulp of s.  States and right-hand side
-values are tuples of floats, which spares the per-stage numpy calls that
-dominate a small system's step.
+rejection) and a minimum step of 10 ulp of s.  States are lists of floats,
+one list comprehension of tableau expressions per stage, which spares the
+numpy calls and generators that dominate a small system's step.
 
 The right-hand side is called as ``rhs(s, y, ref)``: ``ref`` is the
 derivative at the current step's start (the first-same-as-last stage k1),
@@ -188,18 +188,18 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
 
 def _rms(v) -> float:
-    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
 
 
 def integrate(rhs, y0, s_end, events, atol, rtol,
               max_step=math.inf) -> Branch:
     """Integrate y' = rhs(s, y, ref) from s = 0 to s_end != 0.
 
-    ``rhs`` takes and returns tuples of floats and may raise `Stop` anywhere
-    but at s = 0; ``events`` are terminal functions g(s, y) (see the module
-    docstring for both).
+    ``rhs`` takes a list and returns a sequence of floats, both of y0's
+    length, and may raise `Stop` anywhere but at s = 0; ``events`` are
+    terminal functions g(s, y) (see the module docstring for both).
     """
-    y = tuple(float(v) for v in y0)
+    y = [float(v) for v in y0]
     n = len(y)
     rtol = max(rtol, 100 * EPS)
     direction = 1.0 if s_end > 0 else -1.0
@@ -216,7 +216,7 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
     h0 = min(h0, span)
     dh = h0 * direction
     try:
-        f1 = rhs(s + dh, tuple(v + dh * fv for v, fv in zip(y, f)), f)
+        f1 = rhs(s + dh, [v + dh * fv for v, fv in zip(y, f)], f)
     except Stop:
         s_end, stopped, h_abs = dh, True, 0.2 * h0
     else:
@@ -250,23 +250,23 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
             k1 = f
             k2 = k3 = k4 = k5 = k6 = None
             try:
-                k2 = rhs(s + C2 * h, tuple(
-                    v + (a * A21) * h for v, a in zip(y, k1)), k1)
-                k3 = rhs(s + C3 * h, tuple(
-                    v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)),
+                k2 = rhs(s + C2 * h, [
+                    v + (a * A21) * h for v, a in zip(y, k1)], k1)
+                k3 = rhs(s + C3 * h, [
+                    v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)],
                     k1)
-                k4 = rhs(s + C4 * h, tuple(
+                k4 = rhs(s + C4 * h, [
                     v + (a * A41 + b * A42 + c * A43) * h
-                    for v, a, b, c in zip(y, k1, k2, k3)), k1)
-                k5 = rhs(s + C5 * h, tuple(
+                    for v, a, b, c in zip(y, k1, k2, k3)], k1)
+                k5 = rhs(s + C5 * h, [
                     v + (a * A51 + b * A52 + c * A53 + d * A54) * h
-                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)), k1)
-                k6 = rhs(s + h, tuple(
+                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
+                k6 = rhs(s + h, [
                     v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
-                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)), k1)
-                y_new = tuple(
+                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
+                y_new = [
                     v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
-                    for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
+                    for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
                 k7 = rhs(s + h, y_new, k1)
             except Stop:
                 # never step past the stage that stopped; close in on it

@@ -30,12 +30,14 @@ event's root.
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .core import SurfaceDef, point_metric, point_shape, shape_arrays
+from .core import (SurfaceDef, point_frame, point_metric, point_shape,
+                   shape_arrays)
 from .errors import (BoundaryExitError, InvalidRequestError,
                      NonOrthogonalChartError, SingularDecompositionError,
                      SolverFailureError, ThetaOutOfRangeError,
@@ -100,8 +102,8 @@ class TraceRequest:
         problems = [
             (np.isfinite(self.start_uv).all(),
              f"start_uv {self.start_uv} must be finite"),
-            (np.isfinite(np.hstack(astuple(self.mode))).all(),
-             f"{self.mode} must be finite"),
+            (all(math.isfinite(x) for v in vars(self.mode).values()
+                 for x in np.ravel(v)), f"{self.mode} must be finite"),
             (np.isfinite(self.step) and self.step > 0,
              f"step {self.step} must be finite and > 0"),
             (np.isfinite(self.s_span).all() and s_lo <= 0.0 <= s_hi,
@@ -237,10 +239,9 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
     return s, states, exit_, stats
 
 
-def _umbilic_gap(sd) -> float:
+def _umbilic_gap(kappa1: float, kappa2: float) -> float:
     """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|)."""
-    return ((sd.kappa2 - sd.kappa1)
-            / max(1.0, abs(sd.kappa1) + abs(sd.kappa2)))
+    return (kappa2 - kappa1) / max(1.0, abs(kappa1) + abs(kappa2))
 
 
 def _isogonal_velocity(sd, uv, cos_t, sin_t) -> np.ndarray:
@@ -270,7 +271,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         raise ValueError("trace_isogonal needs an IsogonalMode request")
     surface = req.surface
     sd0 = point_shape(surface, *req.start_uv)[2]
-    if _umbilic_gap(sd0) < UMBILIC_GAP:
+    if _umbilic_gap(sd0.kappa1, sd0.kappa2) < UMBILIC_GAP:
         raise UmbilicEncounteredError(
             f"isogonal start point {req.start_uv} is umbilic (relative "
             f"principal-curvature gap below {UMBILIC_GAP:g})")
@@ -279,16 +280,16 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     def rhs(s, y, ref):
         t, z = y
-        sd = point_shape(surface, t, z, check_domain=False)[2]
-        if _umbilic_gap(sd) < UMBILIC_GAP:
+        frame = point_frame(point_metric(surface, t, z, check_domain=False))
+        if _umbilic_gap(frame[0], frame[1]) < UMBILIC_GAP:
             raise Stop
-        d = sd.decomp
-        det = d.f1 * d.g2 - d.f2 * d.g1
+        f1, f2, g1, g2 = frame[10:]
+        det = f1 * g2 - f2 * g1
         if abs(det) < 1e-12:
             raise SingularDecompositionError(
                 f"tangent decomposition singular at ({t:g}, {z:g})")
-        tp = (d.g2 * cos_t - d.g1 * sin_t) / det
-        zp = (-d.f2 * cos_t + d.f1 * sin_t) / det
+        tp = (g2 * cos_t - g1 * sin_t) / det
+        zp = (-f2 * cos_t + f1 * sin_t) / det
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
         # this is the velocity of the field oriented the other way
         if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:

@@ -3,7 +3,8 @@ and the Darboux scalars of one direction at one point.
 
 Each recomputes by another route what the library computes, so the tests
 can hold the library to it: `frenet_apparatus` sees only ambient positions,
-and `pointwise_direction_scalars` one point's shape data.
+and `pointwise_direction_scalars` one point's shape data.  The two errors
+the latter raises are defined here, since nothing in the library raises them.
 """
 from __future__ import annotations
 
@@ -13,10 +14,17 @@ import numpy as np
 
 from surftrace.core import ShapeData
 from surftrace.darboux import FrenetData
-from surftrace.errors import (NonTangentDirectionError, NonUnitSpeedError,
-                              TooFewSamplesError, UmbilicPointError,
-                              VanishingCurvatureError)
+from surftrace.errors import (GeometryError, NonUnitSpeedError,
+                              TooFewSamplesError, VanishingCurvatureError)
 from surftrace.numdiff import diff_uniform
+
+
+class UmbilicPointError(GeometryError):
+    """Principal directions are undefined (kappa1 == kappa2)."""
+
+
+class NonTangentDirectionError(GeometryError):
+    """A supposedly tangent vector has a normal component."""
 
 
 def diff2_uniform(y: np.ndarray, h: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import re
 
@@ -39,6 +40,24 @@ def test_trace_reports_solver_stats(tmp_path, capsys):
     assert m, line
     nfev, steps, rejected = map(int, m.groups())
     assert nfev == 2 * 2 + 6 * (steps + rejected)  # two branches
+
+
+def test_verbose_logs_early_branch_ends(tmp_path, capsys):
+    # a boundary exit is a DEBUG record of surftrace.tracer: -v prints it
+    # to stderr, and the handler is gone once main returns
+    args = ["--out", str(tmp_path), "trace", "--surface", "enneper",
+            "--phi", "0", "--start", "1.5,0", "--s-span", "-0.2", "30",
+            "--step", "1e-2"]
+    log = logging.getLogger("surftrace")
+    handlers, level = list(log.handlers), log.level
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["-v", *args]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fwd branch: hit_boundary at s = ")
+    assert (log.handlers, log.level) == (handlers, level)
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_refuses_classify_tolerances(capsys):

@@ -7,10 +7,13 @@ from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, point_metric, point_shape,
                        shape_arrays)
-from surftrace.core import Domain, SurfaceDef, SurfaceJet2, _fd_jet, vec3
+from surftrace import stepper, tracer
+from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, _fd_jet,
+                            _principal, point_frame, vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
-from surftrace.tracer import IsogonalMode, TraceRequest, trace_isogonal
+from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
+                              _isogonal_velocity, _umbilic_gap, trace_isogonal)
 
 from conftest import interior_grid
 
@@ -357,3 +360,63 @@ def test_shape_arrays_e1_chain_matches_sequential_hints():
     flipped = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1], -e1,
                            check_domain=False)[2].e1
     assert np.array_equal(flipped, -e1)
+
+
+def _isogonal_rhs(monkeypatch, surface, start, mode):
+    """The right-hand side `trace_isogonal` hands the stepper."""
+    grabbed = []
+
+    def grab(rhs, *args):
+        grabbed.append(rhs)
+        return stepper.integrate(rhs, *args)
+
+    monkeypatch.setattr(tracer, "integrate", grab)
+    trace_isogonal(TraceRequest(surface, start, mode, s_span=(0.0, 1e-3),
+                                step=1e-3))
+    return grabbed[0]
+
+
+@pytest.mark.parametrize("jet", ["analytic", "position_only"])
+@pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
+def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
+    # the right-hand side reads the flat principal-frame tuple, the records
+    # wrap it: both must carry the same bits, sign bits included
+    if jet == "position_only":
+        surface = dataclasses.replace(surface, jet=None)
+    t, z = _random_points(surface, 200, seed=11)
+    ref = [point_shape(surface, ti, zi)[2] for ti, zi in zip(t, z)]
+
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    def fields(sd):
+        return [sd.kappa1, sd.kappa2, *sd.e1, *sd.e2,
+                *dataclasses.astuple(sd.decomp)]
+
+    # floats: point_frame at each point; arrays: _principal over all points,
+    # E1 signed by the float records (shape_arrays' hint rule)
+    picked = [0, 1, *range(4, 14)]
+    for ti, zi, sd in zip(t, z, ref):
+        frame = point_frame(point_metric(surface, float(ti), float(zi)))
+        assert hexes(frame[i] for i in picked) == hexes(fields(sd))
+        assert frame[2] == sd.umbilic
+    h0, h1, h2 = np.array([sd.e1 for sd in ref]).T
+    frame = _principal(point_metric(surface, t, z), np.sqrt, np.where,
+                       lambda d0, d1, d2, *_: d0 * h0 + d1 * h1 + d2 * h2 < 0)
+    for j, sd in enumerate(ref):
+        assert hexes(frame[i][j] for i in picked) == hexes(fields(sd))
+
+    # the isogonal right-hand side at ref=None, against the array velocity
+    # of the same records, at every point outside the tracer's umbilic gap
+    if surface.totally_umbilic:
+        return
+    away = [(float(ti), float(zi), sd) for ti, zi, sd in zip(t, z, ref)
+            if _umbilic_gap(sd.kappa1, sd.kappa2) >= UMBILIC_GAP]
+    assert len(away) > 100
+    mode = IsogonalMode(0.7, 1.5)
+    cos_t, sin_t = (mode.speed * np.array([np.cos(mode.phi),
+                                           np.sin(mode.phi)])).tolist()
+    rhs = _isogonal_rhs(monkeypatch, surface, away[0][:2], mode)
+    for ti, zi, sd in away:
+        want = _isogonal_velocity(sd, np.array([[ti, zi]]), cos_t, sin_t)[0]
+        assert hexes(rhs(0.0, [ti, zi], None)) == hexes(want)

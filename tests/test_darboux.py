@@ -9,16 +9,16 @@ from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
                        make_helix_surface, make_plane, make_sphere,
                        point_shape, tracer)
 from surftrace.darboux import normal_angle
-from surftrace.errors import (InvalidRequestError, NonTangentDirectionError,
-                              NonUnitSpeedError, TooFewSamplesError,
-                              UmbilicPointError, VanishingCurvatureError)
+from surftrace.errors import (InvalidRequestError, NonUnitSpeedError,
+                              TooFewSamplesError, VanishingCurvatureError)
 from surftrace.numdiff import diff_uniform
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
                               trace_geodesic, trace_isogonal)
 
 from conftest import assert_curve_data_equal
-from oracles import (diff2_uniform, diff3_uniform, frenet_apparatus,
+from oracles import (NonTangentDirectionError, UmbilicPointError,
+                     diff2_uniform, diff3_uniform, frenet_apparatus,
                      pointwise_direction_scalars)
 
 

@@ -376,7 +376,10 @@ def test_chart_angle_conversion_roundtrip():
 @pytest.mark.parametrize("change", [
     dict(start_uv=(np.nan, 1.0)), dict(mode=IsogonalMode(np.nan)),
     dict(mode=IsogonalMode(0.5, np.inf)), dict(mode=PseudoGeodesicMode(np.nan)),
-    dict(mode=GeodesicMode((np.nan, 1.0))), dict(step=0.0), dict(step=-0.01),
+    dict(mode=GeodesicMode((np.nan, 1.0))),
+    dict(mode=GeodesicMode(np.array([np.nan, 1.0]))),
+    dict(mode=PseudoGeodesicMode(0.3, (1.0, np.inf))),
+    dict(step=0.0), dict(step=-0.01),
     dict(step=np.nan), dict(s_span=(0.5, 1.0)), dict(s_span=(-np.inf, 1.0)),
     dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0),
     # more samples than stepper.MAX_SAMPLES
@@ -386,6 +389,15 @@ def test_invalid_request_fails_fast(change):
                   mode=IsogonalMode(0.5))
     with pytest.raises(InvalidRequestError):
         TraceRequest(**{**fields, **change})
+
+
+def test_finite_array_initial_dir_is_accepted():
+    # every mode field is checked, components of an initial_dir array too
+    enn = make_enneper()
+    for mode in (GeodesicMode(np.array([0.3, 1.0])),
+                 PseudoGeodesicMode(0.3, np.array([1.0, -0.5]))):
+        tr = trace(TraceRequest(enn, (0.0, 1.0), mode, s_span=(-0.1, 0.1)))
+        assert tr.exit.kind == "completed"
 
 
 def test_trace_stats_count_rhs_calls(monkeypatch):
