@@ -150,7 +150,9 @@ def _degenerate_helix(curve: CurveData) -> HelixReport:
 def classify_curve_data(curve: CurveData,
                         abs_tol: float = DEFAULT_ABS_TOL,
                         rel_tol: float = DEFAULT_REL_TOL) -> ClassificationReport:
-    """Classify a curve from its Darboux data alone.
+    """Classify a curve from its `CurveData`: the Darboux and Frenet
+    scalars, and the principal curvatures kappa1, kappa2 of the surface
+    along it for the CRPC / CSkC verdicts.
 
     Angle series are unwrapped before the constancy tests.  The isogonal
     verdict is None when phi is undefined somewhere (umbilic samples).
@@ -191,53 +193,32 @@ def classify_curve_data(curve: CurveData,
             helix = HelixReport(False, dep.coeffs, float("nan"),
                                 np.full(3, np.nan), nanv, nanv, dep)
 
-    crpc_vals = _principal_series(curve)
     kntg = linear_dependence_test(curve.kn, curve.taug)
-    cskc = constancy_test(crpc_vals[0] - crpc_vals[1], abs_tol, rel_tol)
-    crpc = linear_dependence_test(crpc_vals[0], crpc_vals[1])
+    cskc = constancy_test(curve.kappa1 - curve.kappa2, abs_tol, rel_tol)
+    crpc = linear_dependence_test(curve.kappa1, curve.kappa2)
     return ClassificationReport(
         isogonal, pseudo, geodesic, lof, asymptotic, planar, helix,
         crpc, kntg, cskc, kappa_max, max_abs_kg, max_abs_kn, max_abs_taug,
         max_abs_tau, gray(max_abs_taug), gray(max_abs_kn))
 
 
-def _principal_series(curve: CurveData) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa1, kappa2) along the curve, reconstructed from kn/taug/phi.
-
-    Inverts Euler's relations; falls back to (kn, kn) at umbilic samples
-    where both principal curvatures coincide with every normal curvature.
-    """
-    kn, taug = curve.kn, curve.taug
-    c, s = np.cos(curve.phi), np.sin(curve.phi)
-    cs = c * s
-    resolved = np.abs(cs) > 1e-12
-    diff = np.where(resolved, taug / np.where(resolved, cs, 1.0),
-                    np.where(np.abs(taug) < 1e-12, 0.0, np.nan))
-    # kn = k1 c^2 + k2 s^2 and k1 - k2 = diff
-    k2 = kn - diff * c * c
-    k1 = k2 + diff
-    umbilic = np.isnan(curve.phi)
-    return np.where(umbilic, kn, k1), np.where(umbilic, kn, k2)
-
-
-def classify_curve(surface: SurfaceDef, trace,
-                   abs_tol: float = DEFAULT_ABS_TOL,
-                   rel_tol: float = DEFAULT_REL_TOL) -> ClassificationReport:
+def classify_curve(surface: SurfaceDef, trace) -> ClassificationReport:
     """Classify a traced curve on its surface."""
-    curve = curve_scalars_from_trace(surface, trace)
-    return classify_curve_data(curve, abs_tol, rel_tol)
+    return classify_curve_data(curve_scalars_from_trace(surface, trace))
 
 
-def surface_class_probe(surface: SurfaceDef, grid=None,
-                        abs_tol: float = DEFAULT_ABS_TOL,
-                        rel_tol: float = DEFAULT_REL_TOL) -> dict:
-    """Probe a surface for the CRPC / CSkC properties over a point grid.
+def surface_class_probe(surface: SurfaceDef, grid=None) -> dict:
+    """Probe a surface for the CRPC / CSkC properties over a point grid,
+    by default a 6 x 6 grid inset 10% from the domain edges.
 
     A totally umbilic grid (sphere, plane) is reported as trivially CRPC
     with the degenerate flag set.
     """
     if grid is None:
-        grid = default_probe_grid(surface)
+        dom = surface.domain.inset(0.1)
+        grid = [(float(t), float(z))
+                for t in np.linspace(dom.t_min, dom.t_max, 6)
+                for z in np.linspace(dom.z_min, dom.z_max, 6)]
     pts = np.array(list(grid), dtype=float).reshape(-1, 2)
     if len(pts) < 25:
         raise TooFewSamplesError("probe needs >= 25 grid points")
@@ -248,16 +229,8 @@ def surface_class_probe(surface: SurfaceDef, grid=None,
     if n_umb == len(pts):
         crpc = DependenceVerdict(True, crpc.coeffs, crpc.residual,
                                  degenerate=True)
-    cskc = constancy_test(k1 - k2, abs_tol, rel_tol)
+    cskc = constancy_test(k1 - k2)
     return {"crpc": crpc, "cskc": cskc, "umbilic_fraction": n_umb / len(pts)}
-
-
-def default_probe_grid(surface: SurfaceDef, nt: int = 6, nz: int = 6):
-    """Deterministic interior grid, inset 10% from the domain edges."""
-    dom = surface.domain.inset(0.1)
-    ts = np.linspace(dom.t_min, dom.t_max, nt)
-    zs = np.linspace(dom.z_min, dom.z_max, nz)
-    return [(float(t), float(z)) for t in ts for z in zs]
 
 
 def proposition_checks(report: ClassificationReport) -> dict:
@@ -297,7 +270,7 @@ def proposition_checks(report: ClassificationReport) -> dict:
     return out
 
 
-def render_report(report: ClassificationReport, *, degrees: bool = True) -> str:
+def render_report(report: ClassificationReport) -> str:
     """Deterministic plain-text rendering of a classification report."""
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"
@@ -305,9 +278,7 @@ def render_report(report: ClassificationReport, *, degrees: bool = True) -> str:
     def cv(v: Optional[ConstancyVerdict], angle: bool = False) -> str:
         if v is None:
             return "undefined (umbilic samples on path)"
-        extra = ""
-        if degrees and angle:
-            extra = f" = {np.degrees(v.mean):.6f} deg"
+        extra = f" = {np.degrees(v.mean):.6f} deg" if angle else ""
         return (f"{yn(v.is_constant)} (mean={v.mean:.9g}{extra}, "
                 f"max_dev={v.max_dev:.3g}, tol={v.tolerance_used:.3g})")
 

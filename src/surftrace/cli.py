@@ -30,8 +30,9 @@ from .exporters import (ensure_dir, parse_config, read_trace_csv,
 from .gallery import CATALOGUE, make_surface
 from .scenarios import SCENARIOS, render_result, run_scenario
 from .stepper import MAX_SAMPLES
-from .tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
-                     TraceRequest, chart_to_principal_angle, trace)
+from .tracer import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicMode, IsogonalMode,
+                     PseudoGeodesicMode, TraceRequest,
+                     chart_to_principal_angle, trace)
 
 
 def _surface_from_args(args) -> "SurfaceDef":
@@ -111,8 +112,8 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s-span", type=float, nargs=2, default=(-1.0, 1.0),
                    metavar=("S_MIN", "S_MAX"))
     p.add_argument("--step", type=float, default=2e-3)
-    p.add_argument("--atol", type=float, default=1e-10)
-    p.add_argument("--rtol", type=float, default=1e-9)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -72,10 +72,10 @@ class Domain:
     z_min: float
     z_max: float
 
-    def contains(self, t: float, z: float, pad: float = 0.0) -> bool:
+    def contains(self, t: float, z: float) -> bool:
         """Membership of (t, z); elementwise for arrays."""
-        return ((self.t_min - pad <= t) & (t <= self.t_max + pad)
-                & (self.z_min - pad <= z) & (z <= self.z_max + pad))
+        return ((self.t_min <= t) & (t <= self.t_max)
+                & (self.z_min <= z) & (z <= self.z_max))
 
     def inset(self, frac: float) -> "Domain":
         """Domain shrunk by `frac` of each span on every side."""

@@ -28,7 +28,8 @@ from .numdiff import check_uniform, diff_uniform
 
 @dataclass(frozen=True)
 class CurveData:
-    """Array-of-samples view of a curve's Darboux data.
+    """Array-of-samples view of a curve's Darboux data, with the surface's
+    principal curvatures ``kappa1 <= kappa2`` at each sample.
 
     ``phi`` is NaN at umbilic samples (listed in ``umbilic_idx``); all
     other scalars are still filled there.  ``theta`` is the continuous
@@ -49,6 +50,8 @@ class CurveData:
     theta: np.ndarray
     kappa: np.ndarray
     tau: np.ndarray
+    kappa1: np.ndarray
+    kappa2: np.ndarray
     umbilic_idx: np.ndarray
 
     def __len__(self) -> int:
@@ -132,7 +135,8 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
     theta_prime = diff_uniform(theta, h, edge_order=2)
     tau = taug + theta_prime
     return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal, kg, kn, taug,
-                     phi, theta, kappa, tau, np.flatnonzero(umbilic))
+                     phi, theta, kappa, tau, sd.kappa1, sd.kappa2,
+                     np.flatnonzero(umbilic))
 
 
 def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
@@ -169,17 +173,16 @@ def frenet_from_darboux(curve: CurveData) -> FrenetData:
     return FrenetData(T, N, _cross(T, N), curve.kappa, curve.tau)
 
 
-def liouville_residuals(surface: SurfaceDef, curve: CurveData,
-                        oracle=None) -> np.ndarray:
+def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:
     """Residual of Liouville's formula kg = phi' + cos(phi) kg1 + sin(phi) kg2.
 
     phi here is the angle from the t-coordinate direction (the frame the
     oracle's kg1/kg2 refer to), which makes the residual independent of
     the principal-frame labeling; near-zero residuals validate the whole
-    jet -> frame -> trace pipeline against the closed forms.
+    jet -> frame -> trace pipeline against the closed forms of
+    ``surface.oracle``.
     """
-    if oracle is None:
-        oracle = surface.oracle
+    oracle = surface.oracle
     if oracle is None:
         raise ValueError(f"surface '{surface.name}' carries no oracle")
     h = check_uniform(curve.s)

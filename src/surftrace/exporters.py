@@ -70,10 +70,10 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
                          data[:, 5:7])
 
 
-def write_obj(path: str, surface: SurfaceDef | None = None,
+def write_obj(path: str, surface: SurfaceDef,
               curves: Iterable[np.ndarray] = (),
               grid: tuple[int, int] = (50, 50)) -> None:
-    """Write a surface mesh and/or curve polylines as a Wavefront OBJ.
+    """Write a surface mesh and curve polylines as a Wavefront OBJ.
 
     ``curves`` are (n, 3) position arrays.  The surface grid is quad
     cells split into two triangles each; curves follow the surface in
@@ -83,28 +83,24 @@ def write_obj(path: str, surface: SurfaceDef | None = None,
     for c in curves:
         if len(c) == 0:
             raise ValueError("refusing to write an empty curve")
-    if surface is None and not curves:
-        raise ValueError("nothing to export")
-    lines: list[str] = []
-    offset = 1  # OBJ indices are 1-based
-    if surface is not None:
-        nt, nz = grid
-        dom = surface.domain
-        ts = np.linspace(dom.t_min, dom.t_max, nt)
-        zs = np.linspace(dom.z_min, dom.z_max, nz)
-        lines.append(f"o {surface.name}")
-        tt, zz = np.meshgrid(ts, zs, indexing="ij")
-        xyz = surface.position(tt.ravel(), zz.ravel()).T.tolist()
-        lines.extend(_VERTEX % tuple(p) for p in xyz)
-        for i in range(nt - 1):
-            for j in range(nz - 1):
-                a = offset + i * nz + j
-                b = offset + (i + 1) * nz + j
-                c = offset + (i + 1) * nz + (j + 1)
-                d = offset + i * nz + (j + 1)
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {a} {c} {d}")
-        offset += nt * nz
+    nt, nz = grid
+    dom = surface.domain
+    ts = np.linspace(dom.t_min, dom.t_max, nt)
+    zs = np.linspace(dom.z_min, dom.z_max, nz)
+    lines = [f"o {surface.name}"]
+    tt, zz = np.meshgrid(ts, zs, indexing="ij")
+    xyz = surface.position(tt.ravel(), zz.ravel()).T.tolist()
+    lines.extend(_VERTEX % tuple(p) for p in xyz)
+    # OBJ indices are 1-based
+    for i in range(nt - 1):
+        for j in range(nz - 1):
+            a = 1 + i * nz + j
+            b = 1 + (i + 1) * nz + j
+            c = 1 + (i + 1) * nz + (j + 1)
+            d = 1 + i * nz + (j + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    offset = 1 + nt * nz
     for k, c in enumerate(curves, start=1):
         lines.append(f"o curve_{k}")
         lines.extend(_VERTEX % tuple(p) for p in c.tolist())

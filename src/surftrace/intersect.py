@@ -97,8 +97,9 @@ def _tilted_plane(alpha: float) -> SurfaceDef:
                       totally_umbilic=True)
 
 
-def _translated_sphere(center: np.ndarray, r: float = 1.0) -> SurfaceDef:
-    base = make_sphere(r)
+def _translated_sphere(center: np.ndarray) -> SurfaceDef:
+    """The unit sphere moved by ``center``."""
+    base = make_sphere(1.0)
     c = np.asarray(center, dtype=float)
 
     def position(t: float, z: float) -> np.ndarray:
@@ -108,27 +109,31 @@ def _translated_sphere(center: np.ndarray, r: float = 1.0) -> SurfaceDef:
     # a translation leaves every partial as it is
     return SurfaceDef(name=f"sphere_at({c[0]:g},{c[1]:g},{c[2]:g})",
                       domain=base.domain, position=position, jet=base.jet,
-                      orthogonal=True, totally_umbilic=True, params={"r": r})
+                      orthogonal=True, totally_umbilic=True, params=base.params)
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
 
-def _sphere_plane(h: float = 0.5, n: int = 1024) -> Fixture:
+#: samples on the shared curve of every fixture
+SAMPLES = 1024
+
+
+def _sphere_plane(h: float = 0.5) -> Fixture:
     """Unit sphere cut by the plane z = h: circle of radius sqrt(1 - h^2)."""
     if not -1.0 < h < 1.0:
         raise ValueError("need |h| < 1 for a real intersection")
     rho = np.sqrt(1.0 - h * h)
     t_lat = np.arcsin(h)
     psi_max = 1.2
-    s = np.linspace(-psi_max * rho, psi_max * rho, n)
+    s = np.linspace(-psi_max * rho, psi_max * rho, SAMPLES)
     psi = s / rho
     spatial = np.column_stack([rho * np.cos(psi), rho * np.sin(psi),
-                               np.full(n, h)])
-    uv_m = np.column_stack([np.full(n, t_lat), psi])
-    uv_m_vel = np.column_stack([np.zeros(n), np.full(n, 1.0 / rho)])
-    uv_m_acc = np.zeros((n, 2))
+                               np.full(SAMPLES, h)])
+    uv_m = np.column_stack([np.full(SAMPLES, t_lat), psi])
+    uv_m_vel = np.column_stack([np.zeros(SAMPLES), np.full(SAMPLES, 1.0 / rho)])
+    uv_m_acc = np.zeros((SAMPLES, 2))
     uv_p = np.column_stack([rho * np.cos(psi), rho * np.sin(psi)])
     uv_p_vel = np.column_stack([-np.sin(psi), np.cos(psi)])
     uv_p_acc = np.column_stack([-np.cos(psi) / rho, -np.sin(psi) / rho])
@@ -137,17 +142,17 @@ def _sphere_plane(h: float = 0.5, n: int = 1024) -> Fixture:
     return Fixture("sphere_plane", make_sphere(1.0), _plane_at(h), curve)
 
 
-def _sphere_sphere(d: float = 1.0, n: int = 1024) -> Fixture:
+def _sphere_sphere(d: float = 1.0) -> Fixture:
     """Two unit spheres with centers distance d apart."""
     if not 0.0 < d < 2.0:
         raise ValueError("need 0 < d < 2 for a transversal intersection")
     x0 = d / 2.0
     rho = np.sqrt(1.0 - x0 * x0)
     psi_max = 1.2
-    s = np.linspace(-psi_max * rho, psi_max * rho, n)
+    s = np.linspace(-psi_max * rho, psi_max * rho, SAMPLES)
     psi = s / rho
     cpsi, spsi = np.cos(psi), np.sin(psi)
-    spatial = np.column_stack([np.full(n, x0), rho * cpsi, rho * spsi])
+    spatial = np.column_stack([np.full(SAMPLES, x0), rho * cpsi, rho * spsi])
 
     # latitude t(s) = asin(rho sin psi), longitude z(s) = atan2(rho cos psi, a)
     u = rho * spsi
@@ -180,14 +185,14 @@ def _sphere_sphere(d: float = 1.0, n: int = 1024) -> Fixture:
                    _translated_sphere(np.array([d, 0.0, 0.0])), curve)
 
 
-def _cylinder_plane(tilt: float = np.pi / 6, n: int = 1024) -> Fixture:
+def _cylinder_plane(tilt: float = np.pi / 6) -> Fixture:
     """Unit cylinder cut by the plane through the origin tilted by `tilt`
     about the y-axis; the section is an ellipse (circle at tilt = 0)."""
     if not 0.0 <= tilt < np.pi / 2:
         raise ValueError("need 0 <= tilt < pi/2")
     ta = np.tan(tilt)
     s_max = 2.0
-    s = np.linspace(-s_max, s_max, n)
+    s = np.linspace(-s_max, s_max, SAMPLES)
 
     # arc-length reparametrization psi(s), d psi / d s = 1 / sqrt(g2(psi)),
     # g2 = 1 + tan^2(tilt) sin^2(psi), one branch each way from s = 0

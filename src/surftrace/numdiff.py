@@ -36,11 +36,11 @@ def diff_uniform(y: np.ndarray, h: float, edge_order: int = 2) -> np.ndarray:
     return out
 
 
-def check_uniform(s: np.ndarray, rel_tol: float = 1e-9) -> float:
-    """Return the grid spacing, raising if the grid is not uniform."""
+def check_uniform(s: np.ndarray) -> float:
+    """Return the grid spacing h, raising if a step is off h by > 2e-9 |h|."""
     s = np.asarray(s, dtype=float)
     d = np.diff(s)
     h = float(d[0])
-    if not np.allclose(d, h, rtol=rel_tol, atol=abs(h) * rel_tol):
+    if not np.allclose(d, h, rtol=1e-9, atol=abs(h) * 1e-9):
         raise ValueError("sample grid is not uniform")
     return h

@@ -220,15 +220,15 @@ def traced(spec: CurveSpec) -> CorpusCurve:
                        curve_scalars_from_trace(surface, tr), tr)
 
 
-def _plane_circle(radius=2.0, center=(0.5, -0.3), step=2e-3) -> CorpusCurve:
+def _plane_circle() -> CorpusCurve:
+    """The circle of radius 2 about (0.5, -0.3) on the plane, s in
+    [-1.2, 1.2] at step 2e-3."""
     plane = make_plane()
-    n = int(round(2.4 / step)) + 1
-    s = step * np.arange(n) - 1.2
-    psi = s / radius
-    uv = np.column_stack([center[0] + radius * np.cos(psi),
-                          center[1] + radius * np.sin(psi)])
+    s = 2e-3 * np.arange(1201) - 1.2
+    psi = s / 2.0
+    uv = np.column_stack([0.5 + 2.0 * np.cos(psi), -0.3 + 2.0 * np.sin(psi)])
     vel = np.column_stack([-np.sin(psi), np.cos(psi)])
-    acc = np.column_stack([-np.cos(psi) / radius, -np.sin(psi) / radius])
+    acc = np.column_stack([-np.cos(psi) / 2.0, -np.sin(psi) / 2.0])
     cd = curve_scalars(plane, s, uv, vel, acc)
     return CorpusCurve("plane_circle", plane, cd)
 

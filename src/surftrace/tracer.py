@@ -65,8 +65,8 @@ class IsogonalMode:
 class PseudoGeodesicMode:
     """Constant normal angle theta; |theta| < pi/2.
 
-    ``initial_dir`` is either a tangent angle from E1 (float) or a raw
-    uv-velocity pair, normalized to unit speed.
+    ``initial_dir`` is a tangent angle from E1 (a scalar) or a raw
+    uv-velocity pair (shape (2,)), normalized to unit speed.
     """
 
     theta: float
@@ -104,6 +104,9 @@ class TraceRequest:
              f"start_uv {self.start_uv} must be finite"),
             (all(math.isfinite(x) for v in vars(self.mode).values()
                  for x in np.ravel(v)), f"{self.mode} must be finite"),
+            (np.shape(getattr(self.mode, "initial_dir", 0.0)) in ((), (2,)),
+             f"{self.mode}: initial_dir must be an angle or a (dt, dz) "
+             "pair"),
             (np.isfinite(self.step) and self.step > 0,
              f"step {self.step} must be finite and > 0"),
             (np.isfinite(self.s_span).all() and s_lo <= 0.0 <= s_hi,
@@ -148,10 +151,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.s)
 
-    @property
-    def completed(self) -> bool:
-        return self.exit.kind == "completed"
-
     def index_of(self, s: float) -> int:
         i = int(np.argmin(np.abs(self.s - s)))
         if abs(self.s[i] - s) > 1e-9 * max(1.0, abs(s)):
@@ -176,9 +175,10 @@ def chart_to_principal_angle(surface: SurfaceDef, uv: tuple[float, float],
 
 
 def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]:
-    """Initial (t', z') of unit metric norm from an angle or a raw pair."""
+    """Initial (t', z') of unit metric norm from an angle (a scalar) or a
+    raw (dt, dz) pair; `TraceRequest` refuses any other shape."""
     jet, forms, sd = point_shape(surface, *uv)
-    if isinstance(direction, (tuple, list, np.ndarray)):
+    if np.ndim(direction):
         tp, zp = float(direction[0]), float(direction[1])
         speed = np.sqrt(forms.E * tp * tp + 2 * forms.F * tp * zp
                         + forms.G * zp * zp)
@@ -318,10 +318,11 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
 
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
-    """Trace the pseudo-geodesic with constant normal angle theta."""
+    """Trace the pseudo-geodesic with constant normal angle theta; a
+    `GeodesicMode` request is traced, and returned, as theta = 0."""
+    if isinstance(req.mode, GeodesicMode):
+        req = replace(req, mode=PseudoGeodesicMode(0.0, req.mode.initial_dir))
     mode = req.mode
-    if isinstance(mode, GeodesicMode):
-        mode = PseudoGeodesicMode(theta=0.0, initial_dir=mode.initial_dir)
     if not isinstance(mode, PseudoGeodesicMode):
         raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode")
     surface = req.surface
@@ -365,9 +366,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
 def trace_geodesic(req: TraceRequest) -> Trace:
     """Geodesic trace: the theta = 0 pseudo-geodesic flow."""
     mode = req.mode
-    if isinstance(mode, GeodesicMode):
-        req = replace(req, mode=PseudoGeodesicMode(0.0, mode.initial_dir))
-    elif not (isinstance(mode, PseudoGeodesicMode) and mode.theta == 0.0):
+    if not (isinstance(mode, GeodesicMode) or (
+            isinstance(mode, PseudoGeodesicMode) and mode.theta == 0.0)):
         raise ValueError("trace_geodesic needs a GeodesicMode request")
     return trace_pseudogeodesic(req)
 
@@ -376,14 +376,11 @@ def trace(req: TraceRequest) -> Trace:
     """Dispatch on the request mode."""
     if isinstance(req.mode, IsogonalMode):
         return trace_isogonal(req)
-    if isinstance(req.mode, GeodesicMode):
-        return trace_geodesic(req)
     return trace_pseudogeodesic(req)
 
 
 def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
-                 v: tuple[float, float], *, atol: float = DEFAULT_ATOL,
-                 rtol: float = DEFAULT_RTOL) -> tuple[float, float]:
+                 v: tuple[float, float]) -> tuple[float, float]:
     """The isogonal analogue of the exponential map: the point reached at
     flow parameter 1 by the isogonal line with initial uv-velocity v."""
     tp, zp = float(v[0]), float(v[1])
@@ -394,7 +391,7 @@ def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
     speed = float(np.linalg.norm(v3))
     phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
     req = TraceRequest(surface, p_uv, IsogonalMode(phi, speed),
-                       s_span=(0.0, 1.0), step=0.125, atol=atol, rtol=rtol)
+                       s_span=(0.0, 1.0), step=0.125)
     # trace_isogonal refuses a start at or near an umbilic
     tr = trace_isogonal(req)
     early = {"hit_boundary": (BoundaryExitError, "left the domain"),

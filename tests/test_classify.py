@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +7,7 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        linear_dependence_test, make_crpc_revolution,
                        make_cylinder, make_enneper, make_plane, make_sphere,
                        surface_class_probe)
-from surftrace.classify import (_principal_series, proposition_checks,
-                                render_report)
+from surftrace.classify import proposition_checks, render_report
 from surftrace.errors import (NonUnitSpeedError, TooFewSamplesError,
                               VanishingCurvatureError)
 from surftrace.scenarios import CURVES, traced
@@ -127,40 +124,16 @@ def test_enneper_origin_isogonal_is_geodesic():
     assert rep.isogonal.is_constant and rep.pseudo_geodesic.is_constant
 
 
-def _principal_series_loop(curve):
-    # the per-sample reference the vectorized series must reproduce bitwise
-    k1 = np.empty(len(curve))
-    k2 = np.empty(len(curve))
-    for i in range(len(curve)):
-        ph = curve.phi[i]
-        if np.isnan(ph):
-            k1[i] = k2[i] = curve.kn[i]
-            continue
-        c, s = np.cos(ph), np.sin(ph)
-        cs = c * s
-        if abs(cs) > 1e-12:
-            diff = curve.taug[i] / cs
-        else:
-            diff = 0.0 if abs(curve.taug[i]) < 1e-12 else np.nan
-        k2[i] = curve.kn[i] - diff * c * c
-        k1[i] = k2[i] + diff
-    return k1, k2
-
-
-def test_principal_series_matches_loop(s2_report_and_curve):
-    _rep, cd = s2_report_and_curve
-    # NaN phi (umbilic), cos(phi) sin(phi) ~ 0 with and without taug ~ 0
-    edited = dataclasses.replace(
-        cd, phi=np.r_[np.nan, 0.0, np.pi / 2, 1e-13, cd.phi[4:]],
-        taug=np.r_[cd.taug[:2], 0.0, 1e-3, cd.taug[4:]])
-    for curve in (cd, edited):
-        got = _principal_series(curve)
-        want = _principal_series_loop(curve)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
-    k1, k2 = _principal_series(edited)
-    assert k1[0] == k2[0] == edited.kn[0]
-    assert k1[2] == k2[2] and np.isnan(k1[3]) and np.isnan(k2[3])
+@pytest.mark.parametrize("name", ["bonnet_iso_curvature_line",
+                                  "enneper_geo_m0"])
+def test_curvature_line_skew_is_not_constant(name):
+    # along a principal direction cos(phi) sin(phi) = 0, where Euler's
+    # relations give no kappa1 - kappa2; the curve carries the shape pass's
+    cc = traced(CURVES[name])
+    sd = cc.trace.shape[2]
+    assert np.array_equal(cc.curve.kappa1, sd.kappa1)
+    assert np.array_equal(cc.curve.kappa2, sd.kappa2)
+    assert not classify_curve_data(cc.curve).cskc_along.is_constant
 
 
 def test_helix_axis_matches_line_family(s2_report_and_curve):

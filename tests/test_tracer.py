@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,7 +384,11 @@ def test_chart_angle_conversion_roundtrip():
     dict(step=np.nan), dict(s_span=(0.5, 1.0)), dict(s_span=(-np.inf, 1.0)),
     dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0),
     # more samples than stepper.MAX_SAMPLES
-    dict(step=1e-9), dict(s_span=(-1e300, 1e300))])
+    dict(step=1e-9), dict(s_span=(-1e300, 1e300)),
+    # initial_dir is an angle (ndim 0) or a (dt, dz) pair, nothing else
+    dict(mode=GeodesicMode([0.3])),
+    dict(mode=PseudoGeodesicMode(0.3, (0.3, 0.2, 5.0))),
+    dict(mode=GeodesicMode(np.array([[0.3, 0.2]])))])
 def test_invalid_request_fails_fast(change):
     fields = dict(surface=make_enneper(), start_uv=(0.0, 1.0),
                   mode=IsogonalMode(0.5))
@@ -398,6 +403,34 @@ def test_finite_array_initial_dir_is_accepted():
                  PseudoGeodesicMode(0.3, np.array([1.0, -0.5]))):
         tr = trace(TraceRequest(enn, (0.0, 1.0), mode, s_span=(-0.1, 0.1)))
         assert tr.exit.kind == "completed"
+
+
+def _assert_traces_equal(a, b):
+    for name in ("s", "uv", "uv_vel", "uv_acc"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.exit == b.exit and a.stats == b.stats
+
+
+def test_zero_dim_array_initial_dir_is_an_angle():
+    enn = make_enneper()
+    a, b = (trace(TraceRequest(enn, (0.2, 0.3), GeodesicMode(d),
+                               s_span=(-0.2, 0.2)))
+            for d in (0.3, np.array(0.3)))
+    _assert_traces_equal(a, b)
+
+
+def test_geodesic_entry_points_return_one_request():
+    # every entry point traces a GeodesicMode as, and returns, the
+    # theta = 0 pseudo-geodesic request
+    req = TraceRequest(make_enneper(), (0.2, 0.3), GeodesicMode((1.0, 0.5)),
+                       s_span=(-0.2, 0.2))
+    want = PseudoGeodesicMode(0.0, (1.0, 0.5))
+    first, *rest = (run(req) for run in (trace, trace_geodesic,
+                                         trace_pseudogeodesic))
+    for tr in (first, *rest):
+        assert tr.request.mode == want
+        assert tr.request == replace(req, mode=want)
+        _assert_traces_equal(first, tr)
 
 
 def test_trace_stats_count_rhs_calls(monkeypatch):
