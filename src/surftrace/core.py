@@ -12,13 +12,13 @@ the tuples for `point_shape` (one point, module rule) and `shape_arrays`
 (arrays, a per-point hint or else the module rule at the first point and
 a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
-The flow right-hand sides build no records, which cost more than the
-formulas (6 to 7 of `point_shape`'s 14 to 19 us): the pseudo-geodesic one
-reads `point_metric`, the isogonal one `point_frame` as well.  A trace
-makes one `shape_arrays` pass over its samples, reused by its Darboux
-scalars (an isogonal adds one over its 2n acceleration stencils); bare
-samples, CSV import, class probes and oracle scenarios take one each.  Its
-fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
+Records are named tuples (3 to 5 of `point_shape`'s 10 to 16 us, mostly
+its three `np.array` vectors), and the flow right-hand sides build none: the
+pseudo-geodesic one reads `point_metric`, the isogonal one `point_frame`
+too.  A trace makes one `shape_arrays` pass over its samples, reused by its
+Darboux scalars (an isogonal adds one over its 2n acceleration stencils);
+bare samples, CSV import, class probes and oracle scenarios take one each.
+Its fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
 near n = 15 to 20 (gallery charts, numpy 2.4, 2-core x86-64 host).
 
 Conventions fixed once and used everywhere downstream:
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, TYPE_CHECKING, Union
+from typing import Callable, Mapping, NamedTuple, Optional, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -52,8 +52,7 @@ FD_STEP = 1e-5
 UMBILIC_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class SurfaceJet2:
+class SurfaceJet2(NamedTuple):
     """Second-order jet of a chart X(t, z): the five partials, no position."""
 
     d_t: ChartVec
@@ -110,8 +109,7 @@ class SurfaceDef:
     oracle: "GalleryOracle | None" = None
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """First (E, F, G) and second (e, f, g) form coefficients plus the unit normal."""
 
     E: float
@@ -123,8 +121,7 @@ class FundamentalForms:
     normal: Vec3
 
 
-@dataclass(frozen=True)
-class ChristoffelSymbols:
+class ChristoffelSymbols(NamedTuple):
     """The six symbols of the chart metric, upper index first."""
 
     c1_tt: float
@@ -135,8 +132,7 @@ class ChristoffelSymbols:
     c2_zz: float
 
 
-@dataclass(frozen=True)
-class TangentDecomp:
+class TangentDecomp(NamedTuple):
     """Coefficients of X_t = f1 E1 + f2 E2 and X_z = g1 E1 + g2 E2."""
 
     f1: float
@@ -145,8 +141,7 @@ class TangentDecomp:
     g2: float
 
 
-@dataclass(frozen=True)
-class ShapeData:
+class ShapeData(NamedTuple):
     """Full pointwise shape data derived from one jet."""
 
     normal: Vec3
@@ -169,6 +164,14 @@ def vec3(like, x, y, z) -> ChartVec:
         out[0], out[1], out[2] = x, y, z
         return out
     return (float(x), float(y), float(z))
+
+
+def pyfloats(like, *values) -> tuple:
+    """A jet's ufunc results as Python floats (same bits, cheaper arithmetic
+    than numpy scalars), or unchanged when ``like`` is an (n,) array."""
+    if isinstance(like, np.ndarray) and like.ndim:
+        return values
+    return tuple(map(float, values))
 
 
 def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) -> SurfaceJet2:

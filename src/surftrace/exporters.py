@@ -24,7 +24,8 @@ from .darboux import CurveData, curve_scalars
 CSV_COLUMNS = ("s", "t", "z", "t_vel", "z_vel", "t_acc", "z_acc", "x", "y",
                "z_pos", "kg", "kn", "taug", "phi", "theta", "kappa", "tau")
 _HEADER = ",".join(CSV_COLUMNS)
-_VERTEX = "v %.17g %.17g %.17g"
+_VERTEX = "v %.17g %.17g %.17g\n"
+_CELL = "f %d %d %d\nf %d %d %d\n"  # a grid cell's two triangles
 
 
 def write_trace_csv(path: str, curve: CurveData) -> None:
@@ -87,28 +88,24 @@ def write_obj(path: str, surface: SurfaceDef,
     dom = surface.domain
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
-    lines = [f"o {surface.name}"]
     tt, zz = np.meshgrid(ts, zs, indexing="ij")
-    xyz = surface.position(tt.ravel(), zz.ravel()).T.tolist()
-    lines.extend(_VERTEX % tuple(p) for p in xyz)
-    # OBJ indices are 1-based
-    for i in range(nt - 1):
-        for j in range(nz - 1):
-            a = 1 + i * nz + j
-            b = 1 + (i + 1) * nz + j
-            c = 1 + (i + 1) * nz + (j + 1)
-            d = 1 + i * nz + (j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    xyz = surface.position(tt.ravel(), zz.ravel()).T
+    # OBJ indices are 1-based; grid cell (i, j), with corners a = (i, j),
+    # b = (i + 1, j), c = (i + 1, j + 1), d = (i, j + 1), gives abc and acd
+    idx = np.arange(1, 1 + nt * nz).reshape(nt, nz)
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    corners = tuple(np.stack((a, b, c, a, c, d), axis=-1).ravel().tolist())
+    # (name, (n, 3) vertices, element lines) per object, one % per block
+    objects = [(surface.name, xyz, _CELL * a.size % corners)]
     offset = 1 + nt * nz
-    for k, c in enumerate(curves, start=1):
-        lines.append(f"o curve_{k}")
-        lines.extend(_VERTEX % tuple(p) for p in c.tolist())
-        idx = " ".join(str(offset + i) for i in range(len(c)))
-        lines.append(f"l {idx}")
-        offset += len(c)
+    for k, curve in enumerate(curves, start=1):
+        polyline = " ".join(map(str, range(offset, offset + len(curve))))
+        objects.append((f"curve_{k}", curve, f"l {polyline}\n"))
+        offset += len(curve)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for name, points, elements in objects:
+            vertices = _VERTEX * len(points) % tuple(points.ravel().tolist())
+            fh.write(f"o {name}\n{vertices}{elements}")
 
 
 def parse_config(path: str) -> dict[str, str]:

@@ -9,12 +9,13 @@ of those lines, all under the chart orientation N = X_t x X_z.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Domain, SurfaceDef, SurfaceJet2, vec3
+from .core import Domain, SurfaceDef, SurfaceJet2, pyfloats, vec3
 from .errors import DegenerateParameterError
 
 ScalarField = Callable[[float, float], float]
@@ -72,7 +73,7 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
 
     def jet(t: float, z: float) -> SurfaceJet2:
         u = t / r
-        cu, su = np.cos(u), np.sin(u)
+        cu, su = pyfloats(t, np.cos(u), np.sin(u))
         p = rho(z)
         d_t = vec3(t, -p * su, p * cu, 0.0)
         d_z = vec3(t, -cph * cu, -cph * su, sph)
@@ -177,8 +178,7 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
         return vec3(t, t * np.cos(z), t * np.sin(z), _crpc_height(t, c, ep))
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        cz, sz = np.cos(z), np.sin(z)
-        tc = np.power(t, c)
+        cz, sz, tc = pyfloats(t, np.cos(z), np.sin(z), np.power(t, c))
         w = 1.0 - tc * tc
         sw = np.sqrt(w)
         hp = ep * tc / sw
@@ -219,15 +219,14 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
     if not 0.0 < a < 1.0:
         raise DegenerateParameterError("a must lie strictly between 0 and 1")
     a = float(a)
-    q = 1.0 / np.sqrt(1.0 - a * a)
+    q = float(1.0 / np.sqrt(1.0 - a * a))
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, q * (a * t + np.sin(t) * np.cosh(z)),
                     q * (z + a * np.cos(t) * np.sinh(z)), np.cos(t) * np.cosh(z))
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        st, ct = np.sin(t), np.cos(t)
-        sh, ch = np.sinh(z), np.cosh(z)
+        st, ct, sh, ch = pyfloats(t, np.sin(t), np.cos(t), np.sinh(z), np.cosh(z))
         d_t = vec3(t, q * (a + ct * ch), -q * a * st * sh, -st * ch)
         d_z = vec3(t, q * st * sh, q * (1 + a * ct * ch), ct * sh)
         d_tt = vec3(t, -q * st * ch, -q * a * ct * sh, -ct * ch)
@@ -266,8 +265,7 @@ def make_sphere(r: float = 1.0) -> SurfaceDef:
 
     def jet(t: float, z: float) -> SurfaceJet2:
         # componentwise r * (...), as the position: r > 0, so a 0.0 stays +0.0
-        ct, st = np.cos(t), np.sin(t)
-        cz, sz = np.cos(z), np.sin(z)
+        ct, st, cz, sz = pyfloats(t, np.cos(t), np.sin(t), np.cos(z), np.sin(z))
         d_t = vec3(t, r * (-st * cz), r * (-st * sz), r * ct)
         d_z = vec3(t, r * (-ct * sz), r * (ct * cz), 0.0)
         d_tt = vec3(t, -(r * (ct * cz)), -(r * (ct * sz)), -(r * st))
@@ -311,7 +309,7 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
 
     def jet(t: float, z: float) -> SurfaceJet2:
         u = z / r
-        cu, su = np.cos(u), np.sin(u)
+        cu, su = pyfloats(t, np.cos(u), np.sin(u))
         d_t = vec3(t, 0.0, 0.0, 1.0)
         d_z = vec3(t, -su, cu, 0.0)
         d_tt = vec3(t, 0.0, 0.0, 0.0)
@@ -335,8 +333,7 @@ def make_catenoid() -> SurfaceDef:
         return vec3(t, np.cosh(t) * np.cos(z), np.cosh(t) * np.sin(z), t)
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        ch, sh = np.cosh(t), np.sinh(t)
-        cz, sz = np.cos(z), np.sin(z)
+        ch, sh, cz, sz = pyfloats(t, np.cosh(t), np.sinh(t), np.cos(z), np.sin(z))
         d_t = vec3(t, sh * cz, sh * sz, 1.0)
         d_z = vec3(t, -ch * sz, ch * cz, 0.0)
         d_tt = vec3(t, ch * cz, ch * sz, 0.0)
@@ -368,6 +365,17 @@ CATALOGUE: dict[str, Callable[..., SurfaceDef]] = {
 }
 
 
+def check_params(what: str, builder: Callable, params: dict) -> None:
+    """Raise DegenerateParameterError, naming what ``builder`` accepts, for
+    a keyword it does not take or a value that is not a real number."""
+    accepted = sorted(inspect.signature(builder).parameters)
+    if not (set(params) <= set(accepted)
+            and all(isinstance(v, numbers.Real) for v in params.values())):
+        raise DegenerateParameterError(
+            f"{what} got {params}; accepted: {', '.join(accepted) or 'none'}, "
+            "each a real number")
+
+
 def make_surface(name: str, **params: float) -> SurfaceDef:
     """Instantiate a catalogued surface by name with keyword parameters."""
     try:
@@ -375,10 +383,5 @@ def make_surface(name: str, **params: float) -> SurfaceDef:
     except KeyError:
         raise DegenerateParameterError(
             f"unknown surface '{name}'; choices: {sorted(CATALOGUE)}") from None
-    accepted = sorted(inspect.signature(ctor).parameters)
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise DegenerateParameterError(
-            f"surface '{name}' has no parameter {', '.join(unknown)}; "
-            f"accepted: {', '.join(accepted) or 'none'}")
+    check_params(f"surface '{name}'", ctor, params)
     return ctor(**params)

@@ -21,7 +21,7 @@ from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .darboux import CurveData, curve_scalars
 from .errors import (PreimageMismatchError, TangencyError,
                      UnknownFixtureError)
-from .gallery import make_cylinder, make_sphere
+from .gallery import check_params, make_cylinder, make_sphere
 from .numdiff import check_uniform, diff_uniform
 from .stepper import integrate
 
@@ -239,6 +239,7 @@ def make_fixture(name: str, **params) -> Fixture:
     except KeyError:
         raise UnknownFixtureError(
             f"unknown fixture '{name}'; choices: {sorted(FIXTURES)}") from None
+    check_params(f"fixture '{name}'", builder, params)
     return builder(**params)
 
 

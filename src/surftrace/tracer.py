@@ -30,7 +30,6 @@ event's root.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -98,32 +97,51 @@ class TraceRequest:
     max_step: float = np.inf
 
     def __post_init__(self) -> None:
-        s_lo, s_hi = self.s_span
+        try:  # numbers of the right shapes first, their values below
+            start, span = (_numeric(self, k, (2,)) for k in ("start_uv", "s_span"))
+            step, atol, rtol, max_step = (
+                _numeric(self, k) for k in ("step", "atol", "rtol", "max_step"))
+            mode = [_numeric(self.mode, k, (), (2,)) if k == "initial_dir"
+                    else _numeric(self.mode, k) for k in vars(self.mode)]
+        except TypeError as exc:
+            raise InvalidRequestError(f"invalid trace request: {exc}") from None
         problems = [
-            (np.isfinite(self.start_uv).all(),
-             f"start_uv {self.start_uv} must be finite"),
-            (all(math.isfinite(x) for v in vars(self.mode).values()
-                 for x in np.ravel(v)), f"{self.mode} must be finite"),
-            (np.shape(getattr(self.mode, "initial_dir", 0.0)) in ((), (2,)),
-             f"{self.mode}: initial_dir must be an angle or a (dt, dz) "
-             "pair"),
-            (np.isfinite(self.step) and self.step > 0,
+            (np.isfinite(start).all(), f"start_uv {self.start_uv} must be finite"),
+            (all(np.isfinite(v).all() for v in mode),
+             f"{self.mode} must be finite"),
+            (np.isfinite(step) and step > 0,
              f"step {self.step} must be finite and > 0"),
-            (np.isfinite(self.s_span).all() and s_lo <= 0.0 <= s_hi,
+            (np.isfinite(span).all() and span[0] <= 0.0 <= span[1],
              f"s_span {self.s_span} must be finite and contain 0"),
-            (self.atol > 0 and self.rtol > 0,
+            (atol > 0 and rtol > 0,
              f"atol {self.atol} and rtol {self.rtol} must be > 0"),
-            (self.max_step > 0, f"max_step {self.max_step} must be > 0"),
+            (max_step > 0, f"max_step {self.max_step} must be > 0"),
         ]
         for ok, what in problems:
             if not ok:
                 raise InvalidRequestError(f"invalid trace request: {what}")
-        samples = (s_hi - s_lo) / self.step + 1.0
+        lo, hi = span.tolist()
+        samples = (hi - lo) / float(step) + 1.0
         if samples > MAX_SAMPLES:
             raise InvalidRequestError(
                 f"invalid trace request: s_span {self.s_span} at step "
                 f"{self.step:g} asks for {samples:.4g} samples, above "
                 f"{MAX_SAMPLES}")
+
+
+def _numeric(owner, name: str, *shapes: tuple) -> np.ndarray:
+    """Field ``name`` of ``owner`` as an array of numbers in one of
+    ``shapes`` (default: a single number), else TypeError."""
+    value, shapes = getattr(owner, name), shapes or ((),)
+    try:
+        a = np.asarray(value)
+        ok = a.dtype.kind in "biuf" and a.shape in shapes
+    except ValueError:  # ragged
+        ok = False
+    if not ok:
+        raise TypeError(f"{name} {value!r} is not numbers of shape "
+                        f"{' or '.join(map(str, shapes))}")
+    return a
 
 
 @dataclass(frozen=True)

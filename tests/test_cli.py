@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from surftrace import classify_curve_data, curve_scalars_from_trace, make_enneper
+from surftrace import (classify_curve_data, curve_scalars_from_trace,
+                       make_enneper, make_plane)
 from surftrace.cli import main
 from surftrace.errors import TooFewSamplesError
 from surftrace.exporters import (CSV_COLUMNS, parse_config,
@@ -288,6 +289,25 @@ def test_export_obj_structure(tmp_path):
     first_curve_obj = next(i for i, ln in enumerate(lines)
                            if ln.startswith("o curve"))
     assert all(not ln.startswith("l ") for ln in lines[:first_curve_obj])
+
+
+def test_export_obj_exact_text(tmp_path):
+    # a non-square (3, 2) grid on the plane, [-10, 10]^2, and one curve:
+    # grid point (i, j) is vertex 1 + 2 i + j, and cell (i, j) is the two
+    # triangles (a, b, c) and (a, c, d), its corners a = (i, j), b = (i + 1,
+    # j), c = (i + 1, j + 1) and d = (i, j + 1)
+    path = str(tmp_path / "small.obj")
+    write_obj(path, make_plane(), [[(0.1, 0.25, 0.0), (1.5, -2.0, 0.0),
+                                    (3.0, 1e-300, -0.0)]], grid=(3, 2))
+    assert open(path, encoding="utf-8").read() == (
+        "o plane\n"
+        "v -10 -10 0\nv -10 10 0\nv 0 -10 0\nv 0 10 0\nv 10 -10 0\n"
+        "v 10 10 0\n"
+        "f 1 3 4\nf 1 4 2\nf 3 5 6\nf 3 6 4\n"
+        "o curve_1\n"
+        "v 0.10000000000000001 0.25 0\nv 1.5 -2 0\n"
+        "v 3 1e-300 -0\n"
+        "l 7 8 9\n")
 
 
 def test_export_refuses_empty_curve(tmp_path):

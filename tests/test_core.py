@@ -8,8 +8,9 @@ from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_plane, make_sphere, point_metric, point_shape,
                        shape_arrays)
 from surftrace import stepper, tracer
-from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, _fd_jet,
-                            _principal, point_frame, vec3)
+from surftrace.core import (ChristoffelSymbols, Domain, FundamentalForms,
+                            ShapeData, SurfaceDef, SurfaceJet2, TangentDecomp,
+                            _fd_jet, _principal, point_frame, vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
@@ -158,7 +159,7 @@ def test_forms_match_vector_reference(surface):
     # reference: the textbook formulas written with numpy vector operations
     for t, z in quasi_random_points(surface, 40):
         jet, forms, _ = point_shape(surface, t, z)
-        d_t, d_z, d_tt, d_tz, d_zz = map(np.asarray, dataclasses.astuple(jet))
+        d_t, d_z, d_tt, d_tz, d_zz = map(np.asarray, tuple(jet))
         cr = np.cross(d_t, d_z)
         normal = cr / np.linalg.norm(cr)
         ref = [d_t @ d_t, d_t @ d_z, d_z @ d_z,
@@ -196,7 +197,7 @@ def test_tangent_reconstruction(surface):
 @pytest.mark.parametrize("surface", GALLERY, ids=lambda s: s.name)
 def test_fd_jets_match_analytic(surface):
     for t, z in quasi_random_points(surface, 25):
-        jet = SurfaceJet2(*map(np.asarray, dataclasses.astuple(jet2(surface, t, z))))
+        jet = SurfaceJet2(*map(np.asarray, tuple(jet2(surface, t, z))))
         fd = _fd_jet(surface.position, t, z)
         scale1 = 1 + max(np.max(np.abs(jet.d_t)), np.max(np.abs(jet.d_z)))
         assert np.max(np.abs(jet.d_t - fd.d_t)) < 1e-6 * scale1
@@ -298,8 +299,8 @@ def test_shape_arrays_matches_point_shape(surface, jet):
         got = getattr(sd_a, name)
         same(got.T if got.ndim == 2 else got, field(sds, name), name)
     for group in ("christoffel", "decomp"):
-        want = np.array([dataclasses.astuple(getattr(sd, group)) for sd in sds])
-        got = np.array(dataclasses.astuple(getattr(sd_a, group))).T
+        want = np.array([tuple(getattr(sd, group)) for sd in sds])
+        got = np.array(tuple(getattr(sd_a, group))).T
         same(got, want, group)
 
 
@@ -314,9 +315,9 @@ def test_float_calls_return_floats(surface, jet):
     metric = point_metric(surface, t, z)
     assert all(type(x) is float for x in metric[1:])
     _, forms, sd = point_shape(surface, t, z)
-    scalars = [*dataclasses.astuple(forms)[:6], sd.kappa1, sd.kappa2, sd.K,
-               sd.H, *dataclasses.astuple(sd.christoffel),
-               *dataclasses.astuple(sd.decomp)]
+    scalars = [*tuple(forms)[:6], sd.kappa1, sd.kappa2, sd.K,
+               sd.H, *tuple(sd.christoffel),
+               *tuple(sd.decomp)]
     assert all(type(x) is float for x in scalars)
     assert type(sd.umbilic) is bool
 
@@ -391,7 +392,7 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
 
     def fields(sd):
         return [sd.kappa1, sd.kappa2, *sd.e1, *sd.e2,
-                *dataclasses.astuple(sd.decomp)]
+                *tuple(sd.decomp)]
 
     # floats: point_frame at each point; arrays: _principal over all points,
     # E1 signed by the float records (shape_arrays' hint rule)
@@ -420,3 +421,24 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
     for ti, zi, sd in away:
         want = _isogonal_velocity(sd, np.array([[ti, zi]]), cos_t, sin_t)[0]
         assert hexes(rhs(0.0, [ti, zi], None)) == hexes(want)
+
+
+def test_records_keep_their_fields_and_refuse_assignment():
+    # the shape records keep the field names and order they had as frozen
+    # dataclasses, and stay immutable, from both shape kernels
+    want = {SurfaceJet2: ("d_t", "d_z", "d_tt", "d_tz", "d_zz"),
+            FundamentalForms: ("E", "F", "G", "e", "f", "g", "normal"),
+            ChristoffelSymbols: ("c1_tt", "c1_tz", "c1_zz", "c2_tt", "c2_tz",
+                                 "c2_zz"),
+            TangentDecomp: ("f1", "f2", "g1", "g2"),
+            ShapeData: ("normal", "kappa1", "kappa2", "e1", "e2", "K", "H",
+                        "christoffel", "decomp", "umbilic")}
+    enn = make_enneper()
+    for jet, forms, sd in (point_shape(enn, 0.2, 0.3),
+                           shape_arrays(enn, np.array([0.2, 0.4]),
+                                        np.array([0.3, -0.1]))):
+        for record in (jet, forms, sd, sd.christoffel, sd.decomp):
+            assert type(record)._fields == want[type(record)]
+            for name in want[type(record)]:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0.0)

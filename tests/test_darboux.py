@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -284,7 +282,7 @@ def test_curve_scalars_match_pointwise_direction_scalars():
     for i, (t, z) in enumerate(tr.uv):
         sd = point_shape(enn, t, z, check_domain=False)[2]
         if hint is not None and sd.e1 @ hint < 0.0:
-            sd = dataclasses.replace(sd, e1=-sd.e1, e2=-sd.e2)
+            sd = sd._replace(e1=-sd.e1, e2=-sd.e2)
         hint = sd.e1
         kn, taug, phi = pointwise_direction_scalars(sd, cd.T[i])
         assert abs(cd.kn[i] - kn) < 1e-12

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -168,6 +166,15 @@ def test_make_surface_forwards_parameters():
     assert surf.params["a"] == 0.25
 
 
+@pytest.mark.parametrize("name, params", [
+    ("bonnet", {"n": 10}), ("bonnet", {"a": "x"}), ("plane", {"r": 1.0})])
+def test_make_surface_checks_its_keywords(name, params):
+    # an unknown or non-numeric keyword names the accepted parameters
+    accepted = {"bonnet": "a", "plane": "none"}[name]
+    with pytest.raises(DegenerateParameterError, match=f"accepted: {accepted},"):
+        make_surface(name, **params)
+
+
 CHARTS = ([ctor() for ctor in CATALOGUE.values()]
           + [f().mbar for f in FIXTURES.values()])
 
@@ -181,8 +188,8 @@ def test_charts_are_elementwise(surface):
     t = rng.uniform(dom.t_min, dom.t_max, 300)
     z = rng.uniform(dom.z_min, dom.z_max, 300)
     calls = {"position": lambda t, z: (surface.position(t, z),),
-             "jet": lambda t, z: dataclasses.astuple(surface.jet(t, z)),
-             "fd_jet": lambda t, z: dataclasses.astuple(
+             "jet": lambda t, z: tuple(surface.jet(t, z)),
+             "fd_jet": lambda t, z: tuple(
                  _fd_jet(surface.position, t, z))}
     for name, call in calls.items():
         batch = call(t, z)
@@ -202,8 +209,8 @@ def test_float_calls_return_float_tuples(surface):
     t = dom.t_min + 0.37 * (dom.t_max - dom.t_min)
     z = dom.z_min + 0.61 * (dom.z_max - dom.z_min)
     calls = {"position": (surface.position(t, z),),
-             "jet": dataclasses.astuple(surface.jet(t, z)),
-             "fd_jet": dataclasses.astuple(_fd_jet(surface.position, t, z))}
+             "jet": tuple(surface.jet(t, z)),
+             "fd_jet": tuple(_fd_jet(surface.position, t, z))}
     for name, vectors in calls.items():
         for v in vectors:
             assert type(v) is tuple and len(v) == 3, name

@@ -4,14 +4,21 @@ from scipy.integrate import solve_ivp
 
 from surftrace import (analyze_intersection, classify_curve_data,
                        make_fixture, make_sphere)
-from surftrace.errors import (PreimageMismatchError, TangencyError,
-                              UnknownFixtureError)
+from surftrace.errors import (DegenerateParameterError, PreimageMismatchError,
+                              TangencyError, UnknownFixtureError)
 from surftrace.intersect import SharedCurve
 
 
 def test_unknown_fixture():
     with pytest.raises(UnknownFixtureError):
         make_fixture("torus_torus")
+
+
+@pytest.mark.parametrize("params", [{"n": 10}, {"h": "x"}, {"h": None}])
+def test_make_fixture_checks_its_keywords(params):
+    # an unknown or non-numeric keyword names the accepted parameters
+    with pytest.raises(DegenerateParameterError, match="accepted: h,"):
+        make_fixture("sphere_plane", **params)
 
 
 def test_sphere_plane_geometry():

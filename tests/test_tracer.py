@@ -388,7 +388,12 @@ def test_chart_angle_conversion_roundtrip():
     # initial_dir is an angle (ndim 0) or a (dt, dz) pair, nothing else
     dict(mode=GeodesicMode([0.3])),
     dict(mode=PseudoGeodesicMode(0.3, (0.3, 0.2, 5.0))),
-    dict(mode=GeodesicMode(np.array([[0.3, 0.2]])))])
+    dict(mode=GeodesicMode(np.array([[0.3, 0.2]]))),
+    # malformed fields: ragged, non-numeric or missing values, wrong lengths
+    dict(mode=GeodesicMode(((0.3,), 0.2))), dict(mode=GeodesicMode("ab")),
+    dict(mode=GeodesicMode(None)), dict(start_uv=None), dict(start_uv="ab"),
+    dict(s_span=((0,), 1.0)), dict(s_span=(-1, 0, 1)), dict(step="x"),
+    dict(atol=None), dict(start_uv=(0.1,)), dict(start_uv=(0.1, 0.2, 0.3))])
 def test_invalid_request_fails_fast(change):
     fields = dict(surface=make_enneper(), start_uv=(0.0, 1.0),
                   mode=IsogonalMode(0.5))
