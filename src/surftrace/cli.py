@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -65,7 +66,7 @@ def _build_request(args, surface) -> TraceRequest:
         phi = args.phi
         if args.phi_frame == "chart":
             phi = chart_to_principal_angle(surface, start, phi)
-        mode = IsogonalMode(phi, args.speed)
+        mode = IsogonalMode(phi)
     elif args.mode == "pseudo-geodesic":
         if args.theta is None:
             raise InvalidRequestError("pseudo-geodesic mode needs --theta")
@@ -108,7 +109,6 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
                    help="normal angle in radians (|theta| < pi/2)")
     p.add_argument("--dir", type=_pair, default=None, metavar="DT,DZ",
                    help="initial uv-velocity (normalized internally)")
-    p.add_argument("--speed", type=float, default=1.0)
     p.add_argument("--s-span", type=float, nargs=2, default=(-1.0, 1.0),
                    metavar=("S_MIN", "S_MAX"))
     p.add_argument("--step", type=float, default=2e-3)
@@ -211,10 +211,22 @@ def _cmd_trace(args, out_dir: str) -> int:
     return 0
 
 
+def _tolerance(overrides, key: str, default: float) -> float:
+    """Classify tolerance ``key`` from the overrides: a finite number >= 0."""
+    raw = overrides.get(key, default)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidRequestError(f"{key} '{raw}' must be a finite number >= 0")
+    return value
+
+
 def _cmd_classify(args, overrides) -> int:
+    abs_tol = _tolerance(overrides, "tol_abs", cls.DEFAULT_ABS_TOL)
+    rel_tol = _tolerance(overrides, "tol_rel", cls.DEFAULT_REL_TOL)
     surface = _surface_from_args(args)
-    abs_tol = float(overrides.get("tol_abs", cls.DEFAULT_ABS_TOL))
-    rel_tol = float(overrides.get("tol_rel", cls.DEFAULT_REL_TOL))
     if args.csv:
         try:
             cd = read_trace_csv(args.csv, surface)

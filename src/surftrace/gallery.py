@@ -8,6 +8,7 @@ of those lines, all under the chart orientation N = X_t x X_z.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import numbers
 from dataclasses import dataclass
@@ -141,19 +142,24 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
 # revolution surface with constant ratio of principal curvatures
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _crpc_constants(c: float, eps: float):
+    """a, -eps B(a, 1/2) / (2c) and betaincc; only crpc positions load scipy."""
+    from scipy.special import beta, betaincc
+    a = 0.5 / c + 0.5
+    return a, -eps / (2.0 * c) * beta(a, 0.5), betaincc
+
+
 def _crpc_height(t: float, c: float, eps: float) -> float:
     """Height integral eps * int_1^t u^c (1 - u^{2c})^{-1/2} du (elementwise).
 
     With w = u^{2c} the integral is an incomplete beta function:
     int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
     I' is the complementary regularized incomplete beta.  It is 0 at t = 1
-    and NaN beyond, where the surface does not exist.  scipy.special is
-    imported here, so only crpc positions pay for it.
+    and NaN beyond, where the surface does not exist.
     """
-    from scipy.special import beta, betaincc
-
-    a = 0.5 / c + 0.5
-    return -eps / (2.0 * c) * beta(a, 0.5) * betaincc(a, 0.5, np.power(t, 2 * c))
+    a, k, betaincc = _crpc_constants(c, eps)
+    return k * betaincc(a, 0.5, np.power(t, 2 * c))
 
 
 def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:

@@ -12,7 +12,7 @@ marching is performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .darboux import CurveData, curve_scalars
 from .errors import (PreimageMismatchError, TangencyError,
                      UnknownFixtureError)
-from .gallery import check_params, make_cylinder, make_sphere
+from .gallery import check_params, make_cylinder, make_plane, make_sphere
 from .numdiff import check_uniform, diff_uniform
 from .stepper import integrate
 
@@ -66,20 +66,6 @@ class IntersectionReport:
 # fixture charts
 # ---------------------------------------------------------------------------
 
-def _plane_at(height: float) -> SurfaceDef:
-    def position(t: float, z: float) -> np.ndarray:
-        return vec3(t, t, z, height)
-
-    def jet(t: float, z: float) -> SurfaceJet2:
-        zero = vec3(t, 0.0, 0.0, 0.0)
-        return SurfaceJet2(vec3(t, 1.0, 0.0, 0.0), vec3(t, 0.0, 1.0, 0.0),
-                           zero, zero, zero)
-
-    return SurfaceDef(name=f"plane_z={height:g}", domain=Domain(-10, 10, -10, 10),
-                      position=position, jet=jet, orthogonal=True,
-                      totally_umbilic=True)
-
-
 def _tilted_plane(alpha: float) -> SurfaceDef:
     """Plane through the origin spanned by (cos a, 0, sin a) and (0, 1, 0)."""
     ca, sa = float(np.cos(alpha)), float(np.sin(alpha))
@@ -97,19 +83,16 @@ def _tilted_plane(alpha: float) -> SurfaceDef:
                       totally_umbilic=True)
 
 
-def _translated_sphere(center: np.ndarray) -> SurfaceDef:
-    """The unit sphere moved by ``center``."""
-    base = make_sphere(1.0)
-    c = np.asarray(center, dtype=float)
+def _translated(base: SurfaceDef, offset, name: str) -> SurfaceDef:
+    """``base`` moved by ``offset`` and named ``name``; a translation leaves
+    every partial, and so the jet, as it is."""
+    c = np.asarray(offset, dtype=float)
 
     def position(t: float, z: float) -> np.ndarray:
         x, y, w = base.position(t, z)
         return vec3(t, c[0] + x, c[1] + y, c[2] + w)
 
-    # a translation leaves every partial as it is
-    return SurfaceDef(name=f"sphere_at({c[0]:g},{c[1]:g},{c[2]:g})",
-                      domain=base.domain, position=position, jet=base.jet,
-                      orthogonal=True, totally_umbilic=True, params=base.params)
+    return replace(base, name=name, position=position)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +122,9 @@ def _sphere_plane(h: float = 0.5) -> Fixture:
     uv_p_acc = np.column_stack([-np.cos(psi) / rho, -np.sin(psi) / rho])
     curve = SharedCurve(s, spatial, uv_m, uv_m_vel, uv_m_acc,
                         uv_p, uv_p_vel, uv_p_acc)
-    return Fixture("sphere_plane", make_sphere(1.0), _plane_at(h), curve)
+    return Fixture("sphere_plane", make_sphere(1.0),
+                   _translated(make_plane(), (0.0, 0.0, h), f"plane_z={h:g}"),
+                   curve)
 
 
 def _sphere_sphere(d: float = 1.0) -> Fixture:
@@ -182,7 +167,8 @@ def _sphere_sphere(d: float = 1.0) -> Fixture:
         np.column_stack([t, z_b]), np.column_stack([tp, zp_b]),
         np.column_stack([tpp, zpp_b]))
     return Fixture("sphere_sphere", make_sphere(1.0),
-                   _translated_sphere(np.array([d, 0.0, 0.0])), curve)
+                   _translated(make_sphere(1.0), (d, 0.0, 0.0),
+                               f"sphere_at({d:g},0,0)"), curve)
 
 
 def _cylinder_plane(tilt: float = np.pi / 6) -> Fixture:
@@ -199,7 +185,7 @@ def _cylinder_plane(tilt: float = np.pi / 6) -> Fixture:
     def dpsi(_s, y, _ref):
         return (1.0 / math.sqrt(1.0 + ta * ta * math.sin(y[0]) ** 2),)
 
-    fwd, bwd = (integrate(dpsi, (0.0,), end, (), 1e-13, 1e-12)
+    fwd, bwd = (integrate(dpsi, (0.0,), end, None, 1e-13, 1e-12)
                 for end in (s_max, -s_max))
     psi = np.where(s >= 0, fwd.sample(np.clip(s, 0, None))[:, 0],
                    bwd.sample(np.clip(s, None, 0))[:, 0])

@@ -17,13 +17,11 @@ against it.  A right-hand side that raises `Stop` ends the branch at that
 stage: the end is clipped to the stage's s and the step shrunk as for a
 rejection, until the step falls below 10 ulp or reaches the clipped end.
 
-Events are terminal functions ``g(s, y)``: they are evaluated at step ends,
-and where one falls through zero (``g >= 0`` before, ``g <= 0`` after) its
-root is found on that step's dense output by `_brent`, a float port of
-scipy's ``brentq`` (Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4), as scipy's ``solve_ivp`` does.  The earliest
-root ends the branch; a root `_brent` cannot converge on ends it as a
-failure at the step's start.
+A branch takes at most one event, a terminal function ``g(s, y)`` evaluated
+at step ends.  Where it falls through zero (``g >= 0`` before, ``g <= 0``
+after), `_bisect` places the root on that step's dense output (Hairer,
+Norsett & Wanner, section II.6) to within 4 EPS (1 + |s|), the tolerance
+``solve_ivp`` gives ``brentq``, and the branch ends there.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ MAX_NFEV = 150_000
 #: numpy 2.4 on x86-64)
 MAX_SAMPLES = 200_000
 
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 A21 = 1 / 5
 A31, A32 = 3 / 40, 9 / 40
@@ -88,15 +86,15 @@ class BranchStats:
 class Branch:
     """One integration from s = 0 toward ``s_end``.
 
-    ``status`` is 0 when s_end was reached, 1 when event ``event`` ended the
-    branch at ``s`` (``event`` is None when the RHS raised `Stop`) and -1
-    when the step fell below 10 ulp, the RHS budget ran out or an event root
-    could not be found (``s`` is then the start of the step that failed).
+    ``status`` is 0 when s_end was reached, 1 when the event (``event`` is
+    True) or a `Stop` from the RHS (``event`` is False) ended the branch at
+    ``s``, and -1 when the step fell below 10 ulp or the RHS budget ran out
+    (``s`` is then the start of the step that failed).
     """
 
     status: int
     s: float
-    event: int | None
+    event: bool
     stats: BranchStats
     starts: np.ndarray   # (m,) s at the start of each accepted step
     h: np.ndarray        # (m,) signed step
@@ -113,91 +111,43 @@ class Branch:
         seg = np.searchsorted(sign * self.starts, sign * s,
                               side="right" if forward else "left") - 1
         seg = np.clip(seg, 0, len(self.starts) - 1)
-        return _interpolate(self.starts[seg], self.h[seg], self.y_old[seg],
-                            self.Q[seg], s)
+        h = self.h[seg]
+        p = np.cumprod(np.tile((s - self.starts[seg]) / h, (4, 1)), axis=0).T
+        return (h[:, None] * np.einsum("mnj,mj->mn", self.Q[seg], p)
+                + self.y_old[seg])
 
 
-def _interpolate(start, h, y_old, Q, s):
-    """(m, n) states at the m points s, each on the step given by the same
-    row of start, h, y_old and Q."""
-    x = (s - start) / h
-    p = np.cumprod(np.tile(x, (4, 1)), axis=0).T
-    return h[:, None] * np.einsum("mnj,mj->mn", Q, p) + y_old
+def _bisect(g, a: float, b: float) -> float:
+    """A root of g between a and b, where g(a) >= 0 >= g(b) (a > b too).
 
-
-def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    scipy's ``brentq.c`` step for step: inverse quadratic interpolation or
-    secant steps, bisection where they would not shrink the bracket fast
-    enough, and convergence once half the bracket is below
-    (xtol + rtol |x|) / 2.  A NaN value or a bracket without a sign change
-    raises ValueError, no convergence in brentq's default 100 iterations
-    RuntimeError.
+    Halves the bracket, keeping that order, until it is at most
+    4 EPS (1 + |b|) wide or a midpoint repeats an end, and returns its
+    g <= 0 end.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry   # good short step
-            else:
-                spre = scur = sbis        # bisect
+    while abs(b - a) > 4 * EPS * (1 + abs(b)):
+        m = a + (b - a) / 2
+        if m == a or m == b:
+            break
+        if g(m) > 0:
+            a = m
         else:
-            spre = scur = sbis            # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError("no convergence in 100 iterations")
+            b = m
+    return b
 
 
 def _rms(v) -> float:
     return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
 
 
-def integrate(rhs, y0, s_end, events, atol, rtol,
+def integrate(rhs, y0, s_end, event, atol, rtol,
               max_step=math.inf) -> Branch:
     """Integrate y' = rhs(s, y, ref) from s = 0 to s_end != 0.
 
     ``rhs`` takes a list and returns a sequence of floats, both of y0's
-    length, and may raise `Stop` anywhere but at s = 0; ``events`` are
-    terminal functions g(s, y) (see the module docstring for both).
+    length, and may raise `Stop` anywhere but at s = 0; ``event`` is a
+    terminal function g(s, y), or None (see the module docstring for both).
+    The branch fails (status -1) only where the step falls below 10 ulp of
+    s or the RHS budget `MAX_NFEV` runs out.
     """
     y = [float(v) for v in y0]
     n = len(y)
@@ -220,17 +170,19 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
     except Stop:
         s_end, stopped, h_abs = dh, True, 0.2 * h0
     else:
-        d2 = _rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+        # as scipy's numpy division: an h0 that underflowed to 0 gives inf
+        d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+              if h0 else math.inf)
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         h_abs = min(100 * h0, h1, span, max_step)
-    nfev, accepted, rejected = 2, 0, 0
+    nfev, rejected = 2, 0
 
-    g = [ev(s, y) for ev in events]
+    g = event(s, y) if event is not None else None
     steps = []
-    status, event = None, None
+    status, hit = None, False
     while status is None:
         min_step = 10 * abs(math.nextafter(s, direction * math.inf) - s)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -296,28 +248,22 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
 
         K = (k1, k2, k3, k4, k5, k6, k7)
         steps.append((s, h, y, K))
-        accepted += 1
         s_old, y_old = s, y
         s, y, f = s_new, y_new, k7
         if direction * (s - s_end) >= 0:
             status = 1 if stopped else 0
-        g_new = [ev(s, y) for ev in events]
-        fired = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
-        if fired:
-            last = (np.array([s_old]), np.array([h]), np.array([y_old]),
-                    (np.array(K).T @ P)[None])
+        if event is not None:
+            g_old, g = g, event(s, y)
+            if g_old >= 0 >= g:
+                q = (np.array(K).T @ P).tolist()
 
-            def on_step(ev):
-                return lambda x: ev(x, _interpolate(*last, np.array([x]))[0])
-            try:
-                roots = [_brent(on_step(events[i]), s_old, s, 4 * EPS,
-                                4 * EPS) for i in fired]
-            except RuntimeError:  # too flat a root: fail at the step's start
-                status, s = -1, s_old
-                break
-            first = min(range(len(fired)), key=lambda j: direction * roots[j])
-            status, event, s = 1, fired[first], roots[first]
-        g = g_new
+                def on_step(x):
+                    # this step's dense output at x, in Horner form
+                    u = (x - s_old) / h
+                    return event(x, [
+                        v + h * u * (a + u * (b + u * (c + u * d)))
+                        for v, (a, b, c, d) in zip(y_old, q)])
+                status, hit, s = 1, True, _bisect(on_step, s_old, s)
 
     m = len(steps)
     starts = np.array([st[0] for st in steps])
@@ -325,5 +271,5 @@ def integrate(rhs, y0, s_end, events, atol, rtol,
     y_olds = np.array([st[2] for st in steps]).reshape(m, n)
     Ks = np.array([st[3] for st in steps]).reshape(m, 7, n)
     Q = np.einsum("mkn,kj->mnj", Ks, P)
-    return Branch(status, s, event, BranchStats(nfev, accepted, rejected),
+    return Branch(status, s, hit, BranchStats(nfev, m, rejected),
                   starts, hs, y_olds, Q)

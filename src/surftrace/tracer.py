@@ -24,8 +24,8 @@ derivative at the start of the current step.  A trace ends ``completed``,
 ``hit_boundary`` at a domain-edge solver event, ``hit_umbilic`` where an
 isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
 `stepper.Stop`), or ``solver_failure`` when a branch runs out of its RHS
-budget (`stepper.MAX_NFEV`) or of step size, or cannot place a domain-edge
-event's root.
+budget (`stepper.MAX_NFEV`) or of step size.  The edge event is the
+distance to the nearest edge, so a step across two edges ends at the first.
 """
 from __future__ import annotations
 
@@ -113,8 +113,8 @@ class TraceRequest:
              f"step {self.step} must be finite and > 0"),
             (np.isfinite(span).all() and span[0] <= 0.0 <= span[1],
              f"s_span {self.s_span} must be finite and contain 0"),
-            (atol > 0 and rtol > 0,
-             f"atol {self.atol} and rtol {self.rtol} must be > 0"),
+            (np.isfinite([atol, rtol]).all() and atol > 0 and rtol > 0,
+             f"atol {self.atol} and rtol {self.rtol} must be finite and > 0"),
             (max_step > 0, f"max_step {self.max_step} must be > 0"),
         ]
         for ok, what in problems:
@@ -218,28 +218,28 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
 
 def _integrate_branches(rhs, y0, req: TraceRequest):
     """Integrate from s = 0 toward both ends of ``req.s_span``, each branch
-    ended by events at the four domain edges, and sample the branches'
+    ended by an event where it leaves the domain, and sample the branches'
     dense output on the uniform grid of ``req.step``.
 
     Returns (s, states, exit, stats); y0 fills s = 0 and a side of zero
     length, which has no entry in stats.
     """
     dom = req.surface.domain
-    events = [lambda s, y: y[0] - dom.t_min,
-              lambda s, y: dom.t_max - y[0],
-              lambda s, y: y[1] - dom.z_min,
-              lambda s, y: dom.z_max - y[1]]
+
+    def inside(s, y):  # distance to the nearest edge, negative outside
+        return min(y[0] - dom.t_min, dom.t_max - y[0], y[1] - dom.z_min,
+                   dom.z_max - y[1])
     s_lo, s_hi = req.s_span
     branches = {}
     exit_ = TraceExit("completed")
     for key, s_end in (("fwd", s_hi), ("bwd", s_lo)):
         if s_end == 0.0:
             continue
-        br = integrate(rhs, y0, s_end, events, req.atol, req.rtol,
+        br = integrate(rhs, y0, s_end, inside, req.atol, req.rtol,
                        req.max_step)
         if br.status:
-            kind = ("solver_failure" if br.status == -1 else "hit_umbilic"
-                    if br.event is None else "hit_boundary")
+            kind = ("solver_failure" if br.status == -1 else "hit_boundary"
+                    if br.event else "hit_umbilic")
             _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
                        key, kind, br.s, br.stats.nfev)
             if br.status == -1 or exit_.kind == "completed":

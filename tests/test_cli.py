@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,14 @@ PROBES = {
     "step-1e-9": ["trace", *ENNEPER, "--phi", "0.5", "--step", "1e-9"],
     "grid-100000": ["export", *ENNEPER, "--phi", "0.5",
                     "--grid", "100000", "100000"],
+    "atol-inf": ["trace", *ENNEPER, "--phi", "0.5", "--atol", "inf"],
+    # classify tolerances are finite numbers >= 0
+    "classify-tol-abs-nan": ["--tol-abs", "nan", "classify", *ENNEPER,
+                             "--phi", "0.5"],
+    "classify-tol-rel-negative": ["--tol-rel", "-1", "classify", *ENNEPER,
+                                  "--phi", "0.5"],
+    "classify-tol-config": ["--config", "probe.cfg", "classify", *ENNEPER,
+                            "--phi", "0.5"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -221,6 +230,7 @@ PROBE_CONFIGS = {
     "override-unknown": "s3.cc = 5\n",
     "override-eps": "s3.eps = 1.7\n",
     "verify-tol-config": "tol_rel = 100\n",
+    "classify-tol-config": "tol_abs = abc\n",
 }
 # the trace CSV each --csv probe reads; None: an Enneper trace
 PROBE_CSVS = {
@@ -253,6 +263,18 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
+
+
+@pytest.mark.parametrize("rtol", [[], ["--rtol", "1e-300"]],
+                         ids=["atol", "atol-and-rtol"])
+def test_tiny_tolerances_trace_without_warnings(rtol, tmp_path):
+    # atol 1e-300 underflows the initial step estimate to 0, and an rtol
+    # below the stepper's 100 EPS floor is raised to that floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--out", str(tmp_path), "trace", "--surface", "enneper",
+                     "--start", "0,0.5", "--phi", "0.3", "--atol", "1e-300",
+                     *rtol]) == 0
 
 
 def test_unknown_subcommand_exits_nonzero():

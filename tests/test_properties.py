@@ -3,18 +3,23 @@
 Each draw is a start in the chart domain inset by 0.25 of each span, a
 tangent angle phi from E1 and a split of a unit arc length into its
 backward and forward sides, as in the benchmark's trace_mix workload.
-The last property is the paper's theorem: only helix surfaces and the
+A third property follows geodesics and isogonal lines until they leave the
+chart.  The last property is the paper's theorem: only helix surfaces and the
 Enneper surface carry isogonal lines that are pseudo-geodesic generalized
 helices.  A cylinder's normals keep a right angle to its axis, so it is a
 helix surface too.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
 from surftrace.core import shape_arrays
-from surftrace.tracer import IsogonalMode, TraceRequest, trace_isogonal
+from surftrace import stepper, tracer
+from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
+                              trace, trace_isogonal)
 
 EXIT_KINDS = {"completed", "hit_boundary", "hit_umbilic", "solver_failure"}
 SURFACES = {name: make() for name, make in CATALOGUE.items()}
@@ -79,3 +84,46 @@ def test_isogonal_helix_pseudo_geodesics_as_the_theorem_says(name, draw):
         assert rep.helix.is_helix, rep.helix
     else:
         assert not rep.pseudo_geodesic.is_constant, rep.pseudo_geodesic
+
+
+#: arc length each way: longer than every gallery chart is wide
+LEAVE_SPAN = 40.0
+leaving = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                    st.floats(-np.pi, np.pi), st.booleans())
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+@settings(max_examples=25, deadline=None)
+@given(draw=leaving)
+def test_boundary_exits_end_on_an_edge(name, draw):
+    # a geodesic, or an isogonal line on a chart with principal directions,
+    # long enough to leave the chart: each branch ended by the domain event
+    # stops on an edge, and no sample lies outside the domain
+    surface = SURFACES[name]
+    u, v, angle, isogonal = draw
+    dom = surface.domain
+    inner = dom.inset(0.25)
+    start = (inner.t_min + u * (inner.t_max - inner.t_min),
+             inner.z_min + v * (inner.z_max - inner.z_min))
+    mode = (IsogonalMode(angle) if isogonal and not surface.totally_umbilic
+            else GeodesicMode((np.cos(angle), np.sin(angle))))
+    branches = []
+
+    def spy(*args):
+        branches.append(stepper.integrate(*args))
+        return branches[-1]
+
+    with mock.patch.object(tracer, "integrate", spy):
+        tr = trace(TraceRequest(surface, start, mode, step=0.05,
+                                s_span=(-LEAVE_SPAN, LEAVE_SPAN)))
+    edges = np.array([dom.t_min, dom.t_max, dom.z_min, dom.z_max], float)
+    for br in branches:
+        if br.event:
+            t, z = br.sample(np.array([br.s]))[0, :2]
+            assert np.min(np.abs(np.array([t, t, z, z]) - edges)) < 1e-9
+    if tr.exit.kind == "hit_boundary":
+        assert tr.exit.s_stop in [br.s for br in branches if br.event]
+    t, z = tr.uv.T
+    outside = np.maximum.reduce([edges[0] - t, t - edges[1],
+                                 edges[2] - z, z - edges[3]])
+    assert np.max(outside) <= 1e-9

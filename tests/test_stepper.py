@@ -1,5 +1,5 @@
-"""The float Dormand-Prince stepper against scipy's RK45, and its Brent
-root finder against scipy's brentq, their references."""
+"""The float Dormand-Prince stepper against scipy's RK45, and its event
+root bisection against scipy's brentq, their references."""
 import math
 
 import numpy as np
@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import EPS, Stop, _brent, integrate
+from surftrace.stepper import EPS, Stop, _bisect, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
@@ -19,7 +19,7 @@ def oscillator(s, y, ref):
     return (v1, v2, -x1, -4.0 * x2)
 
 
-def reference(rhs, y0, s_end, events=(), **options):
+def reference(rhs, y0, s_end, event=None, **options):
     """scipy's RK45 on the same problem, arrays in and out."""
     def terminal(ev):
         def g(s, y):
@@ -30,7 +30,7 @@ def reference(rhs, y0, s_end, events=(), **options):
     return solve_ivp(lambda s, y: np.array(rhs(s, tuple(y), None)),
                      (0.0, s_end), np.array(y0, dtype=float), method="RK45",
                      dense_output=True,
-                     events=[terminal(ev) for ev in events] or None, **options)
+                     events=terminal(event) if event else None, **options)
 
 
 def rel_gap(a, b):
@@ -62,14 +62,14 @@ def assert_matches(br, sol):
 @pytest.mark.parametrize("s_end", [5.0, -5.0])
 def test_oscillator_matches_rk45(s_end):
     y0 = (1.0, 0.0, 0.0, 1.0)
-    br = integrate(oscillator, y0, s_end, (), ATOL, RTOL)
+    br = integrate(oscillator, y0, s_end, None, ATOL, RTOL)
     sol = reference(oscillator, y0, s_end, atol=ATOL, rtol=RTOL)
     assert br.status == sol.status == 0 and br.s == s_end
     assert_matches(br, sol)
 
 
 def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
-    # the tracer's own right-hand side and domain events, both branches
+    # the tracer's own right-hand side and domain event, both branches
     calls = []
 
     def spy(*args):
@@ -81,9 +81,9 @@ def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
                               PseudoGeodesicMode(0.3, 0.4),
                               s_span=(-0.6, 0.6)))
     assert [args[2] for args in calls] == [0.6, -0.6]
-    for rhs, y0, s_end, events, atol, rtol, max_step in calls:
-        br = integrate(rhs, y0, s_end, events, atol, rtol, max_step)
-        sol = reference(rhs, y0, s_end, events, atol=atol, rtol=rtol)
+    for rhs, y0, s_end, event, atol, rtol, max_step in calls:
+        br = integrate(rhs, y0, s_end, event, atol, rtol, max_step)
+        sol = reference(rhs, y0, s_end, event, atol=atol, rtol=rtol)
         assert br.status == sol.status == 0
         assert_matches(br, sol)
 
@@ -92,7 +92,7 @@ def test_rejected_steps_match_rk45():
     def van_der_pol(s, y, ref):
         return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
-    br = integrate(van_der_pol, (2.0, 0.0), 3.0, (), 1e-8, 1e-6)
+    br = integrate(van_der_pol, (2.0, 0.0), 3.0, None, 1e-8, 1e-6)
     sol = reference(van_der_pol, (2.0, 0.0), 3.0, atol=1e-8, rtol=1e-6)
     accepted = len(sol.t) - 1
     assert br.stats.rejected > 0
@@ -105,9 +105,9 @@ def test_terminal_event_root_matches_rk45():
         return y[0] - 0.5
 
     y0 = (1.0, 0.0, 0.0, 1.0)
-    br = integrate(oscillator, y0, 3.0, [falls_to_half], ATOL, RTOL)
-    sol = reference(oscillator, y0, 3.0, [falls_to_half], atol=ATOL, rtol=RTOL)
-    assert br.status == sol.status == 1 and br.event == 0
+    br = integrate(oscillator, y0, 3.0, falls_to_half, ATOL, RTOL)
+    sol = reference(oscillator, y0, 3.0, falls_to_half, atol=ATOL, rtol=RTOL)
+    assert br.status == sol.status == 1 and br.event
     assert abs(br.s - sol.t_events[0][0]) < 1e-12
     assert abs(br.s - np.pi / 3) < 1e-8
     assert_matches(br, sol)
@@ -115,7 +115,7 @@ def test_terminal_event_root_matches_rk45():
 
 def test_max_step_honoured():
     y0 = (1.0, 0.0, 0.0, 1.0)
-    br = integrate(oscillator, y0, -2.0, (), ATOL, RTOL, 0.05)
+    br = integrate(oscillator, y0, -2.0, None, ATOL, RTOL, 0.05)
     assert np.all(np.abs(br.h) <= 0.05)
     sol = reference(oscillator, y0, -2.0, atol=ATOL, rtol=RTOL, max_step=0.05)
     assert_matches(br, sol)
@@ -126,7 +126,7 @@ def test_too_small_step_fails_like_rk45():
     def blow_up(s, y, ref):
         return (y[0] * y[0],)
 
-    br = integrate(blow_up, (1.0,), 2.0, (), 1e-8, 1e-6)
+    br = integrate(blow_up, (1.0,), 2.0, None, 1e-8, 1e-6)
     sol = reference(blow_up, (1.0,), 2.0, atol=1e-8, rtol=1e-6)
     assert br.status == sol.status == -1
     assert abs(br.s - sol.t[-1]) < 1e-12
@@ -140,7 +140,7 @@ def test_nfev_counts_every_rhs_call():
         count[0] += 1
         return oscillator(s, y, ref)
 
-    br = integrate(counted, (1.0, 0.0, 0.0, 1.0), 2.0, (), ATOL, RTOL)
+    br = integrate(counted, (1.0, 0.0, 0.0, 1.0), 2.0, None, ATOL, RTOL)
     assert br.stats.nfev == count[0]
     assert br.stats.nfev == 2 + 6 * (br.stats.steps + br.stats.rejected)
 
@@ -157,16 +157,16 @@ def test_stop_ends_branch_at_the_stage(stop):
             raise Stop
         return oscillator(s, y, ref)
 
-    br = integrate(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop), (),
-                   ATOL, RTOL)
-    assert br.status == 1 and br.event is None
+    br = integrate(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop),
+                   None, ATOL, RTOL)
+    assert br.status == 1 and not br.event
     assert 0.0 <= (stop - br.s) / np.sign(stop) < 1e-14
     assert br.stats.nfev == count[0]
     grid = np.linspace(0.0, br.s, 101)
     assert np.max(np.abs(br.sample(grid)[:, 0] - np.cos(grid))) < 1e-8
 
 
-BRENT_TOL = 4 * EPS   # the stepper's xtol and rtol for event roots
+ROOT_TOL = 4 * EPS   # scipy's xtol and rtol for event roots
 
 BRACKETS = {
     "polynomial": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
@@ -178,34 +178,30 @@ BRACKETS = {
 
 
 @pytest.mark.parametrize("name", BRACKETS)
-def test_brent_matches_brentq(name):
+def test_bisect_matches_brentq(name):
+    # g >= 0 first, with the bracket either way round
     f, a, b = BRACKETS[name]
-    for lo, hi in ((a, b), (b, a)):
-        root = _brent(f, lo, hi, BRENT_TOL, BRENT_TOL)
-        ref = brentq(f, lo, hi, xtol=BRENT_TOL, rtol=BRENT_TOL)
-        assert abs(root - ref) <= BRENT_TOL + BRENT_TOL * abs(ref)
+    ref = brentq(f, a, b, xtol=ROOT_TOL, rtol=ROOT_TOL)
+    pos, neg = (a, b) if f(a) > f(b) else (b, a)
+    for root in (_bisect(f, pos, neg), _bisect(lambda x: -f(x), neg, pos)):
+        assert abs(root - ref) <= 2 * ROOT_TOL * (1 + abs(root))
 
 
-def test_brent_needs_a_sign_change():
-    with pytest.raises(ValueError):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, BRENT_TOL, BRENT_TOL)
-
-
-def test_brent_gives_up_where_brentq_does():
-    # a fifth-order root: both run out of iterations at this tolerance
+def test_bisect_places_a_root_brentq_gives_up_on():
+    # a fifth-order root: brentq runs out of its 100 iterations at this
+    # tolerance, bisection halves down to it
     def f(x):
         return (x - 0.5) ** 5
 
     with pytest.raises(RuntimeError):
-        brentq(f, 0.0, 1.3, xtol=BRENT_TOL, rtol=BRENT_TOL)
-    with pytest.raises(RuntimeError):
-        _brent(f, 0.0, 1.3, BRENT_TOL, BRENT_TOL)
+        brentq(f, 0.0, 1.3, xtol=ROOT_TOL, rtol=ROOT_TOL)
+    root = _bisect(lambda x: -f(x), 0.0, 1.3)
+    assert f(root) >= 0 and abs(root - 0.5) <= ROOT_TOL * (1 + abs(root))
 
 
-def test_event_root_failure_ends_the_branch():
-    # the flat crossing above as a terminal event: the branch fails at the
-    # start of the step that crosses it instead of raising
+def test_flat_crossing_ends_the_branch_at_its_root():
+    # the flat crossing above as a terminal event
     br = integrate(lambda s, y, ref: (1.0,), (0.0,), 1.3,
-                   [lambda s, y: (0.5 - y[0]) ** 5], 1e-10, 1e-9)
-    assert br.status == -1 and br.event is None
-    assert br.s == br.starts[-1] <= 0.5 < br.starts[-1] + br.h[-1]
+                   lambda s, y: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
+    assert br.status == 1 and br.event
+    assert abs(br.s - 0.5) < 1e-12

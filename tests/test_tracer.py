@@ -393,12 +393,32 @@ def test_chart_angle_conversion_roundtrip():
     dict(mode=GeodesicMode(((0.3,), 0.2))), dict(mode=GeodesicMode("ab")),
     dict(mode=GeodesicMode(None)), dict(start_uv=None), dict(start_uv="ab"),
     dict(s_span=((0,), 1.0)), dict(s_span=(-1, 0, 1)), dict(step="x"),
-    dict(atol=None), dict(start_uv=(0.1,)), dict(start_uv=(0.1, 0.2, 0.3))])
+    dict(atol=None), dict(start_uv=(0.1,)), dict(start_uv=(0.1, 0.2, 0.3)),
+    dict(atol=np.inf), dict(rtol=np.inf)])
 def test_invalid_request_fails_fast(change):
     fields = dict(surface=make_enneper(), start_uv=(0.0, 1.0),
                   mode=IsogonalMode(0.5))
     with pytest.raises(InvalidRequestError):
         TraceRequest(**{**fields, **change})
+
+
+def test_corner_exit_ends_at_the_first_edge(monkeypatch):
+    # a plane geodesic along (1, 1) meets t = 1 at s = sqrt(2) and
+    # z = 1 + 1e-7 just after, and one solver step crosses both
+    branches = []
+
+    def spy(*args):
+        branches.append(stepper.integrate(*args))
+        return branches[-1]
+
+    monkeypatch.setattr(tracer, "integrate", spy)
+    plane = replace(make_plane(), domain=Domain(-1, 1, -1, 1 + 1e-7))
+    tr = trace(TraceRequest(plane, (0.0, 0.0), GeodesicMode((1.0, 1.0)),
+                            s_span=(0.0, 3.0)))
+    assert tr.exit.kind == "hit_boundary"
+    assert abs(tr.exit.s_stop - np.sqrt(2)) < 1e-12
+    (br,) = branches
+    assert br.starts[-1] < np.sqrt(2) * (1 + 1e-7) < br.starts[-1] + br.h[-1]
 
 
 def test_finite_array_initial_dir_is_accepted():
