@@ -118,7 +118,7 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="surftrace",
+        prog="surftrace", allow_abbrev=False,
         description="trace and classify special curves on surfaces")
     parser.add_argument("--config", default=None,
                         help="flat key = value config file")
@@ -130,23 +130,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="classification relative tolerance override")
     sub = parser.add_subparsers(dest="command")
 
-    p_trace = sub.add_parser("trace", help="trace a curve and write CSV")
+    p_trace = sub.add_parser("trace", help="trace a curve and write CSV",
+                             allow_abbrev=False)
     _add_trace_args(p_trace)
     p_trace.add_argument("--csv", default=None,
                          help="output CSV filename (default trace.csv)")
 
-    p_cls = sub.add_parser("classify",
+    p_cls = sub.add_parser("classify", allow_abbrev=False,
                            help="classify a trace (from args or a CSV)")
     _add_trace_args(p_cls)
     p_cls.add_argument("--csv", default=None,
                        help="classify this CSV instead of tracing "
                             "(--surface still selects the chart)")
 
-    p_ver = sub.add_parser("verify", help="run verification scenarios")
+    p_ver = sub.add_parser("verify", help="run verification scenarios",
+                           allow_abbrev=False)
     p_ver.add_argument("scenario", nargs="?", default="all",
                        help="S1..S8, A1..A4 or 'all'")
 
-    p_exp = sub.add_parser("export", help="write an OBJ surface + curves")
+    p_exp = sub.add_parser("export", help="write an OBJ surface + curves",
+                           allow_abbrev=False)
     _add_trace_args(p_exp)
     p_exp.add_argument("--obj", default=None,
                        help="output OBJ filename (default export.obj)")

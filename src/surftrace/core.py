@@ -12,14 +12,14 @@ the tuples for `point_shape` (one point, module rule) and `shape_arrays`
 (arrays, a per-point hint or else the module rule at the first point and
 a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
-Records are named tuples (3 to 5 of `point_shape`'s 10 to 16 us, mostly
-its three `np.array` vectors), and the flow right-hand sides build none: the
-pseudo-geodesic one reads `point_metric`, the isogonal one `point_frame`
-too.  A trace makes one `shape_arrays` pass over its samples, reused by its
-Darboux scalars (an isogonal adds one over its 2n acceleration stencils);
-bare samples, CSV import, class probes and oracle scenarios take one each.
-Its fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
-near n = 15 to 20 (gallery charts, numpy 2.4, 2-core x86-64 host).
+Records are named tuples (3 to 5 of `point_shape`'s 8 to 11 us, mostly its
+three `np.array` vectors); the flow right-hand sides build none: the
+pseudo-geodesic one reads `point_metric` (2.4 to 4.9 us), the isogonal one
+`point_frame` too (2 us).  A trace makes one `shape_arrays` pass over its
+samples, reused by its Darboux scalars (an isogonal adds one over its 2n
+acceleration stencils); bare samples, CSV import, class probes and oracle
+scenarios take one each.  Its fixed numpy cost (180 to 320 us at n = 1) breaks
+even with a scalar loop near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).
 
 Conventions fixed once and used everywhere downstream:
 
@@ -251,17 +251,19 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
     W = E * G - F * F
 
     # second form and Christoffel symbols: [E F; F G] (c1, c2) =
-    # (<X_.., X_t>, <X_.., X_z>) for each second partial X_..
-    second = []
-    symbols = []
-    for part in (jet.d_tt, jet.d_tz, jet.d_zz):
-        p0, p1, p2 = part
-        second.append(p0 * n0 + p1 * n1 + p2 * n2)
-        bt = p0 * xt0 + p1 * xt1 + p2 * xt2
-        bz = p0 * xz0 + p1 * xz1 + p2 * xz2
-        symbols.append(((G * bt - F * bz) / W, (E * bz - F * bt) / W))
-    e, f, g = second
-    (c1_tt, c2_tt), (c1_tz, c2_tz), (c1_zz, c2_zz) = symbols
+    # (<X_.., X_t>, <X_.., X_z>) for each second partial X_.., unrolled
+    p0, p1, p2 = jet.d_tt
+    e = p0 * n0 + p1 * n1 + p2 * n2
+    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
+    c1_tt, c2_tt = (G * bt - F * bz) / W, (E * bz - F * bt) / W
+    p0, p1, p2 = jet.d_tz
+    f = p0 * n0 + p1 * n1 + p2 * n2
+    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
+    c1_tz, c2_tz = (G * bt - F * bz) / W, (E * bz - F * bt) / W
+    p0, p1, p2 = jet.d_zz
+    g = p0 * n0 + p1 * n1 + p2 * n2
+    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
+    c1_zz, c2_zz = (G * bt - F * bz) / W, (E * bz - F * bt) / W
     return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
             e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
 

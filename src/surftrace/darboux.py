@@ -158,6 +158,12 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
     if surface != trace.request.surface:
         raise InvalidRequestError(f"surface '{surface.name}' is not the "
                                   f"trace's '{trace.request.surface.name}'")
+    if len(trace) < 5:  # name the exit that cut the trace short
+        nfev, end = sum(st.nfev for st in trace.stats.values()), trace.exit
+        at = "" if end.s_stop is None else f" at s = {end.s_stop}"
+        raise TooFewSamplesError(
+            f"need at least 5 samples, got {len(trace)}: the trace ended "
+            f"{end.kind}{at} after {nfev} RHS evaluations")
     return _scalars(surface, trace.s, trace.uv, trace.uv_vel, trace.uv_acc,
                     trace.shape)
 

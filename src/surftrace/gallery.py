@@ -179,6 +179,10 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
         raise DegenerateParameterError("eps must be +1 or -1")
     c = float(c)
     ep = float(eps)
+    tc = float(np.power(0.95, c))   # the jet's w = 1 - t^2c is least at t_max
+    if not (c < np.inf and 1.0 - tc * tc > 0.0):   # else h', h'' not finite
+        raise DegenerateParameterError(f"c = {c:g} leaves the jet non-finite: "
+                                       "1 - t^2c = 0 at t = 0.95, or c = inf")
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, t * np.cos(z), t * np.sin(z), _crpc_height(t, c, ep))

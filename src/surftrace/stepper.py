@@ -7,8 +7,10 @@ dense output of Shampine (1986), the initial-step rule with error-estimator
 order 4, the RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
 step factors ``0.9 err^(-1/5)`` clamped to [0.2, 10] (no growth right after a
 rejection) and a minimum step of 10 ulp of s.  States are lists of floats,
-one list comprehension of tableau expressions per stage, which spares the
-numpy calls and generators that dominate a small system's step.
+one list comprehension of tableau expressions per stage; norms sum squares
+left to right on any Python.  A step appends its s, h, state and 7 stages to
+four flat lists, one array each at the end: with a trivial 4-state RHS and
+an event, a step costs 12.3 us (13.9 before) and a branch 13 us more.
 
 The right-hand side is called as ``rhs(s, y, ref)``: ``ref`` is the
 derivative at the current step's start (the first-same-as-last stage k1),
@@ -108,13 +110,14 @@ class Branch:
         s = np.asarray(s, dtype=float)
         forward = self.h[0] > 0
         sign = 1.0 if forward else -1.0
-        seg = np.searchsorted(sign * self.starts, sign * s,
-                              side="right" if forward else "left") - 1
-        seg = np.clip(seg, 0, len(self.starts) - 1)
+        # each point's step: how many step starts after the first it passed
+        seg = np.searchsorted(sign * self.starts[1:], sign * s,
+                              side="right" if forward else "left")
         h = self.h[seg]
-        p = np.cumprod(np.tile((s - self.starts[seg]) / h, (4, 1)), axis=0).T
-        return (h[:, None] * np.einsum("mnj,mj->mn", self.Q[seg], p)
-                + self.y_old[seg])
+        x = (s - self.starts[seg]) / h   # x^1..x^4 in a cumprod's layout:
+        p = np.array([x, x2 := x * x, x3 := x2 * x, x3 * x]).T
+        return (h[:, None] * np.einsum("mnj,mj->mn", self.Q.take(seg, 0), p)
+                + self.y_old.take(seg, 0))
 
 
 def _bisect(g, a: float, b: float) -> float:
@@ -136,7 +139,10 @@ def _bisect(g, a: float, b: float) -> float:
 
 
 def _rms(v) -> float:
-    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
+    sq = 0.0
+    for x in v:
+        sq += x * x
+    return math.sqrt(sq) / len(v) ** 0.5
 
 
 def integrate(rhs, y0, s_end, event, atol, rtol,
@@ -147,14 +153,16 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
     length, and may raise `Stop` anywhere but at s = 0; ``event`` is a
     terminal function g(s, y), or None (see the module docstring for both).
     The branch fails (status -1) only where the step falls below 10 ulp of
-    s or the RHS budget `MAX_NFEV` runs out.
+    s, or is NaN (a non-finite derivative at s = 0 makes it so at once), or
+    the RHS budget `MAX_NFEV` runs out.
     """
     y = [float(v) for v in y0]
-    n = len(y)
+    n, root_n = len(y), len(y) ** 0.5
     rtol = max(rtol, 100 * EPS)
     direction = 1.0 if s_end > 0 else -1.0
     s = 0.0
     f = rhs(s, y, None)
+    nfev, rejected = 2, 0
     stopped = False
 
     # initial step (Hairer, Norsett & Wanner II.4, scipy select_initial_step)
@@ -165,23 +173,25 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     dh = h0 * direction
-    try:
-        f1 = rhs(s + dh, [v + dh * fv for v, fv in zip(y, f)], f)
-    except Stop:
-        s_end, stopped, h_abs = dh, True, 0.2 * h0
+    if not all(map(math.isfinite, f)):  # a NaN step size ends the branch
+        nfev, h_abs = 1, math.nan
     else:
-        # as scipy's numpy division: an h0 that underflowed to 0 gives inf
-        d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
-              if h0 else math.inf)
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
+        try:
+            f1 = rhs(s + dh, [v + dh * fv for v, fv in zip(y, f)], f)
+        except Stop:
+            s_end, stopped, h_abs = dh, True, 0.2 * h0
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        h_abs = min(100 * h0, h1, span, max_step)
-    nfev, rejected = 2, 0
+            # as scipy's numpy division: an h0 that underflowed to 0 gives inf
+            d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+                  if h0 else math.inf)
+            if d1 <= 1e-15 and d2 <= 1e-15:
+                h1 = max(1e-6, h0 * 1e-3)
+            else:
+                h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h_abs = min(100 * h0, h1, span, max_step)
 
     g = event(s, y) if event is not None else None
-    steps = []
+    starts, hs, ys, ks = [], [], [], []   # per step: s, h, y, k1..k7
     status, hit = None, False
     while status is None:
         min_step = 10 * abs(math.nextafter(s, direction * math.inf) - s)
@@ -191,7 +201,7 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
             if nfev + 6 > MAX_NFEV:
                 status = -1
                 break
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 status = 1 if stopped else -1
                 break
             s_new = s + h_abs * direction
@@ -230,10 +240,14 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
                 rejected += 1
                 continue
             nfev += 6
-            err = _rms([(a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7)
-                        * h / (atol + max(abs(v), abs(w)) * rtol)
-                        for v, w, a, c, d, e, q, r
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            sq = 0.0   # `_rms` inlined, max(|v|, |w|) as its conditional
+            for v, w, a, c, d, e, q, r in zip(y, y_new, k1, k3, k4, k5, k6,
+                                               k7):
+                x = ((a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7) * h
+                     / (atol + (aw if (aw := abs(w)) > (av := abs(v)) else av)
+                        * rtol))
+                sq += x * x
+            err = math.sqrt(sq) / root_n
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
                 if step_rejected:
@@ -246,8 +260,10 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
         if status is not None:
             break
 
-        K = (k1, k2, k3, k4, k5, k6, k7)
-        steps.append((s, h, y, K))
+        starts.append(s)
+        hs.append(h)
+        ys += y
+        ks += (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
         s_old, y_old = s, y
         s, y, f = s_new, y_new, k7
         if direction * (s - s_end) >= 0:
@@ -255,7 +271,7 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
         if event is not None:
             g_old, g = g, event(s, y)
             if g_old >= 0 >= g:
-                q = (np.array(K).T @ P).tolist()
+                q = (np.array((k1, k2, k3, k4, k5, k6, k7)).T @ P).tolist()
 
                 def on_step(x):
                     # this step's dense output at x, in Horner form
@@ -265,11 +281,7 @@ def integrate(rhs, y0, s_end, event, atol, rtol,
                         for v, (a, b, c, d) in zip(y_old, q)])
                 status, hit, s = 1, True, _bisect(on_step, s_old, s)
 
-    m = len(steps)
-    starts = np.array([st[0] for st in steps])
-    hs = np.array([st[1] for st in steps])
-    y_olds = np.array([st[2] for st in steps]).reshape(m, n)
-    Ks = np.array([st[3] for st in steps]).reshape(m, 7, n)
-    Q = np.einsum("mkn,kj->mnj", Ks, P)
+    m = len(starts)
     return Branch(status, s, hit, BranchStats(nfev, m, rejected),
-                  starts, hs, y_olds, Q)
+                  np.array(starts), np.array(hs), np.array(ys).reshape(m, n),
+                  np.einsum("mkn,kj->mnj", np.array(ks).reshape(m, 7, n), P))

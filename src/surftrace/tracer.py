@@ -298,10 +298,10 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     def rhs(s, y, ref):
         t, z = y
-        frame = point_frame(point_metric(surface, t, z, check_domain=False))
-        if _umbilic_gap(frame[0], frame[1]) < UMBILIC_GAP:
+        (kappa1, kappa2, _, _, _, _, _, _, _, _, f1, f2, g1,
+         g2) = point_frame(point_metric(surface, t, z, check_domain=False))
+        if _umbilic_gap(kappa1, kappa2) < UMBILIC_GAP:
             raise Stop
-        f1, f2, g1, g2 = frame[10:]
         det = f1 * g2 - f2 * g1
         if abs(det) < 1e-12:
             raise SingularDecompositionError(
@@ -365,9 +365,11 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
 
     def rhs(s, y, ref):
         t, z, tp, zp = y
-        # point_metric's E, G, then e, f, g and the six symbols
-        m = point_metric(surface, t, z, check_domain=False)
-        return (tp, zp, *acceleration(m[10], m[12], *m[14:], tp, zp))
+        (_, _, _, _, _, _, _, _, _, _, E, _, G, _, e, f, g, c1_tt, c1_tz,
+         c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(surface, t, z,
+                                                    check_domain=False)
+        return (tp, zp, *acceleration(E, G, e, f, g, c1_tt, c1_tz, c1_zz,
+                                      c2_tt, c2_tz, c2_zz, tp, zp))
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)

@@ -193,6 +193,9 @@ PROBES = {
     "dir-zero": ["trace", *ENNEPER, "--mode", "geodesic", "--dir", "0,0"],
     "crpc-negative-c": ["trace", "--surface", "crpc_revolution",
                         "--param", "c=-1", "--start", "0.5,0", "--phi", "0.5"],
+    # t^c rounds to 1, so 1 - t^(2c) = 0 and the jet divides by it
+    "crpc-c-1e-300": ["trace", "--surface", "crpc_revolution", "--param",
+                      "c=1e-300", "--start", "0.5,0", "--phi", "0.3"],
     "param-without-value": ["trace", *ENNEPER, "--param", "foo",
                             "--phi", "0.5"],
     "isogonal-without-phi": ["trace", *ENNEPER],
@@ -263,6 +266,30 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
+
+
+@pytest.mark.parametrize("flag", [["--c", "1e-300"], ["--a", "5e-324"]],
+                         ids=["c-not-csv", "a-not-atol"])
+def test_abbreviated_options_are_refused(flag, tmp_path, monkeypatch, capsys):
+    # prefix matching once read --c as --csv (writing a file named 1e-300)
+    # and --a as --atol
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "trace", *ENNEPER, "--phi", "0.5",
+              "--s-span", "-0.1", "0.1", *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_abbreviated_top_level_option_is_refused(tmp_path, monkeypatch):
+    # --c once read as --config: a file named 1e-300 is not read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1e-300").write_text("s1.unknown = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--c", "1e-300", "verify", "S1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("rtol", [[], ["--rtol", "1e-300"]],

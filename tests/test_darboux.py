@@ -6,6 +6,7 @@ from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
                        make_catenoid, make_cylinder, make_enneper,
                        make_helix_surface, make_plane, make_sphere,
                        point_shape, tracer)
+from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.darboux import normal_angle
 from surftrace.errors import (InvalidRequestError, NonUnitSpeedError,
                               TooFewSamplesError, VanishingCurvatureError)
@@ -125,6 +126,39 @@ def test_too_few_samples_rejected():
     s, uv, vel, acc = plane_circle_samples(2.0, n=4, span=0.01)
     with pytest.raises(TooFewSamplesError):
         curve_scalars(plane, s, uv, vel, acc)
+
+
+def test_a_short_trace_names_its_exit():
+    # a plane whose jet is NaN for t > 0: from t = 0, every stage of every
+    # step lands there, so the branch fails at s = 0 with one sample
+    def position(t, z):
+        return vec3(t, t, z, 0.0)
+
+    def jet(t, z):
+        nan_past_start = np.where(t > 0.0, np.nan, 0.0)
+        zero = vec3(t, 0.0, 0.0, 0.0)
+        return SurfaceJet2(vec3(t, 1.0, 0.0, nan_past_start),
+                           vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
+
+    chart = SurfaceDef("nan_past_start", Domain(-1, 1, -1, 1), position, jet,
+                       orthogonal=True)
+    tr = trace(TraceRequest(chart, (0.0, 0.0), GeodesicMode((1.0, 0.0)),
+                            s_span=(0.0, 1.0)))
+    assert len(tr) == 1 and tr.exit.kind == "solver_failure"
+    nfev = tr.stats["fwd"].nfev
+    with pytest.raises(TooFewSamplesError,
+                       match=f"got 1: the trace ended solver_failure at "
+                             f"s = 0.0 after {nfev} RHS evaluations"):
+        curve_scalars_from_trace(chart, tr)
+    # a span too short for its step completes, at no s_stop
+    plane = make_plane()
+    tr = trace(TraceRequest(plane, (0.0, 0.0), GeodesicMode((1.0, 0.0)),
+                            s_span=(0.0, 0.005)))
+    nfev = tr.stats["fwd"].nfev
+    with pytest.raises(TooFewSamplesError,
+                       match=f"got 3: the trace ended completed after {nfev} "
+                             "RHS evaluations"):
+        curve_scalars_from_trace(plane, tr)
 
 
 def test_pythagorean_curvature_identity():

@@ -148,10 +148,20 @@ def test_degenerate_parameters_rejected():
         make_crpc_revolution(0.0, 1)
     with pytest.raises(DegenerateParameterError):
         make_crpc_revolution(-1.0, 1)
+    for c in (1e-300, 1e-17, np.inf):   # a jet that is not finite
+        with pytest.raises(DegenerateParameterError):
+            make_crpc_revolution(c, 1)
     with pytest.raises(DegenerateParameterError):
         make_sphere(-1.0)
     with pytest.raises(DegenerateParameterError):
         make_surface("nonexistent")
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-3, 2.0, 50.0, 1e6])
+def test_crpc_revolution_accepted_c_has_a_finite_jet(c):
+    surf = make_crpc_revolution(c, 1)
+    t = np.linspace(surf.domain.t_min, surf.domain.t_max, 181)
+    assert np.isfinite(np.array(surf.jet(t, 0.3 * t))).all()
 
 
 def test_helix_surface_domain_keeps_ruling_margin():

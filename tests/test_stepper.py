@@ -1,5 +1,6 @@
 """The float Dormand-Prince stepper against scipy's RK45, and its event
-root bisection against scipy's brentq, their references."""
+root bisection against scipy's brentq, their references; its branch arrays
+and dense output bit for bit against the per-step forms they replaced."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import EPS, Stop, _bisect, integrate
+from surftrace.stepper import C2, C3, C4, C5, EPS, P, Stop, _bisect, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
@@ -17,6 +18,10 @@ ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
 def oscillator(s, y, ref):
     x1, x2, v1, v2 = y
     return (v1, v2, -x1, -4.0 * x2)
+
+
+def van_der_pol(s, y, ref):
+    return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
 
 def reference(rhs, y0, s_end, event=None, **options):
@@ -89,9 +94,6 @@ def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
 
 
 def test_rejected_steps_match_rk45():
-    def van_der_pol(s, y, ref):
-        return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
-
     br = integrate(van_der_pol, (2.0, 0.0), 3.0, None, 1e-8, 1e-6)
     sol = reference(van_der_pol, (2.0, 0.0), 3.0, atol=1e-8, rtol=1e-6)
     accepted = len(sol.t) - 1
@@ -205,3 +207,109 @@ def test_flat_crossing_ends_the_branch_at_its_root():
                    lambda s, y: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
     assert br.status == 1 and br.event
     assert abs(br.s - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rhs_at_start_ends_the_branch(bad):
+    # a NaN derivative once made a NaN step that no test refused, and the
+    # branch spent its whole RHS budget on rejections
+    count = [0]
+
+    def broken(s, y, ref):
+        count[0] += 1
+        return (bad, 0.0)
+
+    br = integrate(broken, (0.5, 0.0), 1.0, None, ATOL, RTOL)
+    assert br.status == -1 and br.s == 0.0 and not br.event
+    assert count[0] == br.stats.nfev <= 2
+    assert br.stats.steps == br.stats.rejected == 0
+    assert br.starts.shape == br.h.shape == (0,)
+    assert br.y_old.shape == (0, 2) and br.Q.shape == (0, 2, 4)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("s_end", [5.0, -5.0])
+def test_sample_matches_the_cumprod_form(s_end):
+    # the dense output as it was written before its powers were unrolled
+    br = integrate(oscillator, (1.0, 0.0, 0.0, 1.0), s_end, None, ATOL, RTOL)
+    s = np.r_[np.linspace(0.0, s_end, 997), br.starts, br.s]
+    forward = br.h[0] > 0
+    sign = 1.0 if forward else -1.0
+    seg = np.clip(np.searchsorted(sign * br.starts, sign * s,
+                                  side="right" if forward else "left") - 1,
+                  0, len(br.starts) - 1)
+    h = br.h[seg]
+    p = np.cumprod(np.tile((s - br.starts[seg]) / h, (4, 1)), axis=0).T
+    old = h[:, None] * np.einsum("mnj,mj->mn", br.Q[seg], p) + br.y_old[seg]
+    assert _bits(br.sample(s)) == _bits(old)
+
+
+def per_step_build(rhs, y0, s_end, event, atol, rtol, max_step=math.inf):
+    """The branch, and its four arrays built as the stepper once built them:
+    from one (s, h, y, K) tuple per accepted step, with y and K read off
+    the RHS calls and s, h checked against the stage points."""
+    calls = []
+
+    def logged(s, y, ref):
+        out = rhs(s, y, ref)
+        calls.append((s, list(y), ref, out))
+        return out
+
+    br = integrate(logged, y0, s_end, event, atol, rtol, max_step)
+    # calls[0] is f at s = 0 and calls[1] the initial-step probe; every
+    # attempt after them is six calls (k2..k7) passed the step's k1 as ref,
+    # and the last attempt with a given k1 is the accepted one
+    attempts = [calls[i:i + 6] for i in range(2, len(calls), 6)]
+    accepted = [a for a, b in zip(attempts, attempts[1:] + [None])
+                if b is None or b[0][2] is not a[0][2]]
+    assert len(accepted) == br.stats.steps
+    steps, y = [], [float(v) for v in y0]
+    for (s, h), attempt in zip(zip(br.starts.tolist(), br.h.tolist()),
+                               accepted):
+        k1 = attempt[0][2]
+        assert [c[0] for c in attempt] == [s + C2 * h, s + C3 * h, s + C4 * h,
+                                           s + C5 * h, s + h, s + h]
+        steps.append((s, h, y, (k1, *(c[3] for c in attempt))))
+        y = attempt[5][1]
+    ends = np.r_[br.starts[1:], br.s]
+    assert _bits(ends - br.starts) == _bits(br.h)
+    m, n = len(steps), len(y0)
+    Ks = np.array([st[3] for st in steps]).reshape(m, 7, n)
+    return br, (np.array([st[0] for st in steps]),
+                np.array([st[1] for st in steps]),
+                np.array([st[2] for st in steps]).reshape(m, n),
+                np.einsum("mkn,kj->mnj", Ks, P))
+
+
+def assert_per_step_build(rhs, y0, s_end, *options):
+    br, arrays = per_step_build(rhs, y0, s_end, *options)
+    assert br.status == 0 and br.stats.steps > 10
+    for new, old in zip((br.starts, br.h, br.y_old, br.Q), arrays):
+        assert new.shape == old.shape and _bits(new) == _bits(old)
+
+
+@pytest.mark.parametrize("rhs, y0, s_end, tol", [
+    (oscillator, (1.0, 0.0, 0.0, 1.0), 5.0, (ATOL, RTOL)),
+    (oscillator, (1.0, 0.0, 0.0, 1.0), -5.0, (ATOL, RTOL)),
+    (van_der_pol, (2.0, 0.0), 3.0, (1e-8, 1e-6)),   # with rejected steps
+], ids=["oscillator", "oscillator-backward", "van-der-pol"])
+def test_branch_arrays_match_the_per_step_build(rhs, y0, s_end, tol):
+    assert_per_step_build(rhs, y0, s_end, None, *tol)
+
+
+def test_branch_arrays_match_the_per_step_build_tracer(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(tracer, "integrate", spy)
+    tracer.trace(TraceRequest(make_enneper(), (0.2, 0.3),
+                              PseudoGeodesicMode(0.3, 0.4),
+                              s_span=(-0.6, 0.6)))
+    for args in calls:
+        assert_per_step_build(*args)
