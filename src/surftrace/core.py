@@ -103,7 +103,6 @@ class SurfaceDef:
     domain: Domain
     position: Callable[[float, float], ChartVec]
     jet: Optional[Callable[[float, float], SurfaceJet2]] = None
-    orthogonal: bool = False
     totally_umbilic: bool = False
     params: Mapping[str, float] = field(default_factory=dict)
     oracle: "GalleryOracle | None" = None

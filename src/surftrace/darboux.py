@@ -186,7 +186,8 @@ def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:
     oracle's kg1/kg2 refer to), which makes the residual independent of
     the principal-frame labeling; near-zero residuals validate the whole
     jet -> frame -> trace pipeline against the closed forms of
-    ``surface.oracle``.
+    ``surface.oracle``.  The formula holds on F = 0 charts, as every
+    gallery chart with an oracle is.
     """
     oracle = surface.oracle
     if oracle is None:

@@ -37,10 +37,6 @@ class SingularDecompositionError(GeometryError):
     """The 2x2 tangent-decomposition system is singular; upstream bug."""
 
 
-class NonOrthogonalChartError(GeometryError):
-    """Pseudo-geodesic tracing requires an orthogonal (F = 0) chart."""
-
-
 class InvalidRequestError(GeometryError):
     """A trace request has a non-finite or out-of-range field."""
 

@@ -93,7 +93,7 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
     return SurfaceDef(
         name="helix_surface",
         domain=Domain(-span, span, -z_max, z_max),
-        position=position, jet=jet, orthogonal=True,
+        position=position, jet=jet,
         params={"r_beta": r, "phi0": float(phi0)}, oracle=oracle)
 
 
@@ -134,7 +134,7 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
     )
     ext = float(extent)
     return SurfaceDef(name="enneper", domain=Domain(-ext, ext, -ext, ext),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       params={"extent": ext}, oracle=oracle)
 
 
@@ -216,7 +216,7 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     )
     return SurfaceDef(name="crpc_revolution",
                       domain=Domain(0.05, 0.95, -8 * np.pi, 8 * np.pi),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       params={"c": c, "eps": ep}, oracle=oracle)
 
 
@@ -254,7 +254,7 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
         kg2=lambda t, z: -a * np.sqrt(1 - a * a) * np.sin(t) / den(t, z),
     )
     return SurfaceDef(name="bonnet", domain=Domain(-3, 3, -2.5, 2.5),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       params={"a": a}, oracle=oracle)
 
 
@@ -284,7 +284,7 @@ def make_sphere(r: float = 1.0) -> SurfaceDef:
         return SurfaceJet2(d_t, d_z, d_tt, d_tz, d_zz)
 
     return SurfaceDef(name="sphere", domain=Domain(-1.2, 1.2, -3.1, 3.1),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       totally_umbilic=True, params={"r": r})
 
 
@@ -302,7 +302,7 @@ def make_plane() -> SurfaceDef:
     oracle = GalleryOracle(k1=lambda t, z: 0.0, k2=lambda t, z: 0.0,
                            kg1=lambda t, z: 0.0, kg2=lambda t, z: 0.0)
     return SurfaceDef(name="plane", domain=Domain(-10, 10, -10, 10),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       totally_umbilic=True, oracle=oracle)
 
 
@@ -331,7 +331,7 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
                            kg1=lambda t, z: 0.0, kg2=lambda t, z: 0.0)
     span = 6 * np.pi * r
     return SurfaceDef(name="cylinder", domain=Domain(-6, 6, -span, span),
-                      position=position, jet=jet, orthogonal=True,
+                      position=position, jet=jet,
                       params={"r": r}, oracle=oracle)
 
 
@@ -358,8 +358,7 @@ def make_catenoid() -> SurfaceDef:
         kg2=lambda t, z: np.tanh(t) / np.cosh(t),
     )
     return SurfaceDef(name="catenoid", domain=Domain(-1.5, 1.5, -3.1, 3.1),
-                      position=position, jet=jet, orthogonal=True,
-                      oracle=oracle)
+                      position=position, jet=jet, oracle=oracle)
 
 
 #: constructors by name, for the CLI and scenario configs

@@ -79,8 +79,7 @@ def _tilted_plane(alpha: float) -> SurfaceDef:
                            zero, zero, zero)
 
     return SurfaceDef(name=f"plane_tilt={alpha:g}", domain=Domain(-10, 10, -10, 10),
-                      position=position, jet=jet, orthogonal=True,
-                      totally_umbilic=True)
+                      position=position, jet=jet, totally_umbilic=True)
 
 
 def _translated(base: SurfaceDef, offset, name: str) -> SurfaceDef:

@@ -5,13 +5,15 @@ Isogonal lines solve the first-order system
     t' f1 + z' g1 = |v| cos(phi),   t' f2 + z' g2 = |v| sin(phi)
 
 where (f1, f2, g1, g2) decompose X_t, X_z over the principal frame.
-Pseudo-geodesics solve the second-order system (orthogonal charts only)
+Pseudo-geodesics solve the covariant second-order system, on any regular
+chart (do Carmo, *Differential Geometry of Curves and Surfaces*, 4-4, 4-6)
 
-    t'' + (t')^2 (C1_tt + tan(theta) z' sqrt(G/E) e) + ...  = 0
-    z'' + (t')^2 (C2_tt - tan(theta) t' sqrt(E/G) e) + ...  = 0
+    uv'' = -Gamma(v, v) + tan(theta) II(v, v) Jv,
+    Jv = (-F t' - G z', E t' + F z') / sqrt(EG - F^2),
 
-whose solutions keep both unit speed and the normal angle theta constant;
-theta = 0 gives the geodesic equations.
+with v = (t', z'), Gamma the Christoffel symbols, II the second form and
+Jv = N x v in chart coordinates.  Its solutions keep both unit speed and
+the normal angle theta constant; theta = 0 gives the geodesic equations.
 
 Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
 with quartic dense output on Python floats, step for step the algorithm of
@@ -38,9 +40,8 @@ import numpy as np
 from .core import (SurfaceDef, point_frame, point_metric, point_shape,
                    shape_arrays)
 from .errors import (BoundaryExitError, InvalidRequestError,
-                     NonOrthogonalChartError, SingularDecompositionError,
-                     SolverFailureError, ThetaOutOfRangeError,
-                     UmbilicEncounteredError)
+                     SingularDecompositionError, SolverFailureError,
+                     ThetaOutOfRangeError, UmbilicEncounteredError)
 from .stepper import MAX_SAMPLES, BranchStats, Stop, integrate
 
 DEFAULT_ATOL = 1e-10
@@ -336,7 +337,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
 
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
-    """Trace the pseudo-geodesic with constant normal angle theta; a
+    """Trace the pseudo-geodesic with constant normal angle theta on any
+    regular chart, a position-only one (``jet=None``) included; a
     `GeodesicMode` request is traced, and returned, as theta = 0."""
     if isinstance(req.mode, GeodesicMode):
         req = replace(req, mode=PseudoGeodesicMode(0.0, req.mode.initial_dir))
@@ -344,42 +346,38 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     if not isinstance(mode, PseudoGeodesicMode):
         raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode")
     surface = req.surface
-    if not surface.orthogonal:
-        raise NonOrthogonalChartError(
-            f"surface '{surface.name}' is not flagged orthogonal")
     if not abs(mode.theta) < np.pi / 2:
         raise ThetaOutOfRangeError("|theta| must be < pi/2")
     tan_theta = float(np.tan(mode.theta))
 
-    def acceleration(E, G, e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz,
-                     tp, zp):
+    def acceleration(E, F, G, W, e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz,
+                     c2_zz, tp, zp):
         """(t'', z'') of the flow from the metric stage; floats or arrays."""
-        second = e * tp * tp + 2 * f * tp * zp + g * zp * zp
-        sq_ge = (G / E) ** 0.5
-        sq_eg = (E / G) ** 0.5
+        # tan(theta) II(v, v) / sqrt(W), the factor of Jv
+        normal = tan_theta * (e * tp * tp + 2 * f * tp * zp
+                              + g * zp * zp) / W ** 0.5
         tpp = -(c1_tt * tp * tp + 2 * c1_tz * tp * zp
-                + c1_zz * zp * zp) - tan_theta * zp * sq_ge * second
+                + c1_zz * zp * zp) - normal * (F * tp + G * zp)
         zpp = -(c2_tt * tp * tp + 2 * c2_tz * tp * zp
-                + c2_zz * zp * zp) + tan_theta * tp * sq_eg * second
+                + c2_zz * zp * zp) + normal * (E * tp + F * zp)
         return tpp, zpp
 
     def rhs(s, y, ref):
         t, z, tp, zp = y
-        (_, _, _, _, _, _, _, _, _, _, E, _, G, _, e, f, g, c1_tt, c1_tz,
+        (_, _, _, _, _, _, _, _, _, _, E, F, G, W, e, f, g, c1_tt, c1_tz,
          c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(surface, t, z,
                                                     check_domain=False)
-        return (tp, zp, *acceleration(E, G, e, f, g, c1_tt, c1_tz, c1_zz,
-                                      c2_tt, c2_tz, c2_zz, tp, zp))
+        return (tp, zp, *acceleration(E, F, G, W, e, f, g, c1_tt, c1_tz,
+                                      c1_zz, c2_tt, c2_tz, c2_zz, tp, zp))
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exit_, stats = _integrate_branches(rhs, y0, req)
     uv, uv_vel = states[:, :2], states[:, 2:]
     _jet, forms, sd = shape = shape_arrays(surface, *uv.T, check_domain=False)
-    ch = sd.christoffel
     uv_acc = np.column_stack(acceleration(
-        forms.E, forms.G, forms.e, forms.f, forms.g, ch.c1_tt, ch.c1_tz,
-        ch.c1_zz, ch.c2_tt, ch.c2_tz, ch.c2_zz, *uv_vel.T))
+        forms.E, forms.F, forms.G, forms.E * forms.G - forms.F * forms.F,
+        forms.e, forms.f, forms.g, *sd.christoffel, *uv_vel.T))
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 

@@ -140,8 +140,7 @@ def test_a_short_trace_names_its_exit():
         return SurfaceJet2(vec3(t, 1.0, 0.0, nan_past_start),
                            vec3(t, 0.0, 1.0, 0.0), zero, zero, zero)
 
-    chart = SurfaceDef("nan_past_start", Domain(-1, 1, -1, 1), position, jet,
-                       orthogonal=True)
+    chart = SurfaceDef("nan_past_start", Domain(-1, 1, -1, 1), position, jet)
     tr = trace(TraceRequest(chart, (0.0, 0.0), GeodesicMode((1.0, 0.0)),
                             s_span=(0.0, 1.0)))
     assert len(tr) == 1 and tr.exit.kind == "solver_failure"

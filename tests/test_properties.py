@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
-from surftrace.core import shape_arrays
+from surftrace.classify import FLAG_TOL
+from surftrace.core import Domain, SurfaceDef, SurfaceJet2, shape_arrays, vec3
 from surftrace import stepper, tracer
-from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
-                              trace, trace_isogonal)
+from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
+                              TraceRequest, trace, trace_isogonal)
 
 EXIT_KINDS = {"completed", "hit_boundary", "hit_umbilic", "solver_failure"}
 SURFACES = {name: make() for name, make in CATALOGUE.items()}
@@ -29,12 +30,17 @@ draws = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                   st.floats(-np.pi, np.pi), st.floats(0.25, 0.75))
 
 
+def inner_point(domain, u, v):
+    """The point at fractions (u, v) of ``domain`` inset by 0.25."""
+    dom = domain.inset(0.25)
+    return (dom.t_min + u * (dom.t_max - dom.t_min),
+            dom.z_min + v * (dom.z_max - dom.z_min))
+
+
 def traced(name, draw):
     surface = SURFACES[name]
     u, v, phi, back = draw
-    dom = surface.domain.inset(0.25)
-    start = (dom.t_min + u * (dom.t_max - dom.t_min),
-             dom.z_min + v * (dom.z_max - dom.z_min))
+    start = inner_point(surface.domain, u, v)
     return trace_isogonal(TraceRequest(surface, start, IsogonalMode(phi),
                                        s_span=(-back, 1.0 - back)))
 
@@ -102,9 +108,7 @@ def test_boundary_exits_end_on_an_edge(name, draw):
     surface = SURFACES[name]
     u, v, angle, isogonal = draw
     dom = surface.domain
-    inner = dom.inset(0.25)
-    start = (inner.t_min + u * (inner.t_max - inner.t_min),
-             inner.z_min + v * (inner.z_max - inner.z_min))
+    start = inner_point(dom, u, v)
     mode = (IsogonalMode(angle) if isogonal and not surface.totally_umbilic
             else GeodesicMode((np.cos(angle), np.sin(angle))))
     branches = []
@@ -127,3 +131,54 @@ def test_boundary_exits_end_on_an_edge(name, draw):
     outside = np.maximum.reduce([edges[0] - t, t - edges[1],
                                  edges[2] - z, z - edges[3]])
     assert np.max(outside) <= 1e-9
+
+
+def sheared(surface, a):
+    """The chart (t, w) -> X(t, w + a (t - t_c)) of ``surface``, a != 0 and
+    t_c the middle of its t-range, with the jet chained from the surface's.
+    The t half-width is capped at z_half / (2 |a|), and the w half-width is
+    z_half less |a| times the t half-width, so every point of the new
+    domain maps into the surface's."""
+    d = surface.domain
+    t_c, t_half = (d.t_min + d.t_max) / 2, (d.t_max - d.t_min) / 2
+    z_c, z_half = (d.z_min + d.z_max) / 2, (d.z_max - d.z_min) / 2
+    t_half = min(t_half, z_half / (2 * abs(a)))
+    w_half = z_half - abs(a) * t_half
+
+    def position(t, w):
+        return surface.position(t, w + a * (t - t_c))
+
+    def jet(t, w):
+        x_t, x_z, x_tt, x_tz, x_zz = map(np.asarray,
+                                         surface.jet(t, w + a * (t - t_c)))
+        return SurfaceJet2(*(vec3(t, *v) for v in (
+            x_t + a * x_z, x_z, x_tt + 2 * a * x_tz + a * a * x_zz,
+            x_tz + a * x_zz, x_zz)))
+
+    domain = Domain(t_c - t_half, t_c + t_half, z_c - w_half, z_c + w_half)
+    return SurfaceDef(f"{surface.name}_sheared", domain, position, jet)
+
+
+# a shear |a| in [0.2, 1.2] and its sign, theta, a start and a direction
+shears = st.tuples(st.floats(0.2, 1.2), st.sampled_from((-1, 1)),
+                   st.floats(-1.2, 1.2), st.floats(0.0, 1.0),
+                   st.floats(0.0, 1.0), st.floats(-np.pi, np.pi),
+                   st.floats(0.25, 0.75))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None)
+@given(draw=shears)
+def test_pseudogeodesics_on_sheared_charts_keep_their_angle(name, draw):
+    # a sheared chart has F != 0 wherever a X_z^2 + X_t . X_z is nonzero;
+    # the covariant flow keeps the normal angle there as on the gallery's
+    # own, orthogonal charts, to the benchmark's trace_mix bound
+    shear, sign, theta, u, v, angle, back = draw
+    surface = sheared(SURFACES[name], sign * shear)
+    start = inner_point(surface.domain, u, v)
+    tr = trace(TraceRequest(surface, start, PseudoGeodesicMode(
+        theta, (np.cos(angle), np.sin(angle))), s_span=(-back, 1.0 - back)))
+    cd = curve_scalars_from_trace(surface, tr)
+    inv = (np.abs(cd.kg * np.cos(theta) - cd.kn * np.sin(theta))
+           / (1 + cd.kappa))
+    assert np.max(inv) < FLAG_TOL

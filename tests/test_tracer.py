@@ -9,8 +9,8 @@ from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
                        shape_arrays, stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
-                              NonOrthogonalChartError, SolverFailureError,
-                              ThetaOutOfRangeError, UmbilicEncounteredError)
+                              SolverFailureError, ThetaOutOfRangeError,
+                              UmbilicEncounteredError)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle,
                               isogonal_map, trace, trace_geodesic,
@@ -91,20 +91,23 @@ def test_tolerance_robustness():
     assert np.max(np.abs(a.uv - b.uv)) < 1e-7
 
 
-def test_pseudogeodesic_requires_orthogonal_chart():
+def test_geodesic_on_sheared_plane_is_straight():
+    # X = (t, z + t/2, 0) has F = 1/2 and no curvature: a pseudo-geodesic
+    # of any theta is a straight line at constant chart velocity
     def position(t, z):
-        return np.array([t, z + 0.5 * t, 0.0])
+        return vec3(t, t, z + 0.5 * t, 0.0)
 
     def jet(t, z):
-        zero = np.zeros(3)
-        return SurfaceJet2(np.array([1.0, 0.5, 0.0]),
-                           np.array([0.0, 1.0, 0.0]), zero, zero, zero)
+        zero = vec3(t, 0.0, 0.0, 0.0)
+        return SurfaceJet2(vec3(t, 1.0, 0.5, 0.0), vec3(t, 0.0, 1.0, 0.0),
+                           zero, zero, zero)
 
-    sheared = SurfaceDef("sheared_plane", Domain(-2, 2, -2, 2), position,
-                         jet, orthogonal=False)
-    with pytest.raises(NonOrthogonalChartError):
-        trace_pseudogeodesic(TraceRequest(sheared, (0.0, 0.0),
-                                          PseudoGeodesicMode(0.3, (1.0, 0.0))))
+    sheared = SurfaceDef("sheared_plane", Domain(-2, 2, -2, 2), position, jet)
+    tr = trace_pseudogeodesic(TraceRequest(sheared, (0.0, 0.0),
+                                           PseudoGeodesicMode(0.3, (1.0, 0.0)),
+                                           s_span=(-1.0, 1.0)))
+    assert tr.exit.kind == "completed"
+    assert np.max(np.abs(tr.uv_vel - tr.uv_vel[0])) < 1e-12
 
 
 def test_pseudogeodesic_theta_range():
@@ -359,6 +362,40 @@ def test_isogonal_on_non_orthogonal_chart():
     cd = curve_scalars_from_trace(par, tr)
     phi = np.unwrap(cd.phi)
     assert np.max(np.abs(phi - phi[0])) < 1e-8
+
+
+@pytest.mark.parametrize("jet", ["analytic", "fd"])
+def test_geodesic_keeps_clairaut_integral_on_non_orthogonal_chart(jet):
+    # the paraboloid is a surface of revolution about its chart origin, so
+    # a geodesic keeps r^2 dphi/ds = t z' - z t' (Clairaut); read about
+    # 1e-9 with either jet
+    par = _paraboloid()
+    if jet == "fd":
+        par = replace(par, jet=None)
+    assert abs(point_shape(par, 0.7, -0.2)[1].F) > 0.1
+    tr = trace(TraceRequest(par, (0.7, -0.2), GeodesicMode((0.3, 1.0)),
+                            s_span=(-1.5, 1.5)))
+    assert tr.exit.kind == "completed"
+    (t, z), (tp, zp) = tr.uv.T, tr.uv_vel.T
+    clairaut = t * zp - z * tp
+    assert np.max(np.abs(clairaut - clairaut[tr.index_of(0.0)])) < 5e-8
+
+
+@pytest.mark.parametrize("jet, bound", [("analytic", 2e-9), ("fd", 2e-7)])
+def test_pseudogeodesic_keeps_normal_angle_on_non_orthogonal_chart(jet,
+                                                                   bound):
+    # read 1.2e-10 with the analytic jet, 1.5e-8 with the finite-difference
+    # jet; theta = 0.5 holds as kg cos(theta) = kn sin(theta)
+    par = _paraboloid()
+    if jet == "fd":
+        par = replace(par, jet=None)
+    tr = trace(TraceRequest(par, (0.7, -0.2),
+                            PseudoGeodesicMode(0.5, (0.3, 1.0)),
+                            s_span=(-1.5, 1.5)))
+    assert tr.exit.kind == "completed"
+    cd = curve_scalars_from_trace(par, tr)
+    inv = np.abs(cd.kg * np.cos(0.5) - cd.kn * np.sin(0.5)) / (1 + cd.kappa)
+    assert np.max(inv) < bound
 
 
 def test_chart_angle_conversion_roundtrip():
