@@ -9,6 +9,7 @@ constant).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,8 +88,8 @@ def constancy_test(values, abs_tol: float = DEFAULT_ABS_TOL,
     v = np.asarray(values, dtype=float)
     if len(v) < 5:
         raise TooFewSamplesError("constancy test needs >= 5 values")
-    mean = float(np.mean(v))
-    max_dev = float(np.max(np.abs(v - mean)))
+    mean = float(v.sum() / len(v))
+    max_dev = float(np.abs(v - mean).max())
     tol = abs_tol + rel_tol * abs(mean)
     return ConstancyVerdict(max_dev <= tol, mean, max_dev, tol)
 
@@ -104,7 +105,7 @@ def linear_dependence_test(x, y) -> DependenceVerdict:
     y = np.asarray(y, dtype=float)
     if len(x) < 5 or len(y) != len(x):
         raise TooFewSamplesError("dependence test needs >= 5 paired values")
-    if np.max(np.abs(x)) < 1e-13 and np.max(np.abs(y)) < 1e-13:
+    if np.abs(x).max() < 1e-13 and np.abs(y).max() < 1e-13:
         return DependenceVerdict(True, (1.0, 0.0), 0.0, degenerate=True)
     m = np.column_stack([x, y])
     _u, sv, vt = np.linalg.svd(m, full_matrices=False)
@@ -129,8 +130,8 @@ def helix_axis(curve: CurveData) -> HelixReport:
         m, n = -m, -n
     psi = float(np.arctan2(n, m))
     axes = np.cos(psi) * frenet.T + np.sin(psi) * frenet.B
-    axis = np.mean(axes, axis=0)
-    axis = axis / np.linalg.norm(axis)
+    axis = axes.sum(axis=0) / len(axes)
+    axis = axis / math.sqrt(axis @ axis)
     dot_t = constancy_test(frenet.T @ axis, 1e-5, 1e-5)
     dot_n = constancy_test(curve.normal @ axis, 1e-5, 1e-5)
     is_helix = bool(dep.dependent and dot_t.is_constant)
@@ -139,7 +140,7 @@ def helix_axis(curve: CurveData) -> HelixReport:
 
 def _degenerate_helix(curve: CurveData) -> HelixReport:
     """Straight-line fallback: the tangent itself is a constant axis."""
-    axis = curve.T[0] / np.linalg.norm(curve.T[0])
+    axis = curve.T[0] / math.sqrt(curve.T[0] @ curve.T[0])
     dot_t = constancy_test(curve.T @ axis, 1e-5, 1e-5)
     dot_n = constancy_test(curve.normal @ axis, 1e-5, 1e-5)
     dep = DependenceVerdict(True, (1.0, 0.0), 0.0, degenerate=True)
@@ -159,12 +160,12 @@ def classify_curve_data(curve: CurveData,
     """
     if len(curve) < 9:
         raise TooFewSamplesError("classification needs >= 9 samples")
-    kappa_max = float(np.max(curve.kappa))
+    kappa_max = float(curve.kappa.max())
     scale = 1.0 + kappa_max
-    max_abs_kg = float(np.max(np.abs(curve.kg)))
-    max_abs_kn = float(np.max(np.abs(curve.kn)))
-    max_abs_taug = float(np.max(np.abs(curve.taug)))
-    max_abs_tau = float(np.max(np.abs(curve.tau)))
+    max_abs_kg = float(np.abs(curve.kg).max())
+    max_abs_kn = float(np.abs(curve.kn).max())
+    max_abs_taug = float(np.abs(curve.taug).max())
+    max_abs_tau = float(np.abs(curve.tau).max())
 
     if len(curve.umbilic_idx):
         isogonal = None

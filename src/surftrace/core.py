@@ -12,13 +12,13 @@ the tuples for `point_shape` (one point, module rule) and `shape_arrays`
 (arrays, a per-point hint or else the module rule at the first point and
 a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
-Records are named tuples (3 to 5 of `point_shape`'s 8 to 11 us, mostly its
+Records are named tuples (3 to 5 of `point_shape`'s 9 to 12 us, mostly its
 three `np.array` vectors); the flow right-hand sides build none: the
-pseudo-geodesic one reads `point_metric` (2.4 to 4.9 us), the isogonal one
-`point_frame` too (2 us).  A trace makes one `shape_arrays` pass over its
-samples, reused by its Darboux scalars (an isogonal adds one over its 2n
-acceleration stencils); bare samples, CSV import, class probes and oracle
-scenarios take one each.  Its fixed numpy cost (180 to 320 us at n = 1) breaks
+pseudo-geodesic one reads `point_metric` (2.7 to 5.0 us, an analytic float
+jet's 0.8 to 3.0 included), the isogonal one `point_frame` too (2.2 to 2.4
+us).  A trace makes one `shape_arrays` pass over its samples, reused by its
+Darboux scalars (an isogonal adds one over its 2n acceleration stencils);
+bare samples, CSV import, class probes and oracle scenarios take one each.  Its fixed numpy cost (180 to 320 us at n = 1) breaks
 even with a scalar loop near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).
 
 Conventions fixed once and used everywhere downstream:
@@ -156,21 +156,25 @@ class ShapeData(NamedTuple):
 
 
 def vec3(like, x, y, z) -> ChartVec:
-    """(x, y, z) as a float 3-tuple, or as a (3, n) array when ``like`` is an
-    (n,) array; float components are broadcast, so 0.0 stays +0.0."""
-    if isinstance(like, np.ndarray) and like.ndim:
-        out = np.empty((3,) + like.shape)
-        out[0], out[1], out[2] = x, y, z
-        return out
-    return (float(x), float(y), float(z))
+    """(x, y, z) as a (3, n) array when ``like`` is an (n,) array, float
+    components broadcast so that 0.0 stays +0.0; else as a 3-tuple of Python
+    floats, whatever the components' type (numpy scalars, ints) and ``like``'s
+    (a float, an int, a 0-d array).  A Python float ``like``, the flow
+    right-hand sides' call, is tested first: it skips the array test."""
+    if type(like) is float or not (isinstance(like, np.ndarray) and like.ndim):
+        return (float(x), float(y), float(z))
+    out = np.empty((3,) + like.shape)
+    out[0], out[1], out[2] = x, y, z
+    return out
 
 
 def pyfloats(like, *values) -> tuple:
     """A jet's ufunc results as Python floats (same bits, cheaper arithmetic
-    than numpy scalars), or unchanged when ``like`` is an (n,) array."""
-    if isinstance(like, np.ndarray) and like.ndim:
-        return values
-    return tuple(map(float, values))
+    than numpy scalars), or unchanged when ``like`` is an (n,) array; the
+    test is `vec3`'s."""
+    if type(like) is float or not (isinstance(like, np.ndarray) and like.ndim):
+        return tuple(map(float, values))
+    return values
 
 
 def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) -> SurfaceJet2:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SurfaceDef, shape_arrays
-from .errors import (InvalidRequestError, NonUnitSpeedError,
+from .core import SurfaceDef, point_metric, shape_arrays
+from .errors import (GeometryError, InvalidRequestError, NonUnitSpeedError,
                      TooFewSamplesError, VanishingCurvatureError)
 from .numdiff import check_uniform, diff_uniform
 
@@ -77,8 +77,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row cross products of two (n, 3) arrays, in `np.cross`'s arithmetic."""
     (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                            a0 * b1 - a1 * b0])
+    out = np.empty(a.shape)
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def curve_scalars(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray,
@@ -109,12 +112,16 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
     tpp, zpp = uv_acc.T
     vel3 = tp * jet.d_t + zp * jet.d_z
     speed = np.sqrt(_dot(vel3, vel3))
-    slow = np.abs(speed - 1.0) > 1e-6
+    slow = ~(np.abs(speed - 1.0) <= 1e-6)  # a NaN speed is not unit speed
     if slow.any():
         i = int(np.argmax(slow))
         raise NonUnitSpeedError(
             f"|gamma'| = {speed[i]:.9f} at sample {i}; curve must be "
             "arc-length parametrized")
+    if not np.isfinite(uv_acc).all():
+        i = int(np.argmin(np.isfinite(uv_acc).all(axis=1)))
+        raise GeometryError(f"uv_acc = {tuple(uv_acc[i].tolist())} at "
+                            f"sample {i} is not finite")
     acc3 = (tpp * jet.d_t + zpp * jet.d_z + tp * tp * jet.d_tt
             + 2 * tp * zp * jet.d_tz + zp * zp * jet.d_zz)
     jt = _cross(sd.normal.T, vel3.T).T
@@ -171,7 +178,7 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
 def frenet_from_darboux(curve: CurveData) -> FrenetData:
     """Frenet frames from the Darboux data: kappa N_f = kn N + kg N x T.
     Requires kappa > 1e-6 throughout, so that N_f is defined."""
-    if np.min(curve.kappa) <= 1e-6:
+    if curve.kappa.min() <= 1e-6:
         raise VanishingCurvatureError("kappa ~ 0; principal normal undefined")
     T, normal = curve.T, curve.normal
     N = (curve.kn[:, None] * normal
@@ -194,10 +201,10 @@ def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:
         raise ValueError(f"surface '{surface.name}' carries no oracle")
     h = check_uniform(curve.s)
     t, z = curve.uv.T
-    forms = shape_arrays(surface, t, z, check_domain=False)[1]
+    metric = point_metric(surface, t, z, check_domain=False)
+    E, G = metric[10], metric[12]
     tp, zp = curve.uv_vel.T
-    phi_chart = np.unwrap(np.arctan2(zp * np.sqrt(forms.G),
-                                     tp * np.sqrt(forms.E)))
+    phi_chart = np.unwrap(np.arctan2(zp * np.sqrt(G), tp * np.sqrt(E)))
     kg1 = oracle.kg1(t, z)
     kg2 = oracle.kg2(t, z)
     phi_prime = diff_uniform(phi_chart, h, edge_order=4)

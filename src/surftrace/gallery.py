@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -190,7 +191,9 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     def jet(t: float, z: float) -> SurfaceJet2:
         cz, sz, tc = pyfloats(t, np.cos(z), np.sin(z), np.power(t, c))
         w = 1.0 - tc * tc
-        sw = np.sqrt(w)
+        # both square roots round correctly; past t = 1 (w < 0) np.sqrt's
+        # NaN keeps a float call equal to the array one, math.sqrt would raise
+        sw = math.sqrt(w) if type(w) is float and w >= 0.0 else np.sqrt(w)
         hp = ep * tc / sw
         hpp = ep * c * (tc / t) / (w * sw)
         d_t = vec3(t, cz, sz, hp)

@@ -5,6 +5,8 @@ end fall back to one-sided stencils (2nd or 4th order, caller's choice).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -37,10 +39,19 @@ def diff_uniform(y: np.ndarray, h: float, edge_order: int = 2) -> np.ndarray:
 
 
 def check_uniform(s: np.ndarray) -> float:
-    """Return the grid spacing h, raising if a step is off h by > 2e-9 |h|."""
+    """Return the grid spacing h = s[1] - s[0].
+
+    Raises ValueError naming h where it is zero or not finite, and where a
+    step is off h by more than 2e-9 |h|: `np.allclose` at rtol = 1e-9 and
+    atol = 1e-9 |h|, whose bound atol + rtol |h| is exactly 2e-9 |h|.
+    """
     s = np.asarray(s, dtype=float)
-    d = np.diff(s)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, refused
+        d = s[1:] - s[:-1]
     h = float(d[0])
-    if not np.allclose(d, h, rtol=1e-9, atol=abs(h) * 1e-9):
+    if not (h != 0.0 and math.isfinite(h)):
+        raise ValueError(f"sample grid spacing h = {h!r} must be finite "
+                         "and nonzero")
+    if not (np.abs(d - h) <= 2e-9 * abs(h)).all():
         raise ValueError("sample grid is not uniform")
     return h

@@ -249,10 +249,11 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
     reached = {key: br.s for key, br in branches.items()}
     n_lo = int(np.floor(-reached.get("bwd", 0.0) / req.step + 1e-9))
     n_hi = int(np.floor(reached.get("fwd", 0.0) / req.step + 1e-9))
-    s = req.step * np.arange(-n_lo, n_hi + 1)
-    states = np.tile(y0, (len(s), 1))
-    for key, side in (("fwd", s > 0), ("bwd", s < 0)):
-        if key in branches and side.any():
+    s = req.step * np.arange(-n_lo, n_hi + 1)   # s[n_lo] = 0
+    states = np.empty((len(s), len(y0)))
+    states[n_lo] = y0
+    for key, side in (("fwd", slice(n_lo + 1, None)), ("bwd", slice(n_lo))):
+        if len(s[side]):  # a side with samples has a branch
             states[side] = branches[key].sample(s[side])
     stats = {key: br.stats for key, br in branches.items()}
     return s, states, exit_, stats

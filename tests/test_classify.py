@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,23 @@ def test_constancy_tolerance_arithmetic():
     assert v.tolerance_used == pytest.approx(1e-6 + 2e-6 * (1 + 1e-6 / 4),
                                              rel=1e-3)
     assert not v.is_constant
+
+
+@pytest.mark.parametrize("n", [5, 9, 100, 1001])
+def test_reductions_equal_the_numpy_calls_they_replace(n):
+    # classify reduces with ndarray methods; np.mean, np.max and
+    # np.linalg.norm give the same bits
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+    verdict = constancy_test(v, 1e-6, 1e-6)
+    mean = float(np.mean(v))
+    assert verdict.mean.hex() == mean.hex()
+    assert verdict.max_dev.hex() == float(np.max(np.abs(v - mean))).hex()
+    assert np.abs(v).max() == np.max(np.abs(v))
+    axes = rng.normal(size=(n, 3))
+    axis = axes.sum(axis=0) / len(axes)
+    assert axis.tobytes() == np.mean(axes, axis=0).tobytes()
+    assert math.sqrt(axis @ axis).hex() == float(np.linalg.norm(axis)).hex()
 
 
 def test_constancy_too_few():

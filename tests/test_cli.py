@@ -213,6 +213,10 @@ PROBES = {
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-wrong-surface": ["classify", "--surface", "catenoid", "--start",
                           "0,1", "--phi", "0.5", "--csv", "probe.csv"],
+    # an Enneper trace CSV with one column edited (PROBE_EDITS)
+    "csv-zero-step": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-nan-velocity": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-nan-acceleration": ["classify", *ENNEPER, "--csv", "probe.csv"],
     # sample counts above stepper.MAX_SAMPLES, refused before allocation
     "step-1e-300": ["trace", *ENNEPER, "--phi", "0.5", "--step", "1e-300"],
     "step-1e-9": ["trace", *ENNEPER, "--phi", "0.5", "--step", "1e-9"],
@@ -242,9 +246,21 @@ PROBE_CSVS = {
     "csv-one-row": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,"
                    "theta,kappa,tau\n" + ",".join(["0.5"] * 17) + "\n",
     "csv-wrong-surface": None,
+    "csv-zero-step": None,
+    "csv-nan-velocity": None,
+    "csv-nan-acceleration": None,
+}
+# (column, value, rows) set in the Enneper trace CSV a probe reads
+PROBE_EDITS = {
+    "csv-zero-step": ("s", "0", slice(None)),
+    "csv-nan-velocity": ("t_vel", "nan", slice(5, 6)),
+    "csv-nan-acceleration": ("t_acc", "nan", slice(5, 6)),
 }
 # what the error line of a probe must name
-PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'")}
+PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'"),
+               "csv-zero-step": ("h = 0.0",),
+               "csv-nan-velocity": ("nan at sample 5",),
+               "csv-nan-acceleration": ("sample 5",)}
 
 
 @pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
@@ -259,6 +275,17 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path):
         assert main(["--out", str(tmp_path), "trace", *ENNEPER, "--phi",
                      "0.5", "--s-span", "-0.2", "0.2", "--csv",
                      "probe.csv"]) == 0
+        if probe in PROBE_EDITS:
+            column, value, rows = PROBE_EDITS[probe]
+            path = tmp_path / "probe.csv"
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            j = header.split(",").index(column)
+            for i in range(len(lines))[rows]:
+                cells = lines[i].split(",")
+                cells[j] = value
+                lines[i] = ",".join(cells)
+            path.write_text("\n".join([header, *lines]) + "\n",
+                            encoding="utf-8")
     proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path),
                        *PROBES[probe]], cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr

@@ -10,7 +10,8 @@ from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
 from surftrace import stepper, tracer
 from surftrace.core import (ChristoffelSymbols, Domain, FundamentalForms,
                             ShapeData, SurfaceDef, SurfaceJet2, TangentDecomp,
-                            _fd_jet, _principal, point_frame, vec3)
+                            _fd_jet, _principal, point_frame, pyfloats,
+                            vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
@@ -320,6 +321,17 @@ def test_float_calls_return_floats(surface, jet):
                *tuple(sd.decomp)]
     assert all(type(x) is float for x in scalars)
     assert type(sd.umbilic) is bool
+
+
+@pytest.mark.parametrize("like", [0.5, 2, np.float64(0.5), np.array(0.5)],
+                         ids=["float", "int", "np.float64", "0-d"])
+def test_vec3_off_arrays_returns_python_floats(like):
+    # any like but an (n,) array gives Python floats, whatever the components
+    for parts in ((1, 2, 0), (np.float64(0.5), np.int64(3), np.float32(0.25)),
+                  (np.array(0.5), -0.0, np.cos(np.float64(1.0)))):
+        for got in (vec3(like, *parts), pyfloats(like, *parts)):
+            assert type(got) is tuple and all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [float(x).hex() for x in parts]
 
 
 @pytest.mark.parametrize("make", [make_bonnet, make_catenoid],

@@ -8,9 +8,10 @@ from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
                        point_shape, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.darboux import normal_angle
-from surftrace.errors import (InvalidRequestError, NonUnitSpeedError,
-                              TooFewSamplesError, VanishingCurvatureError)
-from surftrace.numdiff import diff_uniform
+from surftrace.errors import (GeometryError, InvalidRequestError,
+                              NonUnitSpeedError, TooFewSamplesError,
+                              VanishingCurvatureError)
+from surftrace.numdiff import check_uniform, diff_uniform
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
                               trace_geodesic, trace_isogonal)
@@ -119,6 +120,19 @@ def test_non_unit_speed_rejected():
     s, uv, vel, acc = plane_circle_samples(2.0)
     with pytest.raises(NonUnitSpeedError):
         curve_scalars(plane, s, uv, 1.1 * vel, acc)
+    # abs(nan - 1) > 1e-6 is False, yet a NaN speed is not unit speed
+    vel[7, 0] = np.nan
+    with pytest.raises(NonUnitSpeedError, match="nan at sample 7"):
+        curve_scalars(plane, s, uv, vel, acc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_acceleration_rejected(value):
+    plane = make_plane()
+    s, uv, vel, acc = plane_circle_samples(2.0)
+    acc[9, 1] = value
+    with pytest.raises(GeometryError, match="at sample 9 is not finite"):
+        curve_scalars(plane, s, uv, vel, acc)
 
 
 def test_too_few_samples_rejected():
@@ -301,6 +315,41 @@ def test_stencil_orders():
     # interior is 4th order
     assert np.max(np.abs(diff_uniform(y, h) - np.cos(s))[2:-2]) < 1e-11
     assert np.max(np.abs(diff3_uniform(y, h) + np.cos(s))[3:-3]) < 1e-7
+
+
+#: 2e-9 |H| is 2^-30 exactly, so a step of H +- 2^-30 lies on the bound
+H = 5e8 / 2**30
+
+
+@pytest.mark.parametrize("h", [H, -H], ids=["h>0", "h<0"])
+def test_check_uniform_bound_is_2e_9_h(h):
+    # a step exactly 2e-9 |h| off h passes and the next float out does not,
+    # the verdicts of the np.allclose(rtol=1e-9, atol=1e-9 |h|) test
+    for off in (2.0**-30, -2.0**-30):
+        for last, ok in ((h + off, True),
+                         (np.nextafter(h + off, h + 2 * off), False)):
+            s = np.append(h * np.arange(-4.0, 1.0), last)  # steps exact
+            d = np.diff(s)
+            assert (abs(d[-1] - h) == 2e-9 * abs(h)) == ok
+            assert np.allclose(d, h, rtol=1e-9, atol=1e-9 * abs(h)) == ok
+            if ok:
+                assert check_uniform(s) == h
+            else:
+                with pytest.raises(ValueError, match="not uniform"):
+                    check_uniform(s)
+
+
+@pytest.mark.parametrize("s, message", [
+    (np.zeros(6), r"h = 0\.0 must be finite and nonzero"),
+    (np.r_[np.nan, 0.1 * np.arange(1, 6)], "h = nan must"),
+    (np.r_[-np.inf, 0.1 * np.arange(1, 6)], "h = inf must"),
+    (np.r_[0.1 * np.arange(4), np.nan, 0.5], "not uniform"),
+    (np.r_[0.1 * np.arange(4), np.inf, np.inf], "not uniform"),
+], ids=["zero", "nan", "inf", "nan-later", "inf-inf-later"])
+def test_check_uniform_refuses_zero_and_non_finite_steps(s, message):
+    # and warns of nothing: the suite turns a RuntimeWarning into an error
+    with pytest.raises(ValueError, match=message):
+        check_uniform(s)
 
 
 def test_curve_scalars_match_pointwise_direction_scalars():

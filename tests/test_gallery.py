@@ -211,6 +211,18 @@ def test_charts_are_elementwise(surface):
                                       np.signbit(want)), name
 
 
+def test_crpc_jet_past_the_chart_is_nan_in_both_forms():
+    # past t = 1, w = 1 - t^2c < 0: a float call's square root is NaN as in
+    # an array call, not math.sqrt's domain error
+    jet = make_crpc_revolution(2.0, 1).jet
+    with np.errstate(invalid="ignore"):
+        one = jet(1.2, 0.3)
+        many = jet(np.array([1.2]), np.array([0.3]))
+    assert np.isnan(one.d_t[2])
+    for got, want in zip(many, one):
+        assert np.array_equal(got[:, 0], want, equal_nan=True)
+
+
 @pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
 def test_float_calls_return_float_tuples(surface):
     # a call at one point returns 3-tuples of Python floats, not numpy
