@@ -16,10 +16,12 @@ corresponding long options and as scenario parameter overrides
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import os
 import sys
+import time
 from typing import Optional, Sequence
 
 from . import classify as cls
@@ -147,6 +149,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            allow_abbrev=False)
     p_ver.add_argument("scenario", nargs="?", default="all",
                        help="S1..S8, A1..A4 or 'all'")
+    p_ver.add_argument("--json", action="store_true",
+                       help="print one JSON document: each check's measured "
+                            "value, op, limit, margin and verdict, and each "
+                            "scenario's seconds (a curve several scenarios "
+                            "read is traced, and timed, once)")
 
     p_exp = sub.add_parser("export", help="write an OBJ surface + curves",
                            allow_abbrev=False)
@@ -252,13 +259,27 @@ def _cmd_verify(args, overrides) -> int:
             "check has its own fixed bound")
     which = args.scenario.lower()
     ids = list(SCENARIOS) if which == "all" else [which.upper()]
-    all_ok = True
+    all_ok, report = True, []
     for sid in ids:
+        start = time.perf_counter()
         result = run_scenario(sid, overrides)
-        print(render_result(result))
+        seconds = time.perf_counter() - start
+        if args.json:
+            report.append({
+                "id": result.scenario_id, "title": result.title,
+                "seconds": seconds, "passed": result.passed,
+                "checks": [{"name": c.name, "measured": c.measured,
+                            "op": c.op, "limit": c.limit,
+                            "margin": c.margin, "passed": c.passed}
+                           for c in result.checks]})
+        else:
+            print(render_result(result))
         all_ok &= result.passed
-    print(f"verify: {'PASS' if all_ok else 'FAIL'} "
-          f"({len(ids)} scenario{'s' if len(ids) != 1 else ''})")
+    if args.json:
+        print(json.dumps({"passed": all_ok, "scenarios": report}, indent=1))
+    else:
+        print(f"verify: {'PASS' if all_ok else 'FAIL'} "
+              f"({len(ids)} scenario{'s' if len(ids) != 1 else ''})")
     return 0 if all_ok else 1
 
 

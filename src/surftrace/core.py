@@ -14,12 +14,15 @@ a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
 Records are named tuples (3 to 5 of `point_shape`'s 9 to 12 us, mostly its
 three `np.array` vectors); the flow right-hand sides build none: the
-pseudo-geodesic one reads `point_metric` (2.7 to 5.0 us, an analytic float
-jet's 0.8 to 3.0 included), the isogonal one `point_frame` too (2.2 to 2.4
-us).  A trace makes one `shape_arrays` pass over its samples, reused by its
-Darboux scalars (an isogonal adds one over its 2n acceleration stencils);
-bare samples, CSV import, class probes and oracle scenarios take one each.  Its fixed numpy cost (180 to 320 us at n = 1) breaks
-even with a scalar loop near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).
+isogonal one reads `point_metric` (2.7 to 5.0 us, an analytic float jet's
+0.8 to 3.0 included) and `point_frame` (2.2 to 2.4 us), the pseudo-geodesic
+one only the chart jet, which `tracer` contracts with the velocity itself.
+A trace makes one `shape_arrays` pass over its samples, reused by its
+Darboux scalars (an isogonal adds a frame-only pass, `point_metric` and
+`_principal` with no records, over its 2n acceleration stencils); bare
+samples, CSV import, class probes and oracle scenarios take one each.  Its
+fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
+near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).
 
 Conventions fixed once and used everywhere downstream:
 

@@ -13,6 +13,7 @@ once per process by `traced`; `corpus()` is the whole table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional
@@ -35,10 +36,27 @@ from .tracer import (GeodesicMode, IsogonalMode, Mode, PseudoGeodesicMode,
 
 @dataclass(frozen=True)
 class ScenarioCheck:
+    """One check: ``passed`` is ``measured op limit`` for a numeric check,
+    whose ``bound`` text `_bounded` writes from op and limit; a boolean
+    check has op and limit None and a word for its bound."""
+
     name: str
     passed: bool
     measured: float
     bound: str
+    op: Optional[str] = None      # "<", ">" or ">="
+    limit: Optional[float] = None
+
+    @property
+    def margin(self) -> Optional[float]:
+        """|measured| / limit under an upper bound, limit / measured over a
+        lower one (inf at measured <= 0): below 1 the check passes, 1 is the
+        bound itself.  None for a boolean check."""
+        if self.op is None:
+            return None
+        if self.op == "<":
+            return abs(self.measured) / self.limit
+        return self.limit / self.measured if self.measured > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,8 @@ def _bounded(op: str, name: str, measured: float, limit: float,
     passed = {"<": measured < limit, ">": measured > limit,
               ">=": measured >= limit}[op]
     text = f"{op} {sci if short else f'{limit:g}'} {note}"
-    return ScenarioCheck(name, bool(passed), float(measured), text.strip())
+    return ScenarioCheck(name, bool(passed), float(measured), text.strip(),
+                         op, float(limit))
 
 
 _below, _above, _at_least = (partial(_bounded, op) for op in ("<", ">", ">="))

@@ -14,6 +14,18 @@ chart (do Carmo, *Differential Geometry of Curves and Surfaces*, 4-4, 4-6)
 with v = (t', z'), Gamma the Christoffel symbols, II the second form and
 Jv = N x v in chart coordinates.  Its solutions keep both unit speed and
 the normal angle theta constant; theta = 0 gives the geodesic equations.
+The flow evaluates both terms in directional form, from the one vector
+X_vv = t'^2 X_tt + 2 t'z' X_tz + z'^2 X_zz and W = EG - F^2:
+
+    Gamma(v, v) = (G <X_vv, X_t> - F <X_vv, X_z>,
+                   E <X_vv, X_z> - F <X_vv, X_t>) / W,
+    II(v, v) = <X_vv, N>,
+
+three dot products with X_vv in place of the nine second-form and
+Christoffel contractions.  With n = X_t x X_z, N = n / |n| and |n|^2 = W,
+so tan(theta) II(v, v) Jv = tan(theta) <X_vv, n> (-F t' - G z',
+E t' + F z') / W: both terms divide by W, taken as |n|^2 (Lagrange's
+identity) without EG - F^2's cancellation, and take no square root.
 
 Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
 with quartic dense output on Python floats, step for step the algorithm of
@@ -37,11 +49,12 @@ from typing import Union
 
 import numpy as np
 
-from .core import (SurfaceDef, point_frame, point_metric, point_shape,
-                   shape_arrays)
+from .core import (SurfaceDef, _principal, jet2, point_frame, point_metric,
+                   point_shape, shape_arrays)
 from .errors import (BoundaryExitError, InvalidRequestError,
-                     SingularDecompositionError, SolverFailureError,
-                     ThetaOutOfRangeError, UmbilicEncounteredError)
+                     SingularDecompositionError, SingularJetError,
+                     SolverFailureError, ThetaOutOfRangeError,
+                     UmbilicEncounteredError)
 from .stepper import MAX_SAMPLES, BranchStats, Stop, integrate
 
 DEFAULT_ATOL = 1e-10
@@ -264,17 +277,18 @@ def _umbilic_gap(kappa1: float, kappa2: float) -> float:
     return (kappa2 - kappa1) / max(1.0, abs(kappa1) + abs(kappa2))
 
 
-def _isogonal_velocity(sd, uv, cos_t, sin_t) -> np.ndarray:
-    """The (m, 2) flow velocity at points uv from their shape data sd."""
-    d = sd.decomp
-    det = d.f1 * d.g2 - d.f2 * d.g1
+def _isogonal_velocity(decomp, uv, cos_t, sin_t) -> np.ndarray:
+    """The (m, 2) flow velocity at points uv from their tangent
+    decomposition (f1, f2, g1, g2), each an (m,) array."""
+    f1, f2, g1, g2 = decomp
+    det = f1 * g2 - f2 * g1
     singular = np.abs(det) < 1e-12
     if singular.any():
         t, z = uv[np.argmax(singular)]
         raise SingularDecompositionError(
             f"tangent decomposition singular at ({t:g}, {z:g})")
-    return np.column_stack([(d.g2 * cos_t - d.g1 * sin_t) / det,
-                            (-d.f2 * cos_t + d.f1 * sin_t) / det])
+    return np.column_stack([(g2 * cos_t - g1 * sin_t) / det,
+                            (-f2 * cos_t + f1 * sin_t) / det])
 
 
 def trace_isogonal(req: TraceRequest) -> Trace:
@@ -326,21 +340,60 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     shape = shape_arrays(surface, *uv.T, check_domain=False)
     if shape[2].e1[:, np.argmin(np.abs(s))] @ sd0.e1 < 0.0:
         shape = shape_arrays(surface, *uv.T, -shape[2].e1, check_domain=False)
-    sd = shape[2]
-    uv_vel = _isogonal_velocity(sd, uv, cos_t, sin_t)
+    uv_vel = _isogonal_velocity(shape[2].decomp, uv, cos_t, sin_t)
+    # the stencils need only the tangent decomposition: `shape_arrays`'s
+    # stages, each point's E1 along its sample's, without the records
     h = 1e-6
     points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
-    sd_pm = shape_arrays(surface, *points.T, np.hstack([sd.e1, sd.e1]),
-                         check_domain=False)[2]
-    f_pm = _isogonal_velocity(sd_pm, points, cos_t, sin_t)
+    h0, h1, h2 = np.hstack([shape[2].e1, shape[2].e1])
+    frame = _principal(point_metric(surface, *points.T, check_domain=False),
+                       np.sqrt, np.where, lambda d0, d1, d2, *_:
+                       d0 * h0 + d1 * h1 + d2 * h2 < 0.0)
+    f_pm = _isogonal_velocity(frame[10:], points, cos_t, sin_t)  # f1..g2
     uv_acc = (f_pm[:len(s)] - f_pm[len(s):]) / (2 * h)
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
+
+
+def _acceleration(surface: SurfaceDef, t, z, jet, tp, zp, tan_theta: float):
+    """(t'', z'') of the pseudo-geodesic flow at (t, z) with velocity
+    v = (t', z'), in the module docstring's directional form, from the
+    chart's 2-jet there; elementwise, floats or (n,) arrays alike, bit for
+    bit.  Raises SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|."""
+    xt0, xt1, xt2 = jet.d_t
+    xz0, xz1, xz2 = jet.d_z
+    E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
+    F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
+    G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
+    n0 = xt1 * xz2 - xt2 * xz1
+    n1 = xt2 * xz0 - xt0 * xz2
+    n2 = xt0 * xz1 - xt1 * xz0
+    W = n0 * n0 + n1 * n1 + n2 * n2
+    singular = W <= 1e-28 * (E * G)   # |n| <= 1e-14 |X_t| |X_z|, squared
+    if singular.any() if isinstance(W, np.ndarray) else singular:
+        i = int(np.argmax(singular))
+        raise SingularJetError(f"chart of '{surface.name}' singular at "
+                               f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
+    a, b, c = tp * tp, 2 * tp * zp, zp * zp
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet.d_tt, jet.d_tz, jet.d_zz
+    v0 = a * p0 + b * q0 + c * r0
+    v1 = a * p1 + b * q1 + c * r1
+    v2 = a * p2 + b * q2 + c * r2
+    bt = v0 * xt0 + v1 * xt1 + v2 * xt2
+    bz = v0 * xz0 + v1 * xz1 + v2 * xz2
+    normal = tan_theta * (v0 * n0 + v1 * n1 + v2 * n2)
+    return (-(G * bt - F * bz + normal * (F * tp + G * zp)) / W,
+            -(E * bz - F * bt - normal * (E * tp + F * zp)) / W)
 
 
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     """Trace the pseudo-geodesic with constant normal angle theta on any
     regular chart, a position-only one (``jet=None``) included; a
-    `GeodesicMode` request is traced, and returned, as theta = 0."""
+    `GeodesicMode` request is traced, and returned, as theta = 0.
+
+    The RHS and the samples' ``uv_acc`` run one formula on the chart jet:
+    X_vv = t'^2 X_tt + 2 t'z' X_tz + z'^2 X_zz dotted with X_t, X_z and
+    X_t x X_z gives Gamma(v, v) and II(v, v) at once.
+    """
     if isinstance(req.mode, GeodesicMode):
         req = replace(req, mode=PseudoGeodesicMode(0.0, req.mode.initial_dir))
     mode = req.mode
@@ -351,34 +404,19 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
         raise ThetaOutOfRangeError("|theta| must be < pi/2")
     tan_theta = float(np.tan(mode.theta))
 
-    def acceleration(E, F, G, W, e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz,
-                     c2_zz, tp, zp):
-        """(t'', z'') of the flow from the metric stage; floats or arrays."""
-        # tan(theta) II(v, v) / sqrt(W), the factor of Jv
-        normal = tan_theta * (e * tp * tp + 2 * f * tp * zp
-                              + g * zp * zp) / W ** 0.5
-        tpp = -(c1_tt * tp * tp + 2 * c1_tz * tp * zp
-                + c1_zz * zp * zp) - normal * (F * tp + G * zp)
-        zpp = -(c2_tt * tp * tp + 2 * c2_tz * tp * zp
-                + c2_zz * zp * zp) + normal * (E * tp + F * zp)
-        return tpp, zpp
-
     def rhs(s, y, ref):
         t, z, tp, zp = y
-        (_, _, _, _, _, _, _, _, _, _, E, F, G, W, e, f, g, c1_tt, c1_tz,
-         c1_zz, c2_tt, c2_tz, c2_zz) = point_metric(surface, t, z,
-                                                    check_domain=False)
-        return (tp, zp, *acceleration(E, F, G, W, e, f, g, c1_tt, c1_tz,
-                                      c1_zz, c2_tt, c2_tz, c2_zz, tp, zp))
+        return (tp, zp, *_acceleration(
+            surface, t, z, jet2(surface, t, z, check_domain=False), tp, zp,
+            tan_theta))
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exit_, stats = _integrate_branches(rhs, y0, req)
     uv, uv_vel = states[:, :2], states[:, 2:]
-    _jet, forms, sd = shape = shape_arrays(surface, *uv.T, check_domain=False)
-    uv_acc = np.column_stack(acceleration(
-        forms.E, forms.F, forms.G, forms.E * forms.G - forms.F * forms.F,
-        forms.e, forms.f, forms.g, *sd.christoffel, *uv_vel.T))
+    shape = shape_arrays(surface, *uv.T, check_domain=False)
+    uv_acc = np.column_stack(_acceleration(surface, *uv.T, shape[0],
+                                           *uv_vel.T, tan_theta))
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 

@@ -17,9 +17,27 @@ prints two sha256 digests:
 A change meant to keep every output bit for bit prints the same two lines
 as its parent.  The script needs only the public API, so it runs unchanged
 on older checkouts: copy it there and run it from that checkout's root.
+
+A change that moves outputs on purpose is measured by a drift report:
+
+    python tests/parity.py --passes 10 --save before.npz     (parent)
+    python tests/parity.py --passes 10 --against before.npz  (change)
+
+``--save`` writes every curve's `Trace` and `CurveData` arrays and every
+verify value; ``--against`` recomputes them and prints, for each mode and
+field, how many curves stay bit for bit and the largest scaled change
+|new - old| / max(1, |old|), then the verify values that moved.
+
+Where kappa is at rounding size, or passes through 0 between samples,
+theta = atan2(kg, kn) is decided by the sign of a kg at rounding size: it
+flips by pi, and its continuous lift moves by 2 pi from there on.  So theta
+is compared modulo 2 pi, and tau = taug + theta' has its own row for the
+samples whose theta' stencil reaches such a flip (a saved sample with kappa
+< 1e-6, or a saved theta step above pi/2).
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -36,6 +54,10 @@ from surftrace.errors import GeometryError  # noqa: E402
 
 SEED = 11
 PASSES = 3
+#: kappa below which theta, and tau near it, is noise in the drift report
+KAPPA_FLAT = 1e-6
+#: samples on either side of a point that `darboux`'s theta' stencil reads
+STENCIL = 2
 
 
 def _feed(h, obj) -> None:
@@ -72,7 +94,8 @@ def _feed(h, obj) -> None:
 
 
 def _requests(seed: int, k: int):
-    """Pass ``k``'s (surface, request) pairs, one per surface and mode."""
+    """Pass ``k``'s (surface, mode name, request), one per surface and
+    mode."""
     rng = np.random.default_rng([seed, k])
     for name, ctor in gallery.CATALOGUE.items():
         surface = ctor()
@@ -92,7 +115,7 @@ def _requests(seed: int, k: int):
                  else tracer.PseudoGeodesicMode(theta, direction)
                  if mode == "pseudo_geodesic"
                  else tracer.GeodesicMode(direction))
-            yield surface, tracer.TraceRequest(
+            yield surface, mode, tracer.TraceRequest(
                 surface, start, m, s_span=(-back, 1.0 - back), step=2e-3)
 
 
@@ -101,7 +124,7 @@ def trace_digest(seed: int = SEED, passes: int = PASSES) -> tuple[str, int]:
     h = hashlib.sha256()
     count = 0
     for k in range(passes):
-        for surface, req in _requests(seed, k):
+        for surface, _, req in _requests(seed, k):
             count += 1
             _feed(h, f"{surface.name} {req.mode} {req.start_uv}")
             try:
@@ -131,9 +154,174 @@ def verify_digest() -> tuple[str, int]:
     return h.hexdigest(), count
 
 
-def main() -> None:
-    digest, n = trace_digest()
-    print(f"traces  {digest}  ({n} curves, seed {SEED}, {PASSES} passes)")
+def _leaves(prefix: str, obj):
+    """(dotted name, array) for every number array or float in ``obj``,
+    named tuples and dataclasses walked by field."""
+    fields = (obj._fields if hasattr(obj, "_fields")
+              else [f.name for f in dataclasses.fields(obj)]
+              if dataclasses.is_dataclass(obj) else None)
+    if fields is not None:
+        for name in fields:
+            yield from _leaves(f"{prefix}.{name}", getattr(obj, name))
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _leaves(f"{prefix}.{i}", item)
+    else:
+        yield prefix, np.asarray(obj, dtype=float)
+
+
+def curve_outputs(seed: int = SEED, passes: int = PASSES):
+    """Yield (label, mode, fields) for each curve of the seeded trace set.
+
+    ``fields`` maps ``trace.<field>`` and ``curve.<field>`` to float arrays
+    (`Trace.shape` is one field, its record arrays joined), plus ``text``:
+    the exit kind and report, or the refusal.
+    """
+    for k in range(passes):
+        for surface, mode, req in _requests(seed, k):
+            label = f"{surface.name} {req.mode} {req.start_uv}"
+            fields = {}
+            try:
+                tr = tracer.trace(req)
+                for name in ("s", "uv", "uv_vel", "uv_acc"):
+                    fields[f"trace.{name}"] = getattr(tr, name)
+                fields["trace.s_stop"] = np.array(
+                    [np.nan if tr.exit.s_stop is None else tr.exit.s_stop])
+                fields["trace.stats"] = np.array(
+                    [[b.nfev, b.steps, b.rejected] for _, b in
+                     sorted(tr.stats.items())], dtype=float).ravel()
+                fields["trace.shape"] = np.concatenate(
+                    [a.ravel() for _, a in _leaves("shape", tr.shape)])
+                cd = darboux.curve_scalars_from_trace(surface, tr)
+                for name, a in _leaves("curve", cd):
+                    fields[name] = a
+                text = f"{tr.exit.kind}\n" + classify.render_report(
+                    classify.classify_curve_data(cd))
+            except (GeometryError, ValueError) as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            fields["text"] = np.array(text)
+            yield label, mode, fields
+
+
+def verify_checks() -> dict:
+    """Every `verify all` check, keyed "<scenario> <check name>"."""
+    return {f"{sid} {c.name}": c for sid in scenarios.SCENARIOS
+            for c in scenarios.run_scenario(sid).checks}
+
+
+def save(path: str, seed: int, passes: int) -> None:
+    """Write the trace set's outputs and the verify values to ``path``."""
+    out = {}
+    for i, (label, mode, fields) in enumerate(curve_outputs(seed, passes)):
+        out[f"{i} label"] = np.array(f"{mode} {label}")
+        out.update({f"{i} {name}": a for name, a in fields.items()})
+    for key, check in verify_checks().items():
+        out[f"verify {key}"] = np.array(float(check.measured))
+    np.savez(path, **out)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.dtype.kind == "U":
+        return b.dtype.kind == "U" and str(a) == str(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _change(new: np.ndarray, old: np.ndarray) -> float:
+    """max |new - old| / max(1, |old|); NaN where both are NaN counts 0,
+    and a shape or NaN mismatch counts inf."""
+    if new.shape != old.shape:
+        return math.inf
+    both = np.isnan(new) & np.isnan(old)
+    d = np.abs(new - old) / np.maximum(1.0, np.abs(old))
+    d = np.where(both, 0.0, d)
+    return float(np.max(np.where(np.isnan(d), np.inf, d), initial=0.0))
+
+
+def _flips(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Samples whose theta' stencil reaches a flip of theta (see the module
+    docstring): kappa < `KAPPA_FLAT`, or either end of a step above pi/2."""
+    flip = kappa < KAPPA_FLAT
+    step = np.abs(np.diff(theta)) > np.pi / 2
+    flip[:-1] |= step
+    flip[1:] |= step
+    near = flip.copy()
+    for k in range(1, STENCIL + 1):
+        near[k:] |= flip[:-k]
+        near[:-k] |= flip[k:]
+    return near
+
+
+def drift_report(path: str, seed: int, passes: int) -> str:
+    """The drift table of this checkout's outputs against ``path``'s."""
+    saved = np.load(path)
+    rows: dict[tuple[str, str], list] = {}
+    for i, (label, mode, fields) in enumerate(curve_outputs(seed, passes)):
+        if str(saved[f"{i} label"]) != f"{mode} {label}":
+            raise SystemExit(f"curve {i} is {mode} {label}, saved as "
+                             f"{saved[f'{i} label']}: another seed or set")
+        old = {name: saved[f"{i} {name}"] for name in fields
+               if f"{i} {name}" in saved}
+        if ("curve.tau" in old
+                and fields["curve.tau"].shape == old["curve.tau"].shape):
+            noisy = _flips(old["curve.kappa"], old["curve.theta"])
+            for store in (fields, old):
+                theta = store["curve.theta"]  # modulo 2 pi, as a pair
+                store["curve.theta"] = np.stack([np.cos(theta), np.sin(theta)])
+                tau = store.pop("curve.tau")
+                store["curve.tau"] = np.where(noisy, 0.0, tau)
+                if noisy.any():
+                    store["curve.tau at theta flips"] = np.where(noisy, tau,
+                                                                 0.0)
+        for name, new in fields.items():
+            row = rows.setdefault((mode, name), [0, 0, 0.0])
+            row[0] += 1
+            if name in old and _same(new, old[name]):
+                row[1] += 1
+            elif name in old and name != "text":
+                row[2] = max(row[2], _change(new, old[name]))
+            elif name != "text":
+                row[2] = math.inf
+    lines = [f"{'mode':16} {'field':28} {'bitwise':>9}  max scaled change"]
+    for (mode, name), (n, same, change) in rows.items():
+        shown = "-" if name == "text" else f"{change:.2g}"
+        lines.append(f"{mode:16} {name:28} {f'{same}/{n}':>9}  {shown}")
+    checks = verify_checks()
+    moved = 0
+    for key, check in checks.items():
+        was = float(saved.get(f"verify {key}", math.nan))
+        if was.hex() == float(check.measured).hex():
+            continue
+        moved += 1
+        margins = ""
+        if getattr(check, "margin", None) is not None:
+            before = dataclasses.replace(check, measured=was).margin
+            margins = f", margin {before:.3g} -> {check.margin:.3g}"
+        lines.append(f"  {key}: {was:.17g} -> {check.measured:.17g}"
+                     f"{margins}")
+    lines.insert(len(lines) - moved, f"verify: {len(checks) - moved} of "
+                 f"{len(checks)} values bitwise")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--passes", type=int, default=PASSES)
+    parser.add_argument("--save", metavar="FILE",
+                        help="write the outputs to FILE (.npz)")
+    parser.add_argument("--against", metavar="FILE",
+                        help="report drift against FILE's saved outputs")
+    args = parser.parse_args(argv)
+    if args.save:
+        save(args.save, args.seed, args.passes)
+    if args.against:
+        print(drift_report(args.against, args.seed, args.passes))
+    if args.save or args.against:
+        return
+    digest, n = trace_digest(args.seed, args.passes)
+    print(f"traces  {digest}  ({n} curves, seed {args.seed}, "
+          f"{args.passes} passes)")
     digest, n = verify_digest()
     print(f"verify  {digest}  ({n} values)")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import os
 import re
@@ -427,3 +428,24 @@ def test_config_feeds_scenario_overrides(tmp_path, capsys):
     cfg.write_text("s3.phi_chart = 0.7853981633974483\n", encoding="utf-8")
     rc = main(["--config", str(cfg), "verify", "S3"])
     assert rc == 0
+
+
+def test_verify_json_reports_every_check(capsys):
+    assert main(["verify", "S3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    (s3,) = report["scenarios"]
+    assert (s3["id"], s3["passed"]) == ("S3", True)
+    assert s3["seconds"] > 0.0
+    ops = set()
+    for c in s3["checks"]:
+        assert set(c) == {"name", "measured", "op", "limit", "margin",
+                          "passed"}
+        ops.add(c["op"])
+        if c["op"] == "<":
+            assert c["margin"] == abs(c["measured"]) / c["limit"]
+        elif c["op"] is not None:
+            assert c["margin"] == c["limit"] / c["measured"]
+        else:
+            assert c["limit"] is None and c["margin"] is None
+    assert {"<", ">"} <= ops

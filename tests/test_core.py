@@ -431,7 +431,8 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
                                            np.sin(mode.phi)])).tolist()
     rhs = _isogonal_rhs(monkeypatch, surface, away[0][:2], mode)
     for ti, zi, sd in away:
-        want = _isogonal_velocity(sd, np.array([[ti, zi]]), cos_t, sin_t)[0]
+        want = _isogonal_velocity(sd.decomp, np.array([[ti, zi]]), cos_t,
+                                  sin_t)[0]
         assert hexes(rhs(0.0, [ti, zi], None)) == hexes(want)
 
 

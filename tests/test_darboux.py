@@ -426,26 +426,30 @@ def test_curve_scalars_from_trace_equals_curve_scalars(req):
 
 
 @pytest.mark.parametrize("mode, in_trace", [
-    (IsogonalMode(0.4), 2), (PseudoGeodesicMode(0.3, 0.4), 1),
-    (GeodesicMode(0.4), 1)], ids=["isogonal", "pseudo_geodesic", "geodesic"])
+    (IsogonalMode(0.4), ["shape_arrays", "_principal"]),
+    (PseudoGeodesicMode(0.3, 0.4), ["shape_arrays"]),
+    (GeodesicMode(0.4), ["shape_arrays"])],
+    ids=["isogonal", "pseudo_geodesic", "geodesic"])
 def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
-    # the trace makes its samples' shape pass (an isogonal one more, over
-    # its acceleration stencils), and the Darboux scalars reuse it
+    # the trace makes its samples' shape pass (an isogonal one frame-only
+    # pass more, over its acceleration stencils, which builds no records),
+    # and the Darboux scalars reuse it
     calls = []
 
-    def spy(module):
-        real = module.shape_arrays
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(module.__name__)
+            calls.append((module.__name__, name))
             return real(*args, **kwargs)
-        monkeypatch.setattr(module, "shape_arrays", counted)
+        monkeypatch.setattr(module, name, counted)
 
-    spy(tracer)
-    spy(darboux)
+    spy(tracer, "shape_arrays")
+    spy(tracer, "_principal")
+    spy(darboux, "shape_arrays")
     enn = make_enneper()
     tr = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(-0.4, 0.6)))
-    assert calls == ["surftrace.tracer"] * in_trace
+    assert calls == [("surftrace.tracer", name) for name in in_trace]
     calls.clear()
     curve_scalars_from_trace(enn, tr)
     assert calls == []

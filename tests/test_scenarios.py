@@ -56,3 +56,38 @@ def test_numeric_bound_text_decides_passed(sid, scenario_results):
     assert numeric
     for c, m in numeric:
         assert c.passed == _OPS[m.group(1)](c.measured, float(m.group(2))), c
+
+
+@pytest.mark.parametrize("op, measured, limit, note, bound, passed, margin", [
+    ("<", 2e-7, 1e-6, "", "< 1e-6", True, 0.2),
+    ("<", 1e-6, 1e-6, "", "< 1e-6", False, 1.0),
+    (">", 0.4, 0.05, "rad", "> 0.05 rad", True, 0.125),
+    (">=", 20.0, 20.0, "curves", ">= 20 curves", True, 1.0),
+    (">=", 0.0, 20.0, "curves", ">= 20 curves", False, float("inf")),
+])
+def test_numeric_check_keeps_its_op_limit_and_margin(op, measured, limit,
+                                                     note, bound, passed,
+                                                     margin):
+    check = scenarios._bounded(op, "a check", measured, limit, note)
+    assert (check.op, check.limit, check.bound) == (op, limit, bound)
+    assert check.passed is passed
+    assert check.margin == margin
+
+
+def test_boolean_check_has_no_op_limit_or_margin():
+    check = scenarios._holds("a flag", True)
+    assert (check.passed, check.bound) == (True, "true")
+    assert check.op is None and check.limit is None and check.margin is None
+
+
+@pytest.mark.parametrize("sid", list(scenarios.SCENARIOS))
+def test_op_and_limit_decide_passed(sid, scenario_results):
+    for c in scenario_results(sid).checks:
+        m = _NUMERIC.match(c.bound)
+        if c.op is None:
+            assert m is None and c.limit is None, c
+            continue
+        # the bound text is the op and limit it was written from
+        assert (m.group(1), float(m.group(2))) == (c.op, c.limit), c
+        assert c.passed == _OPS[c.op](c.measured, c.limit), c
+        assert c.margin <= 1.0 if c.passed else c.margin >= 1.0, c

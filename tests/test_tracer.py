@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from surftrace import (curve_scalars_from_trace, make_bonnet, make_catenoid,
-                       make_enneper, make_plane, make_sphere, point_shape,
-                       shape_arrays, stepper, tracer)
+from surftrace import (CATALOGUE, curve_scalars_from_trace, make_bonnet,
+                       make_catenoid, make_enneper, make_plane, make_sphere,
+                       point_shape, shape_arrays, stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
-                              SolverFailureError, ThetaOutOfRangeError,
-                              UmbilicEncounteredError)
+                              SingularJetError, SolverFailureError,
+                              ThetaOutOfRangeError, UmbilicEncounteredError)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle,
                               isogonal_map, trace, trace_geodesic,
@@ -546,3 +546,70 @@ def test_rhs_budget_ends_trace_as_solver_failure(monkeypatch):
     assert tr.stats["fwd"].nfev == 56 and tr.stats["fwd"].steps == 9
     assert 0.0 < tr.exit.s_stop < 0.1
     assert tr.s[-1] <= tr.exit.s_stop
+
+
+@pytest.mark.parametrize("jet", ["analytic", "fd"])
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_pseudogeodesic_rhs_and_uv_acc_agree_bit_for_bit(monkeypatch, name,
+                                                         jet):
+    # the float RHS and the trace's array uv_acc pass run one elementwise
+    # formula: at each sample's (uv, uv_vel) they give the same bits
+    rhs_seen = []
+
+    def recording(rhs, *args):
+        rhs_seen.append(rhs)
+        return stepper.integrate(rhs, *args)
+
+    monkeypatch.setattr(tracer, "integrate", recording)
+    surface = CATALOGUE[name]()
+    if jet == "fd":
+        surface = replace(surface, jet=None)
+    dom = surface.domain.inset(0.3)
+    tr = trace(TraceRequest(surface, (dom.t_min, dom.z_max),
+                            PseudoGeodesicMode(0.7, (0.6, -0.8)),
+                            s_span=(-0.2, 0.2)))
+    assert len(tr) > 100 and rhs_seen
+    for state, acc in zip(np.hstack([tr.uv, tr.uv_vel]), tr.uv_acc):
+        out = rhs_seen[0](0.0, state.tolist(), None)
+        assert [v.hex() for v in out[2:]] == [v.hex() for v in acc.tolist()]
+
+
+def _collapsing_chart():
+    # X = (t, y, y^2) with y = a(t) z and the C^2 factor a = (0.5 - t)^3
+    # for t < 0.5, else 0: the chart is regular for t < 0.5, and X_z = 0
+    # for t >= 0.5
+    def parts(t, z):
+        r = np.maximum(0.5 - t, 0.0)
+        a, a_t, a_tt = r ** 3, -3.0 * r * r, 6.0 * r
+        return a, a_t, a_tt, a * z, a_t * z
+
+    def position(t, z):
+        y = parts(t, z)[3]
+        return vec3(t, t, y, y * y)
+
+    def jet(t, z):
+        a, a_t, a_tt, y, y_t = parts(t, z)
+        return SurfaceJet2(
+            vec3(t, 1.0, y_t, 2 * y * y_t), vec3(t, 0.0, a, 2 * y * a),
+            vec3(t, 0.0, a_tt * z, 2 * (y_t * y_t + y * a_tt * z)),
+            vec3(t, 0.0, a_t, 2 * (a * y_t + y * a_t)),
+            vec3(t, 0.0, 0.0, 2 * a * a))
+
+    return SurfaceDef("collapsing", Domain(-1, 1, -1, 1), position, jet)
+
+
+@pytest.mark.parametrize("jet", ["analytic", "fd"])
+def test_pseudogeodesic_refuses_a_singular_chart_point(jet):
+    # the line z = 0 is a pseudo-geodesic for every theta (X_vv = 0 on
+    # it), so the flow runs into t >= 0.5, where X_t x X_z = 0, and the
+    # RHS refuses the first point there by name
+    surface = _collapsing_chart()
+    if jet == "fd":
+        surface = replace(surface, jet=None)
+    req = TraceRequest(surface, (0.2, 0.0), PseudoGeodesicMode(0.3, (1, 0)),
+                       s_span=(0.0, 0.6))
+    with pytest.raises(SingularJetError,
+                       match=r"chart of 'collapsing' singular at \(") as err:
+        trace(req)
+    t, z = map(float, str(err.value).split("(")[1].rstrip(")").split(","))
+    assert t >= 0.5 and z == 0.0
