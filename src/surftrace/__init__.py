@@ -7,9 +7,9 @@ geodesics, generalized-helix detection, and two-surface intersection
 frame analysis.
 """
 
-from .core import (ChristoffelSymbols, Domain, FundamentalForms, ShapeData,
-                   SurfaceDef, SurfaceJet2, TangentDecomp, jet2, point_metric,
-                   point_shape, shape_arrays)
+from .core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
+                   SurfaceJet2, TangentDecomp, jet2, point_metric, point_shape,
+                   shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_from_darboux,
                       liouville_residuals)

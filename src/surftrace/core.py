@@ -1,10 +1,10 @@
 """Surface geometry: chart 2-jets and the shape kernel, one body for floats
 and for arrays.
 
-`point_metric` turns a chart's 2-jet into the normal, both fundamental forms
-and the Christoffel symbols; `_principal` goes on to the principal frame
-and the tangent decomposition (do Carmo, *Differential Geometry of Curves
-and Surfaces*, ch. 3).  Both bodies are elementwise and return flat tuples:
+`point_metric` turns a chart's 2-jet into the normal and both fundamental
+forms; `_principal` goes on to the principal frame and the tangent
+decomposition (do Carmo, *Differential Geometry of Curves and Surfaces*,
+ch. 3).  Both bodies are elementwise and return flat tuples:
 floats at one point or (n,) arrays run the same formulas in the same order,
 so a point's values are the same bits in either form, which differ only in
 sqrt, a branch versus `np.where`, and the E1 sign rule.  `_records` wraps
@@ -12,10 +12,10 @@ the tuples for `point_shape` (one point, module rule) and `shape_arrays`
 (arrays, a per-point hint or else the module rule at the first point and
 a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
 
-Records are named tuples (3 to 5 of `point_shape`'s 9 to 12 us, mostly its
-three `np.array` vectors); the flow right-hand sides build none: the
-isogonal one reads `point_metric` (2.7 to 5.0 us, an analytic float jet's
-0.8 to 3.0 included) and `point_frame` (2.2 to 2.4 us), the pseudo-geodesic
+Records are named tuples (about 3 of `point_shape`'s 8.3 to 9.4 us, mostly
+its three `np.array` vectors); the flow right-hand sides build none: the
+isogonal one reads `point_metric` (2.7 to 3.9 us, an analytic float jet's
+2.2 to 2.9 included) and `point_frame` (2.0 to 3.0 us), the pseudo-geodesic
 one only the chart jet, which `tracer` contracts with the velocity itself.
 A trace makes one `shape_arrays` pass over its samples, reused by its
 Darboux scalars (an isogonal adds a frame-only pass, `point_metric` and
@@ -123,17 +123,6 @@ class FundamentalForms(NamedTuple):
     normal: Vec3
 
 
-class ChristoffelSymbols(NamedTuple):
-    """The six symbols of the chart metric, upper index first."""
-
-    c1_tt: float
-    c1_tz: float
-    c1_zz: float
-    c2_tt: float
-    c2_tz: float
-    c2_zz: float
-
-
 class TangentDecomp(NamedTuple):
     """Coefficients of X_t = f1 E1 + f2 E2 and X_z = g1 E1 + g2 E2."""
 
@@ -153,7 +142,6 @@ class ShapeData(NamedTuple):
     e2: Vec3
     K: float
     H: float
-    christoffel: ChristoffelSymbols
     decomp: TangentDecomp
     umbilic: bool
 
@@ -228,13 +216,13 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
     """The metric stage of `point_shape` at one point, as one flat tuple:
 
         (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
-         e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
+         e, f, g)
 
-    with X_t, X_z and N by component, W = EG - F^2 and the Christoffel
-    symbols upper index first; every entry but the jet is a float.  Raises
-    SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|.  Elementwise:
-    `shape_arrays` runs it on (n,) arrays, where every entry but the jet is
-    an (n,) array and the error names the first singular point.
+    with X_t, X_z and N by component and W = EG - F^2; every entry but the
+    jet is a float.  Raises SingularJetError where |X_t x X_z| <= 1e-14
+    |X_t| |X_z|.  Elementwise: `shape_arrays` runs it on (n,) arrays, where
+    every entry but the jet is an (n,) array and the error names the first
+    singular point.
     """
     jet = jet2(surface, t, z, check_domain=check_domain)
     xt0, xt1, xt2 = jet.d_t
@@ -254,24 +242,10 @@ def point_metric(surface: SurfaceDef, t: float, z: float, *,
         raise SingularJetError(f"chart of '{surface.name}' singular at "
                                f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
     n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
-    W = E * G - F * F
-
-    # second form and Christoffel symbols: [E F; F G] (c1, c2) =
-    # (<X_.., X_t>, <X_.., X_z>) for each second partial X_.., unrolled
-    p0, p1, p2 = jet.d_tt
-    e = p0 * n0 + p1 * n1 + p2 * n2
-    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
-    c1_tt, c2_tt = (G * bt - F * bz) / W, (E * bz - F * bt) / W
-    p0, p1, p2 = jet.d_tz
-    f = p0 * n0 + p1 * n1 + p2 * n2
-    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
-    c1_tz, c2_tz = (G * bt - F * bz) / W, (E * bz - F * bt) / W
-    p0, p1, p2 = jet.d_zz
-    g = p0 * n0 + p1 * n1 + p2 * n2
-    bt, bz = p0 * xt0 + p1 * xt1 + p2 * xt2, p0 * xz0 + p1 * xz1 + p2 * xz2
-    c1_zz, c2_zz = (G * bt - F * bz) / W, (E * bz - F * bt) / W
-    return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
-            e, f, g, c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet.d_tt, jet.d_tz, jet.d_zz
+    return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G,
+            E * G - F * F, p0 * n0 + p1 * n1 + p2 * n2,
+            q0 * n0 + q1 * n1 + q2 * n2, r0 * n0 + r1 * n1 + r2 * n2)
 
 
 def _flip(d0, d1, d2, xt0, xt1, xt2, xz0, xz1, xz2, sqE) -> bool:
@@ -304,8 +278,7 @@ def _principal(metric: tuple, sqrt: Callable, select: Callable,
     arrays: (kappa1, kappa2, umbilic, mean, E1, E2, f1, f2, g1, g2), vectors
     by component.  The forms differ only in ``sqrt``, ``select`` (`_if` or
     `np.where`) and ``flip`` (E1 and `_flip`'s other arguments to a bool)."""
-    (_, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, _, e, f, g,
-     _, _, _, _, _, _) = metric
+    _, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, _, e, f, g = metric
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
@@ -355,14 +328,12 @@ def _principal(metric: tuple, sqrt: Callable, select: Callable,
 
 def _records(metric: tuple, frame: tuple) -> tuple:
     """`point_metric`'s and `_principal`'s tuples as (jet, forms, shape data)."""
-    (jet, _, _, _, _, _, _, n0, n1, n2, E, F, G, W, e, f, g, c1_tt, c1_tz,
-     c1_zz, c2_tt, c2_tz, c2_zz) = metric
+    jet, _, _, _, _, _, _, n0, n1, n2, E, F, G, W, e, f, g = metric
     (kappa1, kappa2, umbilic, mean, d0, d1, d2, q0, q1, q2, f1, f2, g1,
      g2) = frame
     normal = np.array([n0, n1, n2])
     sd = ShapeData(normal, kappa1, kappa2, np.array([d0, d1, d2]),
                    np.array([q0, q1, q2]), (e * g - f * f) / W, mean,
-                   ChristoffelSymbols(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz),
                    TangentDecomp(f1, f2, g1, g2), umbilic)
     return jet, FundamentalForms(E, F, G, e, f, g, normal), sd
 

@@ -126,10 +126,15 @@ def _phi_dev(curve: CurveData) -> float:
 # curve table and corpus
 # ---------------------------------------------------------------------------
 
+#: solver tolerances of every `CURVES` row and of S7's own traces (the
+#: stepper raises rtol to its floor, 100 EPS = 2.2e-14)
+TABLE_ATOL, TABLE_RTOL = 1e-15, 1e-14
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """A named curve: gallery constructor and its parameters, flow mode,
-    start point, s-span and sample step, which also caps the solver step."""
+    start point, s-span and sample step."""
 
     name: str
     make: Callable[..., SurfaceDef]
@@ -234,7 +239,7 @@ def traced(spec: CurveSpec) -> CorpusCurve:
         v0 = source.uv_vel[source.index_of(0.0)]
         mode = replace(mode, initial_dir=(float(v0[0]), float(v0[1])))
     tr = trace(TraceRequest(surface, spec.start, mode, s_span=spec.span,
-                            step=spec.step, max_step=spec.step))
+                            step=spec.step, atol=TABLE_ATOL, rtol=TABLE_RTOL))
     return CorpusCurve(spec.name, surface,
                        curve_scalars_from_trace(surface, tr), tr)
 
@@ -394,15 +399,16 @@ def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     hel = make_helix_surface(1.0, np.pi / 4)
     cat = make_catenoid()
 
-    def capped(mode, span, step=2e-3, surface=enn, start=(0.3, 0.2)):
+    def fine(mode, span, step=2e-3, surface=enn, start=(0.3, 0.2)):
         return trace(TraceRequest(surface, start, mode, s_span=span,
-                                  step=step, max_step=step))
+                                  step=step, atol=TABLE_ATOL,
+                                  rtol=TABLE_RTOL))
 
     phi = -0.9
-    base = capped(IsogonalMode(phi), (0.0, 1.0), 4e-3)
-    fast = capped(IsogonalMode(phi, 2.0), (0.0, 0.5))
-    slow = capped(IsogonalMode(phi, 0.5), (0.0, 1.0), 4e-3)
-    half = capped(IsogonalMode(phi), (0.0, 0.5))
+    base = fine(IsogonalMode(phi), (0.0, 1.0), 4e-3)
+    fast = fine(IsogonalMode(phi, 2.0), (0.0, 0.5))
+    slow = fine(IsogonalMode(phi, 0.5), (0.0, 1.0), 4e-3)
+    half = fine(IsogonalMode(phi), (0.0, 0.5))
     dev2 = np.max(np.abs(fast.uv - base.uv[:len(fast.uv)]))
     checks = [
         _below("speed-2 flow equals reparametrized unit flow", dev2, 1e-8),
@@ -429,8 +435,8 @@ def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     checks.append(_below("trace reproducibility across solver tolerances",
                          _uv_gap(ta, tb), 1e-7))
 
-    back = capped(IsogonalMode(phi), (-1.0, 0.0))
-    reflected = capped(IsogonalMode(phi + np.pi), (0.0, 1.0))
+    back = fine(IsogonalMode(phi), (-1.0, 0.0))
+    reflected = fine(IsogonalMode(phi + np.pi), (0.0, 1.0))
     checks.append(_below(
         "time reversal equals reflected negated-velocity trace",
         np.max(np.abs(back.uv[::-1] - reflected.uv)), 1e-8))
@@ -444,11 +450,11 @@ def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     # so two different flows from the same start velocity must agree
     gaps = []
     for start in ((0.2, 0.0), (0.3, 0.5)):
-        meridian = capped(IsogonalMode(0.0), (-0.8, 0.8), surface=cat,
-                          start=start)
+        meridian = fine(IsogonalMode(0.0), (-0.8, 0.8), surface=cat,
+                        start=start)
         v0 = meridian.uv_vel[meridian.index_of(0.0)]
-        geo = capped(GeodesicMode((float(v0[0]), float(v0[1]))), (-0.8, 0.8),
-                     surface=cat, start=start)
+        geo = fine(GeodesicMode((float(v0[0]), float(v0[1]))), (-0.8, 0.8),
+                   surface=cat, start=start)
         gaps.append(_uv_gap(geo, meridian))
     checks.append(_below("geodesic equals catenoid meridian isogonal "
                          "(phi = 0)", max(gaps), 1e-9))

@@ -105,16 +105,12 @@ class TraceRequest:
     step: float = 2e-3
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
-    # cap on the solver step; finite-difference post-processing of a trace
-    # (Frenet torsion in particular) reads the dense-output interpolation
-    # error, which shrinks like the fifth power of the solver step
-    max_step: float = np.inf
 
     def __post_init__(self) -> None:
         try:  # numbers of the right shapes first, their values below
             start, span = (_numeric(self, k, (2,)) for k in ("start_uv", "s_span"))
-            step, atol, rtol, max_step = (
-                _numeric(self, k) for k in ("step", "atol", "rtol", "max_step"))
+            step, atol, rtol = (
+                _numeric(self, k) for k in ("step", "atol", "rtol"))
             mode = [_numeric(self.mode, k, (), (2,)) if k == "initial_dir"
                     else _numeric(self.mode, k) for k in vars(self.mode)]
         except TypeError as exc:
@@ -129,7 +125,6 @@ class TraceRequest:
              f"s_span {self.s_span} must be finite and contain 0"),
             (np.isfinite([atol, rtol]).all() and atol > 0 and rtol > 0,
              f"atol {self.atol} and rtol {self.rtol} must be finite and > 0"),
-            (max_step > 0, f"max_step {self.max_step} must be > 0"),
         ]
         for ok, what in problems:
             if not ok:
@@ -249,8 +244,7 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
     for key, s_end in (("fwd", s_hi), ("bwd", s_lo)):
         if s_end == 0.0:
             continue
-        br = integrate(rhs, y0, s_end, inside, req.atol, req.rtol,
-                       req.max_step)
+        br = integrate(rhs, y0, s_end, inside, req.atol, req.rtol)
         if br.status:
             kind = ("solver_failure" if br.status == -1 else "hit_boundary"
                     if br.event else "hit_umbilic")

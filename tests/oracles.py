@@ -1,9 +1,12 @@
 """Test-only references: the position-only Frenet oracle and its stencils,
-and the Darboux scalars of one direction at one point.
+the Darboux scalars of one direction at one point, and the Christoffel
+symbols of a chart jet.
 
 Each recomputes by another route what the library computes, so the tests
 can hold the library to it: `frenet_apparatus` sees only ambient positions,
-and `pointwise_direction_scalars` one point's shape data.  The two errors
+`pointwise_direction_scalars` one point's shape data, and `christoffel`
+gives the textbook form of the Christoffel contractions that the
+pseudo-geodesic flow takes in directional form.  The two errors
 the latter raises are defined here, since nothing in the library raises them.
 """
 from __future__ import annotations
@@ -92,6 +95,25 @@ def pointwise_direction_scalars(sd: ShapeData, direction: np.ndarray):
     kn = sd.kappa1 * c * c + sd.kappa2 * s * s
     taug = (sd.kappa1 - sd.kappa2) * c * s
     return float(kn), float(taug), phi
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def christoffel(jet) -> tuple:
+    """(c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz), the Christoffel symbols of
+    a float chart jet, upper index first: for each second partial X_ab,
+    [E F; F G] (c1_ab, c2_ab) = (<X_ab, X_t>, <X_ab, X_z>) (do Carmo 4-3)."""
+    xt, xz = jet.d_t, jet.d_z
+    E, F, G = _dot(xt, xt), _dot(xt, xz), _dot(xz, xz)
+    W = E * G - F * F
+    first, second = [], []
+    for x in (jet.d_tt, jet.d_tz, jet.d_zz):
+        bt, bz = _dot(x, xt), _dot(x, xz)
+        first.append((G * bt - F * bz) / W)
+        second.append((E * bz - F * bt) / W)
+    return (*first, *second)
 
 
 def frenet_apparatus(positions: np.ndarray, h: float) -> FrenetData:

@@ -26,7 +26,10 @@ A change that moves outputs on purpose is measured by a drift report:
 ``--save`` writes every curve's `Trace` and `CurveData` arrays and every
 verify value; ``--against`` recomputes them and prints, for each mode and
 field, how many curves stay bit for bit and the largest scaled change
-|new - old| / max(1, |old|), then the verify values that moved.
+|new - old| / max(1, |old|), then the verify values that moved.  The
+`Trace.shape` records go in leaf by leaf, as ``trace.shape.<record>.<field>``
+(records ``jet``, ``forms`` and ``data``), and a field that only one side
+has prints as ``added`` (only this checkout) or ``removed`` (only the file).
 
 Where kappa is at rounding size, or passes through 0 between samples,
 theta = atan2(kg, kn) is decided by the sign of a kg at rounding size: it
@@ -58,6 +61,8 @@ PASSES = 3
 KAPPA_FLAT = 1e-6
 #: samples on either side of a point that `darboux`'s theta' stencil reads
 STENCIL = 2
+#: names of `Trace.shape`'s three records in the drift report
+SHAPE_RECORDS = ("jet", "forms", "data")
 
 
 def _feed(h, obj) -> None:
@@ -173,9 +178,9 @@ def _leaves(prefix: str, obj):
 def curve_outputs(seed: int = SEED, passes: int = PASSES):
     """Yield (label, mode, fields) for each curve of the seeded trace set.
 
-    ``fields`` maps ``trace.<field>`` and ``curve.<field>`` to float arrays
-    (`Trace.shape` is one field, its record arrays joined), plus ``text``:
-    the exit kind and report, or the refusal.
+    ``fields`` maps ``trace.<field>``, ``trace.shape.<record>.<field>`` and
+    ``curve.<field>`` to float arrays, plus ``text``: the exit kind and
+    report, or the refusal.
     """
     for k in range(passes):
         for surface, mode, req in _requests(seed, k):
@@ -190,8 +195,8 @@ def curve_outputs(seed: int = SEED, passes: int = PASSES):
                 fields["trace.stats"] = np.array(
                     [[b.nfev, b.steps, b.rejected] for _, b in
                      sorted(tr.stats.items())], dtype=float).ravel()
-                fields["trace.shape"] = np.concatenate(
-                    [a.ravel() for _, a in _leaves("shape", tr.shape)])
+                for record, obj in zip(SHAPE_RECORDS, tr.shape):
+                    fields.update(_leaves(f"trace.shape.{record}", obj))
                 cd = darboux.curve_scalars_from_trace(surface, tr)
                 for name, a in _leaves("curve", cd):
                     fields[name] = a
@@ -255,14 +260,19 @@ def _flips(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def drift_report(path: str, seed: int, passes: int) -> str:
     """The drift table of this checkout's outputs against ``path``'s."""
     saved = np.load(path)
+    stored: dict[str, dict] = {}   # curve index -> saved field -> array
+    for key in saved.files:
+        i, name = key.split(" ", 1)
+        if i != "verify" and name != "label":
+            stored.setdefault(i, {})[name] = saved[key]
+    # (mode, field) -> [curves, bitwise, max change, added, removed]
     rows: dict[tuple[str, str], list] = {}
     for i, (label, mode, fields) in enumerate(curve_outputs(seed, passes)):
         if str(saved[f"{i} label"]) != f"{mode} {label}":
             raise SystemExit(f"curve {i} is {mode} {label}, saved as "
                              f"{saved[f'{i} label']}: another seed or set")
-        old = {name: saved[f"{i} {name}"] for name in fields
-               if f"{i} {name}" in saved}
-        if ("curve.tau" in old
+        old = stored.get(str(i), {})
+        if ("curve.tau" in old and "curve.tau" in fields
                 and fields["curve.tau"].shape == old["curve.tau"].shape):
             noisy = _flips(old["curve.kappa"], old["curve.theta"])
             for store in (fields, old):
@@ -273,19 +283,24 @@ def drift_report(path: str, seed: int, passes: int) -> str:
                 if noisy.any():
                     store["curve.tau at theta flips"] = np.where(noisy, tau,
                                                                  0.0)
-        for name, new in fields.items():
-            row = rows.setdefault((mode, name), [0, 0, 0.0])
+        for name in [*fields, *(n for n in old if n not in fields)]:
+            row = rows.setdefault((mode, name), [0, 0, 0.0, 0, 0])
             row[0] += 1
-            if name in old and _same(new, old[name]):
+            if name not in old:
+                row[3] += 1
+            elif name not in fields:
+                row[4] += 1
+            elif _same(fields[name], old[name]):
                 row[1] += 1
-            elif name in old and name != "text":
-                row[2] = max(row[2], _change(new, old[name]))
             elif name != "text":
-                row[2] = math.inf
-    lines = [f"{'mode':16} {'field':28} {'bitwise':>9}  max scaled change"]
-    for (mode, name), (n, same, change) in rows.items():
-        shown = "-" if name == "text" else f"{change:.2g}"
-        lines.append(f"{mode:16} {name:28} {f'{same}/{n}':>9}  {shown}")
+                row[2] = max(row[2], _change(fields[name], old[name]))
+    lines = [f"{'mode':16} {'field':34} {'bitwise':>9}  max scaled change"]
+    for (mode, name), (n, same, change, added, removed) in rows.items():
+        shown = ("added" if added == n else "removed" if removed == n
+                 else "-" if name == "text" else f"{change:.2g}")
+        if 0 < added < n or 0 < removed < n:
+            shown += f" ({added} added, {removed} removed)"
+        lines.append(f"{mode:16} {name:34} {f'{same}/{n}':>9}  {shown}")
     checks = verify_checks()
     moved = 0
     for key, check in checks.items():

@@ -137,7 +137,8 @@ def test_enneper_origin_isogonal_is_geodesic():
     enn = make_enneper()
     phi = chart_to_principal_angle(enn, (0.0, 0.0), np.pi / 6)
     tr = trace(TraceRequest(enn, (0.0, 0.0), IsogonalMode(phi),
-                            s_span=(-1.0, 1.0), step=2e-3, max_step=2e-3))
+                            s_span=(-1.0, 1.0), step=2e-3, atol=1e-15,
+                            rtol=1e-14))
     rep = classify_curve(enn, tr)
     assert rep.geodesic
     assert rep.isogonal.is_constant and rep.pseudo_geodesic.is_constant

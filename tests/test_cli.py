@@ -82,7 +82,8 @@ def test_csv_roundtrip_reclassifies_identically(tmp_path):
     enn = make_enneper()
     phi = chart_to_principal_angle(enn, (0.0, 1.0), np.pi / 6)
     tr = trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
-                            s_span=(-0.8, 0.8), step=2e-3, max_step=2e-3))
+                            s_span=(-0.8, 0.8), step=2e-3, atol=1e-15,
+                            rtol=1e-14))
     cd = curve_scalars_from_trace(enn, tr)
     rep1 = classify_curve_data(cd)
     path = str(tmp_path / "round.csv")
@@ -351,7 +352,8 @@ def test_export_obj_structure(tmp_path):
     for m in (0.5, -0.5):
         cosp = 1.0 / np.sqrt(1 + m * m)
         tr = trace(TraceRequest(enn, (0.0, 0.0), GeodesicMode((cosp, m * cosp)),
-                                s_span=(-2.0, 2.0), step=1e-2, max_step=1e-2))
+                                s_span=(-2.0, 2.0), step=1e-2, atol=1e-15,
+                                rtol=1e-14))
         curves.append(curve_scalars_from_trace(enn, tr).pos)
     path = str(tmp_path / "figure.obj")
     write_obj(path, enn, curves, grid=(50, 50))

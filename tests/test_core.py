@@ -8,16 +8,16 @@ from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        make_plane, make_sphere, point_metric, point_shape,
                        shape_arrays)
 from surftrace import stepper, tracer
-from surftrace.core import (ChristoffelSymbols, Domain, FundamentalForms,
-                            ShapeData, SurfaceDef, SurfaceJet2, TangentDecomp,
-                            _fd_jet, _principal, point_frame, pyfloats,
-                            vec3)
+from surftrace.core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
+                            SurfaceJet2, TangentDecomp, _fd_jet, _principal,
+                            point_frame, pyfloats, vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
                               _isogonal_velocity, _umbilic_gap, trace_isogonal)
 
 from conftest import interior_grid
+from oracles import christoffel
 
 GALLERY = [make_helix_surface(1.0, np.pi / 4), make_enneper(),
            make_crpc_revolution(2.0, 1), make_bonnet(0.5), make_sphere(1.0),
@@ -210,7 +210,8 @@ def test_fd_jets_match_analytic(surface):
 
 
 def test_christoffel_against_metric_derivatives():
-    # independent oracle: Christoffels from finite differences of E, F, G
+    # the test oracle's Christoffels, from the jet, against finite
+    # differences of E, F, G
     surf = make_bonnet(0.6)
     h = 1e-6
 
@@ -219,7 +220,7 @@ def test_christoffel_against_metric_derivatives():
         return np.array([f.E, f.F, f.G])
 
     for t, z in [(0.3, 0.2), (-0.8, 0.5), (1.2, -0.9)]:
-        jet, forms, sd = point_shape(surf, t, z)
+        jet, forms, _ = point_shape(surf, t, z)
         dE, dF, dG = (metric(t + h, z) - metric(t - h, z)) / (2 * h)
         eE, eF, eG = (metric(t, z + h) - metric(t, z - h)) / (2 * h)
         E, F, G = forms.E, forms.F, forms.G
@@ -231,10 +232,8 @@ def test_christoffel_against_metric_derivatives():
         c2_tz = (E * dG / 2 - F * eE / 2) / W
         c1_zz = (G * (eF - dG / 2) - F * eG / 2) / W
         c2_zz = (E * eG / 2 - F * (eF - dG / 2)) / W
-        got = sd.christoffel
-        for a, b in [(got.c1_tt, c1_tt), (got.c1_tz, c1_tz),
-                     (got.c1_zz, c1_zz), (got.c2_tt, c2_tt),
-                     (got.c2_tz, c2_tz), (got.c2_zz, c2_zz)]:
+        got = christoffel(jet)
+        for a, b in zip(got, (c1_tt, c1_tz, c1_zz, c2_tt, c2_tz, c2_zz)):
             assert abs(a - b) < 1e-5 * (1 + abs(b))
 
 
@@ -299,10 +298,8 @@ def test_shape_arrays_matches_point_shape(surface, jet):
     for name in ("normal", "kappa1", "kappa2", "K", "H", "e1", "e2"):
         got = getattr(sd_a, name)
         same(got.T if got.ndim == 2 else got, field(sds, name), name)
-    for group in ("christoffel", "decomp"):
-        want = np.array([tuple(getattr(sd, group)) for sd in sds])
-        got = np.array(tuple(getattr(sd_a, group))).T
-        same(got, want, group)
+    want = np.array([tuple(sd.decomp) for sd in sds])
+    same(np.array(tuple(sd_a.decomp)).T, want, "decomp")
 
 
 @pytest.mark.parametrize("jet", ["analytic", "position_only"])
@@ -316,8 +313,7 @@ def test_float_calls_return_floats(surface, jet):
     metric = point_metric(surface, t, z)
     assert all(type(x) is float for x in metric[1:])
     _, forms, sd = point_shape(surface, t, z)
-    scalars = [*tuple(forms)[:6], sd.kappa1, sd.kappa2, sd.K,
-               sd.H, *tuple(sd.christoffel),
+    scalars = [*tuple(forms)[:6], sd.kappa1, sd.kappa2, sd.K, sd.H,
                *tuple(sd.decomp)]
     assert all(type(x) is float for x in scalars)
     assert type(sd.umbilic) is bool
@@ -441,16 +437,14 @@ def test_records_keep_their_fields_and_refuse_assignment():
     # dataclasses, and stay immutable, from both shape kernels
     want = {SurfaceJet2: ("d_t", "d_z", "d_tt", "d_tz", "d_zz"),
             FundamentalForms: ("E", "F", "G", "e", "f", "g", "normal"),
-            ChristoffelSymbols: ("c1_tt", "c1_tz", "c1_zz", "c2_tt", "c2_tz",
-                                 "c2_zz"),
             TangentDecomp: ("f1", "f2", "g1", "g2"),
             ShapeData: ("normal", "kappa1", "kappa2", "e1", "e2", "K", "H",
-                        "christoffel", "decomp", "umbilic")}
+                        "decomp", "umbilic")}
     enn = make_enneper()
     for jet, forms, sd in (point_shape(enn, 0.2, 0.3),
                            shape_arrays(enn, np.array([0.2, 0.4]),
                                         np.array([0.3, -0.1]))):
-        for record in (jet, forms, sd, sd.christoffel, sd.decomp):
+        for record in (jet, forms, sd, sd.decomp):
             assert type(record)._fields == want[type(record)]
             for name in want[type(record)]:
                 with pytest.raises(AttributeError):

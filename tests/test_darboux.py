@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
                        frenet_from_darboux, gallery, liouville_residuals,
                        make_catenoid, make_cylinder, make_enneper,
                        make_helix_surface, make_plane, make_sphere,
-                       point_shape, tracer)
+                       point_shape, stepper, tracer)
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.darboux import normal_angle
 from surftrace.errors import (GeometryError, InvalidRequestError,
@@ -107,7 +108,8 @@ def test_cylinder_helix_scalars():
 def test_geodesic_has_vanishing_kg_and_tau_equals_taug():
     enn = make_enneper()
     req = TraceRequest(enn, (0.2, -0.1), GeodesicMode((0.7, 0.4)),
-                       s_span=(-0.7, 0.7), step=2e-3, max_step=2e-3)
+                       s_span=(-0.7, 0.7), step=2e-3, atol=1e-15,
+                       rtol=1e-14)
     tr = trace_geodesic(req)
     cd = curve_scalars_from_trace(enn, tr)
     assert np.max(np.abs(cd.kg)) < 1e-9
@@ -225,7 +227,7 @@ def test_frenet_agrees_with_curve_scalars_on_trace():
     phi = chart_to_principal_angle(enn, (0.0, 1.0), np.pi / 6)
     tr = trace_isogonal(TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
                                      s_span=(-1.0, 1.0), step=2e-3,
-                                     max_step=2e-3))
+                                     atol=1e-15, rtol=1e-14))
     cd = curve_scalars_from_trace(enn, tr)
     fd = frenet_apparatus(cd.pos, 2e-3)
     mask = fd.kappa > 1e-3
@@ -234,12 +236,56 @@ def test_frenet_agrees_with_curve_scalars_on_trace():
                    / (1 + np.abs(fd.tau)))[mask]) < 1e-5
 
 
-def test_frenet_agreement_across_scenario_corpus(corpus):
+def capped_reference(monkeypatch, tr):
+    """The uv samples of trace ``tr`` recomputed by scipy's RK45 at atol
+    1e-10 / rtol 1e-9, its step capped at the sample step, on the tracer's
+    own right-hand sides (the isogonal one oriented by its previous output)
+    and from the same start."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return stepper.integrate(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tracer, "integrate", spy)
+        tracer.trace(tr.request)
+    uv = tr.uv.copy()
+    for rhs, y0, s_end, *_ in calls:
+        side = tr.s * s_end > 0
+        out = None
+
+        def f(s, y, rhs=rhs):
+            nonlocal out
+            out = rhs(s, y.tolist(), out)
+            return out
+
+        sol = solve_ivp(f, (0.0, tr.s[side][np.argmax(np.abs(tr.s[side]))]),
+                        np.array(y0), method="RK45", dense_output=True,
+                        max_step=tr.request.step, atol=1e-10, rtol=1e-9)
+        assert sol.status == 0
+        uv[side] = sol.sol(tr.s[side])[:2].T
+    return uv
+
+
+def test_frenet_agreement_across_scenario_corpus(corpus, monkeypatch):
+    # the table rows are traced at atol 1e-15 with no step cap, and the
+    # position oracle's third differences amplify the jitter of that dense
+    # output (below 1e-13) to 3.5e-5 in tau on helix_iso_b; so the oracle
+    # reads the positions of a reference traced with its step capped at
+    # the sample step, which the corpus uv meets to 2.9e-13 (catenoid_iso,
+    # bound 1e-11).  Worst measured: kappa 4.4e-6 (crpc_iso_pi4), tau
+    # 8.7e-6 (helix_iso_b), bound 1e-5
     from surftrace.scenarios import fixture_side_curves
-    worst_k = worst_t = 0.0
+    worst_k = worst_t = worst_uv = 0.0
     for cc in list(corpus) + fixture_side_curves():
         cd = cc.curve
-        fd = frenet_apparatus(cd.pos, float(cd.s[1] - cd.s[0]))
+        pos = cd.pos
+        if cc.trace is not None:
+            uv = capped_reference(monkeypatch, cc.trace)
+            worst_uv = max(worst_uv, float(np.max(np.abs(uv - cd.uv))))
+            pos = cc.surface.position(*uv.T).T
+        fd = frenet_apparatus(pos, float(cd.s[1] - cd.s[0]))
         mask = fd.kappa > 1e-3
         if not np.any(mask):
             continue
@@ -247,6 +293,7 @@ def test_frenet_agreement_across_scenario_corpus(corpus):
             (np.abs(cd.kappa - fd.kappa) / (1 + fd.kappa))[mask])))
         worst_t = max(worst_t, float(np.max(
             (np.abs(cd.tau - fd.tau) / (1 + np.abs(fd.tau)))[mask])))
+    assert worst_uv < 1e-11, worst_uv
     assert worst_k < 1e-5, worst_k
     assert worst_t < 1e-5, worst_t
 
@@ -274,7 +321,7 @@ def test_liouville_on_isogonal_and_coordinate_curves():
     phi = chart_to_principal_angle(enn, (0.0, 1.0), np.pi / 6)
     tr = trace_isogonal(TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
                                      s_span=(-1.0, 1.0), step=2e-3,
-                                     max_step=2e-3))
+                                     atol=1e-15, rtol=1e-14))
     cd = curve_scalars_from_trace(enn, tr)
     assert np.max(np.abs(liouville_residuals(enn, cd))) < 1e-6
 
@@ -282,7 +329,7 @@ def test_liouville_on_isogonal_and_coordinate_curves():
     cat = make_catenoid()
     tr = trace_isogonal(TraceRequest(cat, (0.1, 0.4), IsogonalMode(0.0),
                                      s_span=(-0.5, 0.5), step=2e-3,
-                                     max_step=2e-3))
+                                     atol=1e-15, rtol=1e-14))
     cdc = curve_scalars_from_trace(cat, tr)
     assert np.max(np.abs(cdc.uv[:, 1] - 0.4)) < 1e-9  # stays on z = const
     assert np.max(np.abs(liouville_residuals(cat, cdc))) < 1e-6
@@ -295,7 +342,7 @@ def test_liouville_on_ruled_surface_isogonal():
     hel = make_helix_surface(1.0, np.pi / 4)
     tr = trace_isogonal(TraceRequest(hel, (0.0, 0.0), IsogonalMode(0.8),
                                      s_span=(-0.8, 0.8), step=2e-3,
-                                     max_step=2e-3))
+                                     atol=1e-15, rtol=1e-14))
     cd = curve_scalars_from_trace(hel, tr)
     assert np.max(np.abs(liouville_residuals(hel, cd))) < 1e-6
 

@@ -30,3 +30,23 @@ def test_theta_flips_cover_the_torsion_stencil():
     assert parity._flips(kappa, theta).tolist() == [
         False, True, True, True, True, True, True, False, True, True, True,
         True]
+
+
+def test_drift_report_names_fields_saved_on_one_side(tmp_path, monkeypatch):
+    # a field only the file has is removed, one only the checkout has is
+    # added; neither reads as an infinite change
+    monkeypatch.setattr(parity, "verify_checks", dict)
+    path = tmp_path / "outputs.npz"
+    parity.save(str(path), parity.SEED, 1)
+    saved = dict(np.load(path))
+    for key in [k for k in saved if k.endswith(" trace.shape.data.kappa1")]:
+        saved[key.replace("kappa1", "gone")] = saved.pop(key)
+    np.savez(path, **saved)
+    rows = {tuple(line.split()[:2]): line.split()[2:]
+            for line in parity.drift_report(str(path), parity.SEED,
+                                            1).splitlines()[1:-1]}
+    for mode in ("isogonal", "pseudo_geodesic", "geodesic"):
+        n = rows[mode, "trace.shape.data.kappa2"][0].split("/")[1]
+        assert rows[mode, "trace.shape.data.kappa2"] == [f"{n}/{n}", "0"]
+        assert rows[mode, "trace.shape.data.kappa1"] == [f"0/{n}", "added"]
+        assert rows[mode, "trace.shape.data.gone"] == [f"0/{n}", "removed"]

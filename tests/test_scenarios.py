@@ -10,7 +10,7 @@ from surftrace import scenarios, tracer
 def _request_key(req):
     s = req.surface
     return (s.name, tuple(sorted(s.params.items())), req.start_uv, req.mode,
-            req.s_span, req.step, req.atol, req.rtol, req.max_step)
+            req.s_span, req.step, req.atol, req.rtol)
 
 
 @pytest.fixture

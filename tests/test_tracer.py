@@ -119,7 +119,8 @@ def test_pseudogeodesic_theta_range():
 def test_sphere_pseudogeodesic_is_circle():
     sph = make_sphere(1.0)
     req = TraceRequest(sph, (0.2, 0.1), PseudoGeodesicMode(np.pi / 4, (0.6, 0.5)),
-                       s_span=(-1.0, 1.0), step=2e-3, max_step=2e-3)
+                       s_span=(-1.0, 1.0), step=2e-3, atol=1e-15,
+                       rtol=1e-14)
     cd = curve_scalars_from_trace(sph, trace_pseudogeodesic(req))
     assert np.max(np.abs(cd.kappa - np.mean(cd.kappa))) < 1e-8
     assert np.max(np.abs(cd.tau)) < 1e-6
@@ -139,7 +140,8 @@ def test_plane_geodesic_is_straight():
 def test_sphere_great_circle():
     sph = make_sphere(1.0)
     req = TraceRequest(sph, (0.0, 0.0), GeodesicMode((0.4, 0.6)),
-                       s_span=(-1.0, 1.0), step=2e-3, max_step=2e-3)
+                       s_span=(-1.0, 1.0), step=2e-3, atol=1e-15,
+                       rtol=1e-14)
     cd = curve_scalars_from_trace(sph, trace_geodesic(req))
     assert np.max(np.abs(cd.kappa - 1.0)) < 1e-8
     assert np.max(np.abs(cd.tau)) < 1e-6
@@ -150,7 +152,8 @@ def test_pseudogeodesic_constant_theta_a_posteriori():
     bon = make_bonnet(0.5)
     # kn > 0 along this initial direction: measured theta equals the request
     req = TraceRequest(bon, (0.2, 0.1), PseudoGeodesicMode(0.4, 1.2),
-                       s_span=(-0.8, 0.8), step=2e-3, max_step=2e-3)
+                       s_span=(-0.8, 0.8), step=2e-3, atol=1e-15,
+                       rtol=1e-14)
     cd = curve_scalars_from_trace(bon, trace_pseudogeodesic(req))
     assert np.max(np.abs(cd.theta - 0.4)) < 1e-6
     speeds = np.linalg.norm(cd.T, axis=1)
@@ -163,7 +166,8 @@ def test_pseudogeodesic_branch_with_negative_kn():
     # follows the Gauss-map orientation)
     bon = make_bonnet(0.5)
     req = TraceRequest(bon, (0.2, 0.1), PseudoGeodesicMode(0.4, 0.7),
-                       s_span=(-0.8, 0.8), step=2e-3, max_step=2e-3)
+                       s_span=(-0.8, 0.8), step=2e-3, atol=1e-15,
+                       rtol=1e-14)
     cd = curve_scalars_from_trace(bon, trace_pseudogeodesic(req))
     assert np.max(np.abs(cd.theta - (0.4 - np.pi))) < 1e-6
     assert abs(np.tan(np.mean(cd.theta)) - np.tan(0.4)) < 1e-6
@@ -419,7 +423,7 @@ def test_chart_angle_conversion_roundtrip():
     dict(mode=PseudoGeodesicMode(0.3, (1.0, np.inf))),
     dict(step=0.0), dict(step=-0.01),
     dict(step=np.nan), dict(s_span=(0.5, 1.0)), dict(s_span=(-np.inf, 1.0)),
-    dict(atol=0.0), dict(rtol=-1e-9), dict(max_step=0.0),
+    dict(atol=0.0), dict(rtol=-1e-9),
     # more samples than stepper.MAX_SAMPLES
     dict(step=1e-9), dict(s_span=(-1e300, 1e300)),
     # initial_dir is an angle (ndim 0) or a (dt, dz) pair, nothing else
@@ -539,7 +543,7 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
 def test_rhs_budget_ends_trace_as_solver_failure(monkeypatch):
     monkeypatch.setattr(stepper, "MAX_NFEV", 60)
     req = TraceRequest(make_enneper(), (0.2, 0.3), PseudoGeodesicMode(0.3, 0.4),
-                       s_span=(0.0, 2.0), max_step=0.01)
+                       s_span=(0.0, 2.0), atol=1e-15, rtol=1e-14)
     tr = trace(req)
     assert tr.exit.kind == "solver_failure"
     # 2 evaluations to start, then 6 per step: 9 steps fit in 60
