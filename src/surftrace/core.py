@@ -22,7 +22,11 @@ Darboux scalars (an isogonal adds a frame-only pass, `point_metric` and
 `_principal` with no records, over its 2n acceleration stencils); bare
 samples, CSV import, class probes and oracle scenarios take one each.  Its
 fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
-near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).
+near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).  On a position-only
+chart the jet is `_fd_jet`, one elementwise body over nine `position`
+calls: 3.7 to 14.3 us a float call on the gallery charts (33.8 on
+crpc_revolution, whose positions call scipy), most of it the chart calls,
+and 11 to 21 us (42) for a `point_shape`.
 
 Conventions fixed once and used everywhere downstream:
 
@@ -169,25 +173,32 @@ def pyfloats(like, *values) -> tuple:
 
 
 def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) -> SurfaceJet2:
-    """Central second-order finite-difference jet of the position map,
-    component by component (elementwise, like the chart)."""
+    """Central second-order finite-difference jet of the position map from
+    its nine stencil points, component by component: one elementwise body,
+    like the chart's own (floats or (n,) arrays)."""
     if isinstance(t, np.ndarray):
         h = FD_STEP * np.maximum(np.maximum(1.0, abs(t)), abs(z))
     else:  # floats stay floats: numpy scalar arithmetic is slower
         h = FD_STEP * max(1.0, abs(t), abs(z))
-    p = position(t, z)
-    p_t1, p_t0 = position(t + h, z), position(t - h, z)
-    p_z1, p_z0 = position(t, z + h), position(t, z - h)
-    p_pp, p_pm = position(t + h, z + h), position(t + h, z - h)
-    p_mp, p_mm = position(t - h, z + h), position(t - h, z - h)
+    a0, a1, a2 = position(t, z)
+    b0, b1, b2 = position(t + h, z)
+    c0, c1, c2 = position(t - h, z)
+    d0, d1, d2 = position(t, z + h)
+    e0, e1, e2 = position(t, z - h)
+    f0, f1, f2 = position(t + h, z + h)
+    g0, g1, g2 = position(t + h, z - h)
+    k0, k1, k2 = position(t - h, z + h)
+    m0, m1, m2 = position(t - h, z - h)
     h2, hh, h4 = 2 * h, h * h, 4 * h * h
-    parts = ([(a - b) / h2 for a, b in zip(p_t1, p_t0)],
-             [(a - b) / h2 for a, b in zip(p_z1, p_z0)],
-             [(a - 2 * c + b) / hh for a, c, b in zip(p_t1, p, p_t0)],
-             [(a - b - c + d) / h4 for a, b, c, d in zip(p_pp, p_pm, p_mp, p_mm)],
-             [(a - 2 * c + b) / hh for a, c, b in zip(p_z1, p, p_z0)])
-    vector = np.array if isinstance(t, np.ndarray) else tuple
-    return SurfaceJet2(*map(vector, parts))
+    return SurfaceJet2(
+        vec3(t, (b0 - c0) / h2, (b1 - c1) / h2, (b2 - c2) / h2),
+        vec3(t, (d0 - e0) / h2, (d1 - e1) / h2, (d2 - e2) / h2),
+        vec3(t, (b0 - 2 * a0 + c0) / hh, (b1 - 2 * a1 + c1) / hh,
+             (b2 - 2 * a2 + c2) / hh),
+        vec3(t, (f0 - g0 - k0 + m0) / h4, (f1 - g1 - k1 + m1) / h4,
+             (f2 - g2 - k2 + m2) / h4),
+        vec3(t, (d0 - 2 * a0 + e0) / hh, (d1 - 2 * a1 + e1) / hh,
+             (d2 - 2 * a2 + e2) / hh))
 
 
 def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) -> SurfaceJet2:

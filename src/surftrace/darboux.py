@@ -6,7 +6,7 @@ frame {T, JT = N x T, N}:
 * kg = <gamma'', JT>   (geodesic curvature)
 * kn = kappa1 cos^2(phi) + kappa2 sin^2(phi)     (Euler's relation)
 * taug = (kappa1 - kappa2) cos(phi) sin(phi)     (geodesic torsion)
-* theta = atan2(kg, kn), lifted to a continuous function of s
+* theta = atan2(kg, kn), lifted modulo pi to a continuous function of s
 * kappa = sqrt(kg^2 + kn^2),  tau = taug + theta'
 
 The Frenet convention used throughout is T' = kappa N_f, B' = +tau N_f
@@ -147,16 +147,25 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
 
 
 def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
-    """theta = atan2(kg, kn), lifted to a continuous function of the samples.
+    """theta = atan2(kg, kn), lifted modulo pi to a continuous function of the
+    samples.
 
-    The first sample fixes the 2 pi branch of the lift.  There a kg of
-    rounding size, |kg| <= 1e-12 |kn|, counts as +0, so a geodesic with
-    kn < 0 starts at +pi whatever the sign of the noise in its kg.
+    theta is the angle between the osculating plane and the surface normal,
+    which turns on continuously where kappa passes through 0 while atan2
+    jumps by pi, so the lift removes steps of pi, not only of 2 pi; there
+    (kg, kn) = kappa (sin theta, cos theta) holds up to a sign.  A series
+    with no such step keeps its 2 pi lift, bit for bit.  The first sample
+    fixes the branch of the lift.  There a kg of rounding size, |kg| <=
+    1e-12 |kn|, counts as +0, so a geodesic with kn < 0 starts at +pi
+    whatever the sign of the noise in its kg.
     """
     theta = np.arctan2(kg, kn)
     if abs(kg[0]) <= 1e-12 * abs(kn[0]):
         theta[0] = np.arctan2(0.0, kn[0])
-    return np.unwrap(theta)
+    theta = np.unwrap(theta)
+    if (np.abs(np.diff(theta)) > np.pi / 2).any():
+        theta = np.unwrap(theta, period=np.pi)
+    return theta
 
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:

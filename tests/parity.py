@@ -2,7 +2,7 @@
 
     python tests/parity.py
 
-prints two sha256 digests:
+prints three sha256 digests:
 
 * ``traces``: a fixed, seeded gallery trace set.  For every catalogue
   surface and mode (isogonal, pseudo-geodesic, geodesic; no isogonal on a
@@ -13,8 +13,13 @@ prints two sha256 digests:
   in as its type and message.
 * ``verify``: the measured value of every check of `surftrace verify all`,
   as `float.hex`, with the scenario id and check name.
+* ``charts``: every catalogue surface made position-only,
+  ``dataclasses.replace(surface, jet=None)``, so its jet is the
+  finite-difference one: `core.point_shape` at `CHART_POINTS` seeded points,
+  and one seeded pseudo-geodesic trace with its `curve_scalars_from_trace`
+  data.
 
-A change meant to keep every output bit for bit prints the same two lines
+A change meant to keep every output bit for bit prints the same three lines
 as its parent.  The script needs only the public API, so it runs unchanged
 on older checkouts: copy it there and run it from that checkout's root.
 
@@ -33,10 +38,11 @@ has prints as ``added`` (only this checkout) or ``removed`` (only the file).
 
 Where kappa is at rounding size, or passes through 0 between samples,
 theta = atan2(kg, kn) is decided by the sign of a kg at rounding size: it
-flips by pi, and its continuous lift moves by 2 pi from there on.  So theta
-is compared modulo 2 pi, and tau = taug + theta' has its own row for the
-samples whose theta' stencil reaches such a flip (a saved sample with kappa
-< 1e-6, or a saved theta step above pi/2).
+flips by pi, and its continuous lift, taken modulo pi, may move by pi from
+there on.  So theta is compared modulo pi, and tau = taug + theta' has its
+own row for the samples whose theta' stencil reaches such a flip (a saved
+sample with kappa < 1e-6, or a saved theta step above pi/2, which a
+checkout that lifts theta modulo 2 pi keeps).
 """
 from __future__ import annotations
 
@@ -52,7 +58,8 @@ import numpy as np
 if __name__ == "__main__":  # a checkout's script reads that checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from surftrace import classify, darboux, gallery, scenarios, tracer  # noqa: E402
+from surftrace import (classify, core, darboux, gallery, scenarios,  # noqa: E402
+                       tracer)
 from surftrace.errors import GeometryError  # noqa: E402
 
 SEED = 11
@@ -61,6 +68,8 @@ PASSES = 3
 KAPPA_FLAT = 1e-6
 #: samples on either side of a point that `darboux`'s theta' stencil reads
 STENCIL = 2
+#: seeded `point_shape` points per position-only chart in the charts digest
+CHART_POINTS = 16
 #: names of `Trace.shape`'s three records in the drift report
 SHAPE_RECORDS = ("jet", "forms", "data")
 
@@ -144,6 +153,38 @@ def trace_digest(seed: int = SEED, passes: int = PASSES) -> tuple[str, int]:
                     classify.classify_curve_data(cd)))
             except (GeometryError, ValueError) as exc:  # refusals are outputs
                 _feed(h, f"{type(exc).__name__}: {exc}")
+    return h.hexdigest(), count
+
+
+def charts_digest(seed: int = SEED) -> tuple[str, int]:
+    """(sha256 hex, chart count) of the position-only gallery charts'
+    `point_shape` records and pseudo-geodesic traces."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    count = 0
+    for name, ctor in gallery.CATALOGUE.items():
+        surface = dataclasses.replace(ctor(), jet=None)
+        count += 1
+        _feed(h, name)
+        dom = surface.domain.inset(0.25)
+        # the first point starts the trace
+        t = rng.uniform(dom.t_min, dom.t_max, CHART_POINTS + 1).tolist()
+        z = rng.uniform(dom.z_min, dom.z_max, CHART_POINTS + 1).tolist()
+        angle = float(rng.uniform(-math.pi, math.pi))
+        theta = float(rng.uniform(-1.2, 1.2))
+        direction = ((math.cos(angle), math.sin(angle))
+                     if surface.totally_umbilic else angle)
+        try:
+            for point in zip(t[1:], z[1:]):
+                _feed(h, core.point_shape(surface, *point))
+            tr = tracer.trace(tracer.TraceRequest(
+                surface, (t[0], z[0]),
+                tracer.PseudoGeodesicMode(theta, direction),
+                s_span=(-0.25, 0.25), step=2e-3))
+            _feed(h, [tr.s, tr.uv, tr.uv_vel, tr.uv_acc, tr.exit, tr.shape])
+            _feed(h, darboux.curve_scalars_from_trace(surface, tr))
+        except (GeometryError, ValueError) as exc:  # refusals are outputs
+            _feed(h, f"{type(exc).__name__}: {exc}")
     return h.hexdigest(), count
 
 
@@ -276,7 +317,7 @@ def drift_report(path: str, seed: int, passes: int) -> str:
                 and fields["curve.tau"].shape == old["curve.tau"].shape):
             noisy = _flips(old["curve.kappa"], old["curve.theta"])
             for store in (fields, old):
-                theta = store["curve.theta"]  # modulo 2 pi, as a pair
+                theta = 2 * store["curve.theta"]  # modulo pi, as a pair
                 store["curve.theta"] = np.stack([np.cos(theta), np.sin(theta)])
                 tau = store.pop("curve.tau")
                 store["curve.tau"] = np.where(noisy, 0.0, tau)
@@ -339,6 +380,8 @@ def main(argv=None) -> None:
           f"{args.passes} passes)")
     digest, n = verify_digest()
     print(f"verify  {digest}  ({n} values)")
+    digest, n = charts_digest(args.seed)
+    print(f"charts  {digest}  ({n} position-only charts, seed {args.seed})")
 
 
 if __name__ == "__main__":

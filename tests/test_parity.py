@@ -2,12 +2,19 @@
 import numpy as np
 
 import parity
+from surftrace import gallery
 
 
 def test_trace_digest_is_the_same_on_two_calls():
     first = parity.trace_digest()
     assert first == parity.trace_digest()
     assert first[1] == 22 * parity.PASSES
+
+
+def test_charts_digest_is_the_same_on_two_calls():
+    first = parity.charts_digest()
+    assert first == parity.charts_digest()
+    assert first[1] == len(gallery.CATALOGUE)
 
 
 def test_drift_report_against_its_own_outputs_is_all_bitwise(tmp_path):
@@ -24,6 +31,7 @@ def test_drift_report_against_its_own_outputs_is_all_bitwise(tmp_path):
 
 
 def test_theta_flips_cover_the_torsion_stencil():
+    # a step of pi in theta, as a checkout that lifts it modulo 2 pi saves
     kappa = np.full(12, 0.5)
     kappa[10] = 1e-7
     theta = np.r_[np.full(4, np.pi), np.zeros(8)]

@@ -7,8 +7,10 @@ A third property follows geodesics and isogonal lines until they leave the
 chart.  Another is the paper's theorem: only helix surfaces and the
 Enneper surface carry isogonal lines that are pseudo-geodesic generalized
 helices.  A cylinder's normals keep a right angle to its axis, so it is a
-helix surface too.  The last checks the pseudo-geodesic flow's directional
-form against the textbook Christoffel form at random points and velocities.
+helix surface too.  Another traces pseudo-geodesics and geodesics, which
+must keep their normal angle theta modulo pi.  The last checks the
+pseudo-geodesic flow's directional form against the textbook Christoffel
+form at random points and velocities.
 """
 from dataclasses import replace
 from unittest import mock
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
-from surftrace.classify import FLAG_TOL
+from surftrace.classify import FLAG_TOL, classify_curve_data
 from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, point_shape,
                             shape_arrays, vec3)
 from surftrace import stepper, tracer
@@ -95,6 +97,35 @@ def test_isogonal_helix_pseudo_geodesics_as_the_theorem_says(name, draw):
         assert rep.helix.is_helix, rep.helix
     else:
         assert not rep.pseudo_geodesic.is_constant, rep.pseudo_geodesic
+
+
+# a start, a chart direction, the backward share of a unit arc length and
+# theta, None for a geodesic
+normal_angles = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.floats(-np.pi, np.pi), st.floats(0.25, 0.75),
+                          st.none() | st.floats(-1.2, 1.2))
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+@settings(max_examples=40, deadline=None)
+@given(draw=normal_angles)
+def test_pseudo_geodesics_keep_their_angle_modulo_pi(name, draw):
+    # where the tangent passes an asymptotic direction, kg = kn = 0 and
+    # atan2(kg, kn) turns by pi between two samples; the lift of theta
+    # modulo pi keeps the osculating plane's angle to the normal continuous
+    surface = SURFACES[name]
+    u, v, angle, back, theta = draw
+    direction = (np.cos(angle), np.sin(angle))
+    mode = (GeodesicMode(direction) if theta is None
+            else PseudoGeodesicMode(theta, direction))
+    tr = trace(TraceRequest(surface, inner_point(surface.domain, u, v), mode,
+                            s_span=(-back, 1.0 - back)))
+    cd = curve_scalars_from_trace(surface, tr)
+    rep = classify_curve_data(cd)
+    assert rep.pseudo_geodesic.is_constant, rep.pseudo_geodesic
+    if name != "plane":  # kappa = 0 there: theta is rounding noise
+        off = np.mean(cd.theta) - (theta or 0.0)
+        assert abs((off + np.pi / 2) % np.pi - np.pi / 2) < 1e-6, off
 
 
 #: arc length each way: longer than every gallery chart is wide
