@@ -8,15 +8,15 @@ import numpy as np
 
 from surftrace import classify_curve, make_enneper
 from surftrace.classify import render_report
-from surftrace.tracer import GeodesicMode, TraceRequest, trace_geodesic
+from surftrace.tracer import GeodesicMode, TraceRequest, trace
 
 enn = make_enneper(3.0)
 for m in (0.5, 2.0):
     cosp = 1.0 / np.sqrt(1 + m * m)
     span = (1.5 + (1 + m * m) * 1.125) / cosp
-    tr = trace_geodesic(TraceRequest(enn, (0.0, 0.0),
-                                     GeodesicMode((cosp, m * cosp)),
-                                     s_span=(-span, span), step=5e-3))
+    tr = trace(TraceRequest(enn, (0.0, 0.0),
+                            GeodesicMode((cosp, m * cosp)),
+                            s_span=(-span, span), step=5e-3))
     rep = classify_curve(enn, tr)
     w = np.array([m, 1.0, 0.0]) / np.sqrt(1 + m * m)
     axis = rep.helix.axis if rep.helix.axis @ w > 0 else -rep.helix.axis

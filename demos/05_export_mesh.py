@@ -9,7 +9,7 @@ import numpy as np
 
 from surftrace import curve_scalars_from_trace, make_enneper
 from surftrace.exporters import ensure_dir, write_obj, write_trace_csv
-from surftrace.tracer import GeodesicMode, TraceRequest, trace_geodesic
+from surftrace.tracer import GeodesicMode, TraceRequest, trace
 
 out = ensure_dir("out")
 enn = make_enneper()
@@ -17,9 +17,9 @@ curves = []
 last = None
 for m in (0.5, -0.5):
     cosp = 1.0 / np.sqrt(1 + m * m)
-    tr = trace_geodesic(TraceRequest(enn, (0.0, 0.0),
-                                     GeodesicMode((cosp, m * cosp)),
-                                     s_span=(-2.5, 2.5), step=5e-3))
+    tr = trace(TraceRequest(enn, (0.0, 0.0),
+                            GeodesicMode((cosp, m * cosp)),
+                            s_span=(-2.5, 2.5), step=5e-3))
     last = curve_scalars_from_trace(enn, tr)
     curves.append(last.pos)
 

@@ -9,7 +9,7 @@ frame analysis.
 
 from .core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
                    SurfaceJet2, TangentDecomp, jet2, point_metric, point_shape,
-                   shape_arrays)
+                   curve_shape, shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_from_darboux,
                       liouville_residuals)
@@ -26,8 +26,7 @@ from .intersect import (Fixture, IntersectionReport, SharedCurve,
                         analyze_intersection, make_fixture)
 from .tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode, Trace,
                      TraceRequest, chart_to_principal_angle, isogonal_map,
-                     trace, trace_geodesic, trace_isogonal,
-                     trace_pseudogeodesic)
+                     trace, trace_isogonal, trace_pseudogeodesic)
 
 __version__ = "0.1.0"
 

@@ -7,17 +7,18 @@ decomposition (do Carmo, *Differential Geometry of Curves and Surfaces*,
 ch. 3).  Both bodies are elementwise and return flat tuples:
 floats at one point or (n,) arrays run the same formulas in the same order,
 so a point's values are the same bits in either form, which differ only in
-sqrt, a branch versus `np.where`, and the E1 sign rule.  `_records` wraps
-the tuples for `point_shape` (one point, module rule) and `shape_arrays`
-(arrays, a per-point hint or else the module rule at the first point and
-a chain after it).  SingularJetError is raised where X_t x X_z vanishes.
+sqrt, a branch versus `np.where` (both picked from the input), and the E1
+sign rule.  `_records` wraps the tuples for `point_shape` (one point,
+module rule), `shape_arrays` (arrays, a per-point hint or else a chain
+from the first point) and `curve_shape` (a chain from the sample nearest
+s = 0).  SingularJetError is raised where X_t x X_z vanishes.
 
 Records are named tuples (about 3 of `point_shape`'s 8.3 to 9.4 us, mostly
 its three `np.array` vectors); the flow right-hand sides build none: the
 isogonal one reads `point_metric` (2.7 to 3.9 us, an analytic float jet's
-2.2 to 2.9 included) and `point_frame` (2.0 to 3.0 us), the pseudo-geodesic
+2.2 to 2.9 included) and `_principal` (2.0 to 3.0 us), the pseudo-geodesic
 one only the chart jet, which `tracer` contracts with the velocity itself.
-A trace makes one `shape_arrays` pass over its samples, reused by its
+Every trace makes one `curve_shape` pass over its samples, reused by its
 Darboux scalars (an isogonal adds a frame-only pass, `point_metric` and
 `_principal` with no records, over its 2n acceleration stencils); bare
 samples, CSV import, class probes and oracle scenarios take one each.  Its
@@ -34,7 +35,8 @@ Conventions fixed once and used everywhere downstream:
 * Principal curvatures ordered ``kappa1 <= kappa2``.
 * ``{E1, E2, N}`` right-handed, i.e. ``E2 = N x E1``.
 * E1 sign (the module rule): ``<E1, X_t> >= 0``, with ``<E1, X_z> >= 0`` as
-  the tie-break when E1 is orthogonal to X_t; a caller's hint overrides it.
+  the tie-break when E1 is orthogonal to X_t; a caller's hint overrides it,
+  and a sampled curve's chain starts from it at s = 0 (`curve_shape`).
 """
 from __future__ import annotations
 
@@ -268,14 +270,23 @@ def _flip(d0, d1, d2, xt0, xt1, xt2, xz0, xz1, xz2, sqE) -> bool:
     return d0 * xz0 + d1 * xz1 + d2 * xz2 < 0.0
 
 
-def _chain(d0, d1, d2, *chart) -> np.ndarray:
-    """E1 signs over (n,) arrays without a hint: the module rule at the
-    first point, then each point's E1 along its predecessor's."""
-    first = _flip(d0[0], d1[0], d2[0], *(v[0] for v in chart))
-    # a loop flips E1 where <E1, previous E1> < 0, so each sign is the
-    # previous one times the sign of <raw E1, previous raw E1>
-    turns = d0[1:] * d0[:-1] + d1[1:] * d1[:-1] + d2[1:] * d2[:-1] < 0.0
-    return np.cumprod(np.where(np.r_[first, turns], -1.0, 1.0)) < 0.0
+def _chain(at: int) -> Callable:
+    """E1 signs over (n,) arrays: the module rule at point ``at``; every
+    other sign is its neighbour's toward ``at``, negated where <raw E1,
+    the neighbour's raw E1> < 0, as a loop passing each E1 on as a hint."""
+    def flip(d0, d1, d2, *chart):
+        turns = d0[1:] * d0[:-1] + d1[1:] * d1[:-1] + d2[1:] * d2[:-1] < 0.0
+        sign = np.cumprod(np.where(np.r_[False, turns], -1.0, 1.0))
+        return (sign * sign[at] < 0.0) ^ _flip(d0[at], d1[at], d2[at],
+                                               *(v[at] for v in chart))
+    return flip
+
+
+def _along(hint: np.ndarray) -> Callable:
+    """E1 signs over (n,) arrays: each point's E1 along its own column of
+    the (3, n) ``hint``."""
+    h0, h1, h2 = hint
+    return lambda d0, d1, d2, *_: d0 * h0 + d1 * h1 + d2 * h2 < 0.0
 
 
 def _if(cond, a, b):
@@ -283,13 +294,14 @@ def _if(cond, a, b):
     return a if cond else b
 
 
-def _principal(metric: tuple, sqrt: Callable, select: Callable,
-               flip: Callable) -> tuple:
+def _principal(metric: tuple, flip: Callable) -> tuple:
     """The principal-frame stage over `point_metric`'s tuple, floats or (n,)
     arrays: (kappa1, kappa2, umbilic, mean, E1, E2, f1, f2, g1, g2), vectors
-    by component.  The forms differ only in ``sqrt``, ``select`` (`_if` or
-    `np.where`) and ``flip`` (E1 and `_flip`'s other arguments to a bool)."""
+    by component.  sqrt and `_if` or `np.where` follow the input's form;
+    ``flip`` takes E1 and `_flip`'s other arguments to a bool."""
     _, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, _, e, f, g = metric
+    sqrt, select = ((np.sqrt, np.where) if isinstance(E, np.ndarray)
+                    else (math.sqrt, _if))
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
@@ -349,11 +361,6 @@ def _records(metric: tuple, frame: tuple) -> tuple:
     return jet, FundamentalForms(E, F, G, e, f, g, normal), sd
 
 
-def point_frame(metric: tuple) -> tuple:
-    """`_principal` at one point, E1 by the module rule: no records."""
-    return _principal(metric, math.sqrt, _if, _flip)
-
-
 def point_shape(surface: SurfaceDef, t: float, z: float, *,
                 check_domain: bool = True
                 ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
@@ -366,7 +373,7 @@ def point_shape(surface: SurfaceDef, t: float, z: float, *,
     module sign rule.
     """
     metric = point_metric(surface, t, z, check_domain=check_domain)
-    return _records(metric, point_frame(metric))
+    return _records(metric, _principal(metric, _flip))
 
 
 def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
@@ -383,11 +390,17 @@ def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
     consecutive E1 are exactly orthogonal).
     """
     t, z = (np.ascontiguousarray(v, dtype=float) for v in (t, z))
-    flip = _chain
-    if e1_hint is not None:
-        h0, h1, h2 = e1_hint
-
-        def flip(d0, d1, d2, *_):
-            return d0 * h0 + d1 * h1 + d2 * h2 < 0.0
     metric = point_metric(surface, t, z, check_domain=check_domain)
-    return _records(metric, _principal(metric, np.sqrt, np.where, flip))
+    return _records(metric, _principal(
+        metric, _chain(0) if e1_hint is None else _along(e1_hint)))
+
+
+def curve_shape(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray
+                ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
+    """`shape_arrays` over a curve's (n, 2) samples ``uv`` at arc lengths
+    ``s``, with no domain check: the module rule at the sample nearest
+    s = 0, and E1 chained from there to both ends."""
+    metric = point_metric(surface, *np.asarray(uv, dtype=float).T,
+                          check_domain=False)
+    return _records(metric, _principal(
+        metric, _chain(int(np.argmin(np.abs(s))))))

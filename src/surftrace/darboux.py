@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SurfaceDef, point_metric, shape_arrays
+from .core import SurfaceDef, curve_shape, point_metric
 from .errors import (GeometryError, InvalidRequestError, NonUnitSpeedError,
                      TooFewSamplesError, VanishingCurvatureError)
 from .numdiff import check_uniform, diff_uniform
@@ -106,8 +106,8 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
     h = check_uniform(s)
 
     # one shape pass over all samples (a trace brings its own), E1 chained
-    # from sample to sample; vectors below are (3, n)
-    jet, _, sd = shape or shape_arrays(surface, *uv.T, check_domain=False)
+    # from the sample nearest s = 0; vectors below are (3, n)
+    jet, _, sd = shape or curve_shape(surface, s, uv)
     tp, zp = uv_vel.T
     tpp, zpp = uv_acc.T
     vel3 = tp * jet.d_t + zp * jet.d_z

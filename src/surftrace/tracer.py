@@ -40,6 +40,8 @@ isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
 `stepper.Stop`), or ``solver_failure`` when a branch runs out of its RHS
 budget (`stepper.MAX_NFEV`) or of step size.  The edge event is the
 distance to the nearest edge, so a step across two edges ends at the first.
+Every trace's samples take one `core.curve_shape` pass, so a curve's phi is
+measured from the E1 that its request's angle is: the start's.
 """
 from __future__ import annotations
 
@@ -49,8 +51,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (SurfaceDef, _principal, jet2, point_frame, point_metric,
-                   point_shape, shape_arrays)
+from .core import (SurfaceDef, _along, _flip, _principal, curve_shape, jet2,
+                   point_metric, point_shape)
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SingularDecompositionError, SingularJetError,
                      SolverFailureError, ThetaOutOfRangeError,
@@ -171,8 +173,8 @@ class Trace:
     exit: TraceExit
     # what the stepper did on each branch that ran, keyed "fwd" and "bwd"
     stats: dict[str, BranchStats]
-    # shape_arrays of uv, E1 chained from sample 0; an isogonal's chain
-    # carries the start's E1 sign at s = 0, the E1 its phi is measured from
+    # curve_shape of uv: E1 by the module rule at s = 0, the E1 that the
+    # request's angle is measured from, and chained from there
     shape: tuple
 
     def __len__(self) -> int:
@@ -217,12 +219,8 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
             "angle initial direction undefined at umbilic start; "
             "pass a uv-velocity instead")
     phi = float(direction)
-    target = np.cos(phi) * sd.e1 + np.sin(phi) * sd.e2
-    d = sd.decomp
-    det = d.f1 * d.g2 - d.f2 * d.g1
-    tp = (d.g2 * float(target @ sd.e1) - d.g1 * float(target @ sd.e2)) / det
-    zp = (-d.f2 * float(target @ sd.e1) + d.f1 * float(target @ sd.e2)) / det
-    return tp, zp
+    return _isogonal_field(*uv, sd.decomp, float(np.cos(phi)),
+                           float(np.sin(phi)))
 
 
 def _integrate_branches(rhs, y0, req: TraceRequest):
@@ -271,18 +269,34 @@ def _umbilic_gap(kappa1: float, kappa2: float) -> float:
     return (kappa2 - kappa1) / max(1.0, abs(kappa1) + abs(kappa2))
 
 
-def _isogonal_velocity(decomp, uv, cos_t, sin_t) -> np.ndarray:
-    """The (m, 2) flow velocity at points uv from their tangent
-    decomposition (f1, f2, g1, g2), each an (m,) array."""
+def _isogonal_field(t, z, decomp, cos_t, sin_t):
+    """(t', z') solving t' f1 + z' g1 = cos_t, t' f2 + z' g2 = sin_t at
+    (t, z), elementwise on floats or (n,) arrays alike, bit for bit; raises
+    SingularDecompositionError where |f1 g2 - f2 g1| < 1e-12."""
     f1, f2, g1, g2 = decomp
     det = f1 * g2 - f2 * g1
-    singular = np.abs(det) < 1e-12
-    if singular.any():
-        t, z = uv[np.argmax(singular)]
+    singular = abs(det) < 1e-12
+    if singular is not False and np.any(singular):  # no numpy on floats
+        i = int(np.argmax(singular))
         raise SingularDecompositionError(
-            f"tangent decomposition singular at ({t:g}, {z:g})")
-    return np.column_stack([(g2 * cos_t - g1 * sin_t) / det,
-                            (-f2 * cos_t + f1 * sin_t) / det])
+            "tangent decomposition singular at "
+            f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
+    return (g2 * cos_t - g1 * sin_t) / det, (-f2 * cos_t + f1 * sin_t) / det
+
+
+def _isogonal_acceleration(surface: SurfaceDef, uv, uv_vel, e1, cos_t,
+                           sin_t) -> np.ndarray:
+    """(n, 2) directional acceleration of the isogonal field at ``uv`` along
+    ``uv_vel``: central differences at uv +- 1e-6 uv_vel, each stencil's E1
+    along its sample's column of ``e1`` (3, n), from `point_metric` and
+    `_principal` without records."""
+    h = 1e-6
+    points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
+    frame = _principal(point_metric(surface, *points.T, check_domain=False),
+                       _along(np.hstack([e1, e1])))
+    f_pm = np.column_stack(_isogonal_field(*points.T, frame[10:], cos_t,
+                                           sin_t))
+    return (f_pm[:len(uv)] - f_pm[len(uv):]) / (2 * h)
 
 
 def trace_isogonal(req: TraceRequest) -> Trace:
@@ -308,16 +322,11 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     def rhs(s, y, ref):
         t, z = y
-        (kappa1, kappa2, _, _, _, _, _, _, _, _, f1, f2, g1,
-         g2) = point_frame(point_metric(surface, t, z, check_domain=False))
-        if _umbilic_gap(kappa1, kappa2) < UMBILIC_GAP:
+        frame = _principal(point_metric(surface, t, z, check_domain=False),
+                           _flip)
+        if _umbilic_gap(frame[0], frame[1]) < UMBILIC_GAP:
             raise Stop
-        det = f1 * g2 - f2 * g1
-        if abs(det) < 1e-12:
-            raise SingularDecompositionError(
-                f"tangent decomposition singular at ({t:g}, {z:g})")
-        tp = (g2 * cos_t - g1 * sin_t) / det
-        zp = (-f2 * cos_t + f1 * sin_t) / det
+        tp, zp = _isogonal_field(t, z, frame[10:], cos_t, sin_t)
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
         # this is the velocity of the field oriented the other way
         if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:
@@ -326,25 +335,13 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     y0 = tuple(float(v) for v in req.start_uv)
     s, uv, exit_, stats = _integrate_branches(rhs, y0, req)
-
-    # velocities from the flow field itself (exact speed), accelerations by
-    # directional differentiation of the field along the velocity.  The
-    # trace's shape pass chains E1 from sample 0, turned where needed to
-    # agree with the start's E1 at s = 0: the E1 that phi is measured from
-    shape = shape_arrays(surface, *uv.T, check_domain=False)
-    if shape[2].e1[:, np.argmin(np.abs(s))] @ sd0.e1 < 0.0:
-        shape = shape_arrays(surface, *uv.T, -shape[2].e1, check_domain=False)
-    uv_vel = _isogonal_velocity(shape[2].decomp, uv, cos_t, sin_t)
-    # the stencils need only the tangent decomposition: `shape_arrays`'s
-    # stages, each point's E1 along its sample's, without the records
-    h = 1e-6
-    points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
-    h0, h1, h2 = np.hstack([shape[2].e1, shape[2].e1])
-    frame = _principal(point_metric(surface, *points.T, check_domain=False),
-                       np.sqrt, np.where, lambda d0, d1, d2, *_:
-                       d0 * h0 + d1 * h1 + d2 * h2 < 0.0)
-    f_pm = _isogonal_velocity(frame[10:], points, cos_t, sin_t)  # f1..g2
-    uv_acc = (f_pm[:len(s)] - f_pm[len(s):]) / (2 * h)
+    # the field's velocities (exact speed) and directional acceleration on
+    # the shape pass, whose E1 at s = 0 is the start's: the E1 phi refers to
+    shape = curve_shape(surface, s, uv)
+    uv_vel = np.column_stack(_isogonal_field(*uv.T, shape[2].decomp, cos_t,
+                                             sin_t))
+    uv_acc = _isogonal_acceleration(surface, uv, uv_vel, shape[2].e1, cos_t,
+                                    sin_t)
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 
@@ -408,19 +405,10 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exit_, stats = _integrate_branches(rhs, y0, req)
     uv, uv_vel = states[:, :2], states[:, 2:]
-    shape = shape_arrays(surface, *uv.T, check_domain=False)
+    shape = curve_shape(surface, s, uv)
     uv_acc = np.column_stack(_acceleration(surface, *uv.T, shape[0],
                                            *uv_vel.T, tan_theta))
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
-
-
-def trace_geodesic(req: TraceRequest) -> Trace:
-    """Geodesic trace: the theta = 0 pseudo-geodesic flow."""
-    mode = req.mode
-    if not (isinstance(mode, GeodesicMode) or (
-            isinstance(mode, PseudoGeodesicMode) and mode.theta == 0.0)):
-        raise ValueError("trace_geodesic needs a GeodesicMode request")
-    return trace_pseudogeodesic(req)
 
 
 def trace(req: TraceRequest) -> Trace:

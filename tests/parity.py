@@ -28,13 +28,14 @@ A change that moves outputs on purpose is measured by a drift report:
     python tests/parity.py --passes 10 --save before.npz     (parent)
     python tests/parity.py --passes 10 --against before.npz  (change)
 
-``--save`` writes every curve's `Trace` and `CurveData` arrays and every
-verify value; ``--against`` recomputes them and prints, for each mode and
-field, how many curves stay bit for bit and the largest scaled change
-|new - old| / max(1, |old|), then the verify values that moved.  The
-`Trace.shape` records go in leaf by leaf, as ``trace.shape.<record>.<field>``
-(records ``jet``, ``forms`` and ``data``), and a field that only one side
-has prints as ``added`` (only this checkout) or ``removed`` (only the file).
+``--save`` writes every curve's `Trace` and `CurveData` arrays, the charts
+set's traces under the mode ``charts`` included, and every verify value;
+``--against`` recomputes them and prints, for each mode and field, how
+many curves stay bit for bit and the largest scaled change |new - old| /
+max(1, |old|), then the verify values that moved.  The `Trace.shape`
+records go in leaf by leaf, as ``trace.shape.<record>.<field>`` (records
+``jet``, ``forms`` and ``data``), and a field that only one side has
+prints as ``added`` (only this checkout) or ``removed`` (only the file).
 
 Where kappa is at rounding size, or passes through 0 between samples,
 theta = atan2(kg, kn) is decided by the sign of a kg at rounding size: it
@@ -156,16 +157,13 @@ def trace_digest(seed: int = SEED, passes: int = PASSES) -> tuple[str, int]:
     return h.hexdigest(), count
 
 
-def charts_digest(seed: int = SEED) -> tuple[str, int]:
-    """(sha256 hex, chart count) of the position-only gallery charts'
-    `point_shape` records and pseudo-geodesic traces."""
-    h = hashlib.sha256()
+def _charts(seed: int):
+    """Each position-only catalogue chart's (name, surface, points,
+    request): `CHART_POINTS` seeded points and one seeded pseudo-geodesic
+    trace request."""
     rng = np.random.default_rng(seed)
-    count = 0
     for name, ctor in gallery.CATALOGUE.items():
         surface = dataclasses.replace(ctor(), jet=None)
-        count += 1
-        _feed(h, name)
         dom = surface.domain.inset(0.25)
         # the first point starts the trace
         t = rng.uniform(dom.t_min, dom.t_max, CHART_POINTS + 1).tolist()
@@ -174,13 +172,24 @@ def charts_digest(seed: int = SEED) -> tuple[str, int]:
         theta = float(rng.uniform(-1.2, 1.2))
         direction = ((math.cos(angle), math.sin(angle))
                      if surface.totally_umbilic else angle)
+        req = tracer.TraceRequest(
+            surface, (t[0], z[0]), tracer.PseudoGeodesicMode(theta, direction),
+            s_span=(-0.25, 0.25), step=2e-3)
+        yield name, surface, list(zip(t[1:], z[1:])), req
+
+
+def charts_digest(seed: int = SEED) -> tuple[str, int]:
+    """(sha256 hex, chart count) of the position-only gallery charts'
+    `point_shape` records and pseudo-geodesic traces."""
+    h = hashlib.sha256()
+    count = 0
+    for name, surface, points, req in _charts(seed):
+        count += 1
+        _feed(h, name)
         try:
-            for point in zip(t[1:], z[1:]):
+            for point in points:
                 _feed(h, core.point_shape(surface, *point))
-            tr = tracer.trace(tracer.TraceRequest(
-                surface, (t[0], z[0]),
-                tracer.PseudoGeodesicMode(theta, direction),
-                s_span=(-0.25, 0.25), step=2e-3))
+            tr = tracer.trace(req)
             _feed(h, [tr.s, tr.uv, tr.uv_vel, tr.uv_acc, tr.exit, tr.shape])
             _feed(h, darboux.curve_scalars_from_trace(surface, tr))
         except (GeometryError, ValueError) as exc:  # refusals are outputs
@@ -216,37 +225,45 @@ def _leaves(prefix: str, obj):
         yield prefix, np.asarray(obj, dtype=float)
 
 
+def _curves(seed: int, passes: int):
+    """(surface, mode, request) of each curve of the seeded trace set, then
+    of each trace of the charts set, under the mode ``charts``."""
+    for k in range(passes):
+        yield from _requests(seed, k)
+    for _, surface, _, req in _charts(seed):
+        yield surface, "charts", req
+
+
 def curve_outputs(seed: int = SEED, passes: int = PASSES):
-    """Yield (label, mode, fields) for each curve of the seeded trace set.
+    """Yield (label, mode, fields) for each curve of `_curves`.
 
     ``fields`` maps ``trace.<field>``, ``trace.shape.<record>.<field>`` and
     ``curve.<field>`` to float arrays, plus ``text``: the exit kind and
     report, or the refusal.
     """
-    for k in range(passes):
-        for surface, mode, req in _requests(seed, k):
-            label = f"{surface.name} {req.mode} {req.start_uv}"
-            fields = {}
-            try:
-                tr = tracer.trace(req)
-                for name in ("s", "uv", "uv_vel", "uv_acc"):
-                    fields[f"trace.{name}"] = getattr(tr, name)
-                fields["trace.s_stop"] = np.array(
-                    [np.nan if tr.exit.s_stop is None else tr.exit.s_stop])
-                fields["trace.stats"] = np.array(
-                    [[b.nfev, b.steps, b.rejected] for _, b in
-                     sorted(tr.stats.items())], dtype=float).ravel()
-                for record, obj in zip(SHAPE_RECORDS, tr.shape):
-                    fields.update(_leaves(f"trace.shape.{record}", obj))
-                cd = darboux.curve_scalars_from_trace(surface, tr)
-                for name, a in _leaves("curve", cd):
-                    fields[name] = a
-                text = f"{tr.exit.kind}\n" + classify.render_report(
-                    classify.classify_curve_data(cd))
-            except (GeometryError, ValueError) as exc:
-                text = f"{type(exc).__name__}: {exc}"
-            fields["text"] = np.array(text)
-            yield label, mode, fields
+    for surface, mode, req in _curves(seed, passes):
+        label = f"{surface.name} {req.mode} {req.start_uv}"
+        fields = {}
+        try:
+            tr = tracer.trace(req)
+            for name in ("s", "uv", "uv_vel", "uv_acc"):
+                fields[f"trace.{name}"] = getattr(tr, name)
+            fields["trace.s_stop"] = np.array(
+                [np.nan if tr.exit.s_stop is None else tr.exit.s_stop])
+            fields["trace.stats"] = np.array(
+                [[b.nfev, b.steps, b.rejected] for _, b in
+                 sorted(tr.stats.items())], dtype=float).ravel()
+            for record, obj in zip(SHAPE_RECORDS, tr.shape):
+                fields.update(_leaves(f"trace.shape.{record}", obj))
+            cd = darboux.curve_scalars_from_trace(surface, tr)
+            for name, a in _leaves("curve", cd):
+                fields[name] = a
+            text = f"{tr.exit.kind}\n" + classify.render_report(
+                classify.classify_curve_data(cd))
+        except (GeometryError, ValueError) as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        fields["text"] = np.array(text)
+        yield label, mode, fields
 
 
 def verify_checks() -> dict:

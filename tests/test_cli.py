@@ -79,35 +79,41 @@ def test_trace_output_is_deterministic(tmp_path):
 
 
 def test_csv_roundtrip_reclassifies_identically(tmp_path):
-    enn = make_enneper()
+    from test_tracer import _paraboloid
+    enn, par = make_enneper(), _paraboloid()
     phi = chart_to_principal_angle(enn, (0.0, 1.0), np.pi / 6)
-    tr = trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
-                            s_span=(-0.8, 0.8), step=2e-3, atol=1e-15,
-                            rtol=1e-14))
-    cd = curve_scalars_from_trace(enn, tr)
-    rep1 = classify_curve_data(cd)
-    path = str(tmp_path / "round.csv")
-    write_trace_csv(path, cd)
-    cd2 = read_trace_csv(path, enn)
-    # the file keeps every float, and reading it back runs curve_scalars
-    # on the same samples: the same data, so the same report
-    assert_curve_data_equal(cd, cd2)
-    rep2 = classify_curve_data(cd2)
-    assert rep1.isogonal.is_constant == rep2.isogonal.is_constant
-    assert rep1.isogonal.mean == rep2.isogonal.mean
-    assert rep1.pseudo_geodesic.mean == rep2.pseudo_geodesic.mean
-    assert rep1.pseudo_geodesic.max_dev == rep2.pseudo_geodesic.max_dev
-    assert rep1.helix.is_helix == rep2.helix.is_helix
-    assert rep1.helix.mn == rep2.helix.mn
-    assert np.array_equal(rep1.helix.axis, rep2.helix.axis)
-    assert rep1.crpc_along == rep2.crpc_along
-    assert rep1.kntg_dep == rep2.kntg_dep
-    for flag in ("geodesic", "line_of_curvature", "asymptotic", "planar"):
-        assert getattr(rep1, flag) == getattr(rep2, flag)
-    # the file keeps the uv jets, so every field reads back bit for bit
-    for name in (field.name for field in dataclasses.fields(cd)):
-        assert np.array_equal(getattr(cd, name), getattr(cd2, name),
-                              equal_nan=True), name
+    # the paraboloid's E1 turns along the curve (F != 0, not CRPC): the
+    # samples read back must measure phi from the E1 the trace did
+    for req in (TraceRequest(enn, (0.0, 1.0), IsogonalMode(phi),
+                             s_span=(-0.8, 0.8), step=2e-3, atol=1e-15,
+                             rtol=1e-14),
+                TraceRequest(par, (0.3, 0.5), IsogonalMode(-np.pi / 2),
+                             s_span=(-1.2, 0.3))):
+        surface = req.surface
+        cd = curve_scalars_from_trace(surface, trace(req))
+        rep1 = classify_curve_data(cd)
+        path = str(tmp_path / "round.csv")
+        write_trace_csv(path, cd)
+        cd2 = read_trace_csv(path, surface)
+        # the file keeps every float, and reading it back runs curve_scalars
+        # on the same samples: the same data, so the same report
+        assert_curve_data_equal(cd, cd2)
+        rep2 = classify_curve_data(cd2)
+        assert rep1.isogonal.is_constant == rep2.isogonal.is_constant
+        assert rep1.isogonal.mean == rep2.isogonal.mean
+        assert rep1.pseudo_geodesic.mean == rep2.pseudo_geodesic.mean
+        assert rep1.pseudo_geodesic.max_dev == rep2.pseudo_geodesic.max_dev
+        assert rep1.helix.is_helix == rep2.helix.is_helix
+        assert rep1.helix.mn == rep2.helix.mn
+        assert np.array_equal(rep1.helix.axis, rep2.helix.axis)
+        assert rep1.crpc_along == rep2.crpc_along
+        assert rep1.kntg_dep == rep2.kntg_dep
+        for flag in ("geodesic", "line_of_curvature", "asymptotic", "planar"):
+            assert getattr(rep1, flag) == getattr(rep2, flag)
+        # the file keeps the uv jets, so every field reads back bit for bit
+        for name in (field.name for field in dataclasses.fields(cd)):
+            assert np.array_equal(getattr(cd, name), getattr(cd2, name),
+                                  equal_nan=True), (surface.name, name)
 
 
 def test_csv_roundtrip_with_undefined_phi(tmp_path):

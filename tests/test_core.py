@@ -9,12 +9,13 @@ from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
                        shape_arrays)
 from surftrace import stepper, tracer
 from surftrace.core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
-                            SurfaceJet2, TangentDecomp, _fd_jet, _principal,
-                            point_frame, pyfloats, vec3)
-from surftrace.errors import OutOfDomainError, SingularJetError
+                            SurfaceJet2, TangentDecomp, _along, _fd_jet,
+                            _flip, _principal, pyfloats, vec3)
+from surftrace.errors import (OutOfDomainError, SingularDecompositionError,
+                              SingularJetError)
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
-                              _isogonal_velocity, _umbilic_gap, trace_isogonal)
+                              _isogonal_field, _umbilic_gap, trace_isogonal)
 
 from conftest import interior_grid
 from oracles import christoffel
@@ -402,16 +403,15 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
         return [sd.kappa1, sd.kappa2, *sd.e1, *sd.e2,
                 *tuple(sd.decomp)]
 
-    # floats: point_frame at each point; arrays: _principal over all points,
-    # E1 signed by the float records (shape_arrays' hint rule)
+    # floats: _principal at each point, module rule; arrays: _principal over
+    # all points, E1 signed by the float records (shape_arrays' hint rule)
     picked = [0, 1, *range(4, 14)]
     for ti, zi, sd in zip(t, z, ref):
-        frame = point_frame(point_metric(surface, float(ti), float(zi)))
+        frame = _principal(point_metric(surface, float(ti), float(zi)), _flip)
         assert hexes(frame[i] for i in picked) == hexes(fields(sd))
         assert frame[2] == sd.umbilic
-    h0, h1, h2 = np.array([sd.e1 for sd in ref]).T
-    frame = _principal(point_metric(surface, t, z), np.sqrt, np.where,
-                       lambda d0, d1, d2, *_: d0 * h0 + d1 * h1 + d2 * h2 < 0)
+    frame = _principal(point_metric(surface, t, z),
+                       _along(np.array([sd.e1 for sd in ref]).T))
     for j, sd in enumerate(ref):
         assert hexes(frame[i][j] for i in picked) == hexes(fields(sd))
 
@@ -426,10 +426,26 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
     cos_t, sin_t = (mode.speed * np.array([np.cos(mode.phi),
                                            np.sin(mode.phi)])).tolist()
     rhs = _isogonal_rhs(monkeypatch, surface, away[0][:2], mode)
-    for ti, zi, sd in away:
-        want = _isogonal_velocity(sd.decomp, np.array([[ti, zi]]), cos_t,
-                                  sin_t)[0]
-        assert hexes(rhs(0.0, [ti, zi], None)) == hexes(want)
+    ta, za = (np.array([point[k] for point in away]) for k in (0, 1))
+    decomp = np.array([tuple(sd.decomp) for _, _, sd in away]).T
+    want = np.column_stack(_isogonal_field(ta, za, decomp, cos_t, sin_t))
+    for (ti, zi, _), w in zip(away, want):
+        assert hexes(rhs(0.0, [ti, zi], None)) == hexes(w)
+
+
+def test_isogonal_field_names_a_singular_point():
+    # one 2x2 solve for floats and arrays, each refusing a singular tangent
+    # decomposition (here f1 g2 - f2 g1 = 1 - 2 * 0.5) at the point it names
+    singular = (1.0, 2.0, 0.5, 1.0)
+    with pytest.raises(SingularDecompositionError, match=r"\(0\.5, -1\.5\)"):
+        _isogonal_field(0.5, -1.5, singular, 0.6, 0.8)
+    decomp = [np.array([1.0, v]) for v in singular]
+    decomp[1][0] = decomp[2][0] = 0.0  # the first point is regular
+    with pytest.raises(SingularDecompositionError, match=r"\(0\.5, -1\.5\)"):
+        _isogonal_field(np.array([0.1, 0.5]), np.array([0.2, -1.5]), decomp,
+                        0.6, 0.8)
+    assert _isogonal_field(0.1, 0.2, (1.0, 0.0, 0.0, 2.0), 0.6, 0.8) == (
+        0.6, 0.4)
 
 
 def test_records_keep_their_fields_and_refuse_assignment():

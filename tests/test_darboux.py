@@ -15,7 +15,7 @@ from surftrace.errors import (GeometryError, InvalidRequestError,
 from surftrace.numdiff import check_uniform, diff_uniform
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
-                              trace_geodesic, trace_isogonal)
+                              trace_isogonal)
 
 from conftest import assert_curve_data_equal
 from oracles import (NonTangentDirectionError, UmbilicPointError,
@@ -110,7 +110,7 @@ def test_geodesic_has_vanishing_kg_and_tau_equals_taug():
     req = TraceRequest(enn, (0.2, -0.1), GeodesicMode((0.7, 0.4)),
                        s_span=(-0.7, 0.7), step=2e-3, atol=1e-15,
                        rtol=1e-14)
-    tr = trace_geodesic(req)
+    tr = trace(req)
     cd = curve_scalars_from_trace(enn, tr)
     assert np.max(np.abs(cd.kg)) < 1e-9
     assert np.max(np.abs(cd.theta - cd.theta[0])) < 1e-8
@@ -423,8 +423,8 @@ def test_theta_branch_ignores_sign_of_rounding_noise():
     # a helix-surface geodesic has kn < 0 and kg at rounding level, so
     # atan2 puts its first sample at -pi or +pi by the sign of the noise
     surf = make_helix_surface()
-    tr = trace_geodesic(TraceRequest(surf, (0.0, 0.0), GeodesicMode((0.6, 0.8)),
-                                     s_span=(-0.3, 0.3)))
+    tr = trace(TraceRequest(surf, (0.0, 0.0), GeodesicMode((0.6, 0.8)),
+                            s_span=(-0.3, 0.3)))
     cd = curve_scalars_from_trace(surf, tr)
     assert cd.kn[0] < 0.0
     thetas = []
@@ -473,9 +473,9 @@ def test_curve_scalars_from_trace_equals_curve_scalars(req):
 
 
 @pytest.mark.parametrize("mode, in_trace", [
-    (IsogonalMode(0.4), ["shape_arrays", "_principal"]),
-    (PseudoGeodesicMode(0.3, 0.4), ["shape_arrays"]),
-    (GeodesicMode(0.4), ["shape_arrays"])],
+    (IsogonalMode(0.4), ["curve_shape", "_isogonal_acceleration"]),
+    (PseudoGeodesicMode(0.3, 0.4), ["curve_shape"]),
+    (GeodesicMode(0.4), ["curve_shape"])],
     ids=["isogonal", "pseudo_geodesic", "geodesic"])
 def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
     # the trace makes its samples' shape pass (an isogonal one frame-only
@@ -491,9 +491,9 @@ def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    spy(tracer, "shape_arrays")
-    spy(tracer, "_principal")
-    spy(darboux, "shape_arrays")
+    spy(tracer, "curve_shape")
+    spy(tracer, "_isogonal_acceleration")
+    spy(darboux, "curve_shape")
     enn = make_enneper()
     tr = trace(TraceRequest(enn, (0.2, 0.3), mode, s_span=(-0.4, 0.6)))
     assert calls == [("surftrace.tracer", name) for name in in_trace]

@@ -23,7 +23,7 @@ def test_drift_report_against_its_own_outputs_is_all_bitwise(tmp_path):
     lines = parity.drift_report(str(path), parity.SEED, 1).splitlines()
     rows = [line.split() for line in lines[1:-1]]
     assert {row[0] for row in rows} == {"isogonal", "pseudo_geodesic",
-                                        "geodesic"}
+                                        "geodesic", "charts"}
     for row in rows:
         same, n = row[-2].split("/")
         assert same == n and row[-1] in ("0", "-"), row

@@ -13,8 +13,8 @@ from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               ThetaOutOfRangeError, UmbilicEncounteredError)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle,
-                              isogonal_map, trace, trace_geodesic,
-                              trace_isogonal, trace_pseudogeodesic)
+                              isogonal_map, trace, trace_isogonal,
+                              trace_pseudogeodesic)
 
 
 def test_isogonal_phi_zero_follows_curvature_line():
@@ -129,9 +129,8 @@ def test_sphere_pseudogeodesic_is_circle():
 
 def test_plane_geodesic_is_straight():
     plane = make_plane()
-    tr = trace_geodesic(TraceRequest(plane, (0.5, -0.5),
-                                     GeodesicMode((1.0, 2.0)),
-                                     s_span=(-1.0, 1.0), step=2e-3))
+    tr = trace(TraceRequest(plane, (0.5, -0.5), GeodesicMode((1.0, 2.0)),
+                            s_span=(-1.0, 1.0), step=2e-3))
     d = tr.uv - tr.uv[tr.index_of(0.0)]
     cross = d[:, 0] * (2.0 / np.sqrt(5)) - d[:, 1] * (1.0 / np.sqrt(5))
     assert np.max(np.abs(cross)) < 1e-10
@@ -142,7 +141,7 @@ def test_sphere_great_circle():
     req = TraceRequest(sph, (0.0, 0.0), GeodesicMode((0.4, 0.6)),
                        s_span=(-1.0, 1.0), step=2e-3, atol=1e-15,
                        rtol=1e-14)
-    cd = curve_scalars_from_trace(sph, trace_geodesic(req))
+    cd = curve_scalars_from_trace(sph, trace(req))
     assert np.max(np.abs(cd.kappa - 1.0)) < 1e-8
     assert np.max(np.abs(cd.tau)) < 1e-6
     assert np.max(np.abs(cd.kg)) < 1e-9
@@ -287,6 +286,8 @@ def test_isogonal_phi_reads_the_requested_angle_where_the_chain_turns():
     assert np.max(np.abs(cd.phi + np.pi / 2)) < 1e-8
     i_zero = tr.index_of(0.0)
     assert tr.shape[2].e1[:, i_zero] @ point_shape(par, 0.3, 0.5)[2].e1 > 0.0
+    # the chain from s = 0 is the chain from sample 0 turned round, bit for bit
+    assert np.array_equal(tr.shape[2].e1, -shape_arrays(par, *tr.uv.T)[2].e1)
 
 
 def test_early_branch_ends_are_logged(caplog):
@@ -477,6 +478,30 @@ def _assert_traces_equal(a, b):
     assert a.exit == b.exit and a.stats == b.stats
 
 
+def test_angle_from_e1_reads_back_on_a_position_only_chart():
+    # the request's angle is measured from the start's E1 by the module
+    # rule; the curve's phi at s = 0 must be measured from that E1 too,
+    # wherever the finite-difference chart turns E1 along the curve.  The
+    # first draw is one where the E1 chained from sample 0 read angle - pi;
+    # 60 seeded (start, angle, theta) draws follow
+    enn = replace(make_enneper(), jet=None)
+    rng = np.random.default_rng(5)
+    dom = enn.domain.inset(0.25)
+    draws = [((0.6100058474907604, 0.6158815794729875), 0.0962933399642707,
+              -0.5140766877884602)]
+    for _ in range(60):
+        start = (rng.uniform(dom.t_min, dom.t_max),
+                 rng.uniform(dom.z_min, dom.z_max))
+        draws.append((start, rng.uniform(-np.pi, np.pi),
+                      rng.uniform(-1.2, 1.2)))
+    for start, angle, theta in draws:
+        tr = trace(TraceRequest(enn, start, PseudoGeodesicMode(theta, angle),
+                                s_span=(-0.25, 0.25)))
+        phi = curve_scalars_from_trace(enn, tr).phi[tr.index_of(0.0)]
+        off = (phi - angle + np.pi) % (2 * np.pi) - np.pi
+        assert abs(off) < 1e-9, (start, angle, theta, phi)
+
+
 def test_zero_dim_array_initial_dir_is_an_angle():
     enn = make_enneper()
     a, b = (trace(TraceRequest(enn, (0.2, 0.3), GeodesicMode(d),
@@ -491,8 +516,7 @@ def test_geodesic_entry_points_return_one_request():
     req = TraceRequest(make_enneper(), (0.2, 0.3), GeodesicMode((1.0, 0.5)),
                        s_span=(-0.2, 0.2))
     want = PseudoGeodesicMode(0.0, (1.0, 0.5))
-    first, *rest = (run(req) for run in (trace, trace_geodesic,
-                                         trace_pseudogeodesic))
+    first, *rest = (run(req) for run in (trace, trace_pseudogeodesic))
     for tr in (first, *rest):
         assert tr.request.mode == want
         assert tr.request == replace(req, mode=want)
