@@ -1,6 +1,6 @@
 """surftrace: trace and classify special curves on parametrized surfaces.
 
-A numpy/scipy library for numerical differential geometry of curves on
+A numpy library for numerical differential geometry of curves on
 surfaces in R^3: isogonal lines (constant angle to a principal direction),
 pseudo-geodesics (constant angle between curve normal and surface normal),
 geodesics, generalized-helix detection, and two-surface intersection

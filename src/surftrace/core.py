@@ -25,9 +25,9 @@ samples, CSV import, class probes and oracle scenarios take one each.  Its
 fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
 near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).  On a position-only
 chart the jet is `_fd_jet`, one elementwise body over nine `position`
-calls: 3.7 to 14.3 us a float call on the gallery charts (33.8 on
-crpc_revolution, whose positions call scipy), most of it the chart calls,
-and 11 to 21 us (42) for a `point_shape`.
+calls: 3.7 to 14.3 us a float call on the gallery charts (about 28 on
+crpc_revolution, whose height sums a series in Python floats), most of it
+the chart calls, and 11 to 21 us (about 35) for a `point_shape`.
 
 Conventions fixed once and used everywhere downstream:
 

@@ -104,6 +104,10 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
     if n < 5:
         raise TooFewSamplesError("need at least 5 samples")
     h = check_uniform(s)
+    for name, v in (("uv", uv), ("uv_vel", uv_vel), ("uv_acc", uv_acc)):
+        if v.shape != (n, 2):
+            raise InvalidRequestError(f"{name} has shape {v.shape}; "
+                                      f"{n} arc lengths need ({n}, 2)")
 
     # one shape pass over all samples (a trace brings its own), E1 chained
     # from the sample nearest s = 0; vectors below are (3, n)
@@ -170,7 +174,8 @@ def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
     """`curve_scalars` of a unit-speed trace, made on its ``shape`` pass, so
-    no chart is evaluated; ``surface`` must be the trace's own surface."""
+    the jet is not evaluated again (the positions are); ``surface`` must be
+    the trace's own surface."""
     if surface != trace.request.surface:
         raise InvalidRequestError(f"surface '{surface.name}' is not the "
                                   f"trace's '{trace.request.surface.name}'")

@@ -38,7 +38,8 @@ class SingularDecompositionError(GeometryError):
 
 
 class InvalidRequestError(GeometryError):
-    """A trace request has a non-finite or out-of-range field."""
+    """A trace request has a non-finite or out-of-range field, or curve
+    samples have rows that do not match their arc lengths."""
 
 
 class ThetaOutOfRangeError(GeometryError):

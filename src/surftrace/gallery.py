@@ -8,6 +8,7 @@ of those lines, all under the chart orientation N = X_t x X_z.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import inspect
 import math
@@ -143,32 +144,140 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
 # revolution surface with constant ratio of principal curvatures
 # ---------------------------------------------------------------------------
 
+#: the height's pieces split x = t^2c at 9/32, 1/2 and 1 - 5/16; each
+#: series keeps its terms down to 2^-53 of its sum at the piece's far end
+_CRPC_X1, _CRPC_Y1, _CRPC_TOL, _CRPC_TERMS = 0.28125, 0.3125, 2.0 ** -53, 48
+#: the rim series, in w = a (1 - x), is summed for w <= 4 only: its terms
+#: alternate and cancel more as w grows
+_CRPC_W_MAX = 4.0
+
+
+def _horner(coefs: tuple, u):
+    """sum coefs[n] u^(N-1-n), highest order first; floats or arrays alike."""
+    s = 0.0
+    for k in coefs:
+        s = s * u + k
+    return s
+
+
+def _cut(terms: list, r: float) -> tuple:
+    """Series ``terms`` (lowest order first) up to the last one that is above
+    _CRPC_TOL of their sum at u = r, highest order first for `_horner`."""
+    total = abs(sum(k * r ** n for n, k in enumerate(terms)))
+    n = max(n for n, k in enumerate(terms) if abs(k) * r ** n > _CRPC_TOL * total)
+    return tuple(reversed(terms[:n + 1]))
+
+
+def _binomials(alpha: float, scale: float) -> list:
+    """binomial(alpha, n) scale^n for n < _CRPC_TERMS."""
+    out = [1.0]
+    for n in range(1, _CRPC_TERMS):
+        out.append(out[-1] * (alpha - n + 1) / n * scale)
+    return out
+
+
+def _recentred(a: float, m: float, hw: float, j_hi: float):
+    """J = K - d S(d), d = x - m, on |d| <= hw: S is the Taylor series of
+    x^(a-1) (1-x)^(-1/2) at m, integrated; K is J(m) from j_hi = J(m + hw).
+    Returns (K, S's coefficients, J(m - hw))."""
+    p = _binomials(a - 1.0, 1.0 / m)
+    q = _binomials(-0.5, -1.0 / (1.0 - m))
+    f0 = m ** (a - 1.0) / math.sqrt(1.0 - m)
+    f = [f0 * sum(p[i] * q[n - i] for i in range(n + 1)) / (n + 1)
+         for n in range(_CRPC_TERMS)]
+    s = _cut(f, hw)
+    k = j_hi + hw * _horner(s, hw)
+    return k, s, k + hw * _horner(s, -hw)
+
+
 @functools.lru_cache(maxsize=64)
 def _crpc_constants(c: float, eps: float):
-    """a, -eps B(a, 1/2) / (2c) and betaincc; only crpc positions load scipy."""
-    from scipy.special import beta, betaincc
+    """-eps / (2c), the upper bounds on x of the four pieces of J and the
+    pieces, each (constant, centre or scale, series), in `_crpc_piece`'s
+    order, then None for x past the last bound.  The rim piece stops at
+    a (1 - x) = _CRPC_W_MAX, and from a = _CRPC_W_MAX / _CRPC_Y1 = 12.8 on
+    (c < 0.0407) the other three are None too: J is not summed between the
+    rim piece and the axis."""
     a = 0.5 / c + 0.5
-    return a, -eps / (2.0 * c) * beta(a, 0.5), betaincc
+    # rim: J = sqrt(y) sum (1-a)_n w^n / (n! a^n (n + 1/2)), y = 1 - x, w = a y
+    r = [2.0]
+    for n in range(1, _CRPC_TERMS):
+        r.append(r[-1] * (n - a) / (n * a) * (2 * n - 1) / (2 * n + 1))
+    y1 = min(_CRPC_Y1, _CRPC_W_MAX / a)
+    rim = _cut(r, a * y1)
+    bounds = (_CRPC_X1, 0.5, 1.0 - y1, 1.0)
+    if y1 < _CRPC_Y1:
+        return -eps / (2.0 * c), bounds, (None, None, None, (0.0, a, rim), None)
+    j = math.sqrt(y1) * _horner(rim, a * y1)
+    m2, hw2 = (1.0 - y1 + 0.5) / 2, (0.5 - y1) / 2
+    k2, s2, j = _recentred(a, m2, hw2, j)
+    m1, hw1 = (_CRPC_X1 + 0.5) / 2, (0.5 - _CRPC_X1) / 2
+    k1, s1, j = _recentred(a, m1, hw1, j)
+    # axis: J = B - x^a sum (1/2)_n x^n / (n! (a + n)), B = B(a, 1/2)
+    p = [1.0 / a]
+    for n in range(1, _CRPC_TERMS):
+        p.append(p[-1] * (a + n - 1) / (a + n) * (n - 0.5) / n)
+    axis = _cut(p, _CRPC_X1)
+    b = j + _CRPC_X1 ** a * _horner(axis, _CRPC_X1)
+    return -eps / (2.0 * c), bounds, ((b, 0.0, axis), (k1, m1, s1),
+                                       (k2, m2, s2), (0.0, a, rim), None)
 
 
 def _crpc_height(t: float, c: float, eps: float) -> float:
     """Height integral eps * int_1^t u^c (1 - u^{2c})^{-1/2} du (elementwise).
 
-    With w = u^{2c} the integral is an incomplete beta function:
-    int_t^1 = B(a, 1/2) I'(t^{2c}; a, 1/2) / (2c), a = (1 + 1/c) / 2, where
-    I' is the complementary regularized incomplete beta.  It is 0 at t = 1
-    and NaN beyond, where the surface does not exist.
+    With w = u^{2c} it is -eps J(x) / (2c), J(x) = int_x^1 w^(a-1)
+    (1-w)^(-1/2) dw, x = t^{2c}, a = (1 + 1/c) / 2: an incomplete beta
+    function, summed from four series (DLMF 8.17.7; 8.17.4 at the rim).
+    Near the axis, x <= 9/32, J = B(a, 1/2) - x^a sum (1/2)_n x^n /
+    (n! (a + n)) with x^a = |t| sqrt(x); near the rim, 1 - x < 5/16, the
+    series in 1 - x of int_0^(1-x) v^(-1/2) (1-v)^(a-1) dv; between them the
+    integrand's Taylor series at the centres of (9/32, 1/2] and
+    (1/2, 11/16], integrated.  Each piece starts from its neighbour's value
+    at the split, so h is continuous; it is within 5e-16 relative of the
+    incomplete beta function of the same x on the chart, 9e-16 below it
+    (mpmath at 40 digits).  h is 0 at t = 1 (-0.0 for eps = 1) and NaN
+    beyond, where the surface does not exist; for c < 0.0407 also below
+    t = 0.019 (1 - x > 4 / a), where the rim series is not summed.  A float
+    ``t`` sums its one piece in Python floats, an array each piece over its
+    own elements with the same operations, so each element equals the
+    float call bit for bit.
     """
-    a, k, betaincc = _crpc_constants(c, eps)
-    return k * betaincc(a, 0.5, np.power(t, 2 * c))
+    k, bounds, pieces = _crpc_constants(c, eps)
+    x = np.power(t, 2 * c)
+    if not isinstance(x, np.ndarray):   # one point: a float, an int, a 0-d t
+        x = float(x)
+        i = bisect.bisect_left(bounds, x)   # a NaN x sums piece 0 to NaN
+        return k * _crpc_piece(i, pieces[i], x, t) if pieces[i] else math.nan
+    out = np.full(x.shape, np.nan)
+    index = np.searchsorted(bounds, x)
+    for i, piece in enumerate(pieces):
+        at = index == i
+        if piece and at.any():   # past t = 1 or NaN: index 4
+            out[at] = k * _crpc_piece(i, piece, x[at], t[at])
+    return out
+
+
+def _crpc_piece(i: int, piece: tuple, x, t):
+    """J(x) from piece i of `_crpc_constants` (floats or arrays)."""
+    k, m, s = piece
+    sqrt = math.sqrt if type(x) is float else np.sqrt
+    if i == 0:
+        return k - abs(t) * sqrt(x) * _horner(s, x)
+    if i == 3:
+        y = 1.0 - x
+        return sqrt(y) * _horner(s, m * y)
+    d = x - m
+    return k - d * _horner(s, d)
 
 
 def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     """Surface of revolution with kappa(t-dir) = c * kappa(z-dir) != 0.
 
     Chart: X(t,z) = (t cos z, t sin z, h(t)) with h'(t) = eps t^c
-    (1 - t^{2c})^{-1/2}; h itself, an incomplete beta function
-    (`_crpc_height`), is needed only for positions, never by the jet.  The
+    (1 - t^{2c})^{-1/2}; h itself, an incomplete beta function summed from
+    numpy series (`_crpc_height`), is needed only for positions, never by
+    the jet.  The
     chart degenerates at t -> 0 and t -> 1, so the domain keeps a 5% margin
     on both sides.
     """

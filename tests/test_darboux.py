@@ -511,3 +511,17 @@ def test_curve_scalars_from_trace_refuses_another_surface():
         with pytest.raises(InvalidRequestError,
                            match=f"'{other.name}'.*'enneper'"):
             curve_scalars_from_trace(other, tr)
+
+
+@pytest.mark.parametrize("short", ["uv", "uv_vel", "uv_acc"])
+def test_curve_scalars_refuses_rows_that_do_not_match_s(short):
+    # 11 arc lengths, 8 rows of unit-speed samples along the plane's t axis
+    s = np.linspace(-0.2, 0.0, 11)
+    rows = {"uv": lambda k: np.column_stack([s[:k], np.zeros(k)]),
+            "uv_vel": lambda k: np.tile([1.0, 0.0], (k, 1)),
+            "uv_acc": lambda k: np.zeros((k, 2))}
+    args = {name: make(8 if name == short else 11) for name, make in rows.items()}
+    with pytest.raises(InvalidRequestError,
+                       match=rf"{short} has shape \(8, 2\); 11 arc lengths"):
+        curve_scalars(make_plane(), s, args["uv"], args["uv_vel"],
+                      args["uv_acc"])

@@ -1,12 +1,16 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, make_surface, point_shape)
-from surftrace.core import _fd_jet
+from surftrace.core import FD_STEP, _fd_jet
 from surftrace.errors import DegenerateParameterError
-from surftrace.gallery import CATALOGUE, _crpc_height
+from surftrace.gallery import (CATALOGUE, _CRPC_TERMS, _crpc_constants,
+                               _crpc_height)
 from surftrace.intersect import FIXTURES
 
 from conftest import interior_grid
@@ -83,6 +87,41 @@ def test_crpc_height_conventions():
                  - _crpc_height(t - h, 2.0, 1.0)) / (2 * h)
         expect = t ** 2 / np.sqrt(1 - t ** 4)
         assert abs(slope - expect) < 1e-8 * (1 + abs(expect))
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-6, 1e-3, 0.01, 0.5, 1.0, 2.0, 3.0,
+                               10.0, 1e6])
+def test_crpc_height_matches_the_incomplete_beta_function(c):
+    # the chart's t range widened by the widest stencil step, FD_STEP * 8 pi;
+    # the reference is the same integral at 40 digits from the same
+    # x = t^2c: h = -J / (2c), J = int_x^1 w^(a-1) (1-w)^(-1/2) dw
+    dom = make_crpc_revolution(c, 1).domain
+    wide = FD_STEP * max(abs(dom.z_min), abs(dom.z_max))
+    t = np.linspace(dom.t_min - wide, dom.t_max + wide, 201)
+    h = _crpc_height(t, c, 1.0)
+    with mpmath.workdps(40):
+        a = (1 + 1 / mpmath.mpf(c)) / 2
+        for i, ti in enumerate(t):
+            x = mpmath.mpf(float(np.power(ti, 2 * c)))
+            want = -mpmath.betainc(a, 0.5, x, 1) / (2 * mpmath.mpf(c))
+            assert abs(h[i] - want) <= 2e-15 * abs(h[i]), (ti, h[i], want)
+            # float and (n,) calls agree bit for bit
+            assert _crpc_height(float(ti), c, 1.0) == h[i]
+
+
+def test_crpc_height_series_stop_before_their_last_term():
+    # each piece reaches its tolerance within the terms it generates
+    for c in np.geomspace(1e-14, 1e6, 200):
+        _, _, pieces = _crpc_constants(float(c), 1.0)
+        assert max(len(piece[2]) for piece in pieces if piece) < _CRPC_TERMS
+
+
+def test_crpc_height_past_the_rim_is_nan_in_both_forms():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _crpc_height(1.01, 2.0, 1.0)
+        many = _crpc_height(np.array([0.5, 1.01]), 2.0, 1.0)
+    assert np.isnan(one) and np.isnan(many[1]) and np.isfinite(many[0])
 
 
 def test_crpc_oracle_frames_match_pipeline():

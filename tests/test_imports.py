@@ -1,7 +1,9 @@
-"""scipy stays off the import path: only crpc positions load it."""
+"""scipy stays off the import path and off every runtime call: no module of
+the library imports it, and nothing it runs loads it."""
+import ast
 import textwrap
 
-from conftest import run_python
+from conftest import ROOT, run_python
 
 SCIPY_LOADED = """
 import sys
@@ -34,18 +36,40 @@ def test_import_and_cli_trace_load_no_scipy(tmp_path):
     assert (tmp_path / "trace.csv").exists()
 
 
-def test_crpc_position_imports_scipy_special_on_first_use(tmp_path):
-    # the jet never evaluates the incomplete-beta height; positions do
+def test_crpc_positions_load_no_scipy(tmp_path):
+    # the height is an incomplete beta function, summed with numpy alone
     run_script("""
         import math
+        import numpy as np
         from surftrace import make_crpc_revolution, point_metric
+        from surftrace.cli import main
         surface = make_crpc_revolution()
-        assert not scipy_loaded(), scipy_loaded()[:5]
         surface.jet(0.5, 0.3)
         point_metric(surface, 0.5, 0.3)
-        assert not scipy_loaded(), scipy_loaded()[:5]
         position = surface.position(0.5, 0.3)
-        assert "scipy.special" in scipy_loaded()
         assert all(math.isfinite(v) for v in position)
         assert position[2] < 0.0
+        positions = surface.position(np.linspace(0.1, 0.9, 9), np.zeros(9))
+        assert np.isfinite(positions).all() and (positions[2] < 0.0).all()
+        rc = main(["--out", ".", "trace", "--surface", "crpc_revolution",
+                   "--start", "0.5,0", "--phi", "0.3"])
+        assert rc == 0
+        assert not scipy_loaded(), scipy_loaded()[:5]
     """, tmp_path)
+    assert (tmp_path / "trace.csv").exists()
+
+
+def test_no_module_imports_scipy():
+    # also the paths no test runs: any import of scipy in the package source
+    found = []
+    for path in sorted((ROOT / "src" / "surftrace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert not found, found
