@@ -277,9 +277,8 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     Chart: X(t,z) = (t cos z, t sin z, h(t)) with h'(t) = eps t^c
     (1 - t^{2c})^{-1/2}; h itself, an incomplete beta function summed from
     numpy series (`_crpc_height`), is needed only for positions, never by
-    the jet.  The
-    chart degenerates at t -> 0 and t -> 1, so the domain keeps a 5% margin
-    on both sides.
+    the jet.  The chart degenerates at t -> 0 and t -> 1, so the domain
+    keeps a 5% margin on both sides.
     """
     if not c > 0:
         raise DegenerateParameterError(
