@@ -8,7 +8,7 @@ frame analysis.
 """
 
 from .core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
-                   SurfaceJet2, TangentDecomp, jet2, point_metric, point_shape,
+                   SurfaceJet2, TangentDecomp, point_metric, point_shape,
                    curve_shape, shape_arrays)
 from .darboux import (CurveData, FrenetData, curve_scalars,
                       curve_scalars_from_trace, frenet_from_darboux,

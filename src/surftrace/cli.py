@@ -9,9 +9,9 @@ Subcommands:
     export    write an OBJ mesh of a surface plus traced curves
 
 Angles are radians everywhere; reports also print degrees.  ``--config``
-reads a flat ``key = value`` file whose entries act as defaults for the
-corresponding long options and as scenario parameter overrides
-(e.g. ``s3.c = 3``).
+reads a flat ``key = value`` file of ``tol_abs``, ``tol_rel`` (classify
+tolerances), ``out_dir`` and the scenario overrides ``<id>.<key>`` that
+`scenarios.OVERRIDES` lists (e.g. ``s3.c = 3``); it refuses any other key.
 """
 from __future__ import annotations
 
@@ -31,11 +31,21 @@ from .errors import (DegenerateParameterError, GeometryError,
 from .exporters import (ensure_dir, parse_config, read_trace_csv,
                         write_obj, write_trace_csv)
 from .gallery import CATALOGUE, make_surface
-from .scenarios import SCENARIOS, render_result, run_scenario
+from .scenarios import OVERRIDES, SCENARIOS, render_result, run_scenario
 from .stepper import MAX_SAMPLES
 from .tracer import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicMode, IsogonalMode,
                      PseudoGeodesicMode, TraceRequest,
                      chart_to_principal_angle, trace)
+
+
+def _check_config_keys(config: dict[str, str]) -> None:
+    """ValueError naming the first key of ``config`` that the CLI ignores."""
+    scenario = [f"{sid}.{k}" for sid, keys in OVERRIDES.items() for k in keys]
+    accepted = ("tol_abs", "tol_rel", "out_dir", *scenario)
+    for key in config:
+        if key not in accepted[:3] and key.lower() not in scenario:
+            raise ValueError(f"unknown key '{key}' (accepted: "
+                             f"{', '.join(accepted)})")
 
 
 def _surface_from_args(args) -> "SurfaceDef":
@@ -174,6 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.config:
         try:
             overrides = parse_config(args.config)
+            _check_config_keys(overrides)
         except (OSError, ValueError) as exc:
             print(f"error: config: {exc}", file=sys.stderr)
             return 1

@@ -1,33 +1,29 @@
 """Surface geometry: chart 2-jets and the shape kernel, one body for floats
 and for arrays.
 
-`point_metric` turns a chart's 2-jet into the normal and both fundamental
-forms; `_principal` goes on to the principal frame and the tangent
+`point_metric` is the one metric stage: it evaluates a chart's 2-jet and
+forms X_t, X_z, n = X_t x X_z, E, F, G and W = |n|^2, and runs the
+package's only regularity test (SingularJetError where X_t x X_z
+vanishes).  Both flows read its tuple: the pseudo-geodesic one directly
+(`tracer`), the isogonal one through `_principal`, which normalizes N,
+forms the second form and goes on to the principal frame and the tangent
 decomposition (do Carmo, *Differential Geometry of Curves and Surfaces*,
-ch. 3).  Both bodies are elementwise and return flat tuples:
-floats at one point or (n,) arrays run the same formulas in the same order,
-so a point's values are the same bits in either form, which differ only in
-sqrt, a branch versus `np.where` (both picked from the input), and the E1
-sign rule.  `_records` wraps the tuples for `point_shape` (one point,
-module rule), `shape_arrays` (arrays, a per-point hint or else a chain
-from the first point) and `curve_shape` (a chain from the sample nearest
-s = 0).  SingularJetError is raised where X_t x X_z vanishes.
+ch. 3).  Both bodies are elementwise and return flat tuples: floats at one
+point or (n,) arrays run the same formulas in the same order, so a point's
+values are the same bits in either form, which differ only in sqrt, a
+branch versus `np.where` (both picked from the input), and the E1 sign
+rule.  `_records` wraps the tuples for `point_shape` (one point, module
+rule), `shape_arrays` (arrays, a chain from the first point) and
+`curve_shape` (a sampled curve's metric, a chain from the sample nearest
+s = 0).
 
-Records are named tuples (about 3 of `point_shape`'s 8.3 to 9.4 us, mostly
-its three `np.array` vectors); the flow right-hand sides build none: the
-isogonal one reads `point_metric` (2.7 to 3.9 us, an analytic float jet's
-2.2 to 2.9 included) and `_principal` (2.0 to 3.0 us), the pseudo-geodesic
-one only the chart jet, which `tracer` contracts with the velocity itself.
-Every trace makes one `curve_shape` pass over its samples, reused by its
-Darboux scalars (an isogonal adds a frame-only pass, `point_metric` and
+Records are named tuples; the flow right-hand sides build none.  Every
+trace makes one `curve_shape` pass over its samples, reused by its Darboux
+scalars (an isogonal adds a frame-only pass, `point_metric` and
 `_principal` with no records, over its 2n acceleration stencils); bare
-samples, CSV import, class probes and oracle scenarios take one each.  Its
-fixed numpy cost (180 to 320 us at n = 1) breaks even with a scalar loop
-near n = 15 to 20 (gallery charts, numpy 2.4, 2 cores).  On a position-only
-chart the jet is `_fd_jet`, one elementwise body over nine `position`
-calls: 3.7 to 14.3 us a float call on the gallery charts (about 28 on
-crpc_revolution, whose height sums a series in Python floats), most of it
-the chart calls, and 11 to 21 us (about 35) for a `point_shape`.
+samples, CSV import, class probes and oracle scenarios take one each.  On
+a position-only chart the jet is `_fd_jet`, one elementwise body over nine
+`position` calls, which take most of its time.
 
 Conventions fixed once and used everywhere downstream:
 
@@ -35,8 +31,9 @@ Conventions fixed once and used everywhere downstream:
 * Principal curvatures ordered ``kappa1 <= kappa2``.
 * ``{E1, E2, N}`` right-handed, i.e. ``E2 = N x E1``.
 * E1 sign (the module rule): ``<E1, X_t> >= 0``, with ``<E1, X_z> >= 0`` as
-  the tie-break when E1 is orthogonal to X_t; a caller's hint overrides it,
-  and a sampled curve's chain starts from it at s = 0 (`curve_shape`).
+  the tie-break when E1 is orthogonal to X_t; an array's chain starts from
+  it at its first point (`shape_arrays`) or, on a sampled curve, at s = 0
+  (`curve_shape`).
 """
 from __future__ import annotations
 
@@ -203,12 +200,16 @@ def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) ->
              (d2 - 2 * a2 + e2) / hh))
 
 
-def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) -> SurfaceJet2:
-    """Evaluate the 2-jet of a surface at (t, z), floats or (n,) arrays.
+def point_metric(surface: SurfaceDef, t: float, z: float, *,
+                 check_domain: bool = True) -> tuple:
+    """The metric stage at (t, z), floats or (n,) arrays, as one flat tuple
 
-    Raises OutOfDomainError naming the first point outside the domain.
-    Regularity is checked by the shape kernels, which form the normal.
-    """
+        (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W)
+
+    with X_t, X_z and n = X_t x X_z (not normalized) by component and
+    W = |n|^2.  The jet (the chart's or `_fd_jet`) sees contiguous copies of
+    arrays.  Raises OutOfDomainError or, where |n| <= 1e-14 |X_t| |X_z|,
+    SingularJetError, naming the first point at fault."""
     if check_domain:
         inside = surface.domain.contains(t, z)
         if not (inside.all() if isinstance(inside, np.ndarray) else inside):
@@ -219,46 +220,23 @@ def jet2(surface: SurfaceDef, t: float, z: float, *, check_domain: bool = True) 
     if isinstance(t, np.ndarray):
         # numpy's exp, sinh, ... round negative strides apart from floats
         t, z = (np.ascontiguousarray(v, dtype=float) for v in (t, z))
-    if surface.jet is not None:
-        return surface.jet(t, z)
-    return _fd_jet(surface.position, t, z)
-
-
-def point_metric(surface: SurfaceDef, t: float, z: float, *,
-                 check_domain: bool = True) -> tuple:
-    """The metric stage of `point_shape` at one point, as one flat tuple:
-
-        (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W,
-         e, f, g)
-
-    with X_t, X_z and N by component and W = EG - F^2; every entry but the
-    jet is a float.  Raises SingularJetError where |X_t x X_z| <= 1e-14
-    |X_t| |X_z|.  Elementwise: `shape_arrays` runs it on (n,) arrays, where
-    every entry but the jet is an (n,) array and the error names the first
-    singular point.
-    """
-    jet = jet2(surface, t, z, check_domain=check_domain)
+    jet = (surface.jet(t, z) if surface.jet is not None
+           else _fd_jet(surface.position, t, z))
     xt0, xt1, xt2 = jet.d_t
     xz0, xz1, xz2 = jet.d_z
-    arrays = isinstance(xt0, np.ndarray)
-    sqrt = np.sqrt if arrays else math.sqrt
     E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
     F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
     G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
-    c0 = xt1 * xz2 - xt2 * xz1
-    c1 = xt2 * xz0 - xt0 * xz2
-    c2 = xt0 * xz1 - xt1 * xz0
-    nrm = sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    singular = nrm <= 1e-14 * sqrt(E * G)
-    if singular.any() if arrays else singular:
+    n0 = xt1 * xz2 - xt2 * xz1
+    n1 = xt2 * xz0 - xt0 * xz2
+    n2 = xt0 * xz1 - xt1 * xz0
+    W = n0 * n0 + n1 * n1 + n2 * n2
+    singular = W <= 1e-28 * (E * G)   # |n| <= 1e-14 |X_t| |X_z|, squared
+    if singular.any() if isinstance(W, np.ndarray) else singular:
         i = int(np.argmax(singular))
         raise SingularJetError(f"chart of '{surface.name}' singular at "
                                f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
-    n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet.d_tt, jet.d_tz, jet.d_zz
-    return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G,
-            E * G - F * F, p0 * n0 + p1 * n1 + p2 * n2,
-            q0 * n0 + q1 * n1 + q2 * n2, r0 * n0 + r1 * n1 + r2 * n2)
+    return (jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W)
 
 
 def _flip(d0, d1, d2, xt0, xt1, xt2, xz0, xz1, xz2, sqE) -> bool:
@@ -296,12 +274,19 @@ def _if(cond, a, b):
 
 def _principal(metric: tuple, flip: Callable) -> tuple:
     """The principal-frame stage over `point_metric`'s tuple, floats or (n,)
-    arrays: (kappa1, kappa2, umbilic, mean, E1, E2, f1, f2, g1, g2), vectors
-    by component.  sqrt and `_if` or `np.where` follow the input's form;
-    ``flip`` takes E1 and `_flip`'s other arguments to a bool."""
-    _, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, _, e, f, g = metric
+    arrays: (kappa1, kappa2, umbilic, mean, E1, E2, f1, f2, g1, g2, N, e, f,
+    g), vectors by component.  sqrt and `_if` or `np.where` follow the
+    input's form; ``flip`` takes E1 and `_flip`'s other arguments to a
+    bool."""
+    jet, xt0, xt1, xt2, xz0, xz1, xz2, c0, c1, c2, E, F, G, W = metric
     sqrt, select = ((np.sqrt, np.where) if isinstance(E, np.ndarray)
                     else (math.sqrt, _if))
+    nrm = sqrt(W)
+    n0, n1, n2 = c0 / nrm, c1 / nrm, c2 / nrm
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet.d_tt, jet.d_tz, jet.d_zz
+    e = p0 * n0 + p1 * n1 + p2 * n2
+    f = q0 * n0 + q1 * n1 + q2 * n2
+    g = r0 * n0 + r1 * n1 + r2 * n2
 
     # orthonormal tangent basis u1 = X_t / sqE, u2 = w / wn with
     # w = X_z - (F/E) X_t; (a1, 0) and (a2, b2) are their chart components
@@ -346,61 +331,56 @@ def _principal(metric: tuple, flip: Callable) -> tuple:
     q2 = n0 * d1 - n1 * d0
     return (kappa1, kappa2, umbilic, mean, d0, d1, d2, q0, q1, q2,
             xt0 * d0 + xt1 * d1 + xt2 * d2, xt0 * q0 + xt1 * q1 + xt2 * q2,
-            xz0 * d0 + xz1 * d1 + xz2 * d2, xz0 * q0 + xz1 * q1 + xz2 * q2)
+            xz0 * d0 + xz1 * d1 + xz2 * d2, xz0 * q0 + xz1 * q1 + xz2 * q2,
+            n0, n1, n2, e, f, g)
 
 
 def _records(metric: tuple, frame: tuple) -> tuple:
     """`point_metric`'s and `_principal`'s tuples as (jet, forms, shape data)."""
-    jet, _, _, _, _, _, _, n0, n1, n2, E, F, G, W, e, f, g = metric
+    jet, E, F, G = metric[0], metric[10], metric[11], metric[12]
     (kappa1, kappa2, umbilic, mean, d0, d1, d2, q0, q1, q2, f1, f2, g1,
-     g2) = frame
+     g2, n0, n1, n2, e, f, g) = frame
     normal = np.array([n0, n1, n2])
     sd = ShapeData(normal, kappa1, kappa2, np.array([d0, d1, d2]),
-                   np.array([q0, q1, q2]), (e * g - f * f) / W, mean,
-                   TangentDecomp(f1, f2, g1, g2), umbilic)
+                   np.array([q0, q1, q2]), (e * g - f * f) / (E * G - F * F),
+                   mean, TangentDecomp(f1, f2, g1, g2), umbilic)
     return jet, FundamentalForms(E, F, G, e, f, g, normal), sd
 
 
-def point_shape(surface: SurfaceDef, t: float, z: float, *,
-                check_domain: bool = True
+def point_shape(surface: SurfaceDef, t: float, z: float
                 ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
     """(jet, forms, shape data) at one parameter point, in one float pass.
 
-    Starts from `point_metric` (and raises its SingularJetError).  The
-    shape operator is symmetric in the basis u1 = X_t / |X_t|, u2 =
-    Gram-Schmidt of X_z; its closed-form eigenpairs give kappa1 <= kappa2,
-    with E1 arbitrary where ``umbilic`` is set.  E1's sign follows the
-    module sign rule.
+    Starts from `point_metric` (and raises its OutOfDomainError and
+    SingularJetError).  The shape operator is symmetric in the basis
+    u1 = X_t / |X_t|, u2 = Gram-Schmidt of X_z; its closed-form eigenpairs
+    give kappa1 <= kappa2, with E1 arbitrary where ``umbilic`` is set.  E1's
+    sign follows the module sign rule.
     """
-    metric = point_metric(surface, t, z, check_domain=check_domain)
+    metric = point_metric(surface, t, z)
     return _records(metric, _principal(metric, _flip))
 
 
-def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray,
-                 e1_hint: np.ndarray | None = None, *, check_domain: bool = True
+def shape_arrays(surface: SurfaceDef, t: np.ndarray, z: np.ndarray
                  ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
     """`point_shape` over (n,) arrays of points, on the same body.
 
     Returns the same three records with every float field an (n,) array,
     every vector a (3, n) array and ``umbilic`` a bool array, and raises
-    SingularJetError naming the first singular point.  E1 signs: a (3, n)
-    ``e1_hint`` aligns each point with its own column.  Without one, the
+    `point_metric`'s errors naming the first point at fault.  E1 signs: the
     first point follows the module rule and every later point its
     predecessor, as a loop passing each E1 on as the next hint does (unless
     consecutive E1 are exactly orthogonal).
     """
     t, z = (np.ascontiguousarray(v, dtype=float) for v in (t, z))
-    metric = point_metric(surface, t, z, check_domain=check_domain)
-    return _records(metric, _principal(
-        metric, _chain(0) if e1_hint is None else _along(e1_hint)))
+    metric = point_metric(surface, t, z)
+    return _records(metric, _principal(metric, _chain(0)))
 
 
-def curve_shape(surface: SurfaceDef, s: np.ndarray, uv: np.ndarray
+def curve_shape(s: np.ndarray, metric: tuple
                 ) -> tuple[SurfaceJet2, FundamentalForms, ShapeData]:
-    """`shape_arrays` over a curve's (n, 2) samples ``uv`` at arc lengths
-    ``s``, with no domain check: the module rule at the sample nearest
+    """`shape_arrays` on a sampled curve's `point_metric` tuple, with the
+    samples at arc lengths ``s``: the module rule at the sample nearest
     s = 0, and E1 chained from there to both ends."""
-    metric = point_metric(surface, *np.asarray(uv, dtype=float).T,
-                          check_domain=False)
     return _records(metric, _principal(
         metric, _chain(int(np.argmin(np.abs(s))))))

@@ -111,7 +111,8 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
 
     # one shape pass over all samples (a trace brings its own), E1 chained
     # from the sample nearest s = 0; vectors below are (3, n)
-    jet, _, sd = shape or curve_shape(surface, s, uv)
+    jet, _, sd = shape or curve_shape(
+        s, point_metric(surface, *uv.T, check_domain=False))
     tp, zp = uv_vel.T
     tpp, zpp = uv_acc.T
     vel3 = tp * jet.d_t + zp * jet.d_z

@@ -33,10 +33,6 @@ class UmbilicEncounteredError(GeometryError):
     """An isogonal trace was started at (or ran into) an umbilic point."""
 
 
-class SingularDecompositionError(GeometryError):
-    """The 2x2 tangent-decomposition system is singular; upstream bug."""
-
-
 class InvalidRequestError(GeometryError):
     """A trace request has a non-finite or out-of-range field, or curve
     samples have rows that do not match their arc lengths."""

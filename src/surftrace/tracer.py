@@ -26,6 +26,8 @@ Christoffel contractions.  With n = X_t x X_z, N = n / |n| and |n|^2 = W,
 so tan(theta) II(v, v) Jv = tan(theta) <X_vv, n> (-F t' - G z',
 E t' + F z') / W: both terms divide by W, taken as |n|^2 (Lagrange's
 identity) without EG - F^2's cancellation, and take no square root.
+Both flows read `core.point_metric`'s tuple, the one place that forms
+X_t, X_z, n, E, F, G and W and tests the chart's regularity.
 
 Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
 with quartic dense output on Python floats, step for step the algorithm of
@@ -51,10 +53,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import (SurfaceDef, _along, _flip, _principal, curve_shape, jet2,
+from .core import (SurfaceDef, _along, _flip, _principal, curve_shape,
                    point_metric, point_shape)
 from .errors import (BoundaryExitError, InvalidRequestError,
-                     SingularDecompositionError, SingularJetError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
 from .stepper import MAX_SAMPLES, BranchStats, Stop, integrate
@@ -219,8 +220,7 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
             "angle initial direction undefined at umbilic start; "
             "pass a uv-velocity instead")
     phi = float(direction)
-    return _isogonal_field(*uv, sd.decomp, float(np.cos(phi)),
-                           float(np.sin(phi)))
+    return _isogonal_field(sd.decomp, float(np.cos(phi)), float(np.sin(phi)))
 
 
 def _integrate_branches(rhs, y0, req: TraceRequest):
@@ -269,18 +269,14 @@ def _umbilic_gap(kappa1: float, kappa2: float) -> float:
     return (kappa2 - kappa1) / max(1.0, abs(kappa1) + abs(kappa2))
 
 
-def _isogonal_field(t, z, decomp, cos_t, sin_t):
-    """(t', z') solving t' f1 + z' g1 = cos_t, t' f2 + z' g2 = sin_t at
-    (t, z), elementwise on floats or (n,) arrays alike, bit for bit; raises
-    SingularDecompositionError where |f1 g2 - f2 g1| < 1e-12."""
+def _isogonal_field(decomp, cos_t, sin_t):
+    """(t', z') solving t' f1 + z' g1 = cos_t, t' f2 + z' g2 = sin_t,
+    elementwise on floats or (n,) arrays alike, bit for bit.  The
+    determinant f1 g2 - f2 g1 = <X_t x X_z, E1 x E2> = |X_t x X_z|
+    (Binet-Cauchy, E1 x E2 = N) is positive wherever `point_metric` found
+    the chart regular."""
     f1, f2, g1, g2 = decomp
     det = f1 * g2 - f2 * g1
-    singular = abs(det) < 1e-12
-    if singular is not False and np.any(singular):  # no numpy on floats
-        i = int(np.argmax(singular))
-        raise SingularDecompositionError(
-            "tangent decomposition singular at "
-            f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
     return (g2 * cos_t - g1 * sin_t) / det, (-f2 * cos_t + f1 * sin_t) / det
 
 
@@ -292,10 +288,9 @@ def _isogonal_acceleration(surface: SurfaceDef, uv, uv_vel, e1, cos_t,
     `_principal` without records."""
     h = 1e-6
     points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
-    frame = _principal(point_metric(surface, *points.T, check_domain=False),
-                       _along(np.hstack([e1, e1])))
-    f_pm = np.column_stack(_isogonal_field(*points.T, frame[10:], cos_t,
-                                           sin_t))
+    decomp = _principal(point_metric(surface, *points.T, check_domain=False),
+                        _along(np.hstack([e1, e1])))[10:14]
+    f_pm = np.column_stack(_isogonal_field(decomp, cos_t, sin_t))
     return (f_pm[:len(uv)] - f_pm[len(uv):]) / (2 * h)
 
 
@@ -326,7 +321,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
                            _flip)
         if _umbilic_gap(frame[0], frame[1]) < UMBILIC_GAP:
             raise Stop
-        tp, zp = _isogonal_field(t, z, frame[10:], cos_t, sin_t)
+        tp, zp = _isogonal_field(frame[10:14], cos_t, sin_t)
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
         # this is the velocity of the field oriented the other way
         if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:
@@ -337,33 +332,18 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     s, uv, exit_, stats = _integrate_branches(rhs, y0, req)
     # the field's velocities (exact speed) and directional acceleration on
     # the shape pass, whose E1 at s = 0 is the start's: the E1 phi refers to
-    shape = curve_shape(surface, s, uv)
-    uv_vel = np.column_stack(_isogonal_field(*uv.T, shape[2].decomp, cos_t,
-                                             sin_t))
+    shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
+    uv_vel = np.column_stack(_isogonal_field(shape[2].decomp, cos_t, sin_t))
     uv_acc = _isogonal_acceleration(surface, uv, uv_vel, shape[2].e1, cos_t,
                                     sin_t)
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 
-def _acceleration(surface: SurfaceDef, t, z, jet, tp, zp, tan_theta: float):
-    """(t'', z'') of the pseudo-geodesic flow at (t, z) with velocity
-    v = (t', z'), in the module docstring's directional form, from the
-    chart's 2-jet there; elementwise, floats or (n,) arrays alike, bit for
-    bit.  Raises SingularJetError where |X_t x X_z| <= 1e-14 |X_t| |X_z|."""
-    xt0, xt1, xt2 = jet.d_t
-    xz0, xz1, xz2 = jet.d_z
-    E = xt0 * xt0 + xt1 * xt1 + xt2 * xt2
-    F = xt0 * xz0 + xt1 * xz1 + xt2 * xz2
-    G = xz0 * xz0 + xz1 * xz1 + xz2 * xz2
-    n0 = xt1 * xz2 - xt2 * xz1
-    n1 = xt2 * xz0 - xt0 * xz2
-    n2 = xt0 * xz1 - xt1 * xz0
-    W = n0 * n0 + n1 * n1 + n2 * n2
-    singular = W <= 1e-28 * (E * G)   # |n| <= 1e-14 |X_t| |X_z|, squared
-    if singular.any() if isinstance(W, np.ndarray) else singular:
-        i = int(np.argmax(singular))
-        raise SingularJetError(f"chart of '{surface.name}' singular at "
-                               f"({np.ravel(t)[i]:g}, {np.ravel(z)[i]:g})")
+def _acceleration(metric: tuple, tp, zp, tan_theta: float):
+    """(t'', z'') of the pseudo-geodesic flow with velocity v = (t', z'), in
+    the module docstring's directional form, from `point_metric`'s tuple at
+    the point; elementwise, floats or (n,) arrays alike, bit for bit."""
+    jet, xt0, xt1, xt2, xz0, xz1, xz2, n0, n1, n2, E, F, G, W = metric
     a, b, c = tp * tp, 2 * tp * zp, zp * zp
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = jet.d_tt, jet.d_tz, jet.d_zz
     v0 = a * p0 + b * q0 + c * r0
@@ -381,9 +361,9 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     regular chart, a position-only one (``jet=None``) included; a
     `GeodesicMode` request is traced, and returned, as theta = 0.
 
-    The RHS and the samples' ``uv_acc`` run one formula on the chart jet:
-    X_vv = t'^2 X_tt + 2 t'z' X_tz + z'^2 X_zz dotted with X_t, X_z and
-    X_t x X_z gives Gamma(v, v) and II(v, v) at once.
+    The RHS and the samples' ``uv_acc`` run one formula on `point_metric`'s
+    tuple: X_vv = t'^2 X_tt + 2 t'z' X_tz + z'^2 X_zz dotted with X_t, X_z
+    and X_t x X_z gives Gamma(v, v) and II(v, v) at once.
     """
     if isinstance(req.mode, GeodesicMode):
         req = replace(req, mode=PseudoGeodesicMode(0.0, req.mode.initial_dir))
@@ -398,16 +378,17 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     def rhs(s, y, ref):
         t, z, tp, zp = y
         return (tp, zp, *_acceleration(
-            surface, t, z, jet2(surface, t, z, check_domain=False), tp, zp,
+            point_metric(surface, t, z, check_domain=False), tp, zp,
             tan_theta))
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exit_, stats = _integrate_branches(rhs, y0, req)
     uv, uv_vel = states[:, :2], states[:, 2:]
-    shape = curve_shape(surface, s, uv)
-    uv_acc = np.column_stack(_acceleration(surface, *uv.T, shape[0],
-                                           *uv_vel.T, tan_theta))
+    # one metric pass over the samples, for their shape and uv_acc
+    metric = point_metric(surface, *uv.T, check_domain=False)
+    shape = curve_shape(s, metric)
+    uv_acc = np.column_stack(_acceleration(metric, *uv_vel.T, tan_theta))
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 

@@ -238,6 +238,11 @@ PROBES = {
                                   "--phi", "0.5"],
     "classify-tol-config": ["--config", "probe.cfg", "classify", *ENNEPER,
                             "--phi", "0.5"],
+    # config keys that nothing reads once went unnoticed
+    "config-unknown-tolerance": ["--config", "probe.cfg", "classify",
+                                 *ENNEPER, "--phi", "0.5"],
+    "config-unknown-scenario": ["--config", "probe.cfg", "verify", "S3"],
+    "config-unknown-option": ["--config", "probe.cfg", "verify", "S3"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -246,6 +251,9 @@ PROBE_CONFIGS = {
     "override-eps": "s3.eps = 1.7\n",
     "verify-tol-config": "tol_rel = 100\n",
     "classify-tol-config": "tol_abs = abc\n",
+    "config-unknown-tolerance": "tol_ab = 100\n",
+    "config-unknown-scenario": "s9.c = 1\n",
+    "config-unknown-option": "surface = bonnet\n",
 }
 # the trace CSV each --csv probe reads; None: an Enneper trace
 PROBE_CSVS = {
@@ -268,7 +276,10 @@ PROBE_EDITS = {
 PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'"),
                "csv-zero-step": ("h = 0.0",),
                "csv-nan-velocity": ("nan at sample 5",),
-               "csv-nan-acceleration": ("sample 5",)}
+               "csv-nan-acceleration": ("sample 5",),
+               "config-unknown-tolerance": ("'tol_ab'", "tol_abs", "s3.c"),
+               "config-unknown-scenario": ("'s9.c'", "tol_abs", "s3.c"),
+               "config-unknown-option": ("'surface'", "tol_abs", "s3.c")}
 
 
 @pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))

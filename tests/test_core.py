@@ -3,16 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surftrace import (jet2, make_bonnet, make_catenoid, make_crpc_revolution,
+from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
                        make_plane, make_sphere, point_metric, point_shape,
                        shape_arrays)
 from surftrace import stepper, tracer
 from surftrace.core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
                             SurfaceJet2, TangentDecomp, _along, _fd_jet,
-                            _flip, _principal, pyfloats, vec3)
-from surftrace.errors import (OutOfDomainError, SingularDecompositionError,
-                              SingularJetError)
+                            _flip, _principal, _records, pyfloats, vec3)
+from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
                               _isogonal_field, _umbilic_gap, trace_isogonal)
@@ -44,7 +43,7 @@ def test_enneper_jet_position():
 
 def test_plane_jet_second_partials_vanish():
     plane = make_plane()
-    jet = jet2(plane, 0.7, -1.3)
+    jet = point_metric(plane, 0.7, -1.3)[0]
     for d2 in (jet.d_tt, jet.d_tz, jet.d_zz):
         assert np.all(np.asarray(d2) == 0.0)
 
@@ -52,7 +51,7 @@ def test_plane_jet_second_partials_vanish():
 def test_sphere_jet_matches_finite_differences():
     sph = make_sphere(1.0)
     t, z = np.pi / 4, np.pi / 3
-    jet = jet2(sph, t, z)
+    jet = point_metric(sph, t, z)[0]
     fd = _fd_jet(sph.position, t, z)
     for a, b, tol in [(jet.d_t, fd.d_t, 1e-6), (jet.d_z, fd.d_z, 1e-6),
                       (jet.d_tt, fd.d_tt, 1e-4), (jet.d_tz, fd.d_tz, 1e-4),
@@ -63,7 +62,7 @@ def test_sphere_jet_matches_finite_differences():
 def test_out_of_domain_raises():
     enn = make_enneper()
     with pytest.raises(OutOfDomainError):
-        jet2(enn, 5.0, 0.0)
+        point_metric(enn, 5.0, 0.0)
 
 
 def _degenerate():
@@ -199,7 +198,7 @@ def test_tangent_reconstruction(surface):
 @pytest.mark.parametrize("surface", GALLERY, ids=lambda s: s.name)
 def test_fd_jets_match_analytic(surface):
     for t, z in quasi_random_points(surface, 25):
-        jet = SurfaceJet2(*map(np.asarray, tuple(jet2(surface, t, z))))
+        jet = SurfaceJet2(*map(np.asarray, point_metric(surface, t, z)[0]))
         fd = _fd_jet(surface.position, t, z)
         scale1 = 1 + max(np.max(np.abs(jet.d_t)), np.max(np.abs(jet.d_z)))
         assert np.max(np.abs(jet.d_t - fd.d_t)) < 1e-6 * scale1
@@ -217,7 +216,7 @@ def test_christoffel_against_metric_derivatives():
     h = 1e-6
 
     def metric(t, z):
-        f = point_shape(surf, t, z, check_domain=False)[1]
+        f = point_shape(surf, t, z)[1]
         return np.array([f.E, f.F, f.G])
 
     for t, z in [(0.3, 0.2), (-0.8, 0.5), (1.2, -0.9)]:
@@ -268,6 +267,13 @@ def _random_points(surface, n, seed=5):
     return rng.uniform(dom.t_min, dom.t_max, n), rng.uniform(dom.z_min, dom.z_max, n)
 
 
+def _hinted_shape(surface, t, z, hint):
+    """`shape_arrays`' body with each point's E1 along its own column of
+    the (3, n) ``hint``."""
+    metric = point_metric(surface, t, z)
+    return _records(metric, _principal(metric, _along(hint)))
+
+
 @pytest.mark.parametrize("jet", ["analytic", "position_only"])
 @pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)
 def test_shape_arrays_matches_point_shape(surface, jet):
@@ -277,7 +283,7 @@ def test_shape_arrays_matches_point_shape(surface, jet):
     ref = [point_shape(surface, ti, zi) for ti, zi in zip(t, z)]
     # per-point hints: the scalar E1 signs, so both frames are comparable
     hint = np.array([sd.e1 for _, _, sd in ref]).T
-    jet_a, forms_a, sd_a = shape_arrays(surface, t, z, hint)
+    jet_a, forms_a, sd_a = _hinted_shape(surface, t, z, hint)
 
     # one body serves both forms, so every field agrees bit for bit
     def same(got, want, what):
@@ -301,6 +307,20 @@ def test_shape_arrays_matches_point_shape(surface, jet):
         same(got.T if got.ndim == 2 else got, field(sds, name), name)
     want = np.array([tuple(sd.decomp) for sd in sds])
     same(np.array(tuple(sd_a.decomp)).T, want, "decomp")
+
+    # shape_arrays chains its E1 signs instead: the same bits up to them
+    # (a sum that cancels to +0 keeps its sign under the flip)
+    jet_c, forms_c, sd_c = shape_arrays(surface, t, z)
+    for got, want in ((jet_c, jet_a), (forms_c, forms_a)):
+        for name in got._fields:
+            same(getattr(got, name), getattr(want, name), name)
+    assert np.array_equal(sd_c.umbilic, sd_a.umbilic)
+    for name in ("normal", "kappa1", "kappa2", "K", "H"):
+        same(getattr(sd_c, name), getattr(sd_a, name), name)
+    sign = np.where((sd_c.e1 == sd_a.e1).all(axis=0), 1.0, -1.0)
+    for got, want in ((sd_c.e1, sd_a.e1), (sd_c.e2, sd_a.e2),
+                      (tuple(sd_c.decomp), tuple(sd_a.decomp))):
+        assert np.array_equal(np.array(got), sign * np.array(want))
 
 
 @pytest.mark.parametrize("jet", ["analytic", "position_only"])
@@ -339,8 +359,8 @@ def test_shape_arrays_on_a_reversed_view_is_bitwise_pointwise(make):
     surface = make()
     uv = np.column_stack(_random_points(surface, 300))[::-1]
     ref = [point_shape(surface, t, z)[2] for t, z in uv]
-    sd = shape_arrays(surface, uv[:, 0], uv[:, 1],
-                      np.array([r.e1 for r in ref]).T)[2]
+    sd = _hinted_shape(surface, uv[:, 0], uv[:, 1],
+                       np.array([r.e1 for r in ref]).T)[2]
     for name in ("kappa1", "kappa2", "normal", "e1"):
         want = np.array([getattr(r, name) for r in ref])
         assert np.array_equal(np.asarray(getattr(sd, name)).T, want), name
@@ -350,7 +370,7 @@ def test_shape_arrays_checks_the_domain():
     enn = make_enneper()
     with pytest.raises(OutOfDomainError, match=r"\(5, 0\.5\)"):
         shape_arrays(enn, np.array([0.0, 5.0]), np.array([0.0, 0.5]))
-    shape_arrays(enn, np.array([0.0, 5.0]), np.array([0.0, 0.5]),
+    point_metric(enn, np.array([0.0, 5.0]), np.array([0.0, 0.5]),
                  check_domain=False)
 
 
@@ -361,15 +381,11 @@ def test_shape_arrays_e1_chain_matches_sequential_hints():
     e1_loop = []
     hint = None
     for t, z in tr.uv:
-        e1 = point_shape(enn, t, z, check_domain=False)[2].e1
+        e1 = point_shape(enn, t, z)[2].e1
         hint = e1 if hint is None else along(e1, hint)
         e1_loop.append(hint)
-    e1 = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1], check_domain=False)[2].e1
+    e1 = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1])[2].e1
     assert np.max(np.abs(e1.T - np.array(e1_loop))) < 1e-13
-    # a (3, n) hint of the chain's negation turns every E1 round exactly
-    flipped = shape_arrays(enn, tr.uv[:, 0], tr.uv[:, 1], -e1,
-                           check_domain=False)[2].e1
-    assert np.array_equal(flipped, -e1)
 
 
 def _isogonal_rhs(monkeypatch, surface, start, mode):
@@ -426,26 +442,10 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
     cos_t, sin_t = (mode.speed * np.array([np.cos(mode.phi),
                                            np.sin(mode.phi)])).tolist()
     rhs = _isogonal_rhs(monkeypatch, surface, away[0][:2], mode)
-    ta, za = (np.array([point[k] for point in away]) for k in (0, 1))
     decomp = np.array([tuple(sd.decomp) for _, _, sd in away]).T
-    want = np.column_stack(_isogonal_field(ta, za, decomp, cos_t, sin_t))
+    want = np.column_stack(_isogonal_field(decomp, cos_t, sin_t))
     for (ti, zi, _), w in zip(away, want):
         assert hexes(rhs(0.0, [ti, zi], None)) == hexes(w)
-
-
-def test_isogonal_field_names_a_singular_point():
-    # one 2x2 solve for floats and arrays, each refusing a singular tangent
-    # decomposition (here f1 g2 - f2 g1 = 1 - 2 * 0.5) at the point it names
-    singular = (1.0, 2.0, 0.5, 1.0)
-    with pytest.raises(SingularDecompositionError, match=r"\(0\.5, -1\.5\)"):
-        _isogonal_field(0.5, -1.5, singular, 0.6, 0.8)
-    decomp = [np.array([1.0, v]) for v in singular]
-    decomp[1][0] = decomp[2][0] = 0.0  # the first point is regular
-    with pytest.raises(SingularDecompositionError, match=r"\(0\.5, -1\.5\)"):
-        _isogonal_field(np.array([0.1, 0.5]), np.array([0.2, -1.5]), decomp,
-                        0.6, 0.8)
-    assert _isogonal_field(0.1, 0.2, (1.0, 0.0, 0.0, 2.0), 0.6, 0.8) == (
-        0.6, 0.4)
 
 
 def test_records_keep_their_fields_and_refuse_assignment():

@@ -409,7 +409,7 @@ def test_curve_scalars_match_pointwise_direction_scalars():
     cd = curve_scalars_from_trace(enn, tr)
     hint = None
     for i, (t, z) in enumerate(tr.uv):
-        sd = point_shape(enn, t, z, check_domain=False)[2]
+        sd = point_shape(enn, t, z)[2]
         if hint is not None and sd.e1 @ hint < 0.0:
             sd = sd._replace(e1=-sd.e1, e2=-sd.e2)
         hint = sd.e1

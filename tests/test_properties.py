@@ -21,8 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
 from surftrace.classify import FLAG_TOL, classify_curve_data
-from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, point_shape,
-                            shape_arrays, vec3)
+from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, point_metric,
+                            point_shape, vec3)
 from surftrace import stepper, tracer
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, trace, trace_isogonal)
@@ -59,7 +59,7 @@ def test_isogonal_trace_properties(name, draw):
     surface = SURFACES[name]
     tr = traced(name, draw)
     assert tr.exit.kind in EXIT_KINDS
-    jet, forms, _ = shape_arrays(surface, *tr.uv.T, check_domain=False)
+    jet, forms, _ = tr.shape
     tp, zp = tr.uv_vel.T
     tpp, zpp = tr.uv_acc.T
     # unit speed in the surface metric
@@ -261,7 +261,7 @@ def test_directional_acceleration_is_the_christoffel_form(name, jet, draw):
                 - normal * (F * tp + G * zp),
                 -(c2_tt * tp * tp + 2 * c2_tz * tp * zp + c2_zz * zp * zp)
                 + normal * (E * tp + F * zp))
-    flow = tracer._acceleration(surface, t, z, chart_jet, tp, zp,
+    flow = tracer._acceleration(point_metric(surface, t, z), tp, zp,
                                 float(np.tan(theta)))
     for a, b in zip(flow, textbook):
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))

@@ -226,19 +226,37 @@ def test_isogonal_map_jacobian_is_identity():
     assert np.max(np.abs(jac - np.eye(2))) < 1e-4
 
 
-def _paraboloid():
-    # z = (t^2 + z^2)/2: isolated umbilic at the origin, F != 0 off-axis
+def _paraboloid(scale=1.0):
+    # z = (t^2 + z^2)/2, times ``scale``: isolated umbilic at the origin,
+    # F != 0 off-axis
     # elementwise chart (see SurfaceDef): the trace post-processing and
     # curve_scalars evaluate it on sample arrays
     def position(t, z):
-        return vec3(t, t, z, 0.5 * (t * t + z * z))
+        return vec3(t, scale * t, scale * z, scale * (0.5 * (t * t + z * z)))
 
     def jet(t, z):
-        return SurfaceJet2(vec3(t, 1.0, 0.0, t), vec3(t, 0.0, 1.0, z),
-                           vec3(t, 0.0, 0.0, 1.0), vec3(t, 0.0, 0.0, 0.0),
-                           vec3(t, 0.0, 0.0, 1.0))
+        return SurfaceJet2(vec3(t, scale, 0.0, scale * t),
+                           vec3(t, 0.0, scale, scale * z),
+                           vec3(t, 0.0, 0.0, scale), vec3(t, 0.0, 0.0, 0.0),
+                           vec3(t, 0.0, 0.0, scale))
 
     return SurfaceDef("paraboloid", Domain(-2, 2, -2, 2), position, jet)
+
+
+def test_a_scaled_chart_traces_bit_for_bit():
+    # scaled by 2^-20, |X_t x X_z| is 2^-40 sqrt(1 + t^2 + z^2), about
+    # 1e-12 here, yet the chart is as regular as the unit one: every
+    # quantity of the isogonal flow scales by a power of two, so at speed
+    # 2^-20 the trace is the unit chart's
+    phi, span = 0.7, (-0.2, 0.2)
+    unit = trace_isogonal(TraceRequest(_paraboloid(), (0.3, 0.2),
+                                       IsogonalMode(phi), s_span=span))
+    small = trace_isogonal(TraceRequest(_paraboloid(2.0 ** -20), (0.3, 0.2),
+                                        IsogonalMode(phi, 2.0 ** -20),
+                                        s_span=span))
+    assert unit.exit.kind == small.exit.kind == "completed"
+    for name in ("s", "uv", "uv_vel", "uv_acc"):
+        assert np.array_equal(getattr(small, name), getattr(unit, name)), name
 
 
 def test_trace_terminates_at_isolated_umbilic():
