@@ -5,16 +5,24 @@ decimal, full double precision):
 
     s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,theta,kappa,tau
 
-Reading a file back feeds its grid and uv jets through ``curve_scalars``.
+Every column is written with ``%.17g``, so ``read_trace_csv`` reads each
+double back bit for bit and feeds the grid and uv jets through
+``curve_scalars``.
 
 OBJ layout: the surface as a quad-triangulated grid mesh followed by each
 curve as a polyline object; all surface vertices precede all curve
-vertices.
+vertices.  An OBJ is write-only display output, which nothing here reads
+back: vertices are written with ``%.14g``, each coordinate within 5e-14
+relative of its double (three orders below the tracer's own tolerances),
+the most digits that CPython's float formatting gives on its fast path.
+
+Both writers format and write ``_BLOCK`` lines at a time, one ``%`` a
+block, so their memory does not grow with the file.
 """
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,36 +32,53 @@ from .darboux import CurveData, curve_scalars
 CSV_COLUMNS = ("s", "t", "z", "t_vel", "z_vel", "t_acc", "z_acc", "x", "y",
                "z_pos", "kg", "kn", "taug", "phi", "theta", "kappa", "tau")
 _HEADER = ",".join(CSV_COLUMNS)
-_VERTEX = "v %.17g %.17g %.17g\n"
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+_VERTEX = "v %.14g %.14g %.14g\n"
 _CELL = "f %d %d %d\nf %d %d %d\n"  # a grid cell's two triangles
+_BLOCK = 1024  # lines formatted by one % and written at once
+
+
+def _blocks(n: int) -> Iterator[np.ndarray]:
+    """The indices 0..n-1 in consecutive blocks of at most _BLOCK."""
+    return (np.arange(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _lines(line: str, table: np.ndarray) -> str:
+    """``line`` formatted once per row of ``table``, with one %."""
+    return line * len(table) % tuple(table.ravel().tolist())
 
 
 def write_trace_csv(path: str, curve: CurveData) -> None:
     """Write a curve's samples to CSV (deterministic, round-trip exact)."""
     if len(curve) == 0:
         raise ValueError("refusing to write an empty trace")
-    table = np.column_stack((curve.s, curve.uv, curve.uv_vel, curve.uv_acc,
-                             curve.pos, curve.kg, curve.kn, curve.taug,
-                             curve.phi, curve.theta, curve.kappa, curve.tau))
-    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    columns = (curve.s, curve.uv, curve.uv_vel, curve.uv_acc, curve.pos,
+               curve.kg, curve.kn, curve.taug, curve.phi, curve.theta,
+               curve.kappa, curve.tau)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_HEADER + "\n")
-        fh.writelines(row % tuple(r) for r in table.tolist())
+        for k in _blocks(len(curve)):
+            fh.write(_lines(_ROW, np.column_stack([c[k] for c in columns])))
 
 
 def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     """``curve_scalars`` of the grid and uv jets in a write_trace_csv file:
     on the surface it was written from, every field comes back bit for bit.
     Raises ValueError naming the path for any other header (older 13-column
-    files included), for rows that are not 17 numbers each, and, naming the
-    surface too, where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
+    files included), for rows that are not 17 numbers each ('#' lines
+    included: the format has no comments), and, naming the surface too,
+    where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header, *rows = fh.read().splitlines() or [""]
-        if header != _HEADER:
-            raise ValueError(f"header '{header}'")
-        data = (np.loadtxt(rows, delimiter=",", ndmin=2) if rows
-                else np.empty((0, len(CSV_COLUMNS))))
+            header = fh.readline().removesuffix("\n")
+            if header != _HEADER:
+                raise ValueError(f"header '{header}'")
+            rows = fh.tell()
+            if fh.readline():
+                fh.seek(rows)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            else:  # the header alone: a short curve, not a bad file
+                data = np.empty((0, len(CSV_COLUMNS)))
         if data.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"{data.shape[1]} columns")
     except ValueError as exc:
@@ -88,24 +113,29 @@ def write_obj(path: str, surface: SurfaceDef,
     dom = surface.domain
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
-    tt, zz = np.meshgrid(ts, zs, indexing="ij")
-    xyz = surface.position(tt.ravel(), zz.ravel()).T
-    # OBJ indices are 1-based; grid cell (i, j), with corners a = (i, j),
-    # b = (i + 1, j), c = (i + 1, j + 1), d = (i, j + 1), gives abc and acd
-    idx = np.arange(1, 1 + nt * nz).reshape(nt, nz)
-    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
-    corners = tuple(np.stack((a, b, c, a, c, d), axis=-1).ravel().tolist())
-    # (name, (n, 3) vertices, element lines) per object, one % per block
-    objects = [(surface.name, xyz, _CELL * a.size % corners)]
-    offset = 1 + nt * nz
-    for k, curve in enumerate(curves, start=1):
-        polyline = " ".join(map(str, range(offset, offset + len(curve))))
-        objects.append((f"curve_{k}", curve, f"l {polyline}\n"))
-        offset += len(curve)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for name, points, elements in objects:
-            vertices = _VERTEX * len(points) % tuple(points.ravel().tolist())
-            fh.write(f"o {name}\n{vertices}{elements}")
+        # OBJ indices are 1-based: grid point (i, j) is vertex 1 + nz i + j
+        fh.write(f"o {surface.name}\n")
+        for k in _blocks(nt * nz):
+            xyz = surface.position(ts[k // nz], zs[k % nz]).T
+            fh.write(_lines(_VERTEX, xyz))
+        # grid cell (i, j), with corners a = (i, j), b = (i + 1, j),
+        # c = (i + 1, j + 1), d = (i, j + 1), gives abc and acd
+        for k in _blocks(max(nt - 1, 0) * max(nz - 1, 0)):
+            a = 1 + nz * (k // (nz - 1)) + k % (nz - 1)
+            b, d = a + nz, a + 1
+            c = b + 1
+            fh.write(_lines(_CELL, np.column_stack((a, b, c, a, c, d))))
+        offset = 1 + nt * nz
+        for n, curve in enumerate(curves, start=1):
+            fh.write(f"o curve_{n}\n")
+            for k in _blocks(len(curve)):
+                fh.write(_lines(_VERTEX, curve[k]))
+            fh.write("l")
+            for k in _blocks(len(curve)):
+                fh.write(" " + " ".join(map(str, (offset + k).tolist())))
+            fh.write("\n")
+            offset += len(curve)
 
 
 def parse_config(path: str) -> dict[str, str]:

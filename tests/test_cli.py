@@ -3,14 +3,17 @@ import json
 import logging
 import os
 import re
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from surftrace import (classify_curve_data, curve_scalars_from_trace,
-                       make_enneper, make_plane)
+                       exporters, make_enneper, make_plane)
 from surftrace.cli import main
+from surftrace.darboux import CurveData
 from surftrace.errors import TooFewSamplesError
 from surftrace.exporters import (CSV_COLUMNS, parse_config,
                                  read_trace_csv, write_obj, write_trace_csv)
@@ -150,12 +153,14 @@ def test_read_trace_csv_refuses_malformed_files(tmp_path):
             read_trace_csv(str(path), enn)
         assert str(path) in str(exc.value)
         assert ",".join(CSV_COLUMNS) in str(exc.value)
-    # the header alone, or four rows under it: a short curve, not a bad file
+    # the header alone, or four rows under it: a short curve, not a bad file,
+    # and no warning on the way
     for n in (1, 5):
         path = tmp_path / "short.csv"
         path.write_text("".join(",".join(r) + "\n" for r in rows[:n]),
                         encoding="utf-8")
-        with pytest.raises(TooFewSamplesError):
+        with warnings.catch_warnings(), pytest.raises(TooFewSamplesError):
+            warnings.simplefilter("error")
             read_trace_csv(str(path), enn)
 
 
@@ -219,6 +224,8 @@ PROBES = {
     "csv-bad-header": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-empty": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    # the format defines no comments: a '#' line is not a row
+    "csv-comment-line": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-wrong-surface": ["classify", "--surface", "catenoid", "--start",
                           "0,1", "--phi", "0.5", "--csv", "probe.csv"],
     # an Enneper trace CSV with one column edited (PROBE_EDITS)
@@ -261,6 +268,9 @@ PROBE_CSVS = {
     "csv-empty": "",
     "csv-one-row": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,"
                    "theta,kappa,tau\n" + ",".join(["0.5"] * 17) + "\n",
+    "csv-comment-line": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,"
+                        "phi,theta,kappa,tau\n# a comment\n"
+                        + ",".join(["0.5"] * 17) + "\n",
     "csv-wrong-surface": None,
     "csv-zero-step": None,
     "csv-nan-velocity": None,
@@ -273,7 +283,8 @@ PROBE_EDITS = {
     "csv-nan-acceleration": ("t_acc", "nan", slice(5, 6)),
 }
 # what the error line of a probe must name
-PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'"),
+PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
+               "csv-wrong-surface": ("probe.csv", "'catenoid'"),
                "csv-zero-step": ("h = 0.0",),
                "csv-nan-velocity": ("nan at sample 5",),
                "csv-nan-acceleration": ("sample 5",),
@@ -282,8 +293,8 @@ PROBE_NAMES = {"csv-wrong-surface": ("probe.csv", "'catenoid'"),
                "config-unknown-option": ("'surface'", "tol_abs", "s3.c")}
 
 
-@pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
-def test_invalid_input_fails_with_one_line(probe, tmp_path):
+def _write_probe_inputs(probe, tmp_path):
+    """The config file and trace CSV that ``probe`` reads, in tmp_path."""
     if probe in PROBE_CONFIGS:
         (tmp_path / "probe.cfg").write_text(PROBE_CONFIGS[probe],
                                             encoding="utf-8")
@@ -305,13 +316,39 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path):
                 lines[i] = ",".join(cells)
             path.write_text("\n".join([header, *lines]) + "\n",
                             encoding="utf-8")
+
+
+@pytest.mark.parametrize("probe", list(PROBES), ids=list(PROBES))
+def test_invalid_input_fails_with_one_line(probe, tmp_path, monkeypatch,
+                                           capsys):
+    # in-process: any exception that escapes main fails the test, every
+    # warning is an error, and a SystemExit code counts as the exit code
+    _write_probe_inputs(probe, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(["--out", str(tmp_path), *PROBES[probe]])
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1, err
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
+
+
+def test_entry_point_fails_with_one_line(tmp_path):
+    # the module entry point in a fresh interpreter: exit status 1 and one
+    # error: line, with no traceback
+    _write_probe_inputs("csv-nan-velocity", tmp_path)
     proc = run_python(["-m", "surftrace.cli", "--out", str(tmp_path),
-                       *PROBES[probe]], cwd=tmp_path, timeout=60)
+                       *PROBES["csv-nan-velocity"]], cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
-    assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
+    assert PROBE_NAMES["csv-nan-velocity"][0] in err[0]
 
 
 @pytest.mark.parametrize("flag", [["--c", "1e-300"], ["--a", "5e-324"]],
@@ -401,9 +438,73 @@ def test_export_obj_exact_text(tmp_path):
         "v 10 10 0\n"
         "f 1 3 4\nf 1 4 2\nf 3 5 6\nf 3 6 4\n"
         "o curve_1\n"
-        "v 0.10000000000000001 0.25 0\nv 1.5 -2 0\n"
+        "v 0.1 0.25 0\nv 1.5 -2 0\n"
         "v 3 1e-300 -0\n"
         "l 7 8 9\n")
+
+
+def test_export_obj_vertices_within_5e_14(tmp_path, monkeypatch):
+    # the Enneper mesh and a traced curve at 14 significant digits: every
+    # coordinate parses back within 5e-14 relative of its double, and every
+    # other line reads as it does with 17 digits (exact doubles)
+    enn = make_enneper()
+    tr = trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(0.5),
+                            s_span=(-1.0, 1.0)))
+    curves = [curve_scalars_from_trace(enn, tr).pos]
+    path, exact = tmp_path / "figure.obj", tmp_path / "exact.obj"
+    write_obj(str(path), enn, curves, grid=(40, 30))
+    monkeypatch.setattr(exporters, "_VERTEX", "v %.17g %.17g %.17g\n")
+    write_obj(str(exact), enn, curves, grid=(40, 30))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    exact_lines = exact.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(exact_lines) == (
+        1 + 40 * 30 + 2 * 39 * 29 + 2 + len(curves[0]))
+    vertices = 0
+    for line, want in zip(lines, exact_lines):
+        if not want.startswith("v "):
+            assert line == want
+            continue
+        vertices += 1
+        tag, *coords = line.split(" ")
+        assert tag == "v" and len(coords) == 3, line
+        for text, value in zip(coords, map(float, want.split(" ")[1:])):
+            assert text == "%.14g" % value
+            gap = abs(Fraction(text) - Fraction(value))
+            assert gap <= Fraction(5, 10 ** 14) * abs(Fraction(value)), text
+    assert vertices == 40 * 30 + len(curves[0])
+
+
+def _traced_peak(write):
+    """Peak bytes that tracemalloc sees while ``write()`` runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_memory_does_not_grow_with_the_file(tmp_path):
+    # 20,001 samples make a 6.9 MB CSV, and a 150 x 150 Enneper mesh with a
+    # 20,001-point curve a 3.2 MB OBJ; writers that format a whole table or
+    # mesh at once peak at 14.9 and 13.3 MB there, and writers that format
+    # 1,024 lines at a time at 1.2 and 0.4 MB
+    n = 20001
+    rng = np.random.default_rng(7)
+    cols = {f.name: rng.standard_normal((n, 3) if f.name in (
+        "pos", "T", "normal") else (n, 2) if f.name.startswith("uv")
+        else n) for f in dataclasses.fields(CurveData)}
+    cols["umbilic_idx"] = np.empty(0, dtype=int)
+    curve = CurveData(**cols)
+    path = tmp_path / "big.csv"
+    peak = _traced_peak(lambda: write_trace_csv(str(path), curve))
+    assert path.stat().st_size > 6_000_000
+    assert peak < 2_000_000, peak
+    path = tmp_path / "big.obj"
+    peak = _traced_peak(lambda: write_obj(str(path), make_enneper(),
+                                          [curve.pos], grid=(150, 150)))
+    assert path.stat().st_size > 3_000_000
+    assert peak < 2_000_000, peak
 
 
 def test_export_refuses_empty_curve(tmp_path):
