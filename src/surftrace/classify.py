@@ -18,6 +18,7 @@ import numpy as np
 from .core import SurfaceDef, shape_arrays
 from .darboux import CurveData, curve_scalars_from_trace, frenet_from_darboux
 from .errors import TooFewSamplesError, VanishingCurvatureError
+from .numdiff import unwrap
 
 #: singular-value ratio below which two series count as linearly dependent
 DEPENDENCE_RESIDUAL_MAX = 1e-4
@@ -170,7 +171,7 @@ def classify_curve_data(curve: CurveData,
     if len(curve.umbilic_idx):
         isogonal = None
     else:
-        isogonal = constancy_test(np.unwrap(curve.phi), abs_tol, rel_tol)
+        isogonal = constancy_test(unwrap(curve.phi), abs_tol, rel_tol)
     pseudo = constancy_test(curve.theta, abs_tol, rel_tol)
     geodesic = max_abs_kg < FLAG_TOL * scale
     lof = max_abs_taug < FLAG_TOL * scale

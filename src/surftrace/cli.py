@@ -226,7 +226,7 @@ def _cmd_trace(args, out_dir: str) -> int:
     write_trace_csv(path, cd)
     branches = tr.stats.values()
     print(f"wrote {path} ({len(cd)} samples, exit: {tr.exit.kind}, "
-          f"nfev {sum(b.nfev for b in branches)}, "
+          f"nfev {tr.nfev}, "
           f"steps {sum(b.steps for b in branches)} "
           f"(+{sum(b.rejected for b in branches)} rejected))")
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from .core import SurfaceDef, curve_shape, point_metric
 from .errors import (GeometryError, InvalidRequestError, NonUnitSpeedError,
                      TooFewSamplesError, VanishingCurvatureError)
-from .numdiff import check_uniform, diff_uniform
+from .numdiff import check_uniform, diff_uniform, unwrap
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,9 @@ def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
     theta = np.arctan2(kg, kn)
     if abs(kg[0]) <= 1e-12 * abs(kn[0]):
         theta[0] = np.arctan2(0.0, kn[0])
-    theta = np.unwrap(theta)
+    theta = unwrap(theta)
     if (np.abs(np.diff(theta)) > np.pi / 2).any():
-        theta = np.unwrap(theta, period=np.pi)
+        theta = unwrap(theta, np.pi)
     return theta
 
 
@@ -181,7 +181,7 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
         raise InvalidRequestError(f"surface '{surface.name}' is not the "
                                   f"trace's '{trace.request.surface.name}'")
     if len(trace) < 5:  # name the exit that cut the trace short
-        nfev, end = sum(st.nfev for st in trace.stats.values()), trace.exit
+        nfev, end = trace.nfev, trace.exit
         at = "" if end.s_stop is None else f" at s = {end.s_stop}"
         raise TooFewSamplesError(
             f"need at least 5 samples, got {len(trace)}: the trace ended "
@@ -219,7 +219,7 @@ def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:
     metric = point_metric(surface, t, z, check_domain=False)
     E, G = metric[10], metric[12]
     tp, zp = curve.uv_vel.T
-    phi_chart = np.unwrap(np.arctan2(zp * np.sqrt(G), tp * np.sqrt(E)))
+    phi_chart = unwrap(np.arctan2(zp * np.sqrt(G), tp * np.sqrt(E)))
     kg1 = oracle.kg1(t, z)
     kg2 = oracle.kg2(t, z)
     phi_prime = diff_uniform(phi_chart, h, edge_order=4)

@@ -61,13 +61,35 @@ def write_trace_csv(path: str, curve: CurveData) -> None:
             fh.write(_lines(_ROW, np.column_stack([c[k] for c in columns])))
 
 
+def _first_bad_line(lines) -> str | None:
+    """Where the first of ``lines``, the lines after a CSV header, that is
+    not 17 numbers fails: 'line L, column C: ...' for a cell that is not a
+    number, 'line L: ...' for a wrong cell count (L from 2, blank lines
+    skipped as `np.loadtxt` skips them), or None where every line passes."""
+    for number, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.removesuffix("\n").split(",")
+        for column, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return (f"line {number}, column {column}: {cell!r} is not "
+                        "a number")
+        if len(cells) != len(CSV_COLUMNS):
+            return f"line {number}: {len(cells)} columns"
+    return None
+
+
 def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     """``curve_scalars`` of the grid and uv jets in a write_trace_csv file:
     on the surface it was written from, every field comes back bit for bit.
     Raises ValueError naming the path for any other header (older 13-column
     files included), for rows that are not 17 numbers each ('#' lines
-    included: the format has no comments), and, naming the surface too,
-    where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
+    included: the format has no comments; the first bad row is named by
+    its file line, the header being line 1, and a bad cell by its column),
+    and, naming the surface too, where a stored x,y,z_pos is over
+    1e-9 max(1, |X|) off X."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().removesuffix("\n")
@@ -76,7 +98,12 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
             rows = fh.tell()
             if fh.readline():
                 fh.seek(rows)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                try:
+                    data = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=2)
+                except ValueError as exc:
+                    fh.seek(rows)
+                    raise ValueError(_first_bad_line(fh) or exc) from None
             else:  # the header alone: a short curve, not a bad file
                 data = np.empty((0, len(CSV_COLUMNS)))
         if data.shape[1] != len(CSV_COLUMNS):

@@ -180,12 +180,11 @@ def _cylinder_plane(tilt: float = np.pi / 6) -> Fixture:
     s = np.linspace(-s_max, s_max, SAMPLES)
 
     # arc-length reparametrization psi(s), d psi / d s = 1 / sqrt(g2(psi)),
-    # g2 = 1 + tan^2(tilt) sin^2(psi), one branch each way from s = 0
+    # g2 = 1 + tan^2(tilt) sin^2(psi), both branches from s = 0 in one call
     def dpsi(_s, y, _ref):
         return (1.0 / math.sqrt(1.0 + ta * ta * math.sin(y[0]) ** 2),)
 
-    fwd, bwd = (integrate(dpsi, (0.0,), end, None, 1e-13, 1e-12)
-                for end in (s_max, -s_max))
+    fwd, bwd = integrate(dpsi, (0.0,), (-s_max, s_max), None, 1e-13, 1e-12)
     psi = np.where(s >= 0, fwd.sample(np.clip(s, 0, None))[:, 0],
                    bwd.sample(np.clip(s, None, 0))[:, 0])
     cpsi, spsi = np.cos(psi), np.sin(psi)

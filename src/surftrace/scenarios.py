@@ -29,6 +29,7 @@ from .gallery import (make_bonnet, make_catenoid, make_crpc_revolution,
                       make_cylinder, make_enneper, make_helix_surface,
                       make_plane, make_sphere)
 from .intersect import IntersectionReport, analyze_intersection, make_fixture
+from .numdiff import unwrap
 from .tracer import (GeodesicMode, IsogonalMode, Mode, PseudoGeodesicMode,
                      Trace, TraceRequest, chart_to_principal_angle,
                      isogonal_map, trace)
@@ -118,7 +119,7 @@ def _theta_dev(curve: CurveData) -> float:
 
 
 def _phi_dev(curve: CurveData) -> float:
-    phi = np.unwrap(curve.phi)
+    phi = unwrap(curve.phi)
     return float(np.max(np.abs(phi - phi[0])))
 
 

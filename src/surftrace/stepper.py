@@ -1,16 +1,33 @@
-"""Dormand-Prince 5(4) on Python floats, one integration branch at a time.
+"""Dormand-Prince 5(4) on Python floats: both branches from s = 0 in one call.
 
-The algorithm is scipy's RK45, step for step (Dormand & Prince, *J. Comput.
-Appl. Math.* 6 (1980); Hairer, Norsett & Wanner, *Solving ODEs I*,
-sections II.4-II.6): the 5(4) tableau with local extrapolation, the quartic
-dense output of Shampine (1986), the initial-step rule with error-estimator
-order 4, the RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
-step factors ``0.9 err^(-1/5)`` clamped to [0.2, 10] (no growth right after a
-rejection) and a minimum step of 10 ulp of s.  States are lists of floats,
-one list comprehension of tableau expressions per stage; norms sum squares
-left to right on any Python.  A step appends its s, h, state and 7 stages to
-four flat lists, one array each at the end: with a trivial 4-state RHS and
-an event, a step costs 12.3 us (13.9 before) and a branch 13 us more.
+Each branch is scipy's RK45, step for step, from its first step on
+(Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer, Norsett &
+Wanner, *Solving ODEs I*, sections II.4-II.6): the 5(4) tableau with local
+extrapolation, the quartic dense output of Shampine (1986), the RMS error
+norm with scale ``atol + max(|y|, |y_new|) rtol``, step factors
+``0.9 err^(-1/5)`` clamped to [0.2, 10] (no growth right after a rejection)
+and a minimum step of 10 ulp of s.  States are lists of floats, one list
+comprehension of tableau expressions per stage; norms sum squares left to
+right on any Python.  A step appends its s, h, state and 7 stages to four
+flat lists, one array each at the end: with a trivial 4-state RHS and an
+event, a step costs 12.3 us (13.9 before) and a branch 13 us more.
+
+The start is made once, from the RHS, y0 and the tolerances, never from
+the span, and both branches share it: one f(0); scipy's initial-step rule
+(error-estimator order 4) with its probe along +s and no span clip, giving
+h_start; and one trial step of h_start along +s, whose error norm err0
+sizes h* = h_start min(100, 0.9 err0^(-1/5)) (x100 at err0 = 0, and the
+usual max(0.2, ...) shrink from err0 = 1 on).  A first step may so grow a
+hundredfold where later ones grow at most tenfold (CVODE lets it grow
+10^4; Hindmarsh et al., *ACM TOMS* 31 (2005)), which saves the climb from
+h_start to the settled step.  The forward branch takes an accepted trial
+that fits in its span as its first step (the event is checked after it as
+after any step); each branch then goes on, or starts, at h* clipped to the
+span it has left.  Where the trial cannot finish (a `Stop`, a non-finite
+error norm, a budget below its 8 evaluations) each branch starts as scipy
+would alone, from its own probe clipped to its own span.  A one-sided call
+makes the same start, the trial included, so a branch is bit for bit the
+same whether or not the other side is integrated with it.
 
 The right-hand side is called as ``rhs(s, y, ref)``: ``ref`` is the
 derivative at the current step's start (the first-same-as-last stage k1),
@@ -32,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: right-hand side evaluations allowed per branch; a branch that would
-#: exceed it stops at its last accepted step with status -1 (the largest
-#: count over every curve of ``surftrace verify all`` is about 3,800)
+#: right-hand side evaluations allowed per branch, the shared start's
+#: included; a branch that would exceed it stops at its last accepted step
+#: with status -1 (the largest count over every branch of ``surftrace
+#: verify all`` is 3,848, as before the start was shared)
 MAX_NFEV = 150_000
 
 #: samples a trace grid or an exported mesh may ask for; requests above it
@@ -77,11 +95,17 @@ class Stop(Exception):
 
 @dataclass(frozen=True)
 class BranchStats:
-    """What the stepper did on one branch."""
+    """What the stepper did on one branch.
+
+    ``nfev`` counts the shared start's evaluations too, so each branch of a
+    two-sided call reads as it would alone; the call made the sum of its
+    branches' ``nfev`` less one ``shared``.
+    """
 
     nfev: int       # right-hand side evaluations, those that raised Stop too
-    steps: int      # accepted steps
+    steps: int      # accepted steps, the forward branch's trial step too
     rejected: int   # rejected step attempts, those cut by Stop too
+    shared: int     # evaluations of the start both branches share
 
 
 @dataclass(frozen=True)
@@ -145,144 +169,210 @@ def _rms(v) -> float:
     return math.sqrt(sq) / len(v) ** 0.5
 
 
-def integrate(rhs, y0, s_end, event, atol, rtol) -> Branch:
-    """Integrate y' = rhs(s, y, ref) from s = 0 to s_end != 0.
+def _factor(err: float, most: float) -> float:
+    """scipy's step factor for an error norm ``err``: 0.9 err^(-1/5), at
+    most ``most`` (``most`` itself at err = 0) below 1 and at least 0.2 from
+    1 on (0.2 for a NaN err too)."""
+    if err == 0:
+        return most
+    factor = 0.9 * err ** -0.2
+    return min(most, factor) if err < 1 else max(0.2, factor)
 
-    ``rhs`` takes a list and returns a sequence of floats, both of y0's
-    length, and may raise `Stop` anywhere but at s = 0; ``event`` is a
-    terminal function g(s, y), or None (see the module docstring for both).
-    The branch fails (status -1) only where the step falls below 10 ulp of
-    s, or is NaN (a non-finite derivative at s = 0 makes it so at once), or
-    the RHS budget `MAX_NFEV` runs out.  Nothing but the error control and
-    s_end bounds a step: a caller that needs a finer dense output asks for
-    smaller ``atol`` and ``rtol``.
+
+def _initial_step(rhs, y, f, span, atol, rtol):
+    """scipy's initial step (Hairer, Norsett & Wanner II.4, scipy
+    ``select_initial_step``, error-estimator order 4) from s = 0, where
+    f = rhs(0, y), along the sign of ``span`` and at most |span| long (an
+    infinite span clips nothing); one RHS call, the probe.
+
+    Returns (h_abs, stop): ``stop`` is None, or the probe's s where the RHS
+    raised `Stop` there, with h_abs then 0.2 times the probe's step.
     """
-    y = [float(v) for v in y0]
-    n, root_n = len(y), len(y) ** 0.5
-    rtol = max(rtol, 100 * EPS)
-    direction = 1.0 if s_end > 0 else -1.0
-    s = 0.0
-    f = rhs(s, y, None)
-    nfev, rejected = 2, 0
-    stopped = False
-
-    # initial step (Hairer, Norsett & Wanner II.4, scipy select_initial_step)
-    span = abs(s_end)
+    direction = math.copysign(1.0, span)
+    span = abs(span)
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / sc for v, sc in zip(y, scale)])
     d1 = _rms([v / sc for v, sc in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     dh = h0 * direction
-    if not all(map(math.isfinite, f)):  # a NaN step size ends the branch
-        nfev, h_abs = 1, math.nan
+    try:
+        f1 = rhs(dh, [v + dh * fv for v, fv in zip(y, f)], f)
+    except Stop:
+        return 0.2 * h0, dh
+    # as scipy's numpy division: an h0 that underflowed to 0 gives inf
+    d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
+          if h0 else math.inf)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
     else:
-        try:
-            f1 = rhs(s + dh, [v + dh * fv for v, fv in zip(y, f)], f)
-        except Stop:
-            s_end, stopped, h_abs = dh, True, 0.2 * h0
-        else:
-            # as scipy's numpy division: an h0 that underflowed to 0 gives inf
-            d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
-                  if h0 else math.inf)
-            if d1 <= 1e-15 and d2 <= 1e-15:
-                h1 = max(1e-6, h0 * 1e-3)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span), None
+
+
+def _attempt(rhs, s, y, k1, h, atol, rtol):
+    """One Dormand-Prince step of h from (s, y), where k1 = f(s, y).
+
+    Returns (y_new, (k1, ..., k7), err), err the RMS error norm with scale
+    ``atol + max(|y|, |y_new|) rtol``; where a stage raises `Stop`, returns
+    (None, how many of k2..k6 were made before it, None).
+    """
+    k2 = k3 = k4 = k5 = k6 = None
+    try:
+        k2 = rhs(s + C2 * h, [v + (a * A21) * h for v, a in zip(y, k1)], k1)
+        k3 = rhs(s + C3 * h, [
+            v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)], k1)
+        k4 = rhs(s + C4 * h, [
+            v + (a * A41 + b * A42 + c * A43) * h
+            for v, a, b, c in zip(y, k1, k2, k3)], k1)
+        k5 = rhs(s + C5 * h, [
+            v + (a * A51 + b * A52 + c * A53 + d * A54) * h
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
+        k6 = rhs(s + h, [
+            v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
+            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
+        y_new = [v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
+                 for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(s + h, y_new, k1)
+    except Stop:
+        return None, sum(k is not None for k in (k2, k3, k4, k5, k6)), None
+    sq = 0.0   # `_rms` inlined, max(|v|, |w|) as its conditional
+    for v, w, a, c, d, e, q, r in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        x = ((a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7) * h
+             / (atol + (aw if (aw := abs(w)) > (av := abs(v)) else av) * rtol))
+        sq += x * x
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), math.sqrt(sq) / len(y) ** 0.5
+
+
+def integrate(rhs, y0, span, event, atol, rtol):
+    """Integrate y' = rhs(s, y, ref) from s = 0 to both ends of
+    ``span`` = (s_lo, s_hi), s_lo <= 0 <= s_hi.
+
+    Returns the branches (forward, backward), None for an end at 0 (both
+    None, with no RHS call, for a span (0, 0)).  ``rhs`` takes a list and
+    returns a sequence of floats, both of y0's length, and may raise `Stop`
+    anywhere but at s = 0; ``event`` is a terminal function g(s, y), or None
+    (see the module docstring for both and for the shared start).  A branch
+    fails (status -1) only where the step falls below 10 ulp of s, or is
+    NaN (a non-finite derivative at s = 0 makes it so at once), or the RHS
+    budget `MAX_NFEV` runs out.  Nothing but the error control and the span
+    bounds a step: a caller that needs a finer dense output asks for
+    smaller ``atol`` and ``rtol``.
+    """
+    s_lo, s_hi = (float(v) for v in span)
+    if s_lo == s_hi == 0.0:
+        return None, None
+    y = [float(v) for v in y0]
+    n = len(y)
+    rtol = max(rtol, 100 * EPS)
+    f = rhs(0.0, y, None)
+    g = event(0.0, y) if event is not None else None
+    shared = 1
+
+    def branch(s_end, nfev, h_abs, stopped, first) -> Branch:
+        """The branch toward s_end, nfev RHS calls in, at a step of h_abs
+        or, given ``first`` = (h, y_new, stages), after that step."""
+        direction = 1.0 if s_end > 0 else -1.0
+        s, y_, f_, g_ = 0.0, y, f, g
+        rejected = 0
+        starts, hs, ys, ks = [], [], [], []   # per step: s, h, y, k1..k7
+        status, hit = None, False
+        while status is None:
+            if first is not None:
+                (h, y_new, k), first = first, None
+                s_new = s + h
             else:
-                h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-            h_abs = min(100 * h0, h1, span)
+                min_step = 10 * abs(math.nextafter(s, direction * math.inf)
+                                    - s)
+                h_abs = max(h_abs, min_step)
+                step_rejected = False
+                while True:
+                    if nfev + 6 > MAX_NFEV:
+                        status = -1
+                        break
+                    if not h_abs >= min_step:
+                        status = 1 if stopped else -1
+                        break
+                    s_new = s + h_abs * direction
+                    if direction * (s_new - s_end) > 0:
+                        s_new = s_end
+                    h = s_new - s
+                    h_abs = abs(h)
+                    y_new, k, err = _attempt(rhs, s, y_, f_, h, atol, rtol)
+                    if y_new is None:
+                        # never step past the stage that stopped; close in
+                        nfev += k + 1
+                        s_end = s + (C2, C3, C4, C5, 1.0, 1.0)[k] * h
+                        stopped = step_rejected = True
+                        h_abs *= 0.2
+                        rejected += 1
+                        continue
+                    nfev += 6
+                    factor = _factor(err, 10.0)
+                    if err < 1:
+                        h_abs *= min(1.0, factor) if step_rejected else factor
+                        break
+                    h_abs *= factor
+                    step_rejected = True
+                    rejected += 1
+                if status is not None:
+                    break
 
-    g = event(s, y) if event is not None else None
-    starts, hs, ys, ks = [], [], [], []   # per step: s, h, y, k1..k7
-    status, hit = None, False
-    while status is None:
-        min_step = 10 * abs(math.nextafter(s, direction * math.inf) - s)
-        h_abs = max(h_abs, min_step)
-        step_rejected = False
-        while True:
-            if nfev + 6 > MAX_NFEV:
-                status = -1
-                break
-            if not h_abs >= min_step:
-                status = 1 if stopped else -1
-                break
-            s_new = s + h_abs * direction
-            if direction * (s_new - s_end) > 0:
-                s_new = s_end
-            h = s_new - s
-            h_abs = abs(h)
-            k1 = f
-            k2 = k3 = k4 = k5 = k6 = None
-            try:
-                k2 = rhs(s + C2 * h, [
-                    v + (a * A21) * h for v, a in zip(y, k1)], k1)
-                k3 = rhs(s + C3 * h, [
-                    v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)],
-                    k1)
-                k4 = rhs(s + C4 * h, [
-                    v + (a * A41 + b * A42 + c * A43) * h
-                    for v, a, b, c in zip(y, k1, k2, k3)], k1)
-                k5 = rhs(s + C5 * h, [
-                    v + (a * A51 + b * A52 + c * A53 + d * A54) * h
-                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
-                k6 = rhs(s + h, [
-                    v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
-                    for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
-                y_new = [
-                    v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
-                    for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
-                k7 = rhs(s + h, y_new, k1)
-            except Stop:
-                # never step past the stage that stopped; close in on it
-                done = sum(k is not None for k in (k2, k3, k4, k5, k6))
-                nfev += done + 1
-                s_end = s + (C2, C3, C4, C5, 1.0, 1.0)[done] * h
-                stopped = step_rejected = True
-                h_abs *= 0.2
-                rejected += 1
-                continue
-            nfev += 6
-            sq = 0.0   # `_rms` inlined, max(|v|, |w|) as its conditional
-            for v, w, a, c, d, e, q, r in zip(y, y_new, k1, k3, k4, k5, k6,
-                                               k7):
-                x = ((a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7) * h
-                     / (atol + (aw if (aw := abs(w)) > (av := abs(v)) else av)
-                        * rtol))
-                sq += x * x
-            err = math.sqrt(sq) / root_n
-            if err < 1:
-                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
-                if step_rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            step_rejected = True
-            rejected += 1
-        if status is not None:
-            break
+            starts.append(s)
+            hs.append(h)
+            ys += y_
+            for stage in k:
+                ks += stage
+            s_old, y_old = s, y_
+            s, y_, f_ = s_new, y_new, k[6]
+            if direction * (s - s_end) >= 0:
+                status = 1 if stopped else 0
+            if event is not None:
+                g_old, g_ = g_, event(s, y_)
+                if g_old >= 0 >= g_:
+                    q = (np.array(k).T @ P).tolist()
 
-        starts.append(s)
-        hs.append(h)
-        ys += y
-        ks += (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
-        s_old, y_old = s, y
-        s, y, f = s_new, y_new, k7
-        if direction * (s - s_end) >= 0:
-            status = 1 if stopped else 0
-        if event is not None:
-            g_old, g = g, event(s, y)
-            if g_old >= 0 >= g:
-                q = (np.array((k1, k2, k3, k4, k5, k6, k7)).T @ P).tolist()
+                    def on_step(x):
+                        # this step's dense output at x, in Horner form
+                        u = (x - s_old) / h
+                        return event(x, [
+                            v + h * u * (a + u * (b + u * (c + u * d)))
+                            for v, (a, b, c, d) in zip(y_old, q)])
+                    status, hit, s = 1, True, _bisect(on_step, s_old, s)
 
-                def on_step(x):
-                    # this step's dense output at x, in Horner form
-                    u = (x - s_old) / h
-                    return event(x, [
-                        v + h * u * (a + u * (b + u * (c + u * d)))
-                        for v, (a, b, c, d) in zip(y_old, q)])
-                status, hit, s = 1, True, _bisect(on_step, s_old, s)
+        m = len(starts)
+        return Branch(status, s, hit, BranchStats(nfev, m, rejected, shared),
+                      np.array(starts), np.array(hs),
+                      np.array(ys).reshape(m, n),
+                      np.einsum("mkn,kj->mnj", np.array(ks).reshape(m, 7, n),
+                                P))
 
-    m = len(starts)
-    return Branch(status, s, hit, BranchStats(nfev, m, rejected),
-                  np.array(starts), np.array(hs), np.array(ys).reshape(m, n),
-                  np.einsum("mkn,kj->mnj", np.array(ks).reshape(m, 7, n), P))
+    def both(start):
+        """(forward, backward), each made from ``start(its end)``'s
+        (s_end, nfev, h_abs, stopped, first)."""
+        return tuple(branch(*start(end)) if end else None
+                     for end in (s_hi, s_lo))
+
+    if not all(map(math.isfinite, f)):  # a NaN step size ends the branch
+        return both(lambda end: (end, 1, math.nan, False, None))
+    h_start, stop = _initial_step(rhs, y, f, math.inf, atol, rtol)
+    h_start = max(h_start, 10 * math.nextafter(0.0, 1.0))   # 10 ulp of 0
+    shared = 2
+    if stop is None and shared + 6 <= MAX_NFEV:
+        # the trial step: h_start along +s, whatever the span
+        y1, k, err = _attempt(rhs, 0.0, y, f, h_start, atol, rtol)
+        shared += 6 if y1 is not None else k + 1
+        if y1 is not None and math.isfinite(err):
+            h_star = h_start * _factor(err, 100.0)
+            trial = (h_start, y1, k) if err < 1 else None
+            return both(lambda end: (
+                end, shared, h_star, False,
+                trial if h_start <= end else None))
+
+    def alone(end):
+        # no trial: the branch starts as scipy does, on its own side
+        h_abs, stop = _initial_step(rhs, y, f, end, atol, rtol)
+        return (end if stop is None else stop, shared + 1, h_abs,
+                stop is not None, None)
+
+    return both(alone)

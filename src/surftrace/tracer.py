@@ -29,17 +29,21 @@ identity) without EG - F^2's cancellation, and take no square root.
 Both flows read `core.point_metric`'s tuple, the one place that forms
 X_t, X_z, n, E, F, G and W and tests the chart's regularity.
 
-Integration runs `stepper.integrate`: the adaptive Dormand-Prince 5(4) pair
-with quartic dense output on Python floats, step for step the algorithm of
-scipy's RK45 (Dormand & Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer,
-Norsett & Wanner, *Solving ODEs I*, sections II.4-II.6).  Each branch's
-dense output is resampled onto a uniform s-grid.  Both right-hand sides
+Integration runs `stepper.integrate` once a trace: the adaptive
+Dormand-Prince 5(4) pair with quartic dense output on Python floats, both
+branches from one start at s = 0 (one f(0) and one error-sized first step,
+shared), then each step for step the algorithm of scipy's RK45 (Dormand &
+Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer, Norsett & Wanner,
+*Solving ODEs I*, sections II.4-II.6).  Each branch's dense output is
+resampled onto a uniform s-grid.  Both right-hand sides
 are pure functions of their arguments; the isogonal one orients the
 principal-direction field, which has no sign of its own, along the
 derivative at the start of the current step.  A trace ends ``completed``,
 ``hit_boundary`` at a domain-edge solver event, ``hit_umbilic`` where an
 isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
-`stepper.Stop`), or ``solver_failure`` when a branch runs out of its RHS
+`stepper.Stop`) or, on the shape pass, a sample does (a step may cross the
+gap between its stages; the branch then ends at that sample, which the
+trace drops), or ``solver_failure`` when a branch runs out of its RHS
 budget (`stepper.MAX_NFEV`) or of step size.  The edge event is the
 distance to the nearest edge, so a step across two edges ends at the first.
 Every trace's samples take one `core.curve_shape` pass, so a curve's phi is
@@ -181,6 +185,14 @@ class Trace:
     def __len__(self) -> int:
         return len(self.s)
 
+    @property
+    def nfev(self) -> int:
+        """Right-hand side evaluations the trace made: its branches' less
+        the start they share, counted in each."""
+        branches = list(self.stats.values())
+        return (sum(b.nfev for b in branches)
+                - sum(b.shared for b in branches[1:]))
+
     def index_of(self, s: float) -> int:
         i = int(np.argmin(np.abs(self.s - s)))
         if abs(self.s[i] - s) > 1e-9 * max(1.0, abs(s)):
@@ -224,33 +236,31 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
 
 
 def _integrate_branches(rhs, y0, req: TraceRequest):
-    """Integrate from s = 0 toward both ends of ``req.s_span``, each branch
-    ended by an event where it leaves the domain, and sample the branches'
-    dense output on the uniform grid of ``req.step``.
+    """Integrate from s = 0 toward both ends of ``req.s_span`` in one
+    `integrate` call, each branch ended by an event where it leaves the
+    domain, and sample the branches' dense output on the uniform grid of
+    ``req.step``.
 
-    Returns (s, states, exit, stats); y0 fills s = 0 and a side of zero
-    length, which has no entry in stats.
+    Returns (s, states, exits, stats); y0 fills s = 0, ``exits`` has the
+    `TraceExit` of each branch that ended early, and a side of zero length
+    has no entry in stats.
     """
     dom = req.surface.domain
 
     def inside(s, y):  # distance to the nearest edge, negative outside
         return min(y[0] - dom.t_min, dom.t_max - y[0], y[1] - dom.z_min,
                    dom.z_max - y[1])
-    s_lo, s_hi = req.s_span
-    branches = {}
-    exit_ = TraceExit("completed")
-    for key, s_end in (("fwd", s_hi), ("bwd", s_lo)):
-        if s_end == 0.0:
-            continue
-        br = integrate(rhs, y0, s_end, inside, req.atol, req.rtol)
+    fwd, bwd = integrate(rhs, y0, req.s_span, inside, req.atol, req.rtol)
+    branches = {key: br for key, br in (("fwd", fwd), ("bwd", bwd))
+                if br is not None}
+    exits = {}
+    for key, br in branches.items():
         if br.status:
             kind = ("solver_failure" if br.status == -1 else "hit_boundary"
                     if br.event else "hit_umbilic")
             _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
                        key, kind, br.s, br.stats.nfev)
-            if br.status == -1 or exit_.kind == "completed":
-                exit_ = TraceExit(kind, br.s)
-        branches[key] = br
+            exits[key] = TraceExit(kind, br.s)
     reached = {key: br.s for key, br in branches.items()}
     n_lo = int(np.floor(-reached.get("bwd", 0.0) / req.step + 1e-9))
     n_hi = int(np.floor(reached.get("fwd", 0.0) / req.step + 1e-9))
@@ -261,7 +271,17 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
         if len(s[side]):  # a side with samples has a branch
             states[side] = branches[key].sample(s[side])
     stats = {key: br.stats for key, br in branches.items()}
-    return s, states, exit_, stats
+    return s, states, exits, stats
+
+
+def _trace_exit(exits: dict) -> TraceExit:
+    """The trace's exit from its branches' early ones: a solver failure,
+    else the first early end, forward before backward, else ``completed``."""
+    exit_ = TraceExit("completed")
+    for e in (exits[key] for key in ("fwd", "bwd") if key in exits):
+        if e.kind == "solver_failure" or exit_.kind == "completed":
+            exit_ = e
+    return exit_
 
 
 def _umbilic_gap(kappa1: float, kappa2: float) -> float:
@@ -300,8 +320,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     The angle is measured a posteriori to be constant.  The RHS orients the
     line field against the derivative at the start of each solver step, so
     the linear system keeps a coherent orientation; a start inside the
-    umbilic gap is refused, and an evaluation inside it ends the trace as
-    ``hit_umbilic``.
+    umbilic gap is refused, and an evaluation or a sample inside it ends
+    its branch as ``hit_umbilic``.
     """
     mode = req.mode
     if not isinstance(mode, IsogonalMode):
@@ -329,10 +349,31 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return tp, zp
 
     y0 = tuple(float(v) for v in req.start_uv)
-    s, uv, exit_, stats = _integrate_branches(rhs, y0, req)
+    s, uv, exits, stats = _integrate_branches(rhs, y0, req)
+    shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
+    # a sample inside the umbilic gap (`_umbilic_gap` on arrays) ends its
+    # branch there, as an RHS evaluation inside it does: a step may cross
+    # the gap between its stages
+    sd = shape[2]
+    gap = ((sd.kappa2 - sd.kappa1)
+           / np.maximum(1.0, np.abs(sd.kappa1) + np.abs(sd.kappa2)))
+    bad = np.flatnonzero(gap < UMBILIC_GAP)
+    if len(bad):
+        zero = int(np.argmin(np.abs(s)))
+        lo, hi = bad[bad < zero], bad[bad > zero]
+        keep = slice(lo[-1] + 1 if len(lo) else 0, hi[0] if len(hi) else None)
+        for key, i in (("fwd", hi[:1]), ("bwd", lo[-1:])):
+            if len(i):
+                exits[key] = TraceExit("hit_umbilic", float(s[i[0]]))
+                _log.debug("%s branch: hit_umbilic at s = %r after %d RHS "
+                           "evaluations", key, exits[key].s_stop,
+                           stats[key].nfev)
+        s, uv = s[keep], uv[keep]
+        shape = curve_shape(s, point_metric(surface, *uv.T,
+                                            check_domain=False))
+    exit_ = _trace_exit(exits)
     # the field's velocities (exact speed) and directional acceleration on
     # the shape pass, whose E1 at s = 0 is the start's: the E1 phi refers to
-    shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
     uv_vel = np.column_stack(_isogonal_field(shape[2].decomp, cos_t, sin_t))
     uv_acc = _isogonal_acceleration(surface, uv, uv_vel, shape[2].e1, cos_t,
                                     sin_t)
@@ -383,7 +424,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
 
     tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
-    s, states, exit_, stats = _integrate_branches(rhs, y0, req)
+    s, states, exits, stats = _integrate_branches(rhs, y0, req)
+    exit_ = _trace_exit(exits)
     uv, uv_vel = states[:, :2], states[:, 2:]
     # one metric pass over the samples, for their shape and uv_acc
     metric = point_metric(surface, *uv.T, check_domain=False)
@@ -410,8 +452,10 @@ def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
     v3 = tp * np.asarray(jet.d_t) + zp * np.asarray(jet.d_z)
     speed = float(np.linalg.norm(v3))
     phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
+    # at the default sample step, since the samples also test the umbilic
+    # gap between solver points
     req = TraceRequest(surface, p_uv, IsogonalMode(phi, speed),
-                       s_span=(0.0, 1.0), step=0.125)
+                       s_span=(0.0, 1.0))
     # trace_isogonal refuses a start at or near an umbilic
     tr = trace_isogonal(req)
     early = {"hit_boundary": (BoundaryExitError, "left the domain"),

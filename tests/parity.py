@@ -4,7 +4,9 @@
 
 prints three sha256 digests:
 
-* ``traces``: a fixed, seeded gallery trace set.  For every catalogue
+* ``traces``: a fixed, seeded gallery trace set, with the right-hand side
+  evaluations and accepted solver steps it took in all (``Trace.nfev``, or
+  the branches' summed ``nfev`` on a checkout without it).  For every catalogue
   surface and mode (isogonal, pseudo-geodesic, geodesic; no isogonal on a
   totally umbilic chart) and each of `PASSES` draws, a trace, its
   `curve_scalars_from_trace` data, its rendered classification report and,
@@ -134,16 +136,22 @@ def _requests(seed: int, k: int):
                 surface, start, m, s_span=(-back, 1.0 - back), step=2e-3)
 
 
-def trace_digest(seed: int = SEED, passes: int = PASSES) -> tuple[str, int]:
-    """(sha256 hex, curve count) of the seeded gallery trace set."""
+def trace_digest(seed: int = SEED,
+                 passes: int = PASSES) -> tuple[str, int, int, int]:
+    """(sha256 hex, curve count, RHS calls, accepted steps) of the seeded
+    gallery trace set; the last two are deterministic cost counts."""
     h = hashlib.sha256()
-    count = 0
+    count = nfev = steps = 0
     for k in range(passes):
         for surface, _, req in _requests(seed, k):
             count += 1
             _feed(h, f"{surface.name} {req.mode} {req.start_uv}")
             try:
                 tr = tracer.trace(req)
+                # a checkout whose branches share no start sums its stats
+                nfev += getattr(tr, "nfev", None) or sum(
+                    b.nfev for b in tr.stats.values())
+                steps += sum(b.steps for b in tr.stats.values())
                 _feed(h, [tr.s, tr.uv, tr.uv_vel, tr.uv_acc, tr.exit,
                           tr.stats, tr.shape])
                 cd = darboux.curve_scalars_from_trace(surface, tr)
@@ -154,7 +162,7 @@ def trace_digest(seed: int = SEED, passes: int = PASSES) -> tuple[str, int]:
                     classify.classify_curve_data(cd)))
             except (GeometryError, ValueError) as exc:  # refusals are outputs
                 _feed(h, f"{type(exc).__name__}: {exc}")
-    return h.hexdigest(), count
+    return h.hexdigest(), count, nfev, steps
 
 
 def _charts(seed: int):
@@ -392,9 +400,9 @@ def main(argv=None) -> None:
         print(drift_report(args.against, args.seed, args.passes))
     if args.save or args.against:
         return
-    digest, n = trace_digest(args.seed, args.passes)
+    digest, n, nfev, steps = trace_digest(args.seed, args.passes)
     print(f"traces  {digest}  ({n} curves, seed {args.seed}, "
-          f"{args.passes} passes)")
+          f"{args.passes} passes; {nfev} RHS calls, {steps} accepted steps)")
     digest, n = verify_digest()
     print(f"verify  {digest}  ({n} values)")
     digest, n = charts_digest(args.seed)

@@ -45,7 +45,9 @@ def test_trace_reports_solver_stats(tmp_path, capsys):
                   r"\(\+(\d+) rejected\)\)$", line)
     assert m, line
     nfev, steps, rejected = map(int, m.groups())
-    assert nfev == 2 * 2 + 6 * (steps + rejected)  # two branches
+    # one f(0) and probe for the trace; its trial step is the forward
+    # branch's first step
+    assert nfev == 2 + 6 * (steps + rejected)
 
 
 def test_verbose_logs_early_branch_ends(tmp_path, capsys):
@@ -162,6 +164,22 @@ def test_read_trace_csv_refuses_malformed_files(tmp_path):
         with warnings.catch_warnings(), pytest.raises(TooFewSamplesError):
             warnings.simplefilter("error")
             read_trace_csv(str(path), enn)
+
+
+
+def test_read_trace_csv_names_the_file_line_and_column(tmp_path):
+    # the header is line 1: a bad cell on line 3 is named there, not by
+    # np.loadtxt's data-row index (1) or count (2)
+    row = ",".join(["0.5"] * 17)
+    text = ",".join(["0.5"] * 4 + ["abc"] + ["0.5"] * 12)
+    for bad, where in ((row + "\n" + text, "line 3, column 5:"),
+                       ("# a comment\n" + row, "line 2, column 1:"),
+                       (row + "\n0.5,0.5", "line 3: 2 columns")):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + bad + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=where):
+            read_trace_csv(str(path), make_enneper())
 
 
 def test_classify_subcommand(tmp_path, capsys):

@@ -12,7 +12,7 @@ from surftrace.darboux import normal_angle
 from surftrace.errors import (GeometryError, InvalidRequestError,
                               NonUnitSpeedError, TooFewSamplesError,
                               VanishingCurvatureError)
-from surftrace.numdiff import check_uniform, diff_uniform
+from surftrace.numdiff import check_uniform, diff_uniform, unwrap
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
                               trace_isogonal)
@@ -251,8 +251,11 @@ def capped_reference(monkeypatch, tr):
         patch.setattr(tracer, "integrate", spy)
         tracer.trace(tr.request)
     uv = tr.uv.copy()
-    for rhs, y0, s_end, *_ in calls:
+    ((rhs, y0, span, *_),) = calls
+    for s_end in span:
         side = tr.s * s_end > 0
+        if not side.any():
+            continue
         out = None
 
         def f(s, y, rhs=rhs):
@@ -434,6 +437,37 @@ def test_theta_branch_ignores_sign_of_rounding_noise():
         thetas.append(normal_angle(kg, cd.kn))
     assert np.array_equal(thetas[0], thetas[1])
     assert thetas[0][0] == np.pi
+
+
+
+def _unwrap_cases(period):
+    """Series for the lean unwrap: smooth ones, -0.0 in them, steps of
+    exactly half a period and just below, jumps, NaN, and the short ones."""
+    half = period / 2
+    rng = np.random.default_rng(7)
+    smooth = np.cumsum(rng.uniform(-0.9, 0.9, 500) * half)
+    zeros = smooth.copy()
+    zeros[[0, 17, 250]] = -0.0
+    below = np.nextafter(half, 0.0)
+    jumps = smooth.copy()
+    jumps[300:] += 3 * period
+    nan = smooth.copy()
+    nan[123] = np.nan
+    return [smooth, -smooth, zeros, np.array([-0.0, -0.0, 0.0, -0.0]),
+            np.array([0.0, half, 0.0, -half, 0.0]),
+            np.array([0.0, below, 0.0, -below, -0.0]),
+            np.array([-half, 0.0]), jumps, nan, np.array([np.nan, 1.0]),
+            np.array([-0.0]), np.array([])]
+
+
+@pytest.mark.parametrize("period", [2 * np.pi, np.pi])
+def test_unwrap_matches_numpy_bit_for_bit(period):
+    for p in _unwrap_cases(period):
+        want = np.unwrap(p, period=period)
+        got = unwrap(p, period)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), p
+        assert got is not p
 
 
 def _two_sided_requests():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from surftrace import (analyze_intersection, classify_curve_data,
                        make_fixture, make_sphere)
 from surftrace.errors import (DegenerateParameterError, PreimageMismatchError,
                               TangencyError, UnknownFixtureError)
 from surftrace.intersect import SharedCurve
+
+from conftest import rk45_reference
 
 
 def test_unknown_fixture():
@@ -83,7 +84,8 @@ def test_cylinder_plane_tilted_not_constant(fixture_reports):
 @pytest.mark.parametrize("tilt", [0.0, np.pi / 6, 1.0])
 def test_cylinder_plane_arc_length_matches_solve_ivp(tilt):
     # psi(s) from d psi / d s = 1 / sqrt(1 + tan^2(tilt) sin^2(psi)), by
-    # scipy's RK45 at the fixture's tolerances, one branch each way
+    # scipy's RK45 at the fixture's tolerances, one branch each way from
+    # the stepper's shared start
     fx = make_fixture("cylinder_plane", tilt=tilt)
     s = fx.curve.s
     ta2 = np.tan(tilt) ** 2
@@ -92,8 +94,7 @@ def test_cylinder_plane_arc_length_matches_solve_ivp(tilt):
         return [1.0 / np.sqrt(1.0 + ta2 * np.sin(y[0]) ** 2)]
 
     def branch(end):
-        return solve_ivp(dpsi, (0.0, end), [0.0], dense_output=True,
-                         rtol=1e-12, atol=1e-13).sol
+        return rk45_reference(dpsi, [0.0], end, 1e-13, 1e-12).sol
 
     ref = np.where(s >= 0, branch(s[-1])(np.clip(s, 0, None))[0],
                    branch(s[0])(np.clip(s, None, 0))[0])

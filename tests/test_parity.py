@@ -11,6 +11,14 @@ def test_trace_digest_is_the_same_on_two_calls():
     assert first[1] == 22 * parity.PASSES
 
 
+def test_trace_set_costs_no_more_solver_work():
+    # deterministic cost counts of the seeded trace set, as ceilings: the
+    # shared start took them from 8,730 RHS calls and 1,360 accepted steps
+    # to 7,980 and 1,254; a change that adds solver work fails here
+    _, _, nfev, steps = parity.trace_digest()
+    assert nfev <= 7980 and steps <= 1254
+
+
 def test_charts_digest_is_the_same_on_two_calls():
     first = parity.charts_digest()
     assert first == parity.charts_digest()

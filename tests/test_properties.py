@@ -157,8 +157,9 @@ def test_boundary_exits_end_on_an_edge(name, draw):
     branches = []
 
     def spy(*args):
-        branches.append(stepper.integrate(*args))
-        return branches[-1]
+        both = stepper.integrate(*args)
+        branches.extend(br for br in both if br is not None)
+        return both
 
     with mock.patch.object(tracer, "integrate", spy):
         tr = trace(TraceRequest(surface, start, mode, step=0.05,

@@ -1,18 +1,26 @@
-"""The float Dormand-Prince stepper against scipy's RK45, and its event
-root bisection against scipy's brentq, their references; its branch arrays
-and dense output bit for bit against the per-step forms they replaced."""
+"""The float Dormand-Prince stepper against scipy's RK45 from the same
+start, and its event root bisection against scipy's brentq, their
+references; its branch arrays and dense output bit for bit against the
+per-step forms they replaced; and the start that both branches share."""
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
 from surftrace.stepper import C2, C3, C4, C5, EPS, P, Stop, _bisect, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
+from conftest import rk45_reference
+
 ATOL, RTOL = tracer.DEFAULT_ATOL, tracer.DEFAULT_RTOL
+
+
+def one_sided(rhs, y0, s_end, event, atol, rtol):
+    """The branch toward s_end of a call that integrates only that side."""
+    span = (min(s_end, 0.0), max(s_end, 0.0))
+    return integrate(rhs, y0, span, event, atol, rtol)[int(s_end < 0)]
 
 
 def oscillator(s, y, ref):
@@ -24,18 +32,18 @@ def van_der_pol(s, y, ref):
     return (y[1], 5.0 * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
 
-def reference(rhs, y0, s_end, event=None, **options):
-    """scipy's RK45 on the same problem, arrays in and out."""
+def reference(rhs, y0, s_end, event=None, atol=ATOL, rtol=RTOL):
+    """scipy's RK45 on the same problem from the stepper's start
+    (`conftest.rk45_reference`), arrays in and out."""
     def terminal(ev):
         def g(s, y):
             return ev(s, tuple(y))
         g.terminal, g.direction = True, -1
         return g
 
-    return solve_ivp(lambda s, y: np.array(rhs(s, tuple(y), None)),
-                     (0.0, s_end), np.array(y0, dtype=float), method="RK45",
-                     dense_output=True,
-                     events=terminal(event) if event else None, **options)
+    return rk45_reference(lambda s, y: np.array(rhs(s, tuple(y), None)),
+                          y0, s_end, atol, rtol,
+                          events=terminal(event) if event else None)
 
 
 def rel_gap(a, b):
@@ -67,8 +75,8 @@ def assert_matches(br, sol):
 @pytest.mark.parametrize("s_end", [5.0, -5.0])
 def test_oscillator_matches_rk45(s_end):
     y0 = (1.0, 0.0, 0.0, 1.0)
-    br = integrate(oscillator, y0, s_end, None, ATOL, RTOL)
-    sol = reference(oscillator, y0, s_end, atol=ATOL, rtol=RTOL)
+    br = one_sided(oscillator, y0, s_end, None, ATOL, RTOL)
+    sol = reference(oscillator, y0, s_end)
     assert br.status == sol.status == 0 and br.s == s_end
     assert_matches(br, sol)
 
@@ -85,16 +93,16 @@ def test_pseudogeodesic_rhs_matches_rk45(monkeypatch):
     tracer.trace(TraceRequest(make_enneper(), (0.2, 0.3),
                               PseudoGeodesicMode(0.3, 0.4),
                               s_span=(-0.6, 0.6)))
-    assert [args[2] for args in calls] == [0.6, -0.6]
-    for rhs, y0, s_end, event, atol, rtol in calls:
-        br = integrate(rhs, y0, s_end, event, atol, rtol)
-        sol = reference(rhs, y0, s_end, event, atol=atol, rtol=rtol)
+    ((rhs, y0, span, event, atol, rtol),) = calls
+    assert span == (-0.6, 0.6)
+    for br, s_end in zip(integrate(*calls[0]), (0.6, -0.6)):
+        sol = reference(rhs, y0, s_end, event, atol, rtol)
         assert br.status == sol.status == 0
         assert_matches(br, sol)
 
 
 def test_rejected_steps_match_rk45():
-    br = integrate(van_der_pol, (2.0, 0.0), 3.0, None, 1e-8, 1e-6)
+    br = one_sided(van_der_pol, (2.0, 0.0), 3.0, None, 1e-8, 1e-6)
     sol = reference(van_der_pol, (2.0, 0.0), 3.0, atol=1e-8, rtol=1e-6)
     accepted = len(sol.t) - 1
     assert br.stats.rejected > 0
@@ -102,12 +110,50 @@ def test_rejected_steps_match_rk45():
     assert_matches(br, sol)
 
 
+def decay(s, y, ref):
+    return (-0.5 * y[0],)
+
+
+def line(s, y, ref):
+    return (1.0, 0.5)
+
+
+@pytest.mark.parametrize("rhs, y0, span, tol", [
+    (oscillator, (1.0, 0.0, 0.0, 1.0), (-5.0, 3.0), (ATOL, RTOL)),
+    (van_der_pol, (2.0, 0.0), (-3.0, 3.0), (1e-8, 1e-6)),
+    (van_der_pol, (2.0, 0.0), (-3.0, 1e-4), (1e-8, 1e-6)),  # no trial step
+    (decay, (1.0,), (-5.0, 5.0), (ATOL, RTOL)),   # h* = 16 h_start
+    (line, (0.0, 0.0), (-5.0, 5.0), (ATOL, RTOL)),   # err0 = 0: x100
+], ids=["oscillator", "van-der-pol", "van-der-pol-short-forward", "decay",
+        "line"])
+def test_both_branches_share_one_start(rhs, y0, span, tol):
+    # one f(0) for both branches, each branch bit for bit its one-sided
+    # call, and both against scipy from the shared start
+    calls = []
+
+    def logged(s, y, ref):
+        calls.append(s)
+        return rhs(s, y, ref)
+
+    fwd, bwd = integrate(logged, y0, span, None, *tol)
+    assert calls.count(0.0) == 1 and calls[0] == 0.0
+    assert fwd.stats.shared == bwd.stats.shared == 8
+    assert len(calls) == fwd.stats.nfev + bwd.stats.nfev - 8
+    assert bwd.stats.nfev == 8 + 6 * (bwd.stats.steps + bwd.stats.rejected)
+    for br, s_end in ((fwd, span[1]), (bwd, span[0])):
+        alone = one_sided(rhs, y0, s_end, None, *tol)
+        assert alone.stats == br.stats
+        for name in ("starts", "h", "y_old", "Q"):
+            assert _bits(getattr(alone, name)) == _bits(getattr(br, name))
+        assert_matches(br, reference(rhs, y0, s_end, None, *tol))
+
+
 def test_terminal_event_root_matches_rk45():
     def falls_to_half(s, y):
         return y[0] - 0.5
 
     y0 = (1.0, 0.0, 0.0, 1.0)
-    br = integrate(oscillator, y0, 3.0, falls_to_half, ATOL, RTOL)
+    br = one_sided(oscillator, y0, 3.0, falls_to_half, ATOL, RTOL)
     sol = reference(oscillator, y0, 3.0, falls_to_half, atol=ATOL, rtol=RTOL)
     assert br.status == sol.status == 1 and br.event
     assert abs(br.s - sol.t_events[0][0]) < 1e-12
@@ -120,7 +166,7 @@ def test_too_small_step_fails_like_rk45():
     def blow_up(s, y, ref):
         return (y[0] * y[0],)
 
-    br = integrate(blow_up, (1.0,), 2.0, None, 1e-8, 1e-6)
+    br = one_sided(blow_up, (1.0,), 2.0, None, 1e-8, 1e-6)
     sol = reference(blow_up, (1.0,), 2.0, atol=1e-8, rtol=1e-6)
     assert br.status == sol.status == -1
     assert abs(br.s - sol.t[-1]) < 1e-12
@@ -134,9 +180,14 @@ def test_nfev_counts_every_rhs_call():
         count[0] += 1
         return oscillator(s, y, ref)
 
-    br = integrate(counted, (1.0, 0.0, 0.0, 1.0), 2.0, None, ATOL, RTOL)
-    assert br.stats.nfev == count[0]
-    assert br.stats.nfev == 2 + 6 * (br.stats.steps + br.stats.rejected)
+    # f(0), the probe and the trial step are the forward branch's start
+    # and first step; a backward branch pays for them too, 8 evaluations
+    for s_end, start in ((2.0, 2), (-2.0, 8)):
+        count[0] = 0
+        br = one_sided(counted, (1.0, 0.0, 0.0, 1.0), s_end, None, ATOL, RTOL)
+        assert br.stats.nfev == count[0]
+        stats = br.stats
+        assert stats.nfev == start + 6 * (stats.steps + stats.rejected)
 
 
 @pytest.mark.parametrize("stop", [0.5, -0.5, 1e-3])
@@ -151,7 +202,7 @@ def test_stop_ends_branch_at_the_stage(stop):
             raise Stop
         return oscillator(s, y, ref)
 
-    br = integrate(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop),
+    br = one_sided(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop),
                    None, ATOL, RTOL)
     assert br.status == 1 and not br.event
     assert 0.0 <= (stop - br.s) / np.sign(stop) < 1e-14
@@ -195,7 +246,7 @@ def test_bisect_places_a_root_brentq_gives_up_on():
 
 def test_flat_crossing_ends_the_branch_at_its_root():
     # the flat crossing above as a terminal event
-    br = integrate(lambda s, y, ref: (1.0,), (0.0,), 1.3,
+    br = one_sided(lambda s, y, ref: (1.0,), (0.0,), 1.3,
                    lambda s, y: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
     assert br.status == 1 and br.event
     assert abs(br.s - 0.5) < 1e-12
@@ -211,7 +262,7 @@ def test_non_finite_rhs_at_start_ends_the_branch(bad):
         count[0] += 1
         return (bad, 0.0)
 
-    br = integrate(broken, (0.5, 0.0), 1.0, None, ATOL, RTOL)
+    br = one_sided(broken, (0.5, 0.0), 1.0, None, ATOL, RTOL)
     assert br.status == -1 and br.s == 0.0 and not br.event
     assert count[0] == br.stats.nfev <= 2
     assert br.stats.steps == br.stats.rejected == 0
@@ -226,7 +277,7 @@ def _bits(a):
 @pytest.mark.parametrize("s_end", [5.0, -5.0])
 def test_sample_matches_the_cumprod_form(s_end):
     # the dense output as it was written before its powers were unrolled
-    br = integrate(oscillator, (1.0, 0.0, 0.0, 1.0), s_end, None, ATOL, RTOL)
+    br = one_sided(oscillator, (1.0, 0.0, 0.0, 1.0), s_end, None, ATOL, RTOL)
     s = np.r_[np.linspace(0.0, s_end, 997), br.starts, br.s]
     forward = br.h[0] > 0
     sign = 1.0 if forward else -1.0
@@ -250,10 +301,12 @@ def per_step_build(rhs, y0, s_end, event, atol, rtol):
         calls.append((s, list(y), ref, out))
         return out
 
-    br = integrate(logged, y0, s_end, event, atol, rtol)
+    br = one_sided(logged, y0, s_end, event, atol, rtol)
     # calls[0] is f at s = 0 and calls[1] the initial-step probe; every
     # attempt after them is six calls (k2..k7) passed the step's k1 as ref,
-    # and the last attempt with a given k1 is the accepted one
+    # and the last attempt with a given k1 is the accepted one: the shared
+    # trial step, along +s with f as k1, is the first step of a forward
+    # branch, and a backward branch's first attempt follows it with that k1
     attempts = [calls[i:i + 6] for i in range(2, len(calls), 6)]
     accepted = [a for a, b in zip(attempts, attempts[1:] + [None])
                 if b is None or b[0][2] is not a[0][2]]
@@ -303,5 +356,6 @@ def test_branch_arrays_match_the_per_step_build_tracer(monkeypatch):
     tracer.trace(TraceRequest(make_enneper(), (0.2, 0.3),
                               PseudoGeodesicMode(0.3, 0.4),
                               s_span=(-0.6, 0.6)))
-    for args in calls:
-        assert_per_step_build(*args)
+    ((rhs, y0, span, *options),) = calls
+    for s_end in span:   # each side as a one-sided call: the same branch
+        assert_per_step_build(rhs, y0, s_end, *options)

@@ -273,6 +273,28 @@ def test_trace_terminates_at_isolated_umbilic():
     assert np.hypot(*tr.uv[-1]) < 0.05
 
 
+
+@pytest.mark.parametrize("speed", [0.5, 1.0, 2.0, 3.0])
+def test_radial_runs_into_the_umbilic_are_seen(speed):
+    # phi = pi on the paraboloid runs radially into its umbilic, along a
+    # field that is smooth but at the origin: a step may cross the gap
+    # between its stages, so its samples are tested too.  Every run long
+    # enough to reach the origin ends there
+    par = _paraboloid()
+    for r0 in (0.2, 0.4, 0.6, 0.8, 1.0):
+        to_origin = (r0 * np.sqrt(1 + r0 * r0) + np.arcsinh(r0)) / 2 / speed
+        tr = trace_isogonal(TraceRequest(par, (r0, 0.0),
+                                         IsogonalMode(np.pi, speed),
+                                         s_span=(0.0, 2.0)))
+        if to_origin > 2.0:
+            assert tr.exit.kind == "completed"
+            continue
+        assert tr.exit.kind == "hit_umbilic", (r0, tr.exit)
+        assert abs(tr.exit.s_stop - to_origin) < 0.01 / speed
+        assert np.hypot(*tr.uv[-1]) < 0.011
+        assert tr.s[-1] < tr.exit.s_stop
+        assert tr.nfev < 1000
+
 def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
     # E1 is radial on the paraboloid; the chart rule <E1, X_t> >= 0 points
     # it outward at the start and inward at the backward branch's far end,
@@ -468,8 +490,9 @@ def test_corner_exit_ends_at_the_first_edge(monkeypatch):
     branches = []
 
     def spy(*args):
-        branches.append(stepper.integrate(*args))
-        return branches[-1]
+        both = stepper.integrate(*args)
+        branches.extend(br for br in both if br is not None)
+        return both
 
     monkeypatch.setattr(tracer, "integrate", spy)
     plane = replace(make_plane(), domain=Domain(-1, 1, -1, 1 + 1e-7))
@@ -542,15 +565,15 @@ def test_geodesic_entry_points_return_one_request():
 
 
 def test_trace_stats_count_rhs_calls(monkeypatch):
-    # a counting wrapper around each branch's right-hand side
+    # a counting wrapper around the trace's right-hand side, which one
+    # stepper call integrates both ways
     counts = []
 
     def counting(rhs, *args):
         counts.append(0)
-        i = len(counts) - 1
 
         def counted(s, y, ref):
-            counts[i] += 1
+            counts[-1] += 1
             return rhs(s, y, ref)
         return stepper.integrate(counted, *args)
 
@@ -560,18 +583,22 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
         tr = trace(TraceRequest(make_enneper(), (0.2, 0.3), mode,
                                 s_span=(-0.4, 0.6)))
         assert list(tr.stats) == ["fwd", "bwd"]
-        assert [b.nfev for b in tr.stats.values()] == counts
-        for b in tr.stats.values():
-            assert b.steps > 0
-            assert b.nfev == 2 + 6 * (b.steps + b.rejected)
+        fwd, bwd = tr.stats.values()
+        # f(0), the probe and the trial step, 8 evaluations, are shared and
+        # counted on both branches; the trial is the forward's first step
+        assert fwd.shared == bwd.shared == 8
+        assert counts == [tr.nfev] == [fwd.nfev + bwd.nfev - 8]
+        assert fwd.steps > 0 and bwd.steps > 0
+        assert fwd.nfev == 2 + 6 * (fwd.steps + fwd.rejected)
+        assert bwd.nfev == 8 + 6 * (bwd.steps + bwd.rejected)
     # an umbilic stop: evaluations that raised Stop count too, one by one
     counts.clear()
-    req = TraceRequest(_paraboloid(), (0.8, 0.0), IsogonalMode(np.pi),
-                       s_span=(0.0, 2.0))
+    req = TraceRequest(_paraboloid(), (0.3, 0.0), IsogonalMode(2.5),
+                       s_span=(0.0, 5.0))
     tr = trace(req)
     assert tr.exit.kind == "hit_umbilic"
     (b,) = tr.stats.values()
-    assert [b.nfev] == counts
+    assert [b.nfev] == counts == [tr.nfev]
     assert b.nfev < 2 + 6 * (b.steps + b.rejected)
     # and against the budget: one evaluation fewer ends it as a failure
     budget = b.nfev - 1
@@ -580,6 +607,27 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
     tr = trace(req)
     assert tr.exit.kind == "solver_failure"
     assert counts == [tr.stats["fwd"].nfev] and counts[0] <= budget
+
+
+def test_two_sided_trace_evaluates_the_start_once(monkeypatch):
+    # both branches share f(0): the RHS sees s = 0 once, with no ref
+    seen = []
+
+    def recording(rhs, *args):
+        def recorded(s, y, ref):
+            seen.append((s, ref))
+            return rhs(s, y, ref)
+        return stepper.integrate(recorded, *args)
+
+    monkeypatch.setattr(tracer, "integrate", recording)
+    for mode in (IsogonalMode(-0.7), PseudoGeodesicMode(0.3, 0.4)):
+        seen.clear()
+        tr = trace(TraceRequest(make_enneper(), (0.2, 0.3), mode,
+                                s_span=(-0.4, 0.6)))
+        assert tr.exit.kind == "completed" and len(tr.stats) == 2
+        assert [s for s, _ in seen].count(0.0) == 1
+        assert seen[0] == (0.0, None)
+        assert all(ref is not None for _, ref in seen[1:])
 
 
 def test_rhs_budget_ends_trace_as_solver_failure(monkeypatch):
