@@ -17,30 +17,29 @@ the span, and both branches share it: one f(0); scipy's initial-step rule
 (error-estimator order 4) with its probe along +s and no span clip, giving
 h_start; and one trial step of h_start along +s, whose error norm err0
 sizes h* = h_start min(100, 0.9 err0^(-1/5)) (x100 at err0 = 0, and the
-usual max(0.2, ...) shrink from err0 = 1 on).  A first step may so grow a
-hundredfold where later ones grow at most tenfold (CVODE lets it grow
-10^4; Hindmarsh et al., *ACM TOMS* 31 (2005)), which saves the climb from
-h_start to the settled step.  The forward branch takes an accepted trial
-that fits in its span as its first step (the event is checked after it as
-after any step); each branch then goes on, or starts, at h* clipped to the
-span it has left.  Where the trial cannot finish (a `Stop`, a non-finite
-error norm, a budget below its 8 evaluations) each branch starts as scipy
-would alone, from its own probe clipped to its own span.  A one-sided call
-makes the same start, the trial included, so a branch is bit for bit the
-same whether or not the other side is integrated with it.
+usual max(0.2, ...) shrink from err0 = 1 on, a NaN err0 included).  A
+first step may so grow a hundredfold where later ones grow at most tenfold
+(CVODE lets it grow 10^4; Hindmarsh et al., *ACM TOMS* 31 (2005)), which
+saves the climb from h_start to the settled step.  The forward branch
+takes an accepted trial that fits in its span as its first step (the event
+is checked after it as after any step); each branch then goes on, or
+starts, at h* clipped to the span it has left.  A budget too small for the
+trial starts both branches at h_start.  A one-sided call makes the same
+start, the trial included, so a branch is bit for bit the same whether or
+not the other side is integrated with it.
 
 The right-hand side is called as ``rhs(s, y, ref)``: ``ref`` is the
 derivative at the current step's start (the first-same-as-last stage k1),
 or None on the first call, so a pure function can orient a line field
-against it.  A right-hand side that raises `Stop` ends the branch at that
-stage: the end is clipped to the stage's s and the step shrunk as for a
-rejection, until the step falls below 10 ulp or reaches the clipped end.
+against it.
 
-A branch takes at most one event, a terminal function ``g(s, y)`` evaluated
-at step ends.  Where it falls through zero (``g >= 0`` before, ``g <= 0``
-after), `_bisect` places the root on that step's dense output (Hairer,
-Norsett & Wanner, section II.6) to within 4 EPS (1 + |s|), the tolerance
-``solve_ivp`` gives ``brentq``, and the branch ends there.
+A branch ends early in one way, at its event: a terminal function
+``g(s, y)`` evaluated at step ends.  Where it falls through zero
+(``g >= 0`` before, ``g <= 0`` after), `_bisect` places the root on that
+step's dense output (Hairer, Norsett & Wanner, section II.6; CVODE's
+rootfinding does the same) to within 4 EPS (1 + |s|), the tolerance
+``solve_ivp`` gives ``brentq``, and the branch ends there.  A zero that
+only a step's interior stages see is not an end.
 """
 from __future__ import annotations
 
@@ -89,10 +88,6 @@ P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
-class Stop(Exception):
-    """Raised by a right-hand side at a point where the flow must end."""
-
-
 @dataclass(frozen=True)
 class BranchStats:
     """What the stepper did on one branch.
@@ -102,9 +97,9 @@ class BranchStats:
     branches' ``nfev`` less one ``shared``.
     """
 
-    nfev: int       # right-hand side evaluations, those that raised Stop too
+    nfev: int       # right-hand side evaluations
     steps: int      # accepted steps, the forward branch's trial step too
-    rejected: int   # rejected step attempts, those cut by Stop too
+    rejected: int   # rejected step attempts
     shared: int     # evaluations of the start both branches share
 
 
@@ -112,15 +107,13 @@ class BranchStats:
 class Branch:
     """One integration from s = 0 toward ``s_end``.
 
-    ``status`` is 0 when s_end was reached, 1 when the event (``event`` is
-    True) or a `Stop` from the RHS (``event`` is False) ended the branch at
-    ``s``, and -1 when the step fell below 10 ulp or the RHS budget ran out
-    (``s`` is then the start of the step that failed).
+    ``status`` is 0 when s_end was reached, 1 when the event ended the
+    branch at ``s``, and -1 when the step fell below 10 ulp or the RHS
+    budget ran out (``s`` is then the start of the step that failed).
     """
 
     status: int
     s: float
-    event: bool
     stats: BranchStats
     starts: np.ndarray   # (m,) s at the start of each accepted step
     h: np.ndarray        # (m,) signed step
@@ -179,27 +172,15 @@ def _factor(err: float, most: float) -> float:
     return min(most, factor) if err < 1 else max(0.2, factor)
 
 
-def _initial_step(rhs, y, f, span, atol, rtol):
+def _initial_step(rhs, y, f, atol, rtol) -> float:
     """scipy's initial step (Hairer, Norsett & Wanner II.4, scipy
     ``select_initial_step``, error-estimator order 4) from s = 0, where
-    f = rhs(0, y), along the sign of ``span`` and at most |span| long (an
-    infinite span clips nothing); one RHS call, the probe.
-
-    Returns (h_abs, stop): ``stop`` is None, or the probe's s where the RHS
-    raised `Stop` there, with h_abs then 0.2 times the probe's step.
-    """
-    direction = math.copysign(1.0, span)
-    span = abs(span)
+    f = rhs(0, y), along +s and unclipped; one RHS call, the probe."""
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / sc for v, sc in zip(y, scale)])
     d1 = _rms([v / sc for v, sc in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    dh = h0 * direction
-    try:
-        f1 = rhs(dh, [v + dh * fv for v, fv in zip(y, f)], f)
-    except Stop:
-        return 0.2 * h0, dh
+    f1 = rhs(h0, [v + h0 * fv for v, fv in zip(y, f)], f)
     # as scipy's numpy division: an h0 that underflowed to 0 gives inf
     d2 = (_rms([(a - b) / sc for a, b, sc in zip(f1, f, scale)]) / h0
           if h0 else math.inf)
@@ -207,35 +188,30 @@ def _initial_step(rhs, y, f, span, atol, rtol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, span), None
+    return min(100 * h0, h1)
 
 
 def _attempt(rhs, s, y, k1, h, atol, rtol):
     """One Dormand-Prince step of h from (s, y), where k1 = f(s, y).
 
     Returns (y_new, (k1, ..., k7), err), err the RMS error norm with scale
-    ``atol + max(|y|, |y_new|) rtol``; where a stage raises `Stop`, returns
-    (None, how many of k2..k6 were made before it, None).
+    ``atol + max(|y|, |y_new|) rtol``.
     """
-    k2 = k3 = k4 = k5 = k6 = None
-    try:
-        k2 = rhs(s + C2 * h, [v + (a * A21) * h for v, a in zip(y, k1)], k1)
-        k3 = rhs(s + C3 * h, [
-            v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)], k1)
-        k4 = rhs(s + C4 * h, [
-            v + (a * A41 + b * A42 + c * A43) * h
-            for v, a, b, c in zip(y, k1, k2, k3)], k1)
-        k5 = rhs(s + C5 * h, [
-            v + (a * A51 + b * A52 + c * A53 + d * A54) * h
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
-        k6 = rhs(s + h, [
-            v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
-            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
-        y_new = [v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
-                 for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(s + h, y_new, k1)
-    except Stop:
-        return None, sum(k is not None for k in (k2, k3, k4, k5, k6)), None
+    k2 = rhs(s + C2 * h, [v + (a * A21) * h for v, a in zip(y, k1)], k1)
+    k3 = rhs(s + C3 * h, [
+        v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)], k1)
+    k4 = rhs(s + C4 * h, [
+        v + (a * A41 + b * A42 + c * A43) * h
+        for v, a, b, c in zip(y, k1, k2, k3)], k1)
+    k5 = rhs(s + C5 * h, [
+        v + (a * A51 + b * A52 + c * A53 + d * A54) * h
+        for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
+    k6 = rhs(s + h, [
+        v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
+        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
+    y_new = [v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
+             for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(s + h, y_new, k1)
     sq = 0.0   # `_rms` inlined, max(|v|, |w|) as its conditional
     for v, w, a, c, d, e, q, r in zip(y, y_new, k1, k3, k4, k5, k6, k7):
         x = ((a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7) * h
@@ -250,9 +226,9 @@ def integrate(rhs, y0, span, event, atol, rtol):
 
     Returns the branches (forward, backward), None for an end at 0 (both
     None, with no RHS call, for a span (0, 0)).  ``rhs`` takes a list and
-    returns a sequence of floats, both of y0's length, and may raise `Stop`
-    anywhere but at s = 0; ``event`` is a terminal function g(s, y), or None
-    (see the module docstring for both and for the shared start).  A branch
+    returns a sequence of floats, both of y0's length; ``event`` is a
+    terminal function g(s, y), or None (see the module docstring for both
+    and for the shared start).  A branch
     fails (status -1) only where the step falls below 10 ulp of s, or is
     NaN (a non-finite derivative at s = 0 makes it so at once), or the RHS
     budget `MAX_NFEV` runs out.  Nothing but the error control and the span
@@ -269,14 +245,14 @@ def integrate(rhs, y0, span, event, atol, rtol):
     g = event(0.0, y) if event is not None else None
     shared = 1
 
-    def branch(s_end, nfev, h_abs, stopped, first) -> Branch:
+    def branch(s_end, nfev, h_abs, first) -> Branch:
         """The branch toward s_end, nfev RHS calls in, at a step of h_abs
         or, given ``first`` = (h, y_new, stages), after that step."""
         direction = 1.0 if s_end > 0 else -1.0
         s, y_, f_, g_ = 0.0, y, f, g
         rejected = 0
         starts, hs, ys, ks = [], [], [], []   # per step: s, h, y, k1..k7
-        status, hit = None, False
+        status = None
         while status is None:
             if first is not None:
                 (h, y_new, k), first = first, None
@@ -291,7 +267,7 @@ def integrate(rhs, y0, span, event, atol, rtol):
                         status = -1
                         break
                     if not h_abs >= min_step:
-                        status = 1 if stopped else -1
+                        status = -1
                         break
                     s_new = s + h_abs * direction
                     if direction * (s_new - s_end) > 0:
@@ -299,14 +275,6 @@ def integrate(rhs, y0, span, event, atol, rtol):
                     h = s_new - s
                     h_abs = abs(h)
                     y_new, k, err = _attempt(rhs, s, y_, f_, h, atol, rtol)
-                    if y_new is None:
-                        # never step past the stage that stopped; close in
-                        nfev += k + 1
-                        s_end = s + (C2, C3, C4, C5, 1.0, 1.0)[k] * h
-                        stopped = step_rejected = True
-                        h_abs *= 0.2
-                        rejected += 1
-                        continue
                     nfev += 6
                     factor = _factor(err, 10.0)
                     if err < 1:
@@ -326,7 +294,7 @@ def integrate(rhs, y0, span, event, atol, rtol):
             s_old, y_old = s, y_
             s, y_, f_ = s_new, y_new, k[6]
             if direction * (s - s_end) >= 0:
-                status = 1 if stopped else 0
+                status = 0
             if event is not None:
                 g_old, g_ = g_, event(s, y_)
                 if g_old >= 0 >= g_:
@@ -338,10 +306,10 @@ def integrate(rhs, y0, span, event, atol, rtol):
                         return event(x, [
                             v + h * u * (a + u * (b + u * (c + u * d)))
                             for v, (a, b, c, d) in zip(y_old, q)])
-                    status, hit, s = 1, True, _bisect(on_step, s_old, s)
+                    status, s = 1, _bisect(on_step, s_old, s)
 
         m = len(starts)
-        return Branch(status, s, hit, BranchStats(nfev, m, rejected, shared),
+        return Branch(status, s, BranchStats(nfev, m, rejected, shared),
                       np.array(starts), np.array(hs),
                       np.array(ys).reshape(m, n),
                       np.einsum("mkn,kj->mnj", np.array(ks).reshape(m, 7, n),
@@ -349,30 +317,23 @@ def integrate(rhs, y0, span, event, atol, rtol):
 
     def both(start):
         """(forward, backward), each made from ``start(its end)``'s
-        (s_end, nfev, h_abs, stopped, first)."""
+        (s_end, nfev, h_abs, first)."""
         return tuple(branch(*start(end)) if end else None
                      for end in (s_hi, s_lo))
 
     if not all(map(math.isfinite, f)):  # a NaN step size ends the branch
-        return both(lambda end: (end, 1, math.nan, False, None))
-    h_start, stop = _initial_step(rhs, y, f, math.inf, atol, rtol)
-    h_start = max(h_start, 10 * math.nextafter(0.0, 1.0))   # 10 ulp of 0
+        return both(lambda end: (end, 1, math.nan, None))
+    h_start = max(_initial_step(rhs, y, f, atol, rtol),
+                  10 * math.nextafter(0.0, 1.0))   # 10 ulp of 0
     shared = 2
-    if stop is None and shared + 6 <= MAX_NFEV:
-        # the trial step: h_start along +s, whatever the span
+    h_star, trial = h_start, None
+    if shared + 6 <= MAX_NFEV:
+        # the trial step: h_start along +s, whatever the span; a rejected
+        # one (a non-finite err0 too) sizes h* and is no branch's step
         y1, k, err = _attempt(rhs, 0.0, y, f, h_start, atol, rtol)
-        shared += 6 if y1 is not None else k + 1
-        if y1 is not None and math.isfinite(err):
-            h_star = h_start * _factor(err, 100.0)
-            trial = (h_start, y1, k) if err < 1 else None
-            return both(lambda end: (
-                end, shared, h_star, False,
-                trial if h_start <= end else None))
-
-    def alone(end):
-        # no trial: the branch starts as scipy does, on its own side
-        h_abs, stop = _initial_step(rhs, y, f, end, atol, rtol)
-        return (end if stop is None else stop, shared + 1, h_abs,
-                stop is not None, None)
-
-    return both(alone)
+        shared += 6
+        h_star *= _factor(err, 100.0)
+        if err < 1:
+            trial = (h_start, y1, k)
+    return both(lambda end: (end, shared, h_star,
+                             trial if h_start <= end else None))

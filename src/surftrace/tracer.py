@@ -38,21 +38,24 @@ Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer, Norsett & Wanner,
 resampled onto a uniform s-grid.  Both right-hand sides
 are pure functions of their arguments; the isogonal one orients the
 principal-direction field, which has no sign of its own, along the
-derivative at the start of the current step.  A trace ends ``completed``,
-``hit_boundary`` at a domain-edge solver event, ``hit_umbilic`` where an
-isogonal RHS evaluation falls inside `UMBILIC_GAP` (it raises
-`stepper.Stop`) or, on the shape pass, a sample does (a step may cross the
-gap between its stages; the branch then ends at that sample, which the
-trace drops), or ``solver_failure`` when a branch runs out of its RHS
-budget (`stepper.MAX_NFEV`) or of step size.  The edge event is the
-distance to the nearest edge, so a step across two edges ends at the first.
+derivative at the start of the current step.  A branch ends early only
+at its solver event: the distance to the nearest domain edge, and for an
+isogonal trace the lesser of that and the umbilic gap's margin over
+`UMBILIC_GAP`, so a step across two edges, or an edge and the gap, ends at
+the first.  A trace ends ``completed``, ``hit_boundary`` or
+``hit_umbilic`` at an event, named by the term that ended it, or where, on
+the shape pass, an isogonal sample falls inside the gap (a step may cross
+it and come out between its ends; the branch then ends at that sample,
+which the trace drops), or ``solver_failure`` when a branch runs out of
+its RHS budget (`stepper.MAX_NFEV`) or of step size.
 Every trace's samples take one `core.curve_shape` pass, so a curve's phi is
 measured from the E1 that its request's angle is: the start's.
 """
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -62,7 +65,7 @@ from .core import (SurfaceDef, _along, _flip, _principal, curve_shape,
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
-from .stepper import MAX_SAMPLES, BranchStats, Stop, integrate
+from .stepper import MAX_SAMPLES, BranchStats, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
@@ -235,11 +238,11 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
     return _isogonal_field(sd.decomp, float(np.cos(phi)), float(np.sin(phi)))
 
 
-def _integrate_branches(rhs, y0, req: TraceRequest):
+def _integrate_branches(rhs, y0, req: TraceRequest, gap=None):
     """Integrate from s = 0 toward both ends of ``req.s_span`` in one
     `integrate` call, each branch ended by an event where it leaves the
-    domain, and sample the branches' dense output on the uniform grid of
-    ``req.step``.
+    domain or, given ``gap(y)``, where that falls below `UMBILIC_GAP`, and
+    sample the branches' dense output on the uniform grid of ``req.step``.
 
     Returns (s, states, exits, stats); y0 fills s = 0, ``exits`` has the
     `TraceExit` of each branch that ended early, and a side of zero length
@@ -247,17 +250,29 @@ def _integrate_branches(rhs, y0, req: TraceRequest):
     """
     dom = req.surface.domain
 
-    def inside(s, y):  # distance to the nearest edge, negative outside
+    def edge(y):  # distance to the nearest edge, negative outside
         return min(y[0] - dom.t_min, dom.t_max - y[0], y[1] - dom.z_min,
                    dom.z_max - y[1])
-    fwd, bwd = integrate(rhs, y0, req.s_span, inside, req.atol, req.rtol)
+
+    def event(s, y):
+        d = edge(y)
+        # the gap only inside, so an edge bisection never pays for it; min
+        # keeps its first argument against a NaN, so the edge shows
+        return (min(d, gap(y) - UMBILIC_GAP) if gap is not None and d > 0
+                else d)
+
+    fwd, bwd = integrate(rhs, y0, req.s_span, event, req.atol, req.rtol)
     branches = {key: br for key, br in (("fwd", fwd), ("bwd", bwd))
                 if br is not None}
     exits = {}
     for key, br in branches.items():
         if br.status:
-            kind = ("solver_failure" if br.status == -1 else "hit_boundary"
-                    if br.event else "hit_umbilic")
+            kind = "solver_failure" if br.status == -1 else "hit_boundary"
+            if br.status == 1 and gap is not None:   # the smaller term
+                y = br.sample(np.array([br.s]))[0].tolist()
+                d = edge(y)
+                if d > 0 and gap(y) - UMBILIC_GAP < d:
+                    kind = "hit_umbilic"
             _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
                        key, kind, br.s, br.stats.nfev)
             exits[key] = TraceExit(kind, br.s)
@@ -284,9 +299,13 @@ def _trace_exit(exits: dict) -> TraceExit:
     return exit_
 
 
-def _umbilic_gap(kappa1: float, kappa2: float) -> float:
-    """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|)."""
-    return (kappa2 - kappa1) / max(1.0, abs(kappa1) + abs(kappa2))
+def _umbilic_gap(kappa1, kappa2):
+    """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|),
+    elementwise on floats or arrays; the max follows the input's form, as
+    in `core._principal`.  A NaN kappa gives a NaN gap, never inside
+    `UMBILIC_GAP`."""
+    most = np.maximum if isinstance(kappa1, np.ndarray) else max
+    return (kappa2 - kappa1) / most(1.0, abs(kappa1) + abs(kappa2))
 
 
 def _isogonal_field(decomp, cos_t, sin_t):
@@ -320,8 +339,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     The angle is measured a posteriori to be constant.  The RHS orients the
     line field against the derivative at the start of each solver step, so
     the linear system keeps a coherent orientation; a start inside the
-    umbilic gap is refused, and an evaluation or a sample inside it ends
-    its branch as ``hit_umbilic``.
+    umbilic gap is refused, and a branch ends as ``hit_umbilic`` at the
+    gap's solver event or at a sample inside the gap.
     """
     mode = req.mode
     if not isinstance(mode, IsogonalMode):
@@ -335,13 +354,15 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     cos_t, sin_t = (mode.speed
                     * np.array([np.cos(mode.phi), np.sin(mode.phi)])).tolist()
 
+    def frame(y):
+        return _principal(point_metric(surface, *y, check_domain=False),
+                          _flip)
+
+    def gap(y):
+        return _umbilic_gap(*frame(y)[:2])
+
     def rhs(s, y, ref):
-        t, z = y
-        frame = _principal(point_metric(surface, t, z, check_domain=False),
-                           _flip)
-        if _umbilic_gap(frame[0], frame[1]) < UMBILIC_GAP:
-            raise Stop
-        tp, zp = _isogonal_field(frame[10:14], cos_t, sin_t)
+        tp, zp = _isogonal_field(frame(y)[10:14], cos_t, sin_t)
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
         # this is the velocity of the field oriented the other way
         if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:
@@ -349,15 +370,12 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return tp, zp
 
     y0 = tuple(float(v) for v in req.start_uv)
-    s, uv, exits, stats = _integrate_branches(rhs, y0, req)
+    s, uv, exits, stats = _integrate_branches(rhs, y0, req, gap)
     shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
-    # a sample inside the umbilic gap (`_umbilic_gap` on arrays) ends its
-    # branch there, as an RHS evaluation inside it does: a step may cross
-    # the gap between its stages
+    # a sample inside the umbilic gap ends its branch there, as the gap's
+    # event does: a step may cross the gap and come out between its ends
     sd = shape[2]
-    gap = ((sd.kappa2 - sd.kappa1)
-           / np.maximum(1.0, np.abs(sd.kappa1) + np.abs(sd.kappa2)))
-    bad = np.flatnonzero(gap < UMBILIC_GAP)
+    bad = np.flatnonzero(_umbilic_gap(sd.kappa1, sd.kappa2) < UMBILIC_GAP)
     if len(bad):
         zero = int(np.argmin(np.abs(s)))
         lo, hi = bad[bad < zero], bad[bad > zero]
@@ -407,7 +425,10 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     and X_t x X_z gives Gamma(v, v) and II(v, v) at once.
     """
     if isinstance(req.mode, GeodesicMode):
-        req = replace(req, mode=PseudoGeodesicMode(0.0, req.mode.initial_dir))
+        # the fields are validated already: no second __post_init__
+        mode = PseudoGeodesicMode(0.0, req.mode.initial_dir)
+        req = copy.copy(req)
+        object.__setattr__(req, "mode", mode)
     mode = req.mode
     if not isinstance(mode, PseudoGeodesicMode):
         raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode")

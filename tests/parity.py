@@ -2,7 +2,7 @@
 
     python tests/parity.py
 
-prints three sha256 digests:
+prints four sha256 digests:
 
 * ``traces``: a fixed, seeded gallery trace set, with the right-hand side
   evaluations and accepted solver steps it took in all (``Trace.nfev``, or
@@ -20,8 +20,12 @@ prints three sha256 digests:
   finite-difference one: `core.point_shape` at `CHART_POINTS` seeded points,
   and one seeded pseudo-geodesic trace with its `curve_scalars_from_trace`
   data.
+* ``umbilic``: the 30 `UMBILIC_RUNS` isogonal traces into the isolated
+  umbilic of the paraboloid z = (t^2 + z^2)/2, each as exit kind,
+  ``s_stop`` and samples, with the right-hand side evaluations they took in
+  all.
 
-A change meant to keep every output bit for bit prints the same three lines
+A change meant to keep every output bit for bit prints the same four lines
 as its parent.  The script needs only the public API, so it runs unchanged
 on older checkouts: copy it there and run it from that checkout's root.
 
@@ -75,6 +79,12 @@ STENCIL = 2
 CHART_POINTS = 16
 #: names of `Trace.shape`'s three records in the drift report
 SHAPE_RECORDS = ("jet", "forms", "data")
+#: (r0, phi, speed, s_end) of the isogonal runs from (r0, 0) toward the
+#: paraboloid's umbilic: radial ones (phi = pi) and inward spirals
+UMBILIC_RUNS = ([(r0, math.pi, speed, 2.0) for speed in (0.5, 1.0, 2.0, 3.0)
+                 for r0 in (0.2, 0.4, 0.6, 0.8, 1.0)]
+                + [(r0, phi, 1.0, 5.0) for phi in (2.0, 2.5, 3.0, -2.5, 1.8)
+                   for r0 in (0.3, 0.6)])
 
 
 def _feed(h, obj) -> None:
@@ -203,6 +213,39 @@ def charts_digest(seed: int = SEED) -> tuple[str, int]:
         except (GeometryError, ValueError) as exc:  # refusals are outputs
             _feed(h, f"{type(exc).__name__}: {exc}")
     return h.hexdigest(), count
+
+
+def _paraboloid() -> core.SurfaceDef:
+    """z = (t^2 + z^2)/2 on (-2, 2)^2: one umbilic, at the origin."""
+    def position(t, z):
+        return core.vec3(t, t, z, 0.5 * (t * t + z * z))
+
+    def jet(t, z):
+        return core.SurfaceJet2(
+            core.vec3(t, 1.0, 0.0, t), core.vec3(t, 0.0, 1.0, z),
+            core.vec3(t, 0.0, 0.0, 1.0), core.vec3(t, 0.0, 0.0, 0.0),
+            core.vec3(t, 0.0, 0.0, 1.0))
+
+    return core.SurfaceDef("paraboloid", core.Domain(-2, 2, -2, 2), position,
+                           jet)
+
+
+def umbilic_digest() -> tuple[str, int, int]:
+    """(sha256 hex, run count, RHS calls) of the `UMBILIC_RUNS` traces."""
+    h = hashlib.sha256()
+    surface = _paraboloid()
+    nfev = 0
+    for r0, phi, speed, s_end in UMBILIC_RUNS:
+        _feed(h, f"{r0} {phi} {speed} {s_end}")
+        try:
+            tr = tracer.trace(tracer.TraceRequest(
+                surface, (r0, 0.0), tracer.IsogonalMode(phi, speed),
+                s_span=(0.0, s_end)))
+            nfev += tr.nfev
+            _feed(h, [tr.exit.kind, tr.exit.s_stop, tr.s, tr.uv])
+        except (GeometryError, ValueError) as exc:  # refusals are outputs
+            _feed(h, f"{type(exc).__name__}: {exc}")
+    return h.hexdigest(), len(UMBILIC_RUNS), nfev
 
 
 def verify_digest() -> tuple[str, int]:
@@ -407,6 +450,8 @@ def main(argv=None) -> None:
     print(f"verify  {digest}  ({n} values)")
     digest, n = charts_digest(args.seed)
     print(f"charts  {digest}  ({n} position-only charts, seed {args.seed})")
+    digest, n, nfev = umbilic_digest()
+    print(f"umbilic {digest}  ({n} paraboloid runs; {nfev} RHS calls)")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,15 @@ def test_trace_set_costs_no_more_solver_work():
     assert nfev <= 7980 and steps <= 1254
 
 
+def test_umbilic_runs_cost_no_more_solver_work():
+    # deterministic, and the RHS count a ceiling: each run ends at the
+    # umbilic gap's solver event in whole steps, or completes
+    first = parity.umbilic_digest()
+    assert first == parity.umbilic_digest()
+    _, n, nfev = first
+    assert n == 30 and nfev <= 8322
+
+
 def test_charts_digest_is_the_same_on_two_calls():
     first = parity.charts_digest()
     assert first == parity.charts_digest()

@@ -166,11 +166,11 @@ def test_boundary_exits_end_on_an_edge(name, draw):
                                 s_span=(-LEAVE_SPAN, LEAVE_SPAN)))
     edges = np.array([dom.t_min, dom.t_max, dom.z_min, dom.z_max], float)
     for br in branches:
-        if br.event:
+        if br.status == 1:
             t, z = br.sample(np.array([br.s]))[0, :2]
             assert np.min(np.abs(np.array([t, t, z, z]) - edges)) < 1e-9
     if tr.exit.kind == "hit_boundary":
-        assert tr.exit.s_stop in [br.s for br in branches if br.event]
+        assert tr.exit.s_stop in [br.s for br in branches if br.status == 1]
     t, z = tr.uv.T
     outside = np.maximum.reduce([edges[0] - t, t - edges[1],
                                  edges[2] - z, z - edges[3]])

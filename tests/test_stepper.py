@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import C2, C3, C4, C5, EPS, P, Stop, _bisect, integrate
+from surftrace.stepper import C2, C3, C4, C5, EPS, P, _bisect, integrate
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 from conftest import rk45_reference
@@ -155,7 +155,7 @@ def test_terminal_event_root_matches_rk45():
     y0 = (1.0, 0.0, 0.0, 1.0)
     br = one_sided(oscillator, y0, 3.0, falls_to_half, ATOL, RTOL)
     sol = reference(oscillator, y0, 3.0, falls_to_half, atol=ATOL, rtol=RTOL)
-    assert br.status == sol.status == 1 and br.event
+    assert br.status == sol.status == 1
     assert abs(br.s - sol.t_events[0][0]) < 1e-12
     assert abs(br.s - np.pi / 3) < 1e-8
     assert_matches(br, sol)
@@ -188,27 +188,6 @@ def test_nfev_counts_every_rhs_call():
         assert br.stats.nfev == count[0]
         stats = br.stats
         assert stats.nfev == start + 6 * (stats.steps + stats.rejected)
-
-
-@pytest.mark.parametrize("stop", [0.5, -0.5, 1e-3])
-def test_stop_ends_branch_at_the_stage(stop):
-    # the RHS refuses every point past |s| = |stop|; at 1e-3 it refuses
-    # the initial-step probe already
-    count = [0]
-
-    def bounded(s, y, ref):
-        count[0] += 1
-        if abs(s) > abs(stop):
-            raise Stop
-        return oscillator(s, y, ref)
-
-    br = one_sided(bounded, (1.0, 0.0, 0.0, 1.0), np.copysign(2.0, stop),
-                   None, ATOL, RTOL)
-    assert br.status == 1 and not br.event
-    assert 0.0 <= (stop - br.s) / np.sign(stop) < 1e-14
-    assert br.stats.nfev == count[0]
-    grid = np.linspace(0.0, br.s, 101)
-    assert np.max(np.abs(br.sample(grid)[:, 0] - np.cos(grid))) < 1e-8
 
 
 ROOT_TOL = 4 * EPS   # scipy's xtol and rtol for event roots
@@ -248,7 +227,7 @@ def test_flat_crossing_ends_the_branch_at_its_root():
     # the flat crossing above as a terminal event
     br = one_sided(lambda s, y, ref: (1.0,), (0.0,), 1.3,
                    lambda s, y: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
-    assert br.status == 1 and br.event
+    assert br.status == 1
     assert abs(br.s - 0.5) < 1e-12
 
 
@@ -263,7 +242,7 @@ def test_non_finite_rhs_at_start_ends_the_branch(bad):
         return (bad, 0.0)
 
     br = one_sided(broken, (0.5, 0.0), 1.0, None, ATOL, RTOL)
-    assert br.status == -1 and br.s == 0.0 and not br.event
+    assert br.status == -1 and br.s == 0.0
     assert count[0] == br.stats.nfev <= 2
     assert br.stats.steps == br.stats.rejected == 0
     assert br.starts.shape == br.h.shape == (0,)

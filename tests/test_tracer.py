@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surftrace import (CATALOGUE, curve_scalars_from_trace, make_bonnet,
                        make_catenoid, make_enneper, make_plane, make_sphere,
@@ -11,8 +12,9 @@ from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               SingularJetError, SolverFailureError,
                               ThetaOutOfRangeError, UmbilicEncounteredError)
-from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
-                              TraceRequest, chart_to_principal_angle,
+from surftrace.tracer import (UMBILIC_GAP, GeodesicMode, IsogonalMode,
+                              PseudoGeodesicMode, TraceRequest,
+                              _umbilic_gap, chart_to_principal_angle,
                               isogonal_map, trace, trace_isogonal,
                               trace_pseudogeodesic)
 
@@ -293,7 +295,55 @@ def test_radial_runs_into_the_umbilic_are_seen(speed):
         assert abs(tr.exit.s_stop - to_origin) < 0.01 / speed
         assert np.hypot(*tr.uv[-1]) < 0.011
         assert tr.s[-1] < tr.exit.s_stop
-        assert tr.nfev < 1000
+        # a ceiling: the gap's solver event ends a run in whole steps
+        assert tr.nfev <= 218
+
+
+def test_inward_spirals_end_at_the_umbilic():
+    # isogonal lines at |phi| > pi/2 spiral into the paraboloid's umbilic;
+    # the RHS count is a ceiling, as for the radial runs
+    par = _paraboloid()
+    for phi in (2.0, 2.5, 3.0, -2.5, 1.8):
+        for r0 in (0.3, 0.6):
+            tr = trace_isogonal(TraceRequest(par, (r0, 0.0),
+                                             IsogonalMode(phi),
+                                             s_span=(0.0, 5.0)))
+            assert tr.exit.kind == "hit_umbilic", (phi, r0, tr.exit)
+            assert np.hypot(*tr.uv[-1]) < 0.011
+            assert tr.nfev <= 1022
+
+
+@settings(max_examples=20, deadline=None)
+@given(r0=st.floats(0.2, 1.0), phi=st.floats(1.8, np.pi),
+       sign=st.sampled_from([1.0, -1.0]), speed=st.floats(0.5, 3.0))
+@example(r0=0.2, phi=np.pi, sign=1.0, speed=0.5)   # the radial run
+@example(r0=0.3, phi=2.5, sign=1.0, speed=1.0)     # the spiral
+def test_umbilic_exits_keep_out_of_the_gap(r0, phi, sign, speed):
+    # runs toward the paraboloid's umbilic: no kept sample lies inside the
+    # gap, and a branch that the gap's event ended ends where the gap is
+    # UMBILIC_GAP
+    branches = []
+
+    def spy(*args):
+        both = stepper.integrate(*args)
+        branches.extend(br for br in both if br is not None)
+        return both
+
+    par = _paraboloid()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracer, "integrate", spy)
+        tr = trace_isogonal(TraceRequest(par, (r0, 0.0),
+                                         IsogonalMode(sign * phi, speed),
+                                         s_span=(0.0, 5.0)))
+    sd = shape_arrays(par, *tr.uv.T)[2]
+    assert np.all(_umbilic_gap(sd.kappa1, sd.kappa2) >= UMBILIC_GAP)
+    (br,) = branches
+    if tr.exit.kind == "hit_umbilic" and br.status == 1:
+        assert tr.exit.s_stop == br.s
+        sd = point_shape(par, *br.sample(np.array([br.s]))[0])[2]
+        gap = _umbilic_gap(sd.kappa1, sd.kappa2)
+        assert abs(gap - UMBILIC_GAP) < 1e-9 * UMBILIC_GAP
+
 
 def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
     # E1 is radial on the paraboloid; the chart rule <E1, X_t> >= 0 points
@@ -591,7 +641,7 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
         assert fwd.steps > 0 and bwd.steps > 0
         assert fwd.nfev == 2 + 6 * (fwd.steps + fwd.rejected)
         assert bwd.nfev == 8 + 6 * (bwd.steps + bwd.rejected)
-    # an umbilic stop: evaluations that raised Stop count too, one by one
+    # an umbilic exit at the gap's event: whole steps, as any branch
     counts.clear()
     req = TraceRequest(_paraboloid(), (0.3, 0.0), IsogonalMode(2.5),
                        s_span=(0.0, 5.0))
@@ -599,7 +649,7 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
     assert tr.exit.kind == "hit_umbilic"
     (b,) = tr.stats.values()
     assert [b.nfev] == counts == [tr.nfev]
-    assert b.nfev < 2 + 6 * (b.steps + b.rejected)
+    assert b.nfev == 2 + 6 * (b.steps + b.rejected)
     # and against the budget: one evaluation fewer ends it as a failure
     budget = b.nfev - 1
     monkeypatch.setattr(stepper, "MAX_NFEV", budget)
