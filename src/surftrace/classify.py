@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .core import SurfaceDef, shape_arrays
-from .darboux import CurveData, curve_scalars_from_trace, frenet_from_darboux
-from .errors import TooFewSamplesError, VanishingCurvatureError
+from .darboux import (KAPPA_FLAT, CurveData, curve_scalars_from_trace,
+                      frenet_from_darboux)
+from .errors import TooFewSamplesError
 from .numdiff import unwrap
 
 #: singular-value ratio below which two series count as linearly dependent
@@ -53,7 +54,7 @@ class DependenceVerdict:
 @dataclass(frozen=True)
 class HelixReport:
     is_helix: bool
-    mn: tuple[float, float]       # m kappa + n tau = 0, sign fixed by n >= 0
+    mn: tuple[float, float]       # m k + n tau = 0, sign fixed by n >= 0
     psi: float                    # axis = cos(psi) T + sin(psi) B
     axis: np.ndarray
     axis_dot_t: ConstancyVerdict
@@ -120,12 +121,12 @@ def linear_dependence_test(x, y) -> DependenceVerdict:
 
 def helix_axis(curve: CurveData) -> HelixReport:
     """Fit the generalized-helix data of a curve: constants (m, n) with
-    m kappa + n tau = 0, the slope angle psi (cot(psi) = m/n), and the
-    axis V = cos(psi) T + sin(psi) B of ``frenet_from_darboux``, averaged
-    over the samples.
+    m k + n tau = 0, the slope angle psi (cot(psi) = m/n), and the axis
+    V = cos(psi) T + sin(psi) B, averaged over the samples.  k and B come
+    from ``frenet_from_darboux``, which holds through zeros of kappa.
     """
     frenet = frenet_from_darboux(curve)
-    dep = linear_dependence_test(curve.kappa, curve.tau)
+    dep = linear_dependence_test(frenet.kappa, curve.tau)
     m, n = dep.coeffs
     if n < 0:
         m, n = -m, -n
@@ -182,18 +183,8 @@ def classify_curve_data(curve: CurveData,
         thr = FLAG_TOL * scale
         return thr / GRAY_FACTOR < value < thr * GRAY_FACTOR
 
-    if kappa_max <= 1e-6:
-        helix = _degenerate_helix(curve)
-    else:
-        try:
-            helix = helix_axis(curve)
-        except VanishingCurvatureError:
-            # kappa dips through zero somewhere: no principal normal there,
-            # so the axis stays undetermined
-            dep = linear_dependence_test(curve.kappa, curve.tau)
-            nanv = ConstancyVerdict(False, float("nan"), float("nan"), 0.0)
-            helix = HelixReport(False, dep.coeffs, float("nan"),
-                                np.full(3, np.nan), nanv, nanv, dep)
+    helix = (_degenerate_helix(curve) if kappa_max <= KAPPA_FLAT
+             else helix_axis(curve))
 
     kntg = linear_dependence_test(curve.kn, curve.taug)
     cskc = constancy_test(curve.kappa1 - curve.kappa2, abs_tol, rel_tol)

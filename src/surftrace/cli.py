@@ -71,14 +71,10 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 def _build_request(args, surface) -> TraceRequest:
-    start = args.start
     if args.mode == "isogonal":
         if args.phi is None:
             raise InvalidRequestError("isogonal mode needs --phi")
-        phi = args.phi
-        if args.phi_frame == "chart":
-            phi = chart_to_principal_angle(surface, start, phi)
-        mode = IsogonalMode(phi)
+        mode = IsogonalMode(_phi(args, surface))
     elif args.mode == "pseudo-geodesic":
         if args.theta is None:
             raise InvalidRequestError("pseudo-geodesic mode needs --theta")
@@ -87,7 +83,7 @@ def _build_request(args, surface) -> TraceRequest:
         mode = GeodesicMode(_direction(args, surface))
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidRequestError(f"unknown mode {args.mode}")
-    return TraceRequest(surface, start, mode, s_span=tuple(args.s_span),
+    return TraceRequest(surface, args.start, mode, s_span=tuple(args.s_span),
                         step=args.step, atol=args.atol, rtol=args.rtol)
 
 
@@ -95,12 +91,16 @@ def _direction(args, surface):
     if args.dir is not None:
         return tuple(args.dir)
     if args.phi is not None:
-        phi = args.phi
-        if args.phi_frame == "chart":
-            phi = chart_to_principal_angle(surface, args.start, phi)
-        return phi
+        return _phi(args, surface)
     raise InvalidRequestError(
         "geodesic/pseudo-geodesic mode needs --dir or --phi")
+
+
+def _phi(args, surface) -> float:
+    """--phi from E1, converted from the t-direction by --phi-frame chart."""
+    if args.phi_frame == "chart":
+        return chart_to_principal_angle(surface, args.start, args.phi)
+    return args.phi
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:

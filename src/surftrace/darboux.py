@@ -9,10 +9,12 @@ frame {T, JT = N x T, N}:
 * theta = atan2(kg, kn), lifted modulo pi to a continuous function of s
 * kappa = sqrt(kg^2 + kn^2),  tau = taug + theta'
 
-The Frenet convention used throughout is T' = kappa N_f, B' = +tau N_f
-(so tau flips sign relative to the more common B' = -tau N_f convention).
-``frenet_from_darboux`` builds that frame from the Darboux data; the tests
-rebuild it from positions alone, as an oracle.
+``frenet_from_darboux`` turns the Darboux frame by the lifted theta:
+N_f = cos(theta) N + sin(theta) N x T, with the signed curvature
+k = kn cos(theta) + kg sin(theta) = +-kappa.  So T' = k N_f and
+B' = +tau N_f hold at every sample, through zeros of kappa too (tau flips
+sign relative to the more common B' = -tau N_f convention).  The tests
+rebuild the frame from positions alone, as an oracle, where kappa > 0.
 """
 from __future__ import annotations
 
@@ -22,8 +24,11 @@ import numpy as np
 
 from .core import SurfaceDef, curve_shape, point_metric
 from .errors import (GeometryError, InvalidRequestError, NonUnitSpeedError,
-                     TooFewSamplesError, VanishingCurvatureError)
+                     TooFewSamplesError)
 from .numdiff import check_uniform, diff_uniform, unwrap
+
+#: kappa at or below which a sample is flat: (kg, kn) gives it no direction
+KAPPA_FLAT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class FrenetData:
     T: np.ndarray      # (n, 3)
     N: np.ndarray      # (n, 3) principal normal
     B: np.ndarray      # (n, 3) binormal, T x N
-    kappa: np.ndarray
+    kappa: np.ndarray  # signed from Darboux data, |T'| from positions
     tau: np.ndarray
 
 
@@ -142,8 +147,8 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
     pos, T, normal = (np.ascontiguousarray(v.T) for v in (
         surface.position(uv[:, 0], uv[:, 1]), vel3, sd.normal))
 
-    theta = normal_angle(kg, kn)
     kappa = np.hypot(kg, kn)
+    theta = normal_angle(kg, kn, kappa)
     theta_prime = diff_uniform(theta, h, edge_order=2)
     tau = taug + theta_prime
     return CurveData(s, uv, uv_vel, uv_acc, pos, T, normal, kg, kn, taug,
@@ -151,26 +156,33 @@ def _scalars(surface, s, uv, uv_vel, uv_acc, shape) -> CurveData:
                      np.flatnonzero(umbilic))
 
 
-def normal_angle(kg: np.ndarray, kn: np.ndarray) -> np.ndarray:
+def normal_angle(kg: np.ndarray, kn: np.ndarray,
+                 kappa: np.ndarray) -> np.ndarray:
     """theta = atan2(kg, kn), lifted modulo pi to a continuous function of the
-    samples.
+    samples; ``kappa`` is hypot(kg, kn).
 
     theta is the angle between the osculating plane and the surface normal,
     which turns on continuously where kappa passes through 0 while atan2
     jumps by pi, so the lift removes steps of pi, not only of 2 pi; there
     (kg, kn) = kappa (sin theta, cos theta) holds up to a sign.  A series
-    with no such step keeps its 2 pi lift, bit for bit.  The first sample
-    fixes the branch of the lift.  There a kg of rounding size, |kg| <=
-    1e-12 |kn|, counts as +0, so a geodesic with kn < 0 starts at +pi
-    whatever the sign of the noise in its kg.
+    with no such step keeps its 2 pi lift, bit for bit.  A flat sample,
+    kappa <= `KAPPA_FLAT`, has no direction of its own: its theta is
+    interpolated from the lift of the others (unless every sample is flat).
+    The first lifted sample fixes the branch.  There a kg of rounding size,
+    |kg| <= 1e-12 |kn|, counts as +0, so a geodesic with kn < 0 starts at
+    +pi whatever the sign of the noise in its kg.
     """
-    theta = np.arctan2(kg, kn)
-    if abs(kg[0]) <= 1e-12 * abs(kn[0]):
-        theta[0] = np.arctan2(0.0, kn[0])
+    at = np.flatnonzero(~(kappa <= KAPPA_FLAT))  # a NaN kappa is kept
+    if len(at) == 0:
+        at = np.arange(len(kappa))
+    theta = np.arctan2(kg[at], kn[at])
+    if abs(kg[at[0]]) <= 1e-12 * abs(kn[at[0]]):
+        theta[0] = np.arctan2(0.0, kn[at[0]])
     theta = unwrap(theta)
     if (np.abs(np.diff(theta)) > np.pi / 2).any():
         theta = unwrap(theta, np.pi)
-    return theta
+    return (theta if len(at) == len(kappa)
+            else np.interp(np.arange(len(kappa)), at, theta))
 
 
 def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
@@ -191,14 +203,13 @@ def curve_scalars_from_trace(surface: SurfaceDef, trace) -> CurveData:
 
 
 def frenet_from_darboux(curve: CurveData) -> FrenetData:
-    """Frenet frames from the Darboux data: kappa N_f = kn N + kg N x T.
-    Requires kappa > 1e-6 throughout, so that N_f is defined."""
-    if curve.kappa.min() <= 1e-6:
-        raise VanishingCurvatureError("kappa ~ 0; principal normal undefined")
+    """Frenet frames from the Darboux data, N_f = cos(theta) N + sin(theta)
+    N x T, and the signed curvature k = kn cos(theta) + kg sin(theta)."""
     T, normal = curve.T, curve.normal
-    N = (curve.kn[:, None] * normal
-         + curve.kg[:, None] * _cross(normal, T)) / curve.kappa[:, None]
-    return FrenetData(T, N, _cross(T, N), curve.kappa, curve.tau)
+    c, s = np.cos(curve.theta), np.sin(curve.theta)
+    N = c[:, None] * normal + s[:, None] * _cross(normal, T)
+    return FrenetData(T, N, _cross(T, N), curve.kn * c + curve.kg * s,
+                      curve.tau)
 
 
 def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:

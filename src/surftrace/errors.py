@@ -21,10 +21,6 @@ class NonUnitSpeedError(GeometryError):
     """Curve samples are not arc-length parametrized."""
 
 
-class VanishingCurvatureError(GeometryError):
-    """Torsion (or a helix axis) is undefined because kappa ~ 0."""
-
-
 class TooFewSamplesError(GeometryError):
     """A statistic needs more samples than were provided."""
 

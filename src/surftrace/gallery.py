@@ -60,8 +60,8 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
         raise DegenerateParameterError(
             "phi0 must lie strictly between 0 and pi/2 "
             "(plane and cylinder limits have dedicated constructors)")
-    if r_beta <= 0:
-        raise DegenerateParameterError("r_beta must be positive")
+    if not 0 < r_beta < np.inf:
+        raise DegenerateParameterError("r_beta must be positive and finite")
     r = float(r_beta)
     cph, sph = float(np.cos(phi0)), float(np.sin(phi0))
     kb = 1.0 / r
@@ -107,9 +107,11 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
     """Enneper's minimal surface in its lines-of-curvature chart,
     X(t,z) = (t - t^3/3 + t z^2, z - z^3/3 + z t^2, t^2 - z^2).
 
-    ``extent`` sets the half-width of the square domain (default 2);
-    the chart is regular on all of R^2, so any extent is admissible.
+    ``extent`` sets the half-width of the square domain (default 2); the
+    chart is regular on all of R^2, so any finite extent > 0 is admissible.
     """
+    if not 0 < extent < np.inf:
+        raise DegenerateParameterError("extent must be positive and finite")
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, t - t * t * t / 3 + t * z * z,
@@ -376,8 +378,8 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
 def make_sphere(r: float = 1.0) -> SurfaceDef:
     """Sphere of radius r, latitude/longitude chart, inward normal
     (kappa = +1/r).  Totally umbilic."""
-    if r <= 0:
-        raise DegenerateParameterError("radius must be positive")
+    if not 0 < r < np.inf:
+        raise DegenerateParameterError("radius must be positive and finite")
     r = float(r)
 
     def position(t: float, z: float) -> np.ndarray:
@@ -421,8 +423,8 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
     """Cylinder of radius r; t runs along the rulings, z is arc length
     around the circle.  Oriented with the inward normal so the circular
     direction has curvature +1/r."""
-    if r <= 0:
-        raise DegenerateParameterError("radius must be positive")
+    if not 0 < r < np.inf:
+        raise DegenerateParameterError("radius must be positive and finite")
     r = float(r)
 
     def position(t: float, z: float) -> np.ndarray:

@@ -6,8 +6,8 @@ Each recomputes by another route what the library computes, so the tests
 can hold the library to it: `frenet_apparatus` sees only ambient positions,
 `pointwise_direction_scalars` one point's shape data, and `christoffel`
 gives the textbook form of the Christoffel contractions that the
-pseudo-geodesic flow takes in directional form.  The two errors
-the latter raises are defined here, since nothing in the library raises them.
+pseudo-geodesic flow takes in directional form.  The three errors that
+only these oracles raise are defined here, not in the library.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from surftrace.core import ShapeData
 from surftrace.darboux import FrenetData
 from surftrace.errors import (GeometryError, NonUnitSpeedError,
-                              TooFewSamplesError, VanishingCurvatureError)
+                              TooFewSamplesError)
 from surftrace.numdiff import diff_uniform
 
 
@@ -28,6 +28,10 @@ class UmbilicPointError(GeometryError):
 
 class NonTangentDirectionError(GeometryError):
     """A supposedly tangent vector has a normal component."""
+
+
+class VanishingCurvatureError(GeometryError):
+    """The position stencils' kappa ~ 0, so N and tau are undefined."""
 
 
 def diff2_uniform(y: np.ndarray, h: float) -> np.ndarray:

@@ -38,7 +38,10 @@ A change that moves outputs on purpose is measured by a drift report:
 set's traces under the mode ``charts`` included, and every verify value;
 ``--against`` recomputes them and prints, for each mode and field, how
 many curves stay bit for bit and the largest scaled change |new - old| /
-max(1, |old|), then the verify values that moved.  The `Trace.shape`
+max(1, |old|), then the verify values that moved.  For the ``text`` field
+(the exit kind and rendered report, or the refusal) it prints instead how
+many curves changed a verdict: the exit kind or refusal type, or a report
+line's yes/no/undefined word, not only its numbers.  The `Trace.shape`
 records go in leaf by leaf, as ``trace.shape.<record>.<field>`` (records
 ``jet``, ``forms`` and ``data``), and a field that only one side has
 prints as ``added`` (only this checkout) or ``removed`` (only the file).
@@ -366,6 +369,13 @@ def _flips(kappa: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return near
 
 
+def _verdicts(text: str) -> list:
+    """A ``text`` field's verdicts: the exit kind (or the refusal's type)
+    and each report line's label with its yes/no/undefined word."""
+    first, *lines = text.splitlines()
+    return [first.split(":")[0], *(line.split()[:2] for line in lines)]
+
+
 def drift_report(path: str, seed: int, passes: int) -> str:
     """The drift table of this checkout's outputs against ``path``'s."""
     saved = np.load(path)
@@ -374,7 +384,8 @@ def drift_report(path: str, seed: int, passes: int) -> str:
         i, name = key.split(" ", 1)
         if i != "verify" and name != "label":
             stored.setdefault(i, {})[name] = saved[key]
-    # (mode, field) -> [curves, bitwise, max change, added, removed]
+    # (mode, field) -> [curves, bitwise, max change (for text: verdicts
+    # changed), added, removed]
     rows: dict[tuple[str, str], list] = {}
     for i, (label, mode, fields) in enumerate(curve_outputs(seed, passes)):
         if str(saved[f"{i} label"]) != f"{mode} {label}":
@@ -401,12 +412,16 @@ def drift_report(path: str, seed: int, passes: int) -> str:
                 row[4] += 1
             elif _same(fields[name], old[name]):
                 row[1] += 1
-            elif name != "text":
+            elif name == "text":
+                row[2] += (_verdicts(str(fields[name]))
+                           != _verdicts(str(old[name])))
+            else:
                 row[2] = max(row[2], _change(fields[name], old[name]))
     lines = [f"{'mode':16} {'field':34} {'bitwise':>9}  max scaled change"]
     for (mode, name), (n, same, change, added, removed) in rows.items():
         shown = ("added" if added == n else "removed" if removed == n
-                 else "-" if name == "text" else f"{change:.2g}")
+                 else f"{int(change)} verdicts" if name == "text"
+                 else f"{change:.2g}")
         if 0 < added < n or 0 < removed < n:
             shown += f" ({added} added, {removed} removed)"
         lines.append(f"{mode:16} {name:34} {f'{same}/{n}':>9}  {shown}")

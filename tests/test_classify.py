@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import fresnel
 
 from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        curve_scalars, curve_scalars_from_trace, helix_axis,
@@ -10,8 +11,7 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        make_cylinder, make_enneper, make_plane, make_sphere,
                        surface_class_probe)
 from surftrace.classify import proposition_checks, render_report
-from surftrace.errors import (NonUnitSpeedError, TooFewSamplesError,
-                              VanishingCurvatureError)
+from surftrace.errors import NonUnitSpeedError, TooFewSamplesError
 from surftrace.scenarios import CURVES, traced
 from surftrace.tracer import (IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
@@ -186,16 +186,35 @@ def test_plane_circle_classification():
     assert abs(abs(rep.helix.axis_dot_n.mean) - 1.0) < 1e-8
 
 
-def test_helix_axis_refuses_vanishing_curvature():
+@pytest.mark.parametrize("offset", [1e-3, 2e-7, 1e-12, 0.0])
+def test_euler_spiral_through_its_inflection_is_a_planar_helix(offset):
+    # kappa = |s + offset| on the plane, 801 samples at step 2e-3: the
+    # inflection falls half a step from a sample, or at a sample whose
+    # kappa is below darboux.KAPPA_FLAT, or exactly on one.  A planar curve
+    # is a generalized helix, tau = 0, with its plane normal as axis.
+    s = (np.arange(801) - 400) * 2e-3
+    u = s + offset
+    c, sn = np.cos(u * u / 2), np.sin(u * u / 2)
+    fs, fc = fresnel(u / np.sqrt(np.pi))
+    uv = np.sqrt(np.pi) * np.column_stack([fc, fs])
+    cd = curve_scalars(make_plane(), s, uv, np.column_stack([c, sn]),
+                       u[:, None] * np.column_stack([-sn, c]))
+    rep = classify_curve_data(cd)
+    assert rep.planar, rep.max_abs_tau
+    assert rep.helix.is_helix, rep.helix
+    assert abs(abs(rep.helix.axis[2]) - 1.0) < 1e-12, rep.helix.axis
+
+
+def test_helix_axis_of_a_straight_line_is_finite():
     plane = make_plane()
     s = np.linspace(-0.5, 0.5, 101)
     uv = np.column_stack([s, np.zeros_like(s)])
     vel = np.tile([1.0, 0.0], (101, 1))
     acc = np.zeros((101, 2))
     cd = curve_scalars(plane, s, uv, vel, acc)
-    with pytest.raises(VanishingCurvatureError):
-        helix_axis(cd)
-    # but classification falls back to the degenerate straight-line report
+    # the Frenet frame exists at flat samples too, so the fit gives an axis
+    assert np.isfinite(helix_axis(cd).axis).all()
+    # classification reports the degenerate straight-line helix
     rep = classify_curve_data(cd)
     assert rep.helix.is_helix and rep.helix.degenerate
 

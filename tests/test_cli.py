@@ -268,6 +268,20 @@ PROBES = {
                                  *ENNEPER, "--phi", "0.5"],
     "config-unknown-scenario": ["--config", "probe.cfg", "verify", "S3"],
     "config-unknown-option": ["--config", "probe.cfg", "verify", "S3"],
+    # surface parameters that are not finite once traced NaN positions
+    "cylinder-r-inf": ["trace", "--surface", "cylinder", "--param", "r=inf",
+                       "--start", "0,0", "--mode", "geodesic", "--dir", "1,0"],
+    "sphere-r-inf": ["trace", "--surface", "sphere", "--param", "r=inf",
+                     "--start", "0,0", "--mode", "geodesic", "--dir", "1,0"],
+    "sphere-r-nan": ["trace", "--surface", "sphere", "--param", "r=nan",
+                     "--start", "0,0", "--mode", "geodesic", "--dir", "1,0"],
+    "helix-surface-r-beta-inf": ["trace", "--surface", "helix_surface",
+                                 "--param", "r_beta=inf", "--start", "0,0",
+                                 "--phi", "0.5"],
+    "enneper-extent-inf": ["export", "--surface", "enneper", "--param",
+                           "extent=inf", "--start", "0,1", "--phi", "0.5"],
+    "enneper-extent-zero": ["export", "--surface", "enneper", "--param",
+                            "extent=0", "--start", "0,0", "--phi", "0.5"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -308,7 +322,13 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                "csv-nan-acceleration": ("sample 5",),
                "config-unknown-tolerance": ("'tol_ab'", "tol_abs", "s3.c"),
                "config-unknown-scenario": ("'s9.c'", "tol_abs", "s3.c"),
-               "config-unknown-option": ("'surface'", "tol_abs", "s3.c")}
+               "config-unknown-option": ("'surface'", "tol_abs", "s3.c"),
+               "cylinder-r-inf": ("radius",),
+               "sphere-r-inf": ("radius",),
+               "sphere-r-nan": ("radius",),
+               "helix-surface-r-beta-inf": ("r_beta",),
+               "enneper-extent-inf": ("extent",),
+               "enneper-extent-zero": ("extent",)}
 
 
 def _write_probe_inputs(probe, tmp_path):

@@ -10,8 +10,7 @@ from surftrace import (curve_scalars, curve_scalars_from_trace, darboux,
 from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
 from surftrace.darboux import normal_angle
 from surftrace.errors import (GeometryError, InvalidRequestError,
-                              NonUnitSpeedError, TooFewSamplesError,
-                              VanishingCurvatureError)
+                              NonUnitSpeedError, TooFewSamplesError)
 from surftrace.numdiff import check_uniform, diff_uniform, unwrap
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, chart_to_principal_angle, trace,
@@ -19,8 +18,8 @@ from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
 
 from conftest import assert_curve_data_equal
 from oracles import (NonTangentDirectionError, UmbilicPointError,
-                     diff2_uniform, diff3_uniform, frenet_apparatus,
-                     pointwise_direction_scalars)
+                     VanishingCurvatureError, diff2_uniform, diff3_uniform,
+                     frenet_apparatus, pointwise_direction_scalars)
 
 
 def plane_circle_samples(radius, n=801, span=2.4, center=(0.0, 0.0)):
@@ -302,7 +301,7 @@ def test_frenet_agreement_across_scenario_corpus(corpus, monkeypatch):
 
 
 def test_darboux_frame_matches_position_oracle(corpus):
-    # the classifier's frame (exact T, N_f = (kn N + kg N x T) / kappa)
+    # the classifier's frame (exact T, N_f = cos(theta) N + sin(theta) N x T)
     # against the stencil frame over the corpus; worst measured 5.2e-6 (T),
     # 1.9e-5 (N) and 1.0e-5 (B), bound 5e-5
     for cc in corpus:
@@ -312,7 +311,10 @@ def test_darboux_frame_matches_position_oracle(corpus):
         for key in ("T", "N", "B"):
             err = float(np.max(np.abs(getattr(fd, key) - getattr(fa, key))))
             assert err < 5e-5, (cc.name, key, err)
-        assert fd.kappa is cd.kappa and fd.tau is cd.tau
+        # the corpus has no zero of kappa: the signed k is +-kappa
+        assert np.allclose(np.abs(fd.kappa), cd.kappa, rtol=1e-14,
+                           atol=1e-15), cc.name
+        assert fd.tau is cd.tau
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,7 @@ def test_theta_branch_ignores_sign_of_rounding_noise():
     for noise in (5e-18, -5e-18):
         kg = cd.kg.copy()
         kg[0] = noise
-        thetas.append(normal_angle(kg, cd.kn))
+        thetas.append(normal_angle(kg, cd.kn, np.hypot(kg, cd.kn)))
     assert np.array_equal(thetas[0], thetas[1])
     assert thetas[0][0] == np.pi
 

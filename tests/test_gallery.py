@@ -192,6 +192,15 @@ def test_degenerate_parameters_rejected():
             make_crpc_revolution(c, 1)
     with pytest.raises(DegenerateParameterError):
         make_sphere(-1.0)
+    # a radius, r_beta or extent that is not finite, or an extent <= 0
+    for make in (make_sphere, make_cylinder, make_helix_surface,
+                 make_enneper):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DegenerateParameterError):
+                make(bad)
+    for extent in (0.0, -1.0):
+        with pytest.raises(DegenerateParameterError):
+            make_enneper(extent)
     with pytest.raises(DegenerateParameterError):
         make_surface("nonexistent")
 

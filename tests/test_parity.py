@@ -42,9 +42,24 @@ def test_drift_report_against_its_own_outputs_is_all_bitwise(tmp_path):
     assert {row[0] for row in rows} == {"isogonal", "pseudo_geodesic",
                                         "geodesic", "charts"}
     for row in rows:
+        if row[1] == "text":   # a count of changed verdicts
+            assert row[-1] == "verdicts", row
+            row = row[:-1]
         same, n = row[-2].split("/")
-        assert same == n and row[-1] in ("0", "-"), row
+        assert same == n and row[-1] == "0", row
     assert lines[-1] == "verify: 64 of 64 values bitwise"
+
+
+def test_verdicts_see_words_and_exits_not_numbers():
+    text = ("completed\nplanar:             no (max|tau|=0.25)\n"
+            "helix:              yes (m=0.5, n=0.8, psi=1.01)\n")
+    same = parity._verdicts(text)
+    assert parity._verdicts(text.replace("m=0.5", "m=0.50001")) == same
+    assert parity._verdicts(text.replace("yes", "no")) != same
+    assert parity._verdicts(text.replace("completed", "hit_boundary")) != same
+    refusal = "TooFewSamplesError: need at least 5 samples, got 3"
+    assert (parity._verdicts(refusal)
+            == parity._verdicts(refusal.replace("got 3", "got 4")))
 
 
 def test_theta_flips_cover_the_torsion_stencil():

@@ -110,6 +110,10 @@ normal_angles = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
 @settings(max_examples=40, deadline=None)
 @given(draw=normal_angles)
 @example(draw=(0.0, 0.0, 0.0, 0.5, 1.0))   # on the cylinder, along a ruling
+# a chart direction of pi/4 is asymptotic on the isothermal minimal charts
+# (enneper, bonnet, catenoid): kappa = 0 at the start sample
+@example(draw=(0.6, 0.7, np.pi / 4, 0.5, 0.5))
+@example(draw=(0.6, 0.7, np.pi / 4, 0.5, None))
 def test_pseudo_geodesics_keep_their_angle_modulo_pi(name, draw):
     # where the tangent passes an asymptotic direction, kg = kn = 0 and
     # atan2(kg, kn) turns by pi between two samples; the lift of theta
