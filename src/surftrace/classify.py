@@ -6,6 +6,12 @@ constant), geodesic (kg ~ 0), line of curvature (taug ~ 0), asymptotic
 fitted constants).  Surface probes: constant ratio of principal
 curvatures (CRPC) and constant skew curvature (CSkC, kappa1 - kappa2
 constant).
+
+The dependence test of the helix, kn-taug and CRPC verdicts is a closed
+form, and classification calls no LAPACK routine: two columns scaled by a
+power of two take one Gram-Schmidt step, larger first, to R = [[r11, r12],
+[0, r22]], with Demmel & Kahan's 2 x 2 singular values (LAPACK's dlasv2),
+accurate as LAPACK's SVD is: to about eps sigma_max, absolute.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import numpy as np
 from .core import SurfaceDef, shape_arrays
 from .darboux import (KAPPA_FLAT, CurveData, curve_scalars_from_trace,
                       frenet_from_darboux)
-from .errors import TooFewSamplesError
+from .errors import InvalidRequestError, TooFewSamplesError
 from .numdiff import unwrap
 
 #: singular-value ratio below which two series count as linearly dependent
@@ -101,22 +107,36 @@ def linear_dependence_test(x, y) -> DependenceVerdict:
 
     The residual is the ratio sigma_min/sigma_max of the stacked (n, 2)
     matrix; the coefficient vector is the right singular vector of the
-    smallest singular value, normalized with a >= 0 (b > 0 when a = 0).
+    smallest singular value (an eigenvector of the 2 x 2 Gram matrix),
+    normalized with a >= 0 (b > 0 when a = 0).  Raises InvalidRequestError
+    naming the first sample that is not finite.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 5 or len(y) != len(x):
         raise TooFewSamplesError("dependence test needs >= 5 paired values")
-    if np.abs(x).max() < 1e-13 and np.abs(y).max() < 1e-13:
+    x_max, y_max = float(np.abs(x).max()), float(np.abs(y).max())
+    for name, v, v_max in (("x", x, x_max), ("y", y, y_max)):
+        if not math.isfinite(v_max):
+            i = int(np.argmin(np.isfinite(v)))
+            raise InvalidRequestError(f"dependence test: {name}[{i}] = "
+                                      f"{float(v[i])} is not finite")
+    if x_max < 1e-13 and y_max < 1e-13:
         return DependenceVerdict(True, (1.0, 0.0), 0.0, degenerate=True)
-    m = np.column_stack([x, y])
-    _u, sv, vt = np.linalg.svd(m, full_matrices=False)
-    residual = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    a, b = vt[-1]
+    scale = math.ldexp(1.0, -math.frexp(max(x_max, y_max))[1])
+    x, y = x * scale, y * scale
+    xx, yy, xy = float(x @ x), float(y @ y), float(x @ y)
+    w = y - (xy / xx) * x if xx >= yy else x - (xy / yy) * y
+    r11 = math.sqrt(max(xx, yy))
+    r12, r22 = xy / r11, math.sqrt(float(w @ w))
+    s_max = 0.5 * (math.hypot(r11 + r22, r12) + math.hypot(r11 - r22, r12))
+    residual = r11 * r22 / s_max / s_max
+    half = 0.5 * math.atan2(2.0 * xy, xx - yy)   # (cos, sin) is for s_max
+    a, b = -math.sin(half), math.cos(half)
     if a < 0 or (a == 0 and b < 0):
         a, b = -a, -b
-    return DependenceVerdict(residual <= DEPENDENCE_RESIDUAL_MAX,
-                             (float(a), float(b)), residual)
+    return DependenceVerdict(residual <= DEPENDENCE_RESIDUAL_MAX, (a, b),
+                             residual)
 
 
 def helix_axis(curve: CurveData) -> HelixReport:

@@ -64,14 +64,17 @@ def write_trace_csv(path: str, curve: CurveData) -> None:
 def _first_bad_line(lines) -> str | None:
     """Where the first of ``lines``, the lines after a CSV header, that is
     not 17 numbers fails: 'line L, column C: ...' for a cell that is not a
-    number, 'line L: ...' for a wrong cell count (L from 2, blank lines
-    skipped as `np.loadtxt` skips them), or None where every line passes."""
+    number to `np.loadtxt`, 'line L: ...' for a wrong cell count (L from 2,
+    blank lines skipped as `np.loadtxt` skips them), or None where every
+    line passes."""
     for number, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.removesuffix("\n").split(",")
         for column, cell in enumerate(cells, start=1):
-            try:
+            try:   # np.loadtxt refuses float()'s '_' and non-ASCII digits
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError
                 float(cell)
             except ValueError:
                 return (f"line {number}, column {column}: {cell!r} is not "

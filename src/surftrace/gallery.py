@@ -44,6 +44,20 @@ class GalleryOracle:
     e2: Optional[VectorField] = None
 
 
+#: a gallery length (a radius, r_beta, Enneper's extent) lies in this range:
+#: curvatures up to 1e100 square to 1e200 in the shape pass, and Enneper's
+#: cubic positions stay below 1e300
+LENGTH_RANGE = (1e-100, 1e100)
+
+
+def _length(name: str, value: float) -> float:
+    lo, hi = LENGTH_RANGE
+    if not lo <= value <= hi:   # NaN too
+        raise DegenerateParameterError(
+            f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # helix surface (ruled, flat; generating curve: circle of radius r_beta)
 # ---------------------------------------------------------------------------
@@ -60,9 +74,7 @@ def make_helix_surface(r_beta: float = 1.0, phi0: float = np.pi / 4) -> SurfaceD
         raise DegenerateParameterError(
             "phi0 must lie strictly between 0 and pi/2 "
             "(plane and cylinder limits have dedicated constructors)")
-    if not 0 < r_beta < np.inf:
-        raise DegenerateParameterError("r_beta must be positive and finite")
-    r = float(r_beta)
+    r = _length("r_beta", r_beta)
     cph, sph = float(np.cos(phi0)), float(np.sin(phi0))
     kb = 1.0 / r
     z_max = 0.95 * r / cph
@@ -108,10 +120,9 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
     X(t,z) = (t - t^3/3 + t z^2, z - z^3/3 + z t^2, t^2 - z^2).
 
     ``extent`` sets the half-width of the square domain (default 2); the
-    chart is regular on all of R^2, so any finite extent > 0 is admissible.
+    chart is regular on all of R^2, so any extent in `LENGTH_RANGE` will do.
     """
-    if not 0 < extent < np.inf:
-        raise DegenerateParameterError("extent must be positive and finite")
+    ext = _length("extent", extent)
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, t - t * t * t / 3 + t * z * z,
@@ -136,7 +147,6 @@ def make_enneper(extent: float = 2.0) -> SurfaceDef:
         normal=lambda t, z: np.array([-2 * t, 2 * z, 1 - t * t - z * z])
         / (1 + t * t + z * z),
     )
-    ext = float(extent)
     return SurfaceDef(name="enneper", domain=Domain(-ext, ext, -ext, ext),
                       position=position, jet=jet,
                       params={"extent": ext}, oracle=oracle)
@@ -378,9 +388,7 @@ def make_bonnet(a: float = 0.5) -> SurfaceDef:
 def make_sphere(r: float = 1.0) -> SurfaceDef:
     """Sphere of radius r, latitude/longitude chart, inward normal
     (kappa = +1/r).  Totally umbilic."""
-    if not 0 < r < np.inf:
-        raise DegenerateParameterError("radius must be positive and finite")
-    r = float(r)
+    r = _length("radius r", r)
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, r * (np.cos(t) * np.cos(z)), r * (np.cos(t) * np.sin(z)),
@@ -423,9 +431,7 @@ def make_cylinder(r: float = 1.0) -> SurfaceDef:
     """Cylinder of radius r; t runs along the rulings, z is arc length
     around the circle.  Oriented with the inward normal so the circular
     direction has curvature +1/r."""
-    if not 0 < r < np.inf:
-        raise DegenerateParameterError("radius must be positive and finite")
-    r = float(r)
+    r = _length("radius r", r)
 
     def position(t: float, z: float) -> np.ndarray:
         return vec3(t, r * np.cos(z / r), r * np.sin(z / r), t)

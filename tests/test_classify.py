@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import fresnel
 
 from surftrace import (classify_curve, classify_curve_data, constancy_test,
@@ -10,8 +12,10 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        linear_dependence_test, make_crpc_revolution,
                        make_cylinder, make_enneper, make_plane, make_sphere,
                        surface_class_probe)
-from surftrace.classify import proposition_checks, render_report
-from surftrace.errors import NonUnitSpeedError, TooFewSamplesError
+from surftrace.classify import (DEPENDENCE_RESIDUAL_MAX, proposition_checks,
+                                render_report)
+from surftrace.errors import (InvalidRequestError, NonUnitSpeedError,
+                              TooFewSamplesError)
 from surftrace.scenarios import CURVES, traced
 from surftrace.tracer import (IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
@@ -108,6 +112,79 @@ def test_dependence_finds_planted_coefficients(a, b):
     if want[0] < 0 or (want[0] == 0 and want[1] < 0):
         want = -want
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("x_bad, y_bad, where", [
+    (np.nan, None, "x[3] = nan"), (None, np.inf, "y[3] = inf"),
+    (None, -np.inf, "y[3] = -inf"), (np.inf, np.nan, "x[3] = inf")])
+def test_dependence_refuses_non_finite_samples(x_bad, y_bad, where):
+    # a NaN once raised numpy's LinAlgError, and an inf read dependent with
+    # residual 0; the first bad sample of x, then of y, is named
+    x, y = np.linspace(1.0, 2.0, 6), np.linspace(0.0, 1.0, 6)
+    x[3] = x[3] if x_bad is None else x_bad
+    y[3] = y[3] if y_bad is None else y_bad
+    y[5] = np.nan
+    with pytest.raises(InvalidRequestError, match=re.escape(where)):
+        linear_dependence_test(x, y)
+
+
+def _svd_verdict(x, y):
+    """(dependent, coeffs, residual) from np.linalg.svd, the reference."""
+    _u, sv, vt = np.linalg.svd(np.column_stack([x, y]), full_matrices=False)
+    a, b = vt[-1]
+    if a < 0 or (a == 0 and b < 0):
+        a, b = -a, -b
+    residual = sv[-1] / sv[0]
+    return residual <= DEPENDENCE_RESIDUAL_MAX, (a, b), residual
+
+
+_PAIRS = st.integers(5, 40).flatmap(lambda n: st.tuples(
+    *[arrays(float, n, elements=st.floats(-1.0, 1.0))] * 2))
+_SCALES = st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150, 1e200])
+_RAMP = np.linspace(1.0, 2.0, 7)
+_UNIT = np.eye(6)
+
+
+@settings(max_examples=300)
+@given(_PAIRS, st.floats(-4.0, 4.0),
+       st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1.0]), _SCALES, _SCALES)
+# an exact multiple; a zero column on either side; orthogonal columns of
+# equal norm; columns scaled by 1e+-150 (and 1e200, where x.x overflows
+# unscaled); the 5-sample minimum
+@example((_RAMP, _RAMP), -2.0, 0.0, 1.0, 1.0)
+@example((0.0 * _RAMP, _RAMP ** 2), 0.0, 1.0, 1.0, 1.0)
+@example((_RAMP, _RAMP ** 2), 0.0, 0.0, 1.0, 1.0)
+@example((_UNIT[0], _UNIT[1]), 0.0, 1.0, 1.0, 1.0)
+@example((_RAMP, np.sin(_RAMP)), 0.5, 1e-6, 1e150, 1e150)
+@example((_RAMP, np.sin(_RAMP)), 0.5, 1e-3, 1e150, 1e-150)
+@example((_RAMP, np.sin(_RAMP)), 0.5, 1.0, 1e-150, 1.0)
+@example((_RAMP, np.sin(_RAMP)), 0.5, 1.0, 1e-150, 1e-150)
+@example((_RAMP, np.sin(_RAMP)), 0.5, 1e-6, 1e200, 1e200)
+@example((_RAMP[:5], np.cos(_RAMP[:5])), 1.0, 1.0, 1.0, 1.0)
+@example((_UNIT[0, :5], np.array([2.2e-34, 1.0, 1.0, 1.0, 1.0])), 0.0,
+         1e-15, 1e-8, 1e-150)
+def test_dependence_agrees_with_lapack_svd(pair, ratio, noise, x_scale,
+                                           y_scale):
+    x0, z = pair
+    x, y = x_scale * x0, y_scale * (ratio * x0 + noise * z)
+    v = linear_dependence_test(x, y)
+    if max(np.abs(x).max(), np.abs(y).max()) < 1e-13:
+        assert v.degenerate and v.dependent
+        return
+    dependent, coeffs, residual = _svd_verdict(x, y)
+    assert v.dependent == dependent and not v.degenerate
+    assert abs(v.residual - residual) <= 1e-15 + 1e-13 * residual
+    a, b = v.coeffs
+    assert math.hypot(a, b) == pytest.approx(1.0, abs=1e-15)
+    assert a > 0 or (a == 0 and b > 0)
+    if residual <= 0.5:
+        # up to sign: where a is at rounding size, so is the sign rule's
+        # choice (LAPACK reads a = 0 for x = 1e-8 (1, 0, ...) and
+        # y = 1e-165 (2.2e-34, 1, 1, ...), whose a is 2.2e-191)
+        gap = np.abs(np.subtract(v.coeffs, coeffs)).max()
+        flip = np.abs(np.add(v.coeffs, coeffs)).max()
+        assert min(gap, flip) <= 1e-12
+        assert gap <= 1e-12 or abs(a) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +356,20 @@ def test_probe_sphere_all_umbilic():
 def test_probe_needs_enough_points():
     with pytest.raises(TooFewSamplesError):
         surface_class_probe(make_enneper(), grid=[(0.0, 0.0)] * 10)
+
+
+def test_classification_calls_no_lapack(s2_report_and_curve, monkeypatch):
+    # the dependence tests are closed forms: with numpy's LAPACK drivers
+    # refusing, a traced curve and a surface probe still classify
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on the classify path")
+
+    for name in ("svd", "qr", "eig", "eigh", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep, cd = s2_report_and_curve
+    assert render_report(classify_curve_data(cd)) == render_report(rep)
+    assert surface_class_probe(make_crpc_revolution(2.0, 1))["crpc"].dependent
+    assert surface_class_probe(make_enneper())["crpc"].dependent
 
 
 # ---------------------------------------------------------------------------

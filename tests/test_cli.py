@@ -15,7 +15,7 @@ from surftrace import (classify_curve_data, curve_scalars_from_trace,
 from surftrace.cli import main
 from surftrace.darboux import CurveData
 from surftrace.errors import TooFewSamplesError
-from surftrace.exporters import (CSV_COLUMNS, parse_config,
+from surftrace.exporters import (CSV_COLUMNS, _first_bad_line, parse_config,
                                  read_trace_csv, write_obj, write_trace_csv)
 from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
@@ -169,10 +169,13 @@ def test_read_trace_csv_refuses_malformed_files(tmp_path):
 
 def test_read_trace_csv_names_the_file_line_and_column(tmp_path):
     # the header is line 1: a bad cell on line 3 is named there, not by
-    # np.loadtxt's data-row index (1) or count (2)
+    # np.loadtxt's data-row index (1) or count (2); so is a cell that
+    # float() reads but np.loadtxt does not
     row = ",".join(["0.5"] * 17)
     text = ",".join(["0.5"] * 4 + ["abc"] + ["0.5"] * 12)
+    under = ",".join(["0.5"] * 4 + ["1_0"] + ["0.5"] * 12)
     for bad, where in ((row + "\n" + text, "line 3, column 5:"),
+                       (row + "\n" + row + "\n" + under, "line 4, column 5:"),
                        ("# a comment\n" + row, "line 2, column 1:"),
                        (row + "\n0.5,0.5", "line 3: 2 columns")):
         path = tmp_path / "bad.csv"
@@ -180,6 +183,21 @@ def test_read_trace_csv_names_the_file_line_and_column(tmp_path):
                         encoding="utf-8")
         with pytest.raises(ValueError, match=where):
             read_trace_csv(str(path), make_enneper())
+
+
+@pytest.mark.parametrize("cell", [
+    "1_0", "1_000.5", "\u0661", "\uff11", "\u0661.5", " 1", "\u20001.5",
+    "1.5\xa0", "-Infinity", "nan", "1e999"])
+def test_bad_line_finder_refuses_what_loadtxt_refuses(cell):
+    # float() reads every one of these cells; np.loadtxt takes no '_' and
+    # no non-ASCII digit, and the finder must not pass a cell it refuses
+    line = ",".join(["0.5"] * 4 + [cell] + ["0.5"] * 12) + "\n"
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+        refused = False
+    except ValueError:
+        refused = True
+    assert (_first_bad_line([line]) is not None) == refused
 
 
 def test_classify_subcommand(tmp_path, capsys):
@@ -282,6 +300,14 @@ PROBES = {
                            "extent=inf", "--start", "0,1", "--phi", "0.5"],
     "enneper-extent-zero": ["export", "--surface", "enneper", "--param",
                             "extent=0", "--start", "0,0", "--phi", "0.5"],
+    # finite lengths out of gallery.LENGTH_RANGE once overflowed the chart:
+    # an OBJ of nan/inf vertices, and warnings before the error line
+    "enneper-extent-1e200": ["export", "--surface", "enneper", "--param",
+                             "extent=1e200", "--start", "0,1", "--phi", "0.5",
+                             "--no-curve", "--grid", "3", "3"],
+    "helix-surface-r-beta-1e-300": ["trace", "--surface", "helix_surface",
+                                    "--param", "r_beta=1e-300", "--start",
+                                    "0,0", "--phi", "0.5"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -328,7 +354,9 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                "sphere-r-nan": ("radius",),
                "helix-surface-r-beta-inf": ("r_beta",),
                "enneper-extent-inf": ("extent",),
-               "enneper-extent-zero": ("extent",)}
+               "enneper-extent-zero": ("extent",),
+               "enneper-extent-1e200": ("extent",),
+               "helix-surface-r-beta-1e-300": ("r_beta",)}
 
 
 def _write_probe_inputs(probe, tmp_path):
@@ -374,6 +402,7 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path, monkeypatch,
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
+    assert not list(tmp_path.glob("*.obj"))
 
 
 def test_entry_point_fails_with_one_line(tmp_path):

@@ -9,8 +9,8 @@ from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        make_plane, make_sphere, make_surface, point_shape)
 from surftrace.core import FD_STEP, _fd_jet
 from surftrace.errors import DegenerateParameterError
-from surftrace.gallery import (CATALOGUE, _CRPC_TERMS, _crpc_constants,
-                               _crpc_height)
+from surftrace.gallery import (CATALOGUE, LENGTH_RANGE, _CRPC_TERMS,
+                               _crpc_constants, _crpc_height)
 from surftrace.intersect import FIXTURES
 
 from conftest import interior_grid
@@ -192,17 +192,33 @@ def test_degenerate_parameters_rejected():
             make_crpc_revolution(c, 1)
     with pytest.raises(DegenerateParameterError):
         make_sphere(-1.0)
-    # a radius, r_beta or extent that is not finite, or an extent <= 0
+    # a radius, r_beta or extent that is not finite, <= 0, or finite but
+    # outside LENGTH_RANGE (1e-300 once overflowed curvatures squared, 1e200
+    # Enneper's cubic positions)
+    lo, hi = LENGTH_RANGE
     for make in (make_sphere, make_cylinder, make_helix_surface,
                  make_enneper):
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0, lo / 2, 2 * hi,
+                    1e-300, 1e200):
             with pytest.raises(DegenerateParameterError):
                 make(bad)
-    for extent in (0.0, -1.0):
-        with pytest.raises(DegenerateParameterError):
-            make_enneper(extent)
     with pytest.raises(DegenerateParameterError):
         make_surface("nonexistent")
+
+
+@pytest.mark.parametrize("make", [make_sphere, make_cylinder,
+                                  make_helix_surface, make_enneper])
+@pytest.mark.parametrize("length", LENGTH_RANGE)
+def test_lengths_at_the_range_ends_give_finite_charts(make, length):
+    # position and jet at the domain's corners and centre, warning-free
+    surface = make(length)
+    d = surface.domain
+    t = np.array([d.t_min, d.t_min, d.t_max, d.t_max, (d.t_min + d.t_max) / 2])
+    z = np.array([d.z_min, d.z_max, d.z_min, d.z_max, (d.z_min + d.z_max) / 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [surface.position(t, z), *surface.jet(t, z)]
+    assert all(np.isfinite(v).all() for v in values)
 
 
 @pytest.mark.parametrize("c", [1e-14, 1e-3, 2.0, 50.0, 1e6])
