@@ -54,7 +54,8 @@ ChartVec = Union[tuple[float, float, float], np.ndarray]  # 1 point, n points
 #: relative step for finite-difference jets
 FD_STEP = 1e-5
 
-#: umbilic threshold scale: |k1 - k2| < UMBILIC_EPS * max(1, |k1| + |k2|)
+#: relative umbilic tolerance of the shape stage: ``ShapeData.umbilic`` is
+#: ``umbilic_margin(kappa1, kappa2, UMBILIC_EPS) <= 0``
 UMBILIC_EPS = 1e-9
 
 
@@ -169,6 +170,14 @@ def pyfloats(like, *values) -> tuple:
     if type(like) is float or not (isinstance(like, np.ndarray) and like.ndim):
         return tuple(map(float, values))
     return values
+
+
+def umbilic_margin(kappa1, kappa2, tol):
+    """(kappa2 - kappa1) - tol (|kappa1| + |kappa2|), elementwise on floats
+    or arrays: at most 0 where the point is umbilic to relative tolerance
+    ``tol``, a flat point (kappa1 = kappa2 = 0) too; NaN, never umbilic, for
+    a NaN curvature.  Scaling a surface by L scales the margin by 1/L."""
+    return (kappa2 - kappa1) - tol * (abs(kappa1) + abs(kappa2))
 
 
 def _fd_jet(position: Callable[[float, float], ChartVec], t: float, z: float) -> SurfaceJet2:
@@ -304,11 +313,7 @@ def _principal(metric: tuple, flip: Callable) -> tuple:
     disc = sqrt(half * half + m01 * m01)
     kappa1 = mean - disc
     kappa2 = mean + disc
-    # gap < UMBILIC_EPS * max(1, |k1| + |k2|), exactly: scaling by
-    # UMBILIC_EPS > 0 keeps order
-    gap = kappa2 - kappa1
-    umbilic = ((gap < UMBILIC_EPS)
-               | (gap < UMBILIC_EPS * (abs(kappa1) + abs(kappa2))))
+    umbilic = umbilic_margin(kappa1, kappa2, UMBILIC_EPS) <= 0.0
 
     # eigenvector of kappa1 in the (u1, u2) basis, from the better
     # conditioned row of M - kappa1 I
@@ -316,8 +321,8 @@ def _principal(metric: tuple, flip: Callable) -> tuple:
     alt0, alt1 = kappa1 - m11, m01
     use_alt = sqrt(alt0 * alt0 + alt1 * alt1) > sqrt(v0 * v0 + v1 * v1)
     v0, v1 = select(use_alt, (alt0, alt1), (v0, v1))
-    arbitrary = sqrt(v0 * v0 + v1 * v1) < 1e-14  # umbilic: any direction
-    v0, v1 = select(arbitrary, 1.0, v0), select(arbitrary, 0.0, v1)
+    # at an umbilic every direction is principal: E1 along X_t
+    v0, v1 = select(umbilic, 1.0, v0), select(umbilic, 0.0, v1)
     # E1 = (d0, d1, d2) = v0 u1 + v1 u2, normalized
     k_t, k_w = v0 / sqE, v1 / wn
     d0, d1, d2 = k_t * xt0 + k_w * w0, k_t * xt1 + k_w * w1, k_t * xt2 + k_w * w2
@@ -354,7 +359,7 @@ def point_shape(surface: SurfaceDef, t: float, z: float
     Starts from `point_metric` (and raises its OutOfDomainError and
     SingularJetError).  The shape operator is symmetric in the basis
     u1 = X_t / |X_t|, u2 = Gram-Schmidt of X_z; its closed-form eigenpairs
-    give kappa1 <= kappa2, with E1 arbitrary where ``umbilic`` is set.  E1's
+    give kappa1 <= kappa2, with E1 along X_t where ``umbilic`` is set.  E1's
     sign follows the module sign rule.
     """
     metric = point_metric(surface, t, z)

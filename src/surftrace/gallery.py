@@ -44,10 +44,11 @@ class GalleryOracle:
     e2: Optional[VectorField] = None
 
 
-#: a gallery length (a radius, r_beta, Enneper's extent) lies in this range:
-#: curvatures up to 1e100 square to 1e200 in the shape pass, and Enneper's
-#: cubic positions stay below 1e300
-LENGTH_RANGE = (1e-100, 1e100)
+#: a gallery length (a radius, r_beta, Enneper's extent) lies in this range,
+#: where every chart's metric and shape stages stay finite: a sphere's
+#: W ~ r^4 under- or overflows beyond about 1e-76 and 1e75, Enneper's
+#: W ~ extent^8 above 1e38
+LENGTH_RANGE = (1e-38, 1e38)
 
 
 def _length(name: str, value: float) -> float:

@@ -40,9 +40,10 @@ are pure functions of their arguments; the isogonal one orients the
 principal-direction field, which has no sign of its own, along the
 derivative at the start of the current step.  A branch ends early only
 at its solver event: the distance to the nearest domain edge, and for an
-isogonal trace the lesser of that and the umbilic gap's margin over
-`UMBILIC_GAP`, so a step across two edges, or an edge and the gap, ends at
-the first.  A trace ends ``completed``, ``hit_boundary`` or
+isogonal trace the lesser of that and `core.umbilic_margin` at relative
+tolerance `UMBILIC_GAP`, which scales with the surface, so a step across
+two edges, or an edge and the umbilic gap (margin <= 0), ends at the
+first.  A trace ends ``completed``, ``hit_boundary`` or
 ``hit_umbilic`` at an event, named by the term that ended it, or where, on
 the shape pass, an isogonal sample falls inside the gap (a step may cross
 it and come out between its ends; the branch then ends at that sample,
@@ -61,7 +62,7 @@ from typing import Union
 import numpy as np
 
 from .core import (SurfaceDef, _along, _flip, _principal, curve_shape,
-                   point_metric, point_shape)
+                   point_metric, point_shape, umbilic_margin)
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
@@ -71,8 +72,9 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
 _log = logging.getLogger(__name__)
 
-#: `_umbilic_gap` below which an isogonal trace refuses to start or go on:
-#: E1, and with it the isogonal system, loses meaning as kappa1 -> kappa2
+#: relative tolerance of `core.umbilic_margin` at which an isogonal trace
+#: refuses to start or go on: E1, and with it the isogonal system, loses
+#: meaning as kappa1 -> kappa2
 UMBILIC_GAP = 1e-5
 
 
@@ -238,10 +240,10 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
     return _isogonal_field(sd.decomp, float(np.cos(phi)), float(np.sin(phi)))
 
 
-def _integrate_branches(rhs, y0, req: TraceRequest, gap=None):
+def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
     """Integrate from s = 0 toward both ends of ``req.s_span`` in one
     `integrate` call, each branch ended by an event where it leaves the
-    domain or, given ``gap(y)``, where that falls below `UMBILIC_GAP`, and
+    domain or, given the umbilic ``margin(y)``, where that falls to 0, and
     sample the branches' dense output on the uniform grid of ``req.step``.
 
     Returns (s, states, exits, stats); y0 fills s = 0, ``exits`` has the
@@ -256,10 +258,9 @@ def _integrate_branches(rhs, y0, req: TraceRequest, gap=None):
 
     def event(s, y):
         d = edge(y)
-        # the gap only inside, so an edge bisection never pays for it; min
-        # keeps its first argument against a NaN, so the edge shows
-        return (min(d, gap(y) - UMBILIC_GAP) if gap is not None and d > 0
-                else d)
+        # the margin only inside, so an edge bisection never pays for it;
+        # min keeps its first argument against a NaN, so the edge shows
+        return min(d, margin(y)) if margin is not None and d > 0 else d
 
     fwd, bwd = integrate(rhs, y0, req.s_span, event, req.atol, req.rtol)
     branches = {key: br for key, br in (("fwd", fwd), ("bwd", bwd))
@@ -268,10 +269,10 @@ def _integrate_branches(rhs, y0, req: TraceRequest, gap=None):
     for key, br in branches.items():
         if br.status:
             kind = "solver_failure" if br.status == -1 else "hit_boundary"
-            if br.status == 1 and gap is not None:   # the smaller term
+            if br.status == 1 and margin is not None:   # the smaller term
                 y = br.sample(np.array([br.s]))[0].tolist()
                 d = edge(y)
-                if d > 0 and gap(y) - UMBILIC_GAP < d:
+                if d > 0 and margin(y) < d:
                     kind = "hit_umbilic"
             _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
                        key, kind, br.s, br.stats.nfev)
@@ -297,15 +298,6 @@ def _trace_exit(exits: dict) -> TraceExit:
         if e.kind == "solver_failure" or exit_.kind == "completed":
             exit_ = e
     return exit_
-
-
-def _umbilic_gap(kappa1, kappa2):
-    """Principal-curvature gap relative to max(1, |kappa1| + |kappa2|),
-    elementwise on floats or arrays; the max follows the input's form, as
-    in `core._principal`.  A NaN kappa gives a NaN gap, never inside
-    `UMBILIC_GAP`."""
-    most = np.maximum if isinstance(kappa1, np.ndarray) else max
-    return (kappa2 - kappa1) / most(1.0, abs(kappa1) + abs(kappa2))
 
 
 def _isogonal_field(decomp, cos_t, sin_t):
@@ -347,10 +339,10 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         raise ValueError("trace_isogonal needs an IsogonalMode request")
     surface = req.surface
     sd0 = point_shape(surface, *req.start_uv)[2]
-    if _umbilic_gap(sd0.kappa1, sd0.kappa2) < UMBILIC_GAP:
+    if umbilic_margin(sd0.kappa1, sd0.kappa2, UMBILIC_GAP) <= 0.0:
         raise UmbilicEncounteredError(
             f"isogonal start point {req.start_uv} is umbilic (relative "
-            f"principal-curvature gap below {UMBILIC_GAP:g})")
+            f"principal-curvature gap at most {UMBILIC_GAP:g})")
     cos_t, sin_t = (mode.speed
                     * np.array([np.cos(mode.phi), np.sin(mode.phi)])).tolist()
 
@@ -358,8 +350,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return _principal(point_metric(surface, *y, check_domain=False),
                           _flip)
 
-    def gap(y):
-        return _umbilic_gap(*frame(y)[:2])
+    def margin(y):
+        return umbilic_margin(*frame(y)[:2], UMBILIC_GAP)
 
     def rhs(s, y, ref):
         tp, zp = _isogonal_field(frame(y)[10:14], cos_t, sin_t)
@@ -370,12 +362,13 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return tp, zp
 
     y0 = tuple(float(v) for v in req.start_uv)
-    s, uv, exits, stats = _integrate_branches(rhs, y0, req, gap)
+    s, uv, exits, stats = _integrate_branches(rhs, y0, req, margin)
     shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
     # a sample inside the umbilic gap ends its branch there, as the gap's
     # event does: a step may cross the gap and come out between its ends
     sd = shape[2]
-    bad = np.flatnonzero(_umbilic_gap(sd.kappa1, sd.kappa2) < UMBILIC_GAP)
+    bad = np.flatnonzero(umbilic_margin(sd.kappa1, sd.kappa2,
+                                        UMBILIC_GAP) <= 0.0)
     if len(bad):
         zero = int(np.argmin(np.abs(s)))
         lo, hi = bad[bad < zero], bad[bad > zero]

@@ -209,6 +209,20 @@ def test_classify_subcommand(tmp_path, capsys):
     assert "helix:              yes" in out
 
 
+def test_large_helix_surfaces_are_not_umbilic(tmp_path, capsys):
+    # umbilic is relative to the curvatures: a helix surface of any size
+    # has kappa1 / kappa2 = 0 away from its rulings' edge, so it traces
+    # isogonal lines and measures their angle
+    assert main(["--out", str(tmp_path), "trace", "--surface",
+                 "helix_surface", "--param", "r_beta=1e10", "--start", "0,0",
+                 "--phi", "0.5"]) == 0
+    assert "exit: completed" in capsys.readouterr().out
+    assert main(["classify", "--surface", "helix_surface", "--param",
+                 "r_beta=1e9", "--start", "0,0", "--mode", "geodesic",
+                 "--dir", "1,0.3"]) == 0
+    assert re.search(r"^isogonal: +yes \(", capsys.readouterr().out, re.M)
+
+
 def test_verify_subcommand_single(capsys):
     rc = main(["verify", "S3"])
     assert rc == 0
@@ -253,10 +267,9 @@ PROBES = {
     "override-eps": ["--config", "probe.cfg", "verify", "S3"],
     "verify-tol-flags": ["--tol-abs", "100", "--tol-rel", "100", "verify", "S4"],
     "verify-tol-config": ["--config", "probe.cfg", "verify", "S4"],
-    # Enneper's principal curvatures +-2 / (1 + t^2 + z^2)^2 are 1.3e-6 at
-    # (25, 25): inside the isogonal tracer's umbilic gap
-    "start-in-umbilic-gap": ["trace", "--surface", "enneper", "--param",
-                             "extent=30", "--start", "25,25", "--phi", "0.5"],
+    # every point of a sphere is umbilic: no E1 for the isogonal angle
+    "start-in-umbilic-gap": ["trace", "--surface", "sphere", "--start", "0,0",
+                             "--phi", "0.5"],
     "csv-bad-header": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-empty": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],

@@ -10,11 +10,12 @@ from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
 from surftrace import stepper, tracer
 from surftrace.core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
                             SurfaceJet2, TangentDecomp, _along, _fd_jet,
-                            _flip, _principal, _records, pyfloats, vec3)
+                            _flip, _principal, _records, pyfloats,
+                            umbilic_margin, vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
 from surftrace.intersect import FIXTURES
 from surftrace.tracer import (UMBILIC_GAP, IsogonalMode, TraceRequest,
-                              _isogonal_field, _umbilic_gap, trace_isogonal)
+                              _isogonal_field, trace_isogonal)
 
 from conftest import interior_grid
 from oracles import christoffel
@@ -257,6 +258,23 @@ def test_umbilic_flag_threshold():
         assert not point_shape(cat, t, z)[2].umbilic
 
 
+def test_umbilic_margin_is_relative():
+    # a flat point is umbilic, a NaN curvature never; floats and arrays
+    # give the same bits, and scaling by a power of two scales the margin
+    assert umbilic_margin(0.0, 0.0, 1e-9) == 0.0
+    assert not umbilic_margin(np.nan, 1.0, 1e-9) <= 0.0
+    k1, k2 = np.array([1.0, 1.0, -3e-20, 0.0]), np.array([1.0 + 1e-10, 2.0,
+                                                         3e-20, np.nan])
+    margin = umbilic_margin(k1, k2, 1e-9)
+    assert np.array_equal(margin <= 0.0, [True, False, False, False])
+    floats = [umbilic_margin(a, b, 1e-9) for a, b in zip(k1.tolist(),
+                                                         k2.tolist())]
+    assert np.array_equal(floats, margin, equal_nan=True)
+    for scale in (2.0 ** -900, 2.0 ** 900):
+        assert np.array_equal(umbilic_margin(k1 * scale, k2 * scale, 1e-9),
+                              margin * scale, equal_nan=True)
+
+
 FIXTURE_CHARTS = [f().mbar for f in FIXTURES.values()]
 CHARTS = GALLERY + FIXTURE_CHARTS
 
@@ -436,7 +454,7 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
     if surface.totally_umbilic:
         return
     away = [(float(ti), float(zi), sd) for ti, zi, sd in zip(t, z, ref)
-            if _umbilic_gap(sd.kappa1, sd.kappa2) >= UMBILIC_GAP]
+            if umbilic_margin(sd.kappa1, sd.kappa2, UMBILIC_GAP) > 0.0]
     assert len(away) > 100
     mode = IsogonalMode(0.7, 1.5)
     cos_t, sin_t = (mode.speed * np.array([np.cos(mode.phi),

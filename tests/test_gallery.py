@@ -6,7 +6,8 @@ import pytest
 
 from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        make_cylinder, make_enneper, make_helix_surface,
-                       make_plane, make_sphere, make_surface, point_shape)
+                       make_plane, make_sphere, make_surface, point_shape,
+                       shape_arrays)
 from surftrace.core import FD_STEP, _fd_jet
 from surftrace.errors import DegenerateParameterError
 from surftrace.gallery import (CATALOGUE, LENGTH_RANGE, _CRPC_TERMS,
@@ -210,14 +211,17 @@ def test_degenerate_parameters_rejected():
                                   make_helix_surface, make_enneper])
 @pytest.mark.parametrize("length", LENGTH_RANGE)
 def test_lengths_at_the_range_ends_give_finite_charts(make, length):
-    # position and jet at the domain's corners and centre, warning-free
+    # position, jet and the shape stage at the domain's corners and centre,
+    # warning-free
     surface = make(length)
     d = surface.domain
     t = np.array([d.t_min, d.t_min, d.t_max, d.t_max, (d.t_min + d.t_max) / 2])
     z = np.array([d.z_min, d.z_max, d.z_min, d.z_max, (d.z_min + d.z_max) / 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        jet, forms, sd = shape_arrays(surface, t, z)
         values = [surface.position(t, z), *surface.jet(t, z)]
+    values += [*jet, *forms, *sd[:7], *sd.decomp]
     assert all(np.isfinite(v).all() for v in values)
 
 

@@ -8,9 +8,10 @@ chart.  Another is the paper's theorem: only helix surfaces and the
 Enneper surface carry isogonal lines that are pseudo-geodesic generalized
 helices.  A cylinder's normals keep a right angle to its axis, so it is a
 helix surface too.  Another traces pseudo-geodesics and geodesics, which
-must keep their normal angle theta modulo pi.  The last checks the
+must keep their normal angle theta modulo pi.  Another checks the
 pseudo-geodesic flow's directional form against the textbook Christoffel
-form at random points and velocities.
+form at random points and velocities, and the last of all scales surfaces
+across `gallery.LENGTH_RANGE`: their umbilic flags and E1 must not change.
 """
 from dataclasses import replace
 from unittest import mock
@@ -19,10 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from surftrace import CATALOGUE, classify_curve, curve_scalars_from_trace
+from surftrace import (CATALOGUE, classify_curve, curve_scalars_from_trace,
+                       make_cylinder, make_enneper, make_helix_surface,
+                       make_sphere, shape_arrays)
 from surftrace.classify import FLAG_TOL, classify_curve_data
 from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, point_metric,
                             point_shape, vec3)
+from surftrace.gallery import LENGTH_RANGE
 from surftrace import stepper, tracer
 from surftrace.tracer import (GeodesicMode, IsogonalMode, PseudoGeodesicMode,
                               TraceRequest, trace, trace_isogonal)
@@ -270,3 +274,59 @@ def test_directional_acceleration_is_the_christoffel_form(name, jet, draw):
                                 float(np.tan(theta)))
     for a, b in zip(flow, textbook):
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+def similar(surface, length):
+    """The chart (t, z) -> length X(t / length, z / length) of ``surface``
+    on its domain scaled by ``length``: the surface scaled by ``length``."""
+    d = surface.domain
+    factors = (1.0, 1.0, 1.0 / length, 1.0 / length, 1.0 / length)
+
+    def position(t, z):
+        return vec3(t, *(length * np.asarray(
+            surface.position(t / length, z / length))))
+
+    def jet(t, z):
+        return SurfaceJet2(*(vec3(t, *(c * np.asarray(v))) for c, v in zip(
+            factors, surface.jet(t / length, z / length))))
+
+    domain = Domain(*(length * v for v in (d.t_min, d.t_max, d.z_min,
+                                           d.z_max)))
+    return SurfaceDef(f"{surface.name}_scaled", domain, position, jet)
+
+
+# each family at a length: the gallery's length parameter, except for
+# Enneper, whose extent widens the domain of one surface, scaled instead
+SCALED = {"sphere": make_sphere, "cylinder": make_cylinder,
+          "helix_surface": make_helix_surface,
+          "enneper": lambda length: similar(make_enneper(), length),
+          "cylinder_sheared": lambda length: sheared(make_cylinder(length),
+                                                     0.5)}
+DECADES = [round(np.log10(v)) for v in LENGTH_RANGE]
+# domain fractions of a few points: corners, centre, an inner point
+CORNERS = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.8)]
+
+
+@pytest.mark.parametrize("name", list(SCALED))
+@settings(max_examples=20, deadline=None)
+@given(decade=st.integers(*DECADES),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=6))
+@example(decade=DECADES[0], points=CORNERS)
+@example(decade=DECADES[1], points=CORNERS)
+@example(decade=15, points=CORNERS)   # the sheared cylinder's E1 once turned
+def test_umbilic_flags_and_e1_keep_under_scaling(name, decade, points):
+    # being umbilic does not change under scaling, nor do the principal
+    # directions: at 10^decade the shape stage flags the same points as at
+    # the default length, and E1 stays parallel there
+    u, v = np.array(points).T
+
+    def shape(length):
+        surface = SCALED[name](length)
+        d = surface.domain
+        return shape_arrays(surface, d.t_min + u * (d.t_max - d.t_min),
+                            d.z_min + v * (d.z_max - d.z_min))[2]
+
+    ref, sd = shape(1.0), shape(float(f"1e{decade}"))
+    assert np.array_equal(sd.umbilic, ref.umbilic)
+    assert np.all(np.abs(np.sum(sd.e1 * ref.e1, axis=0)) >= 1.0 - 1e-12)

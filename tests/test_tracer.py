@@ -8,15 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from surftrace import (CATALOGUE, curve_scalars_from_trace, make_bonnet,
                        make_catenoid, make_enneper, make_plane, make_sphere,
                        point_shape, shape_arrays, stepper, tracer)
-from surftrace.core import Domain, SurfaceDef, SurfaceJet2, vec3
+from surftrace.core import (Domain, SurfaceDef, SurfaceJet2, umbilic_margin,
+                            vec3)
 from surftrace.errors import (BoundaryExitError, InvalidRequestError,
                               SingularJetError, SolverFailureError,
                               ThetaOutOfRangeError, UmbilicEncounteredError)
 from surftrace.tracer import (UMBILIC_GAP, GeodesicMode, IsogonalMode,
                               PseudoGeodesicMode, TraceRequest,
-                              _umbilic_gap, chart_to_principal_angle,
-                              isogonal_map, trace, trace_isogonal,
-                              trace_pseudogeodesic)
+                              chart_to_principal_angle, isogonal_map, trace,
+                              trace_isogonal, trace_pseudogeodesic)
 
 
 def test_isogonal_phi_zero_follows_curvature_line():
@@ -259,6 +259,18 @@ def test_a_scaled_chart_traces_bit_for_bit():
     assert unit.exit.kind == small.exit.kind == "completed"
     for name in ("s", "uv", "uv_vel", "uv_acc"):
         assert np.array_equal(getattr(small, name), getattr(unit, name)), name
+    # scaled by 2^20, curvatures are 2^-20 the unit chart's: the umbilic
+    # margin scales with them, so the radial run into the umbilic is the
+    # unit chart's too, its exit and RHS count included
+    runs = [trace_isogonal(TraceRequest(_paraboloid(scale), (0.8, 0.0),
+                                        IsogonalMode(np.pi, scale),
+                                        s_span=(0.0, 2.0)))
+            for scale in (1.0, 2.0 ** 20)]
+    unit, large = runs
+    assert unit.exit == large.exit and unit.exit.kind == "hit_umbilic"
+    assert unit.nfev == large.nfev
+    for name in ("s", "uv", "uv_vel", "uv_acc"):
+        assert np.array_equal(getattr(large, name), getattr(unit, name)), name
 
 
 def test_trace_terminates_at_isolated_umbilic():
@@ -320,8 +332,8 @@ def test_inward_spirals_end_at_the_umbilic():
 @example(r0=0.3, phi=2.5, sign=1.0, speed=1.0)     # the spiral
 def test_umbilic_exits_keep_out_of_the_gap(r0, phi, sign, speed):
     # runs toward the paraboloid's umbilic: no kept sample lies inside the
-    # gap, and a branch that the gap's event ended ends where the gap is
-    # UMBILIC_GAP
+    # gap, and a branch that the gap's event ended ends where the umbilic
+    # margin at UMBILIC_GAP is 0, to the same relative bound
     branches = []
 
     def spy(*args):
@@ -336,13 +348,14 @@ def test_umbilic_exits_keep_out_of_the_gap(r0, phi, sign, speed):
                                          IsogonalMode(sign * phi, speed),
                                          s_span=(0.0, 5.0)))
     sd = shape_arrays(par, *tr.uv.T)[2]
-    assert np.all(_umbilic_gap(sd.kappa1, sd.kappa2) >= UMBILIC_GAP)
+    assert np.all(umbilic_margin(sd.kappa1, sd.kappa2, UMBILIC_GAP) > 0.0)
     (br,) = branches
     if tr.exit.kind == "hit_umbilic" and br.status == 1:
         assert tr.exit.s_stop == br.s
         sd = point_shape(par, *br.sample(np.array([br.s]))[0])[2]
-        gap = _umbilic_gap(sd.kappa1, sd.kappa2)
-        assert abs(gap - UMBILIC_GAP) < 1e-9 * UMBILIC_GAP
+        margin = umbilic_margin(sd.kappa1, sd.kappa2, UMBILIC_GAP)
+        assert abs(margin) <= 1e-9 * UMBILIC_GAP * (abs(sd.kappa1)
+                                                    + abs(sd.kappa2))
 
 
 def test_isogonal_flow_keeps_the_start_e1_where_the_chain_turns():
