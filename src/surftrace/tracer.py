@@ -43,7 +43,11 @@ at its solver event: the distance to the nearest domain edge, and for an
 isogonal trace the lesser of that and `core.umbilic_margin` at relative
 tolerance `UMBILIC_GAP`, which scales with the surface, so a step across
 two edges, or an edge and the umbilic gap (margin <= 0), ends at the
-first.  A trace ends ``completed``, ``hit_boundary`` or
+first.  The isogonal right-hand side returns that margin after (t', z'),
+from the principal frame it solves in, so the event at a step end reads
+it off the step's last stage and evaluates no chart; only the event's
+bisection on a step's dense output evaluates the chart, and the edge
+term never does.  A trace ends ``completed``, ``hit_boundary`` or
 ``hit_umbilic`` at an event, named by the term that ended it, or where, on
 the shape pass, an isogonal sample falls inside the gap (a step may cross
 it and come out between its ends; the branch then ends at that sample,
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -227,6 +232,10 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
     jet, forms, sd = point_shape(surface, *uv)
     if np.ndim(direction):
         tp, zp = float(direction[0]), float(direction[1])
+        # to the larger component's binade [1/2, 1), a scale that is exact,
+        # so the quadratic form neither overflows nor underflows
+        e = math.frexp(max(abs(tp), abs(zp)))[1]
+        tp, zp = math.ldexp(tp, -e), math.ldexp(zp, -e)
         speed = np.sqrt(forms.E * tp * tp + 2 * forms.F * tp * zp
                         + forms.G * zp * zp)
         if speed == 0.0:
@@ -245,6 +254,8 @@ def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
     `integrate` call, each branch ended by an event where it leaves the
     domain or, given the umbilic ``margin(y)``, where that falls to 0, and
     sample the branches' dense output on the uniform grid of ``req.step``.
+    Given ``margin``, ``rhs`` returns margin(y) after the derivative, and
+    the event reads it there at the step ends.
 
     Returns (s, states, exits, stats); y0 fills s = 0, ``exits`` has the
     `TraceExit` of each branch that ended early, and a side of zero length
@@ -256,11 +267,14 @@ def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
         return min(y[0] - dom.t_min, dom.t_max - y[0], y[1] - dom.z_min,
                    dom.z_max - y[1])
 
-    def event(s, y):
+    def event(s, y, f):
         d = edge(y)
-        # the margin only inside, so an edge bisection never pays for it;
-        # min keeps its first argument against a NaN, so the edge shows
-        return min(d, margin(y)) if margin is not None and d > 0 else d
+        if margin is None or not d > 0:
+            return d   # the margin only inside: an edge bisection skips it
+        # f, the RHS's value at a step end, holds the margin after the
+        # derivative; min keeps its first argument against a NaN, so the
+        # edge shows
+        return min(d, margin(y) if f is None else f[len(y)])
 
     fwd, bwd = integrate(rhs, y0, req.s_span, event, req.atol, req.rtol)
     branches = {key: br for key, br in (("fwd", fwd), ("bwd", bwd))
@@ -354,12 +368,14 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return umbilic_margin(*frame(y)[:2], UMBILIC_GAP)
 
     def rhs(s, y, ref):
-        tp, zp = _isogonal_field(frame(y)[10:14], cos_t, sin_t)
+        fr = frame(y)
+        tp, zp = _isogonal_field(fr[10:14], cos_t, sin_t)
+        gap = umbilic_margin(fr[0], fr[1], UMBILIC_GAP)
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
         # this is the velocity of the field oriented the other way
         if ref is not None and tp * ref[0] + zp * ref[1] < 0.0:
-            return -tp, -zp
-        return tp, zp
+            return -tp, -zp, gap
+        return tp, zp, gap
 
     y0 = tuple(float(v) for v in req.start_uv)
     s, uv, exits, stats = _integrate_branches(rhs, y0, req, margin)

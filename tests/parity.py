@@ -5,8 +5,9 @@
 prints four sha256 digests:
 
 * ``traces``: a fixed, seeded gallery trace set, with the right-hand side
-  evaluations and accepted solver steps it took in all (``Trace.nfev``, or
-  the branches' summed ``nfev`` on a checkout without it).  For every catalogue
+  evaluations, the chart jet evaluations at single points and the accepted
+  solver steps its traces took in all (``Trace.nfev``, or the branches'
+  summed ``nfev`` on a checkout without it).  For every catalogue
   surface and mode (isogonal, pseudo-geodesic, geodesic; no isogonal on a
   totally umbilic chart) and each of `PASSES` draws, a trace, its
   `curve_scalars_from_trace` data, its rendered classification report and,
@@ -22,8 +23,8 @@ prints four sha256 digests:
   data.
 * ``umbilic``: the 30 `UMBILIC_RUNS` isogonal traces into the isolated
   umbilic of the paraboloid z = (t^2 + z^2)/2, each as exit kind,
-  ``s_stop`` and samples, with the right-hand side evaluations they took in
-  all.
+  ``s_stop`` and samples, with the right-hand side evaluations and the
+  chart jet evaluations at single points they took in all.
 
 A change meant to keep every output bit for bit prints the same four lines
 as its parent.  The script needs only the public API, so it runs unchanged
@@ -123,6 +124,26 @@ def _feed(h, obj) -> None:
         raise TypeError(f"cannot digest {type(obj).__name__}")
 
 
+class ScalarJets:
+    """Counts the calls at a single point of the chart jets it wraps: the
+    flows' right-hand sides, their step-end events and the trace's start
+    evaluate the chart one point at a time, the sample passes on arrays."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def wrap(self, surface: core.SurfaceDef) -> core.SurfaceDef:
+        """``surface`` with its jet counted; a position-only one as is."""
+        jet = surface.jet
+        if jet is None:
+            return surface
+
+        def counted(t, z):
+            self.calls += np.ndim(t) == 0
+            return jet(t, z)
+        return dataclasses.replace(surface, jet=counted)
+
+
 def _requests(seed: int, k: int):
     """Pass ``k``'s (surface, mode name, request), one per surface and
     mode."""
@@ -150,17 +171,23 @@ def _requests(seed: int, k: int):
 
 
 def trace_digest(seed: int = SEED,
-                 passes: int = PASSES) -> tuple[str, int, int, int]:
-    """(sha256 hex, curve count, RHS calls, accepted steps) of the seeded
-    gallery trace set; the last two are deterministic cost counts."""
+                 passes: int = PASSES) -> tuple[str, int, int, int, int]:
+    """(sha256 hex, curve count, RHS calls, accepted steps, scalar jet
+    calls) of the seeded gallery trace set; the last three are
+    deterministic cost counts of its traces."""
     h = hashlib.sha256()
-    count = nfev = steps = 0
+    count = nfev = steps = jets = 0
+    charts = ScalarJets()
     for k in range(passes):
         for surface, _, req in _requests(seed, k):
             count += 1
             _feed(h, f"{surface.name} {req.mode} {req.start_uv}")
+            surface = charts.wrap(surface)
+            req = dataclasses.replace(req, surface=surface)
             try:
+                before = charts.calls
                 tr = tracer.trace(req)
+                jets += charts.calls - before
                 # a checkout whose branches share no start sums its stats
                 nfev += getattr(tr, "nfev", None) or sum(
                     b.nfev for b in tr.stats.values())
@@ -175,7 +202,7 @@ def trace_digest(seed: int = SEED,
                     classify.classify_curve_data(cd)))
             except (GeometryError, ValueError) as exc:  # refusals are outputs
                 _feed(h, f"{type(exc).__name__}: {exc}")
-    return h.hexdigest(), count, nfev, steps
+    return h.hexdigest(), count, nfev, steps, jets
 
 
 def _charts(seed: int):
@@ -233,10 +260,12 @@ def _paraboloid() -> core.SurfaceDef:
                            jet)
 
 
-def umbilic_digest() -> tuple[str, int, int]:
-    """(sha256 hex, run count, RHS calls) of the `UMBILIC_RUNS` traces."""
+def umbilic_digest() -> tuple[str, int, int, int]:
+    """(sha256 hex, run count, RHS calls, scalar jet calls) of the
+    `UMBILIC_RUNS` traces."""
     h = hashlib.sha256()
-    surface = _paraboloid()
+    charts = ScalarJets()
+    surface = charts.wrap(_paraboloid())
     nfev = 0
     for r0, phi, speed, s_end in UMBILIC_RUNS:
         _feed(h, f"{r0} {phi} {speed} {s_end}")
@@ -248,7 +277,7 @@ def umbilic_digest() -> tuple[str, int, int]:
             _feed(h, [tr.exit.kind, tr.exit.s_stop, tr.s, tr.uv])
         except (GeometryError, ValueError) as exc:  # refusals are outputs
             _feed(h, f"{type(exc).__name__}: {exc}")
-    return h.hexdigest(), len(UMBILIC_RUNS), nfev
+    return h.hexdigest(), len(UMBILIC_RUNS), nfev, charts.calls
 
 
 def verify_digest() -> tuple[str, int]:
@@ -458,15 +487,17 @@ def main(argv=None) -> None:
         print(drift_report(args.against, args.seed, args.passes))
     if args.save or args.against:
         return
-    digest, n, nfev, steps = trace_digest(args.seed, args.passes)
+    digest, n, nfev, steps, jets = trace_digest(args.seed, args.passes)
     print(f"traces  {digest}  ({n} curves, seed {args.seed}, "
-          f"{args.passes} passes; {nfev} RHS calls, {steps} accepted steps)")
+          f"{args.passes} passes; {nfev} RHS calls, {jets} scalar jet calls, "
+          f"{steps} accepted steps)")
     digest, n = verify_digest()
     print(f"verify  {digest}  ({n} values)")
     digest, n = charts_digest(args.seed)
     print(f"charts  {digest}  ({n} position-only charts, seed {args.seed})")
-    digest, n, nfev = umbilic_digest()
-    print(f"umbilic {digest}  ({n} paraboloid runs; {nfev} RHS calls)")
+    digest, n, nfev, jets = umbilic_digest()
+    print(f"umbilic {digest}  ({n} paraboloid runs; {nfev} RHS calls, "
+          f"{jets} scalar jet calls)")
 
 
 if __name__ == "__main__":

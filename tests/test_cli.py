@@ -223,6 +223,25 @@ def test_large_helix_surfaces_are_not_umbilic(tmp_path, capsys):
     assert re.search(r"^isogonal: +yes \(", capsys.readouterr().out, re.M)
 
 
+# --dir values along 1,1 whose metric quadratic form once overflowed
+# (|gamma'| = 0 at sample 0) or underflowed (a refused zero velocity)
+SCALED_DIRS = ["1e160,1e160", "1e-170,1e-170", "3e-320,3e-320",
+               "5e-324,5e-324"]
+
+
+@pytest.mark.parametrize("mode", [["geodesic"],
+                                  ["pseudo-geodesic", "--theta", "0.4"]],
+                         ids=["geodesic", "pseudo-geodesic"])
+@pytest.mark.parametrize("direction", SCALED_DIRS)
+def test_a_direction_is_a_direction_at_any_scale(direction, mode, tmp_path):
+    trace = ["--out", str(tmp_path), "trace", "--surface", "enneper",
+             "--start", "0.3,0.2", "--mode", *mode]
+    assert main([*trace, "--dir", "1,1", "--csv", "unit.csv"]) == 0
+    assert main([*trace, "--dir", direction, "--csv", "scaled.csv"]) == 0
+    assert ((tmp_path / "scaled.csv").read_bytes()
+            == (tmp_path / "unit.csv").read_bytes())
+
+
 def test_verify_subcommand_single(capsys):
     rc = main(["verify", "S3"])
     assert rc == 0

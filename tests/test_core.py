@@ -450,7 +450,8 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
         assert hexes(frame[i][j] for i in picked) == hexes(fields(sd))
 
     # the isogonal right-hand side at ref=None, against the array velocity
-    # of the same records, at every point outside the tracer's umbilic gap
+    # and the umbilic margin of the same records, at every point outside
+    # the tracer's umbilic gap
     if surface.totally_umbilic:
         return
     away = [(float(ti), float(zi), sd) for ti, zi, sd in zip(t, z, ref)
@@ -462,8 +463,9 @@ def test_flat_frame_matches_the_records(surface, jet, monkeypatch):
     rhs = _isogonal_rhs(monkeypatch, surface, away[0][:2], mode)
     decomp = np.array([tuple(sd.decomp) for _, _, sd in away]).T
     want = np.column_stack(_isogonal_field(decomp, cos_t, sin_t))
-    for (ti, zi, _), w in zip(away, want):
-        assert hexes(rhs(0.0, [ti, zi], None)) == hexes(w)
+    for (ti, zi, sd), w in zip(away, want):
+        assert hexes(rhs(0.0, [ti, zi], None)) == hexes(
+            [*w, umbilic_margin(sd.kappa1, sd.kappa2, UMBILIC_GAP)])
 
 
 def test_records_keep_their_fields_and_refuse_assignment():

@@ -260,7 +260,7 @@ def capped_reference(monkeypatch, tr):
         def f(s, y, rhs=rhs):
             nonlocal out
             out = rhs(s, y.tolist(), out)
-            return out
+            return out[:len(y)]   # an isogonal RHS's margin follows
 
         sol = solve_ivp(f, (0.0, tr.s[side][np.argmax(np.abs(tr.s[side]))]),
                         np.array(y0), method="RK45", dense_output=True,

@@ -10,15 +10,18 @@ helices.  A cylinder's normals keep a right angle to its axis, so it is a
 helix surface too.  Another traces pseudo-geodesics and geodesics, which
 must keep their normal angle theta modulo pi.  Another checks the
 pseudo-geodesic flow's directional form against the textbook Christoffel
-form at random points and velocities, and the last of all scales surfaces
+form at random points and velocities, and another scales surfaces
 across `gallery.LENGTH_RANGE`: their umbilic flags and E1 must not change.
+The last scales a pseudo-geodesic's initial uv-velocity by a power of two
+across the float range: the trace must not change, bit for bit.
 """
+import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from surftrace import (CATALOGUE, classify_curve, curve_scalars_from_trace,
                        make_cylinder, make_enneper, make_helix_surface,
@@ -330,3 +333,34 @@ def test_umbilic_flags_and_e1_keep_under_scaling(name, decade, points):
     ref, sd = shape(1.0), shape(float(f"1e{decade}"))
     assert np.array_equal(sd.umbilic, ref.umbilic)
     assert np.all(np.abs(np.sum(sd.e1 * ref.e1, axis=0)) >= 1.0 - 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(list(SURFACES)), angle=st.floats(-np.pi, np.pi),
+       k=st.integers(-1074, 1023), theta=st.none() | st.floats(-1.2, 1.2))
+@example(name="enneper", angle=np.pi / 4, k=532, theta=None)    # 1e160
+@example(name="enneper", angle=np.pi / 4, k=-566, theta=0.4)    # 1e-170
+@example(name="enneper", angle=0.0, k=-1074, theta=None)   # subnormal
+@example(name="enneper", angle=0.0, k=1023, theta=0.4)
+def test_a_direction_scaled_by_a_power_of_two_traces_bit_for_bit(
+        name, angle, k, theta):
+    # the initial uv-velocity is a direction: (dt, dz) 2^k, where exact,
+    # traces the curve of (dt, dz) bit for bit (the metric's quadratic form
+    # on the raw pair once overflowed or underflowed)
+    direction = (float(np.cos(angle)), float(np.sin(angle)))
+    scaled = tuple(math.ldexp(v, k) for v in direction)
+    assume(all(math.ldexp(w, -k) == v for v, w in zip(direction, scaled)))
+    surface = SURFACES[name]
+
+    def traced_along(d):
+        mode = (GeodesicMode(d) if theta is None
+                else PseudoGeodesicMode(theta, d))
+        return trace(TraceRequest(surface,
+                                  inner_point(surface.domain, 0.4, 0.6),
+                                  mode, s_span=(-0.2, 0.2)))
+
+    want, got = traced_along(direction), traced_along(scaled)
+    assert got.exit == want.exit and got.stats == want.stats
+    for field in ("s", "uv", "uv_vel", "uv_acc"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field

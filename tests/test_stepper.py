@@ -1,7 +1,8 @@
 """The float Dormand-Prince stepper against scipy's RK45 from the same
 start, and its event root bisection against scipy's brentq, their
-references; its branch arrays and dense output bit for bit against the
-per-step forms they replaced; and the start that both branches share."""
+references; its step kernel, branch arrays and dense output bit for bit
+against the forms they replaced; and the start that both branches share."""
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from scipy.optimize import brentq
 
 from surftrace import make_enneper, tracer
-from surftrace.stepper import C2, C3, C4, C5, EPS, P, _bisect, integrate
+from surftrace.stepper import (A, B, C, E, EPS, P, _bisect, _kernel,
+                               integrate)
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
 
 from conftest import rk45_reference
@@ -37,7 +39,7 @@ def reference(rhs, y0, s_end, event=None, atol=ATOL, rtol=RTOL):
     (`conftest.rk45_reference`), arrays in and out."""
     def terminal(ev):
         def g(s, y):
-            return ev(s, tuple(y))
+            return ev(s, tuple(y), None)
         g.terminal, g.direction = True, -1
         return g
 
@@ -149,7 +151,7 @@ def test_both_branches_share_one_start(rhs, y0, span, tol):
 
 
 def test_terminal_event_root_matches_rk45():
-    def falls_to_half(s, y):
+    def falls_to_half(s, y, f):
         return y[0] - 0.5
 
     y0 = (1.0, 0.0, 0.0, 1.0)
@@ -226,7 +228,7 @@ def test_bisect_places_a_root_brentq_gives_up_on():
 def test_flat_crossing_ends_the_branch_at_its_root():
     # the flat crossing above as a terminal event
     br = one_sided(lambda s, y, ref: (1.0,), (0.0,), 1.3,
-                   lambda s, y: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
+                   lambda s, y, f: (0.5 - y[0]) ** 5, 1e-10, 1e-9)
     assert br.status == 1
     assert abs(br.s - 0.5) < 1e-12
 
@@ -269,6 +271,85 @@ def test_sample_matches_the_cumprod_form(s_end):
     assert _bits(br.sample(s)) == _bits(old)
 
 
+(C2, C3, C4, C5, _), ((A21,), (A31, A32), (A41, A42, A43),
+                      (A51, A52, A53, A54), (A61, A62, A63, A64, A65)) = C, A
+B1, _, B3, B4, B5, B6 = B
+E1, _, E3, E4, E5, E6, E7 = E
+
+
+def comprehension_attempt(rhs, s, y, k1, h, atol, rtol):
+    """One step as the stepper took it before its kernel was straight-line
+    code, one list comprehension a stage: (y_new, (k1, ..., k7), err)."""
+    k2 = rhs(s + C2 * h, [v + (a * A21) * h for v, a in zip(y, k1)], k1)
+    k3 = rhs(s + C3 * h, [
+        v + (a * A31 + b * A32) * h for v, a, b in zip(y, k1, k2)], k1)
+    k4 = rhs(s + C4 * h, [
+        v + (a * A41 + b * A42 + c * A43) * h
+        for v, a, b, c in zip(y, k1, k2, k3)], k1)
+    k5 = rhs(s + C5 * h, [
+        v + (a * A51 + b * A52 + c * A53 + d * A54) * h
+        for v, a, b, c, d in zip(y, k1, k2, k3, k4)], k1)
+    k6 = rhs(s + h, [
+        v + (a * A61 + b * A62 + c * A63 + d * A64 + e * A65) * h
+        for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)], k1)
+    y_new = [v + h * (a * B1 + c * B3 + d * B4 + e * B5 + q * B6)
+             for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(s + h, y_new, k1)
+    sq = 0.0   # `_rms` inlined, max(|v|, |w|) as its conditional
+    for v, w, a, c, d, e, q, r in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        x = ((a * E1 + c * E3 + d * E4 + e * E5 + q * E6 + r * E7) * h
+             / (atol + (aw if (aw := abs(w)) > (av := abs(v)) else av) * rtol))
+        sq += x * x
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), math.sqrt(sq) / len(y) ** 0.5
+
+
+def coupled(extra, nan_call):
+    """A right-hand side that couples each component to the next and to
+    ``ref``, returns the values ``extra`` after the derivative, and puts a
+    NaN in its last component on call ``nan_call`` (k1's is call 1)."""
+    calls = [0]
+
+    def rhs(s, y, ref):
+        calls[0] += 1
+        n = len(y)
+        out = [math.sin(y[i]) - 0.5 * y[(i + 1) % n] * s
+               + (0.0 if ref is None else 0.125 * ref[i]) for i in range(n)]
+        if calls[0] == nan_call:
+            out[-1] = math.nan
+        return (*out, *extra)
+    return rhs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_matches_the_comprehension_form(n):
+    # states, stages and error norms bit for bit, sign bits and NaNs
+    # included, with and without a value after the derivative
+    rng = np.random.default_rng(n)
+    states = {
+        "random": (rng.standard_normal(n)
+                   * 10.0 ** rng.uniform(-3, 3, n)).tolist(),
+        "signed zeros": [(0.0, -0.0)[i % 2] for i in range(n)],
+        "subnormal": [(5e-324, -2.5e-310, 1e-320)[i % 3] for i in range(n)],
+    }
+    kernel = _kernel(n)
+    assert _kernel(n) is kernel   # compiled once per length
+    for y in states.values():
+        for h, extra, nan_call in itertools.product(
+                (0.1, -0.1), ((), (0.75,)), (None, 4)):
+            rhs, ref_rhs = coupled(extra, nan_call), coupled(extra, nan_call)
+            y_new, k, k7, err = kernel(rhs, 0.5, y, rhs(0.5, y, None), h,
+                                       ATOL, RTOL)
+            y_ref, stages, err_ref = comprehension_attempt(
+                ref_rhs, 0.5, y, ref_rhs(0.5, y, None), h, ATOL, RTOL)
+            assert _bits(np.array(y_new)) == _bits(np.array(y_ref))
+            assert _bits(np.array(k)) == _bits(np.array(
+                [v for stage in stages for v in stage[:n]]))
+            assert _bits(np.array(k7)) == _bits(np.array(stages[6]))
+            assert _bits(np.array(err)) == _bits(np.array(err_ref))
+            # a NaN stage value makes a NaN norm: the step is rejected
+            assert math.isnan(err) == (nan_call is not None)
+
+
 def per_step_build(rhs, y0, s_end, event, atol, rtol):
     """The branch, and its four arrays built as the stepper once built them:
     from one (s, h, y, K) tuple per accepted step, with y and K read off
@@ -294,8 +375,9 @@ def per_step_build(rhs, y0, s_end, event, atol, rtol):
     for (s, h), attempt in zip(zip(br.starts.tolist(), br.h.tolist()),
                                accepted):
         k1 = attempt[0][2]
-        assert [c[0] for c in attempt] == [s + C2 * h, s + C3 * h, s + C4 * h,
-                                           s + C5 * h, s + h, s + h]
+        assert [c[0] for c in attempt] == [s + C[0] * h, s + C[1] * h,
+                                           s + C[2] * h, s + C[3] * h, s + h,
+                                           s + h]
         steps.append((s, h, y, (k1, *(c[3] for c in attempt))))
         y = attempt[5][1]
     ends = np.r_[br.starts[1:], br.s]

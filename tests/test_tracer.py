@@ -672,6 +672,62 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
     assert counts == [tr.stats["fwd"].nfev] and counts[0] <= budget
 
 
+@pytest.mark.parametrize("surface, start, mode, span, kind", [
+    (make_enneper(), (0.2, 0.3), IsogonalMode(-0.7), (-0.4, 0.6),
+     "completed"),
+    (make_enneper(), (0.2, 0.3), IsogonalMode(-0.7), (-10.0, 10.0),
+     "hit_boundary"),
+    (_paraboloid(), (0.3, 0.0), IsogonalMode(2.5), (0.0, 5.0),
+     "hit_umbilic"),
+    (make_enneper(), (0.2, 0.3), PseudoGeodesicMode(0.3, 0.4), (-0.4, 0.6),
+     "completed"),
+    (make_enneper(), (0.2, 0.3), PseudoGeodesicMode(0.3, 0.4),
+     (-10.0, 10.0), "hit_boundary"),
+], ids=["isogonal", "isogonal-boundary", "isogonal-umbilic", "pseudo",
+        "pseudo-boundary"])
+def test_step_ends_evaluate_no_chart(surface, start, mode, span, kind,
+                                     monkeypatch):
+    # one integrate call evaluates the chart once per RHS call and, for an
+    # isogonal trace, once per event evaluation inside the domain on a
+    # step's dense output: the umbilic margin at a step end is the last
+    # stage's, and the edge needs no chart
+    jets, counts = [0], {}
+
+    def jet(t, z):
+        jets[0] += np.ndim(t) == 0
+        return surface.jet(t, z)
+
+    def counting(rhs, y0, span, event, *tol):
+        counts.update(rhs=0, ends=0, dense=0)
+
+        def counted(s, y, ref):
+            counts["rhs"] += 1
+            return rhs(s, y, ref)
+
+        def seen(s, y, f):
+            dom = surface.domain
+            if f is not None:
+                counts["ends"] += 1
+            elif (dom.t_min < y[0] < dom.t_max
+                  and dom.z_min < y[1] < dom.z_max):
+                counts["dense"] += 1
+            return event(s, y, f)
+
+        jets[0] = 0
+        both = stepper.integrate(counted, y0, span, seen, *tol)
+        counts["jets"] = jets[0]
+        return both
+
+    monkeypatch.setattr(tracer, "integrate", counting)
+    tr = trace(TraceRequest(replace(surface, jet=jet), start, mode,
+                            s_span=span))
+    assert tr.exit.kind == kind
+    assert counts["rhs"] == tr.nfev and counts["ends"] > 10
+    isogonal = isinstance(mode, IsogonalMode)
+    assert counts["jets"] == counts["rhs"] + isogonal * counts["dense"]
+    assert (counts["dense"] > 0) == (kind != "completed")
+
+
 def test_two_sided_trace_evaluates_the_start_once(monkeypatch):
     # both branches share f(0): the RHS sees s = 0 once, with no ref
     seen = []
