@@ -1,20 +1,22 @@
 """File formats: trace CSV, Wavefront OBJ meshes, flat config files.
 
 CSV layout (one row per sample, LF line endings, ',' separator, '.'
-decimal, full double precision):
+decimal):
 
     s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,phi,theta,kappa,tau
 
-Every column is written with ``%.17g``, so ``read_trace_csv`` reads each
-double back bit for bit and feeds the grid and uv jets through
-``curve_scalars``.
+``read_trace_csv`` feeds the first seven columns, the grid and the uv
+jets, through ``curve_scalars``, and of the rest only checks x,y,z_pos
+against the chart to 1e-9: its result depends on the seven alone, which
+are written exact, with ``%.17g``.  The other ten are display values.
 
 OBJ layout: the surface as a quad-triangulated grid mesh followed by each
 curve as a polyline object; all surface vertices precede all curve
 vertices.  An OBJ is write-only display output, which nothing here reads
-back: vertices are written with ``%.14g``, each coordinate within 5e-14
-relative of its double (three orders below the tracer's own tolerances),
-the most digits that CPython's float formatting gives on its fast path.
+back.  Display values are written with ``%.14g``, within 5e-14 relative of
+their doubles (four orders inside the reader's 1e-9 and the tracer's rtol
+1e-9), the most digits that CPython's float formatting gives on its fast
+path, at about half the cost of ``%.17g``.
 
 Both writers format and write ``_BLOCK`` lines at a time, one ``%`` a
 block, so their memory does not grow with the file.
@@ -32,7 +34,8 @@ from .darboux import CurveData, curve_scalars
 CSV_COLUMNS = ("s", "t", "z", "t_vel", "z_vel", "t_acc", "z_acc", "x", "y",
                "z_pos", "kg", "kn", "taug", "phi", "theta", "kappa", "tau")
 _HEADER = ",".join(CSV_COLUMNS)
-_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+# s .. z_acc exact, x .. tau display (see the module docstring)
+_ROW = ",".join(["%.17g"] * 7 + ["%.14g"] * 10) + "\n"
 _VERTEX = "v %.14g %.14g %.14g\n"
 _CELL = "f %d %d %d\nf %d %d %d\n"  # a grid cell's two triangles
 _BLOCK = 1024  # lines formatted by one % and written at once
@@ -49,7 +52,7 @@ def _lines(line: str, table: np.ndarray) -> str:
 
 
 def write_trace_csv(path: str, curve: CurveData) -> None:
-    """Write a curve's samples to CSV (deterministic, round-trip exact)."""
+    """Write a curve's samples to CSV (deterministic; read back exact)."""
     if len(curve) == 0:
         raise ValueError("refusing to write an empty trace")
     columns = (curve.s, curve.uv, curve.uv_vel, curve.uv_acc, curve.pos,
@@ -65,10 +68,10 @@ def _first_bad_line(lines) -> str | None:
     """Where the first of ``lines``, the lines after a CSV header, that is
     not 17 numbers fails: 'line L, column C: ...' for a cell that is not a
     number to `np.loadtxt`, 'line L: ...' for a wrong cell count (L from 2,
-    blank lines skipped as `np.loadtxt` skips them), or None where every
-    line passes."""
+    empty lines skipped as `np.loadtxt` skips them, but not one of spaces),
+    or None where every line passes."""
     for number, line in enumerate(lines, start=2):
-        if not line.strip():
+        if line == "\n":
             continue
         cells = line.removesuffix("\n").split(",")
         for column, cell in enumerate(cells, start=1):
@@ -99,7 +102,10 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
             if header != _HEADER:
                 raise ValueError(f"header '{header}'")
             rows = fh.tell()
-            if fh.readline():
+            line = fh.readline()
+            while line == "\n":  # np.loadtxt skips empty lines
+                line = fh.readline()
+            if line:
                 fh.seek(rows)
                 try:
                     data = np.loadtxt(fh, delimiter=",", comments=None,

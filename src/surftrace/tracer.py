@@ -71,7 +71,7 @@ from .core import (SurfaceDef, _along, _flip, _principal, curve_shape,
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
-from .stepper import MAX_SAMPLES, BranchStats, integrate
+from .stepper import MAX_NFEV, MAX_SAMPLES, BranchStats, integrate
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-9
@@ -226,9 +226,11 @@ def chart_to_principal_angle(surface: SurfaceDef, uv: tuple[float, float],
     return delta + chart_angle
 
 
-def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]:
+def _unit_uv_velocity(surface: SurfaceDef, uv,
+                      direction) -> tuple[float, float, float]:
     """Initial (t', z') of unit metric norm from an angle (a scalar) or a
-    raw (dt, dz) pair; `TraceRequest` refuses any other shape."""
+    raw (dt, dz) pair, and the normal curvature kn = II(v, v) along it;
+    `TraceRequest` refuses any other shape."""
     jet, forms, sd = point_shape(surface, *uv)
     if np.ndim(direction):
         tp, zp = float(direction[0]), float(direction[1])
@@ -240,13 +242,17 @@ def _unit_uv_velocity(surface: SurfaceDef, uv, direction) -> tuple[float, float]
                         + forms.G * zp * zp)
         if speed == 0.0:
             raise InvalidRequestError("initial uv-velocity must be nonzero")
-        return tp / speed, zp / speed
-    if sd.umbilic:
+        tp, zp = tp / speed, zp / speed
+    elif sd.umbilic:
         raise UmbilicEncounteredError(
             "angle initial direction undefined at umbilic start; "
             "pass a uv-velocity instead")
-    phi = float(direction)
-    return _isogonal_field(sd.decomp, float(np.cos(phi)), float(np.sin(phi)))
+    else:
+        phi = float(direction)
+        tp, zp = _isogonal_field(sd.decomp, float(np.cos(phi)),
+                                 float(np.sin(phi)))
+    kn = forms.e * tp * tp + 2 * forms.f * tp * zp + forms.g * zp * zp
+    return tp, zp, kn
 
 
 def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
@@ -452,7 +458,15 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
             point_metric(surface, t, z, check_domain=False), tp, zp,
             tan_theta))
 
-    tp0, zp0 = _unit_uv_velocity(surface, req.start_uv, mode.initial_dir)
+    tp0, zp0, kn0 = _unit_uv_velocity(surface, req.start_uv,
+                                      mode.initial_dir)
+    kg0 = abs(tan_theta * kn0)  # kg = tan(theta) kn
+    turn = kg0 * (req.s_span[1] - req.s_span[0])
+    if turn > MAX_NFEV:  # a branch spends more than an RHS call a radian
+        raise InvalidRequestError(
+            f"theta {mode.theta} turns by about {turn:.3g} rad over s_span "
+            f"{req.s_span} (kg = {kg0:.3g} at the start), more than the "
+            f"{MAX_NFEV} RHS calls of a branch")
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)
     s, states, exits, stats = _integrate_branches(rhs, y0, req)
     exit_ = _trace_exit(exits)

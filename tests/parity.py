@@ -2,7 +2,7 @@
 
     python tests/parity.py
 
-prints four sha256 digests:
+prints five sha256 digests:
 
 * ``traces``: a fixed, seeded gallery trace set, with the right-hand side
   evaluations, the chart jet evaluations at single points and the accepted
@@ -14,6 +14,9 @@ prints four sha256 digests:
   on charts with an oracle, its Liouville residuals.  Every array goes in as
   dtype, shape and raw bytes, every float as `float.hex`; an exception goes
   in as its type and message.
+* ``csv``: the bytes that `exporters.write_trace_csv` writes for each
+  curve of the trace set, with how many of those files fail to read back
+  through `exporters.read_trace_csv` to the same `CurveData` bit for bit.
 * ``verify``: the measured value of every check of `surftrace verify all`,
   as `float.hex`, with the scenario id and check name.
 * ``charts``: every catalogue surface made position-only,
@@ -26,7 +29,7 @@ prints four sha256 digests:
   ``s_stop`` and samples, with the right-hand side evaluations and the
   chart jet evaluations at single points they took in all.
 
-A change meant to keep every output bit for bit prints the same four lines
+A change meant to keep every output bit for bit prints the same five lines
 as its parent.  The script needs only the public API, so it runs unchanged
 on older checkouts: copy it there and run it from that checkout's root.
 
@@ -61,7 +64,9 @@ import argparse
 import dataclasses
 import hashlib
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +74,8 @@ import numpy as np
 if __name__ == "__main__":  # a checkout's script reads that checkout's src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from surftrace import (classify, core, darboux, gallery, scenarios,  # noqa: E402
-                       tracer)
+from surftrace import (classify, core, darboux, exporters, gallery,  # noqa: E402
+                       scenarios, tracer)
 from surftrace.errors import GeometryError  # noqa: E402
 
 SEED = 11
@@ -170,11 +175,12 @@ def _requests(seed: int, k: int):
                 surface, start, m, s_span=(-back, 1.0 - back), step=2e-3)
 
 
-def trace_digest(seed: int = SEED,
-                 passes: int = PASSES) -> tuple[str, int, int, int, int]:
+def trace_digest(seed: int = SEED, passes: int = PASSES,
+                 curves: list | None = None) -> tuple[str, int, int, int, int]:
     """(sha256 hex, curve count, RHS calls, accepted steps, scalar jet
     calls) of the seeded gallery trace set; the last three are
-    deterministic cost counts of its traces."""
+    deterministic cost counts of its traces.  Each curve's (surface,
+    `CurveData`) is appended to ``curves`` if given."""
     h = hashlib.sha256()
     count = nfev = steps = jets = 0
     charts = ScalarJets()
@@ -196,6 +202,8 @@ def trace_digest(seed: int = SEED,
                           tr.stats, tr.shape])
                 cd = darboux.curve_scalars_from_trace(surface, tr)
                 _feed(h, cd)
+                if curves is not None:
+                    curves.append((surface, cd))
                 if surface.oracle is not None:
                     _feed(h, darboux.liouville_residuals(surface, cd))
                 _feed(h, classify.render_report(
@@ -203,6 +211,24 @@ def trace_digest(seed: int = SEED,
             except (GeometryError, ValueError) as exc:  # refusals are outputs
                 _feed(h, f"{type(exc).__name__}: {exc}")
     return h.hexdigest(), count, nfev, steps, jets
+
+
+def csv_digest(curves: list) -> tuple[str, int, int]:
+    """(sha256 hex, file count, files not read back bit for bit) of the
+    trace CSVs of ``curves``, (surface, `CurveData`) pairs."""
+    h = hashlib.sha256()
+    differ = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "curve.csv")
+        for surface, cd in curves:
+            exporters.write_trace_csv(path, cd)
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+            back = exporters.read_trace_csv(path, surface)
+            differ += not all(
+                _same(getattr(cd, f.name), getattr(back, f.name))
+                for f in dataclasses.fields(cd))
+    return h.hexdigest(), len(curves), differ
 
 
 def _charts(seed: int):
@@ -487,10 +513,14 @@ def main(argv=None) -> None:
         print(drift_report(args.against, args.seed, args.passes))
     if args.save or args.against:
         return
-    digest, n, nfev, steps, jets = trace_digest(args.seed, args.passes)
+    curves = []
+    digest, n, nfev, steps, jets = trace_digest(args.seed, args.passes, curves)
     print(f"traces  {digest}  ({n} curves, seed {args.seed}, "
           f"{args.passes} passes; {nfev} RHS calls, {jets} scalar jet calls, "
           f"{steps} accepted steps)")
+    digest, n, differ = csv_digest(curves)
+    print(f"csv     {digest}  ({n} trace CSVs; {differ} not read back bit "
+          "for bit)")
     digest, n = verify_digest()
     print(f"verify  {digest}  ({n} values)")
     digest, n = charts_digest(args.seed)

@@ -137,6 +137,74 @@ def test_csv_roundtrip_with_undefined_phi(tmp_path):
     assert rep.pseudo_geodesic.is_constant
 
 
+def _fixture_curve():
+    """An Enneper isogonal line with no umbilic sample: every field finite."""
+    enn = make_enneper()
+    tr = trace(TraceRequest(enn, (0.0, 1.0), IsogonalMode(0.5),
+                            s_span=(-0.3, 0.3)))
+    return enn, curve_scalars_from_trace(enn, tr)
+
+
+def _columns(curve):
+    """The (n, 17) table of CSV_COLUMNS that write_trace_csv writes."""
+    return np.column_stack((curve.s, curve.uv, curve.uv_vel, curve.uv_acc,
+                            curve.pos, curve.kg, curve.kn, curve.taug,
+                            curve.phi, curve.theta, curve.kappa, curve.tau))
+
+
+def test_csv_exact_columns_are_exact_and_display_columns_within_5e_14(
+        tmp_path):
+    enn, cd = _fixture_curve()
+    path = tmp_path / "curve.csv"
+    write_trace_csv(str(path), cd)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    table = _columns(cd)
+    assert header == ",".join(CSV_COLUMNS) and len(lines) == len(table)
+    assert np.isfinite(table).all()
+    exact = CSV_COLUMNS.index("x")
+    for line, values in zip(lines, table.tolist()):
+        cells = line.split(",")
+        for j, (text, value) in enumerate(zip(cells, values, strict=True)):
+            if j < exact:
+                assert float(text).hex() == value.hex(), (CSV_COLUMNS[j], text)
+                continue
+            assert text == "%.14g" % value, CSV_COLUMNS[j]
+            gap = abs(Fraction(text) - Fraction(value))
+            assert gap <= Fraction(5, 10 ** 14) * abs(Fraction(value)), text
+
+
+def test_csv_in_the_all_17_digit_form_reads_bit_for_bit(tmp_path,
+                                                        monkeypatch):
+    # files written before the display columns took 14 digits still read,
+    # to the same curve as the file written now
+    enn, cd = _fixture_curve()
+    path, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_trace_csv(str(path), cd)
+    monkeypatch.setattr(exporters, "_ROW",
+                        ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n")
+    write_trace_csv(str(old), cd)
+    assert old.read_bytes() != path.read_bytes()
+    assert_curve_data_equal(cd, read_trace_csv(str(old), enn))
+    assert_curve_data_equal(cd, read_trace_csv(str(path), enn))
+
+
+def test_read_trace_csv_depends_only_on_the_exact_columns(tmp_path):
+    # kg .. tau replaced by other numbers and x, y, z_pos moved by 1e-12,
+    # inside the 1e-9 position check: every field still reads back bit for
+    # bit, since the reader recomputes them from s .. z_acc
+    enn, cd = _fixture_curve()
+    table = _columns(cd)
+    x, kg = CSV_COLUMNS.index("x"), CSV_COLUMNS.index("kg")
+    table[:, x:kg] += 1e-12
+    table[:, kg:] = np.random.default_rng(5).uniform(-3.0, 3.0,
+                                                     table[:, kg:].shape)
+    path = tmp_path / "edited.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in table.tolist()),
+                    encoding="utf-8")
+    assert_curve_data_equal(cd, read_trace_csv(str(path), enn))
+
+
 def test_read_trace_csv_refuses_malformed_files(tmp_path):
     enn = make_enneper()
     tr = trace(TraceRequest(enn, (0.0, 1.0), GeodesicMode((1.0, 0.0)),
@@ -155,11 +223,11 @@ def test_read_trace_csv_refuses_malformed_files(tmp_path):
             read_trace_csv(str(path), enn)
         assert str(path) in str(exc.value)
         assert ",".join(CSV_COLUMNS) in str(exc.value)
-    # the header alone, or four rows under it: a short curve, not a bad file,
-    # and no warning on the way
-    for n in (1, 5):
+    # the header alone, with only empty rows under it, or four rows under
+    # it: a short curve, not a bad file, and no warning on the way
+    for n, empty in ((1, ""), (1, "\n"), (1, "\n\n\n"), (5, "\n")):
         path = tmp_path / "short.csv"
-        path.write_text("".join(",".join(r) + "\n" for r in rows[:n]),
+        path.write_text("".join(",".join(r) + "\n" for r in rows[:n]) + empty,
                         encoding="utf-8")
         with warnings.catch_warnings(), pytest.raises(TooFewSamplesError):
             warnings.simplefilter("error")
@@ -170,14 +238,17 @@ def test_read_trace_csv_refuses_malformed_files(tmp_path):
 def test_read_trace_csv_names_the_file_line_and_column(tmp_path):
     # the header is line 1: a bad cell on line 3 is named there, not by
     # np.loadtxt's data-row index (1) or count (2); so is a cell that
-    # float() reads but np.loadtxt does not
+    # float() reads but np.loadtxt does not, and a row of spaces or a tab,
+    # which np.loadtxt does not skip as it skips an empty row
     row = ",".join(["0.5"] * 17)
     text = ",".join(["0.5"] * 4 + ["abc"] + ["0.5"] * 12)
     under = ",".join(["0.5"] * 4 + ["1_0"] + ["0.5"] * 12)
     for bad, where in ((row + "\n" + text, "line 3, column 5:"),
                        (row + "\n" + row + "\n" + under, "line 4, column 5:"),
                        ("# a comment\n" + row, "line 2, column 1:"),
-                       (row + "\n0.5,0.5", "line 3: 2 columns")):
+                       (row + "\n0.5,0.5", "line 3: 2 columns"),
+                       (row + "\n\n  ", "line 4, column 1: '  '"),
+                       ("\t\n" + row, r"line 2, column 1: '\\t'")):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + bad + "\n",
                         encoding="utf-8")
@@ -294,6 +365,10 @@ PROBES = {
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
     # the format defines no comments: a '#' line is not a row
     "csv-comment-line": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    # rows that are all empty read as the header alone, a row of spaces is
+    # named; np.loadtxt once warned or named neither
+    "csv-empty-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-spaces-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
     "csv-wrong-surface": ["classify", "--surface", "catenoid", "--start",
                           "0,1", "--phi", "0.5", "--csv", "probe.csv"],
     # an Enneper trace CSV with one column edited (PROBE_EDITS)
@@ -340,6 +415,11 @@ PROBES = {
     "helix-surface-r-beta-1e-300": ["trace", "--surface", "helix_surface",
                                     "--param", "r_beta=1e-300", "--start",
                                     "0,0", "--phi", "0.5"],
+    # kg = tan(theta) kn ~ 4.8e7 once spent both branches' RHS budgets
+    "pseudo-geodesic-theta-near-pi-2": ["trace", "--surface", "enneper",
+                                        "--start", "0,0.5", "--mode",
+                                        "pseudo-geodesic", "--theta",
+                                        "1.5707963", "--dir", "1,0"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -361,6 +441,8 @@ PROBE_CSVS = {
     "csv-comment-line": "s,t,z,t_vel,z_vel,t_acc,z_acc,x,y,z_pos,kg,kn,taug,"
                         "phi,theta,kappa,tau\n# a comment\n"
                         + ",".join(["0.5"] * 17) + "\n",
+    "csv-empty-row": ",".join(CSV_COLUMNS) + "\n\n",
+    "csv-spaces-row": ",".join(CSV_COLUMNS) + "\n  \n",
     "csv-wrong-surface": None,
     "csv-zero-step": None,
     "csv-nan-velocity": None,
@@ -374,6 +456,10 @@ PROBE_EDITS = {
 }
 # what the error line of a probe must name
 PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
+               "csv-empty-row": ("need at least 5 samples",),
+               "csv-spaces-row": ("probe.csv", "line 2, column 1: '  ' is "
+                                  "not a number"),
+               "pseudo-geodesic-theta-near-pi-2": ("9.55e+07 rad",),
                "csv-wrong-surface": ("probe.csv", "'catenoid'"),
                "csv-zero-step": ("h = 0.0",),
                "csv-nan-velocity": ("nan at sample 5",),
@@ -584,7 +670,7 @@ def _traced_peak(write):
 
 
 def test_writers_memory_does_not_grow_with_the_file(tmp_path):
-    # 20,001 samples make a 6.9 MB CSV, and a 150 x 150 Enneper mesh with a
+    # 20,001 samples make a 6.3 MB CSV, and a 150 x 150 Enneper mesh with a
     # 20,001-point curve a 3.2 MB OBJ; writers that format a whole table or
     # mesh at once peak at 14.9 and 13.3 MB there, and writers that format
     # 1,024 lines at a time at 1.2 and 0.4 MB

@@ -21,6 +21,15 @@ def test_trace_set_costs_no_more_solver_work():
     assert nfev <= 7980 and steps <= 1254 and jets <= 8071
 
 
+def test_csv_digest_repeats_and_every_file_reads_back_bit_for_bit():
+    runs = [[], []]
+    for curves in runs:
+        parity.trace_digest(curves=curves)
+    first = parity.csv_digest(runs[0])
+    assert first == parity.csv_digest(runs[1])
+    assert first[1] == 22 * parity.PASSES and first[2] == 0
+
+
 def test_umbilic_runs_cost_no_more_solver_work():
     # deterministic, and the RHS and scalar jet counts ceilings: each run
     # ends at the umbilic gap's solver event in whole steps, or completes;

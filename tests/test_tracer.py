@@ -118,6 +118,27 @@ def test_pseudogeodesic_theta_range():
                                           PseudoGeodesicMode(np.pi / 2, 0.0)))
 
 
+@pytest.mark.parametrize("side", [0.99, 1.01], ids=["under", "over"])
+def test_pseudogeodesic_turn_above_the_rhs_budget_is_refused(side,
+                                                             monkeypatch):
+    # |tan(theta) kn| (s_hi - s_lo), kn at the start, is about the turn in
+    # radians; above the budget of RHS calls the request is refused before
+    # integrating, below it traced (a small budget keeps the turn cheap)
+    enn, budget, span = make_enneper(), 40, (-0.25, 0.25)
+    kn = tracer._unit_uv_velocity(enn, (0.0, 0.5), (1.0, 0.0))[2]
+    assert abs(kn - 1.28) < 0.01
+    theta = np.arctan(side * budget / (abs(kn) * (span[1] - span[0])))
+    monkeypatch.setattr(tracer, "MAX_NFEV", budget)
+    req = TraceRequest(enn, (0.0, 0.5), PseudoGeodesicMode(theta, (1.0, 0.0)),
+                       s_span=span)
+    if side < 1:
+        assert len(trace_pseudogeodesic(req)) > 1
+    else:
+        with pytest.raises(InvalidRequestError,
+                           match=r"about 40\.4 rad over s_span"):
+            trace_pseudogeodesic(req)
+
+
 def test_sphere_pseudogeodesic_is_circle():
     sph = make_sphere(1.0)
     req = TraceRequest(sph, (0.2, 0.1), PseudoGeodesicMode(np.pi / 4, (0.6, 0.5)),
