@@ -7,6 +7,14 @@ fitted constants).  Surface probes: constant ratio of principal
 curvatures (CRPC) and constant skew curvature (CSkC, kappa1 - kappa2
 constant).
 
+Every value held against a bound is a `ScenarioCheck`: the verify checks
+of `scenarios` and the four threshold flags of a report.  A flag holds when
+max |kg| (geodesic), max |taug| (line of curvature), max |kn| (asymptotic)
+or max |tau| (planar) is below FLAG_TOL (1 + max kappa); its margin is that
+maximum over the limit.  A flag that reads below GRAY_FACTOR times its
+limit (it holds, or nearly does) is borderline: `proposition_checks`
+excludes the curve from the checks that need the flag to fail.
+
 The dependence test of the helix, kn-taug and CRPC verdicts is a closed
 form, and classification calls no LAPACK routine: two columns scaled by a
 power of two take one Gram-Schmidt step, larger first, to R = [[r11, r12],
@@ -37,8 +45,60 @@ DEFAULT_REL_TOL = 1e-6
 #: scale factor for the flag thresholds on |taug|, |kn|, |tau|, |kg|
 FLAG_TOL = 1e-6
 
-#: gray zone: within this factor of a flag threshold on either side
+#: a flag measured below this factor times its limit is borderline
 GRAY_FACTOR = 10.0
+
+
+@dataclass(frozen=True)
+class ScenarioCheck:
+    """One value against a bound: ``passed`` is ``measured op limit`` for a
+    numeric check (`_bounded`), and ``note`` its unit; a boolean check has
+    op and limit None and its bound in words as ``note``.  Its truth value
+    is ``passed``."""
+
+    name: str
+    passed: bool
+    measured: float
+    note: str = ""
+    op: Optional[str] = None      # "<", ">" or ">="
+    limit: Optional[float] = None
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    @property
+    def bound(self) -> str:
+        """The bound as text: ``"< 1e-6"`` or ``">= 20 curves"`` from op,
+        limit and note, or the note of a boolean check."""
+        if self.op is None:
+            return self.note
+        # "1e-4" and "1e-6" where format "g" writes "0.0001" and "1e-06"
+        limit = f"{self.limit:g}"
+        sci = f"{self.limit:.0e}".replace("e-0", "e-")
+        if float(sci) == self.limit and len(sci) < len(limit):
+            limit = sci
+        return f"{self.op} {limit} {self.note}".strip()
+
+    @property
+    def margin(self) -> Optional[float]:
+        """|measured| / limit under an upper bound, limit / measured over a
+        lower one (inf at measured <= 0): below 1 the check passes, 1 is the
+        bound itself.  None for a boolean check."""
+        if self.op is None:
+            return None
+        if self.op == "<":
+            return abs(self.measured) / self.limit
+        return self.limit / self.measured if self.measured > 0 else math.inf
+
+
+def _bounded(op: str, name: str, measured: float, limit: float,
+             note: str = "") -> ScenarioCheck:
+    """A numeric check whose ``passed`` and bound text both come from the
+    one ``limit``."""
+    passed = {"<": measured < limit, ">": measured > limit,
+              ">=": measured >= limit}[op]
+    return ScenarioCheck(name, bool(passed), float(measured), note, op,
+                         float(limit))
 
 
 @dataclass(frozen=True)
@@ -73,30 +133,46 @@ class HelixReport:
 class ClassificationReport:
     isogonal: Optional[ConstancyVerdict]   # None when phi undefined (umbilics)
     pseudo_geodesic: ConstancyVerdict
-    geodesic: bool
-    line_of_curvature: bool
-    asymptotic: bool
-    planar: bool
+    geodesic: ScenarioCheck                # max|kg| < FLAG_TOL (1 + max kappa)
+    line_of_curvature: ScenarioCheck       # max|taug|, the same limit
+    asymptotic: ScenarioCheck              # max|kn|
+    planar: ScenarioCheck                  # max|tau|
     helix: HelixReport
     crpc_along: DependenceVerdict
     kntg_dep: DependenceVerdict
     cskc_along: ConstancyVerdict
-    kappa_max: float
-    max_abs_kg: float
-    max_abs_kn: float
-    max_abs_taug: float
-    max_abs_tau: float
-    gray_line_of_curvature: bool
-    gray_asymptotic: bool
+
+
+def check_tolerance(name: str, value) -> float:
+    """``value`` as a float, once it is a finite number >= 0;
+    InvalidRequestError naming ``name`` and ``value`` otherwise."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:   # NaN too
+        raise InvalidRequestError(f"{name} '{value}' must be a finite "
+                                  "number >= 0")
+    return tol
 
 
 def constancy_test(values, abs_tol: float = DEFAULT_ABS_TOL,
                    rel_tol: float = DEFAULT_REL_TOL) -> ConstancyVerdict:
-    """Is a scalar series constant to tolerance abs_tol + rel_tol |mean|?"""
+    """Is a scalar series constant to tolerance abs_tol + rel_tol |mean|?
+    Raises InvalidRequestError for a tolerance that is not a finite number
+    >= 0, and naming the first sample that is not finite."""
+    abs_tol = check_tolerance("abs_tol", abs_tol)
+    rel_tol = check_tolerance("rel_tol", rel_tol)
     v = np.asarray(values, dtype=float)
     if len(v) < 5:
         raise TooFewSamplesError("constancy test needs >= 5 values")
     mean = float(v.sum() / len(v))
+    if not math.isfinite(mean):   # a bad sample, or a sum past 1.8e308
+        bad = ~np.isfinite(v)
+        i = int(np.argmax(bad))
+        raise InvalidRequestError(
+            f"constancy test: values[{i}] = {float(v[i])} is not finite"
+            if bad[i] else "constancy test: the values' sum overflows")
     max_dev = float(np.abs(v - mean).max())
     tol = abs_tol + rel_tol * abs(mean)
     return ConstancyVerdict(max_dev <= tol, mean, max_dev, tol)
@@ -183,26 +259,17 @@ def classify_curve_data(curve: CurveData,
     if len(curve) < 9:
         raise TooFewSamplesError("classification needs >= 9 samples")
     kappa_max = float(curve.kappa.max())
-    scale = 1.0 + kappa_max
-    max_abs_kg = float(np.abs(curve.kg).max())
-    max_abs_kn = float(np.abs(curve.kn).max())
-    max_abs_taug = float(np.abs(curve.taug).max())
-    max_abs_tau = float(np.abs(curve.tau).max())
+    limit = FLAG_TOL * (1.0 + kappa_max)
+    geodesic, lof, asymptotic, planar = (
+        _bounded("<", name, np.abs(v).max(), limit)
+        for name, v in (("max|kg|", curve.kg), ("max|taug|", curve.taug),
+                        ("max|kn|", curve.kn), ("max|tau|", curve.tau)))
 
     if len(curve.umbilic_idx):
         isogonal = None
     else:
         isogonal = constancy_test(unwrap(curve.phi), abs_tol, rel_tol)
     pseudo = constancy_test(curve.theta, abs_tol, rel_tol)
-    geodesic = max_abs_kg < FLAG_TOL * scale
-    lof = max_abs_taug < FLAG_TOL * scale
-    asymptotic = max_abs_kn < FLAG_TOL * scale
-    planar = max_abs_tau < FLAG_TOL * scale
-
-    def gray(value: float) -> bool:
-        thr = FLAG_TOL * scale
-        return thr / GRAY_FACTOR < value < thr * GRAY_FACTOR
-
     helix = (_degenerate_helix(curve) if kappa_max <= KAPPA_FLAT
              else helix_axis(curve))
 
@@ -211,8 +278,7 @@ def classify_curve_data(curve: CurveData,
     crpc = linear_dependence_test(curve.kappa1, curve.kappa2)
     return ClassificationReport(
         isogonal, pseudo, geodesic, lof, asymptotic, planar, helix,
-        crpc, kntg, cskc, kappa_max, max_abs_kg, max_abs_kn, max_abs_taug,
-        max_abs_tau, gray(max_abs_taug), gray(max_abs_kn))
+        crpc, kntg, cskc)
 
 
 def classify_curve(surface: SurfaceDef, trace) -> ClassificationReport:
@@ -250,11 +316,16 @@ def proposition_checks(report: ClassificationReport) -> dict:
     """Cross-implication checks between the detected curve classes.
 
     Returns one entry per named check with 'applicable', 'holds' and
-    'excluded' keys; borderline curves (flag value within a factor of 10
-    of its threshold) are excluded rather than judged.
+    'excluded' keys.  A curve whose asymptotic or line-of-curvature flag
+    reads below GRAY_FACTOR times its limit (the flag holds, or nearly
+    does) is excluded from the checks that need that flag to fail, rather
+    than judged.
     """
+    def borderline(flag: ScenarioCheck) -> bool:
+        return flag.measured < GRAY_FACTOR * flag.limit
+
     out = {}
-    trio = [report.planar, report.line_of_curvature,
+    trio = [report.planar.passed, report.line_of_curvature.passed,
             report.pseudo_geodesic.is_constant]
     out["planar_lof_pseudogeodesic_trio"] = {
         "applicable": sum(trio) >= 2,
@@ -262,14 +333,14 @@ def proposition_checks(report: ClassificationReport) -> dict:
         "excluded": False,
     }
     pg = report.pseudo_geodesic.is_constant
-    excl_asym = report.asymptotic or report.gray_asymptotic
+    excl_asym = borderline(report.asymptotic)
     out["helix_iff_kn_taug_dependent"] = {
         "applicable": pg and not excl_asym,
         "holds": report.helix.is_helix == report.kntg_dep.dependent,
         "excluded": excl_asym,
     }
     iso = report.isogonal.is_constant if report.isogonal else False
-    excl_lof = report.line_of_curvature or report.gray_line_of_curvature
+    excl_lof = borderline(report.line_of_curvature)
     out["helix_iff_principal_dependent"] = {
         "applicable": iso and pg and not excl_lof and not excl_asym,
         "holds": report.helix.is_helix == report.crpc_along.dependent,
@@ -288,6 +359,9 @@ def render_report(report: ClassificationReport) -> str:
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"
 
+    def fv(c: ScenarioCheck) -> str:
+        return f"{yn(c.passed)} ({c.name}={c.measured:.3g})"
+
     def cv(v: Optional[ConstancyVerdict], angle: bool = False) -> str:
         if v is None:
             return "undefined (umbilic samples on path)"
@@ -305,10 +379,10 @@ def render_report(report: ClassificationReport) -> str:
     lines = [
         f"isogonal:           {cv(report.isogonal, angle=True)}",
         f"pseudo_geodesic:    {cv(report.pseudo_geodesic, angle=True)}",
-        f"geodesic:           {yn(report.geodesic)} (max|kg|={report.max_abs_kg:.3g})",
-        f"line_of_curvature:  {yn(report.line_of_curvature)} (max|taug|={report.max_abs_taug:.3g})",
-        f"asymptotic:         {yn(report.asymptotic)} (max|kn|={report.max_abs_kn:.3g})",
-        f"planar:             {yn(report.planar)} (max|tau|={report.max_abs_tau:.3g})",
+        f"geodesic:           {fv(report.geodesic)}",
+        f"line_of_curvature:  {fv(report.line_of_curvature)}",
+        f"asymptotic:         {fv(report.asymptotic)}",
+        f"planar:             {fv(report.planar)}",
         f"helix:              {yn(hx.is_helix)} (m={hx.mn[0]:.9g}, n={hx.mn[1]:.9g}, "
         f"psi={hx.psi:.9g}, axis=[{axis}])",
         f"  axis_dot_T:       {cv(hx.axis_dot_t)}",

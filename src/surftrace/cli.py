@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -31,7 +30,8 @@ from .errors import (DegenerateParameterError, GeometryError,
 from .exporters import (ensure_dir, parse_config, read_trace_csv,
                         write_obj, write_trace_csv)
 from .gallery import CATALOGUE, make_surface
-from .scenarios import OVERRIDES, SCENARIOS, render_result, run_scenario
+from .scenarios import (OVERRIDES, SCENARIOS, render_result, run_scenario,
+                        scenario_overrides)
 from .stepper import MAX_SAMPLES
 from .tracer import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicMode, IsogonalMode,
                      PseudoGeodesicMode, TraceRequest,
@@ -79,10 +79,8 @@ def _build_request(args, surface) -> TraceRequest:
         if args.theta is None:
             raise InvalidRequestError("pseudo-geodesic mode needs --theta")
         mode = PseudoGeodesicMode(args.theta, _direction(args, surface))
-    elif args.mode == "geodesic":
+    else:  # geodesic: argparse restricts the choices
         mode = GeodesicMode(_direction(args, surface))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidRequestError(f"unknown mode {args.mode}")
     return TraceRequest(surface, args.start, mode, s_span=tuple(args.s_span),
                         step=args.step, atol=args.atol, rtol=args.rtol)
 
@@ -200,10 +198,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.addHandler(handler)
         log.setLevel(logging.DEBUG)
     try:
+        # every setting is refused here, whichever command reads it
+        abs_tol, rel_tol = (cls.check_tolerance(key, overrides.get(key, tol))
+                            for key, tol in (("tol_abs", cls.DEFAULT_ABS_TOL),
+                                             ("tol_rel", cls.DEFAULT_REL_TOL)))
+        scenario_overrides(overrides)
         if args.command == "trace":
             return _cmd_trace(args, out_dir)
         if args.command == "classify":
-            return _cmd_classify(args, overrides)
+            return _cmd_classify(args, abs_tol, rel_tol)
         if args.command == "verify":
             return _cmd_verify(args, overrides)
         if args.command == "export":
@@ -232,21 +235,7 @@ def _cmd_trace(args, out_dir: str) -> int:
     return 0
 
 
-def _tolerance(overrides, key: str, default: float) -> float:
-    """Classify tolerance ``key`` from the overrides: a finite number >= 0."""
-    raw = overrides.get(key, default)
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidRequestError(f"{key} '{raw}' must be a finite number >= 0")
-    return value
-
-
-def _cmd_classify(args, overrides) -> int:
-    abs_tol = _tolerance(overrides, "tol_abs", cls.DEFAULT_ABS_TOL)
-    rel_tol = _tolerance(overrides, "tol_rel", cls.DEFAULT_REL_TOL)
+def _cmd_classify(args, abs_tol: float, rel_tol: float) -> int:
     surface = _surface_from_args(args)
     if args.csv:
         try:

@@ -224,7 +224,8 @@ def liouville_residuals(surface: SurfaceDef, curve: CurveData) -> np.ndarray:
     """
     oracle = surface.oracle
     if oracle is None:
-        raise ValueError(f"surface '{surface.name}' carries no oracle")
+        raise InvalidRequestError(
+            f"surface '{surface.name}' carries no oracle")
     h = check_uniform(curve.s)
     t, z = curve.uv.T
     metric = point_metric(surface, t, z, check_domain=False)

@@ -19,8 +19,8 @@ import numpy as np
 from .classify import ConstancyVerdict, constancy_test
 from .core import Domain, SurfaceDef, SurfaceJet2, vec3
 from .darboux import CurveData, curve_scalars
-from .errors import (PreimageMismatchError, TangencyError,
-                     UnknownFixtureError)
+from .errors import (DegenerateParameterError, PreimageMismatchError,
+                     TangencyError, UnknownFixtureError)
 from .gallery import check_params, make_cylinder, make_plane, make_sphere
 from .numdiff import check_uniform, diff_uniform
 from .stepper import integrate
@@ -105,7 +105,8 @@ SAMPLES = 1024
 def _sphere_plane(h: float = 0.5) -> Fixture:
     """Unit sphere cut by the plane z = h: circle of radius sqrt(1 - h^2)."""
     if not -1.0 < h < 1.0:
-        raise ValueError("need |h| < 1 for a real intersection")
+        raise DegenerateParameterError(
+            f"h = {h:g}: need |h| < 1 for a real intersection")
     rho = np.sqrt(1.0 - h * h)
     t_lat = np.arcsin(h)
     psi_max = 1.2
@@ -129,7 +130,8 @@ def _sphere_plane(h: float = 0.5) -> Fixture:
 def _sphere_sphere(d: float = 1.0) -> Fixture:
     """Two unit spheres with centers distance d apart."""
     if not 0.0 < d < 2.0:
-        raise ValueError("need 0 < d < 2 for a transversal intersection")
+        raise DegenerateParameterError(
+            f"d = {d:g}: need 0 < d < 2 for a transversal intersection")
     x0 = d / 2.0
     rho = np.sqrt(1.0 - x0 * x0)
     psi_max = 1.2
@@ -174,7 +176,8 @@ def _cylinder_plane(tilt: float = np.pi / 6) -> Fixture:
     """Unit cylinder cut by the plane through the origin tilted by `tilt`
     about the y-axis; the section is an ellipse (circle at tilt = 0)."""
     if not 0.0 <= tilt < np.pi / 2:
-        raise ValueError("need 0 <= tilt < pi/2")
+        raise DegenerateParameterError(
+            f"tilt = {tilt:g}: need 0 <= tilt < pi/2")
     ta = np.tan(tilt)
     s_max = 2.0
     s = np.linspace(-s_max, s_max, SAMPLES)

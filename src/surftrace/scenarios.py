@@ -13,7 +13,6 @@ once per process by `traced`; `corpus()` is the whole table.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Optional
@@ -21,6 +20,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import classify as cls
+from .classify import ScenarioCheck
 from .core import SurfaceDef, shape_arrays
 from .darboux import (CurveData, curve_scalars, curve_scalars_from_trace,
                       liouville_residuals)
@@ -33,31 +33,6 @@ from .numdiff import unwrap
 from .tracer import (GeodesicMode, IsogonalMode, Mode, PseudoGeodesicMode,
                      Trace, TraceRequest, chart_to_principal_angle,
                      isogonal_map, trace)
-
-
-@dataclass(frozen=True)
-class ScenarioCheck:
-    """One check: ``passed`` is ``measured op limit`` for a numeric check,
-    whose ``bound`` text `_bounded` writes from op and limit; a boolean
-    check has op and limit None and a word for its bound."""
-
-    name: str
-    passed: bool
-    measured: float
-    bound: str
-    op: Optional[str] = None      # "<", ">" or ">="
-    limit: Optional[float] = None
-
-    @property
-    def margin(self) -> Optional[float]:
-        """|measured| / limit under an upper bound, limit / measured over a
-        lower one (inf at measured <= 0): below 1 the check passes, 1 is the
-        bound itself.  None for a boolean check."""
-        if self.op is None:
-            return None
-        if self.op == "<":
-            return abs(self.measured) / self.limit
-        return self.limit / self.measured if self.measured > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -81,21 +56,8 @@ class CorpusCurve:
     trace: Optional[Trace] = None      # None for an analytic curve
 
 
-def _bounded(op: str, name: str, measured: float, limit: float,
-             note: str = "") -> ScenarioCheck:
-    """A numeric check whose ``passed`` and bound text (``"< 1e-6"``,
-    ``">= 20 curves"``) both come from the one ``limit``."""
-    # "1e-4" and "1e-6" where format "g" writes "0.0001" and "1e-06"
-    sci = f"{limit:.0e}".replace("e-0", "e-")
-    short = float(sci) == limit and len(sci) < len(f"{limit:g}")
-    passed = {"<": measured < limit, ">": measured > limit,
-              ">=": measured >= limit}[op]
-    text = f"{op} {sci if short else f'{limit:g}'} {note}"
-    return ScenarioCheck(name, bool(passed), float(measured), text.strip(),
-                         op, float(limit))
-
-
-_below, _above, _at_least = (partial(_bounded, op) for op in ("<", ">", ">="))
+_below, _above, _at_least = (partial(cls._bounded, op)
+                             for op in ("<", ">", ">="))
 
 
 def _holds(name: str, flag: bool) -> ScenarioCheck:
@@ -548,7 +510,7 @@ def run_a2(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
 
 def run_a3(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     """Cross-implication checks between curve classes over the corpus and
-    the fixture sides; borderline (gray-zone) curves are excluded."""
+    the fixture sides; curves with a borderline flag are excluded."""
     subjects = [*corpus(), *fixture_side_curves()]
     reports = [cls.classify_curve_data(cc.curve) for cc in subjects]
     props = [(f"{cc.name}:{key}", res) for cc, rep in zip(subjects, reports)
@@ -626,12 +588,12 @@ SCENARIOS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def _override_values(sid: str,
-                     overrides: Mapping[str, str] | None) -> dict[str, float]:
-    """Scenario ``sid``'s overrides, once every ``<id>.<key>`` entry is
-    known to `OVERRIDES` and holds a finite number; other entries
-    (``tol_abs``, ...) are not scenario settings."""
-    values = {}
+def scenario_overrides(
+        overrides: Mapping[str, str] | None) -> dict[str, dict[str, float]]:
+    """The ``<id>.<key>`` entries of ``overrides`` by lower-case scenario
+    id, once every one is known to `OVERRIDES` and holds a finite number;
+    other entries (``tol_abs``, ...) are not scenario settings."""
+    values: dict[str, dict[str, float]] = {}
     for key, text in (overrides or {}).items():
         prefix, _, name = key.lower().partition(".")
         if prefix.upper() not in SCENARIOS:
@@ -645,8 +607,7 @@ def _override_values(sid: str,
             raise DegenerateParameterError(
                 f"bad scenario override {key} = {text} (accepted: "
                 f"{', '.join(accepted) or 'none'}; each a finite number)")
-        if prefix == sid.lower():
-            values[name] = value
+        values.setdefault(prefix, {})[name] = value
     return values
 
 
@@ -657,7 +618,7 @@ def run_scenario(scenario_id: str, overrides=None) -> ScenarioResult:
         raise UnknownScenarioError(f"unknown scenario '{scenario_id}'; "
                                    f"choices: {', '.join(SCENARIOS)} or 'all'")
     title, run = SCENARIOS[sid]
-    values = _override_values(sid, overrides)
+    values = scenario_overrides(overrides).get(sid.lower(), {})
 
     def spec(name: str) -> CurveSpec:
         out = CURVES[name]

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from surftrace import (classify_curve, classify_curve_data, constancy_test,
                        linear_dependence_test, make_crpc_revolution,
                        make_cylinder, make_enneper, make_plane, make_sphere,
                        surface_class_probe)
-from surftrace.classify import (DEPENDENCE_RESIDUAL_MAX, proposition_checks,
+from surftrace.classify import (DEPENDENCE_RESIDUAL_MAX, FLAG_TOL,
+                                GRAY_FACTOR, ClassificationReport,
+                                ScenarioCheck, _bounded, proposition_checks,
                                 render_report)
 from surftrace.errors import (InvalidRequestError, NonUnitSpeedError,
                               TooFewSamplesError)
@@ -60,6 +64,30 @@ def test_reductions_equal_the_numpy_calls_they_replace(n):
 def test_constancy_too_few():
     with pytest.raises(TooFewSamplesError):
         constancy_test([1.0, 2.0], 1e-6, 1e-6)
+
+
+@pytest.mark.parametrize("tols, where", [
+    ((np.nan, 1e-6), "abs_tol 'nan'"), ((-1.0, 1e-6), "abs_tol '-1.0'"),
+    ((1e-6, np.inf), "rel_tol 'inf'"), ((1e-6, "x"), "rel_tol 'x'")])
+def test_constancy_refuses_a_tolerance_that_is_not_finite_and_positive(
+        tols, where):
+    # a NaN or negative tolerance once read a constant series as varying
+    with pytest.raises(InvalidRequestError, match=re.escape(where)):
+        constancy_test(np.ones(9), *tols)
+
+
+@pytest.mark.parametrize("bad, where", [
+    (np.nan, "values[3] = nan"), (np.inf, "values[3] = inf"),
+    (-np.inf, "values[3] = -inf")])
+def test_constancy_refuses_non_finite_samples(bad, where):
+    # a NaN sample once gave a silent "not constant"; the first bad
+    # sample is named, warning-free
+    v = np.ones(9)
+    v[3], v[7] = bad, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRequestError, match=re.escape(where)):
+            constancy_test(v)
 
 
 def test_dependence_exact_multiple():
@@ -277,7 +305,7 @@ def test_euler_spiral_through_its_inflection_is_a_planar_helix(offset):
     cd = curve_scalars(make_plane(), s, uv, np.column_stack([c, sn]),
                        u[:, None] * np.column_stack([-sn, c]))
     rep = classify_curve_data(cd)
-    assert rep.planar, rep.max_abs_tau
+    assert rep.planar, rep.planar
     assert rep.helix.is_helix, rep.helix
     assert abs(abs(rep.helix.axis[2]) - 1.0) < 1e-12, rep.helix.axis
 
@@ -309,6 +337,51 @@ def test_crpc_isogonal_near_the_axis_classifies():
     rep = classify_curve_data(cd)
     assert not rep.helix.is_helix
     assert not rep.helix.dependence.dependent
+
+
+#: each threshold flag of a report and the series it bounds
+FLAGS = {"geodesic": "kg", "line_of_curvature": "taug", "asymptotic": "kn",
+         "planar": "tau"}
+
+
+@pytest.mark.parametrize("name", ["enneper_iso_pi6",
+                                  "bonnet_iso_curvature_line"])
+def test_flags_are_checks_of_max_against_the_flag_limit(name):
+    cd = traced(CURVES[name]).curve
+    rep = classify_curve_data(cd)
+    assert len(dataclasses.fields(ClassificationReport)) == 10
+    limit = FLAG_TOL * (1.0 + float(cd.kappa.max()))
+    for flag, series in FLAGS.items():
+        check = getattr(rep, flag)
+        assert type(check) is ScenarioCheck
+        measured = float(np.abs(getattr(cd, series)).max())
+        assert (check.measured, check.op, check.limit) == (measured, "<",
+                                                           limit)
+        assert check.passed is (measured < limit) is bool(check)
+        assert check.margin == check.measured / check.limit
+        assert f"{flag}:" in render_report(rep)
+
+
+@pytest.mark.parametrize("side, excluded", [(-1, True), (0, False),
+                                            (1, False)],
+                         ids=["below", "at", "above"])
+@pytest.mark.parametrize("flag, key", [
+    ("asymptotic", "helix_iff_kn_taug_dependent"),
+    ("line_of_curvature", "helix_iff_principal_dependent")])
+def test_a_flag_below_gray_factor_times_its_limit_is_borderline(
+        s2_report_and_curve, flag, key, side, excluded):
+    # the curve is excluded while the flag reads below GRAY_FACTOR times
+    # its limit, and judged from that value up: the float just below the
+    # product, the product itself and the float just above it
+    rep, _ = s2_report_and_curve
+    assert not proposition_checks(rep)[key]["excluded"]
+    check = getattr(rep, flag)
+    bound = GRAY_FACTOR * check.limit
+    measured = np.nextafter(bound, side * np.inf) if side else bound
+    moved = dataclasses.replace(rep, **{flag: _bounded(
+        "<", check.name, measured, check.limit)})
+    assert not getattr(moved, flag)
+    assert proposition_checks(moved)[key]["excluded"] is excluded
 
 
 def test_render_report_is_text(s2_report_and_curve):

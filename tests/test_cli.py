@@ -294,6 +294,22 @@ def test_large_helix_surfaces_are_not_umbilic(tmp_path, capsys):
     assert re.search(r"^isogonal: +yes \(", capsys.readouterr().out, re.M)
 
 
+@pytest.mark.parametrize("frame", ["principal", "chart"])
+def test_geodesic_direction_from_an_angle(frame, tmp_path):
+    # --phi sets a geodesic's start direction, from E1 or from the t
+    # direction; a chart angle is the principal angle it converts to
+    start = ["--out", str(tmp_path), "trace", "--surface", "enneper",
+             "--start", "0.3,0.2", "--mode", "geodesic"]
+    phi = 0.5
+    if frame == "chart":
+        phi = chart_to_principal_angle(make_enneper(), (0.3, 0.2), phi)
+    assert main([*start, "--phi", "0.5", "--phi-frame", frame,
+                 "--csv", "angle.csv"]) == 0
+    assert main([*start, "--phi", repr(phi), "--csv", "principal.csv"]) == 0
+    assert ((tmp_path / "angle.csv").read_bytes()
+            == (tmp_path / "principal.csv").read_bytes())
+
+
 # --dir values along 1,1 whose metric quadratic form once overflowed
 # (|gamma'| = 0 at sample 0) or underflowed (a refused zero velocity)
 SCALED_DIRS = ["1e160,1e160", "1e-170,1e-170", "3e-320,3e-320",
@@ -352,6 +368,12 @@ PROBES = {
     "param-without-value": ["trace", *ENNEPER, "--param", "foo",
                             "--phi", "0.5"],
     "isogonal-without-phi": ["trace", *ENNEPER],
+    "geodesic-without-direction": ["trace", *ENNEPER, "--mode", "geodesic"],
+    "pseudo-geodesic-without-theta": ["trace", *ENNEPER, "--mode",
+                                      "pseudo-geodesic", "--dir", "1,0"],
+    # the chart angle is converted from E1, which an umbilic lacks
+    "chart-angle-at-umbilic": ["trace", "--surface", "sphere", "--start",
+                               "0,0", "--phi", "0.5", "--phi-frame", "chart"],
     "override-not-a-number": ["--config", "probe.cfg", "verify", "S3"],
     "override-unknown": ["--config", "probe.cfg", "verify", "S3"],
     "override-eps": ["--config", "probe.cfg", "verify", "S3"],
@@ -388,6 +410,14 @@ PROBES = {
                                   "--phi", "0.5"],
     "classify-tol-config": ["--config", "probe.cfg", "classify", *ENNEPER,
                             "--phi", "0.5"],
+    # settings are refused whichever command runs, not only by the one
+    # that reads them
+    "trace-tol-abs-nan": ["--tol-abs", "nan", "trace", "--surface",
+                          "enneper", "--start", "0.3,0.2", "--phi", "0.5"],
+    "export-tol-rel-config": ["--config", "probe.cfg", "export", *ENNEPER,
+                              "--phi", "0.5"],
+    "classify-override-not-a-number": ["--config", "probe.cfg", "classify",
+                                       *ENNEPER, "--phi", "0.5"],
     # config keys that nothing reads once went unnoticed
     "config-unknown-tolerance": ["--config", "probe.cfg", "classify",
                                  *ENNEPER, "--phi", "0.5"],
@@ -428,6 +458,8 @@ PROBE_CONFIGS = {
     "override-eps": "s3.eps = 1.7\n",
     "verify-tol-config": "tol_rel = 100\n",
     "classify-tol-config": "tol_abs = abc\n",
+    "export-tol-rel-config": "tol_rel = -1\n",
+    "classify-override-not-a-number": "s3.c = abc\n",
     "config-unknown-tolerance": "tol_ab = 100\n",
     "config-unknown-scenario": "s9.c = 1\n",
     "config-unknown-option": "surface = bonnet\n",
@@ -443,6 +475,8 @@ PROBE_CSVS = {
                         + ",".join(["0.5"] * 17) + "\n",
     "csv-empty-row": ",".join(CSV_COLUMNS) + "\n\n",
     "csv-spaces-row": ",".join(CSV_COLUMNS) + "\n  \n",
+    "csv-16-columns": ",".join(CSV_COLUMNS) + "\n"
+                      + (",".join(["0.5"] * 16) + "\n") * 2,
     "csv-wrong-surface": None,
     "csv-zero-step": None,
     "csv-nan-velocity": None,
@@ -461,6 +495,7 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                                   "not a number"),
                "pseudo-geodesic-theta-near-pi-2": ("9.55e+07 rad",),
                "csv-wrong-surface": ("probe.csv", "'catenoid'"),
+               "csv-16-columns": ("probe.csv", "(16 columns)"),
                "csv-zero-step": ("h = 0.0",),
                "csv-nan-velocity": ("nan at sample 5",),
                "csv-nan-acceleration": ("sample 5",),
@@ -474,7 +509,10 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                "enneper-extent-inf": ("extent",),
                "enneper-extent-zero": ("extent",),
                "enneper-extent-1e200": ("extent",),
-               "helix-surface-r-beta-1e-300": ("r_beta",)}
+               "helix-surface-r-beta-1e-300": ("r_beta",),
+               "trace-tol-abs-nan": ("tol_abs 'nan'",),
+               "export-tol-rel-config": ("tol_rel '-1'",),
+               "classify-override-not-a-number": ("s3.c = abc",)}
 
 
 def _write_probe_inputs(probe, tmp_path):

@@ -343,6 +343,15 @@ def test_liouville_on_isogonal_and_coordinate_curves():
     assert np.max(np.abs(cdc.kg - kg1)) < 1e-6
 
 
+def test_liouville_needs_an_oracle():
+    sph = make_sphere(1.0)
+    tr = trace(TraceRequest(sph, (0.2, 0.1), GeodesicMode((1.0, 0.0)),
+                            s_span=(-0.2, 0.2)))
+    cd = curve_scalars_from_trace(sph, tr)
+    with pytest.raises(InvalidRequestError, match="'sphere' carries no"):
+        liouville_residuals(sph, cd)
+
+
 def test_liouville_on_ruled_surface_isogonal():
     hel = make_helix_surface(1.0, np.pi / 4)
     tr = trace_isogonal(TraceRequest(hel, (0.0, 0.0), IsogonalMode(0.8),

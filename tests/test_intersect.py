@@ -15,11 +15,18 @@ def test_unknown_fixture():
         make_fixture("torus_torus")
 
 
-@pytest.mark.parametrize("params", [{"n": 10}, {"h": "x"}, {"h": None}])
+@pytest.mark.parametrize("params", [{"n": 10}, {"h": "x"}, {"h": None},
+                                    {"h": 1.5}, {"d": 3.0}, {"tilt": 2.0}])
 def test_make_fixture_checks_its_keywords(params):
-    # an unknown or non-numeric keyword names the accepted parameters
-    with pytest.raises(DegenerateParameterError, match="accepted: h,"):
-        make_fixture("sphere_plane", **params)
+    # an unknown or non-numeric keyword names the accepted parameters, and
+    # a number out of the fixture's range is named with its range
+    ((key, value),) = params.items()
+    name = {"d": "sphere_sphere", "tilt": "cylinder_plane"}.get(
+        key, "sphere_plane")
+    match = f"{key} = {value:g}: need" if isinstance(value, float) \
+        else "accepted: h,"
+    with pytest.raises(DegenerateParameterError, match=match):
+        make_fixture(name, **params)
 
 
 def test_sphere_plane_geometry():

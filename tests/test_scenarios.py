@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from surftrace import scenarios, tracer
+from surftrace import classify as cls, scenarios, tracer
 
 
 def _request_key(req):
@@ -68,7 +68,7 @@ def test_numeric_bound_text_decides_passed(sid, scenario_results):
 def test_numeric_check_keeps_its_op_limit_and_margin(op, measured, limit,
                                                      note, bound, passed,
                                                      margin):
-    check = scenarios._bounded(op, "a check", measured, limit, note)
+    check = cls._bounded(op, "a check", measured, limit, note)
     assert (check.op, check.limit, check.bound) == (op, limit, bound)
     assert check.passed is passed
     assert check.margin == margin

@@ -691,6 +691,12 @@ def test_trace_stats_count_rhs_calls(monkeypatch):
     tr = trace(req)
     assert tr.exit.kind == "solver_failure"
     assert counts == [tr.stats["fwd"].nfev] and counts[0] <= budget
+    # a zero span: the start sample alone, with no RHS call
+    counts.clear()
+    tr = trace(TraceRequest(make_enneper(), (0.2, 0.3), IsogonalMode(-0.7),
+                            s_span=(0.0, 0.0)))
+    assert tr.s.tolist() == [0.0] and len(tr.uv) == 1
+    assert tr.nfev == sum(counts) == 0 and tr.stats == {}
 
 
 @pytest.mark.parametrize("surface, start, mode, span, kind", [
