@@ -166,14 +166,15 @@ def constancy_test(values, abs_tol: float = DEFAULT_ABS_TOL,
     v = np.asarray(values, dtype=float)
     if len(v) < 5:
         raise TooFewSamplesError("constancy test needs >= 5 values")
-    mean = float(v.sum() / len(v))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        mean = float(v.sum() / len(v))
+        max_dev = float(np.abs(v - mean).max())  # inf fails every tolerance
     if not math.isfinite(mean):   # a bad sample, or a sum past 1.8e308
         bad = ~np.isfinite(v)
         i = int(np.argmax(bad))
         raise InvalidRequestError(
             f"constancy test: values[{i}] = {float(v[i])} is not finite"
             if bad[i] else "constancy test: the values' sum overflows")
-    max_dev = float(np.abs(v - mean).max())
     tol = abs_tol + rel_tol * abs(mean)
     return ConstancyVerdict(max_dev <= tol, mean, max_dev, tol)
 

@@ -9,9 +9,13 @@ Subcommands:
     export    write an OBJ mesh of a surface plus traced curves
 
 Angles are radians everywhere; reports also print degrees.  ``--config``
-reads a flat ``key = value`` file of ``tol_abs``, ``tol_rel`` (classify
-tolerances), ``out_dir`` and the scenario overrides ``<id>.<key>`` that
-`scenarios.OVERRIDES` lists (e.g. ``s3.c = 3``); it refuses any other key.
+reads a flat ``key = value`` file of `SETTINGS` and scenario overrides
+``<id>.<key>`` (``s3.c = 3``); ``--tol-abs``, ``--tol-rel`` and ``--out``
+beat the file.  Each setting is refused, before any subcommand runs, by
+the module that owns its rule (`exporters` a file, `classify` a tolerance,
+`scenarios.scenario_overrides` an override); this one refuses only a key
+with no scenario id before its dot.  `main` prints every refusal, a
+`GeometryError` or an `OSError`, as one ``error:`` line and returns 1.
 """
 from __future__ import annotations
 
@@ -32,20 +36,12 @@ from .exporters import (ensure_dir, parse_config, read_trace_csv,
 from .gallery import CATALOGUE, make_surface
 from .scenarios import (OVERRIDES, SCENARIOS, render_result, run_scenario,
                         scenario_overrides)
-from .stepper import MAX_SAMPLES
 from .tracer import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicMode, IsogonalMode,
                      PseudoGeodesicMode, TraceRequest,
                      chart_to_principal_angle, trace)
 
-
-def _check_config_keys(config: dict[str, str]) -> None:
-    """ValueError naming the first key of ``config`` that the CLI ignores."""
-    scenario = [f"{sid}.{k}" for sid, keys in OVERRIDES.items() for k in keys]
-    accepted = ("tol_abs", "tol_rel", "out_dir", *scenario)
-    for key in config:
-        if key not in accepted[:3] and key.lower() not in scenario:
-            raise ValueError(f"unknown key '{key}' (accepted: "
-                             f"{', '.join(accepted)})")
+#: the config keys besides the scenario overrides, each also a flag
+SETTINGS = ("tol_abs", "tol_rel", "out_dir")
 
 
 def _surface_from_args(args) -> "SurfaceDef":
@@ -132,7 +128,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="trace and classify special curves on surfaces")
     parser.add_argument("--config", default=None,
                         help="flat key = value config file")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", dest="out_dir", default=None,
+                        help="output directory (default .)")
     parser.add_argument("-v", action="store_true", help="debug log to stderr")
     parser.add_argument("--tol-abs", type=float, default=None,
                         help="classification absolute tolerance override")
@@ -178,20 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
 
-    overrides: dict[str, str] = {}
-    if args.config:
-        try:
-            overrides = parse_config(args.config)
-            _check_config_keys(overrides)
-        except (OSError, ValueError) as exc:
-            print(f"error: config: {exc}", file=sys.stderr)
-            return 1
-    if args.tol_abs is not None:
-        overrides["tol_abs"] = str(args.tol_abs)
-    if args.tol_rel is not None:
-        overrides["tol_rel"] = str(args.tol_rel)
-    out_dir = overrides.get("out_dir", args.out)
-
     log, handler = logging.getLogger("surftrace"), logging.StreamHandler()
     level = log.level
     if args.v:  # surftrace.* DEBUG records to stderr, for this call
@@ -199,33 +182,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.setLevel(logging.DEBUG)
     try:
         # every setting is refused here, whichever command reads it
-        abs_tol, rel_tol = (cls.check_tolerance(key, overrides.get(key, tol))
-                            for key, tol in (("tol_abs", cls.DEFAULT_ABS_TOL),
-                                             ("tol_rel", cls.DEFAULT_REL_TOL)))
-        scenario_overrides(overrides)
-        if args.command == "trace":
-            return _cmd_trace(args, out_dir)
-        if args.command == "classify":
-            return _cmd_classify(args, abs_tol, rel_tol)
-        if args.command == "verify":
-            return _cmd_verify(args, overrides)
-        if args.command == "export":
-            return _cmd_export(args, out_dir)
+        settings = parse_config(args.config) if args.config else {}
+        for key in settings:  # an <id>.<key> is scenario_overrides' to judge
+            if (key not in SETTINGS
+                    and key.partition(".")[0].upper() not in SCENARIOS):
+                accepted = [*SETTINGS, *(f"{sid}.{k}" for sid, keys
+                                         in OVERRIDES.items() for k in keys)]
+                raise InvalidRequestError(f"config: unknown key '{key}' "
+                                          f"(accepted: {', '.join(accepted)})")
+        for key in SETTINGS:  # a flag beats the config
+            if getattr(args, key) is not None:
+                settings[key] = str(getattr(args, key))
+        args.out_dir = settings.get("out_dir", ".")
+        args.tol_abs, args.tol_rel = (
+            cls.check_tolerance(key, settings.get(key, tol))
+            for key, tol in (("tol_abs", cls.DEFAULT_ABS_TOL),
+                             ("tol_rel", cls.DEFAULT_REL_TOL)))
+        scenario_overrides(settings)
+        run = {"trace": _cmd_trace, "classify": _cmd_classify,
+               "verify": _cmd_verify, "export": _cmd_export}[args.command]
+        return run(args, settings)
     except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-    return 2  # pragma: no cover
 
 
-def _cmd_trace(args, out_dir: str) -> int:
+def _cmd_trace(args, settings) -> int:
     surface = _surface_from_args(args)
     tr = trace(_build_request(args, surface))
     cd = curve_scalars_from_trace(surface, tr)
-    ensure_dir(out_dir)
-    path = os.path.join(out_dir, args.csv or "trace.csv")
+    path = os.path.join(ensure_dir(args.out_dir), args.csv or "trace.csv")
     write_trace_csv(path, cd)
     branches = tr.stats.values()
     print(f"wrote {path} ({len(cd)} samples, exit: {tr.exit.kind}, "
@@ -235,24 +224,20 @@ def _cmd_trace(args, out_dir: str) -> int:
     return 0
 
 
-def _cmd_classify(args, abs_tol: float, rel_tol: float) -> int:
+def _cmd_classify(args, settings) -> int:
     surface = _surface_from_args(args)
     if args.csv:
-        try:
-            cd = read_trace_csv(args.csv, surface)
-        except ValueError as exc:  # a malformed input file
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        cd = read_trace_csv(args.csv, surface)
     else:
         tr = trace(_build_request(args, surface))
         cd = curve_scalars_from_trace(surface, tr)
-    report = cls.classify_curve_data(cd, abs_tol, rel_tol)
+    report = cls.classify_curve_data(cd, args.tol_abs, args.tol_rel)
     sys.stdout.write(cls.render_report(report))
     return 0
 
 
-def _cmd_verify(args, overrides) -> int:
-    given = [key for key in ("tol_abs", "tol_rel") if key in overrides]
+def _cmd_verify(args, settings) -> int:
+    given = [key for key in ("tol_abs", "tol_rel") if key in settings]
     if given:
         raise InvalidRequestError(
             f"{' and '.join(given)} apply to classify only; every verify "
@@ -262,7 +247,7 @@ def _cmd_verify(args, overrides) -> int:
     all_ok, report = True, []
     for sid in ids:
         start = time.perf_counter()
-        result = run_scenario(sid, overrides)
+        result = run_scenario(sid, settings)
         seconds = time.perf_counter() - start
         if args.json:
             report.append({
@@ -283,21 +268,14 @@ def _cmd_verify(args, overrides) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_export(args, out_dir: str) -> int:
-    nt, nz = args.grid
-    if not (nt > 0 and nz > 0 and nt * nz <= MAX_SAMPLES):
-        raise InvalidRequestError(
-            f"--grid {nt} {nz} must be positive with at most {MAX_SAMPLES} "
-            "points")
+def _cmd_export(args, settings) -> int:
     surface = _surface_from_args(args)
     curves = []
     if not args.no_curve:
         tr = trace(_build_request(args, surface))
-        cd = curve_scalars_from_trace(surface, tr)
-        curves.append(cd.pos)
-    ensure_dir(out_dir)
-    path = os.path.join(out_dir, args.obj or "export.obj")
-    write_obj(path, surface, curves, grid=(nt, nz))
+        curves.append(curve_scalars_from_trace(surface, tr).pos)
+    path = os.path.join(ensure_dir(args.out_dir), args.obj or "export.obj")
+    write_obj(path, surface, curves, grid=tuple(args.grid))
     print(f"wrote {path}")
     return 0
 

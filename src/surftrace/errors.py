@@ -29,9 +29,9 @@ class UmbilicEncounteredError(GeometryError):
     """An isogonal trace was started at (or ran into) an umbilic point."""
 
 
-class InvalidRequestError(GeometryError):
-    """A trace request has a non-finite or out-of-range field, or curve
-    samples have rows that do not match their arc lengths."""
+class InvalidRequestError(GeometryError, ValueError):
+    """A request, curve samples, an input file (config, trace CSV) or an
+    OBJ grid is malformed or out of range; also a ValueError."""
 
 
 class ThetaOutOfRangeError(GeometryError):

@@ -30,6 +30,8 @@ import numpy as np
 
 from .core import SurfaceDef
 from .darboux import CurveData, curve_scalars
+from .errors import InvalidRequestError
+from .stepper import MAX_SAMPLES
 
 CSV_COLUMNS = ("s", "t", "z", "t_vel", "z_vel", "t_acc", "z_acc", "x", "y",
                "z_pos", "kg", "kn", "taug", "phi", "theta", "kappa", "tau")
@@ -54,7 +56,7 @@ def _lines(line: str, table: np.ndarray) -> str:
 def write_trace_csv(path: str, curve: CurveData) -> None:
     """Write a curve's samples to CSV (deterministic; read back exact)."""
     if len(curve) == 0:
-        raise ValueError("refusing to write an empty trace")
+        raise InvalidRequestError("refusing to write an empty trace")
     columns = (curve.s, curve.uv, curve.uv_vel, curve.uv_acc, curve.pos,
                curve.kg, curve.kn, curve.taug, curve.phi, curve.theta,
                curve.kappa, curve.tau)
@@ -90,12 +92,12 @@ def _first_bad_line(lines) -> str | None:
 def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     """``curve_scalars`` of the grid and uv jets in a write_trace_csv file:
     on the surface it was written from, every field comes back bit for bit.
-    Raises ValueError naming the path for any other header (older 13-column
-    files included), for rows that are not 17 numbers each ('#' lines
-    included: the format has no comments; the first bad row is named by
-    its file line, the header being line 1, and a bad cell by its column),
-    and, naming the surface too, where a stored x,y,z_pos is over
-    1e-9 max(1, |X|) off X."""
+    Raises InvalidRequestError naming the path for bytes that are not
+    UTF-8, any other header (older 13-column files included), rows that
+    are not 17 numbers each ('#' lines included: the format has no
+    comments; the first bad row is named by its file line, the header being
+    line 1, and a bad cell by its column), and, naming the surface too,
+    where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().removesuffix("\n")
@@ -117,17 +119,19 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
                 data = np.empty((0, len(CSV_COLUMNS)))
         if data.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"{data.shape[1]} columns")
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a trace CSV ({exc}); expected rows of "
-                         f"17 numbers under the header {_HEADER}") from None
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise InvalidRequestError(
+            f"{path}: not a trace CSV ({exc}); expected rows of 17 numbers "
+            f"under the header {_HEADER}") from None
     # positions are written exactly: one off the chart means another surface
     xyz = np.asarray(surface.position(data[:, 1], data[:, 2]), dtype=float).T
     gap = np.max(np.abs(data[:, 7:10] - xyz), axis=1)
     off = ~(gap <= 1e-9 * np.maximum(1.0, np.linalg.norm(xyz, axis=1)))
     if off.any():
         i = int(np.argmax(off))
-        raise ValueError(f"{path}: sample {i} lies {gap[i]:.3g} off surface "
-                         f"'{surface.name}'; traced on another surface?")
+        raise InvalidRequestError(
+            f"{path}: sample {i} lies {gap[i]:.3g} off surface "
+            f"'{surface.name}'; traced on another surface?")
     return curve_scalars(surface, data[:, 0], data[:, 1:3], data[:, 3:5],
                          data[:, 5:7])
 
@@ -139,13 +143,17 @@ def write_obj(path: str, surface: SurfaceDef,
 
     ``curves`` are (n, 3) position arrays.  The surface grid is quad
     cells split into two triangles each; curves follow the surface in
-    the vertex list and are emitted as 'l' polyline elements.
+    the vertex list and are emitted as 'l' polyline elements.  Refuses an
+    empty curve and a grid past `MAX_SAMPLES` points before opening path.
     """
     curves = [np.asarray(c, dtype=float) for c in curves]
     for c in curves:
         if len(c) == 0:
-            raise ValueError("refusing to write an empty curve")
+            raise InvalidRequestError("refusing to write an empty curve")
     nt, nz = grid
+    if not (nt > 0 and nz > 0 and nt * nz <= MAX_SAMPLES):
+        raise InvalidRequestError(f"grid {nt} x {nz} must be positive with "
+                                  f"at most {MAX_SAMPLES} points")
     dom = surface.domain
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
@@ -175,20 +183,28 @@ def write_obj(path: str, surface: SurfaceDef,
 
 
 def parse_config(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; '#' starts a comment."""
+    """Read a flat UTF-8 ``key = value`` config file; '#' starts a comment.
+    InvalidRequestError names the path of a line without '=' or of bytes
+    that are not UTF-8."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InvalidRequestError(
+                        f"{path}:{lineno}: expected 'key = value'")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise InvalidRequestError(f"{path}: not UTF-8 ({exc})") from None
     return out
 
 
 def ensure_dir(path: str) -> str:
+    if "\0" in path:  # os.makedirs raises ValueError for it, not OSError
+        raise InvalidRequestError(f"directory {path!r} has a NUL character")
     os.makedirs(path, exist_ok=True)
     return path

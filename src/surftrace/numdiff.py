@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidRequestError
+
 
 def diff_uniform(y: np.ndarray, h: float, edge_order: int = 2) -> np.ndarray:
     """First derivative of samples on a uniform grid with spacing h.
@@ -41,19 +43,19 @@ def diff_uniform(y: np.ndarray, h: float, edge_order: int = 2) -> np.ndarray:
 def check_uniform(s: np.ndarray) -> float:
     """Return the grid spacing h = s[1] - s[0].
 
-    Raises ValueError naming h where it is zero or not finite, and where a
-    step is off h by more than 2e-9 |h|: `np.allclose` at rtol = 1e-9 and
-    atol = 1e-9 |h|, whose bound atol + rtol |h| is exactly 2e-9 |h|.
+    Raises InvalidRequestError naming h where it is zero or not finite,
+    and where a step is off h by over 2e-9 |h|: `np.allclose` at rtol =
+    1e-9, atol = 1e-9 |h|, whose bound atol + rtol |h| is 2e-9 |h| exactly.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, refused
         d = s[1:] - s[:-1]
     h = float(d[0])
     if not (h != 0.0 and math.isfinite(h)):
-        raise ValueError(f"sample grid spacing h = {h!r} must be finite "
-                         "and nonzero")
+        raise InvalidRequestError(f"sample grid spacing h = {h!r} must be "
+                                  "finite and nonzero")
     if not (np.abs(d - h) <= 2e-9 * abs(h)).all():
-        raise ValueError("sample grid is not uniform")
+        raise InvalidRequestError("sample grid is not uniform")
     return h
 
 

@@ -8,8 +8,9 @@ geodesic family, flow properties, two-surface fixtures); A1..A4 are
 corpus-wide suites (frame identities, closed-form curvature oracles,
 cross-implication checks, algebraic identities).
 
-Every curve a scenario checks is a named row of `CURVES`, traced at most
-once per process by `traced`; `corpus()` is the whole table.
+The curves scenarios share are rows of `CURVES`, each traced at most once
+per process by `traced`; `corpus()` is the table and a plane circle.  S7's
+flow-property traces and `isogonal_map` probes and S8's fixtures are not rows.
 """
 from __future__ import annotations
 

@@ -90,6 +90,25 @@ def test_constancy_refuses_non_finite_samples(bad, where):
             constancy_test(v)
 
 
+@pytest.mark.parametrize("values, where", [
+    ([1e308] * 6, "the values' sum overflows"),
+    ([np.inf, -np.inf, 0.0, 0.0, 0.0], "values[0] = inf")],
+    ids=["sum-overflows", "inf-minus-inf"])
+def test_constancy_refuses_a_sum_past_the_float_range_without_warnings(
+        values, where):
+    # numpy's reduce once warned of the overflow (or of inf - inf) before
+    # the refusal; the suite turns that RuntimeWarning into an error
+    with pytest.raises(InvalidRequestError, match=re.escape(where)):
+        constancy_test(values)
+
+
+def test_constancy_deviation_past_the_float_range_is_not_constant():
+    # the sum is finite, but 1.7e308 - mean is not: inf, which no tolerance
+    # passes, and no warning
+    v = constancy_test([1.7e308, -1.7e308, -1.7e308, 1.7e308, -1.7e308])
+    assert not v.is_constant and v.max_dev == math.inf
+
+
 def test_dependence_exact_multiple():
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     v = linear_dependence_test(x, -2.0 * x)

@@ -1,22 +1,27 @@
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surftrace import (classify_curve_data, curve_scalars_from_trace,
                        exporters, make_enneper, make_plane)
 from surftrace.cli import main
 from surftrace.darboux import CurveData
-from surftrace.errors import TooFewSamplesError
+from surftrace.errors import GeometryError, TooFewSamplesError
 from surftrace.exporters import (CSV_COLUMNS, _first_bad_line, parse_config,
                                  read_trace_csv, write_obj, write_trace_csv)
+from surftrace.scenarios import run_scenario
 from surftrace.tracer import (GeodesicMode, IsogonalMode, TraceRequest,
                               chart_to_principal_angle, trace)
 
@@ -387,6 +392,12 @@ PROBES = {
     "csv-one-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
     # the format defines no comments: a '#' line is not a row
     "csv-comment-line": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "csv-16-columns": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    # bytes that are not UTF-8 in a data row, and in a config value
+    "csv-not-utf8": ["classify", *ENNEPER, "--csv", "probe.csv"],
+    "config-not-utf8": ["--config", "probe.cfg", "verify", "S3"],
+    # a config line that is not 'key = value'
+    "config-without-equals": ["--config", "probe.cfg", "verify", "S3"],
     # rows that are all empty read as the header alone, a row of spaces is
     # named; np.loadtxt once warned or named neither
     "csv-empty-row": ["classify", *ENNEPER, "--csv", "probe.csv"],
@@ -463,6 +474,8 @@ PROBE_CONFIGS = {
     "config-unknown-tolerance": "tol_ab = 100\n",
     "config-unknown-scenario": "s9.c = 1\n",
     "config-unknown-option": "surface = bonnet\n",
+    "config-not-utf8": b"tol_abs = 1\xff\n",
+    "config-without-equals": "tol_abs 1\n",
 }
 # the trace CSV each --csv probe reads; None: an Enneper trace
 PROBE_CSVS = {
@@ -477,6 +490,8 @@ PROBE_CSVS = {
     "csv-spaces-row": ",".join(CSV_COLUMNS) + "\n  \n",
     "csv-16-columns": ",".join(CSV_COLUMNS) + "\n"
                       + (",".join(["0.5"] * 16) + "\n") * 2,
+    "csv-not-utf8": (",".join(CSV_COLUMNS) + "\n" + ",".join(["0.5"] * 16)
+                     + ",0.5\xff\n").encode("latin-1"),
     "csv-wrong-surface": None,
     "csv-zero-step": None,
     "csv-nan-velocity": None,
@@ -496,6 +511,14 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                "pseudo-geodesic-theta-near-pi-2": ("9.55e+07 rad",),
                "csv-wrong-surface": ("probe.csv", "'catenoid'"),
                "csv-16-columns": ("probe.csv", "(16 columns)"),
+               "csv-not-utf8": ("probe.csv", "not a trace CSV",
+                                "can't decode byte 0xff"),
+               "config-not-utf8": ("probe.cfg", "not UTF-8",
+                                   "can't decode byte 0xff"),
+               "config-without-equals": ("probe.cfg:1:", "'key = value'"),
+               "override-unknown": ("bad scenario override s3.cc = 5",
+                                    "accepted: c, eps, phi_chart"),
+               "grid-100000": ("grid 100000 x 100000", "200000 points"),
                "csv-zero-step": ("h = 0.0",),
                "csv-nan-velocity": ("nan at sample 5",),
                "csv-nan-acceleration": ("sample 5",),
@@ -517,13 +540,13 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
 
 def _write_probe_inputs(probe, tmp_path):
     """The config file and trace CSV that ``probe`` reads, in tmp_path."""
-    if probe in PROBE_CONFIGS:
-        (tmp_path / "probe.cfg").write_text(PROBE_CONFIGS[probe],
-                                            encoding="utf-8")
-    if PROBE_CSVS.get(probe) is not None:
-        (tmp_path / "probe.csv").write_text(PROBE_CSVS[probe],
-                                            encoding="utf-8")
-    elif probe in PROBE_CSVS:
+    for name, table in (("probe.cfg", PROBE_CONFIGS),
+                        ("probe.csv", PROBE_CSVS)):
+        text = table.get(probe)
+        if text is not None:  # bytes as they are, text as UTF-8
+            (tmp_path / name).write_bytes(
+                text if isinstance(text, bytes) else text.encode("utf-8"))
+    if probe in PROBE_CSVS and PROBE_CSVS[probe] is None:
         assert main(["--out", str(tmp_path), "trace", *ENNEPER, "--phi",
                      "0.5", "--s-span", "-0.2", "0.2", "--csv",
                      "probe.csv"]) == 0
@@ -572,6 +595,94 @@ def test_entry_point_fails_with_one_line(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert PROBE_NAMES["csv-nan-velocity"][0] in err[0]
+
+
+# config keys the settings property draws: the known settings and
+# overrides (one in capitals), misspelt ones, an unknown scenario, an option
+CONFIG_KEYS = ["tol_abs", "tol_rel", "out_dir", "s1.r_beta", "s3.c", "S3.C",
+               "s6.extent", "tol_ab", "TOL_ABS", "s3.cc", "s3", "s9.c",
+               "surface"]
+NUMBERS = st.one_of(st.floats(), st.floats(allow_subnormal=True,
+                                           min_value=-1e-307, max_value=1e-307),
+                    st.sampled_from([1e308, -1e308, 5e-324]))
+# no '/', '\\' or '.': an out_dir value stays below the working directory
+CONFIG_VALUES = st.one_of(
+    NUMBERS.map(repr), st.sampled_from(["nan", "inf", "-inf", "1e309", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="/\\."), max_size=6))
+
+
+@settings(max_examples=60)
+@given(lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+                      max_size=4),
+       tol_abs=st.none() | NUMBERS, tol_rel=st.none() | NUMBERS)
+@example(lines=[("s3.cc", "5")], tol_abs=None, tol_rel=None)
+@example(lines=[("tol_ab", "100")], tol_abs=None, tol_rel=None)
+@example(lines=[("tol_abs", "nan")], tol_abs=None, tol_rel=None)
+@example(lines=[("out_dir", "a\0b")], tol_abs=None, tol_rel=None)
+def test_any_settings_exit_0_or_fail_with_one_line(lines, tol_abs, tol_rel):
+    # config lines and tolerance flags through main, in-process with every
+    # warning an error: an export either runs or prints one error: line
+    flags = [f"--{name}={value!r}" for name, value
+             in (("tol-abs", tol_abs), ("tol-rel", tol_rel))
+             if value is not None]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("probe.cfg", "w", encoding="utf-8") as fh:
+                fh.writelines(f"{key} = {value}\n" for key, value in lines)
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(["--config", "probe.cfg", *flags, "export",
+                             "--surface", "plane", "--start", "0,0", "--phi",
+                             "0", "--no-curve", "--grid", "3", "3"])
+        finally:
+            os.chdir(cwd)
+    err = err.getvalue().splitlines()
+    assert (code, err) == (0, []) or (
+        code == 1 and len(err) == 1 and err[0].startswith("error:")), err
+
+
+@pytest.mark.parametrize("flag_first", [True, False],
+                         ids=["flag-first", "config-first"])
+@pytest.mark.parametrize("key, option", [("tol_abs", "--tol-abs"),
+                                         ("tol_rel", "--tol-rel"),
+                                         ("out_dir", "--out")])
+def test_a_flag_beats_the_config(key, option, flag_first, tmp_path,
+                                 monkeypatch, capsys):
+    # --out once lost to a config out_dir, while --tol-abs beat tol_abs
+    config_value, flag_value = (("from_config", "from_flag")
+                                if key == "out_dir" else ("0.5", "1e-3"))
+    (tmp_path / "c.cfg").write_text(f"{key} = {config_value}\n",
+                                    encoding="utf-8")
+    config, flag = ["--config", "c.cfg"], [option, flag_value]
+    command = ["trace" if key == "out_dir" else "classify", *ENNEPER,
+               "--phi", "0.5", "--s-span", "-0.2", "0.2"]
+
+    def run(*front):
+        assert main([*front, *command]) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.chdir(tmp_path)
+    both = run(*(flag + config if flag_first else config + flag))
+    assert both == run(*flag)
+    if key == "out_dir":
+        assert sorted(os.listdir()) == ["c.cfg", "from_flag"]
+    else:
+        assert both != run(*config)
+
+
+def test_config_and_library_refuse_an_unknown_override_alike(tmp_path,
+                                                             capsys):
+    # scenarios.scenario_overrides alone decides which <id>.<key> exist;
+    # the command line once refused s3.cc with a message of its own
+    with pytest.raises(GeometryError) as exc:
+        run_scenario("S3", {"s3.cc": "5"})
+    (tmp_path / "c.cfg").write_text("s3.cc = 5\n", encoding="utf-8")
+    assert main(["--config", str(tmp_path / "c.cfg"), "verify", "S3"]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 @pytest.mark.parametrize("flag", [["--c", "1e-300"], ["--a", "5e-324"]],
