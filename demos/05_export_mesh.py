@@ -8,10 +8,10 @@ import os
 import numpy as np
 
 from surftrace import curve_scalars_from_trace, make_enneper
-from surftrace.exporters import ensure_dir, write_obj, write_trace_csv
+from surftrace.exporters import write_obj, write_trace_csv
 from surftrace.tracer import GeodesicMode, TraceRequest, trace
 
-out = ensure_dir("out")
+out = "out"   # the writers make it
 enn = make_enneper()
 curves = []
 last = None

@@ -23,6 +23,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from typing import Optional, Sequence
@@ -31,8 +32,7 @@ from . import classify as cls
 from .darboux import curve_scalars_from_trace
 from .errors import (DegenerateParameterError, GeometryError,
                      InvalidRequestError)
-from .exporters import (ensure_dir, parse_config, read_trace_csv,
-                        write_obj, write_trace_csv)
+from .exporters import parse_config, read_trace_csv, write_obj, write_trace_csv
 from .gallery import CATALOGUE, make_surface
 from .scenarios import (OVERRIDES, SCENARIOS, render_result, run_scenario,
                         scenario_overrides)
@@ -170,6 +170,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_exp.add_argument("--no-curve", action="store_true",
                        help="export the surface mesh only")
 
+    # -0.5,1 and -1e-3 are values, not options; argparse's own pattern (a
+    # private attribute, so test_cli pins its effect) admits plain decimals
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
@@ -214,7 +218,7 @@ def _cmd_trace(args, settings) -> int:
     surface = _surface_from_args(args)
     tr = trace(_build_request(args, surface))
     cd = curve_scalars_from_trace(surface, tr)
-    path = os.path.join(ensure_dir(args.out_dir), args.csv or "trace.csv")
+    path = os.path.join(args.out_dir, args.csv or "trace.csv")
     write_trace_csv(path, cd)
     branches = tr.stats.values()
     print(f"wrote {path} ({len(cd)} samples, exit: {tr.exit.kind}, "
@@ -274,7 +278,7 @@ def _cmd_export(args, settings) -> int:
     if not args.no_curve:
         tr = trace(_build_request(args, surface))
         curves.append(curve_scalars_from_trace(surface, tr).pos)
-    path = os.path.join(ensure_dir(args.out_dir), args.obj or "export.obj")
+    path = os.path.join(args.out_dir, args.obj or "export.obj")
     write_obj(path, surface, curves, grid=tuple(args.grid))
     print(f"wrote {path}")
     return 0

@@ -269,13 +269,6 @@ def _chain(at: int) -> Callable:
     return flip
 
 
-def _along(hint: np.ndarray) -> Callable:
-    """E1 signs over (n,) arrays: each point's E1 along its own column of
-    the (3, n) ``hint``."""
-    h0, h1, h2 = hint
-    return lambda d0, d1, d2, *_: d0 * h0 + d1 * h1 + d2 * h2 < 0.0
-
-
 def _if(cond, a, b):
     """`np.where` at one point."""
     return a if cond else b

@@ -53,6 +53,19 @@ def _lines(line: str, table: np.ndarray) -> str:
     return line * len(table) % tuple(table.ravel().tolist())
 
 
+def _open(path: str, write: bool = False):
+    """``path`` opened as UTF-8 text to read or, its directory made, to
+    write; a writer calls it once its input is checked, so a refused write
+    makes no directory.  A NUL character, for which `open` and
+    `os.makedirs` raise a bare ValueError, is an InvalidRequestError."""
+    if "\0" in os.fspath(path):
+        raise InvalidRequestError(f"path {path!r} has a NUL character")
+    if not write:
+        return open(path, encoding="utf-8")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def write_trace_csv(path: str, curve: CurveData) -> None:
     """Write a curve's samples to CSV (deterministic; read back exact)."""
     if len(curve) == 0:
@@ -60,7 +73,7 @@ def write_trace_csv(path: str, curve: CurveData) -> None:
     columns = (curve.s, curve.uv, curve.uv_vel, curve.uv_acc, curve.pos,
                curve.kg, curve.kn, curve.taug, curve.phi, curve.theta,
                curve.kappa, curve.tau)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path, write=True) as fh:
         fh.write(_HEADER + "\n")
         for k in _blocks(len(curve)):
             fh.write(_lines(_ROW, np.column_stack([c[k] for c in columns])))
@@ -98,8 +111,9 @@ def read_trace_csv(path: str, surface: SurfaceDef) -> CurveData:
     comments; the first bad row is named by its file line, the header being
     line 1, and a bad cell by its column), and, naming the surface too,
     where a stored x,y,z_pos is over 1e-9 max(1, |X|) off X."""
+    fh = _open(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with fh:
             header = fh.readline().removesuffix("\n")
             if header != _HEADER:
                 raise ValueError(f"header '{header}'")
@@ -157,7 +171,7 @@ def write_obj(path: str, surface: SurfaceDef,
     dom = surface.domain
     ts = np.linspace(dom.t_min, dom.t_max, nt)
     zs = np.linspace(dom.z_min, dom.z_max, nz)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path, write=True) as fh:
         # OBJ indices are 1-based: grid point (i, j) is vertex 1 + nz i + j
         fh.write(f"o {surface.name}\n")
         for k in _blocks(nt * nz):
@@ -188,7 +202,7 @@ def parse_config(path: str) -> dict[str, str]:
     that are not UTF-8."""
     out: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -201,10 +215,3 @@ def parse_config(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise InvalidRequestError(f"{path}: not UTF-8 ({exc})") from None
     return out
-
-
-def ensure_dir(path: str) -> str:
-    if "\0" in path:  # os.makedirs raises ValueError for it, not OSError
-        raise InvalidRequestError(f"directory {path!r} has a NUL character")
-    os.makedirs(path, exist_ok=True)
-    return path

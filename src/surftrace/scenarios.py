@@ -426,7 +426,7 @@ def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
     # geodesics are traced as theta = 0 pseudo-geodesics
     drift = max(np.max(np.abs(np.linalg.norm(cc.curve.T, axis=1) - 1.0))
                 for cc in corpus() if cc.trace is not None
-                and isinstance(cc.trace.request.mode, PseudoGeodesicMode))
+                and not isinstance(cc.trace.request.mode, IsogonalMode))
     checks.append(_below("unit-speed drift over pseudo-geodesic corpus",
                          drift, 1e-7))
     return tuple(checks)

@@ -39,9 +39,8 @@ comprehensions this replaced.  The kernel reads the first n values of
 each stage, so a right-hand side may return more after the derivative
 (see the event below).  A step appends its s, h, state and the n-value
 stages to four flat lists, one array each at the end.  With a trivial
-RHS, an attempt takes 3.9 us on 4 floats and 2.3 us on 2 (8.2 and 5.9 in
-the comprehension form, in one process), and with an event a step costs
-7.3 us (11.4 before); 2 cores, Python 3.11.7.
+RHS, an attempt takes 3.9 us on 4 floats and 2.3 us on 2, and with an
+event a step costs 7.3 us; 2 cores, Python 3.11.7.
 
 The start is made once, from the RHS, y0 and the tolerances, never from
 the span, and both branches share it: one f(0); scipy's initial-step rule
@@ -72,8 +71,10 @@ zero (``g >= 0`` before, ``g <= 0`` after), `_bisect` places the root on
 that step's dense output (Hairer, Norsett & Wanner, section II.6; CVODE's
 rootfinding does the same), where the event gets f = None, to within
 4 EPS (1 + |s|), the tolerance ``solve_ivp`` gives ``brentq``, and the
-branch ends there.  A zero that only a step's interior stages see is not
-an end.
+branch ends there.  The branch keeps the state the event read at its end
+(`Branch.y`: the step's end state, or the dense output at the root), so a
+caller can tell which of its terms ended it without sampling again.  A
+zero that only a step's interior stages see is not an end.
 """
 from __future__ import annotations
 
@@ -147,10 +148,14 @@ class Branch:
     ``status`` is 0 when s_end was reached, 1 when the event ended the
     branch at ``s``, and -1 when the step fell below 10 ulp or the RHS
     budget ran out (``s`` is then the start of the step that failed).
+    ``y`` is the state at ``s``: the last accepted step's end state, or at
+    an event end the state the event read there, so the event is <= 0 at
+    (s, y).
     """
 
     status: int
     s: float
+    y: tuple             # state at s
     stats: BranchStats
     starts: np.ndarray   # (m,) s at the start of each accepted step
     h: np.ndarray        # (m,) signed step
@@ -355,16 +360,19 @@ def integrate(rhs, y0, span, event, atol, rtol):
                 if g_old >= 0 >= g_:
                     q = (np.array(k).reshape(7, n).T @ P).tolist()
 
-                    def on_step(x):
+                    def dense(x):
                         # this step's dense output at x, in Horner form
                         u = (x - s_old) / h
-                        return event(x, [
-                            v + h * u * (a + u * (b + u * (c + u * d)))
-                            for v, (a, b, c, d) in zip(y_old, q)], None)
-                    status, s = 1, _bisect(on_step, s_old, s)
+                        return [v + h * u * (a + u * (b + u * (c + u * d)))
+                                for v, (a, b, c, d) in zip(y_old, q)]
+                    root = _bisect(lambda x: event(x, dense(x), None),
+                                   s_old, s)
+                    # short of the step end, the event read the dense output
+                    status, s, y_ = 1, root, y_ if root == s else dense(root)
 
         m = len(starts)
-        return Branch(status, s, BranchStats(nfev, m, rejected, shared),
+        return Branch(status, s, tuple(y_),
+                      BranchStats(nfev, m, rejected, shared),
                       np.array(starts), np.array(hs),
                       np.array(ys).reshape(m, n),
                       np.einsum("mkn,kj->mnj", np.array(ks).reshape(m, 7, n),

@@ -38,27 +38,28 @@ Prince, *J. Comput. Appl. Math.* 6 (1980); Hairer, Norsett & Wanner,
 resampled onto a uniform s-grid.  Both right-hand sides
 are pure functions of their arguments; the isogonal one orients the
 principal-direction field, which has no sign of its own, along the
-derivative at the start of the current step.  A branch ends early only
-at its solver event: the distance to the nearest domain edge, and for an
-isogonal trace the lesser of that and `core.umbilic_margin` at relative
-tolerance `UMBILIC_GAP`, which scales with the surface, so a step across
-two edges, or an edge and the umbilic gap (margin <= 0), ends at the
-first.  The isogonal right-hand side returns that margin after (t', z'),
-from the principal frame it solves in, so the event at a step end reads
-it off the step's last stage and evaluates no chart; only the event's
-bisection on a step's dense output evaluates the chart, and the edge
-term never does.  A trace ends ``completed``, ``hit_boundary`` or
-``hit_umbilic`` at an event, named by the term that ended it, or where, on
-the shape pass, an isogonal sample falls inside the gap (a step may cross
-it and come out between its ends; the branch then ends at that sample,
-which the trace drops), or ``solver_failure`` when a branch runs out of
-its RHS budget (`stepper.MAX_NFEV`) or of step size.
-Every trace's samples take one `core.curve_shape` pass, so a curve's phi is
-measured from the E1 that its request's angle is: the start's.
+derivative at the start of the current step (and the samples'
+acceleration stencils along the sample's velocity).  A branch ends early
+only at its solver event: the distance to the nearest domain edge, and
+for an isogonal trace the lesser of that and `core.umbilic_margin` at
+relative tolerance `UMBILIC_GAP`, which scales with the surface, so a step
+across two edges, or an edge and the umbilic gap (margin <= 0), ends at
+the first.  The isogonal right-hand side returns that margin after
+(t', z'), so the event reads it off a step's last stage, and on its dense
+output from ``rhs(s, y, None)``.  The end is named from the state the
+event read there (`stepper.Branch.y`): the event is <= 0, so a positive
+edge distance means ``hit_umbilic``, else ``hit_boundary``.  A trace also
+ends ``hit_umbilic`` where, on the shape pass, an isogonal sample falls
+inside the gap (a step may cross it and come out between its ends; the
+branch then ends at that sample, which the trace drops), and
+``solver_failure`` when a branch runs out of its RHS budget
+(`stepper.MAX_NFEV`) or of step size.  Every trace's samples take one
+`core.curve_shape` pass, so a curve's phi is measured from the E1 that its
+request's angle is: the start's.  A trace returns the request it was
+given, a `GeodesicMode` one traced as theta = 0.
 """
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -66,8 +67,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (SurfaceDef, _along, _flip, _principal, curve_shape,
-                   point_metric, point_shape, umbilic_margin)
+from .core import (SurfaceDef, _flip, _principal, curve_shape, point_metric,
+                   point_shape, umbilic_margin)
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
@@ -255,13 +256,14 @@ def _unit_uv_velocity(surface: SurfaceDef, uv,
     return tp, zp, kn
 
 
-def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
+def _integrate_branches(rhs, y0, req: TraceRequest, gap: bool = False):
     """Integrate from s = 0 toward both ends of ``req.s_span`` in one
     `integrate` call, each branch ended by an event where it leaves the
-    domain or, given the umbilic ``margin(y)``, where that falls to 0, and
+    domain or, given ``gap``, where the umbilic margin falls to 0, and
     sample the branches' dense output on the uniform grid of ``req.step``.
-    Given ``margin``, ``rhs`` returns margin(y) after the derivative, and
-    the event reads it there at the step ends.
+    Given ``gap``, ``rhs`` returns the margin after the derivative, and the
+    event reads it there: off the last stage at a step end, from
+    ``rhs(s, y, None)`` on a step's dense output.
 
     Returns (s, states, exits, stats); y0 fills s = 0, ``exits`` has the
     `TraceExit` of each branch that ended early, and a side of zero length
@@ -275,12 +277,12 @@ def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
 
     def event(s, y, f):
         d = edge(y)
-        if margin is None or not d > 0:
+        if not gap or not d > 0:
             return d   # the margin only inside: an edge bisection skips it
-        # f, the RHS's value at a step end, holds the margin after the
-        # derivative; min keeps its first argument against a NaN, so the
-        # edge shows
-        return min(d, margin(y) if f is None else f[len(y)])
+        if f is None:
+            f = rhs(s, y, None)
+        # min keeps its first argument against a NaN, so the edge shows
+        return min(d, f[len(y)])
 
     fwd, bwd = integrate(rhs, y0, req.s_span, event, req.atol, req.rtol)
     branches = {key: br for key, br in (("fwd", fwd), ("bwd", bwd))
@@ -288,12 +290,10 @@ def _integrate_branches(rhs, y0, req: TraceRequest, margin=None):
     exits = {}
     for key, br in branches.items():
         if br.status:
-            kind = "solver_failure" if br.status == -1 else "hit_boundary"
-            if br.status == 1 and margin is not None:   # the smaller term
-                y = br.sample(np.array([br.s]))[0].tolist()
-                d = edge(y)
-                if d > 0 and margin(y) < d:
-                    kind = "hit_umbilic"
+            # the event is <= 0 at (br.s, br.y): inside the domain, only
+            # the umbilic margin can have made it so
+            kind = ("solver_failure" if br.status == -1 else "hit_umbilic"
+                    if edge(br.y) > 0 else "hit_boundary")
             _log.debug("%s branch: %s at s = %r after %d RHS evaluations",
                        key, kind, br.s, br.stats.nfev)
             exits[key] = TraceExit(kind, br.s)
@@ -331,17 +331,19 @@ def _isogonal_field(decomp, cos_t, sin_t):
     return (g2 * cos_t - g1 * sin_t) / det, (-f2 * cos_t + f1 * sin_t) / det
 
 
-def _isogonal_acceleration(surface: SurfaceDef, uv, uv_vel, e1, cos_t,
+def _isogonal_acceleration(surface: SurfaceDef, uv, uv_vel, cos_t,
                            sin_t) -> np.ndarray:
     """(n, 2) directional acceleration of the isogonal field at ``uv`` along
-    ``uv_vel``: central differences at uv +- 1e-6 uv_vel, each stencil's E1
-    along its sample's column of ``e1`` (3, n), from `point_metric` and
-    `_principal` without records."""
+    ``uv_vel``: central differences at uv +- 1e-6 uv_vel, from `point_metric`
+    and `_principal` without records, each stencil's field oriented along
+    its sample's velocity as the flow orients it against ``ref``."""
     h = 1e-6
     points = np.concatenate([uv + h * uv_vel, uv - h * uv_vel])
     decomp = _principal(point_metric(surface, *points.T, check_domain=False),
-                        _along(np.hstack([e1, e1])))[10:14]
+                        lambda *_: False)[10:14]
     f_pm = np.column_stack(_isogonal_field(decomp, cos_t, sin_t))
+    # negating the field is exact, as negating E1 is
+    f_pm[(f_pm * np.vstack([uv_vel, uv_vel])).sum(axis=1) < 0.0] *= -1.0
     return (f_pm[:len(uv)] - f_pm[len(uv):]) / (2 * h)
 
 
@@ -366,15 +368,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     cos_t, sin_t = (mode.speed
                     * np.array([np.cos(mode.phi), np.sin(mode.phi)])).tolist()
 
-    def frame(y):
-        return _principal(point_metric(surface, *y, check_domain=False),
-                          _flip)
-
-    def margin(y):
-        return umbilic_margin(*frame(y)[:2], UMBILIC_GAP)
-
     def rhs(s, y, ref):
-        fr = frame(y)
+        fr = _principal(point_metric(surface, *y, check_domain=False), _flip)
         tp, zp = _isogonal_field(fr[10:14], cos_t, sin_t)
         gap = umbilic_margin(fr[0], fr[1], UMBILIC_GAP)
         # negating E1 negates f1, f2, g1 and g2 exactly and keeps det, so
@@ -384,7 +379,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
         return tp, zp, gap
 
     y0 = tuple(float(v) for v in req.start_uv)
-    s, uv, exits, stats = _integrate_branches(rhs, y0, req, margin)
+    s, uv, exits, stats = _integrate_branches(rhs, y0, req, gap=True)
     shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
     # a sample inside the umbilic gap ends its branch there, as the gap's
     # event does: a step may cross the gap and come out between its ends
@@ -408,8 +403,7 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     # the field's velocities (exact speed) and directional acceleration on
     # the shape pass, whose E1 at s = 0 is the start's: the E1 phi refers to
     uv_vel = np.column_stack(_isogonal_field(shape[2].decomp, cos_t, sin_t))
-    uv_acc = _isogonal_acceleration(surface, uv, uv_vel, shape[2].e1, cos_t,
-                                    sin_t)
+    uv_acc = _isogonal_acceleration(surface, uv, uv_vel, cos_t, sin_t)
     return Trace(req, s, uv, uv_vel, uv_acc, exit_, stats, shape)
 
 
@@ -433,24 +427,21 @@ def _acceleration(metric: tuple, tp, zp, tan_theta: float):
 def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     """Trace the pseudo-geodesic with constant normal angle theta on any
     regular chart, a position-only one (``jet=None``) included; a
-    `GeodesicMode` request is traced, and returned, as theta = 0.
+    `GeodesicMode` request is traced as theta = 0 and returned as given.
 
     The RHS and the samples' ``uv_acc`` run one formula on `point_metric`'s
     tuple: X_vv = t'^2 X_tt + 2 t'z' X_tz + z'^2 X_zz dotted with X_t, X_z
     and X_t x X_z gives Gamma(v, v) and II(v, v) at once.
     """
-    if isinstance(req.mode, GeodesicMode):
-        # the fields are validated already: no second __post_init__
-        mode = PseudoGeodesicMode(0.0, req.mode.initial_dir)
-        req = copy.copy(req)
-        object.__setattr__(req, "mode", mode)
     mode = req.mode
-    if not isinstance(mode, PseudoGeodesicMode):
-        raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode")
+    if not isinstance(mode, (PseudoGeodesicMode, GeodesicMode)):
+        raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode "
+                         "or a GeodesicMode")
+    theta = mode.theta if isinstance(mode, PseudoGeodesicMode) else 0.0
     surface = req.surface
-    if not abs(mode.theta) < np.pi / 2:
+    if not abs(theta) < np.pi / 2:
         raise ThetaOutOfRangeError("|theta| must be < pi/2")
-    tan_theta = float(np.tan(mode.theta))
+    tan_theta = float(np.tan(theta))
 
     def rhs(s, y, ref):
         t, z, tp, zp = y
@@ -464,7 +455,7 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     turn = kg0 * (req.s_span[1] - req.s_span[0])
     if turn > MAX_NFEV:  # a branch spends more than an RHS call a radian
         raise InvalidRequestError(
-            f"theta {mode.theta} turns by about {turn:.3g} rad over s_span "
+            f"theta {theta} turns by about {turn:.3g} rad over s_span "
             f"{req.s_span} (kg = {kg0:.3g} at the start), more than the "
             f"{MAX_NFEV} RHS calls of a branch")
     y0 = (float(req.start_uv[0]), float(req.start_uv[1]), tp0, zp0)

@@ -461,6 +461,11 @@ PROBES = {
                                         "--start", "0,0.5", "--mode",
                                         "pseudo-geodesic", "--theta",
                                         "1.5707963", "--dir", "1,0"],
+    # a NUL character in a path once escaped main as a bare ValueError
+    "config-path-nul": ["--config", "x\0y", "verify", "S4"],
+    "csv-path-nul": ["trace", *ENNEPER, "--phi", "0.5", "--csv", "x\0y.csv"],
+    "obj-path-nul": ["export", *ENNEPER, "--phi", "0.5", "--obj", "x\0y.obj",
+                     "--grid", "3", "3"],
 }
 # the config file each --config probe reads
 PROBE_CONFIGS = {
@@ -535,7 +540,10 @@ PROBE_NAMES = {"csv-comment-line": ("probe.csv", "not a trace CSV"),
                "helix-surface-r-beta-1e-300": ("r_beta",),
                "trace-tol-abs-nan": ("tol_abs 'nan'",),
                "export-tol-rel-config": ("tol_rel '-1'",),
-               "classify-override-not-a-number": ("s3.c = abc",)}
+               "classify-override-not-a-number": ("s3.c = abc",),
+               "config-path-nul": ("NUL character",),
+               "csv-path-nul": ("NUL character",),
+               "obj-path-nul": ("NUL character",)}
 
 
 def _write_probe_inputs(probe, tmp_path):
@@ -582,6 +590,29 @@ def test_invalid_input_fails_with_one_line(probe, tmp_path, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert all(name in err[0] for name in PROBE_NAMES.get(probe, ())), err[0]
     assert not list(tmp_path.glob("*.obj"))
+
+
+def test_refused_export_makes_no_output_directory(tmp_path, monkeypatch,
+                                                 capsys):
+    # the writer makes --out once it has checked the grid; the command line
+    # once made it before the curve was traced
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "gridout/new", *PROBES["grid-100000"]]) == 1
+    assert capsys.readouterr().err.startswith("error: grid 100000")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("values", [
+    ["--start", "-0.5,1", "--phi", "0.5"],
+    ["--start", "0,1", "--phi", "-1e-3"],
+    ["--start", "0,1", "--phi", "0.5", "--s-span", "-1e-3", "1"],
+], ids=["start-pair", "phi-exponent", "s-span-exponent"])
+def test_negative_values_are_values(values, tmp_path, monkeypatch, capsys):
+    # argparse once read -0.5,1 and -1e-3 as options (exit 2); --s-span,
+    # which takes two values, had no --opt=value way round it
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--surface", "enneper", *values]) == 0
+    assert capsys.readouterr().out.startswith("wrote ./trace.csv")
 
 
 def test_entry_point_fails_with_one_line(tmp_path):

@@ -9,7 +9,7 @@ from surftrace import (make_bonnet, make_catenoid, make_crpc_revolution,
                        shape_arrays)
 from surftrace import stepper, tracer
 from surftrace.core import (Domain, FundamentalForms, ShapeData, SurfaceDef,
-                            SurfaceJet2, TangentDecomp, _along, _fd_jet,
+                            SurfaceJet2, TangentDecomp, _fd_jet,
                             _flip, _principal, _records, pyfloats,
                             umbilic_margin, vec3)
 from surftrace.errors import OutOfDomainError, SingularJetError
@@ -283,6 +283,13 @@ def _random_points(surface, n, seed=5):
     rng = np.random.default_rng(seed)
     dom = surface.domain.inset(0.05)
     return rng.uniform(dom.t_min, dom.t_max, n), rng.uniform(dom.z_min, dom.z_max, n)
+
+
+def _along(hint):
+    """E1 signs over (n,) arrays for `_principal`: each point's E1 along
+    its own column of the (3, n) ``hint``."""
+    h0, h1, h2 = hint
+    return lambda d0, d1, d2, *_: d0 * h0 + d1 * h1 + d2 * h2 < 0.0
 
 
 def _hinted_shape(surface, t, z, hint):

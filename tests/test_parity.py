@@ -34,11 +34,12 @@ def test_umbilic_runs_cost_no_more_solver_work():
     # deterministic, and the RHS and scalar jet counts ceilings: each run
     # ends at the umbilic gap's solver event in whole steps, or completes;
     # the event reads the margin off each step's last stage, which took
-    # the jet calls from 10,244 to 8,949
+    # the jet calls from 10,244 to 8,949, and an end is named from the state
+    # the event read there, which took them to 8,939
     first = parity.umbilic_digest()
     assert first == parity.umbilic_digest()
     _, n, nfev, jets = first
-    assert n == 30 and nfev <= 8322 and jets <= 8949
+    assert n == 30 and nfev <= 8322 and jets <= 8939
 
 
 def test_charts_digest_is_the_same_on_two_calls():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from surftrace import make_enneper, tracer
+from surftrace import make_enneper, stepper, tracer
 from surftrace.stepper import (A, B, C, E, EPS, P, _bisect, _kernel,
                                integrate)
 from surftrace.tracer import PseudoGeodesicMode, TraceRequest
@@ -420,3 +420,56 @@ def test_branch_arrays_match_the_per_step_build_tracer(monkeypatch):
     ((rhs, y0, span, *options),) = calls
     for s_end in span:   # each side as a one-sided call: the same branch
         assert_per_step_build(rhs, y0, s_end, *options)
+
+
+def logged(rhs, calls):
+    """``rhs`` that appends (s, y) of each call to ``calls``."""
+    def g(s, y, ref):
+        calls.append((s, tuple(y)))
+        return rhs(s, y, ref)
+    return g
+
+
+@pytest.mark.parametrize("s_end", [5.0, -5.0])
+def test_completed_branch_keeps_its_end_state(s_end):
+    # the last RHS call is the last step's k7, at s_end on its end state
+    calls = []
+    br = one_sided(logged(oscillator, calls), (1.0, 0.0, 0.0, 1.0), s_end,
+                   None, ATOL, RTOL)
+    assert br.status == 0 and calls[-1] == (s_end, br.y)
+    assert rel_gap(np.array(br.y), br.sample([s_end])[0]) < 1e-12
+
+
+def test_failed_branch_keeps_its_last_accepted_state(monkeypatch):
+    # a budget that runs out: no attempt follows the last accepted step, so
+    # the last RHS call is its k7, on the state where the branch stops
+    monkeypatch.setattr(stepper, "MAX_NFEV", 50)
+    calls = []
+    br = one_sided(logged(oscillator, calls), (1.0, 0.0, 0.0, 1.0), 5.0,
+                   None, ATOL, RTOL)
+    assert br.status == -1 and br.stats.rejected == 0 and 0 < br.s < 5.0
+    assert calls[-1] == (br.s, br.y)
+    # a branch that takes no step keeps y0
+    nan = one_sided(lambda s, y, ref: (math.nan, 0.0), (0.5, 0.0), 1.0, None,
+                    ATOL, RTOL)
+    assert nan.status == -1 and nan.y == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("event, at_step_end", [
+    (lambda s, y, f: y[0] - 0.5, False),   # a root on a step's dense output
+    # a root that only step ends see: the bisection keeps the step end
+    (lambda s, y, f: -1.0 if f is not None and s > 0.5 else 1.0, True),
+], ids=["dense-output-root", "step-end-root"])
+def test_event_end_keeps_the_state_the_event_read(event, at_step_end):
+    calls = []
+
+    def recorded(s, y, f):
+        g = event(s, y, f)
+        calls.append((s, tuple(y), g))
+        return g
+
+    br = one_sided(oscillator, (1.0, 0.0, 0.0, 1.0), 3.0, recorded, ATOL,
+                   RTOL)
+    assert br.status == 1
+    assert any(g <= 0 for s, y, g in calls if (s, y) == (br.s, br.y))
+    assert (br.s == br.starts[-1] + br.h[-1]) == at_step_end
