@@ -300,7 +300,7 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
     if eps not in (1, -1):
         raise DegenerateParameterError("eps must be +1 or -1")
     c = float(c)
-    ep = float(eps)
+    ep, whole = float(eps), c.is_integer()
     tc = float(np.power(0.95, c))   # the jet's w = 1 - t^2c is least at t_max
     if not (c < np.inf and 1.0 - tc * tc > 0.0):   # else h', h'' not finite
         raise DegenerateParameterError(f"c = {c:g} leaves the jet non-finite: "
@@ -310,11 +310,18 @@ def make_crpc_revolution(c: float = 2.0, eps: int = 1) -> SurfaceDef:
         return vec3(t, t * np.cos(z), t * np.sin(z), _crpc_height(t, c, ep))
 
     def jet(t: float, z: float) -> SurfaceJet2:
-        cz, sz, tc = pyfloats(t, np.cos(z), np.sin(z), np.power(t, c))
-        w = 1.0 - tc * tc
-        # both square roots round correctly; past t = 1 (w < 0) np.sqrt's
-        # NaN keeps a float call equal to the array one, math.sqrt would raise
-        sw = math.sqrt(w) if type(w) is float and w >= 0.0 else np.sqrt(w)
+        cz, sz = pyfloats(t, np.cos(z), np.sin(z))
+        # a float call equals an array call (both square roots round
+        # correctly), and off the chart (t < 0 at a fractional c, or w < 0
+        # past t = 1) it is NaN as that is, without a RuntimeWarning
+        if type(cz) is float:
+            tc = float(np.power(t, c)) if whole or t >= 0.0 else math.nan
+            w = 1.0 - tc * tc
+            sw = math.sqrt(w) if w >= 0.0 else math.nan
+        else:
+            tc = np.power(t, c)
+            w = 1.0 - tc * tc
+            sw = np.sqrt(w)
         hp = ep * tc / sw
         hpp = ep * c * (tc / t) / (w * sw)
         d_t = vec3(t, cz, sz, hp)

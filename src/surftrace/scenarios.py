@@ -8,9 +8,10 @@ geodesic family, flow properties, two-surface fixtures); A1..A4 are
 corpus-wide suites (frame identities, closed-form curvature oracles,
 cross-implication checks, algebraic identities).
 
-The curves scenarios share are rows of `CURVES`, each traced at most once
-per process by `traced`; `corpus()` is the table and a plane circle.  S7's
-flow-property traces and `isogonal_map` probes and S8's fixtures are not rows.
+The curves scenarios share are rows of `CURVES`, each traced alone (its
+mode holds its start direction) and at most once per process by `traced`;
+`corpus()` is the table and a plane circle.  S7's flow-property traces and
+`isogonal_map` probes and S8's fixtures are not rows.
 """
 from __future__ import annotations
 
@@ -98,7 +99,8 @@ TABLE_ATOL, TABLE_RTOL = 1e-15, 1e-14
 @dataclass(frozen=True)
 class CurveSpec:
     """A named curve: gallery constructor and its parameters, flow mode,
-    start point, s-span and sample step."""
+    start point, s-span and sample step; the mode's angle or uv-velocity
+    is the start direction, so no row reads another's trace."""
 
     name: str
     make: Callable[..., SurfaceDef]
@@ -107,10 +109,9 @@ class CurveSpec:
     span: tuple[float, float]
     step: float = 2e-3
     params: tuple[tuple[str, float], ...] = ()
-    #: the isogonal angle is measured from the t direction, not from E1
+    #: the mode's angle (an isogonal phi or an initial_dir) is measured
+    #: from the t direction, not from E1
     chart_angle: bool = False
-    #: the table curve whose uv-velocity at s = 0 is the initial direction
-    velocity_of: Optional[str] = None
 
     def override(self, key: str, value: float) -> "CurveSpec":
         """This spec with the chart angle (``phi_chart``) or a surface
@@ -170,9 +171,10 @@ CURVES: dict[str, CurveSpec] = {spec.name: spec for spec in (
     CurveSpec("sphere_pg_b", make_sphere,
               PseudoGeodesicMode(-0.5, (1.0, -0.3)), (-0.1, 0.4),
               (-1.0, 1.0)),
+    # enneper_iso_pi6's start and direction, as a pseudo-geodesic
     CurveSpec("enneper_pg_matching_iso", make_enneper,
-              PseudoGeodesicMode(float(np.arctan(-np.sqrt(3.0)))),
-              (0.0, 1.0), (-1.2, 1.2), velocity_of="enneper_iso_pi6"),
+              PseudoGeodesicMode(float(np.arctan(-np.sqrt(3.0))), np.pi / 6),
+              (0.0, 1.0), (-1.2, 1.2), chart_angle=True),
 )}
 
 #: config overrides: ``<id>.<key> = value`` sets ``key`` (``phi_chart`` or a
@@ -196,12 +198,9 @@ def traced(spec: CurveSpec) -> CorpusCurve:
     surface = spec.make(**dict(spec.params))
     mode = spec.mode
     if spec.chart_angle:
-        mode = replace(mode, phi=chart_to_principal_angle(surface, spec.start,
-                                                          mode.phi))
-    if spec.velocity_of is not None:
-        source = traced(CURVES[spec.velocity_of]).trace
-        v0 = source.uv_vel[source.index_of(0.0)]
-        mode = replace(mode, initial_dir=(float(v0[0]), float(v0[1])))
+        key = "phi" if isinstance(mode, IsogonalMode) else "initial_dir"
+        mode = replace(mode, **{key: chart_to_principal_angle(
+            surface, spec.start, getattr(mode, key))})
     tr = trace(TraceRequest(surface, spec.start, mode, s_span=spec.span,
                             step=spec.step, atol=TABLE_ATOL, rtol=TABLE_RTOL))
     return CorpusCurve(spec.name, surface,
@@ -411,14 +410,11 @@ def run_s7(spec: SpecLookup) -> tuple[ScenarioCheck, ...]:
                 traced(spec("enneper_iso_pi6")).trace), 1e-6))
 
     # catenoid meridians are both principal (phi = 0) lines and geodesics,
-    # so two different flows from the same start velocity must agree
+    # so the two flows from the same start along E1 must agree
     gaps = []
     for start in ((0.2, 0.0), (0.3, 0.5)):
-        meridian = fine(IsogonalMode(0.0), (-0.8, 0.8), surface=cat,
-                        start=start)
-        v0 = meridian.uv_vel[meridian.index_of(0.0)]
-        geo = fine(GeodesicMode((float(v0[0]), float(v0[1]))), (-0.8, 0.8),
-                   surface=cat, start=start)
+        meridian, geo = (fine(mode, (-0.8, 0.8), surface=cat, start=start)
+                         for mode in (IsogonalMode(0.0), GeodesicMode(0.0)))
         gaps.append(_uv_gap(geo, meridian))
     checks.append(_below("geodesic equals catenoid meridian isogonal "
                          "(phi = 0)", max(gaps), 1e-9))

@@ -49,14 +49,15 @@ the first.  The isogonal right-hand side returns that margin after
 output from ``rhs(s, y, None)``.  The end is named from the state the
 event read there (`stepper.Branch.y`): the event is <= 0, so a positive
 edge distance means ``hit_umbilic``, else ``hit_boundary``.  A trace also
-ends ``hit_umbilic`` where, on the shape pass, an isogonal sample falls
-inside the gap (a step may cross it and come out between its ends; the
-branch then ends at that sample, which the trace drops), and
-``solver_failure`` when a branch runs out of its RHS budget
-(`stepper.MAX_NFEV`) or of step size.  Every trace's samples take one
-`core.curve_shape` pass, so a curve's phi is measured from the E1 that its
-request's angle is: the start's.  A trace returns the request it was
-given, a `GeodesicMode` one traced as theta = 0.
+ends ``hit_umbilic`` where an isogonal sample falls inside the gap (a step
+may cross it and come out between its ends; the branch then ends at that
+sample, which the trace drops), and ``solver_failure`` when a branch runs
+out of its RHS budget (`stepper.MAX_NFEV`) or of step size.  Every
+trace's samples take one shape pass, E1 chained from s = 0, so a curve's
+phi is measured from the E1 that its request's angle is: the start's (an
+isogonal trace's pass finds the gap cut, then is sliced to the kept
+samples).  A trace returns the request it was given, a `GeodesicMode` one
+traced as theta = 0.
 """
 from __future__ import annotations
 
@@ -67,8 +68,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import (SurfaceDef, _flip, _principal, curve_shape, point_metric,
-                   point_shape, umbilic_margin)
+from .core import (SurfaceDef, SurfaceJet2, _chain, _flip, _principal,
+                   _records, curve_shape, point_metric, point_shape,
+                   umbilic_margin)
 from .errors import (BoundaryExitError, InvalidRequestError,
                      SolverFailureError, ThetaOutOfRangeError,
                      UmbilicEncounteredError)
@@ -219,12 +221,11 @@ def chart_to_principal_angle(surface: SurfaceDef, uv: tuple[float, float],
     Useful because closed-form curve families are usually written in the
     chart frame while the tracer's phi is principal-frame native.
     """
-    jet, forms, sd = point_shape(surface, *uv)
+    sd = point_shape(surface, *uv)[2]
     if sd.umbilic:
         raise UmbilicEncounteredError("principal angle undefined at umbilic")
-    that = np.asarray(jet.d_t) / np.sqrt(forms.E)
-    delta = float(np.arctan2(that @ sd.e2, that @ sd.e1))
-    return delta + chart_angle
+    # X_t = f1 E1 + f2 E2: the t direction's angle from E1
+    return math.atan2(sd.decomp.f2, sd.decomp.f1) + chart_angle
 
 
 def _unit_uv_velocity(surface: SurfaceDef, uv,
@@ -358,7 +359,8 @@ def trace_isogonal(req: TraceRequest) -> Trace:
     """
     mode = req.mode
     if not isinstance(mode, IsogonalMode):
-        raise ValueError("trace_isogonal needs an IsogonalMode request")
+        raise InvalidRequestError(
+            "trace_isogonal needs an IsogonalMode request")
     surface = req.surface
     sd0 = point_shape(surface, *req.start_uv)[2]
     if umbilic_margin(sd0.kappa1, sd0.kappa2, UMBILIC_GAP) <= 0.0:
@@ -380,25 +382,25 @@ def trace_isogonal(req: TraceRequest) -> Trace:
 
     y0 = tuple(float(v) for v in req.start_uv)
     s, uv, exits, stats = _integrate_branches(rhs, y0, req, gap=True)
-    shape = curve_shape(s, point_metric(surface, *uv.T, check_domain=False))
-    # a sample inside the umbilic gap ends its branch there, as the gap's
-    # event does: a step may cross the gap and come out between its ends
-    sd = shape[2]
-    bad = np.flatnonzero(umbilic_margin(sd.kappa1, sd.kappa2,
-                                        UMBILIC_GAP) <= 0.0)
-    if len(bad):
-        zero = int(np.argmin(np.abs(s)))
-        lo, hi = bad[bad < zero], bad[bad > zero]
-        keep = slice(lo[-1] + 1 if len(lo) else 0, hi[0] if len(hi) else None)
-        for key, i in (("fwd", hi[:1]), ("bwd", lo[-1:])):
-            if len(i):
-                exits[key] = TraceExit("hit_umbilic", float(s[i[0]]))
-                _log.debug("%s branch: hit_umbilic at s = %r after %d RHS "
-                           "evaluations", key, exits[key].s_stop,
-                           stats[key].nfev)
-        s, uv = s[keep], uv[keep]
-        shape = curve_shape(s, point_metric(surface, *uv.T,
-                                            check_domain=False))
+    # one frame pass over the samples, E1 chained from s = 0 (`curve_shape`);
+    # a sample inside the umbilic gap ends its branch as the gap's event
+    # does: a step may cross the gap and come out between its ends
+    zero = int(np.argmin(np.abs(s)))
+    metric = point_metric(surface, *uv.T, check_domain=False)
+    frame = _principal(metric, _chain(zero))
+    bad = np.flatnonzero(umbilic_margin(*frame[:2], UMBILIC_GAP) <= 0.0)
+    lo, hi = bad[bad < zero], bad[bad > zero]
+    for key, i in (("fwd", hi[:1]), ("bwd", lo[-1:])):
+        if len(i):
+            exits[key] = TraceExit("hit_umbilic", float(s[i[0]]))
+            _log.debug("%s branch: hit_umbilic at s = %r after %d RHS "
+                       "evaluations", key, exits[key].s_stop, stats[key].nfev)
+    # the kept samples run on from s = 0, so their chained E1 stay as they are
+    keep = slice(lo[-1] + 1 if len(lo) else 0, hi[0] if len(hi) else None)
+    s, uv = s[keep], uv[keep]
+    shape = _records((SurfaceJet2(*(v[:, keep] for v in metric[0])),
+                      *(v[keep] for v in metric[1:])),
+                     tuple(v[keep] for v in frame))
     exit_ = _trace_exit(exits)
     # the field's velocities (exact speed) and directional acceleration on
     # the shape pass, whose E1 at s = 0 is the start's: the E1 phi refers to
@@ -435,8 +437,8 @@ def trace_pseudogeodesic(req: TraceRequest) -> Trace:
     """
     mode = req.mode
     if not isinstance(mode, (PseudoGeodesicMode, GeodesicMode)):
-        raise ValueError("trace_pseudogeodesic needs a PseudoGeodesicMode "
-                         "or a GeodesicMode")
+        raise InvalidRequestError("trace_pseudogeodesic needs a "
+                                  "PseudoGeodesicMode or a GeodesicMode")
     theta = mode.theta if isinstance(mode, PseudoGeodesicMode) else 0.0
     surface = req.surface
     if not abs(theta) < np.pi / 2:
@@ -483,10 +485,10 @@ def isogonal_map(surface: SurfaceDef, p_uv: tuple[float, float],
     tp, zp = float(v[0]), float(v[1])
     if tp == 0.0 and zp == 0.0:
         return p_uv
-    jet, _, sd = point_shape(surface, *p_uv)
-    v3 = tp * np.asarray(jet.d_t) + zp * np.asarray(jet.d_z)
-    speed = float(np.linalg.norm(v3))
-    phi = float(np.arctan2(v3 @ sd.e2, v3 @ sd.e1))
+    f1, f2, g1, g2 = point_shape(surface, *p_uv)[2].decomp
+    # v = t' X_t + z' X_z on E1 and E2
+    v1, v2 = tp * f1 + zp * g1, tp * f2 + zp * g2
+    speed, phi = math.hypot(v1, v2), math.atan2(v2, v1)
     # at the default sample step, since the samples also test the umbilic
     # gap between solver points
     req = TraceRequest(surface, p_uv, IsogonalMode(phi, speed),

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -776,7 +777,7 @@ def test_export_obj_structure(tmp_path):
         curves.append(curve_scalars_from_trace(enn, tr).pos)
     path = str(tmp_path / "figure.obj")
     write_obj(path, enn, curves, grid=(50, 50))
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     n_v = sum(1 for ln in lines if ln.startswith("v "))
     n_f = sum(1 for ln in lines if ln.startswith("f "))
     n_l = sum(1 for ln in lines if ln.startswith("l "))
@@ -797,7 +798,7 @@ def test_export_obj_exact_text(tmp_path):
     path = str(tmp_path / "small.obj")
     write_obj(path, make_plane(), [[(0.1, 0.25, 0.0), (1.5, -2.0, 0.0),
                                     (3.0, 1e-300, -0.0)]], grid=(3, 2))
-    assert open(path, encoding="utf-8").read() == (
+    assert Path(path).read_text(encoding="utf-8") == (
         "o plane\n"
         "v -10 -10 0\nv -10 10 0\nv 0 -10 0\nv 0 10 0\nv 10 -10 0\n"
         "v 10 10 0\n"

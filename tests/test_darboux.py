@@ -518,14 +518,14 @@ def test_curve_scalars_from_trace_equals_curve_scalars(req):
 
 
 @pytest.mark.parametrize("mode, in_trace", [
-    (IsogonalMode(0.4), ["curve_shape", "_isogonal_acceleration"]),
+    (IsogonalMode(0.4), ["_records", "_isogonal_acceleration"]),
     (PseudoGeodesicMode(0.3, 0.4), ["curve_shape"]),
     (GeodesicMode(0.4), ["curve_shape"])],
     ids=["isogonal", "pseudo_geodesic", "geodesic"])
 def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
-    # the trace makes its samples' shape pass (an isogonal one frame-only
-    # pass more, over its acceleration stencils, which builds no records),
-    # and the Darboux scalars reuse it
+    # the trace makes its samples' shape pass (an isogonal one builds the
+    # records off its own frame pass, and makes one frame-only pass more,
+    # over its acceleration stencils), and the Darboux scalars reuse it
     calls = []
 
     def spy(module, name):
@@ -537,6 +537,7 @@ def test_one_shape_pass_per_sample(monkeypatch, mode, in_trace):
         monkeypatch.setattr(module, name, counted)
 
     spy(tracer, "curve_shape")
+    spy(tracer, "_records")
     spy(tracer, "_isogonal_acceleration")
     spy(darboux, "curve_shape")
     enn = make_enneper()

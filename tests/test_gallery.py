@@ -280,15 +280,19 @@ def test_charts_are_elementwise(surface):
 
 
 def test_crpc_jet_past_the_chart_is_nan_in_both_forms():
-    # past t = 1, w = 1 - t^2c < 0: a float call's square root is NaN as in
-    # an array call, not math.sqrt's domain error
-    jet = make_crpc_revolution(2.0, 1).jet
-    with np.errstate(invalid="ignore"):
-        one = jet(1.2, 0.3)
-        many = jet(np.array([1.2]), np.array([0.3]))
-    assert np.isnan(one.d_t[2])
-    for got, want in zip(many, one):
-        assert np.array_equal(got[:, 0], want, equal_nan=True)
+    # past t = 1, w = 1 - t^2c < 0, and at t < 0 with a fractional c, t^c is
+    # not real: a float call is NaN as an array call is, with no
+    # RuntimeWarning and not math.sqrt's domain error
+    for c, t in ((2.0, 1.2), (2.5, -0.3)):
+        jet = make_crpc_revolution(c, 1).jet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = jet(t, 0.3)
+        with np.errstate(invalid="ignore"):
+            many = jet(np.array([t]), np.array([0.3]))
+        assert np.isnan(one.d_t[2])
+        for got, want in zip(many, one):
+            assert np.array_equal(got[:, 0], want, equal_nan=True)
 
 
 @pytest.mark.parametrize("surface", CHARTS, ids=lambda s: s.name)

@@ -1,7 +1,9 @@
 """The scenario layer: table curves traced once, overrides, bound texts."""
 import operator
 import re
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from surftrace import classify as cls, scenarios, tracer
@@ -34,6 +36,55 @@ def test_scenarios_trace_no_table_curve_again(corpus, traced_requests):
         scenarios.run_scenario(sid)
     assert traced_requests, "S7 traces curves of its own"
     assert table.isdisjoint(traced_requests)
+
+
+@pytest.fixture
+def scenario_traces(monkeypatch):
+    """(request, trace) of each `scenarios.trace` call while the test runs,
+    with `scenarios.traced` on an empty cache of its own."""
+    seen = []
+
+    def spy(req, _real=scenarios.trace):
+        seen.append((req, _real(req)))
+        return seen[-1][1]
+    monkeypatch.setattr(scenarios, "trace", spy)
+    monkeypatch.setattr(scenarios, "traced",
+                        lru_cache(maxsize=None)(scenarios.traced.__wrapped__))
+    return seen
+
+
+def test_a_table_row_traces_alone(scenario_traces):
+    # the pseudo-geodesic matching enneper_iso_pi6 holds that row's start
+    # direction, so tracing it traces no other row
+    scenarios.traced(scenarios.CURVES["enneper_pg_matching_iso"])
+    assert len(scenario_traces) == 1
+
+
+def test_matching_pseudo_geodesic_starts_on_the_isogonal_velocity(corpus):
+    # one chart angle, pi/6, converted once per row: both rows start on
+    # the same E1 angle and so on the same uv-velocity, bit for bit
+    rows = {cc.name: cc.trace for cc in corpus}
+    pg, iso = rows["enneper_pg_matching_iso"], rows["enneper_iso_pi6"]
+    assert pg.request.mode.initial_dir == iso.request.mode.phi
+    assert np.array_equal(pg.uv_vel[pg.index_of(0.0)],
+                          iso.uv_vel[iso.index_of(0.0)])
+
+
+def test_s7_catenoid_geodesic_starts_on_the_meridian_velocity(
+        scenario_traces):
+    # the geodesic is traced from the meridian's own angle, 0 from E1, not
+    # from a velocity read off the meridian's trace
+    scenarios.run_s7(scenarios.CURVES.__getitem__)
+    for start in ((0.2, 0.0), (0.3, 0.5)):
+        cat = [(req.mode, tr) for req, tr in scenario_traces
+               if req.surface.name == "catenoid" and req.start_uv == start]
+        (meridian,) = [tr for mode, tr in cat
+                       if mode == tracer.IsogonalMode(0.0)]
+        ((mode, geo),) = [(mode, tr) for mode, tr in cat
+                          if isinstance(mode, tracer.GeodesicMode)]
+        assert mode == tracer.GeodesicMode(0.0)
+        assert np.array_equal(geo.uv_vel[geo.index_of(0.0)],
+                              meridian.uv_vel[meridian.index_of(0.0)])
 
 
 def test_override_traces_a_new_curve(corpus, traced_requests):

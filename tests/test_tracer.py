@@ -646,6 +646,21 @@ def test_geodesic_entry_points_return_one_request():
         _assert_traces_equal(pseudo, tr)
 
 
+def test_trace_isogonal_refuses_another_mode():
+    # a request error, still a ValueError, before any chart evaluation
+    req = TraceRequest(make_enneper(), (0.2, 0.3), GeodesicMode(0.4))
+    with pytest.raises(InvalidRequestError, match="needs an IsogonalMode"):
+        trace_isogonal(req)
+    assert issubclass(InvalidRequestError, ValueError)
+
+
+def test_trace_pseudogeodesic_refuses_an_isogonal_mode():
+    req = TraceRequest(make_enneper(), (0.2, 0.3), IsogonalMode(0.4))
+    with pytest.raises(InvalidRequestError,
+                       match="needs a PseudoGeodesicMode or a GeodesicMode"):
+        trace_pseudogeodesic(req)
+
+
 def test_trace_stats_count_rhs_calls(monkeypatch):
     # a counting wrapper around the trace's right-hand side, which one
     # stepper call integrates both ways
